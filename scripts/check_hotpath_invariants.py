@@ -1,7 +1,7 @@
 #!/usr/bin/env python
-"""Hot-path invariant lint: clock discipline and zero-copy decode paths.
+"""Hot-path invariant lint: clock discipline, zero-copy decode, loop-free codec.
 
-Two structural rules the hot-path refactor relies on, enforced over the
+Three structural rules the hot-path refactors rely on, enforced over the
 AST so comments and strings never trip them:
 
 1. **Clock discipline** — ``time.perf_counter`` (and its ``_ns``
@@ -18,6 +18,16 @@ AST so comments and strings never trip them:
    slice is a hidden copy, which is exactly what the zero-copy parse
    contract (DESIGN 14) forbids.  Encode-side code (``to_bytes``,
    ``build_frame``, ``materialize``) may copy freely.
+
+3. **Loop-free reduction stages** — inside ``codec/stages.py`` the stage
+   hooks (``encode_records``, ``decode_records``, ``encode_columnar``,
+   ``decode_columnar``) and the varint/zigzag helpers (any function named
+   ``*varint*``, ``*zigzag*`` or ``*group_shifts*``) contain no ``for`` or
+   ``while`` statement, comprehension, generator expression or
+   ``.tolist()`` call:
+   stages are array ops over the record buffer (DESIGN 9), and a
+   per-record Python loop is exactly the cliff that rule keeps shut.  The
+   scalar reference lives in ``tests/`` and is not scanned.
 
 Exit status 0 when clean; 1 with one ``path:line: message`` per
 violation otherwise.  Run from the repository root::
@@ -48,6 +58,34 @@ DECODE_PATH_FUNCTIONS = frozenset(
         "frame_content_size",
         "_header_fields",
     }
+)
+
+#: module holding the reduction stages
+STAGES_MODULE = Path("repro") / "codec" / "stages.py"
+
+#: stages.py stage hooks that must never walk records in Python
+STAGE_HOOKS = frozenset(
+    {"encode_records", "decode_records", "encode_columnar", "decode_columnar"}
+)
+
+#: ... and its helpers, matched by name fragment so that a scalar
+#: ``_encode_varints`` beside ``_pack_varints`` is caught too
+VECTOR_HELPER_MARKERS = ("varint", "zigzag", "group_shifts")
+
+
+def _is_vector_function(name: str) -> bool:
+    return name in STAGE_HOOKS or any(mark in name for mark in VECTOR_HELPER_MARKERS)
+
+
+#: AST nodes that iterate element by element
+_LOOP_NODES = (
+    ast.For,
+    ast.AsyncFor,
+    ast.While,
+    ast.ListComp,
+    ast.SetComp,
+    ast.DictComp,
+    ast.GeneratorExp,
 )
 
 #: forbidden host-clock attribute names on the ``time`` module
@@ -102,6 +140,33 @@ def _check_decode_paths(tree: ast.AST, rel: Path) -> list[str]:
     return problems
 
 
+def _check_vector_stages(tree: ast.AST, rel: Path) -> list[str]:
+    """Flag per-record iteration inside stages.py's stage hooks and helpers."""
+    problems = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if not _is_vector_function(node.name):
+            continue
+        for sub in ast.walk(node):
+            if isinstance(sub, _LOOP_NODES):
+                what = type(sub).__name__
+            elif (
+                isinstance(sub, ast.Call)
+                and isinstance(sub.func, ast.Attribute)
+                and sub.func.attr == "tolist"
+            ):
+                what = ".tolist() call"
+            else:
+                continue
+            problems.append(
+                f"{rel}:{sub.lineno}: {what} inside vector-stage function "
+                f"{node.name}() — stages are array ops over the record "
+                "buffer, never a per-record Python loop"
+            )
+    return problems
+
+
 def check_tree(src_root: Path) -> list[str]:
     """All invariant violations under ``src_root`` (a ``src/`` directory)."""
     problems = []
@@ -112,6 +177,8 @@ def check_tree(src_root: Path) -> list[str]:
             problems.extend(_check_clock_discipline(tree, rel))
         if rel == FRAME_MODULE:
             problems.extend(_check_decode_paths(tree, rel))
+        if rel == STAGES_MODULE:
+            problems.extend(_check_vector_stages(tree, rel))
     return problems
 
 
@@ -126,7 +193,7 @@ def main(argv: list[str]) -> int:
     if problems:
         print(f"{len(problems)} hot-path invariant violation(s)")
         return 1
-    print("hot-path invariants hold (clock discipline, zero-copy decode)")
+    print("hot-path invariants hold (clock discipline, zero-copy decode, loop-free codec)")
     return 0
 
 

@@ -22,13 +22,22 @@ without either knowing the other's output format.
 online reduction); every chain listed in :data:`REGISTERED_CHAINS` is
 lossless and must round-trip bit-exactly — the randomized codec tests
 enforce this.
+
+No stage loops over records in Python: every transform is a handful of
+numpy array operations over the packed record buffer
+(``scripts/check_hotpath_invariants.py`` enforces it).  Record bytes are
+copied once per direction — :meth:`Columnar.serialize` on encode,
+:func:`_reassemble` on decode — so "records" below means any contiguous
+byte buffer (``bytes``, ``memoryview``, flat ``uint8`` array).  The scalar
+reference implementation the wire bytes are pinned against lives in
+``tests/_codec_reference.py`` only (DESIGN 9).
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,21 +49,17 @@ RECORD_SIZE = 40  # matches instrument.events.EVENT_RECORD_SIZE (asserted there)
 _SITE_BYTES = 24  # the non-temporal record prefix ("call site")
 _TIME_BYTES = 16  # t_start + t_end, two little-endian f64
 
-# A record is the 24-byte call-site prefix followed by the two timestamps.
-_REC_DTYPE = np.dtype(
-    {
-        "names": ["site", "t_start", "t_end"],
-        "formats": ["V24", "<f8", "<f8"],
-        "offsets": [0, _SITE_BYTES, _SITE_BYTES + 8],
-        "itemsize": RECORD_SIZE,
-    }
-)
-
 SITE_RAW, SITE_DICT = 0, 1
 TIME_RAW, TIME_DELTA = 0, 1
 _COL_FMT = "<BBII"  # site_enc, time_enc, count, sites_len
 _COL_STRUCT = struct.Struct(_COL_FMT)
 _COL_HEADER_SIZE = _COL_STRUCT.size
+_DICT_HEADER = struct.Struct("<BI")  # index width, table entries
+_U32 = struct.Struct("<I")
+
+_VARINT_MAX = 10  # a u64 spans at most ten 7-bit groups
+_SHIFTS = np.arange(_VARINT_MAX, dtype=np.uint64) * np.uint64(7)
+_GROUP_FLOORS = np.uint64(1) << _SHIFTS[1:]  # least value needing 2, 3, ... 10 bytes
 
 
 @dataclass
@@ -75,131 +80,131 @@ class EncodeResult:
     events_dropped: int  # records the sampler removed from this batch
 
 
+def _rows(records) -> np.ndarray:
+    """A record buffer as a zero-copy ``(count, RECORD_SIZE)`` byte matrix."""
+    return np.frombuffer(records, dtype=np.uint8).reshape(-1, RECORD_SIZE)
+
+
 @dataclass
 class Columnar:
     """The split record batch phase-1 stages transform.
 
     ``sites`` and ``times`` each carry their own encoding tag, so the
     container is self-describing and a decoder can detect when the chain
-    it was asked to apply does not match the bytes in front of it.
+    it was asked to apply does not match the bytes in front of it.  Both
+    columns are ``uint8`` arrays of ``.size`` bytes: strided views of the
+    record buffer while raw on the encode side, flat views of the payload
+    on the decode side, fresh arrays once a stage has transformed them.
     """
 
     count: int
     site_enc: int
     time_enc: int
-    sites: bytes
-    times: bytes
+    sites: np.ndarray
+    times: np.ndarray
 
     def serialize(self) -> bytes:
-        return (
-            _COL_STRUCT.pack(
-                self.site_enc, self.time_enc, self.count, len(self.sites)
-            )
-            + self.sites
-            + self.times
-        )
+        # The one copy of the encode side: a column no stage transformed is
+        # still a strided view of the caller's records and is packed here.
+        sites = np.ascontiguousarray(self.sites)
+        header = _COL_STRUCT.pack(self.site_enc, self.time_enc, self.count, sites.size)
+        return b"".join((header, sites, np.ascontiguousarray(self.times)))
 
     @classmethod
-    def parse(cls, data: bytes) -> "Columnar":
+    def parse(cls, data) -> "Columnar":
         if len(data) < _COL_HEADER_SIZE:
             raise PackFormatError(
                 f"columnar container of {len(data)} bytes shorter than header"
             )
         site_enc, time_enc, count, sites_len = _COL_STRUCT.unpack_from(data, 0)
-        body = data[_COL_HEADER_SIZE:]
-        if sites_len > len(body):
+        body = np.frombuffer(data, dtype=np.uint8, offset=_COL_HEADER_SIZE)
+        if sites_len > body.size:
             raise PackFormatError(
-                f"columnar sites length {sites_len} exceeds body of {len(body)} bytes"
+                f"columnar sites length {sites_len} exceeds body of {body.size} bytes"
             )
-        return cls(
-            count=count,
-            site_enc=site_enc,
-            time_enc=time_enc,
-            sites=bytes(body[:sites_len]),
-            times=bytes(body[sites_len:]),
-        )
+        return cls(count, site_enc, time_enc, body[:sites_len], body[sites_len:])
 
 
-def _split_columnar(records: bytes) -> Columnar:
-    count = len(records) // RECORD_SIZE
-    arr = np.frombuffer(records, dtype=_REC_DTYPE)
-    times = np.empty((count, 2), dtype="<f8")
-    times[:, 0] = arr["t_start"]
-    times[:, 1] = arr["t_end"]
+def _split_columnar(records) -> Columnar:
+    rows = _rows(records)
     return Columnar(
-        count=count,
+        count=rows.shape[0],
         site_enc=SITE_RAW,
         time_enc=TIME_RAW,
-        sites=arr["site"].tobytes(),
-        times=times.tobytes(),
+        sites=rows[:, :_SITE_BYTES],
+        times=rows[:, _SITE_BYTES:],
     )
 
 
-def _reassemble(col: Columnar) -> bytes:
+def _reassemble(col: Columnar) -> memoryview:
     if col.site_enc != SITE_RAW or col.time_enc != TIME_RAW:
         raise PackFormatError(
             "codec descriptor mismatch: columnar payload still encoded "
             f"(site_enc={col.site_enc}, time_enc={col.time_enc}) after chain decode"
         )
-    if len(col.sites) != col.count * _SITE_BYTES:
+    if col.sites.size != col.count * _SITE_BYTES:
         raise PackFormatError(
-            f"columnar sites of {len(col.sites)} bytes, "
+            f"columnar sites of {col.sites.size} bytes, "
             f"count {col.count} implies {col.count * _SITE_BYTES}"
         )
-    if len(col.times) != col.count * _TIME_BYTES:
+    if col.times.size != col.count * _TIME_BYTES:
         raise PackFormatError(
-            f"columnar times of {len(col.times)} bytes, "
+            f"columnar times of {col.times.size} bytes, "
             f"count {col.count} implies {col.count * _TIME_BYTES}"
         )
-    out = np.empty(col.count, dtype=_REC_DTYPE)
-    out["site"] = np.frombuffer(col.sites, dtype="V24")
-    times = np.frombuffer(col.times, dtype="<f8").reshape(col.count, 2)
-    out["t_start"] = times[:, 0]
-    out["t_end"] = times[:, 1]
-    return out.tobytes()
+    # The one copy of the decode side: columns interleave into fresh records.
+    out = np.empty((col.count, RECORD_SIZE), dtype=np.uint8)
+    out[:, :_SITE_BYTES] = col.sites.reshape(col.count, _SITE_BYTES)
+    out[:, _SITE_BYTES:] = col.times.reshape(col.count, _TIME_BYTES)
+    return out.reshape(-1).data
 
 
-def _encode_varints(values) -> bytes:
-    out = bytearray()
-    for v in values:
-        while True:
-            byte = v & 0x7F
-            v >>= 7
-            if v:
-                out.append(byte | 0x80)
-            else:
-                out.append(byte)
-                break
-    return bytes(out)
+def _zigzag(v: np.ndarray) -> np.ndarray:
+    """int64 -> u64, small magnitudes of either sign to small values."""
+    return ((v << 1) ^ (v >> 63)).view(np.uint64)
 
 
-def _decode_varints(data: bytes, count: int) -> tuple[list[int], int]:
-    """Decode exactly ``count`` varints; returns (values, bytes consumed)."""
-    values: list[int] = []
-    pos = 0
-    total = len(data)
-    for _ in range(count):
-        shift = 0
-        acc = 0
-        while True:
-            if pos >= total:
-                raise PackFormatError("varint stream truncated")
-            byte = data[pos]
-            pos += 1
-            acc |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                break
-            shift += 7
-        values.append(acc)
-    return values, pos
+def _unzigzag(z: np.ndarray) -> np.ndarray:
+    return (z >> 1).view(np.int64) ^ -(z & 1).view(np.int64)
 
 
-def _zigzag(n: int) -> int:
-    return (n << 1) ^ (n >> 63)
+def _group_shifts(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Bit shift of every byte of a varint stream: 7 x its index in its value."""
+    first = np.repeat(starts, lengths)  # per byte: where its value starts
+    return _SHIFTS[np.arange(first.size) - first]
 
 
-def _unzigzag(z: int) -> int:
-    return (z >> 1) ^ -(z & 1)
+def _pack_varints(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LEB128-encode u64 values: (concatenated bytes, end offset of each value).
+
+    One output byte per 7-bit group: each value is repeated once per byte
+    it needs and every copy shifted down to its group.  Every byte gets
+    the continuation flag, then each value's last byte drops it.
+    """
+    lengths = np.searchsorted(_GROUP_FLOORS, z, side="right") + 1
+    ends = np.cumsum(lengths)
+    out = (np.repeat(z, lengths) >> _group_shifts(ends - lengths, lengths)).astype(np.uint8)
+    out |= 0x80
+    out[ends - 1] &= 0x7F
+    return out, ends
+
+
+def _unpack_varints(a: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """u64 values of the varints of ``a`` whose terminators sit at ``ends``.
+
+    ``ends`` must cover ``a`` exactly (last terminator on the last byte).
+    The inverse layout of :func:`_pack_varints`: each byte's low 7 bits
+    shift up to their group, then OR-reduce per value.
+    """
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts + 1
+    if lengths.max(initial=0) > _VARINT_MAX:
+        raise PackFormatError(f"varint longer than {_VARINT_MAX} bytes")
+    if (a[ends[lengths == _VARINT_MAX]] > 1).any():
+        raise PackFormatError("varint overflows 64 bits")
+    groups = (a & 0x7F).astype(np.uint64) << _group_shifts(starts, lengths)
+    return np.bitwise_or.reduceat(groups, starts)
 
 
 class Stage:
@@ -266,7 +271,7 @@ class SampleStage(Stage):
     def spec(self) -> str:
         return f"{self.name}:{self.target_bps:g}"
 
-    def encode_records(self, records: bytes, ctx: CodecContext) -> bytes:
+    def encode_records(self, records, ctx: CodecContext):
         count = len(records) // RECORD_SIZE
         if count == 0:
             return records
@@ -282,8 +287,7 @@ class SampleStage(Stage):
         if keep == 0:
             return b""
         idx = (np.arange(keep, dtype=np.int64) * count) // keep
-        arr = np.frombuffer(records, dtype=_REC_DTYPE)
-        return arr[idx].tobytes()
+        return _rows(records)[idx].reshape(-1)
 
 
 class QuantStage(Stage):
@@ -308,13 +312,14 @@ class QuantStage(Stage):
     def spec(self) -> str:
         return f"{self.name}:{self.q:g}"
 
-    def encode_records(self, records: bytes, ctx: CodecContext) -> bytes:
-        if not records:
+    def encode_records(self, records, ctx: CodecContext):
+        if not len(records):
             return records
-        arr = np.frombuffer(records, dtype=_REC_DTYPE).copy()
-        dur = arr["t_end"] - arr["t_start"]
-        arr["t_end"] = arr["t_start"] + np.round(dur / self.q) * self.q
-        return arr.tobytes()
+        rows = _rows(records).copy()  # never rewrite the caller's buffer
+        t = rows[:, _SITE_BYTES:].view("<f8")
+        start = t[:, 0]
+        t[:, 1] = start + np.round((t[:, 1] - start) / self.q) * self.q
+        return rows.reshape(-1)
 
 
 class DeltaStage(Stage):
@@ -334,14 +339,17 @@ class DeltaStage(Stage):
     def encode_columnar(self, col: Columnar, ctx: CodecContext) -> None:
         if col.count == 0 or col.time_enc != TIME_RAW:
             return
-        pairs = np.frombuffer(col.times, dtype="<f8").reshape(col.count, 2)
-        ts_bits = np.ascontiguousarray(pairs[:, 0]).view(np.int64)
-        te_bits = np.ascontiguousarray(pairs[:, 1]).view(np.int64)
-        ts_vals = [int(ts_bits[0])] + np.diff(ts_bits).tolist()
-        te_vals = (te_bits - ts_bits).tolist()
-        ts_stream = _encode_varints(_zigzag(v) for v in ts_vals)
-        te_stream = _encode_varints(_zigzag(v) for v in te_vals)
-        col.times = struct.pack("<I", len(ts_stream)) + ts_stream + te_stream
+        n = col.count
+        bits = col.times.view("<i8")  # (n, 2) IEEE-754 bit patterns
+        # Row 0: first t_start, then t_start deltas; row 1: t_end - t_start.
+        # Both streams go through zigzag + varint in one pass.
+        vals = np.empty((2, n), dtype=np.int64)
+        vals[0, 0] = bits[0, 0]
+        vals[0, 1:] = bits[1:, 0] - bits[:-1, 0]
+        vals[1] = bits[:, 1] - bits[:, 0]
+        stream, ends = _pack_varints(_zigzag(vals.reshape(-1)))
+        prefix = np.frombuffer(_U32.pack(int(ends[n - 1])), dtype=np.uint8)
+        col.times = np.concatenate((prefix, stream))
         col.time_enc = TIME_DELTA
 
     def decode_columnar(self, col: Columnar) -> None:
@@ -351,28 +359,28 @@ class DeltaStage(Stage):
             raise PackFormatError(
                 f"delta decode on time_enc={col.time_enc} columnar payload"
             )
-        data = col.times
-        if len(data) < 4:
+        n = col.count
+        if col.times.size < 4:
             raise PackFormatError("delta time stream shorter than its length prefix")
-        (ts_len,) = struct.unpack_from("<I", data, 0)
-        ts_zz, used = _decode_varints(data[4 : 4 + ts_len], col.count)
+        (ts_len,) = _U32.unpack_from(col.times, 0)
+        a = col.times[4:]
+        ends = np.flatnonzero(a < 0x80)  # varint terminators of both streams
+        if np.searchsorted(ends, ts_len) < n:
+            raise PackFormatError("varint stream truncated")
+        used = int(ends[n - 1]) + 1 if n else 0
         if used != ts_len:
             raise PackFormatError(
                 f"delta t_start stream: {ts_len} bytes declared, {used} consumed"
             )
-        te_zz, used = _decode_varints(data[4 + ts_len :], col.count)
-        if 4 + ts_len + used != len(data):
+        if ends.size < 2 * n:
+            raise PackFormatError("varint stream truncated")
+        if (int(ends[2 * n - 1]) + 1 if n else 0) != a.size:
             raise PackFormatError("trailing bytes after delta t_end stream")
-        ts_bits = np.cumsum(
-            np.array([_unzigzag(z) for z in ts_zz], dtype=np.int64), dtype=np.int64
-        )
-        te_bits = ts_bits + np.array(
-            [_unzigzag(z) for z in te_zz], dtype=np.int64
-        )
-        pairs = np.empty((col.count, 2), dtype=np.int64)
-        pairs[:, 0] = ts_bits
-        pairs[:, 1] = te_bits
-        col.times = pairs.view("<f8").tobytes()
+        deltas = _unzigzag(_unpack_varints(a, ends))
+        bits = np.empty((n, 2), dtype=np.int64)
+        bits[:, 0] = np.cumsum(deltas[:n])
+        bits[:, 1] = bits[:, 0] + deltas[n:]
+        col.times = bits.reshape(-1).view(np.uint8)
         col.time_enc = TIME_RAW
 
 
@@ -393,20 +401,21 @@ class DictStage(Stage):
     def encode_columnar(self, col: Columnar, ctx: CodecContext) -> None:
         if col.count == 0 or col.site_enc != SITE_RAW:
             return
-        arr = np.frombuffer(col.sites, dtype=np.uint8).reshape(col.count, _SITE_BYTES)
-        uniq, inverse = np.unique(arr, axis=0, return_inverse=True)
-        nuniq = uniq.shape[0]
-        if nuniq <= 256:
-            idx_dtype, idx_width = np.dtype("<u1"), 1
-        elif nuniq <= 65536:
-            idx_dtype, idx_width = np.dtype("<u2"), 2
-        else:
-            idx_dtype, idx_width = np.dtype("<u4"), 4
-        col.sites = (
-            struct.pack("<BI", idx_width, nuniq)
-            + uniq.tobytes()
-            + inverse.reshape(-1).astype(idx_dtype).tobytes()
-        )
+        n = col.count
+        # Three big-endian u64 words per site: numeric word order is byte-
+        # lexicographic order, so the table comes out sorted by raw bytes.
+        words = col.sites.view("<u8").byteswap()
+        order = np.lexsort((words[:, 2], words[:, 1], words[:, 0]))
+        words = words[order]
+        first = np.ones(n, dtype=np.bool_)  # sorted row opens a new table entry
+        first[1:] = (words[1:] != words[:-1]).any(axis=1)
+        nuniq = int(np.count_nonzero(first))
+        idx_width = 1 if nuniq <= 256 else 2 if nuniq <= 65536 else 4
+        index = np.empty(n, dtype=f"<u{idx_width}")
+        index[order] = np.cumsum(first) - 1
+        header = np.frombuffer(_DICT_HEADER.pack(idx_width, nuniq), dtype=np.uint8)
+        table = col.sites[order[first]]
+        col.sites = np.concatenate((header, table.reshape(-1), index.view(np.uint8)))
         col.site_enc = SITE_DICT
 
     def decode_columnar(self, col: Columnar) -> None:
@@ -417,25 +426,23 @@ class DictStage(Stage):
                 f"dict decode on site_enc={col.site_enc} columnar payload"
             )
         data = col.sites
-        if len(data) < 5:
+        if data.size < _DICT_HEADER.size:
             raise PackFormatError("dict site stream shorter than its header")
-        idx_width, nuniq = struct.unpack_from("<BI", data, 0)
+        idx_width, nuniq = _DICT_HEADER.unpack_from(data, 0)
         if idx_width not in (1, 2, 4):
             raise PackFormatError(f"dict index width {idx_width} not in (1, 2, 4)")
-        table_end = 5 + nuniq * _SITE_BYTES
+        table_end = _DICT_HEADER.size + nuniq * _SITE_BYTES
         expected = table_end + col.count * idx_width
-        if len(data) != expected:
+        if data.size != expected:
             raise PackFormatError(
-                f"dict site stream of {len(data)} bytes, "
+                f"dict site stream of {data.size} bytes, "
                 f"table {nuniq} × index {idx_width} implies {expected}"
             )
-        table = np.frombuffer(data[5:table_end], dtype=np.uint8).reshape(
-            nuniq, _SITE_BYTES
-        )
-        idx = np.frombuffer(data[table_end:], dtype=f"<u{idx_width}")
-        if nuniq and int(idx.max(initial=0)) >= nuniq:
+        table = data[_DICT_HEADER.size : table_end].reshape(nuniq, _SITE_BYTES)
+        idx = data[table_end:].view(f"<u{idx_width}")
+        if idx.size and int(idx.max()) >= nuniq:
             raise PackFormatError("dict index out of table range")
-        col.sites = table[idx].tobytes()
+        col.sites = table[idx].reshape(-1)
         col.site_enc = SITE_RAW
 
 
@@ -541,7 +548,7 @@ class CodecChain:
     def _by_phase(self, phase: int) -> list[Stage]:
         return (self._phase0, self._phase1, self._phase2)[phase]
 
-    def encode(self, records: bytes, now: float = 0.0) -> EncodeResult:
+    def encode(self, records, now: float = 0.0) -> EncodeResult:
         """Run one record batch through the chain (left to right)."""
         if len(records) % RECORD_SIZE:
             raise PackFormatError(
@@ -551,7 +558,10 @@ class CodecChain:
         hp = hostprof.ACTIVE
         t_host = hp.now() if hp.enabled else 0.0
         ctx = CodecContext(now=now)
-        data = bytes(records)
+        # Zero-copy entry: ``records`` may be a view of the packer's reuse
+        # buffer.  Stages only read it, and every array derived from it is
+        # dead by return -- the payload below always owns its bytes.
+        data = records
         for stage in self._phase0:
             data = stage.encode_records(data, ctx)
         count = len(data) // RECORD_SIZE
@@ -564,6 +574,8 @@ class CodecChain:
             data = col.serialize()
         for stage in self._phase2:
             data = stage.encode_bytes(data, ctx)
+        if not isinstance(data, bytes):
+            data = bytes(data)  # filter-only chain: still the caller's buffer or an array
         if hp.enabled:
             # MB/s over the *content* bytes in: the work the chain absorbed.
             hp.timer("codec.encode").add(hp.now() - t_host, nbytes=len(records))
@@ -574,7 +586,7 @@ class CodecChain:
             events_dropped=ctx.events_dropped,
         )
 
-    def decode(self, payload: bytes, count: int) -> bytes:
+    def decode(self, payload, count: int) -> bytes | memoryview:
         """Invert :meth:`encode`: payload bytes back to fixed-width records."""
         hp = hostprof.ACTIVE
         t_host = hp.now() if hp.enabled else 0.0

@@ -121,24 +121,9 @@ def encode_event(record: CallRecord) -> bytes:
     )
 
 
-def encode_event_into(buf: bytearray, offset: int, record: CallRecord) -> None:
-    """Encode one record at ``offset`` of a preallocated buffer.
-
-    The allocation-free variant of :func:`encode_event` the pack builder's
-    hot loop uses: no intermediate 40-byte ``bytes`` object per event.
-    """
-    _RECORD_STRUCT.pack_into(
-        buf,
-        offset,
-        call_id(record.name),
-        0,
-        record.peer,
-        record.tag,
-        max(0, record.comm_size),
-        record.nbytes,
-        record.t_start,
-        record.t_end,
-    )
+#: Bound once for the pack builder, whose ``add()`` packs each record with
+#: this single call straight into its preallocated buffer.
+pack_record_into = _RECORD_STRUCT.pack_into
 
 
 def decode_events(buffer: bytes | memoryview, count: int | None = None) -> np.ndarray:

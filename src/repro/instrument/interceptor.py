@@ -230,11 +230,13 @@ class StreamingInstrumentation(Interceptor):
                 yield kernel.timeout(encode_cpu)
             self.codec_cpu_s += encode_cpu
             telemetry = self.mpi.ctx.world.telemetry
-            telemetry.histogram("codec.encode_s").observe(encode_cpu)
+            if telemetry.enabled:
+                telemetry.histogram("codec.encode_s").observe(encode_cpu)
             enc = self.builder.last_encode
             if enc is not None and enc.raw_bytes > 0:
                 ratio = len(enc.payload) / enc.raw_bytes
-                telemetry.histogram("codec.pack_ratio").observe(ratio)
+                if telemetry.enabled:
+                    telemetry.histogram("codec.pack_ratio").observe(ratio)
                 modeled = max(1, int(modeled * ratio))
         modeled = min(modeled, self.stream.block_size)
         if self.cost.pack_flush_cpu > 0:

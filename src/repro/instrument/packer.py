@@ -36,8 +36,13 @@ from repro.codec.frame import (
     peek_provenance,
 )
 from repro.codec.stages import CodecChain, decode_chain
-from repro.errors import PackFormatError
-from repro.instrument.events import EVENT_RECORD_SIZE, decode_events, encode_event_into
+from repro.errors import InstrumentationError, PackFormatError
+from repro.instrument.events import (
+    CALL_IDS,
+    EVENT_RECORD_SIZE,
+    decode_events,
+    pack_record_into,
+)
 from repro.mpi.pmpi import CallRecord
 
 PACK_HEADER_SIZE = CONTENT_HEADER_SIZE  # modelled content header, v1-compatible
@@ -123,10 +128,28 @@ class EventPackBuilder:
 
     def add(self, record: CallRecord) -> bool:
         """Append one event; returns True when the pack is now full."""
-        encode_event_into(self._buf, self._count * EVENT_RECORD_SIZE, record)
-        self._count += 1
+        count = self._count
+        comm_size = record.comm_size
+        try:
+            pack_record_into(
+                self._buf,
+                count * EVENT_RECORD_SIZE,
+                CALL_IDS[record.name],
+                0,
+                record.peer,
+                record.tag,
+                comm_size if comm_size > 0 else 0,
+                record.nbytes,
+                record.t_start,
+                record.t_end,
+            )
+        except KeyError:
+            raise InstrumentationError(
+                f"unknown MPI call name {record.name!r}"
+            ) from None
+        self._count = count = count + 1
         self.total_events += 1
-        return self._count >= self.max_records
+        return count >= self.max_records
 
     def emit(
         self, now: float = 0.0, provenance: PackProvenance | None = None

@@ -196,3 +196,30 @@ def test_packdump_renders_a_real_pack():
     assert "codec chain: delta+dict+zlib" in text
     assert "crc32:" in text and "OK" in text
     assert "PAYLOAD" in text and "CODEC" in text
+
+
+# -- observers free when off ------------------------------------------------------
+
+
+def test_null_telemetry_session_makes_no_histogram_calls(monkeypatch):
+    """A telemetry-off reduced run never reaches the disabled singleton:
+    the per-pack ``codec.encode_s`` / ``codec.pack_ratio`` observations in
+    ``StreamingInstrumentation._flush`` are guarded on ``telemetry.enabled``."""
+    calls = []
+    original = Telemetry.histogram
+
+    def counting(self, name, *args, **kwargs):
+        calls.append((self.enabled, name))
+        return original(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(Telemetry, "histogram", counting)
+    off, _ = _session(reduction="delta+dict+zlib")
+    result = off.run()
+    assert result.analyzer_stats["packs"] > 0 and calls == []
+    # Telemetry on, the same two histograms are fed once per flushed pack.
+    on, _ = _session(reduction="delta+dict+zlib", telemetry=Telemetry())
+    on.run()
+    assert {name for enabled, name in calls if enabled} >= {
+        "codec.encode_s",
+        "codec.pack_ratio",
+    }

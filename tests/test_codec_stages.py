@@ -1,5 +1,7 @@
 """Reduction stages: randomized round-trips, lossy invariants, chain rules."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -188,3 +190,83 @@ def test_chain_cost_weight_accumulates():
     assert build_chain("").cost_weight == 0.0
     assert build_chain("delta+dict+zlib").cost_weight == pytest.approx(4.5)
     assert isinstance(build_chain("delta"), CodecChain)
+
+
+# -- hostile payloads: typed rejects, never a bare traceback ----------------------
+
+
+def _delta_payload(count: int, ts_stream: bytes, te_stream: bytes, ts_len=None) -> bytes:
+    """A columnar container with raw sites and a hand-built delta time column."""
+    sites = bytes(24 * count)
+    ts_len = len(ts_stream) if ts_len is None else ts_len
+    times = struct.pack("<I", ts_len) + ts_stream + te_stream
+    return struct.pack("<BBII", 0, 1, count, len(sites)) + sites + times
+
+
+_MALFORMED_DELTA = {
+    # the reproduced crash: an 11-byte varint used to surface as OverflowError
+    "overlong": (_delta_payload(1, b"\xff" * 10 + b"\x01", b"\x00"), 1, "varint longer than 10"),
+    # ten bytes, but the last one carries bits 64 and up
+    "overflow": (_delta_payload(1, b"\xff" * 9 + b"\x7f", b"\x00"), 1, "overflows 64 bits"),
+    "t_start-short": (_delta_payload(2, b"\x01", b"\x00\x00"), 2, "varint stream truncated"),
+    "t_start-open": (_delta_payload(2, b"\x01\x80", b""), 2, "varint stream truncated"),
+    "t_end-short": (_delta_payload(2, b"\x01\x01", b"\x00"), 2, "varint stream truncated"),
+    "declared-long": (
+        _delta_payload(1, b"\x01\x01", b"\x00"),
+        1,
+        "delta t_start stream: 2 bytes declared, 1 consumed",
+    ),
+    "declared-past-end": (
+        _delta_payload(1, b"\x01", b"\x00", ts_len=7),
+        1,
+        "delta t_start stream: 7 bytes declared, 1 consumed",
+    ),
+    "trailing": (_delta_payload(1, b"\x01", b"\x00\x00"), 1, "trailing bytes after delta t_end"),
+    "trailing-open": (
+        _delta_payload(1, b"\x01", b"\x00\x80"),
+        1,
+        "trailing bytes after delta t_end",
+    ),
+    "trailing-empty": (_delta_payload(0, b"", b"\x00"), 0, "trailing bytes after delta t_end"),
+    "no-prefix": (_delta_payload(1, b"", b"")[:-2], 1, "shorter than its length prefix"),
+}
+
+
+@pytest.mark.parametrize("case", _MALFORMED_DELTA)
+def test_malformed_delta_payload_is_a_typed_reject(case):
+    payload, count, message = _MALFORMED_DELTA[case]
+    with pytest.raises(PackFormatError, match=message):
+        decode_chain("delta").decode(payload, count)
+    # ... and the same through a CRC-valid frame, as the unpacker KS sees it.
+    frame = parse_frame(build_frame(0, 0, count, payload, codec="delta"))
+    with pytest.raises(PackFormatError, match=message):
+        decode_chain(frame.codec).decode(frame.payload, frame.count)
+
+
+def test_noncanonical_varints_still_decode():
+    """Padding a varint with zero groups is legal LEB128; only >10 bytes is not."""
+    payload = _delta_payload(1, b"\x82\x80\x00", b"\x80\x00")  # zigzag(2) = +1, then 0
+    out = decode_events(decode_chain("delta").decode(payload, 1), 1)
+    assert out["t_start"].view(np.int64)[0] == 1 and out["t_end"].view(np.int64)[0] == 1
+
+
+def test_dict_index_into_empty_table_is_a_typed_reject():
+    sites = struct.pack("<BI", 1, 0) + b"\x00"  # one index, zero table entries
+    payload = struct.pack("<BBII", 1, 0, 1, len(sites)) + sites + bytes(16)
+    with pytest.raises(PackFormatError, match="dict index out of table range"):
+        decode_chain("dict").decode(payload, 1)
+
+
+def test_encode_reads_the_callers_buffer_without_keeping_it():
+    """The packer releases its view right after encode; nothing may still export it."""
+    rng = np.random.default_rng(17)
+    records = _random_batch(rng, 30)
+    for spec in REGISTERED_CHAINS + ("quant", "sample:1000000000", "sample:1+quant"):
+        buf = bytearray(records)
+        view = memoryview(buf)
+        enc = build_chain(spec).encode(view, now=0.0)
+        view.release()  # BufferError if an array over the view outlived encode
+        buf[:] = bytes(len(buf))  # the payload owns its bytes
+        assert isinstance(enc.payload, bytes) and buf != records
+        if build_chain(spec).lossless:
+            assert decode_chain(spec).decode(enc.payload, enc.count) == records

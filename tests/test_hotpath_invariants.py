@@ -126,3 +126,69 @@ def test_every_decode_path_function_is_covered(tmp_path, fn):
     problems = check_tree(tmp_path)
     assert len(problems) == 1
     assert fn in problems[0]
+
+
+# -- rule 3: loop-free reduction stages --------------------------------------------
+
+_STAGES_TEMPLATE = (
+    "class DeltaStage:\n"
+    "    def {name}(self, col, ctx=None):\n"
+    "        {body}\n"
+)
+
+
+@pytest.mark.parametrize(
+    "body, what",
+    [
+        ("for v in col: pass", "For"),
+        ("while col: col = col[1:]", "While"),
+        ("return [v for v in col]", "ListComp"),
+        ("return sum(v for v in col)", "GeneratorExp"),
+        ("return {v: 1 for v in col}", "DictComp"),
+        ("return col.times.tolist()", ".tolist() call"),
+    ],
+)
+@pytest.mark.parametrize(
+    "name", ["encode_records", "decode_records", "encode_columnar", "decode_columnar"]
+)
+def test_flags_per_record_iteration_in_stage_hooks(tmp_path, name, body, what):
+    _write(tmp_path, "repro/codec/stages.py", _STAGES_TEMPLATE.format(name=name, body=body))
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1
+    assert "stages.py:3" in problems[0]
+    assert what in problems[0] and f"{name}()" in problems[0]
+
+
+@pytest.mark.parametrize(
+    "fn",
+    ["_pack_varints", "_unpack_varints", "_encode_varints", "_group_shifts", "_zigzag", "_unzigzag"],
+)
+def test_flags_the_scalar_helpers_coming_back(tmp_path, fn):
+    _write(
+        tmp_path,
+        "repro/codec/stages.py",
+        f"def {fn}(values):\n    return bytes(v & 0x7F for v in values)\n",
+    )
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1
+    assert fn in problems[0] and "GeneratorExp" in problems[0]
+
+
+def test_loops_outside_the_vector_functions_are_allowed(tmp_path):
+    # Chain plumbing iterates over *stages*, not records; and the rule is
+    # scoped to codec/stages.py, so the reference in tests/ or any other
+    # module may loop freely.
+    _write(
+        tmp_path,
+        "repro/codec/stages.py",
+        "def encode(self, records):\n"
+        "    for stage in self.stages:\n"
+        "        records = stage.encode_records(records)\n"
+        "    return records\n",
+    )
+    _write(
+        tmp_path,
+        "repro/analysis/density.py",
+        "def encode_records(records):\n    return [r for r in records]\n",
+    )
+    assert check_tree(tmp_path) == []

@@ -111,6 +111,25 @@ class TestPackBuilder:
         assert pb.add(_record()) is True
         assert pb.full
 
+    def test_add_packs_the_same_bytes_as_encode_event(self):
+        """add() packs with one inlined call; the wire record is encode_event's."""
+        records = [
+            _record(),
+            _record(name="MPI_Allreduce", peer=-1, tag=-1),
+            _record(name="MPI_Barrier", size=-3),  # clamped to 0 on the wire
+        ]
+        pb = EventPackBuilder(app_id=0, rank=0)
+        for record in records:
+            pb.add(record)
+        assert bytes(pb._buf[: 3 * EVENT_RECORD_SIZE]) == b"".join(map(encode_event, records))
+
+    def test_add_rejects_unknown_call_without_consuming_a_slot(self):
+        pb = EventPackBuilder(app_id=0, rank=0)
+        pb.add(_record())
+        with pytest.raises(InstrumentationError, match="unknown MPI call name 'MPI_Bogus'"):
+            pb.add(_record(name="MPI_Bogus"))
+        assert pb.count == 1 and pb.total_events == 1
+
     def test_emit_resets(self):
         pb = EventPackBuilder(app_id=0, rank=0)
         pb.add(_record())
