@@ -1,7 +1,8 @@
 #!/usr/bin/env python
-"""Hot-path invariant lint: clock discipline, zero-copy decode, loop-free codec.
+"""Hot-path invariant lint: clock discipline, zero-copy decode, loop-free codec,
+lean per-event functions.
 
-Three structural rules the hot-path refactors rely on, enforced over the
+Four structural rules the hot-path refactors rely on, enforced over the
 AST so comments and strings never trip them:
 
 1. **Clock discipline** — ``time.perf_counter`` (and its ``_ns``
@@ -28,6 +29,18 @@ AST so comments and strings never trip them:
    stages are array ops over the record buffer (DESIGN 9), and a
    per-record Python loop is exactly the cliff that rule keeps shut.  The
    scalar reference lives in ``tests/`` and is not scanned.
+
+4. **Lean per-event functions** — the functions every kernel event and
+   every point-to-point message runs through (``SimEvent.__init__``,
+   ``Timeout.__init__``, ``SimEvent.succeed/fail``,
+   ``Resource.acquire/release``, ``Mailbox.post/deliver/_complete``,
+   ``Cluster.transfer``, ``Comm._raw_isend``) contain no f-string or
+   ``str.format`` call, no comprehension or generator expression, and no
+   ``sum(`` / one-argument ``min(`` / ``max(`` over a container — so
+   per-message name formatting and O(communicators) rescans cannot creep
+   back (DESIGN 14).  ``raise`` statements are exempt: the error path may
+   format its message.  A listed function that no longer exists is itself
+   a violation, so a rename cannot silently retire the rule.
 
 Exit status 0 when clean; 1 with one ``path:line: message`` per
 violation otherwise.  Run from the repository root::
@@ -76,6 +89,21 @@ VECTOR_HELPER_MARKERS = ("varint", "zigzag", "group_shifts")
 def _is_vector_function(name: str) -> bool:
     return name in STAGE_HOOKS or any(mark in name for mark in VECTOR_HELPER_MARKERS)
 
+
+#: module -> class -> the methods that run once per event / per message
+PER_EVENT_FUNCTIONS = {
+    Path("repro") / "simt" / "primitives.py": {
+        "SimEvent": {"__init__", "succeed", "fail"},
+        "Timeout": {"__init__"},
+    },
+    Path("repro") / "simt" / "resources.py": {"Resource": {"acquire", "release"}},
+    Path("repro") / "mpi" / "message.py": {"Mailbox": {"post", "deliver", "_complete"}},
+    Path("repro") / "network" / "cluster.py": {"Cluster": {"transfer"}},
+    Path("repro") / "mpi" / "communicator.py": {"Comm": {"_raw_isend"}},
+}
+
+#: reductions that walk a container when given one argument
+_CONTAINER_REDUCTIONS = frozenset({"sum", "min", "max"})
 
 #: AST nodes that iterate element by element
 _LOOP_NODES = (
@@ -167,6 +195,65 @@ def _check_vector_stages(tree: ast.AST, rel: Path) -> list[str]:
     return problems
 
 
+def _outside_raise(node: ast.AST):
+    """``ast.walk`` that does not descend into ``raise`` statements."""
+    todo = [node]
+    while todo:
+        current = todo.pop()
+        yield current
+        todo.extend(
+            child for child in ast.iter_child_nodes(current)
+            if not isinstance(child, ast.Raise)
+        )
+
+
+def _per_event_offence(node: ast.AST) -> str | None:
+    if isinstance(node, ast.JoinedStr):
+        return "f-string"
+    if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+        return type(node).__name__
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Attribute) and func.attr == "format":
+            return "str.format() call"
+        if isinstance(func, ast.Name) and func.id in _CONTAINER_REDUCTIONS:
+            over_container = len(node.args) == 1 or any(
+                isinstance(arg, ast.Starred) for arg in node.args
+            )
+            if func.id == "sum" or over_container:
+                return f"{func.id}() over a container"
+    return None
+
+
+def _check_per_event_functions(
+    tree: ast.AST, rel: Path, wanted: dict[str, set[str]]
+) -> list[str]:
+    """Flag formatting, comprehensions and container scans per event/message."""
+    problems = []
+    missing = {(cls, fn) for cls, fns in wanted.items() for fn in fns}
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or cls.name not in wanted:
+            continue
+        for fn in cls.body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name not in wanted[cls.name]:
+                continue
+            missing.discard((cls.name, fn.name))
+            for sub in _outside_raise(fn):
+                what = _per_event_offence(sub)
+                if what is not None:
+                    problems.append(
+                        f"{rel}:{sub.lineno}: {what} inside per-event function "
+                        f"{cls.name}.{fn.name}() — it runs once per kernel event "
+                        "or message; precompute it, or keep a running value"
+                    )
+    for cls_name, fn_name in sorted(missing):
+        problems.append(
+            f"{rel}:1: per-event function {cls_name}.{fn_name}() not found — "
+            "update PER_EVENT_FUNCTIONS if it moved or was renamed"
+        )
+    return problems
+
+
 def check_tree(src_root: Path) -> list[str]:
     """All invariant violations under ``src_root`` (a ``src/`` directory)."""
     problems = []
@@ -179,6 +266,8 @@ def check_tree(src_root: Path) -> list[str]:
             problems.extend(_check_decode_paths(tree, rel))
         if rel == STAGES_MODULE:
             problems.extend(_check_vector_stages(tree, rel))
+        if rel in PER_EVENT_FUNCTIONS:
+            problems.extend(_check_per_event_functions(tree, rel, PER_EVENT_FUNCTIONS[rel]))
     return problems
 
 
@@ -193,7 +282,10 @@ def main(argv: list[str]) -> int:
     if problems:
         print(f"{len(problems)} hot-path invariant violation(s)")
         return 1
-    print("hot-path invariants hold (clock discipline, zero-copy decode, loop-free codec)")
+    print(
+        "hot-path invariants hold (clock discipline, zero-copy decode, "
+        "loop-free codec, lean per-event functions)"
+    )
     return 0
 
 

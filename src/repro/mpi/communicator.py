@@ -17,7 +17,7 @@ from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG
 from repro.mpi.message import Envelope
 from repro.mpi.request import Request, waitall as _waitall
 from repro.mpi.status import Status
-from repro.simt.primitives import SimEvent
+from repro.simt.primitives import AllOf, SimEvent, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.world import RankContext, World
@@ -31,17 +31,26 @@ class CommGroup:
             raise CommunicatorError(f"duplicate ranks in group {label}")
         self.world = world
         self.global_ranks = tuple(global_ranks)
+        self.size = len(self.global_ranks)
         self.label = label
         self.id = world._register_group(self)
         self.rank_of_global = {g: i for i, g in enumerate(self.global_ranks)}
         self.coll = CollectiveEngine(self)
 
-    @property
-    def size(self) -> int:
-        return len(self.global_ranks)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CommGroup {self.label} id={self.id} size={self.size}>"
+
+
+def _matched(status, peer: int, tag: int, nbytes: int):
+    """``around(post=)`` of a receive or wait: the wildcard-resolved fields."""
+    if status is None:  # a waited send request has no status
+        return peer, tag, nbytes
+    return status.source, status.tag, status.nbytes
+
+
+def _received_total(statuses, peer: int, tag: int, _nbytes: int):
+    """``around(post=)`` of ``waitall``: the bytes its receives brought in."""
+    return peer, tag, sum(st.nbytes for st in statuses if st is not None)
 
 
 class Comm:
@@ -53,17 +62,14 @@ class Comm:
         self.group = group
         self.rank = rank
         self.ctx = ctx
+        # A group's id and membership never change: plain attributes, not
+        # properties — the p2p path reads them per message.
+        self.id = group.id
+        self.size = group.size
+        self._global_rank = group.global_ranks[rank]
         self._coll_seq = 0
 
     # -- basic properties ---------------------------------------------------------
-
-    @property
-    def size(self) -> int:
-        return self.group.size
-
-    @property
-    def id(self) -> int:
-        return self.group.id
 
     @property
     def label(self) -> str:
@@ -77,65 +83,43 @@ class Comm:
         return self.group.global_ranks[rank]
 
     # -- point-to-point -------------------------------------------------------------
+    #
+    # Each call hands its body generator straight to PMPIStack.around, with
+    # the Comm positional: nothing about the record is computed unless an
+    # interceptor is attached.
 
     def isend(self, dest: int, nbytes: int, tag: int = 0, payload: Any = None):
         """Generator: start a non-blocking send; returns a Request."""
-        impl = self._isend_impl(dest, nbytes, tag, payload)
-        req = yield from self.ctx.pmpi.around(
-            "MPI_Isend",
-            impl,
-            comm_id=self.id,
-            comm_rank=self.rank,
-            comm_size=self.size,
-            peer=dest,
-            tag=tag,
-            nbytes=nbytes,
+        return (
+            yield from self.ctx.pmpi.around(
+                "MPI_Isend", self._raw_isend(dest, nbytes, tag, payload),
+                self, dest, tag, nbytes,
+            )
         )
-        return req
 
     def send(self, dest: int, nbytes: int, tag: int = 0, payload: Any = None):
         """Generator: blocking send (completes per eager/rendezvous rules)."""
-        impl = self._send_impl(dest, nbytes, tag, payload)
         yield from self.ctx.pmpi.around(
-            "MPI_Send",
-            impl,
-            comm_id=self.id,
-            comm_rank=self.rank,
-            comm_size=self.size,
-            peer=dest,
-            tag=tag,
-            nbytes=nbytes,
+            "MPI_Send", self._raw_isend(dest, nbytes, tag, payload, True),
+            self, dest, tag, nbytes,
         )
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Generator: post a non-blocking receive; returns a Request."""
-        impl = self._irecv_impl(source, tag)
-        req = yield from self.ctx.pmpi.around(
-            "MPI_Irecv",
-            impl,
-            comm_id=self.id,
-            comm_rank=self.rank,
-            comm_size=self.size,
-            peer=source,
-            tag=tag,
-            nbytes=0,
+        return (
+            yield from self.ctx.pmpi.around(
+                "MPI_Irecv", self._raw_irecv(source, tag), self, source, tag
+            )
         )
-        return req
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Generator: blocking receive; returns the matched Status."""
-        impl = self._recv_impl(source, tag)
-        status = yield from self.ctx.pmpi.around(
-            "MPI_Recv",
-            impl,
-            comm_id=self.id,
-            comm_rank=self.rank,
-            comm_size=self.size,
-            peer=source,
-            tag=tag,
-            post=lambda st: {"peer": st.source, "nbytes": st.nbytes, "tag": st.tag},
+        return (
+            yield from self.ctx.pmpi.around(
+                "MPI_Recv", self._raw_irecv(source, tag, True),
+                self, source, tag, 0, _matched,
+            )
         )
-        return status
 
     def sendrecv(
         self,
@@ -150,27 +134,20 @@ class Comm:
 
         def _impl():
             send_req = yield from self._raw_isend(dest, send_nbytes, tag, payload)
-            recv_ev = self.ctx.mailbox.post(
+            status = yield self.ctx.mailbox.post(
                 self.id,
                 source,
                 tag if recv_tag is None else recv_tag,
                 self.ctx.world.cost.o_recv,
             )
-            status = yield recv_ev
             yield send_req.event
             return status
 
-        status = yield from self.ctx.pmpi.around(
-            "MPI_Sendrecv",
-            _impl(),
-            comm_id=self.id,
-            comm_rank=self.rank,
-            comm_size=self.size,
-            peer=dest,
-            tag=tag,
-            nbytes=send_nbytes,
+        return (
+            yield from self.ctx.pmpi.around(
+                "MPI_Sendrecv", _impl(), self, dest, tag, send_nbytes
+            )
         )
-        return status
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
         """Generator: non-blocking probe; returns Status or None."""
@@ -182,76 +159,58 @@ class Comm:
                 return None
             return Status(source=env.src, tag=env.tag, nbytes=env.nbytes)
 
-        result = yield from self.ctx.pmpi.around(
-            "MPI_Iprobe",
-            _impl(),
-            comm_id=self.id,
-            comm_rank=self.rank,
-            comm_size=self.size,
-            peer=source,
-            tag=tag,
+        return (
+            yield from self.ctx.pmpi.around("MPI_Iprobe", _impl(), self, source, tag)
         )
-        return result
 
-    # -- p2p implementations ----------------------------------------------------------
+    # -- p2p machinery ----------------------------------------------------------------
 
-    def _raw_isend(self, dest: int, nbytes: int, tag: int, payload: Any):
-        """Generator: the un-intercepted isend machinery."""
+    def _raw_isend(self, dest: int, nbytes: int, tag: int, payload: Any,
+                   blocking: bool = False):
+        """Generator: the un-intercepted send machinery; returns the Request.
+
+        With ``blocking`` it also waits for the send to complete
+        (``MPI_Send``) before returning.
+        """
         if nbytes < 0:
             raise MPIError(f"negative message size: {nbytes}")
-        ctx = self.ctx
-        cost = ctx.world.cost
-        kernel = ctx.kernel
-        g_src = self.global_rank_of(self.rank)
         g_dst = self.global_rank_of(dest)
+        ctx = self.ctx
+        world = ctx.world
+        cost = world.cost
+        kernel = ctx.kernel
         eager = nbytes <= cost.eager_threshold
         # Sender CPU: the send overhead, plus the copy into MPI buffering on
         # the eager path — charged as one timeout.
         cpu = cost.o_send + (nbytes / cost.eager_copy_bandwidth if eager else 0.0)
-        yield kernel.timeout(cpu)
-        arrival = ctx.world.cluster.transfer(g_src, g_dst, nbytes)
-        match_event: SimEvent | None = None
+        yield Timeout(kernel, cpu)
+        arrival = world.cluster.transfer(self._global_rank, g_dst, nbytes)
         if eager:
-            completion = SimEvent(kernel, name="isend.eager")
+            match_event = None
+            completion = SimEvent(kernel, "isend.eager")
             completion.succeed()
         else:
-            match_event = SimEvent(kernel, name="isend.match")
-            completion = kernel.all_of([match_event, arrival])
-        env = Envelope(
-            comm_id=self.id,
-            src=self.rank,
-            tag=tag,
-            nbytes=nbytes,
-            payload=payload,
-            arrival=arrival,
-            match_event=match_event,
-        )
-        ctx.world.ranks[g_dst].mailbox.deliver(env)
+            match_event = SimEvent(kernel, "isend.match")
+            completion = AllOf(kernel, [match_event, arrival])
+        env = Envelope(self.id, self.rank, tag, nbytes, payload, arrival, match_event)
+        world.ranks[g_dst].mailbox.deliver(env)
         req = Request(kernel, completion, "send")
         req.envelope = env
+        if blocking:
+            yield completion
         return req
 
-    def _isend_impl(self, dest: int, nbytes: int, tag: int, payload: Any):
-        req = yield from self._raw_isend(dest, nbytes, tag, payload)
-        return req
+    def _raw_irecv(self, source: int, tag: int, blocking: bool = False):
+        """Generator: the un-intercepted receive machinery.
 
-    def _send_impl(self, dest: int, nbytes: int, tag: int, payload: Any):
-        req = yield from self._raw_isend(dest, nbytes, tag, payload)
-        yield req.event
-
-    def _irecv_impl(self, source: int, tag: int):
-        completion = self.ctx.mailbox.post(
-            self.id, source, tag, self.ctx.world.cost.o_recv
-        )
-        return Request(self.ctx.kernel, completion, "recv")
-        yield  # pragma: no cover - keeps this function a generator
-
-    def _recv_impl(self, source: int, tag: int):
-        completion = self.ctx.mailbox.post(
-            self.id, source, tag, self.ctx.world.cost.o_recv
-        )
-        status = yield completion
-        return status
+        Posts the receive and returns its Request, or — with ``blocking``
+        (``MPI_Recv``) — waits for the message and returns its Status.
+        """
+        ctx = self.ctx
+        completion = ctx.mailbox.post(self.id, source, tag, ctx.world.cost.o_recv)
+        if blocking:
+            return (yield completion)
+        return Request(ctx.kernel, completion, "recv")
 
     # -- collectives -----------------------------------------------------------------
 
@@ -276,17 +235,9 @@ class Comm:
             result = yield completion
             return result
 
-        result = yield from self.ctx.pmpi.around(
-            mpi_name,
-            _impl(),
-            comm_id=self.id,
-            comm_rank=self.rank,
-            comm_size=self.size,
-            peer=-1,
-            tag=-1,
-            nbytes=nbytes,
+        return (
+            yield from self.ctx.pmpi.around(mpi_name, _impl(), self, -1, -1, nbytes)
         )
-        return result
 
     def barrier(self):
         """Generator: synchronize all ranks of the communicator."""
@@ -342,41 +293,20 @@ class Comm:
 
     def wait(self, request: Request):
         """Generator: MPI_Wait on one request; returns its Status (or None)."""
-        result = yield from self.ctx.pmpi.around(
-            "MPI_Wait",
-            request.wait(),
-            comm_id=self.id,
-            comm_rank=self.rank,
-            comm_size=self.size,
-            post=lambda st: (
-                {"peer": st.source, "nbytes": st.nbytes, "tag": st.tag}
-                if isinstance(st, Status)
-                else {}
-            ),
+        return (
+            yield from self.ctx.pmpi.around(
+                "MPI_Wait", request.wait(), self, -1, -1, 0, _matched
+            )
         )
-        return result
 
     def waitall(self, requests: list[Request]):
         """Generator: MPI_Waitall; returns the list of statuses."""
-        total = sum(
-            (r.event.value.nbytes if isinstance(r.event.value, Status) else 0)
-            for r in requests
+        return (
+            yield from self.ctx.pmpi.around(
+                "MPI_Waitall", _waitall(self.ctx.kernel, requests),
+                self, -1, -1, 0, _received_total,
+            )
         )
-
-        def _post(statuses):
-            nbytes = sum(st.nbytes for st in statuses if isinstance(st, Status))
-            return {"nbytes": nbytes}
-
-        result = yield from self.ctx.pmpi.around(
-            "MPI_Waitall",
-            _waitall(self.ctx.kernel, requests),
-            comm_id=self.id,
-            comm_rank=self.rank,
-            comm_size=self.size,
-            nbytes=total,
-            post=_post,
-        )
-        return result
 
     # -- communicator management -------------------------------------------------------
 
@@ -407,14 +337,7 @@ class Comm:
             new_rank = members.index(self.global_rank_of(self.rank))
             return Comm(group, new_rank, self.ctx)
 
-        result = yield from self.ctx.pmpi.around(
-            "MPI_Comm_split",
-            _impl(),
-            comm_id=self.id,
-            comm_rank=self.rank,
-            comm_size=self.size,
-        )
-        return result
+        return (yield from self.ctx.pmpi.around("MPI_Comm_split", _impl(), self))
 
     def dup(self):
         """Generator: MPI_Comm_dup; returns a new Comm over the same group."""
@@ -431,14 +354,7 @@ class Comm:
             )
             return Comm(group, self.rank, self.ctx)
 
-        result = yield from self.ctx.pmpi.around(
-            "MPI_Comm_dup",
-            _impl(),
-            comm_id=self.id,
-            comm_rank=self.rank,
-            comm_size=self.size,
-        )
-        return result
+        return (yield from self.ctx.pmpi.around("MPI_Comm_dup", _impl(), self))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Comm {self.label} rank={self.rank}/{self.size}>"

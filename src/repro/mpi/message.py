@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import MPIError
 from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG
 from repro.mpi.status import Status
-from repro.simt.primitives import SimEvent
+from repro.simt.primitives import SimEvent, Timeout
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simt.kernel import Kernel
@@ -64,15 +64,18 @@ class Envelope:
 
 
 class PostedRecv:
-    """A receive waiting for a matching envelope."""
+    """A receive waiting for a matching envelope; once matched, the object
+    whose bound methods ride the arrival (and receive-overhead) events."""
 
-    __slots__ = ("src", "tag", "completion", "o_recv")
+    __slots__ = ("src", "tag", "completion", "o_recv", "env", "status")
 
     def __init__(self, src: int, tag: int, completion: SimEvent, o_recv: float):
         self.src = src
         self.tag = tag
         self.completion = completion
         self.o_recv = o_recv
+        self.env: Envelope | None = None  # the matched envelope
+        self.status: Status | None = None  # built when its payload is in
 
     def matches(self, env: Envelope) -> bool:
         if self.src != ANY_SOURCE and self.src != env.src:
@@ -81,6 +84,18 @@ class PostedRecv:
             return False
         return True
 
+    def _arrived(self, _arrival: SimEvent) -> None:
+        """The matched payload is in: charge the receive overhead, complete."""
+        env = self.env
+        self.status = status = Status(env.src, env.tag, env.nbytes, env.payload)
+        if self.o_recv > 0:
+            Timeout(self.completion.kernel, self.o_recv).callbacks.append(self._finish)
+        else:
+            self.completion.succeed(status)
+
+    def _finish(self, _tick: SimEvent) -> None:
+        self.completion.succeed(self.status)
+
 
 class Mailbox:
     """Per-rank matching structure, segregated by communicator id."""
@@ -88,8 +103,12 @@ class Mailbox:
     def __init__(self, kernel: "Kernel", owner_rank: int):
         self.kernel = kernel
         self.owner_rank = owner_rank
+        self._recv_name = f"recv@r{owner_rank}"  # formatted once, not per post
         self._unexpected: dict[int, deque[Envelope]] = {}
         self._posted: dict[int, deque[PostedRecv]] = {}
+        #: envelopes queued in ``_unexpected`` right now, over every
+        #: communicator — kept running so a delivery never rescans them
+        self._n_unexpected = 0
         self.delivered = 0
         self.unexpected_peak = 0
 
@@ -105,9 +124,11 @@ class Mailbox:
                     del posted[i]
                     self._complete(recv, env)
                     return
-        queue = self._unexpected.setdefault(env.comm_id, deque())
+        queue = self._unexpected.get(env.comm_id)
+        if queue is None:
+            queue = self._unexpected[env.comm_id] = deque()
         queue.append(env)
-        total = sum(len(q) for q in self._unexpected.values())
+        self._n_unexpected = total = self._n_unexpected + 1
         if total > self.unexpected_peak:
             self.unexpected_peak = total
 
@@ -115,16 +136,20 @@ class Mailbox:
 
     def post(self, comm_id: int, src: int, tag: int, o_recv: float) -> SimEvent:
         """Post a receive; returns its completion event (value = Status)."""
-        completion = SimEvent(self.kernel, name=f"recv@r{self.owner_rank}")
+        completion = SimEvent(self.kernel, self._recv_name)
         recv = PostedRecv(src, tag, completion, o_recv)
         queue = self._unexpected.get(comm_id)
         if queue:
             for i, env in enumerate(queue):
                 if recv.matches(env):
                     del queue[i]
+                    self._n_unexpected -= 1
                     self._complete(recv, env)
                     return completion
-        self._posted.setdefault(comm_id, deque()).append(recv)
+        posted = self._posted.get(comm_id)
+        if posted is None:
+            posted = self._posted[comm_id] = deque()
+        posted.append(recv)
         return completion
 
     def probe(self, comm_id: int, src: int, tag: int) -> Envelope | None:
@@ -144,23 +169,13 @@ class Mailbox:
         if env.matched:
             raise MPIError("envelope matched twice (matching bug)")
         env.matched = True
-        if env.match_event is not None and not env.match_event.triggered:
-            env.match_event.succeed()
-
-        def _arrived(_ev: SimEvent) -> None:
-            status = Status(
-                source=env.src, tag=env.tag, nbytes=env.nbytes, payload=env.payload
-            )
-            if recv.o_recv > 0:
-                tick = self.kernel.timeout(recv.o_recv)
-                tick.add_callback(lambda _t: recv.completion.succeed(status))
-            else:
-                recv.completion.succeed(status)
-
-        env.arrival.add_callback(_arrived)
+        match_event = env.match_event
+        if match_event is not None and match_event.state == 0:  # still pending
+            match_event.succeed()
+        recv.env = env
+        env.arrival.add_callback(recv._arrived)
 
     def pending_counts(self) -> tuple[int, int]:
         """(unexpected envelopes, posted receives) across communicators."""
-        unexpected = sum(len(q) for q in self._unexpected.values())
         posted = sum(len(q) for q in self._posted.values())
-        return unexpected, posted
+        return self._n_unexpected, posted

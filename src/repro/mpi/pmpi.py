@@ -15,6 +15,8 @@ import inspect
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
+from repro.simt.primitives import Timeout
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.world import RankContext
 
@@ -83,28 +85,19 @@ class PMPIStack:
     def active(self) -> bool:
         return bool(self.interceptors)
 
-    def around(
-        self,
-        name: str,
-        impl,
-        *,
-        comm_id: int = -1,
-        comm_rank: int = -1,
-        comm_size: int = 0,
-        peer: int = -1,
-        tag: int = -1,
-        nbytes: int = 0,
-        post=None,
-    ):
+    def around(self, name: str, impl, comm, peer: int = -1, tag: int = -1,
+               nbytes: int = 0, post=None):
         """Generator: run ``impl`` (a generator) under the interceptors.
 
-        ``post(result)`` may return a dict overriding record fields that are
-        only known after completion (matched source, actual byte count of a
-        wildcard receive, ...).
+        ``comm`` is the :class:`~repro.mpi.communicator.Comm` the call was
+        made on; its id, rank and size go into the record, and are read only
+        when an interceptor is attached.  ``post(result, peer, tag, nbytes)``
+        may return the ``(peer, tag, nbytes)`` that are only known after
+        completion (matched source, actual byte count of a wildcard
+        receive, ...).
         """
         if not self.interceptors:
-            result = yield from impl
-            return result
+            return (yield from impl)
         self.calls_seen += 1
         ctx = self.ctx
         kernel = ctx.kernel
@@ -116,37 +109,23 @@ class PMPIStack:
                 continue
             if isinstance(hooked, (int, float)):
                 if hooked > 0:
-                    yield kernel.timeout(float(hooked))
+                    yield Timeout(kernel, float(hooked))
                 continue
             yield from _drive(kernel, hooked)
         t_start = kernel.now
         result = yield from impl
-        if post is None:
-            record = CallRecord(
-                name, t_start, kernel.now, comm_id, comm_rank, comm_size,
-                peer, tag, nbytes,
-            )
-        else:
-            fields = {
-                "name": name,
-                "t_start": t_start,
-                "t_end": kernel.now,
-                "comm_id": comm_id,
-                "comm_rank": comm_rank,
-                "comm_size": comm_size,
-                "peer": peer,
-                "tag": tag,
-                "nbytes": nbytes,
-            }
-            fields.update(post(result))
-            record = CallRecord(**fields)
+        if post is not None:
+            peer, tag, nbytes = post(result, peer, tag, nbytes)
+        record = CallRecord(
+            name, t_start, kernel.now, comm.id, comm.rank, comm.size, peer, tag, nbytes
+        )
         for interceptor in self.interceptors:
             hooked = interceptor.on_exit(ctx, record)
             if hooked is None:
                 continue
             if isinstance(hooked, (int, float)):
                 if hooked > 0:
-                    yield kernel.timeout(float(hooked))
+                    yield Timeout(kernel, float(hooked))
                 continue
             yield from _drive(kernel, hooked)
         return result
@@ -158,7 +137,7 @@ def _drive(kernel, hook_result):
         return
     if isinstance(hook_result, (int, float)):
         if hook_result > 0:
-            yield kernel.timeout(float(hook_result))
+            yield Timeout(kernel, float(hook_result))
         return
     if inspect.isgenerator(hook_result):
         yield from hook_result

@@ -21,6 +21,7 @@ from repro.mpi.request import Request, waitany as _waitany
 from repro.network.cluster import Cluster
 from repro.network.machine import MachineSpec
 from repro.simt import Kernel
+from repro.simt.primitives import Timeout
 from repro.simt.process import Process
 from repro.telemetry import Telemetry
 
@@ -44,6 +45,7 @@ class RankContext:
 
     def __init__(self, world: "World", global_rank: int, partition: PartitionInfo):
         self.world = world
+        self.kernel: Kernel = world.kernel  # a world keeps its kernel for life
         self.global_rank = global_rank
         self.partition = partition
         self.mailbox = Mailbox(world.kernel, global_rank)
@@ -52,10 +54,6 @@ class RankContext:
         self.t_finalize: float | None = None
         self.storage: dict[str, Any] = {}
         self.process: Process | None = None
-
-    @property
-    def kernel(self) -> Kernel:
-        return self.world.kernel
 
     @property
     def telemetry(self) -> Telemetry:
@@ -238,13 +236,7 @@ class ProgramAPI:
         def _impl():
             yield self.ctx.kernel.timeout(0.0)
 
-        yield from self.ctx.pmpi.around(
-            "MPI_Init",
-            _impl(),
-            comm_id=self.comm_world.id,
-            comm_rank=self.comm_world.rank,
-            comm_size=self.comm_world.size,
-        )
+        yield from self.ctx.pmpi.around("MPI_Init", _impl(), self.comm_world)
         self.ctx.t_init = self.ctx.kernel.now
 
     def finalize(self):
@@ -255,13 +247,7 @@ class ProgramAPI:
         def _impl():
             yield self.ctx.kernel.timeout(0.0)
 
-        yield from self.ctx.pmpi.around(
-            "MPI_Finalize",
-            _impl(),
-            comm_id=self.comm_world.id,
-            comm_rank=self.comm_world.rank,
-            comm_size=self.comm_world.size,
-        )
+        yield from self.ctx.pmpi.around("MPI_Finalize", _impl(), self.comm_world)
         self.ctx.t_finalize = self.ctx.kernel.now
         self._finalized = True
         self.ctx.pmpi.detach_all()
@@ -272,7 +258,7 @@ class ProgramAPI:
         """Generator: model a CPU-bound phase of the given duration."""
         if seconds < 0:
             raise ConfigError(f"negative compute time: {seconds}")
-        yield self.ctx.kernel.timeout(seconds)
+        yield Timeout(self.ctx.kernel, seconds)
 
     def compute_flops(self, flops: float):
         """Generator: model a CPU phase of ``flops`` floating-point ops."""
@@ -310,14 +296,7 @@ class ProgramAPI:
         def _impl():
             yield self.ctx.kernel.timeout(seconds)
 
-        yield from self.ctx.pmpi.around(
-            name,
-            _impl(),
-            comm_id=self.comm_world.id,
-            comm_rank=self.comm_world.rank,
-            comm_size=self.comm_world.size,
-            nbytes=nbytes,
-        )
+        yield from self.ctx.pmpi.around(name, _impl(), self.comm_world, nbytes=nbytes)
 
     # -- partition queries (VMPI fills these with meaning) -------------------------------
 

@@ -18,7 +18,7 @@ from repro.errors import ConfigError
 from repro.network.fattree import FatTree
 from repro.network.machine import MachineSpec
 from repro.simt import Kernel, Pipe
-from repro.simt.primitives import SimEvent
+from repro.simt.primitives import SimEvent, Timeout
 
 
 @dataclass(frozen=True)
@@ -100,6 +100,11 @@ class Cluster:
         # the latency() hot path stays untouched (pay-for-what-you-use).
         self._extra_latency: dict[int, float] = {}
         self.degraded_nodes = 0
+        #: (src node, dst node) -> (healthy latency, first pipe, second pipe,
+        #: crosses_leaf), filled on first use by :meth:`_route`.  Placement,
+        #: topology and the pipe objects never change during a job, so
+        #: transfer() resolves a message with one lookup.
+        self._routes: dict[tuple[int, int], tuple[float, Pipe, Pipe | None, bool]] = {}
 
     # -- queries ---------------------------------------------------------------
 
@@ -113,12 +118,9 @@ class Cluster:
 
     def latency(self, src: int, dst: int) -> float:
         src_n, dst_n = self.node_of(src), self.node_of(dst)
-        if src_n == dst_n:
-            return self.machine.intra_node_latency
-        # Per-hop share of the end-to-end budget; 4 hops is the common case.
-        per_hop = self.machine.nic_latency / 4.0
-        lat = self.topology.latency(src_n, dst_n, per_hop, base=self.machine.nic_latency)
-        if self._extra_latency:
+        route = self._routes.get((src_n, dst_n)) or self._route(src_n, dst_n)
+        lat = route[0]
+        if src_n != dst_n and self._extra_latency:
             lat += self._extra_latency.get(src_n, 0.0) + self._extra_latency.get(dst_n, 0.0)
         return lat
 
@@ -149,6 +151,23 @@ class Cluster:
 
     # -- data movement -----------------------------------------------------------
 
+    def _route(self, src_n: int, dst_n: int) -> tuple[float, Pipe, Pipe | None, bool]:
+        """Resolve and cache what a message between two nodes goes through."""
+        if src_n == dst_n:
+            route = (self.machine.intra_node_latency, self._mem[src_n], None, False)
+        else:
+            # Per-hop share of the end-to-end budget; 4 hops is the common case.
+            per_hop = self.machine.nic_latency / 4.0
+            topo = self.topology
+            route = (
+                topo.latency(src_n, dst_n, per_hop, base=self.machine.nic_latency),
+                self._nic[src_n][0],
+                self._nic[dst_n][1],
+                topo.leaf_of(src_n) != topo.leaf_of(dst_n),
+            )
+        self._routes[src_n, dst_n] = route
+        return route
+
     def transfer(self, src: int, dst: int, nbytes: int) -> SimEvent:
         """Event firing when ``nbytes`` from ``src`` has arrived at ``dst``.
 
@@ -157,22 +176,37 @@ class Cluster:
         """
         if nbytes < 0:
             raise ConfigError(f"negative transfer: {nbytes}")
-        src_n, dst_n = self.node_of(src), self.node_of(dst)
-        lat = self.latency(src, dst)
-        if src_n == dst_n:
+        nranks = self.nranks
+        if not (0 <= src < nranks and 0 <= dst < nranks):
+            raise ConfigError(f"rank {src} or {dst} outside job of {nranks}")
+        node_of_rank = self.placement.node_of_rank
+        src_n = node_of_rank[src]
+        dst_n = node_of_rank[dst]
+        route = self._routes.get((src_n, dst_n))
+        if route is None:
+            route = self._route(src_n, dst_n)
+        lat, first, second, crosses_leaf = route
+        if second is None:
             self.bytes_intranode += nbytes
-            done = self._mem[src_n].commit(nbytes)
+            done = first.commit(nbytes)
         else:
             self.bytes_internode += nbytes
-            out_pipe, _ = self._nic[src_n]
-            _, in_pipe = self._nic[dst_n]
-            done = max(out_pipe.commit(nbytes), in_pipe.commit(nbytes))
-            if self.topology.leaf_of(src_n) != self.topology.leaf_of(dst_n):
+            done = first.commit(nbytes)
+            done_in = second.commit(nbytes)
+            if done_in > done:
+                done = done_in
+            if crosses_leaf:
                 # Leaf-local traffic never touches the core layer; only
                 # cross-leaf flows share the bisection capacity.
                 self.bytes_crossleaf += nbytes
-                done = max(done, self._bisection.commit(nbytes))
-        return self.kernel.timeout(done + lat - self.kernel.now)
+                done_core = self._bisection.commit(nbytes)
+                if done_core > done:
+                    done = done_core
+            if self._extra_latency:
+                extra = self._extra_latency
+                lat += extra.get(src_n, 0.0) + extra.get(dst_n, 0.0)
+        kernel = self.kernel
+        return Timeout(kernel, done + lat - kernel.now)
 
     def injection_eta(self, src: int, nbytes: int) -> float:
         """When the source NIC would finish injecting ``nbytes`` issued now."""

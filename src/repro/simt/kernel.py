@@ -9,7 +9,8 @@ practice pinpoints mismatched sends/receives immediately.
 
 from __future__ import annotations
 
-import heapq
+from functools import partial
+from heapq import heappop
 from typing import Any, Generator
 
 from repro.errors import DeadlockError, ProcessCrashError, SimulationError
@@ -45,7 +46,6 @@ class Kernel:
         "_seq",
         "_processes",
         "_current",
-        "_crashes",
         "_hooks",
         "_hooks_due",
         "telemetry",
@@ -53,6 +53,7 @@ class Kernel:
         "_gauge_heap",
         "trace",
         "events_dispatched",
+        "timeout",
     )
 
     def __init__(self, *, trace: bool = False, telemetry: Telemetry | None = None):
@@ -61,7 +62,6 @@ class Kernel:
         self._seq = 0
         self._processes: list[Process] = []
         self._current: Process | None = None
-        self._crashes: list[tuple[Process, BaseException]] = []
         self._hooks: list[PeriodicHook] = []
         #: earliest ``next_due`` among active hooks (inf when none) — the
         #: dispatch loop's per-event hook test is one float compare, never
@@ -81,6 +81,10 @@ class Kernel:
             self._gauge_heap = self.telemetry.gauge("kernel.heap_depth", pid=KERNEL_PID)
         self.trace = trace
         self.events_dispatched = 0
+        #: ``timeout(delay, value=None)`` — a :class:`Timeout` on this kernel.
+        #: Bound once as a C-level partial: the most-called factory costs
+        #: no Python frame of its own.
+        self.timeout = partial(Timeout, self)
 
     # -- process management ----------------------------------------------------
 
@@ -103,23 +107,11 @@ class Kernel:
     def event(self, name: str = "") -> SimEvent:
         return SimEvent(self, name=name)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(self, delay, value=value)
-
     def any_of(self, events: list[SimEvent]) -> AnyOf:
         return AnyOf(self, events)
 
     def all_of(self, events: list[SimEvent]) -> AllOf:
         return AllOf(self, events)
-
-    # -- scheduling --------------------------------------------------------------
-
-    def _schedule_event(self, event: SimEvent, delay: float = 0.0) -> None:
-        self._seq += 1
-        heapq.heappush(self._heap, (self.now + delay, self._seq, event))
-
-    def _record_crash(self, proc: Process, exc: BaseException) -> None:
-        self._crashes.append((proc, exc))
 
     # -- periodic callbacks ------------------------------------------------------
 
@@ -189,35 +181,61 @@ class Kernel:
 
     # -- the loop ---------------------------------------------------------------
 
+    def _dispatch(self, limit: float, stop: SimEvent | None = None) -> None:
+        """The dispatch loop — every event of every run goes through here.
+
+        Pops ``(time, seq, event)`` entries in heap order while the head is
+        due at or before ``limit``; with ``stop``, returns right after the
+        dispatch that leaves ``stop`` triggered.  :meth:`run` picks the two
+        arguments for its three modes and :meth:`step` passes the head event
+        as its own ``stop``, so there is one set of dispatch semantics.
+        """
+        heap = self._heap
+        observed = self.telemetry.enabled
+        while heap and heap[0][0] <= limit:
+            when, _seq, event = heappop(heap)
+            if when < self.now:
+                raise SimulationError("time went backwards (kernel bug)")
+            # A dispatched callback may register a hook due *now*
+            # (call_every(first=now)), so the compare is per event; after
+            # firing, _hooks_due > when.
+            if when >= self._hooks_due:
+                self._fire_hooks(when)
+            self.now = when
+            self.events_dispatched += 1
+            if event.state == 0:  # PENDING: a scheduled timeout firing now
+                event.state = 1  # SUCCEEDED (value was set at creation)
+            if observed:
+                self._ctr_dispatched.inc()
+                self._gauge_heap.set(len(heap))
+                if self.trace:
+                    self.telemetry.instant(
+                        "kernel.fire",
+                        pid=KERNEL_PID,
+                        cat="kernel",
+                        args={"event": repr(event)},
+                    )
+            callbacks = event.callbacks
+            event.callbacks = None  # later add_callback() calls run at once
+            waiters = event.num_waiters = len(callbacks)
+            if waiters == 1:
+                callbacks[0](event)
+            elif waiters:
+                for cb in callbacks:
+                    cb(event)
+            elif event._is_process and event.state == 2:
+                # A process that crashed with nobody joining it must surface
+                # the error instead of silently vanishing from the simulation.
+                raise ProcessCrashError(event.name, event.value) from event.value
+            if stop is not None and stop.state != 0:
+                return
+
     def step(self) -> None:
         """Dispatch the next scheduled event."""
         if not self._heap:
             raise SimulationError("step() on an empty schedule")
-        when, _seq, event = heapq.heappop(self._heap)
-        if when < self.now:
-            raise SimulationError("time went backwards (kernel bug)")
-        if when >= self._hooks_due:
-            self._fire_hooks(when)
-        self.now = when
-        self.events_dispatched += 1
-        if event.state == 0:  # PENDING: a scheduled timeout firing now
-            event.state = 1  # SUCCEEDED (value was set at creation)
-        tel = self.telemetry
-        if tel.enabled:
-            self._ctr_dispatched.inc()
-            self._gauge_heap.set(len(self._heap))
-            if self.trace:
-                tel.instant(
-                    "kernel.fire",
-                    pid=KERNEL_PID,
-                    cat="kernel",
-                    args={"event": repr(event)},
-                )
-        event._dispatch()
-        # A process that crashed with nobody joining it must surface the
-        # error instead of silently vanishing from the simulation.
-        if event._is_process and event.state == 2 and event.num_waiters == 0:
-            raise ProcessCrashError(event.name, event.value) from event.value
+        # Whatever it was before, the head event is triggered once dispatched.
+        self._dispatch(_INF, self._heap[0][2])
 
     def run(self, until: float | SimEvent | None = None) -> Any:
         """Run to completion, to a deadline, or until an event fires.
@@ -253,77 +271,28 @@ class Kernel:
             hp.count("kernel.heap_pops", dispatched)
 
     def _drain(self, until: float | SimEvent | None) -> Any:
-        fast = not self.telemetry.enabled
         if isinstance(until, SimEvent):
-            stop_event = until
             # Joining through run() counts as observing the event.
-            stop_event.add_callback(lambda _ev: None)
-            while not stop_event.triggered:
-                if not self._heap:
-                    self._raise_deadlock(waiting_for=stop_event)
-                self.step()
-            if stop_event.state == 2:  # FAILED
-                raise stop_event.value
-            return stop_event.value
+            until.add_callback(lambda _ev: None)
+            if until.state == 0:
+                self._dispatch(_INF, until)
+                if until.state == 0:  # the schedule ran dry first
+                    blocked = [p.name for p in self.alive_processes()]
+                    raise DeadlockError(blocked or [f"<waiting for {until!r}>"])
+            if until.state == 2:  # FAILED
+                raise until.value
+            return until.value
 
         if until is not None:
             deadline = float(until)
             if deadline < self.now:
                 raise SimulationError(f"deadline {deadline} is in the past ({self.now})")
-            if fast:
-                self._drain_fast(deadline)
-            else:
-                while self._heap and self._heap[0][0] <= deadline:
-                    self.step()
+            self._dispatch(deadline)
             self.now = deadline
             return None
 
-        if fast:
-            self._drain_fast(None)
-        else:
-            while self._heap:
-                self.step()
+        self._dispatch(_INF)
         blocked = self.alive_processes()
         if blocked:
             raise DeadlockError([p.name for p in blocked])
         return None
-
-    def _drain_fast(self, deadline: float | None) -> None:
-        """The telemetry-off dispatch loop: :meth:`step` inlined, with
-        same-timestamp batching.
-
-        Event order, hook firing points and the virtual clock are exactly
-        those of the ``step()`` loop — only per-event Python overhead is
-        removed: no method-call frames, no per-event telemetry branch, the
-        hook test is one compare against :attr:`_hooks_due`, and events
-        sharing a timestamp are dispatched in a batch that skips the
-        redundant back-in-time check after the first.
-        """
-        heap = self._heap
-        pop = heapq.heappop
-        limit = _INF if deadline is None else deadline
-        while heap and heap[0][0] <= limit:
-            when, _seq, event = pop(heap)
-            if when < self.now:
-                raise SimulationError("time went backwards (kernel bug)")
-            while True:
-                # A dispatched callback may register a hook due *now*
-                # (call_every(first=now)), so the compare stays per-event,
-                # exactly like step(); after firing, _hooks_due > when.
-                if when >= self._hooks_due:
-                    self._fire_hooks(when)
-                self.now = when
-                self.events_dispatched += 1
-                if event.state == 0:  # PENDING: a timeout firing now
-                    event.state = 1  # SUCCEEDED (value was set at creation)
-                event._dispatch()
-                if event._is_process and event.state == 2 and event.num_waiters == 0:
-                    raise ProcessCrashError(event.name, event.value) from event.value
-                if heap and heap[0][0] == when:
-                    when, _seq, event = pop(heap)
-                else:
-                    break
-
-    def _raise_deadlock(self, waiting_for: SimEvent) -> None:
-        blocked = [p.name for p in self.alive_processes()]
-        raise DeadlockError(blocked or [f"<waiting for {waiting_for!r}>"])

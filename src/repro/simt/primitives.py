@@ -12,6 +12,7 @@ A *waitable* is anything a process generator may ``yield``:
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import SimulationError
@@ -61,7 +62,11 @@ class SimEvent:
             raise SimulationError(f"event {self.name or id(self)} already triggered")
         self.state = SUCCEEDED
         self.value = value
-        self.kernel._schedule_event(self)
+        # Schedule the dispatch at the current instant; ties fire in
+        # scheduling order.
+        kernel = self.kernel
+        kernel._seq = seq = kernel._seq + 1
+        heappush(kernel._heap, (kernel.now, seq, self))
         return self
 
     def fail(self, exc: BaseException) -> "SimEvent":
@@ -72,7 +77,9 @@ class SimEvent:
             raise SimulationError("fail() requires an exception instance")
         self.state = FAILED
         self.value = exc
-        self.kernel._schedule_event(self)
+        kernel = self.kernel
+        kernel._seq = seq = kernel._seq + 1
+        heappush(kernel._heap, (kernel.now, seq, self))
         return self
 
     def add_callback(self, cb: Callable[["SimEvent"], None]) -> None:
@@ -81,12 +88,6 @@ class SimEvent:
             cb(self)
         else:
             self.callbacks.append(cb)
-
-    def _dispatch(self) -> None:
-        callbacks, self.callbacks = self.callbacks, None  # type: ignore[assignment]
-        self.num_waiters = len(callbacks)
-        for cb in callbacks:
-            cb(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = {PENDING: "pending", SUCCEEDED: "ok", FAILED: "failed"}[self.state]
@@ -103,13 +104,21 @@ class Timeout(SimEvent):
 
     __slots__ = ("delay",)
 
-    def __init__(self, kernel: "Kernel", delay: float, value: Any = None, name: str = ""):
-        if delay < 0:
-            raise SimulationError(f"negative timeout: {delay}")
-        super().__init__(kernel, name=name or "timeout")
-        self.delay = delay
+    def __init__(
+        self, kernel: "Kernel", delay: float, value: Any = None, name: str = "timeout"
+    ):
+        if not delay >= 0:  # also rejects NaN, which would poison heap order
+            raise SimulationError(f"timeout delay must be a number >= 0, got {delay}")
+        # SimEvent.__init__ inlined: one frame per timeout, not two.
+        self.kernel = kernel
+        self.state = PENDING
         self.value = value
-        kernel._schedule_event(self, delay=delay)
+        self.callbacks = []
+        self.name = name
+        self.num_waiters = -1
+        self.delay = delay
+        kernel._seq = seq = kernel._seq + 1
+        heappush(kernel._heap, (kernel.now + delay, seq, self))
 
 
 class Interrupt(Exception):
@@ -135,8 +144,9 @@ class _Condition(SimEvent):
         if not self.events:
             self.succeed({})
             return
+        on_child = self._on_child  # bound once, not once per child
         for ev in self.events:
-            ev.add_callback(self._on_child)
+            ev.add_callback(on_child)
 
     def _on_child(self, ev: SimEvent) -> None:  # pragma: no cover - abstract
         raise NotImplementedError

@@ -22,7 +22,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class Process(SimEvent):
     """A running simulated process (also usable as a join event)."""
 
-    __slots__ = ("generator", "_waiting_on", "alive_since")
+    __slots__ = ("generator", "_waiting_on", "_wake", "alive_since")
 
     _is_process = True  # see SimEvent._is_process
 
@@ -34,11 +34,16 @@ class Process(SimEvent):
             )
         super().__init__(kernel, name=name or getattr(generator, "__name__", "proc"))
         self.generator = generator
+        #: the event whose dispatch resumes us; None before the first resume
+        #: and once finished
         self._waiting_on: SimEvent | None = None
+        #: the one callback this process ever registers, bound once here
+        #: instead of once per ``yield``
+        self._wake = self._resume
         self.alive_since = kernel.now
         # Bootstrap: start executing at the current simulated instant.
         init = SimEvent(kernel, name=f"{self.name}.start")
-        init.add_callback(self._resume)
+        init.callbacks.append(self._wake)
         init.succeed()
 
     @property
@@ -50,65 +55,68 @@ class Process(SimEvent):
 
         The interrupt detaches the process from whatever it was waiting on;
         the underlying event stays valid and may fire later with no effect on
-        this process.
+        this process.  Interrupting again before delivery replaces the
+        pending interrupt.
         """
         if not self.is_alive:
             raise SimulationError(f"cannot interrupt finished process {self.name}")
-        if self._waiting_on is None:
-            raise SimulationError(f"cannot interrupt {self.name}: not started/waiting")
         target = self._waiting_on
-        self._waiting_on = None
-        # Deliver via a fresh immediate event so ordering stays kernel-driven.
+        if target is None:
+            raise SimulationError(f"cannot interrupt {self.name}: not started/waiting")
+        # Deliver via a fresh immediate event so ordering stays kernel-driven:
+        # the process now waits on the kick, a failed event carrying the
+        # Interrupt, and anything the old target still sends is stale.
         kick = SimEvent(self.kernel, name=f"{self.name}.interrupt")
-        kick.add_callback(lambda _ev: self._step(throw=Interrupt(cause)))
-        kick.succeed()
+        kick.callbacks.append(self._wake)
+        kick.fail(Interrupt(cause))
+        self._waiting_on = kick
         # Drop our callback edge from the original event if it has not fired.
         if target.callbacks is not None:
             try:
-                target.callbacks.remove(self._resume)
+                target.callbacks.remove(self._wake)
             except ValueError:
                 pass
 
     # -- kernel-side machinery ------------------------------------------------
 
     def _resume(self, event: SimEvent) -> None:
-        if self._waiting_on is not event and self._waiting_on is not None:
-            return  # stale wake-up after an interrupt
+        """The wake-up callback: feed ``event``'s outcome to the generator
+        and register on whatever it yields next."""
+        waiting = self._waiting_on
+        if (waiting is not event and waiting is not None) or self.state != PENDING:
+            return  # stale wake-up after an interrupt, or already finished
         self._waiting_on = None
-        if event.state == FAILED:
-            self._step(throw=event.value)
-        else:
-            self._step(send=event.value)
-
-    def _step(self, send: Any = None, throw: BaseException | None = None) -> None:
-        if not self.is_alive:
-            return
-        self.kernel._current = self
+        kernel = self.kernel
+        kernel._current = self
         try:
-            if throw is not None:
-                target = self.generator.throw(throw)
+            if event.state == FAILED:
+                target = self.generator.throw(event.value)
             else:
-                target = self.generator.send(send)
+                target = self.generator.send(event.value)
         except StopIteration as stop:
             self.succeed(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate into joiners
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
-            self.kernel._record_crash(self, exc)
             self.fail(exc)
             return
         finally:
-            self.kernel._current = None
+            kernel._current = None
         if not isinstance(target, SimEvent):
-            err = SimulationError(
-                f"process {self.name} yielded {type(target).__name__}, expected a waitable"
+            self.fail(
+                SimulationError(
+                    f"process {self.name} yielded {type(target).__name__}, "
+                    "expected a waitable"
+                )
             )
-            self.kernel._record_crash(self, err)
-            self.fail(err)
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is None:  # already dispatched: its outcome is final
+            self._resume(target)
+        else:
+            callbacks.append(self._wake)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "alive" if self.is_alive else ("ok" if self.ok else "failed")

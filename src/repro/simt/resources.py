@@ -30,12 +30,13 @@ class Resource:
         self.kernel = kernel
         self.capacity = capacity
         self.name = name or "resource"
+        self._acquire_name = f"{self.name}.acquire"  # formatted once, not per acquire
         self.in_use = 0
         self._waiters: deque[SimEvent] = deque()
 
     def acquire(self) -> SimEvent:
         """Return an event that fires once a slot is granted to the caller."""
-        ev = SimEvent(self.kernel, name=f"{self.name}.acquire")
+        ev = SimEvent(self.kernel, self._acquire_name)
         if self.in_use < self.capacity:
             self.in_use += 1
             ev.succeed()
@@ -170,15 +171,17 @@ class Pipe:
         several pipes can take the max of the commit times and schedule a
         single timeout.
         """
-        if nbytes < 0:
-            raise SimulationError(f"negative transfer size: {nbytes}")
-        start = max(self.kernel.now, self._busy_until)
+        if not nbytes >= 0:  # also rejects NaN, which would poison _busy_until
+            raise SimulationError(f"transfer size must be a number >= 0, got {nbytes}")
+        start = self.kernel.now
+        if self._busy_until > start:
+            start = self._busy_until
         duration = nbytes / self.bandwidth
-        self._busy_until = start + duration
+        self._busy_until = done = start + duration
         self.bytes_transferred += int(nbytes)
         self.busy_time += duration
         self.transfers += 1
-        return self._busy_until + self.latency
+        return done + self.latency
 
     def transfer(self, nbytes: float) -> SimEvent:
         """Schedule ``nbytes`` through the pipe; event fires at completion."""

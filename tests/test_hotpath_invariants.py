@@ -11,7 +11,7 @@ SCRIPT = REPO / "scripts" / "check_hotpath_invariants.py"
 
 sys.path.insert(0, str(REPO / "scripts"))
 
-from check_hotpath_invariants import check_tree  # noqa: E402
+from check_hotpath_invariants import PER_EVENT_FUNCTIONS, check_tree  # noqa: E402
 
 
 def _write(root: Path, rel: str, text: str) -> None:
@@ -192,3 +192,95 @@ def test_loops_outside_the_vector_functions_are_allowed(tmp_path):
         "def encode_records(records):\n    return [r for r in records]\n",
     )
     assert check_tree(tmp_path) == []
+
+
+# -- rule 4: lean per-event functions ------------------------------------------------
+
+_PER_EVENT_SITES = [
+    (rel.as_posix(), cls, fn)
+    for rel, classes in PER_EVENT_FUNCTIONS.items()
+    for cls, fns in classes.items()
+    for fn in sorted(fns)
+]
+
+
+def _per_event_module(rel, cls, fn, body):
+    """``rel`` with every function the lint lists for it as a clean stub
+    (a missing one is itself a violation), except ``cls.fn`` = ``body``."""
+    lines = []
+    for klass, fns in PER_EVENT_FUNCTIONS[Path(rel)].items():
+        lines.append(f"class {klass}:")
+        for name in sorted(fns):
+            stmt = body if (klass, name) == (cls, fn) else "pass"
+            lines.append(f"    def {name}(self, x=None):\n        {stmt}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "body, what",
+    [
+        ('name = f"recv@r{x}"', "f-string"),
+        ('name = "recv@r{}".format(x)', "str.format() call"),
+        ("total = sum(len(q) for q in x.values())", "sum() over a container"),
+        ("total = sum(x)", "sum() over a container"),
+        ("first = min(x)", "min() over a container"),
+        ("last = max(*x)", "max() over a container"),
+        ("sizes = [len(q) for q in x]", "ListComp"),
+        ("sizes = {k: len(q) for k, q in x.items()}", "DictComp"),
+    ],
+)
+@pytest.mark.parametrize("rel, cls, fn", _PER_EVENT_SITES)
+def test_flags_formatting_and_rescans_in_per_event_functions(
+    tmp_path, rel, cls, fn, body, what
+):
+    _write(tmp_path, rel, _per_event_module(rel, cls, fn, body))
+    problems = [p for p in check_tree(tmp_path) if "per-event function" in p]
+    assert problems, (rel, cls, fn, body)
+    assert all(f"{cls}.{fn}()" in p for p in problems)
+    assert any(what in p for p in problems)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        'raise ValueError(f"negative size: {x}")',  # the error path may format
+        "later = max(x, self.busy)",  # a two-value compare is no container scan
+        "pair = [x, self]",  # a literal is no comprehension
+    ],
+)
+def test_per_event_functions_may_raise_with_a_message_and_compare_scalars(tmp_path, body):
+    _write(
+        tmp_path,
+        "repro/network/cluster.py",
+        _per_event_module("repro/network/cluster.py", "Cluster", "transfer", body),
+    )
+    assert check_tree(tmp_path) == []
+
+
+def test_per_event_rule_is_scoped_to_the_listed_functions(tmp_path):
+    _write(
+        tmp_path,
+        "repro/network/cluster.py",
+        "class Cluster:\n"
+        "    def transfer(self, src, dst, nbytes):\n"
+        "        return nbytes\n"
+        "    def nic_utilization(self):\n"
+        "        return {n: f'{p}' for n, p in self.nic.items()}\n",
+    )
+    _write(
+        tmp_path,
+        "repro/analysis/report.py",
+        "class Cluster:\n    def transfer(self, x):\n        return f'{x}'\n",
+    )
+    assert check_tree(tmp_path) == []
+
+
+def test_a_renamed_per_event_function_is_reported(tmp_path):
+    _write(
+        tmp_path,
+        "repro/mpi/communicator.py",
+        "class Comm:\n    def _start_send(self):\n        pass\n",
+    )
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1
+    assert "Comm._raw_isend() not found" in problems[0]

@@ -76,6 +76,48 @@ def test_mailbox_fifo_per_source(srcs):
         assert seqs == sorted(seqs)
 
 
+_mailbox_ops = st.one_of(
+    st.tuples(st.just("deliver"), st.integers(0, 2), st.integers(0, 2), st.integers(0, 1)),
+    st.tuples(
+        st.sampled_from(["post", "probe"]),
+        st.integers(0, 2),
+        st.sampled_from([ANY_SOURCE, 0, 1, 2]),
+        st.sampled_from([ANY_TAG, 0, 1]),
+    ),
+)
+
+
+@given(st.lists(_mailbox_ops, min_size=1, max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_mailbox_running_unexpected_count_matches_a_recount(ops):
+    """``unexpected_peak`` and ``pending_counts()`` come from a running
+    counter; after every deliver / post / probe across three communicators
+    (wildcards included) they must equal a brute-force recount of the
+    queues.  The post-side match is the decrement that is easy to forget."""
+    kernel = Kernel()
+    mailbox = Mailbox(kernel, owner_rank=0)
+    peak = 0
+    for op, comm_id, a, b in ops:
+        if op == "deliver":
+            arrival = SimEvent(kernel)
+            mailbox.deliver(Envelope(comm_id, a, b, 8, None, arrival, None))
+            arrival.succeed()
+        elif op == "post":
+            mailbox.post(comm_id, a, b, 0.0)
+        else:
+            probed = mailbox.probe(comm_id, a, b)
+            assert probed is None or not probed.matched
+        unexpected = sum(len(q) for q in mailbox._unexpected.values())
+        posted = sum(len(q) for q in mailbox._posted.values())
+        peak = max(peak, unexpected)
+        assert mailbox.pending_counts() == (unexpected, posted)
+        assert mailbox.unexpected_peak == peak
+    kernel.run()
+    assert mailbox.pending_counts()[0] == sum(
+        1 for q in mailbox._unexpected.values() for env in q if not env.matched
+    )
+
+
 # ---------------------------------------------------------------------------
 # Mapping policies: validity invariants
 # ---------------------------------------------------------------------------

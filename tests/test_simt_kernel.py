@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.simt import Kernel
+from repro.simt import Kernel, Timeout
 
 
 def test_time_starts_at_zero(kernel):
@@ -36,6 +36,25 @@ def test_zero_timeout_fires_same_instant(kernel):
 def test_negative_timeout_rejected(kernel):
     with pytest.raises(SimulationError):
         kernel.timeout(-1.0)
+
+
+@pytest.mark.parametrize("delay", [float("nan"), -0.5, float("-inf")])
+def test_nan_and_negative_delays_leave_the_schedule_untouched(kernel, delay):
+    # NaN compares false against everything: accepted, it would sit in the
+    # heap unordered and surface as a DeadlockError naming an innocent
+    # sleeper.  Rejected at the door, like a negative delay.
+    with pytest.raises(SimulationError, match=">= 0"):
+        kernel.timeout(delay)
+    with pytest.raises(SimulationError, match=">= 0"):
+        Timeout(kernel, delay)
+    assert kernel.events_dispatched == 0
+
+    def sleeper(k):
+        yield k.timeout(1.0)
+
+    kernel.spawn(sleeper(kernel))
+    kernel.run()  # nothing poisoned: the sleeper wakes, no deadlock
+    assert kernel.now == 1.0
 
 
 def test_events_fire_in_timestamp_order(kernel):

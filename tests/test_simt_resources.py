@@ -200,6 +200,16 @@ class TestPipe:
         with pytest.raises(SimulationError):
             pipe.transfer(-1)
 
+    @pytest.mark.parametrize("nbytes", [float("nan"), -1, -0.5])
+    def test_nan_and_negative_commits_leave_the_pipe_untouched(self, kernel, nbytes):
+        # A NaN size would make _busy_until NaN and every later completion
+        # time with it.
+        pipe = Pipe(kernel, bandwidth=10.0, latency=0.5)
+        with pytest.raises(SimulationError, match=">= 0"):
+            pipe.commit(nbytes)
+        assert (pipe.transfers, pipe.bytes_transferred, pipe.busy_time) == (0, 0, 0.0)
+        assert pipe.commit(10) == pytest.approx(1.5)
+
     def test_stats_accumulate(self, kernel):
         pipe = Pipe(kernel, bandwidth=10.0)
 
