@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Hot-path invariant lint: clock discipline, zero-copy decode, loop-free codec,
-lean per-event functions.
+lean per-event functions, one derivation per pack.
 
-Four structural rules the hot-path refactors rely on, enforced over the
+Five structural rules the hot-path refactors rely on, enforced over the
 AST so comments and strings never trip them:
 
 1. **Clock discipline** — ``time.perf_counter`` (and its ``_ns``
@@ -41,6 +41,17 @@ AST so comments and strings never trip them:
    back (DESIGN 14).  ``raise`` statements are exempt: the error path may
    format its message.  A listed function that no longer exists is itself
    a violation, so a rename cannot silently retire the rule.
+
+5. **One derivation per pack** — under ``analysis/`` the modules read the
+   per-pack ``EventBatch`` (``analysis/batch.py``, DESIGN 14) instead of
+   re-deriving what they share.  Inside any ``update`` method there:
+   ``np.isin(``, ``np.unique(`` applied to the call column and
+   ``np.array(sorted(`` (the per-call id table rebuilt on every pack) are
+   errors; ``t_end - t_start`` is computed in ``batch.py`` and nowhere else
+   in the package.  Inside ``batch.py`` itself, ``bincount(..., weights=)``
+   and ``np.add.reduceat`` over ``durations`` are errors: both add
+   sequentially, numpy's ``.sum()`` adds pairwise, and the report hash
+   depends on the last bit of those float sums.
 
 Exit status 0 when clean; 1 with one ``path:line: message`` per
 violation otherwise.  Run from the repository root::
@@ -101,6 +112,12 @@ PER_EVENT_FUNCTIONS = {
     Path("repro") / "network" / "cluster.py": {"Cluster": {"transfer"}},
     Path("repro") / "mpi" / "communicator.py": {"Comm": {"_raw_isend"}},
 }
+
+#: package whose ``update`` methods read the shared per-pack batch
+ANALYSIS_PACKAGE = Path("repro") / "analysis"
+
+#: the one module allowed to derive the shared columns
+BATCH_MODULE = ANALYSIS_PACKAGE / "batch.py"
 
 #: reductions that walk a container when given one argument
 _CONTAINER_REDUCTIONS = frozenset({"sum", "min", "max"})
@@ -254,6 +271,97 @@ def _check_per_event_functions(
     return problems
 
 
+def _mentions(node: ast.AST, name: str) -> bool:
+    """True when ``node`` reads ``name`` as a variable, attribute or field."""
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and sub.id == name:
+            return True
+        if isinstance(sub, ast.Attribute) and sub.attr == name:
+            return True
+        if (
+            isinstance(sub, ast.Subscript)
+            and isinstance(sub.slice, ast.Constant)
+            and sub.slice.value == name
+        ):
+            return True
+    return False
+
+
+def _called_attr(node: ast.AST) -> str | None:
+    """``attr`` of a ``<something>.attr(...)`` call, else None."""
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+        return node.func.attr
+    return None
+
+
+def _update_offence(node: ast.AST) -> str | None:
+    attr = _called_attr(node)
+    if attr == "isin":
+        return "np.isin() call"
+    if attr == "unique" and node.args and _mentions(node.args[0], "call"):
+        return "np.unique() over the call column"
+    if (
+        attr == "array"
+        and node.args
+        and isinstance(node.args[0], ast.Call)
+        and isinstance(node.args[0].func, ast.Name)
+        and node.args[0].func.id == "sorted"
+    ):
+        return "np.array(sorted(...)) id table"
+    return None
+
+
+def _check_analysis_updates(tree: ast.AST, rel: Path) -> list[str]:
+    """Flag per-pack re-derivations in ``update`` methods under analysis/."""
+    problems = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name == "update":
+            for sub in ast.walk(node):
+                what = _update_offence(sub)
+                if what is not None:
+                    problems.append(
+                        f"{rel}:{sub.lineno}: {what} inside {node.name}() — read "
+                        "EventBatch.groups / a call_lut() table; the per-pack "
+                        "derivation happens once, in analysis/batch.py"
+                    )
+        if (
+            rel != BATCH_MODULE
+            and isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Sub)
+            and _mentions(node.left, "t_end")
+            and _mentions(node.right, "t_start")
+        ):
+            problems.append(
+                f"{rel}:{node.lineno}: t_end - t_start outside {BATCH_MODULE} — "
+                "read EventBatch.durations"
+            )
+    return problems
+
+
+def _check_batch_float_sums(tree: ast.AST, rel: Path) -> list[str]:
+    """Flag sequential float sums in batch.py (the rounding trap)."""
+    problems = []
+    for node in ast.walk(tree):
+        attr = _called_attr(node)
+        if attr == "bincount" and any(kw.arg == "weights" for kw in node.keywords):
+            what = "bincount(..., weights=)"
+        elif (
+            attr == "reduceat"
+            and isinstance(node.func.value, ast.Attribute)
+            and node.func.value.attr == "add"
+            and any(_mentions(arg, "durations") for arg in node.args)
+        ):
+            what = "np.add.reduceat over durations"
+        else:
+            continue
+        problems.append(
+            f"{rel}:{node.lineno}: {what} in {BATCH_MODULE} — it adds "
+            "sequentially where .sum() adds pairwise; float sums take one "
+            ".sum() per contiguous slice of the stably sorted column"
+        )
+    return problems
+
+
 def check_tree(src_root: Path) -> list[str]:
     """All invariant violations under ``src_root`` (a ``src/`` directory)."""
     problems = []
@@ -268,6 +376,10 @@ def check_tree(src_root: Path) -> list[str]:
             problems.extend(_check_vector_stages(tree, rel))
         if rel in PER_EVENT_FUNCTIONS:
             problems.extend(_check_per_event_functions(tree, rel, PER_EVENT_FUNCTIONS[rel]))
+        if ANALYSIS_PACKAGE in rel.parents:
+            problems.extend(_check_analysis_updates(tree, rel))
+        if rel == BATCH_MODULE:
+            problems.extend(_check_batch_float_sums(tree, rel))
     return problems
 
 
@@ -284,7 +396,7 @@ def main(argv: list[str]) -> int:
         return 1
     print(
         "hot-path invariants hold (clock discipline, zero-copy decode, "
-        "loop-free codec, lean per-event functions)"
+        "loop-free codec, lean per-event functions, one derivation per pack)"
     )
     return 0
 

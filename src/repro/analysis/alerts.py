@@ -29,11 +29,8 @@ from typing import Any, Callable
 
 import numpy as np
 
+from repro.analysis.batch import BLOCKING_CALLS, SEND_CALLS, EventBatch
 from repro.errors import ConfigError, ReproError
-from repro.instrument.events import CALL_IDS, P2P_SEND_CALLS, WAIT_CALLS
-
-_BLOCKING = np.array(sorted(set(WAIT_CALLS) | {CALL_IDS["MPI_Recv"]}), dtype="<u2")
-_SENDS = np.array(sorted(P2P_SEND_CALLS), dtype="<u2")
 
 
 @dataclass(frozen=True)
@@ -145,24 +142,24 @@ class AlertMonitor:
         """Inspect one batch; returns alerts raised by this batch."""
         if not (0 <= rank < self.app_size):
             raise ReproError(f"batch from rank {rank} outside app of {self.app_size}")
-        if len(events) == 0:
+        batch = EventBatch.of(events)
+        if len(batch) == 0:
             return []
         new: list[Alert] = []
         cfg = self.config
-        t_lo = float(events["t_start"].min())
-        t_hi = float(events["t_end"].max())
+        t_hi = batch.t1
         self._seen[rank] = True
         self._last_event[rank] = max(self._last_event[rank], t_hi)
-        span = max(t_hi - t_lo, 1e-12)
+        span = max(t_hi - batch.t0, 1e-12)
 
-        durations = events["t_end"] - events["t_start"]
-        blocking = float(durations[np.isin(events["call"], _BLOCKING)].sum())
+        call = batch.call
+        blocking = float(batch.durations[BLOCKING_CALLS[call]].sum())
         window = max(span, cfg.window)
         wait_fraction = blocking / window
         if wait_fraction > cfg.wait_threshold:
             new += self._raise("waiting", rank, t_hi, wait_fraction, cfg.wait_threshold)
 
-        sends = int(np.isin(events["call"], _SENDS).sum())
+        sends = int(SEND_CALLS[call].sum())
         rate = sends / window
         if rate > cfg.rate_threshold:
             new += self._raise("message_rate", rank, t_hi, rate, cfg.rate_threshold)

@@ -1,0 +1,107 @@
+"""One derivation per decoded pack, shared by every analysis module.
+
+The unpacker knowledge source wraps each decoded event array in an
+:class:`EventBatch`; every module's ``update()`` reads the columns and the
+group-by-call table from it instead of recomputing them.  Derivation is lazy,
+so it runs (once) inside the first module that asks, and what no enabled
+module reads is never computed.
+
+Float sums must keep the bits the per-module code produced with
+``durations[call == c].sum()``: a *stable* sort by call id leaves each call's
+durations contiguous and in arrival order, so ``.sum()`` on that slice walks
+the same elements through numpy's same pairwise tree.  ``np.add.reduceat`` and
+``np.bincount(weights=)`` add sequentially — different rounding — and are
+therefore used for the integer and min/max columns only (DESIGN 14).
+"""
+
+from __future__ import annotations
+
+from functools import cached_property
+from typing import Iterable
+
+import numpy as np
+
+from repro.instrument.events import CALL_IDS, P2P_SEND_CALLS, WAIT_CALLS
+
+
+def call_lut(call_ids: Iterable[int]) -> np.ndarray:
+    """Boolean membership table over every representable ``<u2`` call id.
+
+    ``lut[batch.call]`` is the membership mask of ``call`` in ``call_ids``,
+    without rebuilding and searching a sorted id array on every pack.
+    """
+    lut = np.zeros(1 << 16, dtype=bool)
+    lut[np.fromiter(call_ids, dtype=np.intp)] = True
+    lut.setflags(write=False)
+    return lut
+
+
+#: call classes more than one module asks about, built once per process
+SEND_CALLS = call_lut(P2P_SEND_CALLS)
+BLOCKING_CALLS = call_lut(WAIT_CALLS | {CALL_IDS["MPI_Recv"]})
+
+
+class EventBatch:
+    """A decoded event array plus what the analysis modules derive from it."""
+
+    def __init__(self, events: np.ndarray):
+        self.events = events
+
+    @classmethod
+    def of(cls, events: "np.ndarray | EventBatch") -> "EventBatch":
+        """``events`` itself when it already is a batch, else a new wrapper."""
+        return events if isinstance(events, cls) else cls(events)
+
+    def __len__(self) -> int:
+        return len(self.events)
+
+    @cached_property
+    def call(self) -> np.ndarray:
+        return np.ascontiguousarray(self.events["call"])
+
+    @cached_property
+    def durations(self) -> np.ndarray:
+        return self.events["t_end"] - self.events["t_start"]
+
+    @cached_property
+    def nbytes(self) -> np.ndarray:
+        """Byte counts with negative (unknown) sizes clipped to 0."""
+        return self.events["nbytes"].clip(min=0)
+
+    @cached_property
+    def nbytes_total(self) -> int:
+        return int(self.nbytes.sum())
+
+    @cached_property
+    def t0(self) -> float:
+        """Earliest ``t_start``; undefined (raises) on an empty batch."""
+        return float(self.events["t_start"].min())
+
+    @cached_property
+    def t1(self) -> float:
+        """Latest ``t_end``; undefined (raises) on an empty batch."""
+        return float(self.events["t_end"].max())
+
+    @cached_property
+    def groups(self) -> list[tuple[int, int, float, int, float, float]]:
+        """``(call, hits, time_sum, nbytes_sum, d_min, d_max)`` by ascending call id."""
+        call = self.call
+        n = len(call)
+        if n == 0:
+            return []
+        order = np.argsort(call, kind="stable")
+        by_call = call[order]
+        starts = np.concatenate(([0], np.flatnonzero(by_call[1:] != by_call[:-1]) + 1))
+        durations = self.durations[order]
+        byte_sums = np.add.reduceat(self.nbytes[order], starts).tolist()
+        d_min = np.minimum.reduceat(durations, starts).tolist()
+        d_max = np.maximum.reduceat(durations, starts).tolist()
+        bounds = starts.tolist()
+        bounds.append(n)
+        # One pairwise .sum() per contiguous slice; see the module docstring.
+        return [
+            (call_id, hi - lo, float(durations[lo:hi].sum()), nbytes, lo_d, hi_d)
+            for call_id, lo, hi, nbytes, lo_d, hi_d in zip(
+                by_call[starts].tolist(), bounds, bounds[1:], byte_sums, d_min, d_max
+            )
+        ]

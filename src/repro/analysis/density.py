@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from repro.analysis.batch import EventBatch
 from repro.errors import ReproError
 from repro.instrument.events import CALL_IDS, CALL_NAMES
 
@@ -46,15 +47,11 @@ class DensityMaps:
     def update(self, rank: int, events: np.ndarray) -> None:
         if not (0 <= rank < self.app_size):
             raise ReproError(f"batch from rank {rank} outside app of {self.app_size}")
-        if len(events) == 0:
-            return
-        durations = events["t_end"] - events["t_start"]
-        for call in np.unique(events["call"]):
-            mask = events["call"] == call
-            vecs = self._vectors(int(call))
-            vecs["hits"][rank] += int(mask.sum())
-            vecs["time"][rank] += float(durations[mask].sum())
-            vecs["size"][rank] += float(events["nbytes"][mask].clip(min=0).sum())
+        for call, hits, time, nbytes, _d_min, _d_max in EventBatch.of(events).groups:
+            vecs = self._vectors(call)
+            vecs["hits"][rank] += hits
+            vecs["time"][rank] += time
+            vecs["size"][rank] += float(nbytes)
 
     def merge(self, other: "DensityMaps") -> None:
         if other.app != self.app or other.app_size != self.app_size:
@@ -72,7 +69,11 @@ class DensityMaps:
             raise ReproError(f"unknown metric {metric!r}; choose from {self.METRICS}")
         call = CALL_IDS.get(call_name)
         if call is None:
-            raise ReproError(f"unknown call name {call_name!r}")
+            # calls_seen() names an id past this build's registry "call#<id>".
+            prefix, _, digits = call_name.partition("#")
+            if prefix != "call" or not digits.isdigit():
+                raise ReproError(f"unknown call name {call_name!r}")
+            call = int(digits)
         vecs = self.maps.get(call)
         if vecs is None:
             return np.zeros(self.app_size)

@@ -29,6 +29,7 @@ from repro.errors import (
     UnknownCodecError,
 )
 from repro.analysis.alerts import AlertMonitor
+from repro.analysis.batch import EventBatch
 from repro.analysis.density import DensityMaps
 from repro.analysis.latesender import LateSenderAnalysis
 from repro.analysis.otf2proxy import OTF2Proxy
@@ -192,7 +193,9 @@ class AnalyzerEngine:
                     header, events = decode_pack(entry.payload)
                 if tel.enabled:
                     tel.counter("analysis.packs_decoded").inc()
-                b.submit(events_id, (header.rank, events), size=events.nbytes)
+                # One batch per pack: every module KS below reads the shared
+                # (lazily derived) columns instead of re-deriving its own.
+                b.submit(events_id, (header.rank, EventBatch(events)), size=events.nbytes)
 
         board.register_ks(f"KS_Unpacker[{level}]", [pack_id], unpack)
 

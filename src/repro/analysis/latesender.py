@@ -31,17 +31,12 @@ from collections import defaultdict
 
 import numpy as np
 
+from repro.analysis.batch import SEND_CALLS, EventBatch, call_lut
 from repro.errors import ReproError
 from repro.instrument.events import CALL_IDS
 
-_SEND_CALLS = np.array(
-    [CALL_IDS["MPI_Send"], CALL_IDS["MPI_Isend"], CALL_IDS["MPI_Sendrecv"]],
-    dtype="<u2",
-)
 #: receive completions with a resolved source: blocking recv, sendrecv, wait
-_RECV_CALLS = np.array(
-    [CALL_IDS["MPI_Recv"], CALL_IDS["MPI_Wait"]], dtype="<u2"
-)
+_RECV_CALLS = call_lut((CALL_IDS["MPI_Recv"], CALL_IDS["MPI_Wait"]))
 
 
 class LateSenderAnalysis:
@@ -69,15 +64,16 @@ class LateSenderAnalysis:
         """Fold one event batch from application rank ``rank``."""
         if not (0 <= rank < self.app_size):
             raise ReproError(f"batch from rank {rank} outside app of {self.app_size}")
-        if len(events) == 0:
+        batch = EventBatch.of(events)
+        if len(batch) == 0:
             return
-        send_mask = np.isin(events["call"], _SEND_CALLS) & (events["peer"] >= 0)
-        for ev in events[send_mask]:
+        events, call = batch.events, batch.call
+        has_peer = events["peer"] >= 0
+        for ev in events[SEND_CALLS[call] & has_peer]:
             self.sends[(rank, int(ev["peer"]), int(ev["tag"]))].append(
                 float(ev["t_start"])
             )
-        recv_mask = np.isin(events["call"], _RECV_CALLS) & (events["peer"] >= 0)
-        for ev in events[recv_mask]:
+        for ev in events[_RECV_CALLS[call] & has_peer]:
             self.recvs[(int(ev["peer"]), rank, int(ev["tag"]))].append(
                 float(ev["t_end"])
             )

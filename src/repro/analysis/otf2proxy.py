@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
+from repro.analysis.batch import EventBatch, call_lut
 from repro.errors import ConfigError, ReproError
 from repro.instrument.events import CALL_IDS, EVENT_DTYPE, EVENT_RECORD_SIZE
 
@@ -49,10 +51,12 @@ class SelectionConfig:
         if self.t_max < self.t_min:
             raise ConfigError("t_max must be >= t_min")
 
-    def call_ids(self) -> np.ndarray | None:
+    @cached_property
+    def call_table(self) -> np.ndarray | None:
+        """Membership table for ``calls`` (built once per config), or None."""
         if self.calls is None:
             return None
-        return np.array(sorted(CALL_IDS[c] for c in self.calls), dtype="<u2")
+        return call_lut(CALL_IDS[c] for c in self.calls)
 
 
 class OTF2Proxy:
@@ -86,15 +90,17 @@ class OTF2Proxy:
     def update(self, rank: int, events: np.ndarray) -> None:
         if not (0 <= rank < self.app_size):
             raise ReproError(f"batch from rank {rank} outside app of {self.app_size}")
+        batch = EventBatch.of(events)
+        events = batch.events
         self.events_seen += len(events)
         cfg = self.config
         hi = cfg.rank_hi if cfg.rank_hi is not None else self.app_size
         if not (cfg.rank_lo <= rank < hi):
             return
         mask = (events["t_start"] >= cfg.t_min) & (events["t_end"] <= cfg.t_max)
-        ids = cfg.call_ids()
-        if ids is not None:
-            mask &= np.isin(events["call"], ids)
+        lut = cfg.call_table
+        if lut is not None:
+            mask &= lut[batch.call]
         if not mask.any():
             return
         selected = events[mask].copy()

@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 
+from repro.analysis.batch import EventBatch
 from repro.errors import ReproError
 from repro.instrument.events import CALL_NAMES
 from repro.util.stats import RunningStats
@@ -57,23 +58,25 @@ class MPIProfile:
         """Fold one event batch from one application rank."""
         if not (0 <= rank < self.app_size):
             raise ReproError(f"event batch from rank {rank} outside app of {self.app_size}")
-        if len(events) == 0:
+        batch = EventBatch.of(events)
+        count = len(batch)
+        if count == 0:
             return
-        durations = events["t_end"] - events["t_start"]
-        self.events_total += len(events)
-        self.bytes_total += int(events["nbytes"].clip(min=0).sum())
-        self.rank_t0[rank] = min(self.rank_t0[rank], float(events["t_start"].min()))
-        self.rank_t1[rank] = max(self.rank_t1[rank], float(events["t_end"].max()))
-        self.rank_events[rank] += len(events)
-        for call in np.unique(events["call"]):
-            mask = events["call"] == call
-            stats = self.calls.setdefault(int(call), _CallStats())
-            stats.hits += int(mask.sum())
-            d = durations[mask]
-            stats.time += float(d.sum())
-            stats.nbytes += int(events["nbytes"][mask].clip(min=0).sum())
-            stats.t_min = min(stats.t_min, float(d.min()))
-            stats.t_max = max(stats.t_max, float(d.max()))
+        self.events_total += count
+        self.bytes_total += batch.nbytes_total
+        self.rank_t0[rank] = min(self.rank_t0[rank], batch.t0)
+        self.rank_t1[rank] = max(self.rank_t1[rank], batch.t1)
+        self.rank_events[rank] += count
+        calls = self.calls
+        for call, hits, time, nbytes, d_min, d_max in batch.groups:
+            stats = calls.get(call)
+            if stats is None:
+                stats = calls[call] = _CallStats()
+            stats.hits += hits
+            stats.time += time
+            stats.nbytes += nbytes
+            stats.t_min = min(stats.t_min, d_min)
+            stats.t_max = max(stats.t_max, d_max)
 
     def merge(self, other: "MPIProfile") -> None:
         if other.app != self.app or other.app_size != self.app_size:

@@ -8,11 +8,15 @@ the same data) and as DOT text.
 
 from __future__ import annotations
 
-import numpy as np
-import networkx as nx
+from typing import TYPE_CHECKING
 
+import numpy as np
+
+from repro.analysis.batch import SEND_CALLS, EventBatch
 from repro.errors import ReproError
-from repro.instrument.events import P2P_SEND_CALLS
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 class CommMatrix:
@@ -32,24 +36,30 @@ class CommMatrix:
         """Fold the send events of one batch (``rank`` is the sender)."""
         if not (0 <= rank < self.app_size):
             raise ReproError(f"batch from rank {rank} outside app of {self.app_size}")
-        send_ids = np.array(sorted(P2P_SEND_CALLS), dtype=events["call"].dtype)
-        mask = np.isin(events["call"], send_ids) & (events["peer"] >= 0)
+        batch = EventBatch.of(events)
+        if len(batch) == 0:
+            return
+        peer = batch.events["peer"]
+        mask = SEND_CALLS[batch.call] & (peer >= 0)
         if not mask.any():
             return
-        peers = events["peer"][mask].astype(np.int64)
-        nbytes = events["nbytes"][mask].clip(min=0).astype(np.float64)
-        times = (events["t_end"] - events["t_start"])[mask]
-        uniq, inverse = np.unique(peers, return_inverse=True)
-        hit_sums = np.bincount(inverse)
-        byte_sums = np.bincount(inverse, weights=nbytes)
-        time_sums = np.bincount(inverse, weights=times)
-        for i, dst in enumerate(uniq):
-            if dst >= self.app_size:
-                raise ReproError(f"send to rank {dst} outside app of {self.app_size}")
-            cell = self.cells.setdefault((rank, int(dst)), [0.0, 0.0, 0.0])
-            cell[0] += float(hit_sums[i])
-            cell[1] += float(byte_sums[i])
-            cell[2] += float(time_sums[i])
+        uniq, inverse = np.unique(peer[mask], return_inverse=True)
+        # Validate before touching ``cells``: a rejected batch leaves no trace.
+        if uniq[-1] >= self.app_size:
+            dst = uniq[np.searchsorted(uniq, self.app_size)]
+            raise ReproError(f"send to rank {dst} outside app of {self.app_size}")
+        # Per-peer sums in arrival order (bincount adds sequentially).
+        hit_sums = np.bincount(inverse).tolist()
+        byte_sums = np.bincount(inverse, weights=batch.nbytes[mask]).tolist()
+        time_sums = np.bincount(inverse, weights=batch.durations[mask]).tolist()
+        cells = self.cells
+        for dst, hits, nbytes, time in zip(uniq.tolist(), hit_sums, byte_sums, time_sums):
+            cell = cells.get((rank, dst))
+            if cell is None:
+                cell = cells[(rank, dst)] = [0.0, 0.0, 0.0]
+            cell[0] += float(hits)
+            cell[1] += nbytes
+            cell[2] += time
 
     def merge(self, other: "CommMatrix") -> None:
         if other.app != self.app or other.app_size != self.app_size:
@@ -73,6 +83,10 @@ class CommMatrix:
 
     def graph(self, weight: str = "size") -> nx.DiGraph:
         """Directed communication graph with the chosen weight attribute."""
+        # Imported here: nothing on the ingest or report path needs networkx,
+        # and importing it costs ~0.1 s of every process's start-up.
+        import networkx as nx
+
         idx = self._weight_index(weight)
         g = nx.DiGraph()
         g.add_nodes_from(range(self.app_size))

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.analysis.batch import BLOCKING_CALLS, EventBatch, call_lut
 from repro.errors import ReproError
-from repro.instrument.events import CALL_IDS, COLLECTIVE_CALLS, WAIT_CALLS
+from repro.instrument.events import COLLECTIVE_CALLS
 
-_BLOCKING_CALLS = frozenset(WAIT_CALLS) | {CALL_IDS["MPI_Recv"]}
+_COLLECTIVE = call_lut(COLLECTIVE_CALLS)
 
 
 class WaitState:
@@ -34,19 +35,16 @@ class WaitState:
     def update(self, rank: int, events: np.ndarray) -> None:
         if not (0 <= rank < self.app_size):
             raise ReproError(f"batch from rank {rank} outside app of {self.app_size}")
-        if len(events) == 0:
+        batch = EventBatch.of(events)
+        if len(batch) == 0:
             return
-        durations = events["t_end"] - events["t_start"]
-        blocking = np.isin(
-            events["call"], np.array(sorted(_BLOCKING_CALLS), dtype=events["call"].dtype)
-        )
-        collective = np.isin(
-            events["call"], np.array(sorted(COLLECTIVE_CALLS), dtype=events["call"].dtype)
-        )
-        self.wait_time[rank] += float(durations[blocking].sum())
-        self.collective_time[rank] += float(durations[collective].sum())
-        self.window_t0[rank] = min(self.window_t0[rank], float(events["t_start"].min()))
-        self.window_t1[rank] = max(self.window_t1[rank], float(events["t_end"].max()))
+        call, durations = batch.call, batch.durations
+        # Cross-call sums: a different element set than any per-call group,
+        # so they are summed here rather than derived from ``batch.groups``.
+        self.wait_time[rank] += float(durations[BLOCKING_CALLS[call]].sum())
+        self.collective_time[rank] += float(durations[_COLLECTIVE[call]].sum())
+        self.window_t0[rank] = min(self.window_t0[rank], batch.t0)
+        self.window_t1[rank] = max(self.window_t1[rank], batch.t1)
 
     def merge(self, other: "WaitState") -> None:
         if other.app != self.app or other.app_size != self.app_size:

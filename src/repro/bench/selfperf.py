@@ -13,14 +13,17 @@ pure-Python simulator spends per wall-clock second, hot path by hot path:
 * ``codec_mb_per_s`` — content bytes through the codec chain encode and
   decode per host second (0 on the identity row: no chain runs);
 * ``frame_mb_per_s`` — frame bytes through EVF2 parse and emit per host
+  second;
+* ``analysis_packs_per_s`` — packs through ``AnalyzerEngine.ingest`` (CRC
+  verdict, blackboard dispatch, unpack, every module's ``update``) per host
   second.
 
 One row per reduction chain, so ``BENCH_selfperf.json`` doubles as the
 hotspot-attribution document: which layer bounds a figure sweep, and how
 each chain shifts the balance.  Next to the throughputs each row carries
-four ``*_allocs`` columns — timing-free tracemalloc probes counting the
+five ``*_allocs`` columns — timing-free tracemalloc probes counting the
 allocation blocks each hot lane pins per fixed unit of work (pending
-events, packed records, parsed frames) — so an alloc-per-event
+events, packed records, parsed frames, ingested packs) — so an alloc-per-event
 regression is caught even on a noisy runner.  Deterministic columns (events, packs)
 gate tight in CI; throughput columns gate with generous per-metric
 tolerances because CI runners are slower than dev boxes — the *ratio*
@@ -44,6 +47,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
+import repro.analysis as _analysis_pkg
 import repro.codec.frame as _frame_mod
 import repro.codec.stages as _stages_mod
 import repro.instrument.interceptor as _interceptor_mod
@@ -81,6 +85,9 @@ _ALLOC_LANES = {
     ),
     "codec_allocs": (_stages_mod.__file__,),
     "frame_allocs": (_frame_mod.__file__,),
+    "analysis_allocs": tuple(
+        str(path) for path in sorted(Path(_analysis_pkg.__file__).parent.glob("*.py"))
+    ),
 }
 
 
@@ -95,12 +102,14 @@ class SelfPerfPoint:
     stream_mb_per_s: float
     codec_mb_per_s: float
     frame_mb_per_s: float
+    analysis_packs_per_s: float
     #: per-lane allocation blocks retained by the deterministic probes
     #: (see _lane_alloc_counts); no timing involved, so they gate tight
     kernel_allocs: int
     stream_allocs: int
     codec_allocs: int
     frame_allocs: int
+    analysis_allocs: int
     #: host wall seconds for the profiled run (never gated: pure noise)
     elapsed_s: float
 
@@ -127,8 +136,8 @@ class SelfPerfResult:
             [
                 "chain", "events", "packs", "kernel_events_per_s",
                 "stream_mb_per_s", "codec_mb_per_s", "frame_mb_per_s",
-                "kernel_allocs", "stream_allocs", "codec_allocs",
-                "frame_allocs", "elapsed_s",
+                "analysis_packs_per_s", "kernel_allocs", "stream_allocs",
+                "codec_allocs", "frame_allocs", "analysis_allocs", "elapsed_s",
             ],
             title=(
                 f"Simulator self-performance ({self.machine}, "
@@ -141,8 +150,9 @@ class SelfPerfResult:
                 p.chain or "identity", p.events, p.packs,
                 f"{p.kernel_events_per_s:.0f}", f"{p.stream_mb_per_s:.3f}",
                 f"{p.codec_mb_per_s:.3f}", f"{p.frame_mb_per_s:.3f}",
+                f"{p.analysis_packs_per_s:.0f}",
                 p.kernel_allocs, p.stream_allocs, p.codec_allocs,
-                p.frame_allocs, f"{p.elapsed_s:.4f}",
+                p.frame_allocs, p.analysis_allocs, f"{p.elapsed_s:.4f}",
             )
         return t
 
@@ -215,6 +225,7 @@ def _fingerprint(app, stats) -> tuple:
 _PROBE_EVENTS = 256  # pending events held by the kernel probe
 _PROBE_RECORDS = 64  # records packed by the stream probe
 _PROBE_FRAMES = 32  # frames parsed and held by the frame probe
+_PROBE_PACKS = 8  # packs ingested by the analysis probe
 
 
 def _probe_kernel(hold: list) -> None:
@@ -258,6 +269,30 @@ def _probe_frame(hold: list) -> None:
     hold.append(blob)
 
 
+def _probe_analysis(hold: list) -> None:
+    import numpy as np
+
+    from repro.analysis.engine import AnalysisConfig, AnalyzerEngine
+    from repro.instrument.events import CALL_IDS, EVENT_DTYPE
+
+    # One fixed pack, ingested repeatedly: after the first, the module states
+    # have every cell they will ever have, so the count is the engine's
+    # standing state plus whatever a steady-state ingest leaves behind.
+    events = np.zeros(_PROBE_RECORDS, dtype=EVENT_DTYPE)
+    calls = ("MPI_Isend", "MPI_Irecv", "MPI_Waitall", "MPI_Allreduce")
+    slot = np.arange(_PROBE_RECORDS) % 4
+    events["call"] = np.array([CALL_IDS[name] for name in calls])[slot]
+    events["peer"] = np.array([1, 2, 3, -1])[slot]
+    events["nbytes"] = 1024
+    events["t_start"] = np.arange(_PROBE_RECORDS) * 1e-4
+    events["t_end"] = events["t_start"] + 2.5e-5
+    blob = _frame_mod.build_frame(0, 0, _PROBE_RECORDS, events.tobytes())
+    engine = AnalyzerEngine([("probe", 4)], AnalysisConfig())
+    for _ in range(_PROBE_PACKS):
+        engine.ingest(blob)
+    hold.append(engine)
+
+
 def _alloc_blocks(files: tuple[str, ...], fn) -> int:
     """Live allocation blocks attributable to ``files`` after ``fn(hold)``."""
     # Untracked warm-up pass: first-call caches (struct tables, codec
@@ -285,7 +320,7 @@ def _alloc_blocks(files: tuple[str, ...], fn) -> int:
 
 
 def _lane_alloc_counts(chain: str) -> dict[str, int]:
-    """Tracemalloc block deltas of the four hot-path lanes for one chain."""
+    """Tracemalloc block deltas of the five hot-path lanes for one chain."""
     return {
         "kernel_allocs": _alloc_blocks(_ALLOC_LANES["kernel_allocs"], _probe_kernel),
         "stream_allocs": _alloc_blocks(
@@ -295,6 +330,9 @@ def _lane_alloc_counts(chain: str) -> dict[str, int]:
             _ALLOC_LANES["codec_allocs"], lambda hold: _probe_codec(chain, hold)
         ),
         "frame_allocs": _alloc_blocks(_ALLOC_LANES["frame_allocs"], _probe_frame),
+        "analysis_allocs": _alloc_blocks(
+            _ALLOC_LANES["analysis_allocs"], _probe_analysis
+        ),
     }
 
 
@@ -378,10 +416,12 @@ def selfperf_sweep(
                 stream_mb_per_s=_throughput(profiler, _STREAM_TIMERS),
                 codec_mb_per_s=_throughput(profiler, _CODEC_TIMERS),
                 frame_mb_per_s=_throughput(profiler, _FRAME_TIMERS),
+                analysis_packs_per_s=profiler.timers["analysis.ingest"].items_per_s,
                 kernel_allocs=allocs["kernel_allocs"],
                 stream_allocs=allocs["stream_allocs"],
                 codec_allocs=allocs["codec_allocs"],
                 frame_allocs=allocs["frame_allocs"],
+                analysis_allocs=allocs["analysis_allocs"],
                 elapsed_s=profiler.elapsed_s,
             )
         )

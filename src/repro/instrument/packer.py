@@ -22,6 +22,7 @@ self-describes its decode path from the wire bytes alone.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,9 @@ from repro.instrument.events import (
 from repro.mpi.pmpi import CallRecord
 
 PACK_HEADER_SIZE = CONTENT_HEADER_SIZE  # modelled content header, v1-compatible
+
+#: records a fresh builder's buffer holds before its first doubling
+_INITIAL_RECORDS = 64
 
 __all__ = [
     "PACK_HEADER_SIZE",
@@ -102,10 +106,12 @@ class EventPackBuilder:
         self.capacity_bytes = capacity_bytes
         self.max_records = (capacity_bytes - PACK_HEADER_SIZE) // EVENT_RECORD_SIZE
         self.chain = chain if chain else None
-        # Preallocated per-writer record buffer: add() packs straight into
-        # it (no per-event bytes object, no list growth); emit() hands the
-        # filled prefix to the chain/framer and resets the write cursor.
-        self._buf = bytearray(self.max_records * EVENT_RECORD_SIZE)
+        # Per-writer record buffer: add() packs straight into it (no
+        # per-event bytes object, no list growth); emit() hands the filled
+        # prefix to the chain/framer and resets the write cursor.  It starts
+        # small and doubles on demand up to the pack capacity, so a writer
+        # that never fills a pack never pays for (or zero-fills) a full one.
+        self._buf = bytearray(min(self.max_records, _INITIAL_RECORDS) * EVENT_RECORD_SIZE)
         self._count = 0
         self.total_events = 0
         self.packs_emitted = 0
@@ -130,23 +136,36 @@ class EventPackBuilder:
         """Append one event; returns True when the pack is now full."""
         count = self._count
         comm_size = record.comm_size
-        try:
-            pack_record_into(
-                self._buf,
-                count * EVENT_RECORD_SIZE,
-                CALL_IDS[record.name],
-                0,
-                record.peer,
-                record.tag,
-                comm_size if comm_size > 0 else 0,
-                record.nbytes,
-                record.t_start,
-                record.t_end,
-            )
-        except KeyError:
-            raise InstrumentationError(
-                f"unknown MPI call name {record.name!r}"
-            ) from None
+        while True:
+            try:
+                pack_record_into(
+                    self._buf,
+                    count * EVENT_RECORD_SIZE,
+                    CALL_IDS[record.name],
+                    0,
+                    record.peer,
+                    record.tag,
+                    comm_size if comm_size > 0 else 0,
+                    record.nbytes,
+                    record.t_start,
+                    record.t_end,
+                )
+            except KeyError:
+                raise InstrumentationError(
+                    f"unknown MPI call name {record.name!r}"
+                ) from None
+            except struct.error:
+                # No size compare on the hot path: a short buffer announces
+                # itself here, and the record is packed again after growing.
+                # Anything else (a field out of range, a pack already at
+                # capacity) is the caller's error and re-raises unchanged.
+                size = len(self._buf)
+                capacity = self.max_records * EVENT_RECORD_SIZE
+                if size >= capacity or size >= (count + 1) * EVENT_RECORD_SIZE:
+                    raise
+                self._buf.extend(bytes(min(size, capacity - size)))
+                continue
+            break
         self._count = count = count + 1
         self.total_events += 1
         return count >= self.max_records

@@ -12,6 +12,7 @@ from repro.analysis import (
     OTF2Proxy,
     SelectionConfig,
 )
+from repro.instrument.events import CALL_IDS
 from repro.iosim import ParallelFS
 from repro.simt import Kernel
 
@@ -37,10 +38,15 @@ class TestSelectionConfig:
         with pytest.raises(ConfigError):
             SelectionConfig(t_min=5.0, t_max=1.0)
 
-    def test_call_ids_sorted(self):
+    def test_call_table_marks_selected_ids(self):
         cfg = SelectionConfig(calls=frozenset({"MPI_Send", "MPI_Recv"}))
-        ids = cfg.call_ids()
-        assert list(ids) == sorted(ids)
+        table = cfg.call_table
+        assert table.shape == (1 << 16,)  # every representable <u2 call id
+        assert np.flatnonzero(table).tolist() == sorted(
+            [CALL_IDS["MPI_Send"], CALL_IDS["MPI_Recv"]]
+        )
+        assert cfg.call_table is table  # built once per config
+        assert SelectionConfig(calls=None).call_table is None
 
 
 class TestOTF2Proxy:

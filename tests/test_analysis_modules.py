@@ -146,6 +146,51 @@ class TestCommMatrix:
         with pytest.raises(ReproError):
             m.update(0, make_events([("MPI_Send", 5, 0, 8, 0, 1)]))
 
+    def test_rejected_batch_leaves_matrix_untouched(self):
+        """One out-of-range peer rejects the whole batch *before* any cell
+        moves (the check used to sit inside the accumulation loop, after the
+        lower-numbered peers had already been added)."""
+        m = CommMatrix("a", 4)
+        m.update(0, make_events([("MPI_Send", 1, 0, 8, 0.0, 1.0)]))
+        cells = {key: list(vals) for key, vals in m.cells.items()}
+        totals = m.totals()
+        with pytest.raises(ReproError, match="send to rank 4 outside app of 4"):
+            m.update(0, make_events([
+                ("MPI_Send", 1, 0, 8, 1.0, 2.0),
+                ("MPI_Send", 2, 0, 8, 2.0, 3.0),
+                ("MPI_Isend", 4, 0, 8, 3.0, 4.0),
+                ("MPI_Send", 9, 0, 8, 4.0, 5.0),
+            ]))
+        assert m.cells == cells
+        assert m.totals() == totals
+
+    def test_empty_batch_is_a_noop(self):
+        m = CommMatrix("a", 2)
+        m.update(0, make_events([]))
+        assert m.cells == {} and m.totals() == (0, 0, 0)
+        with pytest.raises(ReproError):  # the rank check still comes first
+            m.update(2, make_events([]))
+
+    def test_networkx_is_imported_by_graph_only(self):
+        """Nothing on the ingest or report path needs networkx; importing
+        the analysis package must not pay for it (checked in a fresh
+        interpreter, since this process has long since imported it)."""
+        import subprocess
+        import sys
+
+        probe = (
+            "import sys, repro.analysis as a\n"
+            "assert 'networkx' not in sys.modules, 'eager networkx import'\n"
+            "g = a.CommMatrix('ring', 2).graph()\n"
+            "assert 'networkx' in sys.modules\n"
+            "print(type(g).__name__)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=False
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "DiGraph"
+
 
 class TestDensityMaps:
     def test_per_rank_vectors(self):
@@ -162,6 +207,20 @@ class TestDensityMaps:
             d.map_for("MPI_Nope")
         with pytest.raises(ReproError):
             d.map_for("MPI_Send", "volume")
+
+    def test_unregistered_call_id_is_queryable_under_its_seen_name(self):
+        """The wire registry is append-only, so a newer writer may send an id
+        this build has no name for; calls_seen() names it ``call#<id>`` and the
+        report feeds that name back to imbalance()/map_for()."""
+        d = DensityMaps("a", 2)
+        ev = make_events([("MPI_Send", 1, 0, 8, 0.0, 1.0)])
+        ev["call"] = 300
+        d.update(1, ev)
+        assert d.calls_seen() == ["call#300"]
+        assert list(d.map_for("call#300", "hits")) == [0, 1]
+        assert d.imbalance("call#300", "time") == pytest.approx(2.0)
+        with pytest.raises(ReproError):
+            d.map_for("call#x")
 
     def test_unseen_call_is_zero_map(self):
         d = DensityMaps("a", 3)

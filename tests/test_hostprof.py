@@ -277,6 +277,7 @@ class TestSelfPerfLane:
             assert p.kernel_events_per_s > 0
             assert p.stream_mb_per_s > 0
             assert p.frame_mb_per_s > 0
+            assert p.analysis_packs_per_s > 0
         assert result.points[1].codec_mb_per_s > 0
         assert result.host == host_environment()
         assert result.profile["schema"] == HOSTPROF_SCHEMA
@@ -284,11 +285,13 @@ class TestSelfPerfLane:
         assert table.columns == [
             "chain", "events", "packs", "kernel_events_per_s",
             "stream_mb_per_s", "codec_mb_per_s", "frame_mb_per_s",
+            "analysis_packs_per_s",
             "kernel_allocs", "stream_allocs", "codec_allocs", "frame_allocs",
-            "elapsed_s",
+            "analysis_allocs", "elapsed_s",
         ]
         for p in result.points:
             assert p.kernel_allocs > 0 and p.frame_allocs > 0
+            assert p.analysis_allocs > 0
             assert p.stream_allocs >= 0 and p.codec_allocs >= 0
         assert (tmp_path / "BENCH_selfperf.hostprof.trace.json").exists()
         assert (tmp_path / "BENCH_selfperf.hostprof.jsonl").exists()
@@ -319,10 +322,12 @@ class TestBenchCLI:
             "--metric-tolerance", "stream_mb_per_s=0.9",
             "--metric-tolerance", "codec_mb_per_s=0.9",
             "--metric-tolerance", "frame_mb_per_s=0.9",
+            "--metric-tolerance", "analysis_packs_per_s=0.9",
             "--metric-tolerance", "kernel_allocs=0.5",
             "--metric-tolerance", "stream_allocs=0.5",
             "--metric-tolerance", "codec_allocs=0.5",
             "--metric-tolerance", "frame_allocs=0.5",
+            "--metric-tolerance", "analysis_allocs=0.5",
         ])
         out = capsys.readouterr().out
         assert rc == 0, out

@@ -284,3 +284,92 @@ def test_a_renamed_per_event_function_is_reported(tmp_path):
     problems = check_tree(tmp_path)
     assert len(problems) == 1
     assert "Comm._raw_isend() not found" in problems[0]
+
+
+# -- rule 5: one derivation per pack --------------------------------------------------
+
+
+def _analysis_module(body: str) -> str:
+    return (
+        "import numpy as np\n\n"
+        "class Module:\n"
+        "    def update(self, rank, events):\n"
+        f"        {body}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "body, what",
+    [
+        ('mask = np.isin(events["call"], _IDS)', "np.isin() call"),
+        ("mask = np.isin(batch.call, _IDS)", "np.isin() call"),
+        ('calls = np.unique(events["call"])', "np.unique() over the call column"),
+        ("calls, inv = np.unique(batch.call, return_inverse=True)", "np.unique() over the call"),
+        ("ids = np.array(sorted(SEND_CALLS), dtype='<u2')", "np.array(sorted(...)) id table"),
+        ('d = events["t_end"] - events["t_start"]', "t_end - t_start outside"),
+    ],
+)
+def test_flags_per_pack_rederivation_in_analysis_update(tmp_path, body, what):
+    _write(tmp_path, "repro/analysis/rogue.py", _analysis_module(body))
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1, problems
+    assert "rogue.py:5" in problems[0] and what in problems[0]
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "uniq, inverse = np.unique(peer[mask], return_inverse=True)",  # not the call column
+        "sums = np.bincount(inverse, weights=batch.durations[mask])",  # topology's, in order
+        "mask = _SENDS[batch.call] & (peer >= 0)",
+        "span = batch.t1 - batch.t0",
+    ],
+)
+def test_analysis_update_may_group_other_columns(tmp_path, body):
+    _write(tmp_path, "repro/analysis/fine.py", _analysis_module(body))
+    assert check_tree(tmp_path) == []
+
+
+def test_analysis_rule_is_scoped_to_update_and_to_the_package(tmp_path):
+    _write(
+        tmp_path,
+        "repro/analysis/report.py",
+        "import numpy as np\n\ndef rows(calls, wanted):\n    return np.isin(calls, wanted)\n",
+    )
+    _write(tmp_path, "repro/codec/elsewhere.py", _analysis_module('np.unique(events["call"])'))
+    assert check_tree(tmp_path) == []
+
+
+@pytest.mark.parametrize(
+    "body, what",
+    [
+        ("t = np.bincount(inverse, weights=durations)", "bincount(..., weights=)"),
+        ("t = np.add.reduceat(durations, starts)", "np.add.reduceat over durations"),
+        ("t = np.add.reduceat(self.durations[order], starts)", "np.add.reduceat over durations"),
+    ],
+)
+def test_flags_sequential_float_sums_in_batch(tmp_path, body, what):
+    _write(
+        tmp_path,
+        "repro/analysis/batch.py",
+        f"import numpy as np\n\nclass EventBatch:\n    def groups(self):\n        {body}\n",
+    )
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1, problems
+    assert "batch.py:5" in problems[0] and what in problems[0]
+
+
+def test_batch_may_reduceat_integers_and_extrema_and_subtract_timestamps(tmp_path):
+    _write(
+        tmp_path,
+        "repro/analysis/batch.py",
+        "import numpy as np\n\n"
+        "class EventBatch:\n"
+        "    def groups(self):\n"
+        '        durations = self.events["t_end"] - self.events["t_start"]\n'
+        "        b = np.add.reduceat(self.nbytes[order], starts)\n"
+        "        lo = np.minimum.reduceat(durations, starts)\n"
+        "        hi = np.maximum.reduceat(durations, starts)\n"
+        "        return float(durations[0:4].sum())\n",
+    )
+    assert check_tree(tmp_path) == []

@@ -130,6 +130,78 @@ class TestPackBuilder:
             pb.add(_record(name="MPI_Bogus"))
         assert pb.count == 1 and pb.total_events == 1
 
+    def test_record_buffer_grows_on_demand_to_capacity(self):
+        """A fresh builder holds 64 records, doubles as add() runs short and
+        stops at the pack capacity; the grown pack decodes record for record."""
+        capacity = PACK_HEADER_SIZE + 300 * EVENT_RECORD_SIZE
+        pb = EventPackBuilder(app_id=0, rank=0, capacity_bytes=capacity)
+        assert len(pb._buf) == 64 * EVENT_RECORD_SIZE
+        sizes = set()
+        records = [_record(tag=i, t0=float(i), t1=i + 0.5) for i in range(300)]
+        for i, record in enumerate(records):
+            assert pb.add(record) is (i == 299)
+            sizes.add(len(pb._buf) // EVENT_RECORD_SIZE)
+        assert sorted(sizes) == [64, 128, 256, 300]
+        _header, events = decode_pack(pb.emit())
+        assert events["tag"].tolist() == list(range(300))
+        assert events["t_end"].tolist() == [i + 0.5 for i in range(300)]
+        # Steady state: the grown buffer is reused, never reallocated.
+        buf = pb._buf
+        for record in records:
+            pb.add(record)
+        assert pb._buf is buf and len(buf) == 300 * EVENT_RECORD_SIZE
+
+    def test_small_capacity_starts_at_capacity(self):
+        pb = EventPackBuilder(
+            app_id=0, rank=0, capacity_bytes=PACK_HEADER_SIZE + 3 * EVENT_RECORD_SIZE
+        )
+        assert len(pb._buf) == 3 * EVENT_RECORD_SIZE
+
+    def test_add_past_capacity_still_raises_struct_error(self):
+        pb = EventPackBuilder(
+            app_id=0, rank=0, capacity_bytes=PACK_HEADER_SIZE + 2 * EVENT_RECORD_SIZE
+        )
+        pb.add(_record())
+        assert pb.add(_record()) is True
+        with pytest.raises(struct.error):
+            pb.add(_record())
+        assert pb.count == 2 and len(pb._buf) == 2 * EVENT_RECORD_SIZE
+
+    def test_out_of_range_field_reraises_without_growing(self):
+        """Only a short buffer is retried: any other struct.error is the
+        caller's, with the buffer and the cursor left alone."""
+        pb = EventPackBuilder(app_id=0, rank=0)
+        pb.add(_record())
+        with pytest.raises(struct.error):
+            pb.add(_record(peer=2**40))
+        assert pb.count == 1 and len(pb._buf) == 64 * EVENT_RECORD_SIZE
+        # ... also when the bad record arrives exactly where growth is due.
+        for _ in range(63):
+            pb.add(_record())
+        with pytest.raises(struct.error):
+            pb.add(_record(peer=2**40))
+        assert pb.count == 64
+        pb.add(_record())
+        assert pb.count == 65
+
+    @pytest.mark.parametrize("spec", ["delta+dict", "sample:0.5", "quant"])
+    def test_emit_releases_every_view_so_the_next_add_can_grow(self, spec):
+        """bytearray cannot resize while a view is exported: after a partial
+        pack went through a chain (whose EncodeResult the builder keeps as
+        ``last_encode``), adding past the current size must still grow."""
+        from repro.codec.stages import build_chain
+
+        pb = EventPackBuilder(app_id=0, rank=0, chain=build_chain(spec))
+        for i in range(10):
+            pb.add(_record(t0=float(i), t1=i + 0.25))
+        pb.emit(now=10.0)
+        assert pb.last_encode is not None
+        for i in range(200):
+            pb.add(_record(t0=float(i), t1=i + 0.25))
+        assert pb.count == 200 and len(pb._buf) == 256 * EVENT_RECORD_SIZE
+        _header, events = decode_pack(pb.emit(now=200.0))
+        assert len(events) + pb.last_encode.events_dropped == 200
+
     def test_emit_resets(self):
         pb = EventPackBuilder(app_id=0, rank=0)
         pb.add(_record())
