@@ -24,7 +24,8 @@ import tempfile
 
 from repro.apps.base import AppKernel
 from repro.core.session import CouplingSession
-from repro.telemetry import PopConfig, Telemetry, read_metrics_stream
+from repro.obs import METRICS_SCHEMA, read_records
+from repro.telemetry import PopConfig, Telemetry
 from repro.telemetry.popmetrics import SUM_KEYS, metrics_from_sums
 
 BARS = " .:-=+*#%@"
@@ -86,7 +87,7 @@ def main() -> None:
               f"LB={m['load_balance']:.3f}  CommE={m['communication_efficiency']:.3f}")
 
     # 3. Replay the stream: phases recombine to the end-of-run metrics.
-    records = read_metrics_stream(ndjson)
+    records = read_records(ndjson, schema=METRICS_SCHEMA)
     kinds = [r["kind"] for r in records]
     print(f"\nNDJSON stream: {len(records)} records "
           f"({kinds.count('window')} windows, {kinds.count('phase')} phases, "

@@ -24,7 +24,7 @@ measurement pipeline itself through a single subscription surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np

@@ -16,7 +16,7 @@ after execution ends".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
 from repro.codec.frame import CONTENT_HEADER_SIZE, parse_frame, peek_provenance

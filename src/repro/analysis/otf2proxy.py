@@ -15,7 +15,7 @@ re-enables timeline tools at a fraction of the volume.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np

@@ -14,7 +14,6 @@ import numpy as np
 from repro.analysis.batch import EventBatch
 from repro.errors import ReproError
 from repro.instrument.events import CALL_NAMES
-from repro.util.stats import RunningStats
 from repro.util.tables import Table
 
 

@@ -56,7 +56,6 @@ class CG(NASKernel):
         proc_row, proc_col = divmod(comm.rank, npcols)
         # Local vector segment exchanged along the row (doubles).
         seg_bytes = max(64, int(8 * self.spec.size / nprows))
-        stage_count = int(math.log2(npcols)) + 1 if npcols > 1 else 1
         step_cpu = self.step_compute_seconds(mpi)
         tpartner = self.transpose_partner(comm.rank)
         for _it in range(self.iterations):

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.iosim.filesystem import ParallelFS
 from repro.network.machine import MachineSpec
 
 

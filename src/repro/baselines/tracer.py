@@ -10,14 +10,9 @@ transactions) or write through a SIONlib container
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
-
 from repro.errors import ConfigError
 from repro.iosim.filesystem import ParallelFS
 from repro.iosim.sionlib import SionFile
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.mpi.world import RankContext
 
 #: Effective OTF2 bytes per event.  Calibrated against the paper's in-text
 #: numbers: Score-P traces of SP.D are 313 MB at 256 procs over ~150k

@@ -49,6 +49,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
+import inspect
 import io
 import json
 import pstats
@@ -258,14 +259,9 @@ def main(argv: list[str] | None = None) -> int:
         kwargs = {}
         if name == "chaos" and getattr(args, "chaos", None):
             kwargs["plan"] = args.chaos
-        if name == "metrics" and args.json:
-            kwargs["ndjson_dir"] = str(outdir)
-        if name == "obs" and args.json:
-            kwargs["ndjson_dir"] = str(outdir)
-        if name == "selfperf" and args.json:
-            kwargs["trace_dir"] = str(outdir)
-        if name == "steering" and args.json:
-            kwargs["decisions_dir"] = str(outdir)
+        # Lanes that keep artefacts beside their JSON declare ``outdir``.
+        if args.json and "outdir" in inspect.signature(driver).parameters:
+            kwargs["outdir"] = str(outdir)
         stem = name.replace("-", "_")
         profiler = cProfile.Profile() if args.profile else None
         t0 = host_now()

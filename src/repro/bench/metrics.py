@@ -143,11 +143,11 @@ def metrics_timeline(
     seed: int = 0,
     telemetry: Telemetry | None = None,
     ratios: tuple[float, ...] = RATIOS,
-    ndjson_dir: str | None = None,
+    outdir: str | None = None,
 ) -> MetricsResult:
     """Sweep analyzer ratios with the online POP-metrics engine attached.
 
-    ``ndjson_dir`` (set by ``--json``) streams the first configuration's
+    ``outdir`` (set by ``--json``) streams the first configuration's
     window/phase records to ``BENCH_metrics.ndjson`` in that directory —
     the artifact CI uploads for the visual-analytics frontend.
     """
@@ -167,8 +167,8 @@ def metrics_timeline(
         name = session.add_application(kernel)
         readers = session.set_analyzer(ratio=ratio)
         stream_path = None
-        if index == 0 and ndjson_dir is not None:
-            stream_path = str(Path(ndjson_dir) / "BENCH_metrics.ndjson")
+        if index == 0 and outdir is not None:
+            stream_path = str(Path(outdir) / "BENCH_metrics.ndjson")
         session.enable_pop_metrics(PopConfig(window=WINDOW_S), stream=stream_path)
         run = session.run()
         app = run.app(name)

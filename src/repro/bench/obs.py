@@ -2,33 +2,28 @@
 
 Runs the fig14-style coupled workload (an instrumented SP kernel streaming
 into the analyzer partition) with every observation plane enabled — health
-monitor, POP metrics with the legacy NDJSON stream, steering, provenance —
-twice: once without the bus (hub-off) and once with the bus publishing to
-a file sink plus an in-memory ring (hub-on).  The lane self-gates before
-it reports anything:
+monitor, POP metrics, steering, provenance — twice: once without the bus
+(hub-off) and once with the bus publishing to a file sink plus an in-memory
+ring (hub-on).  The lane self-gates before it reports anything:
 
 * **bit-identity** — the hub-on run's simulation fingerprint (walltimes,
   event/pack counts, analyzer byte totals) must equal the hub-off run's:
   the bus observes, it never perturbs;
-* **byte-identity** — the bus file sink's records of the POP metrics
-  schema must be byte-for-byte the legacy
-  :class:`~repro.telemetry.stream_export.MetricsStreamWriter` stream;
 * **count self-consistency** — the bus's per-schema record counts must
   match each plane's own totals (telemetry records, monitor alerts,
-  steering decisions, metrics stream lines);
+  steering decisions, the metrics engine's windows + phases + summary);
 * **host overhead** — paired hub-off/hub-on runs, best-of-N minimum pair
   ratio below ``overhead_budget`` (default 5%), the same
   noise-robust gate the selfperf lane uses.
 
 Any gate failure raises :class:`~repro.errors.ConfigError`, so *running
-the lane is the test*.  ``ndjson_dir`` (set by ``--json``) keeps the
+the lane is the test*.  ``outdir`` (set by ``--json``) keeps the
 hub-on run's unified stream as ``BENCH_obs.ndjson`` — the CI artefact a
 release can be audited from with ``python -m repro.obs query``.
 """
 
 from __future__ import annotations
 
-import json
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,30 +84,22 @@ class ObsResult:
         return t
 
 
-def _run_once(
-    scale: str,
-    machine: MachineSpec,
-    seed: int,
-    workdir: Path,
-    tag: str,
-    with_bus: bool,
-):
-    """One fully observed coupled run; hub on or off is the only difference."""
+def _run_once(scale: str, machine: MachineSpec, seed: int, unified: Path | None):
+    """One fully observed coupled run; the bus (writing ``unified``) is on
+    or off (None), and that is the only difference."""
     session = CouplingSession(machine=machine, seed=seed, telemetry=Telemetry())
     name = session.add_application(_workload(scale))
     session.set_analyzer(ratio=4.0)
     session.enable_monitor()
-    legacy = workdir / f"pop_{tag}.ndjson"
-    session.enable_pop_metrics(PopConfig(window=0.5), stream=str(legacy))
+    session.enable_pop_metrics(PopConfig(window=0.5))
     session.enable_steering()
     session.enable_provenance()
-    unified = workdir / f"unified_{tag}.ndjson"
-    if with_bus:
+    if unified is not None:
         session.enable_observability(str(unified))
     t0 = hostprof.host_now()
     run = session.run()
     wall = hostprof.host_now() - t0
-    return session, run, run.app(name), wall, legacy, unified
+    return session, run, run.app(name), wall
 
 
 def _fingerprint(app, stats) -> tuple:
@@ -134,7 +121,7 @@ def obs_roundtrip(
     telemetry: Telemetry | None = None,
     overhead_budget: float = 0.05,
     repeats: int = 8,
-    ndjson_dir: str | None = None,
+    outdir: str | None = None,
 ) -> ObsResult:
     """Round-trip every plane through the bus; self-gate identity and cost.
 
@@ -150,15 +137,12 @@ def obs_roundtrip(
         host=hostprof.host_environment(), overhead_budget=overhead_budget,
     )
     with tempfile.TemporaryDirectory(prefix="bench_obs_") as tmp:
-        workdir = Path(tmp)
+        unified = Path(tmp) / "unified.ndjson"
 
         # -- gate 1: bit-identity, hub off vs on -------------------------------
-        _, ref_run, ref_app, _, ref_legacy, _ = _run_once(
-            scale, machine, seed, workdir, "off", with_bus=False
-        )
-        session, run, app, _, legacy, unified = _run_once(
-            scale, machine, seed, workdir, "on", with_bus=True
-        )
+        _, ref_run, ref_app, _ = _run_once(scale, machine, seed, None)
+        session, run, app, _ = _run_once(scale, machine, seed, unified)
+        kept = unified.read_bytes()  # the overhead pairs below rewrite the file
         ref_fp = _fingerprint(ref_app, ref_run.analyzer_stats)
         fp = _fingerprint(app, run.analyzer_stats)
         if fp != ref_fp:
@@ -166,28 +150,15 @@ def obs_roundtrip(
                 f"observability bus perturbed the simulation: {ref_fp} -> {fp}"
             )
 
-        # -- gate 2: byte-identity of the POP stream ---------------------------
-        legacy_bytes = ref_legacy.read_bytes()
-        if legacy.read_bytes() != legacy_bytes:
-            raise ConfigError("legacy POP stream differs between paired runs")
-        bus_metric_lines = b"".join(
-            line
-            for line in unified.read_bytes().splitlines(keepends=True)
-            if json.loads(line).get("schema") == METRICS_SCHEMA
-        )
-        if bus_metric_lines != legacy_bytes:
-            raise ConfigError(
-                "bus file sink is not byte-identical to the legacy POP "
-                f"stream ({len(bus_metric_lines)} vs {len(legacy_bytes)} bytes)"
-            )
-
-        # -- gate 3: per-plane count self-consistency --------------------------
+        # -- gate 2: per-plane count self-consistency --------------------------
         summary = run.obs
+        pop = session.pop_metrics
         if summary is None or summary["rejected"]:
             raise ConfigError(f"bus rejected records: {summary}")
         plane_totals = {
             TELEMETRY_SCHEMA: len(jsonl_records(session.telemetry)),
-            METRICS_SCHEMA: len(legacy_bytes.splitlines()),
+            # every sealed window and phase, plus the one run summary
+            METRICS_SCHEMA: len(pop.windows) + len(pop.phases) + 1,
             HEALTH_SCHEMA: len(session.monitor.alerts),
             STEERING_SCHEMA: len(session.steering.decisions),
         }
@@ -203,7 +174,7 @@ def obs_roundtrip(
             )
         result.bus = summary
 
-        # -- gate 4: host overhead, best-of-N paired runs ----------------------
+        # -- gate 3: host overhead, best-of-N paired runs ----------------------
         # Same rationale as the selfperf lane: ~second-long runs swing with
         # scheduler noise, so each hub-off run is paired with an adjacent
         # hub-on run and the gate takes the minimum pair ratio.  The
@@ -212,12 +183,8 @@ def obs_roundtrip(
         # (was five) keep the minimum a reliable noise floor.
         ratios = []
         for i in range(repeats):
-            off_s = _run_once(
-                scale, machine, seed, workdir, f"off{i}", with_bus=False
-            )[3]
-            on_s = _run_once(
-                scale, machine, seed, workdir, f"on{i}", with_bus=True
-            )[3]
+            off_s = _run_once(scale, machine, seed, None)[3]
+            on_s = _run_once(scale, machine, seed, unified)[3]
             ratios.append(on_s / off_s - 1.0)
         result.overhead_ratio = min(ratios)
         if result.overhead_ratio > overhead_budget:
@@ -227,8 +194,7 @@ def obs_roundtrip(
                 + ", ".join(f"{r:+.2%}" for r in ratios) + ")"
             )
 
-        if ndjson_dir is not None:
-            outdir = Path(ndjson_dir)
-            outdir.mkdir(parents=True, exist_ok=True)
-            (outdir / ARTIFACT_NAME).write_bytes(unified.read_bytes())
+        if outdir is not None:
+            Path(outdir).mkdir(parents=True, exist_ok=True)
+            (Path(outdir) / ARTIFACT_NAME).write_bytes(kept)
     return result

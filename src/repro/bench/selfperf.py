@@ -344,12 +344,12 @@ def selfperf_sweep(
     chains: tuple[str, ...] = CHAINS,
     overhead_budget: float = 0.05,
     repeats: int = 5,
-    trace_dir: str | None = None,
+    outdir: str | None = None,
 ) -> SelfPerfResult:
     """Profile the simulator across reduction chains; self-gate the profiler.
 
     The identity chain anchors both gates: its unprofiled run provides the
-    bit-identity reference and the overhead baseline.  ``trace_dir`` dumps
+    bit-identity reference and the overhead baseline.  ``outdir`` dumps
     the last profiled run as ``BENCH_selfperf.hostprof.trace.json`` (Chrome
     trace) and ``BENCH_selfperf.hostprof.jsonl``.
     """
@@ -428,8 +428,8 @@ def selfperf_sweep(
         last_profiler = profiler
 
     result.profile = last_profiler.summary()
-    if trace_dir is not None:
-        outdir = Path(trace_dir)
+    if outdir is not None:
+        outdir = Path(outdir)
         outdir.mkdir(parents=True, exist_ok=True)
         last_profiler.write_chrome_trace(
             str(outdir / "BENCH_selfperf.hostprof.trace.json")

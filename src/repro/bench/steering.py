@@ -228,11 +228,11 @@ def steering_adaptation(
     machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
-    decisions_dir: str | None = None,
+    outdir: str | None = None,
 ) -> SteeringBenchResult:
     """Run the static/adaptive × healthy/congested grid and self-gate.
 
-    With ``decisions_dir`` the adaptive congested run's full decision log
+    With ``outdir`` the adaptive congested run's full decision log
     (policy, alerts seen, per-decision trigger/latency data) is written to
     ``steering_decisions.json`` for artefact upload.
     """
@@ -267,7 +267,7 @@ def steering_adaptation(
     _gate(rows[("static", "none")], rows[("adaptive", "none")],
           rows[("static", "congestion")], rows[("adaptive", "congestion")])
 
-    if decisions_dir is not None:
-        path = Path(decisions_dir) / "steering_decisions.json"
+    if outdir is not None:
+        path = Path(outdir) / "steering_decisions.json"
         path.write_text(json.dumps(result.decision_log, indent=2, default=str))
     return result

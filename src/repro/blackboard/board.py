@@ -10,7 +10,7 @@ ability of any KS to register or remove KSs, including itself.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable
+from typing import Any
 
 from repro.errors import BlackboardError, UnknownTypeError
 from repro.blackboard.entry import DataEntry, TypeRegistry

@@ -30,13 +30,7 @@ from repro.mpi.world import World
 from repro.network.machine import MachineSpec, TERA100
 from repro.analysis.alerts import AlertRouter
 from repro.obs.bus import ObservabilityBus
-from repro.obs.registry import (
-    HEALTH_SCHEMA,
-    METRICS_SCHEMA,
-    REGISTRY,
-    STEERING_SCHEMA,
-    make_record,
-)
+from repro.obs.registry import HEALTH_SCHEMA, REGISTRY, STEERING_SCHEMA, make_record
 from repro.obs.sinks import FileSink, RingSink, TailServer
 from repro.steering import SteeringController, SteeringPolicy
 from repro.telemetry import FlowRegistry, NULL_TELEMETRY, Telemetry
@@ -44,7 +38,6 @@ from repro.telemetry import hostprof as _hostprof
 from repro.telemetry.export import jsonl_records as _telemetry_records
 from repro.telemetry.monitor import HealthMonitor, MonitorConfig
 from repro.telemetry.popmetrics import PopConfig, PopMetricsEngine
-from repro.telemetry.stream_export import MetricsStreamWriter
 from repro.vmpi.virtualization import VirtualizedLauncher
 
 #: reserved partition name of the analysis engine
@@ -143,7 +136,7 @@ class CouplingSession:
         self._fault_plan: FaultPlan | None = None
         self._flows: FlowRegistry | None = None
         self._pop: PopMetricsEngine | None = None
-        self._pop_writer: MetricsStreamWriter | None = None
+        self._pop_stream: FileSink | None = None
         self._steering: SteeringController | None = None
         self._obs: ObservabilityBus | None = None
         self._obs_ring: RingSink | None = None
@@ -259,8 +252,7 @@ class CouplingSession:
             raise ConfigError("pop metrics already enabled for this session")
         self._pop = PopMetricsEngine(self.telemetry, config=config)
         if stream is not None:
-            self._pop_writer = MetricsStreamWriter(stream)
-            self._pop.add_sink(self._pop_writer)
+            self._pop_stream = self._pop.add_sink(FileSink(stream))
         return self._pop
 
     @property
@@ -315,9 +307,8 @@ class CouplingSession:
         steering decisions *as they fire*, and the telemetry/hostprof
         record dumps at teardown.  Sinks:
 
-        * ``path`` — an NDJSON :class:`~repro.obs.sinks.FileSink` whose
-          byte stream for any single schema is identical to that plane's
-          legacy exporter;
+        * ``path`` — an NDJSON :class:`~repro.obs.sinks.FileSink` holding
+          every plane's records in publish order;
         * ``ring`` — a bounded in-memory :class:`~repro.obs.sinks.RingSink`
           (None disables it) left queryable after the run via
           :attr:`obs_ring`;
@@ -414,7 +405,7 @@ class CouplingSession:
         """Subscribe the bus to every live plane the session has enabled."""
         bus = self._obs
         if self._pop is not None:
-            self._pop.add_sink(_BusMetricsSink(bus))
+            self._pop.add_sink(bus)
         if self._monitor is not None:
             if self._monitor.router is None:
                 self._monitor.router = AlertRouter()
@@ -512,8 +503,8 @@ class CouplingSession:
         if self._pop is not None:
             self._pop.finalize(world.kernel.now)
             self._pop.detach()
-            if self._pop_writer is not None:
-                self._pop_writer.close()
+            if self._pop_stream is not None:
+                self._pop_stream.close()
 
         apps: dict[str, AppRun] = {}
         for name, kernel in self._apps:
@@ -623,27 +614,6 @@ class CouplingSession:
             analyzer_stats=None,
             world=world,
         )
-
-
-class _BusMetricsSink:
-    """POP-engine sink republishing windows/phases onto the obs bus.
-
-    Builds the very same record dicts as
-    :class:`~repro.telemetry.stream_export.MetricsStreamWriter`, so a bus
-    file sink stays byte-identical to the legacy NDJSON stream.
-    """
-
-    def __init__(self, bus: ObservabilityBus):
-        self._bus = bus
-
-    def on_window(self, window: dict[str, Any]) -> None:
-        self._bus.publish(make_record(METRICS_SCHEMA, "window", **window))
-
-    def on_phase(self, phase: dict[str, Any]) -> None:
-        self._bus.publish(make_record(METRICS_SCHEMA, "phase", **phase))
-
-    def on_run_summary(self, summary: dict[str, Any]) -> None:
-        self._bus.publish(make_record(METRICS_SCHEMA, "run_summary", **summary))
 
 
 def _instrumented_main(mpi, kernel: AppKernel, cost: InstrumentationCost, registry: list):

@@ -30,7 +30,7 @@ Fault kinds
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 from repro.errors import ConfigError
 

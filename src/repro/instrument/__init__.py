@@ -21,7 +21,6 @@ from repro.instrument.packer import (
     EventPackBuilder,
     PackHeader,
     decode_pack,
-    pack_content_size,
     verify_pack,
     PACK_HEADER_SIZE,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "EventPackBuilder",
     "PackHeader",
     "decode_pack",
-    "pack_content_size",
     "verify_pack",
     "PACK_HEADER_SIZE",
     "InstrumentationCost",

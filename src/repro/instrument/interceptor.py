@@ -17,12 +17,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.codec.frame import PackProvenance
+from repro.codec.frame import PackProvenance, frame_content_size
 from repro.codec.stages import build_chain
 from repro.errors import InstrumentationError, ReproError
 from repro.instrument.events import EVENT_RECORD_SIZE
 from repro.instrument.overhead import InstrumentationCost
-from repro.instrument.packer import EventPackBuilder, pack_content_size
+from repro.instrument.packer import EventPackBuilder
 from repro.mpi.pmpi import CallRecord, Interceptor
 from repro.vmpi.mapping import MapPolicy, ROUND_ROBIN, VMPIMap, map_partitions
 from repro.vmpi.stream import BALANCE_ROUND_ROBIN, VMPIStream
@@ -221,7 +221,7 @@ class StreamingInstrumentation(Interceptor):
         # records), scaled by the chain's measured compression when a
         # reduction is active.  The identity chain takes neither branch,
         # keeping those runs bit-identical to the unreduced pipeline.
-        modeled = self.cost.modeled_bytes(pack_content_size(blob))
+        modeled = self.cost.modeled_bytes(frame_content_size(blob))
         if self.chain is not None:
             encode_cpu = (
                 self.cost.codec_per_byte_cpu * raw_bytes * self.chain.cost_weight

@@ -29,12 +29,9 @@ import numpy as np
 
 from repro.codec.frame import (
     CONTENT_HEADER_SIZE,
-    SEC_PROVENANCE,
     PackProvenance,
     build_frame,
-    frame_content_size,
     parse_frame,
-    peek_provenance,
 )
 from repro.codec.stages import CodecChain, decode_chain
 from repro.errors import InstrumentationError, PackFormatError
@@ -56,10 +53,6 @@ __all__ = [
     "PackHeader",
     "PackProvenance",
     "EventPackBuilder",
-    "attach_provenance",
-    "peek_provenance",
-    "strip_provenance",
-    "pack_content_size",
     "verify_pack",
     "decode_pack",
     "decode_pack_frame",
@@ -201,36 +194,6 @@ class EventPackBuilder:
         self.bytes_wire += len(blob)
         self.events_sampled_out += dropped
         return blob
-
-
-def attach_provenance(
-    blob: bytes, flow_id: int, app_id: int, rank: int, t_seal: float
-) -> bytes:
-    """Stamp a provenance section onto a sealed pack (re-frames it)."""
-    frame = parse_frame(blob)
-    frame.with_provenance(
-        PackProvenance(flow_id=flow_id, app_id=app_id, rank=rank, t_seal=t_seal)
-    )
-    return frame.to_bytes()
-
-
-def strip_provenance(blob):
-    """The pack without its provenance section (no-op when absent)."""
-    if peek_provenance(blob) is None:
-        return blob
-    frame = parse_frame(blob, verify=False)
-    frame.drop_section(SEC_PROVENANCE)
-    return frame.to_bytes()
-
-
-def pack_content_size(blob: bytes | memoryview) -> int:
-    """Modelled content bytes of a pack: logical header + fixed records.
-
-    This is the quantity all modelling and byte accounting use, so
-    framing, checksums, codec output sizes and provenance stamps never
-    shift simulated volumes.
-    """
-    return frame_content_size(blob)
 
 
 def verify_pack(blob: bytes | memoryview) -> PackHeader:

@@ -9,8 +9,8 @@ modelled-computation primitives.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 from repro.errors import ConfigError, MPIError
 from repro.mpi.communicator import Comm, CommGroup

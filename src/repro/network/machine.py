@@ -28,7 +28,7 @@ documented against the paper's measurements:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigError
 from repro.util.units import GB, MB

@@ -12,11 +12,12 @@ post-mortem files):
   record-assembly point;
 * :mod:`repro.obs.bus` — :class:`ObservabilityBus`, validate-on-publish
   fan-out with per-sink delivery/drop/error accounting;
-* :mod:`repro.obs.sinks` — NDJSON :class:`FileSink` (byte-identical to
-  the legacy exporters), bounded :class:`RingSink` for live query, and
+* :mod:`repro.obs.sinks` — NDJSON :class:`FileSink` (the one writer of
+  record lines), bounded :class:`RingSink` for live query, and
   :class:`TailServer`, a line-delimited TCP/Unix-socket live-tail feed;
-* :mod:`repro.obs.archive` — torn-tail-tolerant NDJSON reading and the
-  run-archive query engine behind ``python -m repro.obs``.
+* :mod:`repro.obs.archive` — torn-tail-tolerant NDJSON reading, the strict
+  :func:`read_records` loader and the run-archive query engine behind
+  ``python -m repro.obs``.
 
 Wire-up is one call on a session::
 
@@ -27,7 +28,7 @@ Wire-up is one call on a session::
     # meanwhile:  python -m repro.obs tail run.ndjson --schema repro.health/1
 """
 
-from repro.obs.archive import ArchiveScan, iter_archive, iter_ndjson, match_record
+from repro.obs.archive import ArchiveScan, iter_archive, iter_ndjson, match_record, read_records
 from repro.obs.bus import ObservabilityBus, SinkBinding
 from repro.obs.registry import (
     HEALTH_SCHEMA,
@@ -65,5 +66,6 @@ __all__ = [
     "iter_ndjson",
     "iter_archive",
     "match_record",
+    "read_records",
     "ArchiveScan",
 ]

@@ -32,10 +32,16 @@ import socket as socket_module
 import sys
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro.errors import ConfigError
-from repro.obs.archive import ArchiveScan, iter_archive, iter_ndjson, match_record
+from repro.obs.archive import (
+    ArchiveScan,
+    iter_archive,
+    iter_ndjson,
+    match_record,
+    screen,
+)
 from repro.obs.registry import REGISTRY, SchemaRegistry
 from repro.obs.sinks import parse_address
 
@@ -79,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     tail.add_argument(
         "--strict",
         action="store_true",
-        help="fail on records with an unregistered schema instead of "
-        "skipping and counting them",
+        help="fail on records with an unregistered schema or kind instead "
+        "of skipping and counting them",
     )
 
     query = sub.add_parser("query", help="filter archived run directories")
@@ -111,75 +117,60 @@ def _emit(record: dict[str, Any]) -> None:
 # -- tail ---------------------------------------------------------------------------
 
 
-def _tail_file(args: argparse.Namespace, registry: SchemaRegistry) -> int:
-    path = Path(args.source)
-    if not path.is_file():
-        raise ConfigError(f"no such file: {path}")
-    printed = 0
-    skipped: dict[str, int] = {}
+def _file_records(path: Path, follow: bool) -> Iterator[Any]:
+    """Records of a growing NDJSON file; polls for more under ``follow``."""
     offset = 0
     while True:
-        for next_offset, record in iter_ndjson(path, tail=True, start=offset):
-            offset = next_offset
-            tag = record.get("schema") if isinstance(record, dict) else None
-            if not isinstance(tag, str) or tag not in registry:
-                label = tag if isinstance(tag, str) else "<missing>"
-                if args.strict:
-                    raise ConfigError(
-                        f"{path}: record with unregistered schema {label!r} "
-                        "(drop --strict to skip foreign records)"
-                    )
-                skipped[label] = skipped.get(label, 0) + 1
-                continue
-            if not match_record(
-                record, schema=args.schema, kind=args.kind, since=args.since
-            ):
-                continue
-            _emit(record)
-            printed += 1
-            if args.max is not None and printed >= args.max:
-                break
-        if not args.follow or (args.max is not None and printed >= args.max):
-            break
+        for offset, record in iter_ndjson(path, tail=True, start=offset):
+            yield record
+        if not follow:
+            return
+        time.sleep(FOLLOW_POLL_S)
+
+
+def _socket_records(source: str) -> Iterator[Any]:
+    """Records of a tail-server feed, until the server hangs up."""
+    family, sockaddr = parse_address(source)
+    with socket_module.socket(family, socket_module.SOCK_STREAM) as sock:
         try:
-            time.sleep(FOLLOW_POLL_S)
-        except KeyboardInterrupt:
-            break
-    for label, n in sorted(skipped.items()):
-        print(f"[tail: skipped {n} record(s) of unknown schema {label!r}]",
-              file=sys.stderr)
-    return 0
-
-
-def _tail_socket(args: argparse.Namespace, registry: SchemaRegistry) -> int:
-    family, sockaddr = parse_address(args.source)
-    sock = socket_module.socket(family, socket_module.SOCK_STREAM)
-    sock.connect(sockaddr)
-    printed = 0
-    skipped: dict[str, int] = {}
-    try:
+            sock.connect(sockaddr)
+        except OSError as exc:
+            raise ConfigError(f"cannot connect to {source}: {exc}") from exc
         with sock.makefile("rb") as fh:
             for raw in fh:
                 line = raw.strip()
                 if not line:
                     continue
                 try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ConfigError(f"{args.source}: not valid JSON: {exc}") from exc
-                tag = record.get("schema") if isinstance(record, dict) else None
-                if not isinstance(tag, str) or tag not in registry:
-                    label = tag if isinstance(tag, str) else "<missing>"
-                    if args.strict:
-                        raise ConfigError(
-                            f"{args.source}: record with unregistered schema {label!r}"
-                        )
-                    skipped[label] = skipped.get(label, 0) + 1
-                    continue
-                if not match_record(
-                    record, schema=args.schema, kind=args.kind, since=args.since
-                ):
-                    continue
+                    yield json.loads(line)
+                except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+                    raise ConfigError(f"{source}: not valid JSON: {exc}") from exc
+
+
+def _tail_main(args: argparse.Namespace, registry: SchemaRegistry) -> int:
+    # A plain existing file is a file tail; anything else must parse as a
+    # socket address (HOST:PORT, or the path of a live Unix socket).
+    path = Path(args.source)
+    if path.is_file():
+        records = _file_records(path, args.follow)
+    else:
+        records = _socket_records(args.source)
+    printed = 0
+    skipped: dict[str, int] = {}
+    try:
+        for record in records:
+            label = screen(record, registry)
+            if label is not None:
+                if args.strict:
+                    raise ConfigError(
+                        f"{args.source}: uninterpretable record ({label}); "
+                        "drop --strict to skip and count such records"
+                    )
+                skipped[label] = skipped.get(label, 0) + 1
+                continue
+            if match_record(
+                record, schema=args.schema, kind=args.kind, since=args.since
+            ):
                 _emit(record)
                 printed += 1
                 if args.max is not None and printed >= args.max:
@@ -187,19 +178,9 @@ def _tail_socket(args: argparse.Namespace, registry: SchemaRegistry) -> int:
     except KeyboardInterrupt:
         pass
     finally:
-        sock.close()
-    for label, n in sorted(skipped.items()):
-        print(f"[tail: skipped {n} record(s) of unknown schema {label!r}]",
-              file=sys.stderr)
+        records.close()
+    _report_skipped(skipped, "tail: ")
     return 0
-
-
-def _tail_main(args: argparse.Namespace, registry: SchemaRegistry) -> int:
-    # A plain existing file is a file tail; anything else must parse as a
-    # socket address (HOST:PORT, or the path of a live Unix socket).
-    if Path(args.source).is_file():
-        return _tail_file(args, registry)
-    return _tail_socket(args, registry)
 
 
 # -- query / summary ----------------------------------------------------------------
@@ -247,9 +228,16 @@ def _summary_main(args: argparse.Namespace, registry: SchemaRegistry) -> int:
     return 0
 
 
+def _report_skipped(skipped: dict[str, int], prefix: str = "") -> None:
+    for label, n in sorted(skipped.items()):
+        print(
+            f"[{prefix}skipped {n} record(s) of unknown schema or kind {label!r}]",
+            file=sys.stderr,
+        )
+
+
 def _report_scan(scan: ArchiveScan) -> None:
-    for label, n in sorted(scan.unknown_schemas.items()):
-        print(f"[skipped {n} record(s) of unknown schema {label!r}]", file=sys.stderr)
+    _report_skipped(scan.unknown_schemas)
     for path in scan.files_skipped:
         print(f"[skipped non-record file {path}]", file=sys.stderr)
 

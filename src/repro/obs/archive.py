@@ -16,6 +16,10 @@ content.  :func:`iter_archive` walks run directories for ``*.jsonl`` /
 ``*.ndjson`` files and yields records across all registered schemas,
 counting (rather than crashing on) records from schemas the registry does
 not know — a run archived by a *newer* version must still be queryable.
+
+Every record read back is judged in one place, :func:`screen`: the lenient
+readers (:func:`iter_archive`, ``obs tail``) count what it refuses, the
+strict one (:func:`read_records`) raises.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from typing import Any, Iterable, Iterator
 from repro.errors import ConfigError
 from repro.obs.registry import REGISTRY, SchemaRegistry, record_time
 
-__all__ = ["iter_ndjson", "iter_archive", "match_record", "ArchiveScan"]
+__all__ = ["iter_ndjson", "iter_archive", "match_record", "read_records", "screen", "ArchiveScan"]
 
 #: file suffixes the archive walker treats as record streams
 RECORD_SUFFIXES = (".ndjson", ".jsonl")
@@ -73,7 +77,7 @@ def iter_ndjson(
                 return  # whitespace-only torn tail: resume at its start
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
                 if tail and not complete:
                     return  # the one tolerated trailing partial line
                 raise ConfigError(
@@ -91,6 +95,44 @@ def iter_ndjson(
                 )
             offset += len(raw)
             yield offset, record
+
+
+def screen(record: Any, registry: SchemaRegistry = REGISTRY) -> str | None:
+    """None if a consumer can interpret ``record``, else the label to count it under.
+
+    Interpretable is what the bus demands at publish: a dict with a
+    registered ``schema`` and a ``kind`` in that schema's set.  The label
+    is the foreign tag, ``"<missing>"``, or ``"<schema>:<kind>"``.
+    """
+    tag = record.get("schema") if isinstance(record, dict) else None
+    if not isinstance(tag, str):
+        return "<missing>"
+    if tag not in registry:
+        return tag
+    kind = record.get("kind")
+    if not isinstance(kind, str) or kind not in registry.kinds_for(tag):
+        return f"{tag}:{kind if isinstance(kind, str) else '<missing>'}"
+    return None
+
+
+def read_records(path: str | Path, schema: str | None = None) -> list[dict[str, Any]]:
+    """Load one finished NDJSON stream, or raise :class:`ConfigError`.
+
+    Strict where :func:`iter_archive` is lenient: a record :func:`screen`
+    refuses — or, with ``schema`` given, one of any other schema — fails
+    loudly, as do the malformed and torn lines :func:`iter_ndjson` rejects.
+    """
+    records: list[dict[str, Any]] = []
+    offset = 0
+    for next_offset, record in iter_ndjson(path):
+        label = screen(record)
+        if label is None and schema not in (None, record["schema"]):
+            label = f"schema {record['schema']!r}, expected {schema!r}"
+        if label is not None:
+            raise ConfigError(f"{path}:+{offset}: uninterpretable record ({label})")
+        records.append(record)
+        offset = next_offset
+    return records
 
 
 def match_record(
@@ -123,7 +165,7 @@ class ArchiveScan:
     files_scanned: int = 0
     records_read: int = 0
     records_matched: int = 0
-    #: records whose schema tag the registry does not know, per tag
+    #: records :func:`screen` refused, per label (mostly foreign schema tags)
     unknown_schemas: dict[str, int] = field(default_factory=dict)
     #: files skipped because their first line was not a JSON object
     files_skipped: list[str] = field(default_factory=list)
@@ -154,20 +196,20 @@ def iter_archive(
     schema: str | None = None,
     kind: str | None = None,
     since: float | None = None,
-    registry: SchemaRegistry | None = None,
+    registry: SchemaRegistry = REGISTRY,
     scan: ArchiveScan | None = None,
 ) -> Iterator[dict[str, Any]]:
     """Yield matching records from run-archive files, file by file.
 
     ``roots`` are files or directories (searched recursively for
-    ``*.ndjson`` / ``*.jsonl``).  Records with a schema the registry does
-    not know are counted in ``scan.unknown_schemas`` and skipped — never
-    yielded, even schema-filter-free, because a consumer cannot interpret
-    them; a file whose very first line is not JSON at all (some foreign
-    ``.jsonl``) is skipped whole.  Genuine mid-file corruption still
-    raises, matching :func:`iter_ndjson`.
+    ``*.ndjson`` / ``*.jsonl``).  Records :func:`screen` refuses (unknown
+    schema, foreign kind, not an object) are counted in
+    ``scan.unknown_schemas`` and skipped — never yielded, even
+    schema-filter-free, because a consumer cannot interpret them; a file
+    whose very first line is not JSON at all (some foreign ``.jsonl``) is
+    skipped whole.  Genuine mid-file corruption still raises, matching
+    :func:`iter_ndjson`.
     """
-    registry = registry if registry is not None else REGISTRY
     scan = scan if scan is not None else ArchiveScan()
     for path in _record_files(roots):
         try:
@@ -181,9 +223,8 @@ def iter_archive(
             continue  # empty file: scanned, nothing to yield
         for _offset, record in itertools.chain([first], stream):
             scan.records_read += 1
-            tag = record.get("schema") if isinstance(record, dict) else None
-            if not isinstance(tag, str) or tag not in registry:
-                label = tag if isinstance(tag, str) else "<missing>"
+            label = screen(record, registry)
+            if label is not None:
                 scan.unknown_schemas[label] = scan.unknown_schemas.get(label, 0) + 1
                 continue
             if match_record(record, schema=schema, kind=kind, since=since):

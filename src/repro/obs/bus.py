@@ -6,8 +6,8 @@ output.  Every plane (virtual-time telemetry, host-time profiling, POP
 efficiency windows, health alerts, steering decisions) publishes
 schema-tagged records into one bus; pluggable sinks fan them out:
 
-* :class:`~repro.obs.sinks.FileSink` — JSONL/NDJSON files, byte-identical
-  to the legacy per-plane exporters;
+* :class:`~repro.obs.sinks.FileSink` — JSONL/NDJSON files, the one place
+  a record becomes a line on disk;
 * :class:`~repro.obs.sinks.RingSink` — a bounded in-memory ring for live
   queries mid-run;
 * :class:`~repro.obs.sinks.TailServer` — a line-delimited TCP/Unix-socket
@@ -35,7 +35,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.errors import ConfigError
-from repro.obs.registry import REGISTRY, SchemaRegistry, make_record
+from repro.obs.registry import REGISTRY, SchemaRegistry
 
 __all__ = ["ObservabilityBus", "SinkBinding"]
 
@@ -149,9 +149,10 @@ class ObservabilityBus:
                 binding.delivered += 1
         return record
 
-    def publish_record(self, schema: str, kind: str, **payload: Any) -> dict[str, Any]:
-        """Assemble via :func:`~repro.obs.registry.make_record` and publish."""
-        return self.publish(make_record(schema, kind, **payload))
+    def emit(self, record: dict[str, Any]) -> bool:
+        """The sink protocol's spelling of :meth:`publish`: the bus is a sink."""
+        self.publish(record)
+        return True
 
     def publish_all(self, records: Iterable[dict[str, Any]]) -> int:
         """Publish a batch; returns how many were accepted."""

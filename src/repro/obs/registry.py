@@ -1,12 +1,6 @@
 """The central schema registry: one authority for every record plane.
 
-Before this module existed, each observability plane carried its own
-``*_SCHEMA`` constant and its own kind set — ``repro.telemetry/1`` in
-:mod:`repro.telemetry.export`, ``repro.hostprof/1`` in
-:mod:`repro.telemetry.hostprof`, ``repro.pop-metrics/1`` in
-:mod:`repro.telemetry.stream_export` — and two planes (health alerts,
-steering decisions) had no file schema at all.  The registry consolidates
-all five:
+The only module that names a schema tag or a kind set.  Five planes:
 
 ========================  =======================================================
 schema                    record kinds
@@ -20,12 +14,10 @@ schema                    record kinds
 ``repro.steering/1``      decision
 ========================  =======================================================
 
-The plane modules import their constants *from here* (re-exporting them
-under the old names for compatibility), so a schema bump happens in exactly
-one place, and :func:`make_record` is the one way any exporter stamps a
-``{"schema": ..., "kind": ...}`` record — the payload key order is
-preserved, which keeps the bus's file sinks byte-identical to the legacy
-per-plane exporters.
+The plane modules import their constants *from here*, so a schema bump
+happens in exactly one place, and :func:`make_record` is the one way any
+plane stamps a ``{"schema": ..., "kind": ...}`` record — the payload key
+order is preserved, which is what pins the byte format of every stream.
 
 This module deliberately imports nothing from :mod:`repro.telemetry` (the
 telemetry modules import *it*), so it can never participate in a cycle.
@@ -69,7 +61,6 @@ METRICS_KINDS = frozenset({"window", "phase", "run_summary"})
 #: Kinds raised by the health monitor's *windowed* detectors — conditions
 #: that persist while their window statistic stays above threshold.  These
 #: (and only these) get a paired edge-triggered ``<kind>.cleared`` alert.
-#: (:mod:`repro.telemetry.monitor` re-exports this as ``WINDOWED_KINDS``.)
 WINDOWED_ALERT_KINDS = frozenset(
     {
         "stream_stall",
@@ -181,7 +172,7 @@ class SchemaRegistry:
             raise ConfigError(f"record carries no schema tag: {record!r:.120}")
         spec = self.get(schema)
         kind = record.get("kind")
-        if kind not in spec.kinds:
+        if not isinstance(kind, str) or kind not in spec.kinds:
             raise ConfigError(
                 f"schema {schema!r} has no record kind {kind!r} "
                 f"(known: {', '.join(sorted(spec.kinds))})"
@@ -231,12 +222,11 @@ REGISTRY = default_registry()
 def make_record(schema: str, kind: str, **payload: Any) -> dict[str, Any]:
     """Assemble one schema-tagged record: ``{"schema", "kind", **payload}``.
 
-    This is the single record-assembly point every exporter goes through
+    This is the single record-assembly point every plane goes through
     (telemetry JSONL, hostprof JSONL, the POP metrics stream, the bus's
-    health/steering bridges).  Keyword order is preserved, so a record
-    built here serializes byte-identically to the hand-stamped dicts the
-    exporters used to build.  The payload may not itself carry ``schema``
-    or ``kind`` keys — pass them positionally.
+    health/steering bridges).  Keyword order is preserved and is part of
+    each stream's byte format.  The payload may not itself carry
+    ``schema`` or ``kind`` keys — pass them positionally.
     """
     return {"schema": schema, "kind": kind, **payload}
 

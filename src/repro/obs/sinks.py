@@ -1,8 +1,8 @@
 """Built-in bus sinks: NDJSON files, a bounded ring, and a live-tail server.
 
 Every sink implements the bus protocol — ``emit(record) -> bool`` (False
-means the sink's own backpressure policy dropped the record), ``close()``,
-``stats()`` — and none of them ever raises out of ``emit`` for flow-control
+means the sink's own backpressure policy dropped the record), optionally
+``close()`` and ``stats()`` — and none of them ever raises out of ``emit`` for flow-control
 reasons: the bus counts drops per sink, so a slow tail client can never
 stall the simulation it is observing.
 """
@@ -14,39 +14,29 @@ import json
 import os
 import socket
 import threading
-from typing import IO, Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import ConfigError
-from repro.obs.registry import record_time
+from repro.obs.archive import match_record
 
-__all__ = ["FileSink", "RingSink", "TailServer", "parse_address"]
+__all__ = ["FileSink", "RingSink", "TailServer", "parse_address", "write_records"]
 
 
 class FileSink:
     """Append one ``json.dumps`` line per record — the NDJSON/JSONL format.
 
-    The byte stream is identical to the legacy per-plane exporters
-    (:class:`~repro.telemetry.export.JSONLExporter`, the hostprof JSONL
-    writer, :class:`~repro.telemetry.stream_export.MetricsStreamWriter`)
-    because all of them serialize the very same record dicts with the very
-    same ``json.dumps`` defaults.  ``flush_each=True`` (the default)
-    flushes after every line so a reader can tail the file mid-run —
-    exactly the contract the POP metrics stream already had.
+    The only place a record becomes a line in a file: every plane's
+    stream (telemetry and hostprof JSONL, the POP metrics NDJSON, the
+    unified bus archive) is this ``emit`` fed with that plane's record
+    dicts, serialized with the ``json.dumps`` defaults.  Each line is
+    flushed as it is written so a reader can tail the file mid-run.
 
-    ``target`` is a path (opened/truncated immediately, closed by
-    :meth:`close`) or an open text file object (caller keeps ownership).
+    ``path`` is opened (truncated) immediately and closed by :meth:`close`.
     """
 
-    def __init__(self, target: str | IO[str], *, flush_each: bool = True):
-        if hasattr(target, "write"):
-            self._fh: IO[str] = target
-            self._owns = False
-            self.path = getattr(target, "name", None)
-        else:
-            self._fh = open(target, "w")
-            self._owns = True
-            self.path = str(target)
-        self.flush_each = flush_each
+    def __init__(self, path: str):
+        self.path = str(path)
+        self._fh = open(path, "w")
         self.records_written = 0
         self.bytes_written = 0
         self._closed = False
@@ -57,8 +47,7 @@ class FileSink:
         line = json.dumps(record)
         self._fh.write(line)
         self._fh.write("\n")
-        if self.flush_each:
-            self._fh.flush()
+        self._fh.flush()
         self.records_written += 1
         self.bytes_written += len(line) + 1
         return True
@@ -74,10 +63,18 @@ class FileSink:
         if self._closed:
             return
         self._closed = True
-        if self._owns:
-            self._fh.close()
-        else:
-            self._fh.flush()
+        self._fh.close()
+
+
+def write_records(path: str, records: Iterable[dict[str, Any]]) -> str:
+    """Write a finished batch of records as one NDJSON file; returns the path."""
+    sink = FileSink(path)
+    try:
+        for record in records:
+            sink.emit(record)
+    finally:
+        sink.close()
+    return str(path)
 
 
 class RingSink:
@@ -85,7 +82,8 @@ class RingSink:
 
     Overflow policy is drop-oldest: the ring always holds the newest
     ``capacity`` records and counts what it evicted, so a consumer can
-    tell "I saw everything" from "I saw the tail of a firehose".
+    tell "I saw everything" from "I saw the tail of a firehose".  It has
+    no ``close``: the ring stays queryable after the bus closes.
     """
 
     def __init__(self, capacity: int = 1024):
@@ -123,16 +121,7 @@ class RingSink:
         :func:`~repro.obs.registry.record_time`) is at or after the bound;
         time-less records are excluded by a ``since`` filter.
         """
-        for record in self._ring:
-            if schema is not None and record.get("schema") != schema:
-                continue
-            if kind is not None and record.get("kind") != kind:
-                continue
-            if since is not None:
-                t = record_time(record)
-                if t is None or t < since:
-                    continue
-            yield record
+        return (r for r in self._ring if match_record(r, schema, kind, since))
 
     def stats(self) -> dict[str, Any]:
         return {
@@ -140,9 +129,6 @@ class RingSink:
             "retained": len(self._ring),
             "evicted": self.evicted,
         }
-
-    def close(self) -> None:  # ring stays queryable after the bus closes
-        pass
 
 
 def parse_address(address: str) -> tuple[int, Any]:
@@ -230,7 +216,10 @@ class TailServer:
             try:
                 conn, _addr = self._server.accept()
             except OSError:
-                return  # server socket closed
+                return  # listener shut down by close()
+            if self._closed:
+                conn.close()  # close()'s own wake-up connection, or a late client
+                return
             client = _TailClient(conn)
             client.thread = threading.Thread(
                 target=self._drain_loop, args=(client,),
@@ -304,18 +293,35 @@ class TailServer:
             "clients": clients,
         }
 
+    def _wake_acceptor(self) -> None:
+        # Closing a listening socket does not wake a thread blocked in
+        # accept() on Linux; shutting it down does.  Where shutdown on a
+        # listener is an error (BSD), one throwaway connection does.
+        try:
+            self._server.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            try:
+                with socket.socket(self._family, socket.SOCK_STREAM) as poke:
+                    poke.settimeout(1.0)
+                    poke.connect(self._server.getsockname())
+            except OSError:
+                pass  # listener already dead: accept() has returned
+
     def close(self) -> None:
         """Stop accepting, flush what queued, tear the clients down."""
         with self._lock:
             if self._closed:
                 return
             self._closed = True
-            clients = list(self._clients)
             self._cond.notify_all()
+        self._wake_acceptor()
+        self._accept_thread.join(timeout=1.0)
         try:
             self._server.close()
         except OSError:
             pass
+        with self._lock:
+            clients = list(self._clients)
         for client in clients:
             if client.thread is not None:
                 client.thread.join(timeout=1.0)

@@ -37,6 +37,7 @@ from dataclasses import asdict, dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ConfigError
+from repro.obs.registry import CLEARED_SUFFIX, WINDOWED_ALERT_KINDS
 from repro.steering.policy import (
     ESCALATE_REDUCTION,
     REBALANCE_WRITERS,
@@ -45,7 +46,6 @@ from repro.steering.policy import (
     SCALE_UP_WORKERS,
     SteeringPolicy,
 )
-from repro.telemetry.monitor import CLEARED_SUFFIX, WINDOWED_KINDS
 from repro.vmpi.mapping import remap_orphans
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -185,7 +185,7 @@ class SteeringController:
         now = alert.t_detect
         if kind in policy.escalate_on or kind in policy.autoscale_on:
             self._last_trigger_t = now
-            if kind in WINDOWED_KINDS:
+            if kind in WINDOWED_ALERT_KINDS:
                 self._congested.add(kind)
         if policy.enable_reduction and kind in policy.escalate_on:
             self._escalate(now, alert)

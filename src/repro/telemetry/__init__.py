@@ -22,7 +22,6 @@ disabled.  Enable it by passing a live instance down the stack::
 
 from repro.telemetry.core import KERNEL_PID, NULL_TELEMETRY, Telemetry, rank_pid
 from repro.telemetry.hostprof import (
-    HOSTPROF_SCHEMA,
     NULL_HOSTPROF,
     HostProfiler,
     HostTimer,
@@ -52,25 +51,12 @@ from repro.telemetry.monitor import (
     MonitorConfig,
 )
 from repro.telemetry.timeline import CUMULATIVE, LEVEL, Timeline, TimeSeries
-from repro.telemetry.export import (
-    EXPORTERS,
-    TELEMETRY_SCHEMA,
-    ChromeTraceExporter,
-    JSONLExporter,
-    chrome_trace_dict,
-    jsonl_records,
-)
+from repro.telemetry.export import chrome_trace_dict, jsonl_records
 from repro.telemetry.popmetrics import (
     METRIC_KEYS,
     PopConfig,
     PopMetricsEngine,
     metrics_from_sums,
-)
-from repro.telemetry.stream_export import (
-    METRICS_SCHEMA,
-    MetricsStreamWriter,
-    iter_metrics_stream,
-    read_metrics_stream,
 )
 from repro.telemetry.metrics import (
     NULL_COUNTER,
@@ -87,7 +73,6 @@ __all__ = [
     "HostProfiler",
     "HostTimer",
     "NULL_HOSTPROF",
-    "HOSTPROF_SCHEMA",
     "host_now",
     "set_host_clock",
     "fake_host_clock",
@@ -121,18 +106,10 @@ __all__ = [
     "NULL_COUNTER",
     "NULL_GAUGE",
     "NULL_HISTOGRAM",
-    "EXPORTERS",
-    "TELEMETRY_SCHEMA",
-    "ChromeTraceExporter",
-    "JSONLExporter",
     "chrome_trace_dict",
     "jsonl_records",
     "PopMetricsEngine",
     "PopConfig",
     "METRIC_KEYS",
     "metrics_from_sums",
-    "MetricsStreamWriter",
-    "METRICS_SCHEMA",
-    "iter_metrics_stream",
-    "read_metrics_stream",
 ]

@@ -15,9 +15,11 @@ instrumentation point.
 
 from __future__ import annotations
 
+import json
 from typing import Any, Callable
 
-from repro.telemetry.export import EXPORTERS, chrome_trace_dict, jsonl_records
+from repro.obs.sinks import write_records
+from repro.telemetry.export import chrome_trace_dict, jsonl_records
 from repro.telemetry.hostprof import host_now
 from repro.telemetry.metrics import (
     NULL_COUNTER,
@@ -39,7 +41,7 @@ def rank_pid(global_rank: int) -> int:
 
 
 class Telemetry:
-    """Metrics registry + span tracer with pluggable export."""
+    """Metrics registry + span tracer with Chrome-trace and JSONL export."""
 
     def __init__(self, enabled: bool = True, clock: Callable[[], float] | None = None):
         self.enabled = enabled
@@ -199,21 +201,15 @@ class Telemetry:
     def jsonl_records(self) -> list[dict[str, Any]]:
         return jsonl_records(self)
 
-    def export(self, fmt: str, path: str) -> str:
-        """Write the trace with the named exporter (``chrome`` / ``jsonl``)."""
-        try:
-            exporter = EXPORTERS[fmt]
-        except KeyError:
-            raise ValueError(
-                f"unknown exporter {fmt!r}; choose from {sorted(EXPORTERS)}"
-            ) from None
-        return exporter.export(self, path)
-
     def write_chrome_trace(self, path: str) -> str:
-        return self.export("chrome", path)
+        """Write the Perfetto/``chrome://tracing``-loadable trace file."""
+        with open(path, "w") as fh:
+            json.dump(self.chrome_trace(), fh)
+        return path
 
     def write_jsonl(self, path: str) -> str:
-        return self.export("jsonl", path)
+        """Write one JSON object per line."""
+        return write_records(path, self.jsonl_records())
 
     # -- lifecycle -----------------------------------------------------------------
 

@@ -51,6 +51,7 @@ from contextlib import contextmanager
 from typing import Any, Callable
 
 from repro.obs.registry import HOSTPROF_SCHEMA, make_record
+from repro.obs.sinks import write_records
 
 #: Chrome-trace process row for host-time data — far beyond any simulated
 #: rank pid, so a host trace merged next to a virtual trace cannot collide.
@@ -437,10 +438,7 @@ class HostProfiler:
         return records
 
     def write_jsonl(self, path: str) -> str:
-        with open(path, "w") as fh:
-            for record in self.jsonl_records():
-                fh.write(json.dumps(record) + "\n")
-        return str(path)
+        return write_records(path, self.jsonl_records())
 
 
 #: Shared disabled instance: what every hot call site sees by default.

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import ConfigError
-from repro.obs.registry import CLEARED_SUFFIX, WINDOWED_ALERT_KINDS
+from repro.obs.registry import CLEARED_SUFFIX
 from repro.telemetry.core import KERNEL_PID, Telemetry
 from repro.telemetry.timeline import Timeline
 
@@ -55,14 +55,6 @@ WATCHED_SERIES = (
     "counter.analysis.packs_rejected",
     "counter.vmpi.rank_remaps",
 )
-
-#: Kinds raised by the *windowed* detectors — conditions that persist while
-#: their window statistic stays above threshold.  These (and only these)
-#: get a paired edge-triggered ``<kind>.cleared`` alert when the condition
-#: returns below threshold, so subscribers can implement hysteresis.  The
-#: authoritative set lives in the schema registry so the unified bus and
-#: archive query tooling agree on the health plane's kinds.
-WINDOWED_KINDS = WINDOWED_ALERT_KINDS
 
 #: Cumulative fault/defence counters watched edge-triggered: any increase
 #: between ticks raises the mapped alert kind at the given severity.  These

@@ -49,6 +49,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import ConfigError
+from repro.obs.registry import METRICS_SCHEMA, make_record
 from repro.telemetry.core import KERNEL_PID, Telemetry
 from repro.telemetry.timeline import Timeline
 
@@ -275,12 +276,18 @@ class PopMetricsEngine:
     # -- wiring -------------------------------------------------------------------
 
     def add_sink(self, sink: Any) -> Any:
-        """Register a sink (``on_window`` required; ``on_phase`` /
-        ``on_run_summary`` optional)."""
-        if not hasattr(sink, "on_window"):
-            raise ConfigError(f"metrics sink {sink!r} lacks an on_window method")
+        """Register a sink (the bus protocol, ``emit(record)``: a
+        ``FileSink``, a ``RingSink``, the bus itself) for every sealed
+        window, phase and the run summary, in emission order."""
+        if not callable(getattr(sink, "emit", None)):
+            raise ConfigError(f"metrics sink {sink!r} lacks an emit method")
         self._sinks.append(sink)
         return sink
+
+    def _emit(self, kind: str, payload: dict[str, Any]) -> None:
+        record = make_record(METRICS_SCHEMA, kind, **payload)
+        for sink in self._sinks:
+            sink.emit(record)
 
     def bind_sources(self, registry: dict[str, list["StreamingInstrumentation"]]) -> None:
         """Point the engine at the session's interceptor registry.
@@ -338,11 +345,7 @@ class PopMetricsEngine:
         if current is not None:
             self._seal_phase(current)
             self._current = None
-        summary = self.summary()
-        for sink in self._sinks:
-            hook = getattr(sink, "on_run_summary", None)
-            if hook is not None:
-                hook(summary)
+        self._emit("run_summary", self.summary())
 
     def _interceptors(self):
         if not self._registry:
@@ -401,9 +404,7 @@ class PopMetricsEngine:
         for name in METRIC_KEYS:
             self.tel.gauge(GAUGE_PREFIX + name, pid=KERNEL_PID).set(metrics[name])
         self._detect_phase(window)
-        payload = window.as_dict()
-        for sink in self._sinks:
-            sink.on_window(payload)
+        self._emit("window", window.as_dict())
 
     def _stream_health(self, t0: float, t1: float) -> dict[str, float]:
         dt = t1 - t0
@@ -472,11 +473,7 @@ class PopMetricsEngine:
             return
         phase.index = len(self.phases)
         self.phases.append(phase)
-        payload = phase.as_dict()
-        for sink in self._sinks:
-            hook = getattr(sink, "on_phase", None)
-            if hook is not None:
-                hook(payload)
+        self._emit("phase", phase.as_dict())
 
     # -- presentation -------------------------------------------------------------
 

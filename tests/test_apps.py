@@ -1,7 +1,5 @@
 """Application skeletons: grids, validation, communication structure."""
 
-import math
-
 import pytest
 
 from repro.errors import ConfigError

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.apps.nas import EP, SP
-from repro.baselines import OTF2_BYTES_PER_EVENT, PostMortemAnalyzer, TraceWriterState
+from repro.baselines import PostMortemAnalyzer, TraceWriterState
 from repro.core.comparison import TOOLS, compare_tools, run_tool
 from repro.iosim import ParallelFS, SionFile
 from repro.network.machine import CURIE, small_test_machine

@@ -8,7 +8,6 @@ from repro.analysis.engine import AnalysisConfig, AnalyzerEngine
 from repro.codec.frame import (
     CRC_BODY_SIZE,
     FRAME_HEADER_SIZE,
-    SEC_CODEC,
     SEC_CRC,
     SEC_PAYLOAD,
     SEC_PROVENANCE,

@@ -1,6 +1,8 @@
 """The reduction pipeline end to end: session wiring, bit-identity,
 wire-volume guarantees, fault interplay, diagnostics."""
 
+import struct
+
 import pytest
 
 from repro.apps.nas import SP
@@ -196,6 +198,22 @@ def test_packdump_renders_a_real_pack():
     assert "codec chain: delta+dict+zlib" in text
     assert "crc32:" in text and "OK" in text
     assert "PAYLOAD" in text and "CODEC" in text
+
+
+@pytest.mark.parametrize(
+    "blob, verdict",
+    [
+        # the v1 pack magic, retired in PR 5: no reader left, still no raise
+        (
+            struct.pack("<IHHII", 0x45564E54, 1, 0, 5, 0),
+            "format: unknown (leading magic 0x45564e54)",
+        ),
+        (b"\x00\x01\x02\x03rest", "format: unknown (leading magic 0x03020100)"),
+        (b"ab", "format: unknown (too short for a magic number)"),
+    ],
+)
+def test_packdump_reports_foreign_magic_without_raising(blob, verdict):
+    assert dump(blob).splitlines() == [f"{len(blob)} bytes", verdict]
 
 
 # -- observers free when off ------------------------------------------------------

@@ -1,7 +1,5 @@
 """Determinism guarantees: identical seeds give bit-identical campaigns."""
 
-import pytest
-
 from repro.apps import EulerMHD
 from repro.apps.nas import CG, SP
 from repro.core.comparison import run_tool

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError, DeadlockError
-from repro.simt import Kernel, Pipe
+from repro.simt import Pipe
 
 
 class TestKernelRunUntilEvent:

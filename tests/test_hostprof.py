@@ -13,10 +13,10 @@ from repro.blackboard import Blackboard
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError
 from repro.network.machine import TERA100
+from repro.obs import HOSTPROF_SCHEMA
 from repro.telemetry import hostprof
 from repro.telemetry.hostprof import (
     HOST_PID,
-    HOSTPROF_SCHEMA,
     HostProfiler,
     HostSegment,
     HostTimer,
@@ -269,7 +269,7 @@ class TestSelfPerfLane:
     def test_sweep_smoke_and_artifacts(self, tmp_path):
         result = selfperf_sweep(
             scale="small", chains=("", "delta+dict"), repeats=1,
-            overhead_budget=10.0, trace_dir=str(tmp_path),
+            overhead_budget=10.0, outdir=str(tmp_path),
         )
         assert [p.chain for p in result.points] == ["", "delta+dict"]
         for p in result.points:

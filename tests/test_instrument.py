@@ -2,7 +2,6 @@
 
 import struct
 
-import numpy as np
 import pytest
 
 from repro.codec.frame import (

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import MPIError, SimulationError
+from repro.errors import SimulationError
 from repro.mpi import MPMDLauncher
 
 
@@ -45,7 +45,7 @@ def test_test_polls_without_blocking(machine):
             req = yield from comm.irecv(source=0, tag=1)
             done_first, _ = req.test()
             polled.append(done_first)
-            status = yield from mpi.wait(req)
+            yield from mpi.wait(req)
             done_after, st = req.test()
             polled.append(done_after)
             assert st.nbytes == 8

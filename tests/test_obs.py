@@ -1,11 +1,17 @@
 """Unified observability bus: registry, bus fan-out, sinks, CLI, wiring."""
 
+import contextlib
+import io
 import json
 import socket
+import tempfile
 import threading
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigError
 from repro.obs import (
@@ -24,9 +30,11 @@ from repro.obs import (
     iter_ndjson,
     make_record,
     parse_address,
+    read_records,
     record_time,
 )
 from repro.obs.__main__ import main as obs_main
+from repro.obs.archive import screen
 
 pytestmark = pytest.mark.obs
 
@@ -49,18 +57,14 @@ class TestRegistry:
             STEERING_SCHEMA,
         }
 
-    def test_legacy_constants_are_reexports(self):
-        from repro.telemetry.export import TELEMETRY_SCHEMA as legacy_tel
-        from repro.telemetry.hostprof import HOSTPROF_SCHEMA as legacy_host
-        from repro.telemetry.stream_export import METRICS_SCHEMA as legacy_metrics
-        from repro.telemetry.monitor import WINDOWED_KINDS, CLEARED_SUFFIX
+    def test_windowed_alert_kinds_pair_with_cleared_kinds(self):
+        from repro.obs.registry import CLEARED_SUFFIX, WINDOWED_ALERT_KINDS
 
-        assert legacy_tel == TELEMETRY_SCHEMA
-        assert legacy_host == "repro.hostprof/1"
-        assert legacy_metrics == METRICS_SCHEMA
-        for kind in WINDOWED_KINDS:
-            assert kind in REGISTRY.kinds_for(HEALTH_SCHEMA)
-            assert kind + CLEARED_SUFFIX in REGISTRY.kinds_for(HEALTH_SCHEMA)
+        health = REGISTRY.kinds_for(HEALTH_SCHEMA)
+        for kind in WINDOWED_ALERT_KINDS:
+            assert kind in health and kind + CLEARED_SUFFIX in health
+        cleared = {k for k in health if k.endswith(CLEARED_SUFFIX)}
+        assert len(cleared) == len(WINDOWED_ALERT_KINDS)  # and only those
 
     def test_unknown_schema_lists_known(self):
         with pytest.raises(ConfigError, match="repro.telemetry/1"):
@@ -139,19 +143,17 @@ class TestBus:
 
 
 class TestFileSink:
-    def test_bytes_identical_to_legacy_writer(self, tmp_path):
-        from repro.telemetry.stream_export import MetricsStreamWriter
-
-        legacy_path = tmp_path / "legacy.ndjson"
-        sink_path = tmp_path / "sink.ndjson"
-        writer = MetricsStreamWriter(str(legacy_path))
-        sink = FileSink(str(sink_path))
-        payload = {"t0": 0.0, "t1": 0.5, "pe": 0.9}
-        writer.on_window(dict(payload))
-        sink.emit(make_record(METRICS_SCHEMA, "window", **payload))
-        writer.close()
+    def test_emit_writes_pinned_bytes_flushed_per_record(self, tmp_path):
+        path = tmp_path / "sink.ndjson"
+        sink = FileSink(str(path))
+        sink.emit(make_record(METRICS_SCHEMA, "window", index=0, t0=0.0, t1=0.5))
+        # Read before close(): every record is flushed as it is written.
+        assert path.read_bytes() == (
+            b'{"schema": "repro.pop-metrics/1", "kind": "window", '
+            b'"index": 0, "t0": 0.0, "t1": 0.5}\n'
+        )
         sink.close()
-        assert legacy_path.read_bytes() == sink_path.read_bytes()
+        assert sink.stats()["bytes_written"] == path.stat().st_size
 
     def test_emit_after_close_raises(self, tmp_path):
         sink = FileSink(str(tmp_path / "out.ndjson"))
@@ -213,6 +215,10 @@ def _wait_until(predicate, timeout=5.0):
             return True
         time.sleep(0.01)
     return False
+
+
+def _tail_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("obs-tail-")]
 
 
 class TestTailServer:
@@ -284,6 +290,39 @@ class TestTailServer:
         with pytest.raises(ConfigError):
             parse_address("host:notaport")
 
+    @pytest.mark.parametrize("listener_shutdown_works", [True, False])
+    def test_close_joins_accept_thread(self, monkeypatch, listener_shutdown_works):
+        if not listener_shutdown_works:  # the BSD path: wake by self-connect
+            def refuse(self, how):
+                raise OSError("shutdown on a listening socket")
+
+            monkeypatch.setattr(socket.socket, "shutdown", refuse)
+        server = TailServer("127.0.0.1:0")
+        time.sleep(0.1)  # let the acceptor block in accept(): that is the leak
+        server.close()
+        assert _tail_threads() == []
+
+    @pytest.mark.parametrize("kind", ["tcp", "unix"])
+    def test_session_leaves_no_tail_thread(self, tmp_path, kind):
+        from repro.apps.nas import SP
+        from repro.core.session import CouplingSession
+        from repro.telemetry import Telemetry
+
+        address = "127.0.0.1:0" if kind == "tcp" else str(tmp_path / "obs.sock")
+        session = CouplingSession(telemetry=Telemetry(), seed=3)
+        session.add_application(SP(4, "C", iterations=1), name="sp")
+        session.set_analyzer(ratio=4.0)
+        session.enable_observability(tail=address)
+        sock = _connect(session.obs_tail)
+        assert _wait_until(lambda: session.obs_tail.stats()["clients_served"] == 1)
+        result = session.run()
+        assert result.obs["published"] > 0
+        # The connected client got the feed, then EOF when the bus closed.
+        lines = sock.makefile("rb").read().splitlines()
+        sock.close()
+        assert len(lines) == result.obs["published"]
+        assert _tail_threads() == []
+
 
 # -- torn-tail NDJSON reading -------------------------------------------------------
 
@@ -332,53 +371,41 @@ class TestIterNdjson:
         assert list(iter_ndjson(path, tail=True)) == []
 
 
-class TestMetricsStreamTail:
-    """The satellite fix: iter_metrics_stream grows a resumable tail mode."""
+class TestReadRecords:
+    """The strict loader: every record interpretable, or a ConfigError."""
 
     def _write(self, path, records):
-        path.write_text(
-            "".join(json.dumps(r) + "\n" for r in records)
-        )
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
 
-    def test_default_mode_unchanged(self, tmp_path):
-        from repro.telemetry.stream_export import (
-            iter_metrics_stream,
-            read_metrics_stream,
-        )
-
+    def test_round_trip(self, tmp_path):
         path = tmp_path / "s.ndjson"
-        records = [_window(t1=1.0), _window(t1=2.0)]
+        records = [_window(t1=1.0), make_record(HEALTH_SCHEMA, "stream_stall")]
         self._write(path, records)
-        assert list(iter_metrics_stream(str(path))) == records
-        assert read_metrics_stream(str(path)) == records
+        assert read_records(path) == records
 
-    def test_tail_mode_resumes_across_partial(self, tmp_path):
-        from repro.telemetry.stream_export import iter_metrics_stream
-
+    @pytest.mark.parametrize(
+        "record",
+        [
+            {"schema": "other/1", "kind": "window"},
+            {"schema": METRICS_SCHEMA, "kind": "mystery"},
+            {"schema": METRICS_SCHEMA},
+            {"kind": "window"},
+            ["not", "an", "object"],
+            17,
+        ],
+    )
+    def test_rejects_uninterpretable_record(self, tmp_path, record):
         path = tmp_path / "s.ndjson"
-        first = json.dumps(_window(t1=1.0)) + "\n"
-        path.write_text(first + json.dumps(_window(t1=2.0))[:10])
-        pairs = list(iter_metrics_stream(str(path), tail=True))
-        assert len(pairs) == 1 and pairs[0][1]["t1"] == 1.0
-        path.write_text(first + json.dumps(_window(t1=2.0)) + "\n")
-        resumed = list(iter_metrics_stream(str(path), tail=True, start=pairs[0][0]))
-        assert [r["t1"] for _o, r in resumed] == [2.0]
+        self._write(path, [_window(), record])
+        with pytest.raises(ConfigError, match=r"s\.ndjson:\+\d+"):
+            read_records(path)
 
-    def test_tail_mode_still_validates_schema(self, tmp_path):
-        from repro.telemetry.stream_export import iter_metrics_stream
-
+    def test_schema_argument_rejects_other_registered_schemas(self, tmp_path):
         path = tmp_path / "s.ndjson"
-        path.write_text(json.dumps({"schema": "other/1", "kind": "window"}) + "\n")
-        with pytest.raises(ConfigError):
-            list(iter_metrics_stream(str(path), tail=True))
-
-    def test_mid_file_corruption_still_loud(self, tmp_path):
-        from repro.telemetry.stream_export import iter_metrics_stream
-
-        path = tmp_path / "s.ndjson"
-        path.write_text("not json\n" + json.dumps(_window()) + "\n")
-        with pytest.raises(ConfigError):
-            list(iter_metrics_stream(str(path), tail=True))
+        self._write(path, [_window(), make_record(HEALTH_SCHEMA, "stream_stall")])
+        assert len(read_records(path)) == 2
+        with pytest.raises(ConfigError, match="expected"):
+            read_records(path, schema=METRICS_SCHEMA)
 
 
 # -- archive query + CLI ------------------------------------------------------------
@@ -419,6 +446,77 @@ class TestArchive:
     def test_missing_root_raises(self, tmp_path):
         with pytest.raises(ConfigError):
             list(iter_archive([tmp_path / "nope"]))
+
+
+class TestScreen:
+    def test_accepts_what_the_bus_accepts(self):
+        assert screen(_window()) is None
+        assert screen(make_record(HEALTH_SCHEMA, "stream_stall.cleared")) is None
+
+    @pytest.mark.parametrize(
+        "record, label",
+        [
+            ({"schema": "acme.metrics/9", "kind": "blob"}, "acme.metrics/9"),
+            ({"kind": "window"}, "<missing>"),
+            ({"schema": 7, "kind": "window"}, "<missing>"),
+            ([1, 2], "<missing>"),
+            (None, "<missing>"),
+            ({"schema": METRICS_SCHEMA}, "repro.pop-metrics/1:<missing>"),
+            ({"schema": METRICS_SCHEMA, "kind": ["window"]}, "repro.pop-metrics/1:<missing>"),
+            ({"schema": METRICS_SCHEMA, "kind": "span"}, "repro.pop-metrics/1:span"),
+        ],
+    )
+    def test_labels_what_it_refuses(self, record, label):
+        assert screen(record) == label
+        with pytest.raises(ConfigError):
+            REGISTRY.validate(record)
+
+
+# Lines a hostile or half-written archive can hold.  The readers owe the
+# caller a typed ConfigError or a clean result — never another exception.
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+_tags = st.sampled_from([*REGISTRY.known(), "acme.metrics/9", "", "repro.telemetry/2"])
+_kinds = st.sampled_from(["window", "span", "decision", "stream_stall", "meta", "nope"])
+_lines = st.one_of(
+    _json_values.map(json.dumps),
+    st.fixed_dictionaries(
+        {}, optional={"schema": _tags | _json_values, "kind": _kinds | _json_values}
+    ).map(json.dumps),
+    st.builds(lambda k: json.dumps(_window(t1=1.0) | {"kind": k}), _kinds),
+    st.sampled_from(["", "   ", "not json", '{"schema": "repro.pop-m']),
+).map(str.encode) | st.sampled_from([b"\xff\xfe", b'{"schema": "\xc3'])
+
+
+class TestHostileArchives:
+    @settings(max_examples=150, deadline=None)
+    @given(lines=st.lists(_lines, max_size=8), torn=st.booleans())
+    def test_readers_raise_config_error_or_succeed(self, lines, torn):
+        blob = b"\n".join(lines) + (b"" if torn or not lines else b"\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzz.ndjson"
+            path.write_bytes(blob)
+            try:
+                for record in read_records(path):
+                    assert screen(record) is None
+            except ConfigError:
+                pass
+            scan = ArchiveScan()
+            try:
+                for record in iter_archive([path], scan=scan):
+                    assert screen(record) is None
+            except ConfigError:
+                pass
+            assert sum(scan.unknown_schemas.values()) <= scan.records_read
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+                io.StringIO()
+            ):
+                assert obs_main(["summary", str(path)]) in (0, 1)
+                assert obs_main(["tail", str(path)]) in (0, 1)
 
 
 class TestCli:
@@ -501,6 +599,45 @@ class TestCli:
         assert obs_main(["query", str(tmp_path / "nope")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, content, code, stderr",
+        [
+            (["tail", "127.0.0.1:1"], None, 1, "error: cannot connect to 127.0.0.1:1"),
+            (["tail", "{missing}"], None, 1, "error: cannot connect to"),
+            (["summary", "{file}"], {"schema": TELEMETRY_SCHEMA}, 0, "<missing>"),
+            (
+                ["query", "{file}"],
+                {"schema": TELEMETRY_SCHEMA, "kind": "window"},
+                0,
+                "repro.telemetry/1:window",
+            ),
+        ],
+    )
+    def test_bad_input_is_one_line_not_a_traceback(
+        self, tmp_path, capsys, command, content, code, stderr
+    ):
+        path = tmp_path / "s.ndjson"
+        if content is not None:
+            path.write_text(json.dumps(_window()) + "\n" + json.dumps(content) + "\n")
+        argv = [
+            a.format(file=path, missing=tmp_path / "no" / "such" / "path")
+            for a in command
+        ]
+        assert obs_main(argv) == code
+        captured = capsys.readouterr()
+        assert stderr in captured.err and "Traceback" not in captured.err
+        # The bad record is counted and skipped; its good neighbour survives.
+        assert json.dumps(content) not in captured.out
+        if content is not None:
+            assert "window" in captured.out
+
+    def test_tail_strict_fails_on_foreign_kind(self, tmp_path, capsys):
+        path = tmp_path / "s.ndjson"
+        path.write_text(json.dumps({"schema": TELEMETRY_SCHEMA, "kind": "window"}) + "\n")
+        assert obs_main(["tail", str(path)]) == 0
+        assert obs_main(["tail", str(path), "--strict"]) == 1
+        assert "repro.telemetry/1:window" in capsys.readouterr().err
+
 
 # -- session wiring -----------------------------------------------------------------
 
@@ -515,18 +652,18 @@ class TestSessionWiring:
 
         tmp = tmp_path_factory.mktemp("obs_session")
 
-        def build(stream=None):
+        def build():
             session = CouplingSession(telemetry=Telemetry(), seed=3)
             session.add_application(SP(16, "C", iterations=2), name="sp")
             session.set_analyzer(ratio=4.0)
             session.enable_monitor()
-            session.enable_pop_metrics(PopConfig(window=0.5), stream=stream)
+            session.enable_pop_metrics(PopConfig(window=0.5))
             session.enable_steering()
             return session
 
-        off = build(stream=str(tmp / "pop_off.ndjson"))
+        off = build()
         r_off = off.run()
-        on = build(stream=str(tmp / "pop.ndjson"))
+        on = build()
         on.enable_observability(str(tmp / "unified.ndjson"))
         r_on = on.run()
         return tmp, r_off, on, r_on
@@ -535,16 +672,6 @@ class TestSessionWiring:
         _tmp, r_off, _on, r_on = session_pair
         assert r_off.apps["sp"].walltime == r_on.apps["sp"].walltime
         assert r_off.analyzer_walltime == r_on.analyzer_walltime
-
-    def test_pop_stream_byte_identical_through_bus(self, session_pair):
-        tmp, _r_off, _on, _r_on = session_pair
-        legacy = (tmp / "pop.ndjson").read_bytes()
-        bus_lines = b"".join(
-            line
-            for line in (tmp / "unified.ndjson").read_bytes().splitlines(keepends=True)
-            if json.loads(line).get("schema") == METRICS_SCHEMA
-        )
-        assert bus_lines == legacy
 
     def test_result_and_report_carry_summary(self, session_pair):
         _tmp, _r_off, _on, r_on = session_pair

@@ -13,6 +13,7 @@ from repro.apps.nas import SP
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError, SimulationError
 from repro.simt.kernel import Kernel
+from repro.obs import METRICS_SCHEMA, FileSink, RingSink, make_record, read_records
 from repro.telemetry import Telemetry
 from repro.telemetry.popmetrics import (
     METRIC_KEYS,
@@ -20,12 +21,6 @@ from repro.telemetry.popmetrics import (
     PopConfig,
     PopMetricsEngine,
     metrics_from_sums,
-)
-from repro.telemetry.stream_export import (
-    METRICS_SCHEMA,
-    MetricsStreamWriter,
-    iter_metrics_stream,
-    read_metrics_stream,
 )
 
 pytestmark = pytest.mark.metrics
@@ -117,14 +112,16 @@ def test_double_enable_and_double_attach_error():
         PopMetricsEngine(Telemetry()).attach(kernel)
 
 
-def test_sink_requires_on_window():
+def test_sink_requires_emit():
     engine = PopMetricsEngine(Telemetry())
+    with pytest.raises(ConfigError):
+        engine.add_sink(object())
 
-    class Bad:
-        pass
+    class NotCallable:
+        emit = None
 
     with pytest.raises(ConfigError):
-        engine.add_sink(Bad())
+        engine.add_sink(NotCallable())
 
 
 # -- the metric math ---------------------------------------------------------------
@@ -340,21 +337,21 @@ def test_attach_aligns_to_window_grid():
 def test_ndjson_streams_incrementally(tmp_path):
     """Records hit the file as windows close, not at teardown."""
     path = tmp_path / "metrics.ndjson"
-    writer = MetricsStreamWriter(str(path))
-    writer.on_window({"index": 0, "t0": 0.0, "t1": 0.01})
+    sink = FileSink(str(path))
+    sink.emit(make_record(METRICS_SCHEMA, "window", index=0, t0=0.0, t1=0.01))
     # Readable immediately, before close: the streaming contract.
     first = path.read_text().strip().splitlines()
     assert len(first) == 1
     rec = json.loads(first[0])
     assert rec["schema"] == METRICS_SCHEMA
     assert rec["kind"] == "window"
-    writer.on_phase({"index": 0})
-    writer.on_run_summary({"windows": 1})
-    writer.close()
-    writer.close()  # idempotent
+    sink.emit(make_record(METRICS_SCHEMA, "phase", index=0))
+    sink.emit(make_record(METRICS_SCHEMA, "run_summary", windows=1))
+    sink.close()
+    sink.close()  # idempotent
     with pytest.raises(ConfigError):
-        writer.on_window({})
-    records = read_metrics_stream(str(path))
+        sink.emit(make_record(METRICS_SCHEMA, "window"))
+    records = read_records(path, schema=METRICS_SCHEMA)
     assert [r["kind"] for r in records] == ["window", "phase", "run_summary"]
 
 
@@ -362,23 +359,45 @@ def test_ndjson_rejects_foreign_schema(tmp_path):
     path = tmp_path / "bad.ndjson"
     path.write_text('{"schema": "someone-else/9", "kind": "window"}\n')
     with pytest.raises(ConfigError):
-        read_metrics_stream(str(path))
+        read_records(path, schema=METRICS_SCHEMA)
     path.write_text('{"schema": "%s", "kind": "mystery"}\n' % METRICS_SCHEMA)
     with pytest.raises(ConfigError):
-        read_metrics_stream(str(path))
+        read_records(path, schema=METRICS_SCHEMA)
     path.write_text("not json\n")
     with pytest.raises(ConfigError):
-        read_metrics_stream(str(path))
+        read_records(path, schema=METRICS_SCHEMA)
     path.write_text("\n\n")  # blank lines alone are fine
-    assert read_metrics_stream(str(path)) == []
+    assert read_records(path, schema=METRICS_SCHEMA) == []
+
+
+#: Key order of the engine's three record kinds, as streamed by the commit
+#: before the engine built its own records (PR 14): part of the byte format.
+RECORD_KEYS = {
+    "window": (
+        "schema", "kind", "index", "t0", "t1", "elapsed_s", "nranks",
+        "metrics", "sums", "stream",
+    ),
+    "phase": (
+        "schema", "kind", "index", "t0", "t1", "elapsed_s", "windows",
+        "signal_mean", "signal_std", "metrics", "sums", "ranks",
+    ),
+    "run_summary": (
+        "schema", "kind", "window_s", "signal", "windows", "phases",
+        "end_of_run", "totals", "nranks", "stream_last",
+    ),
+}
+STREAM_KEYS = (
+    "eagain_per_s", "stream_bytes_per_s", "packs_analyzed_per_s", "backlog_depth",
+)
 
 
 def test_session_stream_round_trip(tmp_path):
     path = tmp_path / "session.ndjson"
     session, _ = _session(telemetry=Telemetry(), iterations=2)
-    session.enable_pop_metrics(PopConfig(window=0.01), stream=str(path))
+    engine = session.enable_pop_metrics(PopConfig(window=0.01), stream=str(path))
+    ring = engine.add_sink(RingSink(4096))
     run = session.run()
-    records = read_metrics_stream(str(path))
+    records = read_records(path, schema=METRICS_SCHEMA)
     kinds = [r["kind"] for r in records]
     assert kinds.count("window") == run.efficiency["windows"]
     assert kinds.count("phase") == len(run.efficiency["phases"])
@@ -387,8 +406,26 @@ def test_session_stream_round_trip(tmp_path):
     tail = records[-1]
     assert tail["windows"] == run.efficiency["windows"]
     assert tail["end_of_run"] == run.efficiency["end_of_run"]
-    # Iterator and list loaders agree.
-    assert list(iter_metrics_stream(str(path))) == records
+    # Every sink sees the same records in the same order.
+    assert ring.records() == records
+    # The byte format: key order of every record kind and nested block.
+    for record in records:
+        assert tuple(record) == RECORD_KEYS[record["kind"]]
+    window = next(r for r in records if r["kind"] == "window")
+    assert tuple(window["metrics"]) == METRIC_KEYS == tuple(tail["end_of_run"])
+    assert tuple(window["sums"]) == SUM_KEYS == tuple(tail["totals"])
+    assert tuple(window["stream"]) == STREAM_KEYS == tuple(tail["stream_last"])
+
+
+def test_engine_sink_receives_what_the_bus_does():
+    session, _ = _session(telemetry=Telemetry(), iterations=2)
+    engine = session.enable_pop_metrics(PopConfig(window=0.01))
+    direct = engine.add_sink(RingSink(4096))
+    via_bus = RingSink(4096)
+    session.enable_observability(ring=None).add_sink(via_bus, schemas=[METRICS_SCHEMA])
+    session.run()
+    assert len(direct) > 2
+    assert direct.records() == via_bus.records()
 
 
 # -- Chrome-trace counters ---------------------------------------------------------

@@ -3,7 +3,6 @@
 import math
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.instrument.events import CALL_NAMES, decode_events, encode_event

@@ -5,7 +5,6 @@ EOF strictly follows the last data block, per-writer FIFO order holds — for
 arbitrary writer/reader counts and block schedules.
 """
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network.machine import small_test_machine

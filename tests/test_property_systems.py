@@ -9,7 +9,7 @@ from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG
 from repro.mpi.message import Envelope, Mailbox
 from repro.simt import Kernel
 from repro.simt.primitives import SimEvent
-from repro.vmpi.mapping import FIXED, MapPolicy, RANDOM, ROUND_ROBIN
+from repro.vmpi.mapping import FIXED, RANDOM, ROUND_ROBIN
 
 
 # ---------------------------------------------------------------------------

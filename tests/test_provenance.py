@@ -8,16 +8,16 @@ import pytest
 from repro.apps.nas import SP
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError
-from repro.codec.frame import PROVENANCE_BODY_SIZE, SECTION_HEADER_SIZE
-from repro.instrument.packer import (
-    EventPackBuilder,
-    attach_provenance,
-    decode_pack,
-    pack_content_size,
+from repro.codec.frame import (
+    PROVENANCE_BODY_SIZE,
+    SEC_PROVENANCE,
+    SECTION_HEADER_SIZE,
+    PackProvenance,
+    frame_content_size,
+    parse_frame,
     peek_provenance,
-    strip_provenance,
-    verify_pack,
 )
+from repro.instrument.packer import EventPackBuilder, decode_pack, verify_pack
 from repro.instrument.overhead import InstrumentationCost
 from repro.mpi.pmpi import CallRecord
 from repro.telemetry import FlowRegistry, Telemetry, make_flow_id, split_flow_id
@@ -34,6 +34,10 @@ def _pack(rank=3, app_id=1, nevents=4) -> bytes:
             comm_rank=rank, comm_size=8, peer=(rank + 1) % 8, tag=i, nbytes=256,
         ))
     return builder.emit()
+
+
+def _prov(flow_id=7, t_seal=0.0) -> PackProvenance:
+    return PackProvenance(flow_id=flow_id, app_id=1, rank=3, t_seal=t_seal)
 
 
 def _coupled_session(seed=7, prov=True, sample_rate=1.0, telemetry=None):
@@ -54,13 +58,15 @@ def _coupled_session(seed=7, prov=True, sample_rate=1.0, telemetry=None):
 
 def test_provenance_section_roundtrip():
     blob = _pack()
-    stamped = attach_provenance(blob, 0xABC123, app_id=1, rank=3, t_seal=2.5)
+    stamped = parse_frame(blob).with_provenance(_prov(0xABC123, 2.5)).to_bytes()
     # one extra typed section: header + fixed body
     assert len(stamped) == len(blob) + SECTION_HEADER_SIZE + PROVENANCE_BODY_SIZE
     prov = peek_provenance(stamped)
     assert prov is not None
     assert (prov.flow_id, prov.app_id, prov.rank, prov.t_seal) == (0xABC123, 1, 3, 2.5)
-    assert strip_provenance(stamped) == blob
+    stripped = parse_frame(stamped)
+    stripped.drop_section(SEC_PROVENANCE)
+    assert stripped.to_bytes() == blob
 
 
 def test_peek_provenance_is_robust():
@@ -69,19 +75,20 @@ def test_peek_provenance_is_robust():
     assert peek_provenance(b"short") is None
     assert peek_provenance(None) is None
     assert peek_provenance(("not", "bytes")) is None
-    blob = _pack()
-    assert strip_provenance(blob) == blob  # no-op without a trailer
+    plain = parse_frame(_pack())
+    plain.drop_section(SEC_PROVENANCE)  # no-op without a trailer
+    assert plain.to_bytes() == _pack()
 
 
 def test_trailer_is_exempt_from_content_accounting():
     blob = _pack()
-    stamped = attach_provenance(blob, 7, app_id=1, rank=3, t_seal=0.0)
-    assert pack_content_size(stamped) == pack_content_size(blob)
+    stamped = parse_frame(blob).with_provenance(_prov()).to_bytes()
+    assert frame_content_size(stamped) == frame_content_size(blob)
 
 
 def test_verify_and_decode_ignore_the_trailer():
     blob = _pack()
-    stamped = attach_provenance(blob, 7, app_id=1, rank=3, t_seal=0.0)
+    stamped = parse_frame(blob).with_provenance(_prov()).to_bytes()
     verify_pack(stamped)  # CRC still checks out around the trailer
     header, events = decode_pack(stamped)
     ref_header, ref_events = decode_pack(blob)
@@ -303,8 +310,10 @@ def test_overflow_drops_and_retry_delay_are_attributed():
             rec = flows.begin(app_id=0, rank=mpi.rank,
                               global_rank=mpi.ctx.global_rank,
                               t=mpi.ctx.kernel.now)
-            blob = attach_provenance(builder.emit(), rec.flow_id, rec.app_id,
-                                     rec.origin_rank, rec.t_seal)
+            blob = builder.emit(provenance=PackProvenance(
+                flow_id=rec.flow_id, app_id=rec.app_id,
+                rank=rec.origin_rank, t_seal=rec.t_seal,
+            ))
             yield from st.write(payload=blob)
         yield from st.close()
         out["w"] = st.stats()

@@ -1,8 +1,6 @@
 """Session extension paths: alert/proxy modules end-to-end, posix maps,
 report round trips through the full pipeline."""
 
-import pytest
-
 from repro.analysis import AnalysisConfig
 from repro.apps import EulerMHD
 from repro.apps.nas import CG, LU

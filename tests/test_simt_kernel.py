@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.simt import Kernel, Timeout
+from repro.simt import Timeout
 
 
 def test_time_starts_at_zero(kernel):

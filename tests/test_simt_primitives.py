@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.simt import Kernel
-from repro.simt.primitives import AllOf, AnyOf, Interrupt, SimEvent
+from repro.simt.primitives import Interrupt, SimEvent
 
 
 def test_event_succeed_delivers_value(kernel):

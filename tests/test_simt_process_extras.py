@@ -2,8 +2,6 @@
 
 import pytest
 
-from repro.errors import SimulationError
-from repro.simt import Kernel
 from repro.simt.primitives import Interrupt
 
 

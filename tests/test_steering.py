@@ -570,7 +570,7 @@ class TestSessionIntegration:
 
 class TestBenchLane:
     def test_grid_runs_and_gates(self, tmp_path):
-        result = steering_adaptation(decisions_dir=str(tmp_path))
+        result = steering_adaptation(outdir=str(tmp_path))
         assert [(p.policy, p.plan) for p in result.points] == [
             ("static", "none"), ("adaptive", "none"),
             ("static", "congestion"), ("adaptive", "congestion"),

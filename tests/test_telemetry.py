@@ -291,10 +291,6 @@ class TestJSONLExport:
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert {r["kind"] for r in records} == {"counter", "span"}
 
-    def test_unknown_exporter_rejected(self, tel, tmp_path):
-        with pytest.raises(ValueError, match="unknown exporter"):
-            tel.export("flamegraph", tmp_path / "x")
-
 
 class TestSummaries:
     def test_headline_defaults(self, tel):

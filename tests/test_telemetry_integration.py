@@ -16,7 +16,7 @@ from repro.blackboard.workers import ThreadPool
 from repro.core.session import CouplingSession
 from repro.network.machine import small_test_machine
 from repro.simt import Kernel
-from repro.telemetry import KERNEL_PID, NULL_TELEMETRY, Telemetry, rank_pid
+from repro.telemetry import KERNEL_PID, NULL_TELEMETRY, Telemetry
 from repro.util.units import MIB
 
 

@@ -1,7 +1,5 @@
 """Utility layer: units, RNG derivation, stats, tables."""
 
-import math
-
 import pytest
 
 from repro.errors import ConfigError

@@ -2,11 +2,10 @@
 
 import pytest
 
-from repro.errors import SimulationError, StreamClosedError, VMPIError
+from repro.errors import StreamClosedError, VMPIError
 from repro.util.units import KIB, MIB
 from repro.vmpi import (
     BALANCE_NONE,
-    BALANCE_RANDOM,
     BALANCE_ROUND_ROBIN,
     EAGAIN,
     EOF,

@@ -3,7 +3,8 @@ zero-block writers, reader fairness, and interleaved-writer provenance."""
 
 import pytest
 
-from repro.instrument.packer import EventPackBuilder, attach_provenance
+from repro.codec.frame import PackProvenance
+from repro.instrument.packer import EventPackBuilder
 from repro.mpi.pmpi import CallRecord
 from repro.network.machine import small_test_machine
 from repro.telemetry import FlowRegistry, split_flow_id
@@ -169,13 +170,14 @@ def test_interleaved_writers_get_disjoint_flows_and_per_writer_attribution():
             name="MPI_Send", t_start=mpi.now, t_end=mpi.now + 1e-6, comm_id=0,
             comm_rank=mpi.rank, comm_size=NWRITERS, peer=0, tag=i, nbytes=64,
         ))
-        blob = builder.emit()
         rec = flows.begin(
             app_id=0, rank=mpi.rank, global_rank=mpi.ctx.global_rank,
             t=mpi.ctx.kernel.now,
         )
-        return attach_provenance(blob, rec.flow_id, rec.app_id,
-                                 rec.origin_rank, rec.t_seal)
+        return builder.emit(provenance=PackProvenance(
+            flow_id=rec.flow_id, app_id=rec.app_id,
+            rank=rec.origin_rank, t_seal=rec.t_seal,
+        ))
 
     def writer(mpi, out):
         yield from mpi.init()
@@ -196,7 +198,6 @@ def test_interleaved_writers_get_disjoint_flows_and_per_writer_attribution():
         yield from map_partitions(mpi, vmap, 0, ROUND_ROBIN)
         st = VMPIStream(block_size=16 * KIB)
         yield from st.open_map(mpi, vmap, "r")
-        flows = mpi.ctx.world.flows
         while True:
             n, payload = yield from st.read()
             if n == EOF:
