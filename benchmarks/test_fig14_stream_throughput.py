@@ -6,7 +6,7 @@ with the ratio; streams beat the job-scaled file system until ~1/25.
 
 import pytest
 
-from repro.bench import fig14_stream_throughput
+from repro.bench.figures import fig14_stream_throughput
 from repro.util.units import GB
 
 
@@ -62,11 +62,11 @@ class TestShape:
 )
 def test_paper_peak_spot_check(scale):
     """The calibrated headline number: ~98.5 GB/s at 2560/2560 writers."""
-    from repro.bench.figures import _stream_point
+    from repro.bench.harness import stream_point
     from repro.network.machine import TERA100
     from repro.util.units import MIB
 
     if scale != "paper":
         pytest.skip("run with REPRO_BENCH_SCALE=paper for the full grid")
-    point = _stream_point(TERA100, 2560, 1, 1024 * MIB, MIB, 0)
+    point = stream_point(TERA100, 2560, 1, 1024 * MIB, MIB, 0)
     assert point["throughput"] == pytest.approx(98.5 * GB, rel=0.05)

@@ -7,7 +7,7 @@ correlates with the instrumentation data bandwidth.
 
 import pytest
 
-from repro.bench import fig15_overhead
+from repro.bench.figures import fig15_overhead
 
 
 @pytest.fixture(scope="module")

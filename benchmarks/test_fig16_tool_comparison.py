@@ -8,7 +8,7 @@ file-based flows.
 
 import pytest
 
-from repro.bench import fig16_tool_comparison
+from repro.bench.figures import fig16_tool_comparison
 
 
 @pytest.fixture(scope="module")
@@ -25,7 +25,7 @@ def test_fig16_regenerate(benchmark, scale, show):
 
 class TestShape:
     def _counts(self, result):
-        return sorted({r.nprocs for r in result.runs})
+        return sorted({r.nprocs for r in result.points})
 
     def test_online_cheaper_than_trace_at_largest_scale(self, result):
         biggest = self._counts(result)[-1]
@@ -37,11 +37,11 @@ class TestShape:
         """The paradox the paper resolves: more data, less overhead."""
         for nprocs in self._counts(result):
             online = next(
-                r for r in result.runs if r.tool == "online" and r.nprocs == nprocs
+                r for r in result.points if r.tool == "online" and r.nprocs == nprocs
             )
             trace = next(
                 r
-                for r in result.runs
+                for r in result.points
                 if r.tool == "scorep_trace" and r.nprocs == nprocs
             )
             ratio = online.full_run_volume_bytes / trace.full_run_volume_bytes
@@ -54,14 +54,14 @@ class TestShape:
         assert large > small
 
     def test_every_tool_overhead_is_small_fraction(self, result):
-        for r in result.runs:
+        for r in result.points:
             if r.overhead_pct is not None:
                 assert r.overhead_pct < 60.0
 
     def test_reference_walltime_grows_mildly_with_scale(self, result):
         """Strong scaling: per-rank time shrinks, wall-time non-increasing."""
         refs = sorted(
-            (r for r in result.runs if r.tool == "reference"),
+            (r for r in result.points if r.tool == "reference"),
             key=lambda r: r.nprocs,
         )
         for a, b in zip(refs, refs[1:]):

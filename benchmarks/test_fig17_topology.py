@@ -10,7 +10,7 @@ import math
 
 import pytest
 
-from repro.bench import fig17_topology
+from repro.bench.figures import fig17_topology
 
 
 @pytest.fixture(scope="module")

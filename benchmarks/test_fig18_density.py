@@ -9,7 +9,7 @@ times carry structure; wait and collective maps follow the same symmetry.
 import numpy as np
 import pytest
 
-from repro.bench import fig18_density
+from repro.bench.figures import fig18_density
 
 
 @pytest.fixture(scope="module")

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import bi_bandwidth_table, fs_comparison_table, trace_size_table
+from repro.bench.tables import bi_bandwidth_table, fs_comparison_table, trace_size_table
 
 
 class TestBiBandwidth:
@@ -42,19 +42,19 @@ class TestTraceSizes:
         show(data.table())
 
     def test_online_to_scorep_ratio_matches_paper(self, result):
-        counts = sorted({row["nprocs"] for row in result.rows})
+        counts = sorted({row["nprocs"] for row in result.points})
         for nprocs in counts:
             assert 2.0 < result.ratio(nprocs) < 4.0  # paper ~2.9x
 
     def test_volumes_grow_with_scale(self, result):
-        counts = sorted({row["nprocs"] for row in result.rows})
+        counts = sorted({row["nprocs"] for row in result.points})
         for tool in ("online", "scorep_trace"):
             volumes = [result.volume(tool, n) for n in counts]
             assert all(b > a for a, b in zip(volumes, volumes[1:]))
 
     def test_growth_superlinear_in_ranks(self, result):
         """Events per rank grow with sqrt(P) for SP, so volume beats linear."""
-        counts = sorted({row["nprocs"] for row in result.rows})
+        counts = sorted({row["nprocs"] for row in result.points})
         lo, hi = counts[0], counts[-1]
         ratio = result.volume("online", hi) / result.volume("online", lo)
         assert ratio > hi / lo
@@ -75,9 +75,9 @@ class TestFSComparison:
 
     def test_streams_win_at_paper_recommended_ratio(self, result):
         """1/10 is named a good bandwidth-resource trade-off."""
-        for row in result.rows:
+        for row in result.points:
             if row["ratio"] <= 10:
-                assert row["throughput"] > result.fs_scaled
+                assert row["throughput"] > row["fs_scaled"]
 
     def test_crossover_exists_and_is_beyond_ten(self, result):
         crossover = result.crossover_ratio()

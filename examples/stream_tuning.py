@@ -13,7 +13,7 @@ Run:  python examples/stream_tuning.py [writers]
 
 import sys
 
-from repro.bench.figures import _stream_point
+from repro.bench.harness import stream_point
 from repro.network.machine import TERA100
 from repro.util.tables import Table
 from repro.util.units import GB, MIB
@@ -27,7 +27,7 @@ def main() -> None:
         title=f"VMPI stream throughput at {writers} writers (Tera 100 model)",
     )
     for ratio in (1, 2, 4, 8, 10, 16, 25, 32, 64):
-        point = _stream_point(
+        point = stream_point(
             TERA100, writers, ratio, bytes_per_writer=32 * MIB, block_size=MIB, seed=0
         )
         verdict = "streams win" if point["throughput"] > fs_scaled else "file system wins"

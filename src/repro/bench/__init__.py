@@ -1,87 +1,26 @@
-"""Benchmark drivers regenerating every figure and table of the paper.
+"""Bench lanes regenerating every figure and table of the paper.
 
-Each driver returns a result object carrying the raw series and a rendered
-:class:`~repro.util.tables.Table` printing the same rows the paper plots.
-Drivers accept a ``scale``:
+Importing the package fills :data:`LANES`, the one registry of lanes: each
+lane module registers its driver with ``@lane(...)`` next to the row schema
+it declares (see :mod:`repro.bench.lane` for the shape).  A driver returns
+a :class:`~repro.bench.lane.LaneResult` — titled points rendered through
+the lane's columns, printing the same rows the paper plots — and accepts a
+``scale``:
 
 * ``"small"`` — reduced process counts / volumes, minutes of CPU; the
   default for the pytest-benchmark suite;
 * ``"paper"`` — the paper's own parameter grid (2560-writer streams,
   4096-rank SP.D, 8281-rank BT.D); expect long runtimes.
+
+Drivers and result classes are imported from the module that defines them
+(``repro.bench.figures``, ``repro.bench.tables``, ``repro.bench.codec``, ...).
 """
 
-from repro.bench.compare import (
-    BenchComparison,
-    MetricDelta,
-    compare_bench,
-    compare_files,
-    load_bench_json,
-    metric_direction,
-)
-from repro.bench.chaos import ChaosPoint, ChaosResult, chaos_resilience, load_plan
-from repro.bench.codec import CodecPoint, CodecResult, codec_reduction
-from repro.bench.flow import FlowPoint, FlowResult, flow_attribution
-from repro.bench.metrics import MetricsPoint, MetricsResult, metrics_timeline
-from repro.bench.obs import ObsResult, obs_roundtrip
-from repro.bench.selfperf import SelfPerfPoint, SelfPerfResult, selfperf_sweep
-from repro.bench.steering import (
-    SteeringBenchPoint,
-    SteeringBenchResult,
-    bench_policy,
-    steering_adaptation,
-)
-from repro.bench.harness import OverheadPoint, measure_overhead, sweep
-from repro.bench.figures import (
-    fig14_stream_throughput,
-    fig15_overhead,
-    fig16_tool_comparison,
-    fig17_topology,
-    fig18_density,
-)
-from repro.bench.tables import (
-    bi_bandwidth_table,
-    trace_size_table,
-    fs_comparison_table,
-)
+# importing a lane module registers its lanes
+from repro.bench import chaos, codec, figures, flow, metrics, obs  # noqa: F401
+from repro.bench import selfperf, steering, tables  # noqa: F401
+from repro.bench.chaos import load_plan
+from repro.bench.harness import measure_overhead
+from repro.bench.lane import LANES
 
-__all__ = [
-    "BenchComparison",
-    "MetricDelta",
-    "compare_bench",
-    "compare_files",
-    "load_bench_json",
-    "metric_direction",
-    "OverheadPoint",
-    "measure_overhead",
-    "sweep",
-    "ChaosPoint",
-    "ChaosResult",
-    "chaos_resilience",
-    "load_plan",
-    "CodecPoint",
-    "CodecResult",
-    "codec_reduction",
-    "FlowPoint",
-    "FlowResult",
-    "flow_attribution",
-    "MetricsPoint",
-    "MetricsResult",
-    "metrics_timeline",
-    "ObsResult",
-    "obs_roundtrip",
-    "SelfPerfPoint",
-    "SelfPerfResult",
-    "selfperf_sweep",
-    "SteeringBenchPoint",
-    "SteeringBenchResult",
-    "bench_policy",
-    "steering_adaptation",
-    "fig14_stream_throughput",
-    "fig15_overhead",
-    "fig16_tool_comparison",
-    "fig17_topology",
-    "fig18_density",
-    "bi_bandwidth_table",
-    "trace_size_table",
-    "fs_comparison_table",
-]
+__all__ = ["LANES", "load_plan", "measure_overhead"]

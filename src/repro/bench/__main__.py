@@ -2,29 +2,23 @@
 
 Usage::
 
-    python -m repro.bench fig14 [--scale small|paper] [--seed N]
-    python -m repro.bench fig15
-    python -m repro.bench fig16
-    python -m repro.bench fig17
-    python -m repro.bench fig18
-    python -m repro.bench bi
-    python -m repro.bench trace-sizes
-    python -m repro.bench fs-comparison
+    python -m repro.bench LANE [--scale small|paper] [--seed N] [--json ...]
     python -m repro.bench chaos [--chaos PLAN]
-    python -m repro.bench codec
-    python -m repro.bench flow
-    python -m repro.bench metrics
-    python -m repro.bench obs
-    python -m repro.bench selfperf
-    python -m repro.bench steering
     python -m repro.bench all
     python -m repro.bench compare BASELINE.json CANDIDATE.json [--tolerance T]
 
-Every experiment sub-command shares one argparse parent, so the common
-flags (``--scale/--seed/--csv/--json/--telemetry/--profile/--outdir/
---baseline/--tolerance/--metric-tolerance``) are defined exactly once;
-experiment-specific flags (``chaos --chaos PLAN``) live on their own
-sub-command.
+``LANE`` is a figure (``fig14`` .. ``fig18``), an in-text table (``bi``,
+``trace-sizes``, ``fs-comparison``) or an observation-plane lane (``chaos``,
+``codec``, ``flow``, ``metrics``, ``obs``, ``selfperf``, ``steering``);
+``--help`` lists what is registered.
+
+The experiments are the lanes registered in :data:`repro.bench.LANES`;
+this module iterates the registry and knows none of them by name.  Every
+experiment sub-command shares one argparse parent, so the common flags
+(``--scale/--seed/--csv/--json/--telemetry/--profile/--outdir/
+--baseline/--tolerance/--metric-tolerance``) are defined exactly once; a
+lane's own flags (``chaos --chaos PLAN``) are declared with the lane and
+live on its sub-command.
 
 With ``--json`` each experiment additionally writes ``BENCH_<name>.json``
 (table rows + metadata + a host-environment header); adding
@@ -41,63 +35,62 @@ table and dumps ``BENCH_<name>.pstats`` for ``snakeviz``/``pstats``.
 ``compare`` diffs two such artefacts with direction-aware per-metric
 tolerances, warns on host-environment mismatch, and exits non-zero on
 regression — the CI gate.  Experiment runs can self-gate in one step with
-``--baseline BENCH_ref.json`` (plus ``--metric-tolerance`` overrides for
-host-speed-dependent throughput columns).
+``--baseline BENCH_ref.json``: the lane's declared per-column tolerances
+apply (host-speed-dependent throughput columns), ``--metric-tolerance``
+overrides them.
+
+Exit codes: 0 — ran (and matched the baseline, if given); 1 — a lane's
+own gate was violated (``FAIL <lane>: ...`` on stderr) or the baseline
+comparison regressed; 2 — bad input (``error: ...`` on stderr).  Flag
+values, the baseline file and a lane's own flags are checked before the
+first experiment runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import cProfile
-import inspect
 import io
 import json
 import pstats
 import sys
 from pathlib import Path
 
-from repro.bench import (
-    bi_bandwidth_table,
-    chaos_resilience,
-    codec_reduction,
-    fig14_stream_throughput,
-    flow_attribution,
-    fig15_overhead,
-    fig16_tool_comparison,
-    fig17_topology,
-    fig18_density,
-    fs_comparison_table,
-    metrics_timeline,
-    obs_roundtrip,
-    selfperf_sweep,
-    steering_adaptation,
-    trace_size_table,
-)
-from repro.bench.compare import compare_bench, compare_files, load_bench_json
-from repro.errors import ConfigError
+from repro.bench import LANES
+from repro.bench.compare import check_tolerances, compare_bench, compare_files, load_bench_json
+from repro.errors import BenchGateError, ConfigError
 from repro.telemetry import Telemetry
 from repro.telemetry.hostprof import host_environment, host_now
 
-_DRIVERS = {
-    "fig14": fig14_stream_throughput,
-    "fig15": fig15_overhead,
-    "fig16": fig16_tool_comparison,
-    "fig17": fig17_topology,
-    "fig18": fig18_density,
-    "bi": bi_bandwidth_table,
-    "trace-sizes": trace_size_table,
-    "fs-comparison": fs_comparison_table,
-    "chaos": chaos_resilience,
-    "codec": codec_reduction,
-    "flow": flow_attribution,
-    "metrics": metrics_timeline,
-    "obs": obs_roundtrip,
-    "selfperf": selfperf_sweep,
-    "steering": steering_adaptation,
-}
-
 #: functions shown in the --profile hotspot table
 PROFILE_TOP_N = 15
+
+
+def _metric_tolerance(pair: str) -> tuple[str, float]:
+    column, sep, value = pair.partition("=")
+    if not sep or not column:
+        raise ConfigError(f"--metric-tolerance wants COLUMN=FLOAT, got {pair!r}")
+    try:
+        return column, float(value)
+    except ValueError:
+        raise ConfigError(f"--metric-tolerance {column!r}: {value!r} is not a float") from None
+
+
+def _add_tolerance_flags(parser: argparse.ArgumentParser, what: str) -> None:
+    parser.add_argument(
+        "--tolerance",
+        type=float,
+        default=0.05,
+        help=f"allowed relative drift {what} (default 0.05)",
+    )
+    parser.add_argument(
+        "--metric-tolerance",
+        action="append",
+        type=_metric_tolerance,
+        default=[],
+        metavar="COLUMN=FLOAT",
+        help="per-column tolerance override; repeatable",
+    )
 
 
 def _common_parser() -> argparse.ArgumentParser:
@@ -116,7 +109,8 @@ def _common_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--json",
         action="store_true",
-        help="also write BENCH_<name>.json with rows and metadata",
+        help="also write BENCH_<name>.json with rows and metadata, and the "
+        "lane's artefacts beside it",
     )
     common.add_argument(
         "--telemetry",
@@ -137,23 +131,12 @@ def _common_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--baseline",
+        type=load_bench_json,
         metavar="BENCH_ref.json",
         help="after running, diff the fresh payload against this artefact "
         "and exit non-zero on regression (single experiment only)",
     )
-    common.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.05,
-        help="allowed relative drift for --baseline (default 0.05)",
-    )
-    common.add_argument(
-        "--metric-tolerance",
-        action="append",
-        default=[],
-        metavar="COLUMN=FLOAT",
-        help="per-column tolerance override for --baseline; repeatable",
-    )
+    _add_tolerance_flags(common, "for --baseline")
     return common
 
 
@@ -164,39 +147,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
     common = _common_parser()
-    for name in sorted(_DRIVERS) + ["all"]:
+    for name, lane in sorted(LANES.items()):
         experiment = sub.add_parser(
-            name,
-            parents=[common],
-            help=f"run the {name} sweep" if name != "all" else "run every experiment",
+            name, parents=[common], help=f"run the {name} sweep"
         )
-        if name == "chaos":
-            experiment.add_argument(
-                "--chaos",
-                metavar="PLAN",
-                help="fault plan: a canned name (crash1, degrade, corrupt, "
-                "drop, stall, mixed) or a JSON plan file; default: sweep "
-                "every canned plan",
-            )
+        for dest, (flag, options) in lane.flags.items():
+            experiment.add_argument(flag, dest=dest, **options)
+    sub.add_parser("all", parents=[common], help="run every experiment")
     compare = sub.add_parser(
         "compare",
         help="diff two BENCH_*.json artefacts; exit 1 on regression",
     )
     compare.add_argument("baseline", help="reference BENCH_*.json")
     compare.add_argument("candidate", help="freshly produced BENCH_*.json")
-    compare.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.05,
-        help="allowed relative drift in the bad direction (default 0.05)",
-    )
-    compare.add_argument(
-        "--metric-tolerance",
-        action="append",
-        default=[],
-        metavar="COLUMN=FLOAT",
-        help="per-column tolerance override; repeatable",
-    )
+    _add_tolerance_flags(compare, "in the bad direction")
     compare.add_argument(
         "--json",
         action="store_true",
@@ -206,29 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_metric_tolerances(pairs: list[str]) -> dict[str, float]:
-    out: dict[str, float] = {}
-    for pair in pairs:
-        column, sep, value = pair.partition("=")
-        if not sep or not column:
-            raise ConfigError(
-                f"--metric-tolerance wants COLUMN=FLOAT, got {pair!r}"
-            )
-        try:
-            out[column] = float(value)
-        except ValueError:
-            raise ConfigError(
-                f"--metric-tolerance {column!r}: {value!r} is not a float"
-            ) from None
-    return out
-
-
-def _compare_main(args: argparse.Namespace) -> int:
+def _compare_main(args: argparse.Namespace, per_metric: dict[str, float]) -> int:
     comparison = compare_files(
-        args.baseline,
-        args.candidate,
-        tolerance=args.tolerance,
-        per_metric=_parse_metric_tolerances(args.metric_tolerance),
+        args.baseline, args.candidate, tolerance=args.tolerance, per_metric=per_metric
     )
     if args.json:
         print(json.dumps(comparison.to_dict(), indent=2, sort_keys=True))
@@ -238,11 +182,20 @@ def _compare_main(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    try:
+        return _main(list(sys.argv[1:] if argv is None else argv))
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+
+def _main(argv: list[str]) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    per_metric = dict(args.metric_tolerance)
+    check_tolerances(args.tolerance, per_metric)
     if args.experiment == "compare":
-        return _compare_main(args)
+        return _compare_main(args, per_metric)
     if args.telemetry:
         args.json = True
     if args.baseline and args.experiment == "all":
@@ -252,25 +205,27 @@ def main(argv: list[str] | None = None) -> int:
     if args.json or args.profile:
         outdir.mkdir(parents=True, exist_ok=True)
 
-    names = sorted(_DRIVERS) if args.experiment == "all" else [args.experiment]
+    names = sorted(LANES) if args.experiment == "all" else [args.experiment]
     for name in names:
-        driver = _DRIVERS[name]
-        telemetry = Telemetry() if args.telemetry else None
-        kwargs = {}
-        if name == "chaos" and getattr(args, "chaos", None):
-            kwargs["plan"] = args.chaos
-        # Lanes that keep artefacts beside their JSON declare ``outdir``.
-        if args.json and "outdir" in inspect.signature(driver).parameters:
-            kwargs["outdir"] = str(outdir)
+        lane = LANES[name]
+        kwargs = {
+            dest: getattr(args, dest)
+            for dest in lane.flags
+            if getattr(args, dest, None) is not None
+        }
+        telemetry = Telemetry() if args.telemetry and lane.telemetry else None
+        if telemetry is not None:
+            kwargs["telemetry"] = telemetry
         stem = name.replace("-", "_")
         profiler = cProfile.Profile() if args.profile else None
         t0 = host_now()
         if profiler is not None:
             profiler.enable()
         try:
-            result = driver(
-                scale=args.scale, seed=args.seed, telemetry=telemetry, **kwargs
-            )
+            result = lane.run(scale=args.scale, seed=args.seed, **kwargs)
+        except BenchGateError as exc:
+            print(f"FAIL {name}: {exc}", file=sys.stderr)
+            return 1
         finally:
             if profiler is not None:
                 profiler.disable()
@@ -296,23 +251,20 @@ def main(argv: list[str] | None = None) -> int:
                 trace_path = outdir / f"BENCH_{stem}.trace.json"
                 telemetry.write_chrome_trace(trace_path)
                 print(f"[{name}: Chrome trace -> {trace_path}]")
-            if name == "selfperf":
-                payload["hostprof"] = result.profile
-                payload["overhead_ratio"] = result.overhead_ratio
-            if name == "obs":
-                payload["bus"] = result.bus
-                payload["overhead_ratio"] = result.overhead_ratio
+            payload.update(result.extras)
             if hotspots is not None:
                 payload["profile"] = hotspots
             json_path = outdir / f"BENCH_{stem}.json"
             json_path.write_text(json.dumps(payload, indent=2, default=str))
             print(f"[{name}: JSON -> {json_path}]")
+            for filename, write in result.artifacts.items():
+                write(outdir / filename)
         if args.baseline:
             comparison = compare_bench(
-                load_bench_json(args.baseline),
+                args.baseline,
                 payload,
                 tolerance=args.tolerance,
-                per_metric=_parse_metric_tolerances(args.metric_tolerance),
+                per_metric={**lane.tolerances, **per_metric},
             )
             print(comparison.render())
             if not comparison.ok:

@@ -12,23 +12,21 @@ the middle of the streaming phase, not during startup or teardown).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.apps.nas import SP
-from repro.core.session import CouplingSession
+from repro.bench.harness import coupled_session, pick, reference_kernel
+from repro.bench.lane import Column, LaneResult, lane
 from repro.errors import ConfigError
 from repro.faults import CANNED_PLANS, FaultPlan, make_plan
-from repro.instrument.overhead import InstrumentationCost
 from repro.network.machine import MachineSpec, TERA100
 from repro.telemetry import Telemetry
-from repro.util.tables import Table
 
 #: where in the healthy run's app wall-time the canned plans anchor
 _ANCHOR_FRACTION = 0.35
 
 
-@dataclass
+@dataclass(slots=True)
 class ChaosPoint:
     """One fault-plan run of the reference coupled workload."""
 
@@ -46,34 +44,20 @@ class ChaosPoint:
     alerts: int
 
 
-@dataclass
-class ChaosResult:
-    """Fault-plan sweep over the reference coupled workload."""
-
-    machine: str
-    scale: str
-    seed: int
-    points: list[ChaosPoint] = field(default_factory=list)
-
-    def table(self) -> Table:
-        t = Table(
-            [
-                "plan", "writers", "readers", "completed", "degraded",
-                "faults_injected", "dead_ranks", "packs_dropped",
-                "packs_rejected", "data_loss_pct", "app_walltime_s", "alerts",
-            ],
-            title=f"Chaos resilience ({self.machine}, scale={self.scale})",
-        )
-        for p in self.points:
-            t.add_row(
-                p.plan, p.writers, p.readers,
-                "yes" if p.completed else "no",
-                "yes" if p.degraded else "no",
-                p.faults_injected, p.dead_ranks, p.packs_dropped,
-                p.packs_rejected, f"{p.data_loss_fraction * 100:.2f}",
-                f"{p.app_walltime:.4f}", p.alerts,
-            )
-        return t
+COLUMNS = (
+    Column("plan"),
+    Column("writers"),
+    Column("readers"),
+    Column("completed", lambda p: "yes" if p.completed else "no"),
+    Column("degraded", lambda p: "yes" if p.degraded else "no"),
+    Column("faults_injected"),
+    Column("dead_ranks"),
+    Column("packs_dropped"),
+    Column("packs_rejected"),
+    Column("data_loss_pct", "data_loss_fraction", ".2f", 100),
+    Column("app_walltime_s", "app_walltime", ".4f"),
+    Column("alerts"),
+)
 
 
 def load_plan(spec: str, *, at: float, seed: int = 0) -> FaultPlan:
@@ -97,27 +81,10 @@ def load_plan(spec: str, *, at: float, seed: int = 0) -> FaultPlan:
     )
 
 
-def _workload(scale: str):
-    """(kernel, analyzer ranks): a crash needs >= 2 readers to survive."""
-    if scale == "paper":
-        return SP(256, "C", iterations=3), 16
-    if scale == "small":
-        return SP(16, "C", iterations=3), 4
-    raise ConfigError(f"unknown scale {scale!r}")
-
-
-def _session(kernel, readers, machine, seed, telemetry):
-    # Small packs so every writer flushes a stream of them: the tamper
-    # faults ("every Nth pack") and the loss accounting need traffic.
-    cost = InstrumentationCost(block_size=4096, na_buffers=2)
-    session = CouplingSession(
-        machine=machine, seed=seed, instrumentation=cost, telemetry=telemetry
-    )
-    name = session.add_application(kernel)
-    session.set_analyzer(nprocs=readers)
-    if telemetry is not None:
-        session.enable_monitor()
-    return session, name
+def _plan_spec(spec: str) -> str:
+    """``--chaos`` argument check: resolvable before anything has run."""
+    load_plan(spec, at=1.0)  # any valid anchor: the healthy run supplies the real one
+    return spec
 
 
 def _point(result, name: str, plan_label: str, readers: int) -> ChaosPoint:
@@ -141,27 +108,49 @@ def _point(result, name: str, plan_label: str, readers: int) -> ChaosPoint:
     )
 
 
+@lane(
+    "chaos",
+    columns=COLUMNS,
+    flags={
+        "plan": ("--chaos", {
+            "metavar": "PLAN",
+            "type": _plan_spec,
+            "help": "fault plan: a canned name (crash1, degrade, corrupt, "
+            "drop, stall, mixed) or a JSON plan file; default: sweep "
+            "every canned plan",
+        }),
+    },
+)
 def chaos_resilience(
     scale: str = "small",
     machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
     plan: str | FaultPlan | None = None,
-) -> ChaosResult:
+) -> LaneResult:
     """Run the coupled workload healthy, then under fault plans.
 
     ``plan`` narrows the sweep to one plan (a canned name, a JSON plan
     file, or a :class:`FaultPlan`); by default every canned plan runs.
     """
-    kernel, readers = _workload(scale)
-    result = ChaosResult(machine=machine.name, scale=scale, seed=seed)
+    kernel = reference_kernel(scale, paper_ranks=256)
+    # a crash needs >= 2 analyzer ranks to survive
+    readers = pick(scale, small=4, paper=16)
+    result = LaneResult(f"Chaos resilience ({machine.name}, scale={scale})", COLUMNS)
+
+    def run(label: str, fault_plan: FaultPlan | None):
+        session, name, _ = coupled_session(kernel, machine, seed, telemetry, readers=readers)
+        if telemetry is not None:
+            session.enable_monitor()
+        if fault_plan is not None:
+            session.inject_faults(fault_plan)
+        outcome = session.run()
+        result.points.append(_point(outcome, name, label, readers))
+        return outcome.app(name).walltime
 
     # Healthy baseline: supplies the row of reference numbers and the
     # wall-time that anchors the canned plans mid-streaming-phase.
-    session, name = _session(kernel, readers, machine, seed, telemetry)
-    healthy = session.run()
-    result.points.append(_point(healthy, name, "none", readers))
-    anchor = healthy.app(name).walltime * _ANCHOR_FRACTION
+    anchor = run("none", None) * _ANCHOR_FRACTION
 
     if plan is None:
         plans = [(p, make_plan(p, at=anchor, seed=seed)) for p in CANNED_PLANS]
@@ -172,8 +161,5 @@ def chaos_resilience(
         plans = [(resolved.name, resolved)]
 
     for label, fault_plan in plans:
-        session, name = _session(kernel, readers, machine, seed, telemetry)
-        session.inject_faults(fault_plan)
-        chaotic = session.run()
-        result.points.append(_point(chaotic, name, label, readers))
+        run(label, fault_plan)
     return result

@@ -19,21 +19,19 @@ Internal consistency is asserted on every row before it is emitted:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.apps.nas import SP
-from repro.core.session import CouplingSession
-from repro.errors import ConfigError
-from repro.instrument.overhead import InstrumentationCost
+from repro.bench.harness import coupled_session, reference_kernel
+from repro.bench.lane import Column, LaneResult, lane
+from repro.errors import BenchGateError
 from repro.network.machine import MachineSpec, TERA100
 from repro.telemetry import Telemetry
-from repro.util.tables import Table
 
 #: chain sweep: identity baseline, then increasingly composed reductions
 CHAINS = ("", "delta", "delta+dict", "delta+dict+zlib")
 
 
-@dataclass
+@dataclass(slots=True)
 class CodecPoint:
     """One reduction chain on one coupled-workload configuration."""
 
@@ -51,75 +49,47 @@ class CodecPoint:
     slowdown: float
 
 
-@dataclass
-class CodecResult:
-    """Reduction-chain sweep of the wire-volume/CPU trade-off."""
-
-    machine: str
-    scale: str
-    seed: int
-    points: list[CodecPoint] = field(default_factory=list)
-
-    def table(self) -> Table:
-        t = Table(
-            [
-                "chain", "events", "packs", "content_kb", "wire_kb",
-                "ratio", "encode_us", "decode_us", "walltime_s", "slowdown",
-            ],
-            title=f"Event reduction sweep ({self.machine}, scale={self.scale})",
-        )
-        for p in self.points:
-            t.add_row(
-                p.chain or "identity", p.events, p.packs,
-                f"{p.bytes_content / 1024:.2f}", f"{p.bytes_wire / 1024:.2f}",
-                f"{p.ratio:.4f}", f"{p.encode_cpu_s * 1e6:.2f}",
-                f"{p.decode_cpu_s * 1e6:.2f}", f"{p.app_walltime_s:.6f}",
-                f"{p.slowdown:.6f}",
-            )
-        return t
+COLUMNS = (
+    Column("chain", lambda p: p.chain or "identity"),
+    Column("events"),
+    Column("packs"),
+    Column("content_kb", "bytes_content", ".2f", 1 / 1024),
+    Column("wire_kb", "bytes_wire", ".2f", 1 / 1024),
+    Column("ratio", fmt=".4f"),
+    Column("encode_us", "encode_cpu_s", ".2f", 1e6),
+    Column("decode_us", "decode_cpu_s", ".2f", 1e6),
+    Column("walltime_s", "app_walltime_s", ".6f"),
+    Column("slowdown", fmt=".6f"),
+)
 
 
-def _workload(scale: str):
-    if scale == "paper":
-        return SP(64, "C", iterations=3)
-    if scale == "small":
-        return SP(16, "C", iterations=3)
-    raise ConfigError(f"unknown scale {scale!r}")
-
-
+@lane("codec", columns=COLUMNS)
 def codec_reduction(
     scale: str = "small",
     machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
     chains: tuple[str, ...] = CHAINS,
-) -> CodecResult:
+) -> LaneResult:
     """Sweep reduction chains over the coupled workload.
 
     The identity chain runs first and anchors the slowdown column; each
     subsequent chain is gated on the consistency invariants listed in the
     module docstring before its row is recorded.
     """
-    kernel = _workload(scale)
-    result = CodecResult(machine=machine.name, scale=scale, seed=seed)
-    # Small packs so every writer emits a stream of them: per-pack ratio
-    # statistics need many frames, not one tail flush per rank.
-    cost = InstrumentationCost(block_size=4096, na_buffers=2)
+    kernel = reference_kernel(scale)
+    result = LaneResult(f"Event reduction sweep ({machine.name}, scale={scale})", COLUMNS)
     base_walltime = None
     base_events = None
     for chain in chains:
-        session = CouplingSession(
-            machine=machine, seed=seed, instrumentation=cost, telemetry=telemetry
-        )
-        name = session.add_application(kernel)
-        session.set_analyzer(ratio=4.0)
+        session, name, _ = coupled_session(kernel, machine, seed, telemetry, ratio=4.0)
         if chain:
             session.set_reduction(chain)
         run = session.run()
         app = run.app(name)
         stats = run.analyzer_stats
         if stats["packs_rejected"] != 0:
-            raise ConfigError(
+            raise BenchGateError(
                 f"chain {chain!r}: {stats['packs_rejected']} packs rejected "
                 f"({stats['rejects_by_cause']})"
             )
@@ -129,12 +99,12 @@ def codec_reduction(
             ratio = red["ratio"]
             encode_cpu, decode_cpu = red["encode_cpu_s"], red["decode_cpu_s"]
             if bytes_wire != stats["bytes_wire"]:
-                raise ConfigError(
+                raise BenchGateError(
                     f"chain {chain!r}: writer wire bytes {bytes_wire} != "
                     f"analyzer wire bytes {stats['bytes_wire']}"
                 )
             if ratio >= 1.0:
-                raise ConfigError(
+                raise BenchGateError(
                     f"chain {chain!r} expands the stream: ratio {ratio:.4f}"
                 )
         else:
@@ -147,7 +117,7 @@ def codec_reduction(
         if base_events is None:
             base_events = app.events
         elif app.events != base_events:
-            raise ConfigError(
+            raise BenchGateError(
                 f"chain {chain!r} lost events: {app.events} != {base_events}"
             )
         if base_walltime is None:

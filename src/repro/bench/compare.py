@@ -251,6 +251,15 @@ def _schema_warnings(baseline: dict[str, Any]) -> list[str]:
     ]
 
 
+def check_tolerances(tolerance: float, per_metric: dict[str, float]) -> None:
+    """Reject negative tolerances (callers with a long run ahead check first)."""
+    if tolerance < 0:
+        raise ConfigError(f"tolerance must be >= 0, got {tolerance}")
+    for col, tol in per_metric.items():
+        if tol < 0:
+            raise ConfigError(f"per-metric tolerance for {col!r} must be >= 0")
+
+
 def compare_bench(
     baseline: dict[str, Any],
     candidate: dict[str, Any],
@@ -266,12 +275,8 @@ def compare_bench(
     shape mismatch — different experiment, missing columns, differing row
     counts — is a structural failure regardless of tolerances.
     """
-    if tolerance < 0:
-        raise ConfigError(f"tolerance must be >= 0, got {tolerance}")
     per_metric = dict(per_metric or {})
-    for col, tol in per_metric.items():
-        if tol < 0:
-            raise ConfigError(f"per-metric tolerance for {col!r} must be >= 0")
+    check_tolerances(tolerance, per_metric)
 
     cmp = BenchComparison(experiment=str(candidate.get("experiment", "?")))
     if baseline.get("experiment") != candidate.get("experiment"):

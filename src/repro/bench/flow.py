@@ -15,19 +15,17 @@ every row group it emits (``consistency`` column, fractional error).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from repro.apps.nas import SP
-from repro.core.session import CouplingSession
-from repro.errors import ConfigError
-from repro.instrument.overhead import InstrumentationCost
+from repro.bench.harness import coupled_session, pick, reference_kernel
+from repro.bench.lane import Column, LaneResult, lane
+from repro.errors import BenchGateError
 from repro.network.machine import MachineSpec, TERA100
 from repro.telemetry import Telemetry
 from repro.telemetry.provenance import STAGES
-from repro.util.tables import Table
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowPoint:
     """One pipeline stage of one coupled-workload configuration."""
 
@@ -45,72 +43,44 @@ class FlowPoint:
     consistency: float
 
 
-@dataclass
-class FlowResult:
-    """Writer/reader-ratio sweep of per-stage latency attribution."""
-
-    machine: str
-    scale: str
-    seed: int
-    sample_rate: float
-    points: list[FlowPoint] = field(default_factory=list)
-
-    def table(self) -> Table:
-        t = Table(
-            [
-                "ratio", "writers", "readers", "stage", "flows",
-                "p50_us", "p95_us", "mean_us", "total_ms", "consistency",
-            ],
-            title=f"Pipeline latency attribution ({self.machine}, scale={self.scale})",
-        )
-        for p in self.points:
-            t.add_row(
-                f"{p.ratio:g}", p.writers, p.readers, p.stage, p.flows,
-                f"{p.p50_s * 1e6:.3f}", f"{p.p95_s * 1e6:.3f}",
-                f"{p.mean_s * 1e6:.3f}", f"{p.total_s * 1e3:.4f}",
-                f"{p.consistency:.2e}",
-            )
-        return t
+COLUMNS = (
+    Column("ratio", fmt="g"),
+    Column("writers"),
+    Column("readers"),
+    Column("stage"),
+    Column("flows"),
+    Column("p50_us", "p50_s", ".3f", 1e6),
+    Column("p95_us", "p95_s", ".3f", 1e6),
+    Column("mean_us", "mean_s", ".3f", 1e6),
+    Column("total_ms", "total_s", ".4f", 1e3),
+    Column("consistency", fmt=".2e"),
+)
 
 
-def _workload(scale: str):
-    """(kernel, ratio grid) mirroring the fig14 writer/reader sweep."""
-    if scale == "paper":
-        return SP(256, "C", iterations=3), (4.0, 16.0, 64.0)
-    if scale == "small":
-        return SP(16, "C", iterations=3), (2.0, 4.0, 8.0)
-    raise ConfigError(f"unknown scale {scale!r}")
-
-
+@lane("flow", columns=COLUMNS)
 def flow_attribution(
     scale: str = "small",
     machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
     sample_rate: float = 1.0,
-) -> FlowResult:
+) -> LaneResult:
     """Sweep the writer/reader ratio and attribute per-stage latency.
 
     Each configuration runs with full (or ``sample_rate``-bounded) flow
     tracing; undersized analyzers surface as growing ``stall`` and
     ``dwell`` shares — backpressure made visible stage by stage.
     """
-    kernel, ratios = _workload(scale)
-    result = FlowResult(
-        machine=machine.name, scale=scale, seed=seed, sample_rate=sample_rate
+    kernel = reference_kernel(scale, paper_ranks=256)
+    # mirrors the fig14 writer/reader sweep
+    ratios = pick(scale, small=(2.0, 4.0, 8.0), paper=(4.0, 16.0, 64.0))
+    result = LaneResult(
+        f"Pipeline latency attribution ({machine.name}, scale={scale})", COLUMNS
     )
-    # Small packs so every writer flushes a stream of them: latency
-    # attribution needs per-pack samples, not one tail flush per rank.
-    cost = InstrumentationCost(block_size=4096, na_buffers=2)
     for ratio in ratios:
-        session = CouplingSession(
-            machine=machine, seed=seed, instrumentation=cost, telemetry=telemetry
-        )
-        session.add_application(kernel)
-        readers = session.set_analyzer(ratio=ratio)
+        session, _, readers = coupled_session(kernel, machine, seed, telemetry, ratio=ratio)
         session.enable_provenance(sample_rate=sample_rate)
-        run = session.run()
-        flows = run.flows
+        flows = session.run().flows
         end = flows["end_to_end"]
         stage_sum = sum(s["total_s"] for s in flows["stages"].values())
         consistency = (
@@ -119,12 +89,13 @@ def flow_attribution(
             else 0.0
         )
         if consistency > 1e-9:
-            raise ConfigError(
+            raise BenchGateError(
                 f"flow stage totals do not telescope at ratio {ratio}: "
                 f"{stage_sum} vs {end['total_s']}"
             )
-        for stage in STAGES:
-            s = flows["stages"][stage]
+        rows = {stage: flows["stages"][stage] for stage in STAGES}
+        rows["end_to_end"] = end
+        for stage, s in rows.items():
             result.points.append(
                 FlowPoint(
                     ratio=ratio,
@@ -139,18 +110,4 @@ def flow_attribution(
                     consistency=consistency,
                 )
             )
-        result.points.append(
-            FlowPoint(
-                ratio=ratio,
-                writers=kernel.nprocs,
-                readers=readers,
-                stage="end_to_end",
-                flows=int(end["count"]),
-                p50_s=end["p50_s"],
-                p95_s=end["p95_s"],
-                mean_s=end["mean_s"],
-                total_s=end["total_s"],
-                consistency=consistency,
-            )
-        )
     return result

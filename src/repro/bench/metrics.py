@@ -24,13 +24,18 @@ bit-identical application walltime and event counts (the observer bar).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.apps.nas import SP
-from repro.core.session import CouplingSession
-from repro.errors import ConfigError
-from repro.instrument.overhead import InstrumentationCost
+from repro.bench.harness import (
+    assert_unperturbed,
+    coupled_session,
+    fingerprint,
+    reference_kernel,
+)
+from repro.bench.lane import Column, LaneResult, lane
+from repro.errors import BenchGateError
 from repro.network.machine import MachineSpec, TERA100
 from repro.telemetry import Telemetry
 from repro.telemetry.popmetrics import (
@@ -38,7 +43,6 @@ from repro.telemetry.popmetrics import (
     SUM_KEYS,
     metrics_from_sums,
 )
-from repro.util.tables import Table
 
 #: writer/reader ratios swept (paper Figure 14's axis)
 RATIOS = (4.0, 2.0, 1.0)
@@ -49,8 +53,12 @@ WINDOW_S = 0.01
 #: telescoping tolerance of the acceptance gate
 TELESCOPE_TOL = 1e-6
 
+#: the first configuration's window/phase stream, kept under ``--json`` —
+#: the artifact CI uploads for the visual-analytics frontend
+ARTIFACT_NAME = "BENCH_metrics.ndjson"
 
-@dataclass
+
+@dataclass(slots=True)
 class MetricsPoint:
     """One analyzer ratio on the coupled workload."""
 
@@ -66,40 +74,18 @@ class MetricsPoint:
     walltime_s: float
 
 
-@dataclass
-class MetricsResult:
-    """POP-efficiency sweep over analyzer sizing."""
-
-    machine: str
-    scale: str
-    seed: int
-    points: list[MetricsPoint] = field(default_factory=list)
-
-    def table(self) -> Table:
-        t = Table(
-            [
-                "ratio", "readers", "windows", "phases", "pe",
-                "load_balance", "comm_eff", "ser_eff", "instr_share",
-                "walltime_s",
-            ],
-            title=f"Time-resolved POP efficiency ({self.machine}, scale={self.scale})",
-        )
-        for p in self.points:
-            t.add_row(
-                f"{p.ratio:g}", p.readers, p.windows, p.phases,
-                f"{p.pe:.6f}", f"{p.load_balance:.6f}", f"{p.comm_eff:.6f}",
-                f"{p.ser_eff:.6f}", f"{p.instr_share:.6f}",
-                f"{p.walltime_s:.6f}",
-            )
-        return t
-
-
-def _workload(scale: str):
-    if scale == "paper":
-        return SP(64, "C", iterations=3)
-    if scale == "small":
-        return SP(16, "C", iterations=3)
-    raise ConfigError(f"unknown scale {scale!r}")
+COLUMNS = (
+    Column("ratio", fmt="g"),
+    Column("readers"),
+    Column("windows"),
+    Column("phases"),
+    Column("pe", fmt=".6f"),
+    Column("load_balance", fmt=".6f"),
+    Column("comm_eff", fmt=".6f"),
+    Column("ser_eff", fmt=".6f"),
+    Column("instr_share", fmt=".6f"),
+    Column("walltime_s", fmt=".6f"),
+)
 
 
 def recombine_phases(summary: dict) -> dict[str, float]:
@@ -120,91 +106,78 @@ def recombine_phases(summary: dict) -> dict[str, float]:
 
 def _gate(summary: dict, label: str) -> None:
     if summary["windows"] <= 0 or not summary["phases"]:
-        raise ConfigError(f"{label}: engine closed no windows/phases")
+        raise BenchGateError(f"{label}: engine closed no windows/phases")
     eor = summary["end_of_run"]
     identity = eor["load_balance"] * eor["communication_efficiency"]
     if abs(identity - eor["parallel_efficiency"]) > 1e-9:
-        raise ConfigError(
+        raise BenchGateError(
             f"{label}: POP identity broken: LB*CommE={identity} "
             f"!= PE={eor['parallel_efficiency']}"
         )
     recombined = recombine_phases(summary)
     for key, value in recombined.items():
         if abs(value - eor[key]) > TELESCOPE_TOL:
-            raise ConfigError(
+            raise BenchGateError(
                 f"{label}: telescoping broken on {key}: "
                 f"phases give {value}, end of run {eor[key]}"
             )
 
 
+@lane("metrics", columns=COLUMNS)
 def metrics_timeline(
     scale: str = "small",
     machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
     ratios: tuple[float, ...] = RATIOS,
-    outdir: str | None = None,
-) -> MetricsResult:
+) -> LaneResult:
     """Sweep analyzer ratios with the online POP-metrics engine attached.
 
-    ``outdir`` (set by ``--json``) streams the first configuration's
-    window/phase records to ``BENCH_metrics.ndjson`` in that directory —
-    the artifact CI uploads for the visual-analytics frontend.
+    The first configuration streams its window/phase records as they
+    close; the result carries that stream as the ``BENCH_metrics.ndjson``
+    artifact.
     """
-    kernel = _workload(scale)
-    result = MetricsResult(machine=machine.name, scale=scale, seed=seed)
-    # Small packs so every writer streams continuously (as in the codec
-    # bench): backpressure and analyzer load must be visible per window.
-    cost = InstrumentationCost(block_size=4096, na_buffers=2)
-    reference = None
-    for index, ratio in enumerate(ratios):
-        session = CouplingSession(
-            machine=machine,
-            seed=seed,
-            instrumentation=cost,
-            telemetry=telemetry if telemetry is not None else Telemetry(),
-        )
-        name = session.add_application(kernel)
-        readers = session.set_analyzer(ratio=ratio)
-        stream_path = None
-        if index == 0 and outdir is not None:
-            stream_path = str(Path(outdir) / "BENCH_metrics.ndjson")
-        session.enable_pop_metrics(PopConfig(window=WINDOW_S), stream=stream_path)
-        run = session.run()
-        app = run.app(name)
-        summary = run.efficiency
-        label = f"ratio {ratio:g}"
-        _gate(summary, label)
-        if index == 0:
-            reference = (app.walltime, app.events)
-            # The observer bar: the same configuration without the engine
-            # must produce bit-identical results.
-            plain = CouplingSession(
-                machine=machine, seed=seed, instrumentation=cost,
-                telemetry=Telemetry(),
+    kernel = reference_kernel(scale)
+    result = LaneResult(
+        f"Time-resolved POP efficiency ({machine.name}, scale={scale})", COLUMNS
+    )
+    with tempfile.TemporaryDirectory(prefix="bench_metrics_") as tmp:
+        for index, ratio in enumerate(ratios):
+            session, name, readers = coupled_session(
+                kernel, machine, seed,
+                telemetry if telemetry is not None else Telemetry(), ratio=ratio,
             )
-            plain_name = plain.add_application(kernel)
-            plain.set_analyzer(ratio=ratio)
-            plain_run = plain.run()
-            plain_app = plain_run.app(plain_name)
-            if (plain_app.walltime, plain_app.events) != reference:
-                raise ConfigError(
-                    f"{label}: metrics engine perturbed the run: "
-                    f"{plain_app.walltime} != {reference[0]}"
+            stream = Path(tmp) / ARTIFACT_NAME if index == 0 else None
+            session.enable_pop_metrics(PopConfig(window=WINDOW_S), stream=stream)
+            run = session.run()
+            summary = run.efficiency
+            _gate(summary, f"ratio {ratio:g}")
+            if index == 0:
+                kept = stream.read_bytes()
+                result.artifacts[ARTIFACT_NAME] = lambda path: path.write_bytes(kept)
+                # The observer bar: the same configuration without the
+                # engine must produce bit-identical results.
+                plain, plain_name, _ = coupled_session(
+                    kernel, machine, seed, Telemetry(), ratio=ratio
                 )
-        eor = summary["end_of_run"]
-        result.points.append(
-            MetricsPoint(
-                ratio=ratio,
-                readers=readers,
-                windows=summary["windows"],
-                phases=len(summary["phases"]),
-                pe=eor["parallel_efficiency"],
-                load_balance=eor["load_balance"],
-                comm_eff=eor["communication_efficiency"],
-                ser_eff=eor["serialization_efficiency"],
-                instr_share=eor["instrumentation_share"],
-                walltime_s=app.walltime,
+                assert_unperturbed(
+                    "metrics engine",
+                    fingerprint(plain.run(), plain_name),
+                    fingerprint(run, name),
+                )
+            eor = summary["end_of_run"]
+            result.points.append(
+                MetricsPoint(
+                    ratio=ratio,
+                    readers=readers,
+                    windows=summary["windows"],
+                    phases=len(summary["phases"]),
+                    pe=eor["parallel_efficiency"],
+                    load_balance=eor["load_balance"],
+                    comm_eff=eor["communication_efficiency"],
+                    ser_eff=eor["serialization_efficiency"],
+                    instr_share=eor["instrumentation_share"],
+                    walltime_s=run.app(name).walltime,
+                )
             )
-        )
     return result

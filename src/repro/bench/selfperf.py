@@ -35,7 +35,7 @@ gates below are the real self-checks:
 * **overhead** — best-of-N wall time with the profiler on must stay
   within ``overhead_budget`` (default 5%) of best-of-N with it off.
 
-Both gates raise :class:`~repro.errors.ConfigError` on violation, so a
+Both gates raise :class:`~repro.errors.BenchGateError` on violation, so a
 plain ``python -m repro.bench selfperf`` run is itself the test.
 """
 
@@ -43,9 +43,9 @@ from __future__ import annotations
 
 import gc
 import tracemalloc
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
-from typing import Any
 
 import repro.analysis as _analysis_pkg
 import repro.codec.frame as _frame_mod
@@ -56,10 +56,15 @@ import repro.simt.kernel as _kernel_mod
 import repro.simt.primitives as _primitives_mod
 import repro.simt.process as _process_mod
 import repro.vmpi.stream as _stream_mod
-from repro.apps.nas import SP
-from repro.core.session import CouplingSession
-from repro.errors import ConfigError
-from repro.instrument.overhead import InstrumentationCost
+from repro.bench.harness import (
+    assert_unperturbed,
+    coupled_session,
+    fingerprint,
+    paired_overhead,
+    reference_kernel,
+)
+from repro.bench.lane import Column, LaneResult, lane
+from repro.errors import BenchGateError
 from repro.network.machine import MachineSpec, TERA100
 from repro.telemetry import Telemetry, hostprof
 from repro.telemetry.hostprof import HostProfiler, host_now
@@ -91,7 +96,7 @@ _ALLOC_LANES = {
 }
 
 
-@dataclass
+@dataclass(slots=True)
 class SelfPerfPoint:
     """Host-side throughput of one profiled coupled-workload run."""
 
@@ -114,55 +119,32 @@ class SelfPerfPoint:
     elapsed_s: float
 
 
-@dataclass
-class SelfPerfResult:
-    """Per-chain host throughput plus the self-gate outcomes."""
+COLUMNS = (
+    Column("chain", lambda p: p.chain or "identity"),
+    Column("events"),
+    Column("packs"),
+    Column("kernel_events_per_s", fmt=".0f"),
+    Column("stream_mb_per_s", fmt=".3f"),
+    Column("codec_mb_per_s", fmt=".3f"),
+    Column("frame_mb_per_s", fmt=".3f"),
+    Column("analysis_packs_per_s", fmt=".0f"),
+    Column("kernel_allocs"),
+    Column("stream_allocs"),
+    Column("codec_allocs"),
+    Column("frame_allocs"),
+    Column("analysis_allocs"),
+    Column("elapsed_s", fmt=".4f"),
+)
 
-    machine: str
-    scale: str
-    seed: int
-    host: dict[str, Any] = field(default_factory=dict)
-    points: list[SelfPerfPoint] = field(default_factory=list)
-    #: measured profiler overhead (best-of-N on/off wall-time ratio - 1)
-    overhead_ratio: float = 0.0
-    overhead_budget: float = 0.0
-    #: summary of the last profiled run, for trace export / inspection
-    profile: dict[str, Any] = field(default_factory=dict)
-
-    def table(self):
-        from repro.util.tables import Table
-
-        t = Table(
-            [
-                "chain", "events", "packs", "kernel_events_per_s",
-                "stream_mb_per_s", "codec_mb_per_s", "frame_mb_per_s",
-                "analysis_packs_per_s", "kernel_allocs", "stream_allocs",
-                "codec_allocs", "frame_allocs", "analysis_allocs", "elapsed_s",
-            ],
-            title=(
-                f"Simulator self-performance ({self.machine}, "
-                f"scale={self.scale}, profiler overhead "
-                f"{self.overhead_ratio:+.2%} of {self.overhead_budget:.0%} budget)"
-            ),
-        )
-        for p in self.points:
-            t.add_row(
-                p.chain or "identity", p.events, p.packs,
-                f"{p.kernel_events_per_s:.0f}", f"{p.stream_mb_per_s:.3f}",
-                f"{p.codec_mb_per_s:.3f}", f"{p.frame_mb_per_s:.3f}",
-                f"{p.analysis_packs_per_s:.0f}",
-                p.kernel_allocs, p.stream_allocs, p.codec_allocs,
-                p.frame_allocs, p.analysis_allocs, f"{p.elapsed_s:.4f}",
-            )
-        return t
-
-
-def _workload(scale: str):
-    if scale == "paper":
-        return SP(64, "C", iterations=3)
-    if scale == "small":
-        return SP(16, "C", iterations=3)
-    raise ConfigError(f"unknown scale {scale!r}")
+#: ``--baseline`` headroom for the columns that are not virtual-time exact.
+#: Deterministic columns (chain, events, packs) gate at the default 5%;
+#: host-speed throughput columns get 90% because CI runners are slower than
+#: the baseline host — the real self-checks (bit-identity, <5% profiler
+#: overhead *ratio*) run inside the driver.  Allocation counts are
+#: timing-free but shift with the interpreter's small-object internals: 50%.
+TOLERANCES = {c.name: 0.9 for c in COLUMNS if c.name.endswith("_per_s")} | {
+    c.name: 0.5 for c in COLUMNS if c.name.endswith("_allocs")
+}
 
 
 def _run_once(
@@ -173,16 +155,8 @@ def _run_once(
     telemetry: Telemetry | None = None,
     profiler: HostProfiler | None = None,
 ):
-    """One coupled run; returns ``(app_result, analyzer_stats, wall_s)``."""
-    kernel = _workload(scale)
-    # Small packs, as in the codec lane: the frame/codec/stream timers need
-    # a stream of packs per writer, not one tail flush.
-    cost = InstrumentationCost(block_size=4096, na_buffers=2)
-    session = CouplingSession(
-        machine=machine, seed=seed, instrumentation=cost, telemetry=telemetry
-    )
-    name = session.add_application(kernel)
-    session.set_analyzer(ratio=4.0)
+    """One coupled run; returns ``(simulation fingerprint, wall_s)``."""
+    session, name, _ = coupled_session(reference_kernel(scale), machine, seed, telemetry, ratio=4.0)
     if chain:
         session.set_reduction(chain)
     t0 = host_now()
@@ -194,7 +168,7 @@ def _run_once(
     else:
         run = session.run()
     wall = host_now() - t0
-    return run.app(name), run.analyzer_stats, wall
+    return fingerprint(run, name), wall
 
 
 def _throughput(profiler: HostProfiler, names: tuple[str, ...]) -> float:
@@ -202,14 +176,6 @@ def _throughput(profiler: HostProfiler, names: tuple[str, ...]) -> float:
     total_s = sum(profiler.timers[n].total_s for n in names if n in profiler.timers)
     nbytes = sum(profiler.timers[n].nbytes for n in names if n in profiler.timers)
     return nbytes / total_s / 1e6 if total_s > 0 else 0.0
-
-
-def _fingerprint(app, stats) -> tuple:
-    """The simulation outputs that must not move when profiling is on."""
-    return (
-        app.walltime, app.events, app.packs,
-        stats["packs"], stats["bytes"], stats["bytes_wire"],
-    )
 
 
 # -- allocation probes ------------------------------------------------------------
@@ -336,6 +302,7 @@ def _lane_alloc_counts(chain: str) -> dict[str, int]:
     }
 
 
+@lane("selfperf", columns=COLUMNS, tolerances=TOLERANCES)
 def selfperf_sweep(
     scale: str = "small",
     machine: MachineSpec = TERA100,
@@ -344,95 +311,67 @@ def selfperf_sweep(
     chains: tuple[str, ...] = CHAINS,
     overhead_budget: float = 0.05,
     repeats: int = 5,
-    outdir: str | None = None,
-) -> SelfPerfResult:
+) -> LaneResult:
     """Profile the simulator across reduction chains; self-gate the profiler.
 
     The identity chain anchors both gates: its unprofiled run provides the
-    bit-identity reference and the overhead baseline.  ``outdir`` dumps
-    the last profiled run as ``BENCH_selfperf.hostprof.trace.json`` (Chrome
-    trace) and ``BENCH_selfperf.hostprof.jsonl``.
+    bit-identity reference and the overhead baseline.  The result's
+    artifacts are the last profiled run as
+    ``BENCH_selfperf.hostprof.trace.json`` (Chrome trace) and
+    ``BENCH_selfperf.hostprof.jsonl``.
     """
-    if repeats < 1:
-        raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    result = SelfPerfResult(
-        machine=machine.name, scale=scale, seed=seed,
-        host=hostprof.host_environment(), overhead_budget=overhead_budget,
-    )
+    run_once = partial(_run_once, scale=scale, machine=machine, seed=seed, telemetry=telemetry)
 
     # -- gate 1: bit-identity, profiler off vs on ------------------------------
-    ref_app, ref_stats, _ = _run_once(chains[0], scale, machine, seed, telemetry)
-    probe = HostProfiler()
-    app, stats, _ = _run_once(
-        chains[0], scale, machine, seed, telemetry, profiler=probe
+    assert_unperturbed(
+        "host profiler",
+        run_once(chains[0])[0],
+        run_once(chains[0], profiler=HostProfiler())[0],
     )
-    if _fingerprint(app, stats) != _fingerprint(ref_app, ref_stats):
-        raise ConfigError(
-            "host profiler perturbed the simulation: "
-            f"{_fingerprint(ref_app, ref_stats)} -> {_fingerprint(app, stats)}"
-        )
 
     # -- gate 2: overhead ratio, best-of-N paired runs -------------------------
-    # The runs are ~100ms and scheduler noise on a loaded box swings single
-    # runs by 10%+, so each off run is paired with a temporally adjacent on
-    # run and the gate takes the *minimum pair ratio*: a false positive
-    # needs every one of the ``repeats`` pairs perturbed in the same
-    # direction, while a real regression shows in all of them.
-    ratios = []
-    for _ in range(repeats):
-        off_s = _run_once(chains[0], scale, machine, seed, telemetry)[2]
-        on_s = _run_once(
-            chains[0], scale, machine, seed, telemetry, profiler=HostProfiler()
-        )[2]
-        ratios.append(on_s / off_s - 1.0)
-    result.overhead_ratio = min(ratios)
-    if result.overhead_ratio > overhead_budget:
-        raise ConfigError(
-            f"host profiler overhead {result.overhead_ratio:+.2%} exceeds the "
-            f"{overhead_budget:.0%} budget (pair ratios: "
-            + ", ".join(f"{r:+.2%}" for r in ratios) + ")"
-        )
+    overhead_ratio = paired_overhead(
+        "host profiler",
+        lambda: run_once(chains[0])[1],
+        lambda: run_once(chains[0], profiler=HostProfiler())[1],
+        repeats,
+        overhead_budget,
+    )
+    result = LaneResult(
+        f"Simulator self-performance ({machine.name}, scale={scale}, "
+        f"profiler overhead {overhead_ratio:+.2%} of {overhead_budget:.0%} budget)",
+        COLUMNS,
+    )
 
     # -- the sweep: one profiled run per chain ---------------------------------
-    last_profiler: HostProfiler | None = None
     for chain in chains:
         profiler = HostProfiler()
-        app, stats, _ = _run_once(
-            chain, scale, machine, seed, telemetry, profiler=profiler
-        )
+        outputs = run_once(chain, profiler=profiler)[0]
         dispatch = profiler.timers.get("kernel.dispatch")
         if dispatch is None or dispatch.items <= 0:
-            raise ConfigError(
+            raise BenchGateError(
                 f"chain {chain!r}: kernel dispatch timer never fired "
                 "(hostprof wiring broken?)"
             )
-        allocs = _lane_alloc_counts(chain)
         result.points.append(
             SelfPerfPoint(
                 chain=chain,
-                events=app.events,
-                packs=app.packs,
+                events=outputs["events"],
+                packs=outputs["packs"],
                 kernel_events_per_s=dispatch.items_per_s,
                 stream_mb_per_s=_throughput(profiler, _STREAM_TIMERS),
                 codec_mb_per_s=_throughput(profiler, _CODEC_TIMERS),
                 frame_mb_per_s=_throughput(profiler, _FRAME_TIMERS),
                 analysis_packs_per_s=profiler.timers["analysis.ingest"].items_per_s,
-                kernel_allocs=allocs["kernel_allocs"],
-                stream_allocs=allocs["stream_allocs"],
-                codec_allocs=allocs["codec_allocs"],
-                frame_allocs=allocs["frame_allocs"],
-                analysis_allocs=allocs["analysis_allocs"],
+                **_lane_alloc_counts(chain),
                 elapsed_s=profiler.elapsed_s,
             )
         )
-        last_profiler = profiler
 
-    result.profile = last_profiler.summary()
-    if outdir is not None:
-        outdir = Path(outdir)
-        outdir.mkdir(parents=True, exist_ok=True)
-        last_profiler.write_chrome_trace(
-            str(outdir / "BENCH_selfperf.hostprof.trace.json")
-        )
-        last_profiler.write_jsonl(str(outdir / "BENCH_selfperf.hostprof.jsonl"))
+    # the last profiled run, for trace export / inspection
+    result.extras = {"hostprof": profiler.summary(), "overhead_ratio": overhead_ratio}
+    result.artifacts = {
+        "BENCH_selfperf.hostprof.trace.json": profiler.write_chrome_trace,
+        "BENCH_selfperf.hostprof.jsonl": profiler.write_jsonl,
+    }
     return result

@@ -14,7 +14,7 @@ least one decision, lose strictly fewer packs than the static run and hold
 at least the static analyzed-event throughput; on the healthy workload it
 must make *zero* decisions and reproduce the static run bit-identically
 (same virtual wall-time, analyzed events and sealed packs).  A violated
-gate raises :class:`~repro.errors.ConfigError`, so ``python -m repro.bench
+gate raises :class:`~repro.errors.BenchGateError`, so ``python -m repro.bench
 steering`` fails loudly in CI without needing a baseline diff.
 """
 
@@ -22,20 +22,18 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 
-from repro.apps.nas import SP
-from repro.core.session import CouplingSession, SessionResult
-from repro.errors import ConfigError
+from repro.bench.harness import PACK_COST, coupled_session, pick, reference_kernel
+from repro.bench.lane import Column, LaneResult, lane
+from repro.core.session import SessionResult
+from repro.errors import BenchGateError
 from repro.faults import LINK_DEGRADE, FaultPlan, FaultSpec
-from repro.instrument.overhead import InstrumentationCost
 from repro.mpi.costmodel import CostModel
 from repro.network.machine import MachineSpec, TERA100
 from repro.steering import SteeringPolicy
 from repro.steering.policy import static_policy
 from repro.telemetry import Telemetry
-from repro.util.tables import Table
 
 #: where in the healthy run's app wall-time the congestion plan anchors
 _ANCHOR_FRACTION = 0.35
@@ -45,6 +43,8 @@ _DEGRADE_FACTOR = 2e-5
 _CORES_PER_NODE = 8
 #: rendezvous threshold: below the pack size, so stream packs never go eager
 _EAGER_THRESHOLD = 2048
+#: analyzer ranks
+_READERS = 4
 
 
 def bench_policy() -> SteeringPolicy:
@@ -69,7 +69,7 @@ def bench_policy() -> SteeringPolicy:
     )
 
 
-@dataclass
+@dataclass(slots=True)
 class SteeringBenchPoint:
     """One (policy, plan) run of the reference coupled workload."""
 
@@ -87,66 +87,40 @@ class SteeringBenchPoint:
     events_per_s: float
 
 
-@dataclass
-class SteeringBenchResult:
-    """Static-versus-adaptive sweep, plus the adaptive decision log."""
-
-    machine: str
-    scale: str
-    seed: int
-    points: list[SteeringBenchPoint] = field(default_factory=list)
-    #: ``SteeringController.summary()`` of the adaptive congested run
-    decision_log: dict | None = field(default=None, repr=False)
-
-    def table(self) -> Table:
-        t = Table(
-            [
-                "policy", "plan", "decisions", "escalations", "relaxes",
-                "packs_written", "packs_dropped", "packs_stranded",
-                "write_timeouts", "events_analyzed", "app_walltime_s",
-                "events_per_s",
-            ],
-            title=f"Adaptive steering ({self.machine}, scale={self.scale})",
-        )
-        for p in self.points:
-            t.add_row(
-                p.policy, p.plan, p.decisions, p.escalations, p.relaxes,
-                p.packs_written, p.packs_dropped, p.packs_stranded,
-                p.write_timeouts, p.events_analyzed,
-                f"{p.app_walltime:.6f}", f"{p.events_per_s:.1f}",
-            )
-        return t
+COLUMNS = (
+    Column("policy"),
+    Column("plan"),
+    Column("decisions"),
+    Column("escalations"),
+    Column("relaxes"),
+    Column("packs_written"),
+    Column("packs_dropped"),
+    Column("packs_stranded"),
+    Column("write_timeouts"),
+    Column("events_analyzed"),
+    Column("app_walltime_s", "app_walltime", ".6f"),
+    Column("events_per_s", fmt=".1f"),
+)
 
 
-def _workload(scale: str):
-    """(kernel, analyzer ranks): enough iterations for sustained packs."""
-    if scale == "paper":
-        return SP(16, "C", iterations=40), 4
-    if scale == "small":
-        return SP(16, "C", iterations=12), 4
-    raise ConfigError(f"unknown scale {scale!r}")
-
-
-def _run(kernel, readers: int, machine: MachineSpec, seed: int,
-         policy: SteeringPolicy, plan: FaultPlan | None,
+def _run(kernel, machine: MachineSpec, seed: int, policy: SteeringPolicy,
+         plan: FaultPlan | None,
          telemetry: Telemetry | None) -> tuple[SessionResult, str]:
     # Writers must share nodes 0-1 while the analyzer sits alone on node 2:
     # only inter-node traffic touches the NIC the congestion plan degrades.
     mach = dataclasses.replace(machine, cores_per_node=_CORES_PER_NODE)
-    cost = dataclasses.replace(
-        CostModel.for_machine(mach, ranks_per_node=_CORES_PER_NODE),
-        eager_threshold=_EAGER_THRESHOLD,
+    session, name, _ = coupled_session(
+        kernel, mach, seed,
+        telemetry if telemetry is not None else Telemetry(),
+        readers=_READERS,
+        cost=dataclasses.replace(
+            PACK_COST, write_timeout=2e-3, max_retries=2, overflow="drop-newest"
+        ),
+        mpi_cost=dataclasses.replace(
+            CostModel.for_machine(mach, ranks_per_node=_CORES_PER_NODE),
+            eager_threshold=_EAGER_THRESHOLD,
+        ),
     )
-    icost = InstrumentationCost(
-        block_size=4096, na_buffers=2,
-        write_timeout=2e-3, max_retries=2, overflow="drop-newest",
-    )
-    session = CouplingSession(
-        machine=mach, seed=seed, instrumentation=icost, mpi_cost=cost,
-        telemetry=telemetry if telemetry is not None else Telemetry(),
-    )
-    name = session.add_application(kernel)
-    session.set_analyzer(nprocs=readers)
     session.enable_monitor()
     session.enable_steering(policy)
     if plan is not None:
@@ -187,9 +161,9 @@ def _lost(p: SteeringBenchPoint) -> int:
 def _gate(healthy_static: SteeringBenchPoint, healthy_adaptive: SteeringBenchPoint,
           congested_static: SteeringBenchPoint,
           congested_adaptive: SteeringBenchPoint) -> None:
-    """The lane's acceptance criteria; ConfigError names the broken gate."""
+    """The lane's acceptance criteria; the error names the broken gate."""
     if healthy_adaptive.decisions != 0:
-        raise ConfigError(
+        raise BenchGateError(
             f"steering gate: adaptive policy made {healthy_adaptive.decisions} "
             "decisions on the healthy workload (expected none)"
         )
@@ -199,7 +173,7 @@ def _gate(healthy_static: SteeringBenchPoint, healthy_adaptive: SteeringBenchPoi
         and healthy_static.packs_written == healthy_adaptive.packs_written
     )
     if not same:
-        raise ConfigError(
+        raise BenchGateError(
             "steering gate: enabled-but-never-triggered steering changed the "
             f"healthy run (static {healthy_static.app_walltime:.9f}s/"
             f"{healthy_static.events_analyzed}ev/{healthy_static.packs_written}pk "
@@ -207,67 +181,60 @@ def _gate(healthy_static: SteeringBenchPoint, healthy_adaptive: SteeringBenchPoi
             f"{healthy_adaptive.events_analyzed}ev/{healthy_adaptive.packs_written}pk)"
         )
     if congested_adaptive.decisions < 1:
-        raise ConfigError(
+        raise BenchGateError(
             "steering gate: congestion plan triggered no adaptive decisions"
         )
     if not _lost(congested_adaptive) < _lost(congested_static):
-        raise ConfigError(
+        raise BenchGateError(
             "steering gate: adaptive policy did not cut pack loss "
             f"({_lost(congested_adaptive)} lost vs static {_lost(congested_static)})"
         )
     if congested_adaptive.events_per_s < congested_static.events_per_s:
-        raise ConfigError(
+        raise BenchGateError(
             "steering gate: adaptive throughput "
             f"{congested_adaptive.events_per_s:.1f} ev/s fell below static "
             f"{congested_static.events_per_s:.1f} ev/s under congestion"
         )
 
 
+@lane("steering", columns=COLUMNS)
 def steering_adaptation(
     scale: str = "small",
     machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
-    outdir: str | None = None,
-) -> SteeringBenchResult:
+) -> LaneResult:
     """Run the static/adaptive × healthy/congested grid and self-gate.
 
-    With ``outdir`` the adaptive congested run's full decision log
-    (policy, alerts seen, per-decision trigger/latency data) is written to
-    ``steering_decisions.json`` for artefact upload.
+    The adaptive congested run's full decision log (policy, alerts seen,
+    per-decision trigger/latency data) is the ``steering_decisions.json``
+    artifact, for upload.
     """
-    kernel, readers = _workload(scale)
-    result = SteeringBenchResult(machine=machine.name, scale=scale, seed=seed)
+    # enough iterations for sustained packs
+    kernel = reference_kernel(scale, paper_ranks=16, iterations=pick(scale, small=12, paper=40))
+    result = LaneResult(f"Adaptive steering ({machine.name}, scale={scale})", COLUMNS)
+
+    def row(policy: SteeringPolicy, label: str, plan: FaultPlan | None):
+        run, name = _run(kernel, machine, seed, policy, plan, telemetry)
+        result.points.append(
+            _point(run, name, label, plan.name if plan is not None else "none")
+        )
+        return run, name
 
     # Healthy rows anchor the congestion plan and feed the bit-identity gate.
-    rows: dict[tuple[str, str], SteeringBenchPoint] = {}
-    run, name = _run(kernel, readers, machine, seed, static_policy(), None, telemetry)
-    rows[("static", "none")] = _point(run, name, "static", "none")
-    anchor = run.app(name).walltime * _ANCHOR_FRACTION
-
-    run, name = _run(kernel, readers, machine, seed, bench_policy(), None, telemetry)
-    rows[("adaptive", "none")] = _point(run, name, "adaptive", "none")
-
+    run, name = row(static_policy(), "static", None)
     plan = FaultPlan(
-        specs=(FaultSpec(LINK_DEGRADE, at=anchor, target=-1,
-                         factor=_DEGRADE_FACTOR),),
+        specs=(FaultSpec(LINK_DEGRADE, at=run.app(name).walltime * _ANCHOR_FRACTION,
+                         target=-1, factor=_DEGRADE_FACTOR),),
         name="congestion",
     )
-    run, name = _run(kernel, readers, machine, seed, static_policy(), plan, telemetry)
-    rows[("static", "congestion")] = _point(run, name, "static", "congestion")
+    row(bench_policy(), "adaptive", None)
+    row(static_policy(), "static", plan)
+    run, _ = row(bench_policy(), "adaptive", plan)
 
-    run, name = _run(kernel, readers, machine, seed, bench_policy(), plan, telemetry)
-    rows[("adaptive", "congestion")] = _point(run, name, "adaptive", "congestion")
-    result.decision_log = run.steering
+    _gate(*result.points)
 
-    for key in (("static", "none"), ("adaptive", "none"),
-                ("static", "congestion"), ("adaptive", "congestion")):
-        result.points.append(rows[key])
-
-    _gate(rows[("static", "none")], rows[("adaptive", "none")],
-          rows[("static", "congestion")], rows[("adaptive", "congestion")])
-
-    if outdir is not None:
-        path = Path(outdir) / "steering_decisions.json"
-        path.write_text(json.dumps(result.decision_log, indent=2, default=str))
+    # ``SteeringController.summary()`` of the adaptive congested run
+    decision_log = json.dumps(run.steering, indent=2, default=str)
+    result.artifacts["steering_decisions.json"] = lambda path: path.write_text(decision_log)
     return result

@@ -2,50 +2,46 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import itemgetter
 
-from repro.errors import ConfigError
 from repro.apps.nas import SP
-from repro.bench.harness import measure_overhead
+from repro.bench.harness import measure_overhead, pick, stream_point
+from repro.bench.lane import Column, LaneResult, lane
 from repro.core.comparison import run_tool
 from repro.network.machine import CURIE, MachineSpec, TERA100
 from repro.telemetry import Telemetry
-from repro.util.tables import Table
-from repro.util.units import GB, MB
+from repro.util.units import GB, GIB, MB, MIB
 
 
 # --------------------------------------------------------------------------------------
 # In-text: Bi(SP.C) = 2.37 GB/s vs Bi(SP.D) = 334.99 MB/s at 900 cores
 # --------------------------------------------------------------------------------------
 
+BI_COLUMNS = (
+    Column("benchmark", itemgetter("app")),
+    Column("nprocs", itemgetter("nprocs")),
+    Column(
+        "Bi",
+        lambda row: f"{row['bi'] / GB:.3f} GB/s"
+        if row["bi"] >= GB
+        else f"{row['bi'] / MB:.1f} MB/s",
+    ),
+    Column("overhead_pct", itemgetter("overhead_pct")),
+    Column("paper_Bi", itemgetter("paper")),
+)
 
-@dataclass
-class BiResult:
-    machine: str
-    rows: list[dict] = field(default_factory=list)
+
+class BiResult(LaneResult):
+    """Points are ``{app, nprocs, bi, overhead_pct, paper}`` dicts."""
 
     def bi(self, label: str) -> float:
-        for row in self.rows:
+        for row in self.points:
             if row["app"] == label:
                 return row["bi"]
         raise KeyError(label)
 
-    def table(self) -> Table:
-        t = Table(
-            ["benchmark", "nprocs", "Bi", "overhead_pct", "paper_Bi"],
-            title=f"In-text — instrumentation bandwidth Bi at 900 cores ({self.machine})",
-        )
-        for row in self.rows:
-            t.add_row(
-                row["app"],
-                row["nprocs"],
-                f"{row['bi'] / GB:.3f} GB/s" if row["bi"] >= GB else f"{row['bi'] / MB:.1f} MB/s",
-                row["overhead_pct"],
-                row["paper"],
-            )
-        return t
 
-
+@lane("bi", columns=BI_COLUMNS)
 def bi_bandwidth_table(
     scale: str = "small",
     machine: MachineSpec = TERA100,
@@ -53,19 +49,16 @@ def bi_bandwidth_table(
     telemetry: Telemetry | None = None,
 ) -> BiResult:
     """Bi comparison of SP.C vs SP.D (paper Sec. IV-C, at 900 cores)."""
-    if scale == "paper":
-        nprocs = 900
-    elif scale == "small":
-        nprocs = 225
-    else:
-        raise ConfigError(f"unknown scale {scale!r}")
-    result = BiResult(machine=machine.name)
+    nprocs = pick(scale, small=225, paper=900)
+    result = BiResult(
+        f"In-text — instrumentation bandwidth Bi at 900 cores ({machine.name})", BI_COLUMNS
+    )
     for klass, paper_value in (("C", "2.37 GB/s"), ("D", "334.99 MB/s")):
         point = measure_overhead(
             SP(nprocs, klass, iterations=3), machine, ratio=1.0, seed=seed,
             telemetry=telemetry,
         )
-        result.rows.append(
+        result.points.append(
             {
                 "app": point.app,
                 "nprocs": point.nprocs,
@@ -81,14 +74,18 @@ def bi_bandwidth_table(
 # In-text: trace volumes — Score-P 313 MB -> 116 GB, online 923.93 MB -> 333.22 GB
 # --------------------------------------------------------------------------------------
 
+TRACE_SIZE_COLUMNS = (
+    Column("tool", itemgetter("tool")),
+    Column("nprocs", itemgetter("nprocs")),
+    Column("full_run_volume_GB", lambda row: row["volume"] / GB),
+)
 
-@dataclass
-class TraceSizeResult:
-    machine: str
-    rows: list[dict] = field(default_factory=list)
+
+class TraceSizeResult(LaneResult):
+    """Points are ``{tool, nprocs, volume}`` dicts."""
 
     def volume(self, tool: str, nprocs: int) -> int:
-        for row in self.rows:
+        for row in self.points:
             if row["tool"] == tool and row["nprocs"] == nprocs:
                 return row["volume"]
         raise KeyError((tool, nprocs))
@@ -97,16 +94,8 @@ class TraceSizeResult:
         """online volume / Score-P trace volume (paper: ~2.9x)."""
         return self.volume("online", nprocs) / self.volume("scorep_trace", nprocs)
 
-    def table(self) -> Table:
-        t = Table(
-            ["tool", "nprocs", "full_run_volume_GB"],
-            title=f"In-text — SP.D full-run measurement volumes ({self.machine})",
-        )
-        for row in self.rows:
-            t.add_row(row["tool"], row["nprocs"], row["volume"] / GB)
-        return t
 
-
+@lane("trace-sizes", columns=TRACE_SIZE_COLUMNS)
 def trace_size_table(
     scale: str = "small",
     machine: MachineSpec = CURIE,
@@ -118,20 +107,17 @@ def trace_size_table(
     Volumes are extrapolated from the simulated iterations to the official
     iteration count (both tools scale linearly in events).
     """
-    if scale == "paper":
-        counts = [256, 1024, 4096]
-    elif scale == "small":
-        counts = [64, 256]
-    else:
-        raise ConfigError(f"unknown scale {scale!r}")
-    result = TraceSizeResult(machine=machine.name)
+    counts = pick(scale, small=[64, 256], paper=[256, 1024, 4096])
+    result = TraceSizeResult(
+        f"In-text — SP.D full-run measurement volumes ({machine.name})", TRACE_SIZE_COLUMNS
+    )
     for nprocs in counts:
         for tool in ("online", "scorep_trace"):
             run = run_tool(
                 SP(nprocs, "D", iterations=3), tool, machine, seed=seed,
                 telemetry=telemetry,
             )
-            result.rows.append(
+            result.points.append(
                 {"tool": tool, "nprocs": nprocs, "volume": run.full_run_volume_bytes}
             )
     return result
@@ -142,38 +128,25 @@ def trace_size_table(
 # streams competitive until ratio ~1/25; 1/10 a good trade-off
 # --------------------------------------------------------------------------------------
 
+FS_COMPARISON_COLUMNS = (
+    Column("ratio", lambda p: int(p["ratio"])),
+    Column("readers", lambda p: int(p["readers"])),
+    Column("stream_GBps", lambda p: p["throughput"] / GB),
+    Column("fs_scaled_GBps", lambda p: p["fs_scaled"] / GB),
+    Column("streams_win", lambda p: p["throughput"] > p["fs_scaled"]),
+)
 
-@dataclass
-class FSComparisonResult:
-    machine: str
-    writers: int
-    fs_scaled: float
-    rows: list[dict] = field(default_factory=list)
+
+class FSComparisonResult(LaneResult):
+    """Points are :func:`~repro.bench.harness.stream_point` dicts, one writer count."""
 
     def crossover_ratio(self) -> float:
         """Largest swept ratio at which streams still beat the scaled FS."""
-        beating = [r["ratio"] for r in self.rows if r["throughput"] > self.fs_scaled]
+        beating = [p["ratio"] for p in self.points if p["throughput"] > p["fs_scaled"]]
         return max(beating) if beating else 0.0
 
-    def table(self) -> Table:
-        t = Table(
-            ["ratio", "readers", "stream_GBps", "fs_scaled_GBps", "streams_win"],
-            title=(
-                f"In-text — streams vs scaled FS at {self.writers} writers "
-                f"({self.machine})"
-            ),
-        )
-        for row in self.rows:
-            t.add_row(
-                int(row["ratio"]),
-                int(row["readers"]),
-                row["throughput"] / GB,
-                self.fs_scaled / GB,
-                row["throughput"] > self.fs_scaled,
-            )
-        return t
 
-
+@lane("fs-comparison", columns=FS_COMPARISON_COLUMNS)
 def fs_comparison_table(
     scale: str = "small",
     machine: MachineSpec = TERA100,
@@ -181,27 +154,19 @@ def fs_comparison_table(
     telemetry: Telemetry | None = None,
 ) -> FSComparisonResult:
     """Stream throughput against the job-scaled file-system bandwidth."""
-    from repro.bench.figures import _stream_point
-    from repro.util.units import GIB, MIB
-
-    if scale == "paper":
-        writers = 2560
-        ratios = [1, 2, 4, 8, 10, 16, 25, 32, 64]
-        bytes_per_writer = 1 * GIB
-    elif scale == "small":
-        writers = 320
-        ratios = [1, 4, 10, 16, 32, 64]
-        bytes_per_writer = 32 * MIB
-    else:
-        raise ConfigError(f"unknown scale {scale!r}")
+    writers, ratios, bytes_per_writer = pick(
+        scale,
+        small=(320, [1, 4, 10, 16, 32, 64], 32 * MIB),
+        paper=(2560, [1, 2, 4, 8, 10, 16, 25, 32, 64], 1 * GIB),
+    )
     result = FSComparisonResult(
-        machine=machine.name,
-        writers=writers,
-        fs_scaled=machine.fs_job_bandwidth(writers),
+        f"In-text — streams vs scaled FS at {writers} writers ({machine.name})",
+        FS_COMPARISON_COLUMNS,
     )
     for ratio in ratios:
-        point = _stream_point(
-            machine, writers, ratio, bytes_per_writer, MIB, seed, telemetry=telemetry
+        result.points.append(
+            stream_point(
+                machine, writers, ratio, bytes_per_writer, MIB, seed, telemetry=telemetry
+            )
         )
-        result.rows.append(point)
     return result

@@ -103,3 +103,7 @@ class IOSimError(ReproError):
 
 class ConfigError(ReproError):
     """Invalid user-facing configuration."""
+
+
+class BenchGateError(ReproError):
+    """A bench lane's own acceptance gate was violated by the run it gated."""

@@ -31,6 +31,19 @@ def cost() -> CostModel:
     return CostModel()
 
 
+@pytest.fixture
+def fake_lane(monkeypatch):
+    """``fake_lane(name, run)``: swap a registered bench lane's driver."""
+    import dataclasses
+
+    from repro.bench import LANES
+
+    def swap(name, run):
+        monkeypatch.setitem(LANES, name, dataclasses.replace(LANES[name], run=run))
+
+    return swap
+
+
 def run_programs(machine, *programs, seed=0, virtualize=True, cost=None):
     """Launch helper: programs are (name, nprocs, main, kwargs) tuples."""
     from repro.mpi.launcher import MPMDLauncher

@@ -1,9 +1,11 @@
 """Bench regression gate: payload diffing and the compare CLI."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from repro.bench import LANES
 from repro.bench.compare import (
     compare_bench,
     compare_files,
@@ -11,7 +13,7 @@ from repro.bench.compare import (
     metric_direction,
 )
 from repro.bench.__main__ import main as bench_main
-from repro.errors import ConfigError
+from repro.errors import BenchGateError, ConfigError
 
 
 def payload(rows, columns=("writers", "throughput_GBps", "overhead_pct"),
@@ -219,24 +221,78 @@ class TestCLI:
             ["compare", str(a), str(b), "--metric-tolerance", "throughput_GBps=0.3"]
         ) == 0
 
-    def test_compare_cli_bad_metric_tolerance(self, tmp_path):
+    def test_compare_cli_bad_metric_tolerance(self, tmp_path, capsys):
         a = tmp_path / "a.json"
         a.write_text(json.dumps(BASE))
-        with pytest.raises(ConfigError):
-            bench_main(["compare", str(a), str(a), "--metric-tolerance", "nope"])
+        rc = bench_main(["compare", str(a), str(a), "--metric-tolerance", "nope"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: --metric-tolerance")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chaos", "--chaos", "nope"],
+            ["compare", "/nope.json", "x.json"],
+            ["codec", "--baseline", "/nope.json"],
+            ["codec", "--metric-tolerance", "bogus"],
+            ["codec", "--metric-tolerance", "ratio=-0.1"],
+            ["codec", "--tolerance", "-1"],
+        ],
+        ids=[
+            "unknown-plan", "compare-missing-file", "baseline-missing-file",
+            "metric-tolerance-shape", "metric-tolerance-negative", "tolerance-negative",
+        ],
+    )
+    def test_bad_input_is_one_error_line_before_any_run(self, argv, fake_lane, capsys):
+        def must_not_run(**kwargs):
+            raise AssertionError("the experiment ran before its flags were checked")
+
+        for name in list(LANES):
+            fake_lane(name, must_not_run)
+        assert bench_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_violated_gate_is_fail_line_and_exit_1(self, fake_lane, capsys):
+        def broken(**kwargs):
+            raise BenchGateError("writer wire bytes 1 != analyzer wire bytes 2")
+
+        fake_lane("codec", broken)
+        assert bench_main(["codec"]) == 1
+        assert capsys.readouterr().err.startswith("FAIL codec: writer wire bytes")
 
     def test_baseline_flag_rejected_with_all(self):
         with pytest.raises(SystemExit):
-            bench_main(["all", "--baseline", "x.json"])
+            bench_main(["all", "--baseline", "benchmarks/baselines/BENCH_fig14.json"])
 
-    def test_committed_baseline_matches_regeneration(self, tmp_path, capsys):
-        # The CI gate in miniature: regenerate fig14 small and self-gate
-        # against the committed baseline artefact.
+    # The CI gate in miniature: regenerate at --scale small and self-gate
+    # against the committed baseline artefact.  The rows are virtual-time
+    # results, so beyond the tolerance gate they must equal the baseline cell
+    # for cell as strings: drift in any layer under a lane shows up here.
+    @pytest.mark.parametrize("lane", ["fig14", "chaos", "codec", "flow", "metrics"])
+    def test_committed_baseline_matches_regeneration(self, lane, tmp_path, capsys):
+        baseline = f"benchmarks/baselines/BENCH_{lane}.json"
         rc = bench_main([
-            "fig14", "--scale", "small", "--json",
+            lane, "--scale", "small", "--json",
             "--outdir", str(tmp_path),
-            "--baseline", "benchmarks/baselines/BENCH_fig14.json",
+            "--baseline", baseline,
         ])
         out = capsys.readouterr().out
         assert rc == 0, out
         assert "PASS" in out
+        fresh = json.loads((tmp_path / f"BENCH_{lane}.json").read_text())
+        assert fresh["rows"] == load_bench_json(baseline)["rows"]
+
+
+class TestBaselines:
+    def test_every_baseline_names_a_lane_and_its_declared_columns(self):
+        # Static: no simulation runs.  A renamed column or a retired lane
+        # must fail here, not minutes into the CI matrix.
+        paths = sorted(Path("benchmarks/baselines").glob("BENCH_*.json"))
+        assert paths
+        for path in paths:
+            payload = load_bench_json(path)
+            lane = LANES.get(payload["experiment"])
+            assert lane is not None, f"{path}: unknown lane {payload['experiment']!r}"
+            assert path.name == f"BENCH_{lane.name.replace('-', '_')}.json"
+            assert payload["columns"] == [c.name for c in lane.columns], path

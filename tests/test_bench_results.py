@@ -2,9 +2,24 @@
 
 import pytest
 
-from repro.bench.figures import Fig15Result, Fig17Result, Fig18Result, _fig15_workloads
+from repro.bench.figures import (
+    FIG15_COLUMNS,
+    FIG17_COLUMNS,
+    FIG18_COLUMNS,
+    Fig15Result,
+    Fig17Result,
+    Fig18Result,
+    _fig15_workloads,
+)
 from repro.bench.harness import OverheadPoint
-from repro.bench.tables import BiResult, FSComparisonResult, TraceSizeResult
+from repro.bench.tables import (
+    BI_COLUMNS,
+    FS_COMPARISON_COLUMNS,
+    TRACE_SIZE_COLUMNS,
+    BiResult,
+    FSComparisonResult,
+    TraceSizeResult,
+)
 
 
 def _point(app, nprocs, ovh):
@@ -21,14 +36,14 @@ def _point(app, nprocs, ovh):
 
 class TestFig15Result:
     def test_by_app_groups(self):
-        r = Fig15Result(machine="X")
+        r = Fig15Result("Figure 15 (X)", FIG15_COLUMNS)
         r.points = [_point("SP.C", 64, 1.0), _point("SP.C", 256, 2.0), _point("LU.C", 64, 3.0)]
         grouped = r.by_app()
         assert len(grouped["SP.C"]) == 2
         assert len(grouped["LU.C"]) == 1
 
     def test_table_renders_all_points(self):
-        r = Fig15Result(machine="X")
+        r = Fig15Result("Figure 15 (X)", FIG15_COLUMNS)
         r.points = [_point("SP.C", 64, 1.0)]
         text = r.table().render()
         assert "SP.C" in text and "Figure 15" in text
@@ -45,8 +60,8 @@ class TestFig15Result:
 
 class TestTableResults:
     def test_bi_result_lookup(self):
-        r = BiResult(machine="X")
-        r.rows.append({"app": "SP.C", "nprocs": 900, "bi": 2.0e9,
+        r = BiResult("Bi (X)", BI_COLUMNS)
+        r.points.append({"app": "SP.C", "nprocs": 900, "bi": 2.0e9,
                        "overhead_pct": 10.0, "paper": "2.37 GB/s"})
         assert r.bi("SP.C") == 2.0e9
         with pytest.raises(KeyError):
@@ -54,27 +69,27 @@ class TestTableResults:
         assert "SP.C" in r.table().render()
 
     def test_trace_size_ratio(self):
-        r = TraceSizeResult(machine="X")
-        r.rows.append({"tool": "online", "nprocs": 64, "volume": 290})
-        r.rows.append({"tool": "scorep_trace", "nprocs": 64, "volume": 100})
+        r = TraceSizeResult("volumes (X)", TRACE_SIZE_COLUMNS)
+        r.points.append({"tool": "online", "nprocs": 64, "volume": 290})
+        r.points.append({"tool": "scorep_trace", "nprocs": 64, "volume": 100})
         assert r.ratio(64) == pytest.approx(2.9)
         with pytest.raises(KeyError):
             r.volume("online", 128)
 
     def test_fs_comparison_crossover(self):
-        r = FSComparisonResult(machine="X", writers=100, fs_scaled=5.0)
-        r.rows = [
-            {"ratio": 1, "readers": 100, "throughput": 50.0},
-            {"ratio": 10, "readers": 10, "throughput": 8.0},
-            {"ratio": 32, "readers": 3, "throughput": 2.0},
+        r = FSComparisonResult("streams vs FS at 100 writers (X)", FS_COMPARISON_COLUMNS)
+        r.points = [
+            {"ratio": 1, "readers": 100, "throughput": 50.0, "fs_scaled": 5.0},
+            {"ratio": 10, "readers": 10, "throughput": 8.0, "fs_scaled": 5.0},
+            {"ratio": 32, "readers": 3, "throughput": 2.0, "fs_scaled": 5.0},
         ]
         assert r.crossover_ratio() == 10
         text = r.table().render()
         assert "True" in text and "False" in text
 
     def test_fs_comparison_no_crossover(self):
-        r = FSComparisonResult(machine="X", writers=4, fs_scaled=100.0)
-        r.rows = [{"ratio": 1, "readers": 4, "throughput": 1.0}]
+        r = FSComparisonResult("streams vs FS at 4 writers (X)", FS_COMPARISON_COLUMNS)
+        r.points = [{"ratio": 1, "readers": 4, "throughput": 1.0, "fs_scaled": 100.0}]
         assert r.crossover_ratio() == 0.0
 
 
@@ -87,7 +102,7 @@ class TestFigReportContainers:
         report = ProfileReport(chapters=[
             ApplicationReport(app="app", app_size=4, topology=topo)
         ])
-        result = Fig17Result(reports={"app": report})
+        result = Fig17Result("Figure 17", FIG17_COLUMNS, reports={"app": report})
         assert result.matrix("app") is topo
 
     def test_fig18_accessors(self):
@@ -100,6 +115,6 @@ class TestFigReportContainers:
         report = ProfileReport(chapters=[
             ApplicationReport(app="app", app_size=4, density=density, waitstate=waits)
         ])
-        result = Fig18Result(reports={"app": report})
+        result = Fig18Result("Figure 18", FIG18_COLUMNS, reports={"app": report})
         assert result.density("app") is density
         assert result.waitstate("app") is waits

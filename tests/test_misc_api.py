@@ -52,45 +52,28 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["fig14", "--scale", "huge"])
 
-    def test_runs_a_driver(self, capsys, monkeypatch):
+    def test_runs_a_driver(self, capsys, fake_lane):
         import repro.bench.__main__ as cli
-        from repro.util.tables import Table
+        from repro.bench.lane import Column, LaneResult
 
-        class FakeResult:
-            def table(self):
-                t = Table(["x"], title="fake")
-                t.add_row(1)
-                return t
-
-        monkeypatch.setitem(cli._DRIVERS, "fig14", lambda scale, seed, telemetry=None: FakeResult())
+        result = LaneResult("fake", (Column("x", lambda p: p),), points=[1])
+        fake_lane("fig14", lambda scale, seed: result)
         assert cli.main(["fig14"]) == 0
         out = capsys.readouterr().out
         assert "fake" in out and "regenerated" in out
 
-    def test_csv_mode(self, capsys, monkeypatch):
+    def test_csv_mode(self, capsys, fake_lane):
         import repro.bench.__main__ as cli
-        from repro.util.tables import Table
+        from repro.bench.lane import Column, LaneResult
 
-        class FakeResult:
-            def table(self):
-                t = Table(["a", "b"])
-                t.add_row(1, 2)
-                return t
-
-        monkeypatch.setitem(cli._DRIVERS, "fig15", lambda scale, seed, telemetry=None: FakeResult())
+        columns = (Column("a", lambda p: p[0]), Column("b", lambda p: p[1]))
+        result = LaneResult("", columns, points=[(1, 2)])
+        fake_lane("fig15", lambda scale, seed: result)
         cli.main(["fig15", "--csv"])
         assert "a,b\n1,2" in capsys.readouterr().out
 
 
 class TestHarness:
-    def test_sweep_runs_all_configs(self):
-        from repro.bench.harness import sweep
-
-        seen = []
-        out = sweep([1, 2, 3], lambda c: c * 10, progress=seen.append)
-        assert out == [10, 20, 30]
-        assert len(seen) == 3
-
     def test_overhead_point_properties(self):
         from repro.bench.harness import OverheadPoint
 

@@ -1,15 +1,21 @@
 """Adaptive steering: policies, the controller's control loop, bench gates."""
 
 import dataclasses
+import json
 
 import pytest
 
 from repro.analysis.alerts import AlertRouter
 from repro.apps.nas import SP
-from repro.bench.steering import bench_policy, steering_adaptation
+from repro.bench.steering import (
+    SteeringBenchPoint,
+    _gate,
+    bench_policy,
+    steering_adaptation,
+)
 from repro.codec.frame import parse_frame
 from repro.core.session import CouplingSession
-from repro.errors import ConfigError, InstrumentationError
+from repro.errors import BenchGateError, ConfigError, InstrumentationError
 from repro.faults import LINK_DEGRADE, FaultPlan, FaultSpec
 from repro.instrument import EventPackBuilder, decode_pack
 from repro.instrument.interceptor import StreamingInstrumentation
@@ -570,7 +576,7 @@ class TestSessionIntegration:
 
 class TestBenchLane:
     def test_grid_runs_and_gates(self, tmp_path):
-        result = steering_adaptation(outdir=str(tmp_path))
+        result = steering_adaptation()
         assert [(p.policy, p.plan) for p in result.points] == [
             ("static", "none"), ("adaptive", "none"),
             ("static", "congestion"), ("adaptive", "congestion"),
@@ -581,7 +587,51 @@ class TestBenchLane:
         assert (adaptive_c.packs_dropped + adaptive_c.packs_stranded
                 < static_c.packs_dropped + static_c.packs_stranded)
         assert adaptive_c.events_per_s >= static_c.events_per_s
-        assert result.decision_log is not None
-        assert (tmp_path / "steering_decisions.json").exists()
+        result.artifacts["steering_decisions.json"](tmp_path / "steering_decisions.json")
+        log = json.loads((tmp_path / "steering_decisions.json").read_text())
+        assert len(log["decisions"]) == adaptive_c.decisions
         table = result.table().render()
         assert "congestion" in table
+
+
+    @staticmethod
+    def _grid(**changes):
+        """A point set that passes every gate clause, then one change."""
+        def point(policy, plan, **fields):
+            base = dict(
+                policy=policy, plan=plan, decisions=0, escalations=0, relaxes=0,
+                packs_written=100, packs_dropped=0, packs_stranded=0,
+                write_timeouts=0, events_analyzed=5000, app_walltime=1.0,
+                events_per_s=5000.0,
+            )
+            return SteeringBenchPoint(**{**base, **fields})
+
+        grid = {
+            "healthy_static": point("static", "none"),
+            "healthy_adaptive": point("adaptive", "none"),
+            "congested_static": point(
+                "static", "congestion", packs_dropped=40, events_per_s=3000.0),
+            "congested_adaptive": point(
+                "adaptive", "congestion", decisions=2, packs_dropped=10,
+                events_per_s=4000.0),
+        }
+        for key, fields in changes.items():
+            grid[key] = dataclasses.replace(grid[key], **fields)
+        return list(grid.values())
+
+    def test_gate_passes_a_sound_grid(self):
+        _gate(*self._grid())
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"healthy_adaptive": {"decisions": 1}}, "made 1 decisions on the healthy"),
+            ({"healthy_adaptive": {"packs_written": 101}}, "changed the healthy run"),
+            ({"congested_adaptive": {"decisions": 0}}, "triggered no adaptive decisions"),
+            ({"congested_adaptive": {"packs_stranded": 30}}, "did not cut pack loss"),
+            ({"congested_adaptive": {"events_per_s": 2999.0}}, "fell below static"),
+        ],
+    )
+    def test_each_gate_clause_fires(self, change, message):
+        with pytest.raises(BenchGateError, match=message):
+            _gate(*self._grid(**change))

@@ -10,7 +10,7 @@ import json
 import pytest
 
 from repro.apps import nas_kernel
-from repro.bench.figures import _stream_point
+from repro.bench.harness import stream_point
 from repro.blackboard.board import Blackboard
 from repro.blackboard.workers import ThreadPool
 from repro.core.session import CouplingSession
@@ -127,9 +127,9 @@ class TestCoupledRunTelemetry:
 class TestZeroCostWhenDisabled:
     def test_stream_point_identical_with_and_without_telemetry(self):
         machine = small_test_machine(nodes=64, cores_per_node=4)
-        plain = _stream_point(machine, 8, 4, 4 * MIB, MIB, 0)
+        plain = stream_point(machine, 8, 4, 4 * MIB, MIB, 0)
         tel = Telemetry()
-        instrumented = _stream_point(machine, 8, 4, 4 * MIB, MIB, 0, telemetry=tel)
+        instrumented = stream_point(machine, 8, 4, 4 * MIB, MIB, 0, telemetry=tel)
         # Telemetry never touches virtual time: bit-identical results.
         assert instrumented == plain
         assert instrumented["throughput"] == plain["throughput"]
@@ -192,27 +192,24 @@ class TestBlackboardWorkerTelemetry:
 
 
 class TestBenchCLI:
-    def test_json_and_trace_artifacts(self, tmp_path, monkeypatch):
+    def test_json_and_trace_artifacts(self, tmp_path, fake_lane):
         from repro.bench import __main__ as bench_main
-        from repro.util.tables import Table
+        from repro.bench.lane import Column, LaneResult
 
         calls = {}
+        columns = (Column("a", lambda p: p[0]), Column("b", lambda p: p[1]))
 
         def fake_driver(scale="small", seed=0, telemetry=None):
             calls["telemetry"] = telemetry
             if telemetry is not None:
                 telemetry.counter("kernel.events_dispatched").inc(7)
                 telemetry.span("kernel.run").end()
-            t = Table(["a", "b"], title="stub")
-            t.add_row(1, 2)
+            return LaneResult(
+                "stub", columns, points=[(1, 2)], extras={"bus": {"n": 3}},
+                artifacts={"side.txt": lambda path: path.write_text("kept")},
+            )
 
-            class R:
-                def table(self):
-                    return t
-
-            return R()
-
-        monkeypatch.setitem(bench_main._DRIVERS, "fig14", fake_driver)
+        fake_lane("fig14", fake_driver)
         rc = bench_main.main(
             ["fig14", "--telemetry", "--outdir", str(tmp_path)]
         )
@@ -224,26 +221,22 @@ class TestBenchCLI:
         assert payload["columns"] == ["a", "b"]
         assert payload["rows"] == [["1", "2"]]  # Table stores rendered cells
         assert payload["telemetry"]["headline"]["events_dispatched"] == 7
+        # a lane's extras land in the payload, its artifacts beside it
+        assert payload["bus"] == {"n": 3}
+        assert (tmp_path / "side.txt").read_text() == "kept"
 
         trace = json.loads((tmp_path / "BENCH_fig14.trace.json").read_text())
         assert any(e["ph"] == "X" for e in trace["traceEvents"])
 
-    def test_json_without_telemetry(self, tmp_path, monkeypatch):
+    def test_json_without_telemetry(self, tmp_path, fake_lane):
         from repro.bench import __main__ as bench_main
-        from repro.util.tables import Table
+        from repro.bench.lane import Column, LaneResult
 
         def fake_driver(scale="small", seed=0, telemetry=None):
             assert telemetry is None
-            t = Table(["x"], title="stub")
-            t.add_row(9)
+            return LaneResult("stub", (Column("x", lambda p: p),), points=[9])
 
-            class R:
-                def table(self):
-                    return t
-
-            return R()
-
-        monkeypatch.setitem(bench_main._DRIVERS, "fig15", fake_driver)
+        fake_lane("fig15", fake_driver)
         rc = bench_main.main(["fig15", "--json", "--outdir", str(tmp_path)])
         assert rc == 0
         payload = json.loads((tmp_path / "BENCH_fig15.json").read_text())
