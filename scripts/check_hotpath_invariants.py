@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Hot-path invariant lint: clock discipline, zero-copy decode, loop-free codec,
-lean per-event functions, one derivation per pack.
+lean per-event functions, one derivation per pack, observers paid per read.
 
-Five structural rules the hot-path refactors rely on, enforced over the
+Six structural rules the hot-path refactors rely on, enforced over the
 AST so comments and strings never trip them:
 
 1. **Clock discipline** — ``time.perf_counter`` (and its ``_ns``
@@ -33,9 +33,11 @@ AST so comments and strings never trip them:
 4. **Lean per-event functions** — the functions every kernel event and
    every point-to-point message runs through (``SimEvent.__init__``,
    ``Timeout.__init__``, ``SimEvent.succeed/fail``,
-   ``Resource.acquire/release``, ``Mailbox.post/deliver/_complete``,
-   ``Cluster.transfer``, ``Comm._raw_isend``) contain no f-string or
-   ``str.format`` call, no comprehension or generator expression, and no
+   ``_Condition/AllOf/AnyOf.__init__``, ``Resource.acquire/release``,
+   ``Mailbox.post/deliver/_complete``, ``PostedRecv._arrived``,
+   ``PMPIStack.around``, ``Cluster.transfer``, ``Comm._raw_isend``) contain
+   no f-string or ``str.format`` call, no comprehension or generator
+   expression, and no
    ``sum(`` / one-argument ``min(`` / ``max(`` over a container — so
    per-message name formatting and O(communicators) rescans cannot creep
    back (DESIGN 14).  ``raise`` statements are exempt: the error path may
@@ -52,6 +54,17 @@ AST so comments and strings never trip them:
    and ``np.add.reduceat`` over ``durations`` are errors: both add
    sequentially, numpy's ``.sum()`` adds pairwise, and the report hash
    depends on the last bit of those float sums.
+
+6. **Observers paid per read** — inside the ``while`` body of
+   ``Kernel._dispatch`` there is no ``.inc(`` / ``.set(`` / ``.observe(``
+   call outside the ``if self.trace`` debug branch: the kernel's instruments
+   are brought up to date where an observer can look (before hooks fire,
+   when the loop exits), never once per event (DESIGN 11).  And the records
+   built once per intercepted call or matched message (``PER_CALL_RECORDS``:
+   ``CallRecord``, ``Status``) are not ``@dataclass(frozen=True)``, whose
+   generated ``__init__`` pays one ``object.__setattr__`` per field; they
+   are tuples (DESIGN 14).  A listed name that no longer exists is itself a
+   violation.
 
 Exit status 0 when clean; 1 with one ``path:line: message`` per
 violation otherwise.  Run from the repository root::
@@ -106,11 +119,30 @@ PER_EVENT_FUNCTIONS = {
     Path("repro") / "simt" / "primitives.py": {
         "SimEvent": {"__init__", "succeed", "fail"},
         "Timeout": {"__init__"},
+        "_Condition": {"__init__"},
+        "AllOf": {"__init__"},
+        "AnyOf": {"__init__"},
     },
     Path("repro") / "simt" / "resources.py": {"Resource": {"acquire", "release"}},
-    Path("repro") / "mpi" / "message.py": {"Mailbox": {"post", "deliver", "_complete"}},
+    Path("repro") / "mpi" / "message.py": {
+        "Mailbox": {"post", "deliver", "_complete"},
+        "PostedRecv": {"_arrived"},
+    },
+    Path("repro") / "mpi" / "pmpi.py": {"PMPIStack": {"around"}},
     Path("repro") / "network" / "cluster.py": {"Cluster": {"transfer"}},
     Path("repro") / "mpi" / "communicator.py": {"Comm": {"_raw_isend"}},
+}
+
+#: module holding the dispatch loop
+KERNEL_MODULE = Path("repro") / "simt" / "kernel.py"
+
+#: instrument writes the dispatch loop must not make once per event
+INSTRUMENT_WRITES = frozenset({"inc", "set", "observe"})
+
+#: module -> the value records built once per intercepted call / message
+PER_CALL_RECORDS = {
+    Path("repro") / "mpi" / "pmpi.py": {"CallRecord"},
+    Path("repro") / "mpi" / "status.py": {"Status"},
 }
 
 #: package whose ``update`` methods read the shared per-pack batch
@@ -212,16 +244,23 @@ def _check_vector_stages(tree: ast.AST, rel: Path) -> list[str]:
     return problems
 
 
-def _outside_raise(node: ast.AST):
-    """``ast.walk`` that does not descend into ``raise`` statements."""
+def _walk_outside(node: ast.AST, skip):
+    """``ast.walk`` that does not descend into children ``skip(child)`` picks."""
     todo = [node]
     while todo:
         current = todo.pop()
         yield current
         todo.extend(
-            child for child in ast.iter_child_nodes(current)
-            if not isinstance(child, ast.Raise)
+            child for child in ast.iter_child_nodes(current) if not skip(child)
         )
+
+
+def _is_raise(node: ast.AST) -> bool:
+    return isinstance(node, ast.Raise)
+
+
+def _is_trace_branch(node: ast.AST) -> bool:
+    return isinstance(node, ast.If) and _mentions(node.test, "trace")
 
 
 def _per_event_offence(node: ast.AST) -> str | None:
@@ -255,7 +294,7 @@ def _check_per_event_functions(
             if not isinstance(fn, ast.FunctionDef) or fn.name not in wanted[cls.name]:
                 continue
             missing.discard((cls.name, fn.name))
-            for sub in _outside_raise(fn):
+            for sub in _walk_outside(fn, _is_raise):
                 what = _per_event_offence(sub)
                 if what is not None:
                     problems.append(
@@ -362,6 +401,68 @@ def _check_batch_float_sums(tree: ast.AST, rel: Path) -> list[str]:
     return problems
 
 
+def _check_dispatch_loop(tree: ast.AST, rel: Path) -> list[str]:
+    """Flag per-event instrument writes in ``Kernel._dispatch``'s loop."""
+    problems = []
+    loops = [
+        loop
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "Kernel"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "_dispatch"
+        for loop in ast.walk(fn)
+        if isinstance(loop, ast.While)
+    ]
+    if not loops:
+        problems.append(
+            f"{rel}:1: dispatch loop (a while inside Kernel._dispatch) not found — "
+            "update the lint if it moved or was renamed"
+        )
+    for loop in loops:
+        for sub in _walk_outside(loop, _is_trace_branch):
+            attr = _called_attr(sub)
+            if attr in INSTRUMENT_WRITES:
+                problems.append(
+                    f"{rel}:{sub.lineno}: .{attr}() call inside the dispatch loop — "
+                    "it runs once per kernel event; sync the instrument where an "
+                    "observer can look (before hooks fire, when the loop exits)"
+                )
+    return problems
+
+
+def _is_frozen_dataclass(decorator: ast.AST) -> bool:
+    return (
+        isinstance(decorator, ast.Call)
+        and _mentions(decorator.func, "dataclass")
+        and any(
+            kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value
+            for kw in decorator.keywords
+        )
+    )
+
+
+def _check_per_call_records(tree: ast.AST, rel: Path, wanted: set[str]) -> list[str]:
+    """Flag frozen-dataclass construction cost on the per-call records."""
+    problems = []
+    missing = set(wanted)
+    for cls in ast.walk(tree):
+        if not isinstance(cls, ast.ClassDef) or cls.name not in wanted:
+            continue
+        missing.discard(cls.name)
+        if any(_is_frozen_dataclass(dec) for dec in cls.decorator_list):
+            problems.append(
+                f"{rel}:{cls.lineno}: per-call record {cls.name} is a frozen dataclass — "
+                "its __init__ pays one object.__setattr__ per field on every "
+                "intercepted call; keep it a NamedTuple"
+            )
+    for name in sorted(missing):
+        problems.append(
+            f"{rel}:1: per-call record {name} not found — "
+            "update PER_CALL_RECORDS if it moved or was renamed"
+        )
+    return problems
+
+
 def check_tree(src_root: Path) -> list[str]:
     """All invariant violations under ``src_root`` (a ``src/`` directory)."""
     problems = []
@@ -376,6 +477,10 @@ def check_tree(src_root: Path) -> list[str]:
             problems.extend(_check_vector_stages(tree, rel))
         if rel in PER_EVENT_FUNCTIONS:
             problems.extend(_check_per_event_functions(tree, rel, PER_EVENT_FUNCTIONS[rel]))
+        if rel == KERNEL_MODULE:
+            problems.extend(_check_dispatch_loop(tree, rel))
+        if rel in PER_CALL_RECORDS:
+            problems.extend(_check_per_call_records(tree, rel, PER_CALL_RECORDS[rel]))
         if ANALYSIS_PACKAGE in rel.parents:
             problems.extend(_check_analysis_updates(tree, rel))
         if rel == BATCH_MODULE:
@@ -396,7 +501,8 @@ def main(argv: list[str]) -> int:
         return 1
     print(
         "hot-path invariants hold (clock discipline, zero-copy decode, "
-        "loop-free codec, lean per-event functions, one derivation per pack)"
+        "loop-free codec, lean per-event functions, one derivation per pack, "
+        "observers paid per read)"
     )
     return 0
 

@@ -128,25 +128,23 @@ class EventPackBuilder:
     def add(self, record: CallRecord) -> bool:
         """Append one event; returns True when the pack is now full."""
         count = self._count
-        comm_size = record.comm_size
+        name, t_start, t_end, _comm_id, _rank, comm_size, peer, tag, nbytes = record
         while True:
             try:
                 pack_record_into(
                     self._buf,
                     count * EVENT_RECORD_SIZE,
-                    CALL_IDS[record.name],
+                    CALL_IDS[name],
                     0,
-                    record.peer,
-                    record.tag,
+                    peer,
+                    tag,
                     comm_size if comm_size > 0 else 0,
-                    record.nbytes,
-                    record.t_start,
-                    record.t_end,
+                    nbytes,
+                    t_start,
+                    t_end,
                 )
             except KeyError:
-                raise InstrumentationError(
-                    f"unknown MPI call name {record.name!r}"
-                ) from None
+                raise InstrumentationError(f"unknown MPI call name {name!r}") from None
             except struct.error:
                 # No size compare on the hot path: a short buffer announces
                 # itself here, and the record is packed again after growing.

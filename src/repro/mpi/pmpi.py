@@ -12,8 +12,7 @@ paper's central overhead mechanism).
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from repro.simt.primitives import Timeout
 
@@ -21,9 +20,12 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.world import RankContext
 
 
-@dataclass(frozen=True, slots=True)
-class CallRecord:
-    """What an interceptor sees about one completed MPI call."""
+class CallRecord(NamedTuple):
+    """What an interceptor sees about one completed MPI call.
+
+    An immutable value record, one allocation to build: every intercepted
+    call makes one and every interceptor on the stack shares it.
+    """
 
     name: str
     t_start: float
@@ -65,21 +67,32 @@ class Interceptor:
 class PMPIStack:
     """Ordered interceptor stack for one rank."""
 
-    __slots__ = ("ctx", "interceptors", "calls_seen")
+    __slots__ = ("ctx", "interceptors", "calls_seen", "_on_enter", "_on_exit")
 
     def __init__(self, ctx: "RankContext"):
         self.ctx = ctx
         self.interceptors: list[Interceptor] = []
         self.calls_seen = 0
+        #: the *overridden* hooks, bound at attach in stack order: ``around``
+        #: never calls the base class's no-op once per intercepted call.
+        #: Tuples, so a rank nobody intercepts shares the empty singleton.
+        self._on_enter: tuple = ()
+        self._on_exit: tuple = ()
 
     def attach(self, interceptor: Interceptor) -> None:
         self.interceptors.append(interceptor)
+        kind = type(interceptor)
+        if kind.on_enter is not Interceptor.on_enter:
+            self._on_enter += (interceptor.on_enter,)
+        if kind.on_exit is not Interceptor.on_exit:
+            self._on_exit += (interceptor.on_exit,)
         interceptor.on_attach(self.ctx)
 
     def detach_all(self) -> None:
         for interceptor in self.interceptors:
             interceptor.on_detach(self.ctx)
         self.interceptors.clear()
+        self._on_enter = self._on_exit = ()
 
     @property
     def active(self) -> bool:
@@ -103,8 +116,8 @@ class PMPIStack:
         kernel = ctx.kernel
         # Hook results are interpreted inline: the overwhelmingly common
         # None / seconds outcomes never build a _drive generator frame.
-        for interceptor in self.interceptors:
-            hooked = interceptor.on_enter(ctx, name)
+        for on_enter in self._on_enter:
+            hooked = on_enter(ctx, name)
             if hooked is None:
                 continue
             if isinstance(hooked, (int, float)):
@@ -119,8 +132,8 @@ class PMPIStack:
         record = CallRecord(
             name, t_start, kernel.now, comm.id, comm.rank, comm.size, peer, tag, nbytes
         )
-        for interceptor in self.interceptors:
-            hooked = interceptor.on_exit(ctx, record)
+        for on_exit in self._on_exit:
+            hooked = on_exit(ctx, record)
             if hooked is None:
                 continue
             if isinstance(hooked, (int, float)):

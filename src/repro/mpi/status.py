@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Status:
+class Status(NamedTuple):
     """Outcome of a completed receive (mirrors ``MPI_Status``).
+
+    An immutable value record, one allocation to build: every matched
+    message makes one.
 
     ``source`` and ``tag`` are the *matched* values (wildcards resolved),
     ``nbytes`` the actual message size, ``payload`` the optional real data

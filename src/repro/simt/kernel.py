@@ -192,43 +192,69 @@ class Kernel:
         """
         heap = self._heap
         observed = self.telemetry.enabled
-        while heap and heap[0][0] <= limit:
-            when, _seq, event = heappop(heap)
-            if when < self.now:
-                raise SimulationError("time went backwards (kernel bug)")
-            # A dispatched callback may register a hook due *now*
-            # (call_every(first=now)), so the compare is per event; after
-            # firing, _hooks_due > when.
-            if when >= self._hooks_due:
-                self._fire_hooks(when)
-            self.now = when
-            self.events_dispatched += 1
-            if event.state == 0:  # PENDING: a scheduled timeout firing now
-                event.state = 1  # SUCCEEDED (value was set at creation)
+        # An observed run mirrors events_dispatched and len(heap) into their
+        # instruments where an observer can look -- before hooks fire and
+        # when this loop exits -- not once per event (DESIGN 11).  ``depth``
+        # is the heap length right after the latest pop, ``high`` its peak.
+        synced = self.events_dispatched
+        depth = high = self._gauge_heap.value if observed else 0
+        try:
+            while heap and heap[0][0] <= limit:
+                when, _seq, event = heappop(heap)
+                if when < self.now:
+                    raise SimulationError("time went backwards (kernel bug)")
+                # A dispatched callback may register a hook due *now*
+                # (call_every(first=now)), so the compare is per event; after
+                # firing, _hooks_due > when.
+                if when >= self._hooks_due:
+                    if observed:
+                        self._sync_instruments(self.events_dispatched - synced, depth, high)
+                        synced = self.events_dispatched
+                    self._fire_hooks(when)
+                self.now = when
+                self.events_dispatched += 1
+                if event.state == 0:  # PENDING: a scheduled timeout firing now
+                    event.state = 1  # SUCCEEDED (value was set at creation)
+                if observed:
+                    depth = len(heap)
+                    if depth > high:
+                        high = depth
+                    if self.trace:
+                        self.telemetry.instant(
+                            "kernel.fire",
+                            pid=KERNEL_PID,
+                            cat="kernel",
+                            args={"event": repr(event)},
+                        )
+                callbacks = event.callbacks
+                event.callbacks = None  # later add_callback() calls run at once
+                waiters = event.num_waiters = len(callbacks)
+                if waiters == 1:
+                    callbacks[0](event)
+                elif waiters:
+                    for cb in callbacks:
+                        cb(event)
+                elif event._is_process and event.state == 2:
+                    # A process that crashed with nobody joining it must surface
+                    # the error instead of silently vanishing from the simulation.
+                    raise ProcessCrashError(event.name, event.value) from event.value
+                if stop is not None and stop.state != 0:
+                    return
+        finally:
             if observed:
-                self._ctr_dispatched.inc()
-                self._gauge_heap.set(len(heap))
-                if self.trace:
-                    self.telemetry.instant(
-                        "kernel.fire",
-                        pid=KERNEL_PID,
-                        cat="kernel",
-                        args={"event": repr(event)},
-                    )
-            callbacks = event.callbacks
-            event.callbacks = None  # later add_callback() calls run at once
-            waiters = event.num_waiters = len(callbacks)
-            if waiters == 1:
-                callbacks[0](event)
-            elif waiters:
-                for cb in callbacks:
-                    cb(event)
-            elif event._is_process and event.state == 2:
-                # A process that crashed with nobody joining it must surface
-                # the error instead of silently vanishing from the simulation.
-                raise ProcessCrashError(event.name, event.value) from event.value
-            if stop is not None and stop.state != 0:
-                return
+                self._sync_instruments(self.events_dispatched - synced, depth, high)
+
+    def _sync_instruments(self, events: int, depth: float, high: float) -> None:
+        """Book ``events`` more dispatches and the current heap depth.
+
+        ``Gauge.max`` takes the loop's own high-water, so it stays exact
+        although the depths between two syncs are never ``set()``.
+        """
+        self._ctr_dispatched.inc(events)
+        gauge = self._gauge_heap
+        gauge.set(depth)
+        if high > gauge.max:
+            gauge.max = high
 
     def step(self) -> None:
         """Dispatch the next scheduled event."""

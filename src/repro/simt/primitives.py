@@ -161,7 +161,7 @@ class AnyOf(_Condition):
     __slots__ = ()
 
     def __init__(self, kernel: "Kernel", events: list[SimEvent]):
-        super().__init__(kernel, events, name=f"any_of[{len(events)}]")
+        super().__init__(kernel, events, name="any_of")
 
     def _on_child(self, ev: SimEvent) -> None:
         if self.triggered:
@@ -178,7 +178,7 @@ class AllOf(_Condition):
     __slots__ = ()
 
     def __init__(self, kernel: "Kernel", events: list[SimEvent]):
-        super().__init__(kernel, events, name=f"all_of[{len(events)}]")
+        super().__init__(kernel, events, name="all_of")
 
     def _on_child(self, ev: SimEvent) -> None:
         if self.triggered:

@@ -220,9 +220,9 @@ class HealthMonitor:
         self._firing.clear()
         new += self._detect_stream_stall(now)
         new += self._detect_backlog(now)
-        busy = self._busy_by_track(now)
+        busy, by_layer = self._window_busy(now)
         new += self._detect_worker_balance(now, busy)
-        new += self._detect_critical_path(now)
+        new += self._detect_critical_path(now, by_layer)
         new += self._detect_faults(now)
         new += self._detect_cleared(now)
         for alert in new:
@@ -323,36 +323,38 @@ class HealthMonitor:
             {"depth": stats["last"], "high_water": depth.high_water},
         )
 
-    def _busy_by_track(self, now: float) -> dict[int, float]:
-        """Span-derived busy seconds per rank track inside the window.
+    def _window_busy(self, now: float) -> tuple[dict[int, float], dict[str, float]]:
+        """Span-derived busy seconds inside the window, per rank track and
+        per layer (span category), from one walk over the span suffix.
 
         Nested spans double count; the ratioed detectors only compare
-        tracks against each other, so consistent inflation cancels out.
+        tracks (or layers) against each other, so consistent inflation
+        cancels out.
         """
         t_lo = now - self.config.window
-        busy: dict[int, float] = {}
         spans = self.tel.spans
-        floor = self._span_floor
+        windowed = []  # closed spans newest first, then the open ones
         # Spans are appended in end order, so everything before the first
         # index whose t1 >= t_lo stays out of this and all later windows.
-        for idx in range(len(spans) - 1, floor - 1, -1):
+        for idx in range(len(spans) - 1, self._span_floor - 1, -1):
             span = spans[idx]
             if span.t1 is not None and span.t1 < t_lo:
-                self._span_floor = max(self._span_floor, idx)
+                self._span_floor = idx
                 break
+            windowed.append(span)
+        windowed += self.tel.open_spans()
+        busy: dict[int, float] = {}
+        by_layer: dict[str, float] = {}
+        for span in windowed:
             if span.pid == KERNEL_PID:
                 continue
-            t1 = now if span.t1 is None else span.t1
-            overlap = min(t1, now) - max(span.t0, t_lo)
+            t1 = now if span.t1 is None else min(span.t1, now)
+            overlap = t1 - max(span.t0, t_lo)
             if overlap > 0:
                 busy[span.pid] = busy.get(span.pid, 0.0) + overlap
-        for span in self.tel.open_spans():
-            if span.pid == KERNEL_PID:
-                continue
-            overlap = now - max(span.t0, t_lo)
-            if overlap > 0:
-                busy[span.pid] = busy.get(span.pid, 0.0) + overlap
-        return busy
+                layer = span.cat or "uncategorized"
+                by_layer[layer] = by_layer.get(layer, 0.0) + overlap
+        return busy, by_layer
 
     def _detect_worker_balance(
         self, now: float, busy: dict[int, float]
@@ -381,29 +383,10 @@ class HealthMonitor:
             )
         return out
 
-    def _detect_critical_path(self, now: float) -> list[HealthAlert]:
+    def _detect_critical_path(
+        self, now: float, by_layer: dict[str, float]
+    ) -> list[HealthAlert]:
         cfg = self.config
-        t_lo = now - cfg.window
-        by_layer: dict[str, float] = {}
-        spans = self.tel.spans
-        for idx in range(len(spans) - 1, self._span_floor - 1, -1):
-            span = spans[idx]
-            if span.t1 is not None and span.t1 < t_lo:
-                break
-            if span.pid == KERNEL_PID:
-                continue
-            t1 = now if span.t1 is None else span.t1
-            overlap = min(t1, now) - max(span.t0, t_lo)
-            if overlap > 0:
-                layer = span.cat or "uncategorized"
-                by_layer[layer] = by_layer.get(layer, 0.0) + overlap
-        for span in self.tel.open_spans():
-            if span.pid == KERNEL_PID:
-                continue
-            overlap = now - max(span.t0, t_lo)
-            if overlap > 0:
-                layer = span.cat or "uncategorized"
-                by_layer[layer] = by_layer.get(layer, 0.0) + overlap
         if len(by_layer) < 2:
             return []  # a single layer trivially owns 100 %
         total = sum(by_layer.values())

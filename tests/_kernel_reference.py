@@ -3,10 +3,16 @@
 :class:`ReferenceKernel` keeps the real kernel's bookkeeping (heap entries
 pushed by the primitives, process table, periodic-hook registry) and
 replaces everything that *dispatches*: one event per ``step()``, no
-telemetry, no batching, no folded call chains, and the three ``run()`` modes
-as the three obvious ``while`` loops.  It logs every dispatch as
+batching, no folded call chains, and the three ``run()`` modes as the three
+obvious ``while`` loops.  It logs every dispatch as
 ``(now, seq, event name, num_waiters)`` — the schedule the single loop in
 ``src/repro/simt/kernel.py`` has to reproduce entry for entry.
+
+Given a live ``Telemetry`` it writes the two kernel instruments once per
+event (``kernel.events_dispatched`` += 1, ``kernel.heap_depth`` =
+``len(heap)`` after the pop), which is what every reader of them — a
+periodic hook, code between two ``run()``/``step()`` calls — has to see from
+the real kernel, however rarely that one writes them.
 """
 
 import heapq
@@ -18,8 +24,8 @@ from repro.simt import Kernel, Process, SimEvent
 class ReferenceKernel(Kernel):
     __slots__ = ("dispatched",)
 
-    def __init__(self):
-        super().__init__()
+    def __init__(self, telemetry=None):
+        super().__init__(telemetry=telemetry)
         self.dispatched = []
 
     def step(self):
@@ -30,6 +36,9 @@ class ReferenceKernel(Kernel):
         self._fire_hooks(when)  # fires nothing unless a hook is due
         self.now = when
         self.events_dispatched += 1
+        if self.telemetry.enabled:
+            self._ctr_dispatched.inc()
+            self._gauge_heap.set(len(self._heap))
         if not event.triggered:
             event.state = 1  # a timeout firing now
         callbacks, event.callbacks = event.callbacks, None

@@ -467,3 +467,20 @@ class TestClearedEvents:
         assert len(cleared) >= 1
         assert len(raised) >= 2  # the second storm re-raises after the clear
         assert raised[0].t_detect < cleared[0].t_detect < raised[-1].t_detect
+
+
+# -- the span walk is one pass; the alerts are the two-pass walk's -----------------
+
+
+def test_alerts_on_an_observed_faulted_session_match_the_committed_list(watched_session):
+    # The fixture file is the alert list of the tree where _busy_by_track and
+    # _detect_critical_path each walked the windowed spans: kinds, order,
+    # t_detect, values and detail, bit for bit.
+    import json
+    from pathlib import Path
+
+    alerts = watched_session().run().health["alerts"]
+    fixture = Path(__file__).parent / "fixtures" / "monitor_alerts_observed_faulted.json"
+    expected = json.loads(fixture.read_text())
+    assert {a["kind"] for a in expected} >= {"critical_path", "load_imbalance"}
+    assert alerts == expected

@@ -373,3 +373,139 @@ def test_batch_may_reduceat_integers_and_extrema_and_subtract_timestamps(tmp_pat
         "        return float(durations[0:4].sum())\n",
     )
     assert check_tree(tmp_path) == []
+
+
+# -- rule 6: observers paid per read --------------------------------------------------
+
+
+def _kernel_module(loop_body: str) -> str:
+    return (
+        "class Kernel:\n"
+        "    def _dispatch(self, limit, stop=None):\n"
+        "        try:\n"
+        "            while self._heap:\n"
+        f"                {loop_body}\n"
+        "        finally:\n"
+        "            self._sync_instruments(0, 0, 0)\n"
+        "    def _sync_instruments(self, events, depth, high):\n"
+        "        self._ctr_dispatched.inc(events)\n"
+        "        self._gauge_heap.set(depth)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "loop_body, what",
+    [
+        ("self._ctr_dispatched.inc()", ".inc() call"),
+        ("self._gauge_heap.set(len(heap))", ".set() call"),
+        ("self._hist.observe(when - self.now)", ".observe() call"),
+        ("if observed:\n                    self._ctr_dispatched.inc()", ".inc() call"),
+    ],
+)
+def test_flags_per_event_instrument_writes_in_the_dispatch_loop(tmp_path, loop_body, what):
+    _write(tmp_path, "repro/simt/kernel.py", _kernel_module(loop_body))
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1, problems
+    assert "kernel.py:" in problems[0] and what in problems[0]
+    assert "dispatch loop" in problems[0]
+
+
+@pytest.mark.parametrize(
+    "loop_body",
+    [
+        "self._sync_instruments(1, len(heap), high)",  # the sync is a method, outside the loop
+        "if self.trace:\n                    self._marks.inc()",  # the debug branch may
+        "depth = len(heap)",
+    ],
+)
+def test_dispatch_loop_may_sync_through_a_method_and_trace(tmp_path, loop_body):
+    _write(tmp_path, "repro/simt/kernel.py", _kernel_module(loop_body))
+    assert check_tree(tmp_path) == []
+
+
+def test_instrument_writes_outside_the_dispatch_loop_are_allowed(tmp_path):
+    _write(
+        tmp_path,
+        "repro/simt/kernel.py",
+        _kernel_module("pass") + "    def run(self):\n        while True:\n            self.c.inc()\n",
+    )
+    _write(tmp_path, "repro/vmpi/stream.py", "def write(self):\n    while 1:\n        self.c.inc()\n")
+    assert check_tree(tmp_path) == []
+
+
+def test_a_renamed_dispatch_loop_is_reported(tmp_path):
+    _write(
+        tmp_path,
+        "repro/simt/kernel.py",
+        "class Kernel:\n    def _drain(self):\n        while self._heap:\n            self.c.inc()\n",
+    )
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1
+    assert "Kernel._dispatch) not found" in problems[0]
+
+
+_PER_CALL_RECORD_SITES = [
+    ("repro/mpi/pmpi.py", "CallRecord"),
+    ("repro/mpi/status.py", "Status"),
+]
+
+
+def _pmpi_stub(rel: str) -> str:
+    """What rule 4 wants to find in ``rel`` beside the record class."""
+    return "class PMPIStack:\n    def around(self):\n        pass\n" if "pmpi" in rel else ""
+
+
+@pytest.mark.parametrize(
+    "decorator",
+    [
+        "@dataclass(frozen=True, slots=True)",
+        "@dataclass(frozen=True)",
+        "@dataclasses.dataclass(slots=True, frozen=True)",
+    ],
+)
+@pytest.mark.parametrize("rel, cls", _PER_CALL_RECORD_SITES)
+def test_flags_frozen_dataclass_per_call_records(tmp_path, rel, cls, decorator):
+    _write(tmp_path, rel, f"{decorator}\nclass {cls}:\n    tag: int\n" + _pmpi_stub(rel))
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1, problems
+    assert f"{Path(rel).name}:2" in problems[0]
+    assert f"per-call record {cls} is a frozen dataclass" in problems[0]
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "class {cls}(NamedTuple):",
+        "@dataclass(slots=True)\nclass {cls}:",  # mutable: not this rule's business
+        "@dataclass(frozen=False)\nclass {cls}:",
+    ],
+)
+@pytest.mark.parametrize("rel, cls", _PER_CALL_RECORD_SITES)
+def test_per_call_records_may_be_tuples(tmp_path, rel, cls, header):
+    _write(tmp_path, rel, header.format(cls=cls) + "\n    tag: int\n" + _pmpi_stub(rel))
+    assert check_tree(tmp_path) == []
+
+
+def test_frozen_dataclasses_elsewhere_are_allowed(tmp_path):
+    _write(
+        tmp_path,
+        "repro/telemetry/monitor.py",
+        "@dataclass(frozen=True)\nclass CallRecord:\n    tag: int\n",
+    )
+    assert check_tree(tmp_path) == []
+
+
+@pytest.mark.parametrize("rel, cls", _PER_CALL_RECORD_SITES)
+def test_a_renamed_per_call_record_is_reported(tmp_path, rel, cls):
+    _write(tmp_path, rel, "class Renamed(NamedTuple):\n    tag: int\n" + _pmpi_stub(rel))
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1
+    assert f"per-call record {cls} not found" in problems[0]
+
+
+def test_per_call_record_table_names_the_real_classes():
+    from check_hotpath_invariants import PER_CALL_RECORDS
+
+    assert sorted((rel.as_posix(), cls) for rel, names in PER_CALL_RECORDS.items() for cls in names) == (
+        _PER_CALL_RECORD_SITES
+    )

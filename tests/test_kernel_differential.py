@@ -3,12 +3,19 @@
 Hypothesis draws small process programs — positive and zero-delay timeouts
 that tie, ``succeed``/``fail`` chains on shared events, ``any_of``/``all_of``,
 ``interrupt``, joins (also on crashed processes), ``call_every(first=)``
-hooks — and one of the three ``run()`` modes.  Each program runs on the real
-kernel with telemetry off and on and on ``tests/_kernel_reference.py``; the
-dispatch trace ``(now, seq, event name, num_waiters)``, what the processes
-saw, the final clock, ``events_dispatched`` and the type of any raised error
-must agree.  The real kernel's trace is read off its heap pops, so the test
-needs no hook inside the loop it checks.
+hooks — and one of the three ``run()`` modes or a ``step()``-by-``step()``
+walk.  Each program runs on the real kernel with telemetry off and on and on
+``tests/_kernel_reference.py``; the dispatch trace ``(now, seq, event name,
+num_waiters)``, what the processes saw, the final clock,
+``events_dispatched`` and the type of any raised error must agree.  The real
+kernel's trace is read off its heap pops, so the test needs no hook inside
+the loop it checks.
+
+The observed runs also read the two kernel instruments wherever an observer
+can: at every firing of every hook, after every ``step()``, after the run
+however it ended.  The reference writes them once per event; the real
+kernel only where they can be read, and each reading, the final counter,
+``Gauge.value`` and ``Gauge.max`` must be the reference's.
 """
 
 from unittest import mock
@@ -16,10 +23,12 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from repro.errors import SimulationError
 from repro.simt import Interrupt, Kernel
 from repro.simt import kernel as kernel_module
-from repro.telemetry import Telemetry
+from repro.telemetry import KERNEL_PID, NULL_TELEMETRY, Telemetry
 
 from _kernel_reference import ReferenceKernel
 
@@ -51,6 +60,7 @@ modes = st.one_of(
     st.tuples(st.just("deadline"), st.sampled_from([0.0, 1.0, 2.5, 10.0])),
     st.tuples(st.just("event"), event_ids),
     st.tuples(st.just("process"), proc_ids),
+    st.just(("steps",)),
 )
 
 
@@ -58,7 +68,7 @@ class Boom(Exception):
     """What ``crash`` raises and ``fail`` delivers."""
 
 
-def _body(k, me, script, events, procs, seen):
+def _body(k, me, script, events, procs, seen, probe):
     for op in script:
         kind = op[0]
         if kind == "crash":
@@ -87,7 +97,8 @@ def _body(k, me, script, events, procs, seen):
                     seen.append((k.now, me, "uninterruptible", op[1]))
             elif kind == "hook":
                 k.call_every(
-                    op[1], lambda now, me=me: seen.append((now, me, "hook")),
+                    op[1],
+                    lambda now, me=me: (seen.append((now, me, "hook")), probe(now)),
                     first=k.now + op[2],
                 )
         except Interrupt as intr:
@@ -102,10 +113,24 @@ def _execute(k, program, mode, dispatched):
     """Run ``program`` on ``k``; everything observable about the run
     (``dispatched()`` returns its ``(now, seq, name, num_waiters)`` trace)."""
     seen = []
+    readings = []  # (now, events counter, heap-depth gauge) wherever one can look
+    tel = k.telemetry
+    if tel.enabled:
+        counter = tel.counters["kernel.events_dispatched"]
+        gauge = tel.gauges["kernel.heap_depth", KERNEL_PID]
+
+        def probe(now):
+            readings.append((now, counter.value, gauge.value))
+    else:
+        def probe(now):
+            pass
+    k.call_every(0.25, probe)
     events = [k.event(f"e{i}") for i in range(N_EVENTS)]
     procs = []
     for me, script in enumerate(program):
-        procs.append(k.spawn(_body(k, me, script, events, procs, seen), name=f"p{me}"))
+        procs.append(
+            k.spawn(_body(k, me, script, events, procs, seen, probe), name=f"p{me}")
+        )
     if mode[0] == "deadline":
         until = mode[1]
     elif mode[0] == "event":
@@ -115,15 +140,24 @@ def _execute(k, program, mode, dispatched):
     else:
         until = None
     try:
-        outcome = ("returned", k.run(until))
+        if mode[0] == "steps":
+            while k._heap:
+                k.step()
+                probe(k.now)
+            outcome = ("stepped", None)
+        else:
+            outcome = ("returned", k.run(until))
     except Exception as exc:  # noqa: BLE001 - the error type is the outcome
         outcome = ("raised", type(exc).__name__)
+    probe(k.now)
     return {
         "trace": dispatched(),
         "seen": seen,
         "outcome": outcome,
         "now": k.now,
         "events_dispatched": k.events_dispatched,
+        "instruments": (readings, counter.value, gauge.value, gauge.max)
+        if tel.enabled else None,
     }
 
 
@@ -145,16 +179,51 @@ def _on_real_kernel(k, program, mode):
 
 
 def _on_reference(program, mode):
-    k = ReferenceKernel()
+    k = ReferenceKernel(telemetry=Telemetry())
     return _execute(k, program, mode, lambda: k.dispatched)
+
+
+def _assert_matches_the_reference(program, mode):
+    expected = _on_reference(program, mode)
+    assert expected["instruments"][1] == expected["events_dispatched"]
+    assert _on_real_kernel(Kernel(telemetry=Telemetry()), program, mode) == expected
+    # Telemetry off: the same schedule, and neither instrument exists.
+    plain = Kernel()
+    assert _on_real_kernel(plain, program, mode) == {**expected, "instruments": None}
+    assert not hasattr(plain, "_ctr_dispatched") and not hasattr(plain, "_gauge_heap")
+    assert not NULL_TELEMETRY.counters and not NULL_TELEMETRY.gauges
 
 
 @settings(max_examples=300, deadline=None)
 @given(program=scripts, mode=modes)
 def test_single_loop_matches_the_reference_scheduler(program, mode):
-    expected = _on_reference(program, mode)
-    assert _on_real_kernel(Kernel(), program, mode) == expected
-    assert _on_real_kernel(Kernel(telemetry=Telemetry()), program, mode) == expected
+    _assert_matches_the_reference(program, mode)
+
+
+# The ways _dispatch can be left, each on a program that keeps events queued
+# behind the exit so a stale counter or heap depth would show.
+_BUSY = [("sleep", 0.5), ("sleep", 0.0), ("sleep", 1.0), ("sleep", 1.5)]
+
+
+@pytest.mark.parametrize(
+    "program, mode, outcome",
+    [
+        ([_BUSY, [("sleep", 1.0), ("crash",)], _BUSY], ("drain",), ("raised", "ProcessCrashError")),
+        ([_BUSY, [("sleep", 1.0), ("succeed", 0)], _BUSY], ("event", 0), ("returned", "p1")),
+        ([_BUSY, [("sleep", 1.0)], _BUSY], ("process", 1), ("returned", "p1 done")),
+        ([_BUSY, _BUSY], ("deadline", 1.0), ("returned", None)),
+        ([_BUSY, _BUSY], ("deadline", 10.0), ("returned", None)),
+        ([_BUSY, [("hook", 0.5, 0.0)], _BUSY], ("steps",), ("stepped", None)),
+        ([_BUSY, [("wait", 0)]], ("drain",), ("raised", "DeadlockError")),
+    ],
+)
+def test_instruments_are_current_however_the_loop_is_left(program, mode, outcome):
+    _assert_matches_the_reference(program, mode)
+    got = _on_real_kernel(Kernel(telemetry=Telemetry()), program, mode)
+    assert got["outcome"] == outcome
+    readings, counter, _depth, high = got["instruments"]
+    assert counter == got["events_dispatched"] > 0
+    assert len(readings) > 1 and high >= max(depth for _now, _count, depth in readings)
 
 
 def test_the_recorded_trace_is_the_dispatch_order():
@@ -173,4 +242,4 @@ def test_the_recorded_trace_is_the_dispatch_order():
         (1.0, 8, "p2", 0),
     ]
     assert got["events_dispatched"] == 8 and got["now"] == 1.0
-    assert got == _on_reference(program, ("drain",))
+    assert got == {**_on_reference(program, ("drain",)), "instruments": None}
