@@ -32,10 +32,11 @@ AST so comments and strings never trip them:
 
 4. **Lean per-event functions** — the functions every kernel event and
    every point-to-point message runs through (``SimEvent.__init__``,
-   ``Timeout.__init__``, ``SimEvent.succeed/fail``,
+   ``Timeout.__init__``, ``SimEvent.succeed/fail/succeed_after``,
    ``_Condition/AllOf/AnyOf.__init__``, ``Resource.acquire/release``,
    ``Mailbox.post/deliver/_complete``, ``PostedRecv._arrived``,
-   ``PMPIStack.around``, ``Cluster.transfer``, ``Comm._raw_isend``) contain
+   ``PMPIStack._intercepted`` (the body ``around`` is bound to while an
+   interceptor is attached), ``Cluster.transfer``, ``Comm._raw_isend``) contain
    no f-string or ``str.format`` call, no comprehension or generator
    expression, and no
    ``sum(`` / one-argument ``min(`` / ``max(`` over a container — so
@@ -117,7 +118,7 @@ def _is_vector_function(name: str) -> bool:
 #: module -> class -> the methods that run once per event / per message
 PER_EVENT_FUNCTIONS = {
     Path("repro") / "simt" / "primitives.py": {
-        "SimEvent": {"__init__", "succeed", "fail"},
+        "SimEvent": {"__init__", "succeed", "fail", "succeed_after"},
         "Timeout": {"__init__"},
         "_Condition": {"__init__"},
         "AllOf": {"__init__"},
@@ -128,7 +129,7 @@ PER_EVENT_FUNCTIONS = {
         "Mailbox": {"post", "deliver", "_complete"},
         "PostedRecv": {"_arrived"},
     },
-    Path("repro") / "mpi" / "pmpi.py": {"PMPIStack": {"around"}},
+    Path("repro") / "mpi" / "pmpi.py": {"PMPIStack": {"_intercepted"}},
     Path("repro") / "network" / "cluster.py": {"Cluster": {"transfer"}},
     Path("repro") / "mpi" / "communicator.py": {"Comm": {"_raw_isend"}},
 }

@@ -139,6 +139,7 @@ class Comm:
                 source,
                 tag if recv_tag is None else recv_tag,
                 self.ctx.world.cost.o_recv,
+                waited=True,
             )
             yield send_req.event
             return status
@@ -169,8 +170,9 @@ class Comm:
                    blocking: bool = False):
         """Generator: the un-intercepted send machinery; returns the Request.
 
-        With ``blocking`` it also waits for the send to complete
-        (``MPI_Send``) before returning.
+        With ``blocking`` (``MPI_Send``) it returns once the send is complete:
+        an eager one as soon as it is delivered, with no Request (``None``) —
+        the copy that completes it is the CPU timeout, and nobody else waits.
         """
         if nbytes < 0:
             raise MPIError(f"negative message size: {nbytes}")
@@ -187,13 +189,16 @@ class Comm:
         arrival = world.cluster.transfer(self._global_rank, g_dst, nbytes)
         if eager:
             match_event = None
-            completion = SimEvent(kernel, "isend.eager")
-            completion.succeed()
+            if not blocking:
+                completion = SimEvent(kernel, "isend.eager")
+                completion.succeed()
         else:
             match_event = SimEvent(kernel, "isend.match")
             completion = AllOf(kernel, [match_event, arrival])
         env = Envelope(self.id, self.rank, tag, nbytes, payload, arrival, match_event)
         world.ranks[g_dst].mailbox.deliver(env)
+        if blocking and eager:
+            return None
         req = Request(kernel, completion, "send")
         req.envelope = env
         if blocking:
@@ -207,7 +212,7 @@ class Comm:
         (``MPI_Recv``) — waits for the message and returns its Status.
         """
         ctx = self.ctx
-        completion = ctx.mailbox.post(self.id, source, tag, ctx.world.cost.o_recv)
+        completion = ctx.mailbox.post(self.id, source, tag, ctx.world.cost.o_recv, blocking)
         if blocking:
             return (yield completion)
         return Request(ctx.kernel, completion, "recv")

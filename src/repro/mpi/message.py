@@ -67,13 +67,18 @@ class PostedRecv:
     """A receive waiting for a matching envelope; once matched, the object
     whose bound methods ride the arrival (and receive-overhead) events."""
 
-    __slots__ = ("src", "tag", "completion", "o_recv", "env", "status")
+    __slots__ = ("src", "tag", "completion", "o_recv", "waited", "env", "status")
 
-    def __init__(self, src: int, tag: int, completion: SimEvent, o_recv: float):
+    def __init__(self, src: int, tag: int, completion: SimEvent, o_recv: float, waited=False):
         self.src = src
         self.tag = tag
         self.completion = completion
         self.o_recv = o_recv
+        #: posted by a blocking call: receive overhead and completion are one
+        #: heap entry.  Transitional — valid for every post, but the others run
+        #: where ``kernel_events`` is a golden fingerprint; the flag and
+        #: ``_finish`` go when it is not (ROADMAP item 2, DESIGN 14).
+        self.waited = waited
         self.env: Envelope | None = None  # the matched envelope
         self.status: Status | None = None  # built when its payload is in
 
@@ -87,11 +92,14 @@ class PostedRecv:
     def _arrived(self, _arrival: SimEvent) -> None:
         """The matched payload is in: charge the receive overhead, complete."""
         env = self.env
-        self.status = status = Status(env.src, env.tag, env.nbytes, env.payload)
-        if self.o_recv > 0:
-            Timeout(self.completion.kernel, self.o_recv).callbacks.append(self._finish)
-        else:
+        status = Status(env.src, env.tag, env.nbytes, env.payload)
+        if not self.o_recv > 0:
             self.completion.succeed(status)
+        elif self.waited:
+            self.completion.succeed_after(self.o_recv, status)
+        else:
+            self.status = status
+            Timeout(self.completion.kernel, self.o_recv).callbacks.append(self._finish)
 
     def _finish(self, _tick: SimEvent) -> None:
         self.completion.succeed(self.status)
@@ -134,10 +142,12 @@ class Mailbox:
 
     # -- receiver side -------------------------------------------------------------
 
-    def post(self, comm_id: int, src: int, tag: int, o_recv: float) -> SimEvent:
-        """Post a receive; returns its completion event (value = Status)."""
+    def post(self, comm_id: int, src: int, tag: int, o_recv: float,
+             waited: bool = False) -> SimEvent:
+        """Post a receive; returns its completion event (value = Status).
+        ``waited``: the caller is its one waiter (see :class:`PostedRecv`)."""
         completion = SimEvent(self.kernel, self._recv_name)
-        recv = PostedRecv(src, tag, completion, o_recv)
+        recv = PostedRecv(src, tag, completion, o_recv, waited)
         queue = self._unexpected.get(comm_id)
         if queue:
             for i, env in enumerate(queue):

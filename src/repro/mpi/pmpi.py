@@ -67,7 +67,7 @@ class Interceptor:
 class PMPIStack:
     """Ordered interceptor stack for one rank."""
 
-    __slots__ = ("ctx", "interceptors", "calls_seen", "_on_enter", "_on_exit")
+    __slots__ = ("ctx", "interceptors", "calls_seen", "_on_enter", "_on_exit", "around")
 
     def __init__(self, ctx: "RankContext"):
         self.ctx = ctx
@@ -78,9 +78,14 @@ class PMPIStack:
         #: Tuples, so a rank nobody intercepts shares the empty singleton.
         self._on_enter: tuple = ()
         self._on_exit: tuple = ()
+        #: what every MPI call hands its body generator to, rebound with the
+        #: hooks: :func:`_unobserved` (``impl`` straight back, no generator of
+        #: its own) while nothing is attached, else :meth:`_intercepted`.
+        self.around = _unobserved
 
     def attach(self, interceptor: Interceptor) -> None:
         self.interceptors.append(interceptor)
+        self.around = self._intercepted
         kind = type(interceptor)
         if kind.on_enter is not Interceptor.on_enter:
             self._on_enter += (interceptor.on_enter,)
@@ -93,13 +98,14 @@ class PMPIStack:
             interceptor.on_detach(self.ctx)
         self.interceptors.clear()
         self._on_enter = self._on_exit = ()
+        self.around = _unobserved
 
     @property
     def active(self) -> bool:
         return bool(self.interceptors)
 
-    def around(self, name: str, impl, comm, peer: int = -1, tag: int = -1,
-               nbytes: int = 0, post=None):
+    def _intercepted(self, name: str, impl, comm, peer: int = -1, tag: int = -1,
+                     nbytes: int = 0, post=None):
         """Generator: run ``impl`` (a generator) under the interceptors.
 
         ``comm`` is the :class:`~repro.mpi.communicator.Comm` the call was
@@ -109,8 +115,6 @@ class PMPIStack:
         completion (matched source, actual byte count of a wildcard
         receive, ...).
         """
-        if not self.interceptors:
-            return (yield from impl)
         self.calls_seen += 1
         ctx = self.ctx
         kernel = ctx.kernel
@@ -142,6 +146,11 @@ class PMPIStack:
                 continue
             yield from _drive(kernel, hooked)
         return result
+
+
+def _unobserved(name, impl, comm, peer=-1, tag=-1, nbytes=0, post=None):
+    """``PMPIStack.around`` with no interceptor attached: the body itself."""
+    return impl
 
 
 def _drive(kernel, hook_result):

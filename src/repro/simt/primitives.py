@@ -46,7 +46,8 @@ class SimEvent:
         self.value: Any = None
         self.callbacks: list[Callable[[SimEvent], None]] = []
         self.name = name
-        self.num_waiters = -1  # number of callbacks at dispatch time; -1 = not yet
+        # callbacks at dispatch time; -1 = not yet, -2 = not yet, but scheduled
+        self.num_waiters = -1
 
     @property
     def triggered(self) -> bool:
@@ -58,7 +59,7 @@ class SimEvent:
 
     def succeed(self, value: Any = None) -> "SimEvent":
         """Fire the event successfully, delivering ``value`` to waiters."""
-        if self.state != PENDING:
+        if self.state != PENDING or self.num_waiters != -1:
             raise SimulationError(f"event {self.name or id(self)} already triggered")
         self.state = SUCCEEDED
         self.value = value
@@ -71,7 +72,7 @@ class SimEvent:
 
     def fail(self, exc: BaseException) -> "SimEvent":
         """Fire the event with an exception; waiters will see it raised."""
-        if self.state != PENDING:
+        if self.state != PENDING or self.num_waiters != -1:
             raise SimulationError(f"event {self.name or id(self)} already triggered")
         if not isinstance(exc, BaseException):
             raise SimulationError("fail() requires an exception instance")
@@ -80,6 +81,21 @@ class SimEvent:
         kernel = self.kernel
         kernel._seq = seq = kernel._seq + 1
         heappush(kernel._heap, (kernel.now, seq, self))
+        return self
+
+    def succeed_after(self, delay: float, value: Any = None) -> "SimEvent":
+        """Succeed ``delay`` seconds from now, as one heap entry: the
+        :class:`Timeout` contract on an existing event (value set now, PENDING
+        until the kernel dispatches it), and as one-shot as :meth:`succeed`."""
+        if self.state != PENDING or self.num_waiters != -1:
+            raise SimulationError(f"event {self.name or id(self)} already triggered")
+        if not delay >= 0:  # also rejects NaN, which would poison heap order
+            raise SimulationError(f"succeed_after delay must be a number >= 0, got {delay}")
+        self.value = value
+        self.num_waiters = -2
+        kernel = self.kernel
+        kernel._seq = seq = kernel._seq + 1
+        heappush(kernel._heap, (kernel.now + delay, seq, self))
         return self
 
     def add_callback(self, cb: Callable[["SimEvent"], None]) -> None:

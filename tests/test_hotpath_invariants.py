@@ -452,7 +452,7 @@ _PER_CALL_RECORD_SITES = [
 
 def _pmpi_stub(rel: str) -> str:
     """What rule 4 wants to find in ``rel`` beside the record class."""
-    return "class PMPIStack:\n    def around(self):\n        pass\n" if "pmpi" in rel else ""
+    return "class PMPIStack:\n    def _intercepted(self):\n        pass\n" if "pmpi" in rel else ""
 
 
 @pytest.mark.parametrize(

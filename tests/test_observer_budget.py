@@ -183,3 +183,30 @@ def test_interceptor_attached_mid_run_is_picked_up_by_the_next_call(machine):
     _run_one_rank(machine, app)
     assert [name for _tag, name, _now in log] == ["MPI_Barrier", "MPI_Finalize"]
     assert exits == ["MPI_Init", "MPI_Barrier", "MPI_Barrier", "MPI_Finalize"]
+
+
+# -- nobody watching: ``around`` is the body itself -----------------------------------
+
+
+def test_an_unobserved_rank_gets_its_call_body_back_without_a_wrapper(machine):
+    seen = []
+
+    def app(mpi):
+        pmpi, comm = mpi.ctx.pmpi, mpi.comm_world
+        body = iter(())
+        # Nothing attached: no generator of around's own, no call counted.
+        seen.append(pmpi.around("MPI_Barrier", body, comm, -1, -1, nbytes=0, post=None) is body)
+        yield from mpi.init()
+        seen.append(pmpi.calls_seen)
+        pmpi.attach(Interceptor())  # mid-run, on a stack that had none
+        wrapped = pmpi.around("MPI_Barrier", body, comm)
+        seen.append(wrapped is not body and wrapped.gi_code.co_name)
+        yield from comm.barrier()
+        seen.append(pmpi.calls_seen)
+        yield from mpi.finalize()  # detaches: back to the pass-through
+        seen.append(pmpi.around("MPI_Barrier", body, comm) is body)
+        seen.append(pmpi.calls_seen)
+
+    _run_one_rank(machine, app)
+    # ``wrapped`` was never started, so it counted nothing: barrier + finalize.
+    assert seen == [True, 0, "_intercepted", 1, True, 2]
