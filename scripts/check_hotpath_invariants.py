@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Hot-path invariant lint: clock discipline, zero-copy decode, loop-free codec,
-lean per-event functions, one derivation per pack, observers paid per read.
+lean per-event functions, one derivation per pack, observers paid per read,
+pure delays as floats.
 
-Six structural rules the hot-path refactors rely on, enforced over the
+Seven structural rules the hot-path refactors rely on, enforced over the
 AST so comments and strings never trip them:
 
 1. **Clock discipline** — ``time.perf_counter`` (and its ``_ns``
@@ -31,7 +32,8 @@ AST so comments and strings never trip them:
    scalar reference lives in ``tests/`` and is not scanned.
 
 4. **Lean per-event functions** — the functions every kernel event and
-   every point-to-point message runs through (``SimEvent.__init__``,
+   every point-to-point message runs through (``Process._resume``,
+   ``SimEvent.__init__``,
    ``Timeout.__init__``, ``SimEvent.succeed/fail/succeed_after``,
    ``_Condition/AllOf/AnyOf.__init__``, ``Resource.acquire/release``,
    ``Mailbox.post/deliver/_complete``, ``PostedRecv._arrived``,
@@ -60,12 +62,21 @@ AST so comments and strings never trip them:
    ``Kernel._dispatch`` there is no ``.inc(`` / ``.set(`` / ``.observe(``
    call outside the ``if self.trace`` debug branch: the kernel's instruments
    are brought up to date where an observer can look (before hooks fire,
-   when the loop exits), never once per event (DESIGN 11).  And the records
+   when the loop exits), never once per event (DESIGN 11) — and no
+   ``self.events_dispatched +=`` either: the counter itself is a local of
+   the loop, written back at those same points.  And the records
    built once per intercepted call or matched message (``PER_CALL_RECORDS``:
    ``CallRecord``, ``Status``) are not ``@dataclass(frozen=True)``, whose
    generated ``__init__`` pays one ``object.__setattr__`` per field; they
    are tuples (DESIGN 14).  A listed name that no longer exists is itself a
    violation.
+
+7. **Pure delays are floats** — outside ``simt/`` no ``yield`` hands the
+   kernel a ``Timeout(...)`` or ``<expr>.timeout(...)`` built on the spot:
+   a process that only waits out a delay yields the float and is its own
+   heap entry (DESIGN 14).  An event object is for composing
+   (``any_of([slot, kernel.timeout(wait)])``) or for callbacks, and is then
+   not the operand of the ``yield``.
 
 Exit status 0 when clean; 1 with one ``path:line: message`` per
 violation otherwise.  Run from the repository root::
@@ -117,6 +128,7 @@ def _is_vector_function(name: str) -> bool:
 
 #: module -> class -> the methods that run once per event / per message
 PER_EVENT_FUNCTIONS = {
+    Path("repro") / "simt" / "process.py": {"Process": {"_resume"}},
     Path("repro") / "simt" / "primitives.py": {
         "SimEvent": {"__init__", "succeed", "fail", "succeed_after"},
         "Timeout": {"__init__"},
@@ -139,6 +151,9 @@ KERNEL_MODULE = Path("repro") / "simt" / "kernel.py"
 
 #: instrument writes the dispatch loop must not make once per event
 INSTRUMENT_WRITES = frozenset({"inc", "set", "observe"})
+
+#: package that may build a Timeout where it yields one (it defines them)
+KERNEL_PACKAGE = Path("repro") / "simt"
 
 #: module -> the value records built once per intercepted call / message
 PER_CALL_RECORDS = {
@@ -428,6 +443,37 @@ def _check_dispatch_loop(tree: ast.AST, rel: Path) -> list[str]:
                     "it runs once per kernel event; sync the instrument where an "
                     "observer can look (before hooks fire, when the loop exits)"
                 )
+            elif (
+                isinstance(sub, ast.AugAssign)
+                and isinstance(sub.target, ast.Attribute)
+                and sub.target.attr == "events_dispatched"
+            ):
+                problems.append(
+                    f"{rel}:{sub.lineno}: events_dispatched updated on the kernel inside "
+                    "the dispatch loop — count in a local; write it back before hooks "
+                    "fire and when the loop exits"
+                )
+    return problems
+
+
+def _check_pure_delays(tree: ast.AST, rel: Path) -> list[str]:
+    """Flag ``yield Timeout(...)`` / ``yield <expr>.timeout(...)``."""
+    problems = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Yield) or not isinstance(node.value, ast.Call):
+            continue
+        func = node.value.func
+        if isinstance(func, ast.Name) and func.id == "Timeout":
+            what = "Timeout(...)"
+        elif isinstance(func, ast.Attribute) and func.attr in ("timeout", "Timeout"):
+            what = f"<expr>.{func.attr}(...)"
+        else:
+            continue
+        problems.append(
+            f"{rel}:{node.lineno}: yield {what} — a pure delay is a float "
+            "(yield the seconds); build an event object only to compose it or "
+            "to hang a callback on it"
+        )
     return problems
 
 
@@ -480,6 +526,8 @@ def check_tree(src_root: Path) -> list[str]:
             problems.extend(_check_per_event_functions(tree, rel, PER_EVENT_FUNCTIONS[rel]))
         if rel == KERNEL_MODULE:
             problems.extend(_check_dispatch_loop(tree, rel))
+        if KERNEL_PACKAGE not in rel.parents:
+            problems.extend(_check_pure_delays(tree, rel))
         if rel in PER_CALL_RECORDS:
             problems.extend(_check_per_call_records(tree, rel, PER_CALL_RECORDS[rel]))
         if ANALYSIS_PACKAGE in rel.parents:
@@ -503,7 +551,7 @@ def main(argv: list[str]) -> int:
     print(
         "hot-path invariants hold (clock discipline, zero-copy decode, "
         "loop-free codec, lean per-event functions, one derivation per pack, "
-        "observers paid per read)"
+        "observers paid per read, pure delays as floats)"
     )
     return 0
 

@@ -43,7 +43,7 @@ class MPIPInterceptor(Interceptor):
         slot = self.aggregate.setdefault(record.name, [0.0, 0.0])
         slot[0] += 1
         slot[1] += record.duration
-        yield self.mpi.ctx.kernel.timeout(self.PER_CALL_CPU)
+        yield self.PER_CALL_CPU
 
     def _finalize(self, record: CallRecord):
         """Reduce aggregates to rank 0; rank 0 writes the report."""
@@ -52,7 +52,7 @@ class MPIPInterceptor(Interceptor):
         # Modelled binomial-tree reduction of the fixed-size aggregates.
         stages = max(1, math.ceil(math.log2(max(2, size))))
         reduce_cost = stages * (mpi.ctx.world.cost.alpha + 1.0e-6)
-        yield mpi.ctx.kernel.timeout(reduce_cost)
+        yield reduce_cost
         if mpi.rank == 0:
             nbytes = self.REPORT_BYTES_PER_RANK * size
             yield from self.fs.metadata_op(self.amortize_fixed)

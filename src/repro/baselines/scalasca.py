@@ -53,7 +53,7 @@ class ScalascaInterceptor(Interceptor):
         # Stage 1: send my profile towards my collector (modelled time).
         stages = max(1, math.ceil(math.log(max(2, size), self.COLLATE_FANIN)))
         per_stage = cost.alpha + self.PROFILE_BYTES_PER_RANK * cost.beta
-        yield mpi.ctx.kernel.timeout(stages * per_stage * scale)
+        yield float(stages * per_stage * scale)
         if mpi.rank == 0:
             nbytes = int(self.PROFILE_BYTES_PER_RANK * size * scale)
             yield from self.fs.metadata_op(scale)

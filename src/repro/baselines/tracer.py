@@ -75,12 +75,12 @@ class TraceWriterState:
         if self.buffered >= self.buffer_bytes:
             yield from self.flush()
         else:
-            yield self.fs.kernel.timeout(0.0)
+            yield 0.0
 
     def flush(self):
         """Write the buffered bytes to the shared file system."""
         if self.buffered == 0:
-            yield self.fs.kernel.timeout(0.0)
+            yield 0.0
             return
         nbytes = self.buffered
         self.buffered = 0

@@ -191,5 +191,4 @@ def _tool_main(mpi, kernel: AppKernel, tool: str, shared: dict, amortize_fixed: 
         raise ConfigError(f"unknown tool {tool!r}")
     mpi.ctx.pmpi.attach(interceptor)
     shared["interceptors"].append(interceptor)
-    result = yield from kernel.main(mpi)
-    return result
+    return kernel.main(mpi)

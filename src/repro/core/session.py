@@ -617,9 +617,8 @@ class CouplingSession:
 
 
 def _instrumented_main(mpi, kernel: AppKernel, cost: InstrumentationCost, registry: list):
-    """Program wrapper: attach instrumentation, then run the kernel."""
+    """Program wrapper: attach instrumentation; the program is the kernel's."""
     interceptor = StreamingInstrumentation(mpi, cost=cost)
     mpi.ctx.pmpi.attach(interceptor)
     registry.append(interceptor)
-    result = yield from kernel.main(mpi)
-    return result
+    return kernel.main(mpi)

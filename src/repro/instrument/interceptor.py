@@ -149,7 +149,7 @@ class StreamingInstrumentation(Interceptor):
         self._open = True
         work = self._capture(record)
         if isinstance(work, (int, float)):
-            yield mpi.ctx.kernel.timeout(float(work))
+            yield float(work)
         elif work is not None:
             yield from work
 
@@ -185,7 +185,7 @@ class StreamingInstrumentation(Interceptor):
         t_enter = kernel.now
         debt, self._cpu_debt = self._cpu_debt, 0.0
         if debt > 0:
-            yield kernel.timeout(debt)
+            yield debt
         yield from self._flush()
         self.overhead_s += kernel.now - t_enter
 
@@ -227,7 +227,7 @@ class StreamingInstrumentation(Interceptor):
                 self.cost.codec_per_byte_cpu * raw_bytes * self.chain.cost_weight
             )
             if encode_cpu > 0:
-                yield kernel.timeout(encode_cpu)
+                yield float(encode_cpu)
             self.codec_cpu_s += encode_cpu
             telemetry = self.mpi.ctx.world.telemetry
             if telemetry.enabled:
@@ -240,7 +240,7 @@ class StreamingInstrumentation(Interceptor):
                 modeled = max(1, int(modeled * ratio))
         modeled = min(modeled, self.stream.block_size)
         if self.cost.pack_flush_cpu > 0:
-            yield kernel.timeout(self.cost.pack_flush_cpu)
+            yield float(self.cost.pack_flush_cpu)
         written = yield from self.stream.write(nbytes=modeled, payload=blob)
         if written == 0:
             # Overflow policy (or an injected fault) discarded the pack.
@@ -254,7 +254,7 @@ class StreamingInstrumentation(Interceptor):
         kernel = self.mpi.ctx.kernel
         tail = self._capture(record)
         if isinstance(tail, (int, float)):
-            yield kernel.timeout(float(tail))
+            yield float(tail)
         elif tail is not None:
             yield from tail
         yield from self._charge_and_flush()

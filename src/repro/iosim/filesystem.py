@@ -59,7 +59,7 @@ class ParallelFS:
         self.metadata_ops += 1
         yield self.metadata.acquire()
         try:
-            yield self.kernel.timeout(self.machine.fs_metadata_latency * service_scale)
+            yield float(self.machine.fs_metadata_latency * service_scale)
         finally:
             self.metadata.release()
 

@@ -46,7 +46,7 @@ class SionFile:
             self._opened_containers.add(container)
             yield from self.fs.metadata_op(service_scale)
         else:
-            yield self.fs.kernel.timeout(0.0)
+            yield 0.0
         self._task_sizes.setdefault(task, 0)
 
     def write_task(self, task: int, nbytes: int):
@@ -65,7 +65,7 @@ class SionFile:
         """Generator: close a logical task file (no metadata op needed)."""
         if task not in self._task_sizes:
             raise IOSimError(f"task {task}: close before open_task")
-        yield self.fs.kernel.timeout(0.0)
+        yield 0.0
 
     def task_size(self, task: int) -> int:
         return self._task_sizes.get(task, 0)

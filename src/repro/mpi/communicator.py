@@ -17,7 +17,7 @@ from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG
 from repro.mpi.message import Envelope
 from repro.mpi.request import Request, waitall as _waitall
 from repro.mpi.status import Status
-from repro.simt.primitives import AllOf, SimEvent, Timeout
+from repro.simt.primitives import AllOf, SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.world import RankContext, World
@@ -54,7 +54,10 @@ def _received_total(statuses, peer: int, tag: int, _nbytes: int):
 
 
 class Comm:
-    """One rank's handle on a communicator.  All methods are generators."""
+    """One rank's handle on a communicator.  Every MPI call is made as
+    ``result = yield from comm.<call>(...)``: the point-to-point and wait
+    methods return the generator to delegate to, the collectives are
+    generators themselves."""
 
     def __init__(self, group: CommGroup, rank: int, ctx: "RankContext"):
         if not (0 <= rank < group.size):
@@ -84,41 +87,35 @@ class Comm:
 
     # -- point-to-point -------------------------------------------------------------
     #
-    # Each call hands its body generator straight to PMPIStack.around, with
-    # the Comm positional: nothing about the record is computed unless an
-    # interceptor is attached.
+    # Each call hands its body generator to PMPIStack.around, with the Comm
+    # positional, and returns the generator that comes back -- the body
+    # itself while no interceptor is attached -- for the caller to
+    # ``yield from``: no generator frame of the Comm's own in between, and
+    # nothing about the record computed unless an interceptor is attached.
 
     def isend(self, dest: int, nbytes: int, tag: int = 0, payload: Any = None):
-        """Generator: start a non-blocking send; returns a Request."""
-        return (
-            yield from self.ctx.pmpi.around(
-                "MPI_Isend", self._raw_isend(dest, nbytes, tag, payload),
-                self, dest, tag, nbytes,
-            )
+        """Non-blocking send: returns the generator to ``yield from`` for the Request."""
+        return self.ctx.pmpi.around(
+            "MPI_Isend", self._raw_isend(dest, nbytes, tag, payload),
+            self, dest, tag, nbytes,
         )
 
     def send(self, dest: int, nbytes: int, tag: int = 0, payload: Any = None):
-        """Generator: blocking send (completes per eager/rendezvous rules)."""
-        yield from self.ctx.pmpi.around(
+        """Blocking send (eager/rendezvous rules): returns the generator to ``yield from``."""
+        return self.ctx.pmpi.around(
             "MPI_Send", self._raw_isend(dest, nbytes, tag, payload, True),
             self, dest, tag, nbytes,
         )
 
     def irecv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Generator: post a non-blocking receive; returns a Request."""
-        return (
-            yield from self.ctx.pmpi.around(
-                "MPI_Irecv", self._raw_irecv(source, tag), self, source, tag
-            )
-        )
+        """Non-blocking receive: returns the generator to ``yield from`` for the Request."""
+        return self.ctx.pmpi.around("MPI_Irecv", self._raw_irecv(source, tag), self, source, tag)
 
     def recv(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Generator: blocking receive; returns the matched Status."""
-        return (
-            yield from self.ctx.pmpi.around(
-                "MPI_Recv", self._raw_irecv(source, tag, True),
-                self, source, tag, 0, _matched,
-            )
+        """Blocking receive: returns the generator to ``yield from`` for the matched Status."""
+        return self.ctx.pmpi.around(
+            "MPI_Recv", self._raw_irecv(source, tag, True),
+            self, source, tag, 0, _matched,
         )
 
     def sendrecv(
@@ -130,7 +127,7 @@ class Comm:
         recv_tag: int | None = None,
         payload: Any = None,
     ):
-        """Generator: combined send+receive; returns the receive Status."""
+        """Send+receive: returns the generator to ``yield from`` for the receive Status."""
 
         def _impl():
             send_req = yield from self._raw_isend(dest, send_nbytes, tag, payload)
@@ -144,25 +141,19 @@ class Comm:
             yield send_req.event
             return status
 
-        return (
-            yield from self.ctx.pmpi.around(
-                "MPI_Sendrecv", _impl(), self, dest, tag, send_nbytes
-            )
-        )
+        return self.ctx.pmpi.around("MPI_Sendrecv", _impl(), self, dest, tag, send_nbytes)
 
     def iprobe(self, source: int = ANY_SOURCE, tag: int = ANY_TAG):
-        """Generator: non-blocking probe; returns Status or None."""
+        """Non-blocking probe: returns the generator to ``yield from`` for a Status or None."""
 
         def _impl():
-            yield self.ctx.kernel.timeout(0.0)
+            yield 0.0
             env = self.ctx.mailbox.probe(self.id, source, tag)
             if env is None:
                 return None
             return Status(source=env.src, tag=env.tag, nbytes=env.nbytes)
 
-        return (
-            yield from self.ctx.pmpi.around("MPI_Iprobe", _impl(), self, source, tag)
-        )
+        return self.ctx.pmpi.around("MPI_Iprobe", _impl(), self, source, tag)
 
     # -- p2p machinery ----------------------------------------------------------------
 
@@ -170,22 +161,25 @@ class Comm:
                    blocking: bool = False):
         """Generator: the un-intercepted send machinery; returns the Request.
 
-        With ``blocking`` (``MPI_Send``) it returns once the send is complete:
-        an eager one as soon as it is delivered, with no Request (``None``) —
-        the copy that completes it is the CPU timeout, and nobody else waits.
+        With ``blocking`` (``MPI_Send``) it returns once the send is complete,
+        with no Request (``None``): an eager one as soon as it is delivered —
+        the copy that completes it is the CPU delay, and nobody else waits.
         """
         if nbytes < 0:
             raise MPIError(f"negative message size: {nbytes}")
-        g_dst = self.global_rank_of(dest)
+        if not (0 <= dest < self.size):
+            raise CommunicatorError(
+                f"rank {dest} outside communicator {self.label} of size {self.size}"
+            )
+        g_dst = self.group.global_ranks[dest]
         ctx = self.ctx
         world = ctx.world
         cost = world.cost
         kernel = ctx.kernel
         eager = nbytes <= cost.eager_threshold
         # Sender CPU: the send overhead, plus the copy into MPI buffering on
-        # the eager path — charged as one timeout.
-        cpu = cost.o_send + (nbytes / cost.eager_copy_bandwidth if eager else 0.0)
-        yield Timeout(kernel, cpu)
+        # the eager path — charged as one delay.
+        yield cost.o_send + (nbytes / cost.eager_copy_bandwidth if eager else 0.0)
         arrival = world.cluster.transfer(self._global_rank, g_dst, nbytes)
         if eager:
             match_event = None
@@ -197,12 +191,12 @@ class Comm:
             completion = AllOf(kernel, [match_event, arrival])
         env = Envelope(self.id, self.rank, tag, nbytes, payload, arrival, match_event)
         world.ranks[g_dst].mailbox.deliver(env)
-        if blocking and eager:
+        if blocking:
+            if not eager:
+                yield completion
             return None
         req = Request(kernel, completion, "send")
         req.envelope = env
-        if blocking:
-            yield completion
         return req
 
     def _raw_irecv(self, source: int, tag: int, blocking: bool = False):
@@ -240,9 +234,7 @@ class Comm:
             result = yield completion
             return result
 
-        return (
-            yield from self.ctx.pmpi.around(mpi_name, _impl(), self, -1, -1, nbytes)
-        )
+        return self.ctx.pmpi.around(mpi_name, _impl(), self, -1, -1, nbytes)
 
     def barrier(self):
         """Generator: synchronize all ranks of the communicator."""
@@ -297,20 +289,14 @@ class Comm:
     # -- wait operations (intercepted: profilers track time in waits) ----------------
 
     def wait(self, request: Request):
-        """Generator: MPI_Wait on one request; returns its Status (or None)."""
-        return (
-            yield from self.ctx.pmpi.around(
-                "MPI_Wait", request.wait(), self, -1, -1, 0, _matched
-            )
-        )
+        """MPI_Wait: returns the generator to ``yield from`` for the Status (or None)."""
+        return self.ctx.pmpi.around("MPI_Wait", request.wait(), self, -1, -1, 0, _matched)
 
     def waitall(self, requests: list[Request]):
-        """Generator: MPI_Waitall; returns the list of statuses."""
-        return (
-            yield from self.ctx.pmpi.around(
-                "MPI_Waitall", _waitall(self.ctx.kernel, requests),
-                self, -1, -1, 0, _received_total,
-            )
+        """MPI_Waitall: returns the generator to ``yield from`` for the list of statuses."""
+        return self.ctx.pmpi.around(
+            "MPI_Waitall", _waitall(self.ctx.kernel, requests),
+            self, -1, -1, 0, _received_total,
         )
 
     # -- communicator management -------------------------------------------------------

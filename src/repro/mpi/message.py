@@ -10,7 +10,6 @@ guarantee because envelope delivery order follows simulated program order.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import TYPE_CHECKING, Any
 
@@ -22,8 +21,6 @@ from repro.simt.primitives import SimEvent, Timeout
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simt.kernel import Kernel
 
-_seq_counter = itertools.count()
-
 
 class Envelope:
     """One in-flight point-to-point message (metadata + optional payload)."""
@@ -34,7 +31,6 @@ class Envelope:
         "tag",
         "nbytes",
         "payload",
-        "seq",
         "arrival",
         "match_event",
         "matched",
@@ -55,7 +51,6 @@ class Envelope:
         self.tag = tag
         self.nbytes = nbytes
         self.payload = payload
-        self.seq = next(_seq_counter)
         #: Event fired when the payload has fully arrived at the destination.
         self.arrival = arrival
         #: Event fired when a receive matches (rendezvous send completion).

@@ -14,8 +14,6 @@ from __future__ import annotations
 import inspect
 from typing import TYPE_CHECKING, Any, NamedTuple
 
-from repro.simt.primitives import Timeout
-
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.world import RankContext
 
@@ -126,9 +124,9 @@ class PMPIStack:
                 continue
             if isinstance(hooked, (int, float)):
                 if hooked > 0:
-                    yield Timeout(kernel, float(hooked))
+                    yield float(hooked)
                 continue
-            yield from _drive(kernel, hooked)
+            yield from _drive(hooked)
         t_start = kernel.now
         result = yield from impl
         if post is not None:
@@ -142,9 +140,9 @@ class PMPIStack:
                 continue
             if isinstance(hooked, (int, float)):
                 if hooked > 0:
-                    yield Timeout(kernel, float(hooked))
+                    yield float(hooked)
                 continue
-            yield from _drive(kernel, hooked)
+            yield from _drive(hooked)
         return result
 
 
@@ -153,13 +151,13 @@ def _unobserved(name, impl, comm, peer=-1, tag=-1, nbytes=0, post=None):
     return impl
 
 
-def _drive(kernel, hook_result):
+def _drive(hook_result):
     """Generator: interpret a hook's return value (None / float / generator)."""
     if hook_result is None:
         return
     if isinstance(hook_result, (int, float)):
         if hook_result > 0:
-            yield Timeout(kernel, float(hook_result))
+            yield float(hook_result)
         return
     if inspect.isgenerator(hook_result):
         yield from hook_result

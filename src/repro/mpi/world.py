@@ -21,7 +21,6 @@ from repro.mpi.request import Request, waitany as _waitany
 from repro.network.cluster import Cluster
 from repro.network.machine import MachineSpec
 from repro.simt import Kernel
-from repro.simt.primitives import Timeout
 from repro.simt.process import Process
 from repro.telemetry import Telemetry
 
@@ -234,7 +233,7 @@ class ProgramAPI:
         """Generator: MPI_Init.  Interceptors may attach setup work here."""
 
         def _impl():
-            yield self.ctx.kernel.timeout(0.0)
+            yield 0.0
 
         yield from self.ctx.pmpi.around("MPI_Init", _impl(), self.comm_world)
         self.ctx.t_init = self.ctx.kernel.now
@@ -245,7 +244,7 @@ class ProgramAPI:
             raise MPIError(f"double finalize on rank {self.ctx.global_rank}")
 
         def _impl():
-            yield self.ctx.kernel.timeout(0.0)
+            yield 0.0
 
         yield from self.ctx.pmpi.around("MPI_Finalize", _impl(), self.comm_world)
         self.ctx.t_finalize = self.ctx.kernel.now
@@ -258,25 +257,22 @@ class ProgramAPI:
         """Generator: model a CPU-bound phase of the given duration."""
         if seconds < 0:
             raise ConfigError(f"negative compute time: {seconds}")
-        yield Timeout(self.ctx.kernel, seconds)
+        yield float(seconds)
 
     def compute_flops(self, flops: float):
-        """Generator: model a CPU phase of ``flops`` floating-point ops."""
-        yield from self.compute(flops / self.ctx.world.machine.core_flops_effective)
+        """A CPU phase of ``flops`` operations: returns the generator to ``yield from``."""
+        return self.compute(flops / self.ctx.world.machine.core_flops_effective)
 
     # -- waits (route through comm for interception) -------------------------------------
 
     def wait(self, request: Request):
-        result = yield from self.comm_world.wait(request)
-        return result
+        return self.comm_world.wait(request)
 
     def waitall(self, requests: list[Request]):
-        result = yield from self.comm_world.waitall(requests)
-        return result
+        return self.comm_world.waitall(requests)
 
     def waitany(self, requests: list[Request]):
-        result = yield from _waitany(self.ctx.kernel, requests)
-        return result
+        return _waitany(self.ctx.kernel, requests)
 
     # -- instrumented POSIX I/O (the density module covers POSIX calls too) --------------
 
@@ -294,7 +290,7 @@ class ProgramAPI:
             raise ConfigError("posix() needs non-negative nbytes/seconds")
 
         def _impl():
-            yield self.ctx.kernel.timeout(seconds)
+            yield float(seconds)
 
         yield from self.ctx.pmpi.around(name, _impl(), self.comm_world, nbytes=nbytes)
 

@@ -2,9 +2,10 @@
 
 The kernel keeps a binary heap of ``(time, sequence, event)`` entries.  Events
 fire in timestamp order; ties break by scheduling order, which makes whole
-simulations deterministic.  Deadlock (live processes but an empty heap) raises
-:class:`~repro.errors.DeadlockError` naming the blocked processes, which in
-practice pinpoints mismatched sends/receives immediately.
+simulations deterministic.  A process that yielded a float — a pure delay —
+is its own entry: dispatching it resumes it.  Deadlock (live processes but
+an empty heap) raises :class:`~repro.errors.DeadlockError` naming the blocked
+processes, which in practice pinpoints mismatched sends/receives immediately.
 """
 
 from __future__ import annotations
@@ -19,6 +20,11 @@ from repro.simt.process import Process
 from repro.telemetry import KERNEL_PID, NULL_TELEMETRY, Telemetry, hostprof
 
 _INF = float("inf")
+
+#: ``step()``'s ``stop``, triggered from the start: the loop returns after one
+#: dispatch whatever it was (a process whose delay ends stays PENDING).
+_TRIGGERED = SimEvent(None, name="step")  # type: ignore[arg-type]
+_TRIGGERED.state = 1
 
 
 class PeriodicHook:
@@ -187,16 +193,18 @@ class Kernel:
         Pops ``(time, seq, event)`` entries in heap order while the head is
         due at or before ``limit``; with ``stop``, returns right after the
         dispatch that leaves ``stop`` triggered.  :meth:`run` picks the two
-        arguments for its three modes and :meth:`step` passes the head event
-        as its own ``stop``, so there is one set of dispatch semantics.
+        arguments for its three modes and :meth:`step` passes a ``stop``
+        that already is, so there is one set of dispatch semantics.
         """
         heap = self._heap
         observed = self.telemetry.enabled
-        # An observed run mirrors events_dispatched and len(heap) into their
-        # instruments where an observer can look -- before hooks fire and
-        # when this loop exits -- not once per event (DESIGN 11).  ``depth``
-        # is the heap length right after the latest pop, ``high`` its peak.
-        synced = self.events_dispatched
+        trace = observed and self.trace
+        # events_dispatched is counted in a local; an observed run also
+        # mirrors it and len(heap) into their instruments.  All three are
+        # written where they can be read -- before hooks fire and when this
+        # loop exits -- not once per event (DESIGN 11).  ``depth`` is the
+        # heap length right after the latest pop, ``high`` its peak.
+        dispatched = synced = self.events_dispatched
         depth = high = self._gauge_heap.value if observed else 0
         try:
             while heap and heap[0][0] <= limit:
@@ -207,25 +215,30 @@ class Kernel:
                 # (call_every(first=now)), so the compare is per event; after
                 # firing, _hooks_due > when.
                 if when >= self._hooks_due:
+                    self.events_dispatched = dispatched
                     if observed:
-                        self._sync_instruments(self.events_dispatched - synced, depth, high)
-                        synced = self.events_dispatched
+                        self._sync_instruments(dispatched - synced, depth, high)
+                        synced = dispatched
                     self._fire_hooks(when)
                 self.now = when
-                self.events_dispatched += 1
-                if event.state == 0:  # PENDING: a scheduled timeout firing now
-                    event.state = 1  # SUCCEEDED (value was set at creation)
+                dispatched += 1
                 if observed:
                     depth = len(heap)
                     if depth > high:
                         high = depth
-                    if self.trace:
-                        self.telemetry.instant(
-                            "kernel.fire",
-                            pid=KERNEL_PID,
-                            cat="kernel",
-                            args={"event": repr(event)},
-                        )
+                if event.state == 0:  # PENDING: a delay ending now
+                    if event._is_process:
+                        # It yielded a float and is its own heap entry (a
+                        # finished process is never PENDING): resume it.
+                        if trace:
+                            self._trace_fire(event)
+                        event._wake(event)
+                        if stop is not None and stop.state != 0:
+                            return
+                        continue
+                    event.state = 1  # SUCCEEDED (value was set at creation)
+                if trace:
+                    self._trace_fire(event)
                 callbacks = event.callbacks
                 event.callbacks = None  # later add_callback() calls run at once
                 waiters = event.num_waiters = len(callbacks)
@@ -241,8 +254,14 @@ class Kernel:
                 if stop is not None and stop.state != 0:
                     return
         finally:
+            self.events_dispatched = dispatched
             if observed:
-                self._sync_instruments(self.events_dispatched - synced, depth, high)
+                self._sync_instruments(dispatched - synced, depth, high)
+
+    def _trace_fire(self, event: SimEvent) -> None:
+        self.telemetry.instant(
+            "kernel.fire", pid=KERNEL_PID, cat="kernel", args={"event": repr(event)}
+        )
 
     def _sync_instruments(self, events: int, depth: float, high: float) -> None:
         """Book ``events`` more dispatches and the current heap depth.
@@ -257,11 +276,10 @@ class Kernel:
             gauge.max = high
 
     def step(self) -> None:
-        """Dispatch the next scheduled event."""
+        """Dispatch the next scheduled entry, and only that one."""
         if not self._heap:
             raise SimulationError("step() on an empty schedule")
-        # Whatever it was before, the head event is triggered once dispatched.
-        self._dispatch(_INF, self._heap[0][2])
+        self._dispatch(_INF, _TRIGGERED)
 
     def run(self, until: float | SimEvent | None = None) -> Any:
         """Run to completion, to a deadline, or until an event fires.

@@ -4,7 +4,8 @@ A *waitable* is anything a process generator may ``yield``:
 
 * :class:`SimEvent` — a one-shot event that succeeds (with a value) or fails
   (with an exception); processes waiting on it are resumed.
-* :class:`Timeout` — an event pre-scheduled to succeed after a delay.
+* :class:`Timeout` — an event pre-scheduled to succeed after a delay; to
+  compose or hang callbacks on (a process that only waits yields the float).
 * :class:`AnyOf` / :class:`AllOf` — composite conditions over events.
 * :class:`~repro.simt.process.Process` — processes are themselves events that
   fire on termination, so ``yield other_process`` is a join.

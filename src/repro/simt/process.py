@@ -1,19 +1,22 @@
 """Generator-coroutine processes.
 
 A process wraps a generator.  Each ``yield`` must produce a waitable
-(:class:`~repro.simt.primitives.SimEvent` or another :class:`Process`); the
-process sleeps until the waitable fires and is resumed with its value (or the
-exception is thrown into the generator).  A process is itself a
-:class:`SimEvent` that fires when the generator returns, so joining is just
-``result = yield child``.
+(:class:`~repro.simt.primitives.SimEvent` or another :class:`Process`) or a
+non-negative ``float``.  On a waitable the process sleeps until it fires and
+is resumed with its value (or the exception is thrown into the generator);
+a float is a pure delay in seconds — the process puts *itself* on the
+schedule, no event object in between, and is resumed with ``None``.  A
+process is itself a :class:`SimEvent` that fires when the generator returns,
+so joining is just ``result = yield child``.
 """
 
 from __future__ import annotations
 
+from heapq import heappush
 from typing import TYPE_CHECKING, Any, Generator
 
 from repro.errors import SimulationError
-from repro.simt.primitives import FAILED, PENDING, Interrupt, SimEvent
+from repro.simt.primitives import FAILED, PENDING, SUCCEEDED, Interrupt, SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simt.kernel import Kernel
@@ -34,8 +37,8 @@ class Process(SimEvent):
             )
         super().__init__(kernel, name=name or getattr(generator, "__name__", "proc"))
         self.generator = generator
-        #: the event whose dispatch resumes us; None before the first resume
-        #: and once finished
+        #: the event whose dispatch resumes us — the process itself during a
+        #: pure delay; None before the first resume and once finished
         self._waiting_on: SimEvent | None = None
         #: the one callback this process ever registers, bound once here
         #: instead of once per ``yield``
@@ -70,8 +73,18 @@ class Process(SimEvent):
         kick.callbacks.append(self._wake)
         kick.fail(Interrupt(cause))
         self._waiting_on = kick
+        if target is self:
+            # Cut a pure delay short: a live process is on the heap only as
+            # its own delay, so that entry is found by identity and handed
+            # to an inert event -- same (time, seq), still one counted
+            # dispatch, and nothing that outlives the process.  O(heap).
+            idle = SimEvent(self.kernel, name=f"{self.name}.delay")
+            idle.state = SUCCEEDED
+            heap = self.kernel._heap
+            i = next(i for i, entry in enumerate(heap) if entry[2] is self)
+            heap[i] = (*heap[i][:2], idle)
         # Drop our callback edge from the original event if it has not fired.
-        if target.callbacks is not None:
+        elif target.callbacks is not None:
             try:
                 target.callbacks.remove(self._wake)
             except ValueError:
@@ -103,13 +116,24 @@ class Process(SimEvent):
             return
         finally:
             kernel._current = None
-        if not isinstance(target, SimEvent):
-            self.fail(
-                SimulationError(
-                    f"process {self.name} yielded {type(target).__name__}, "
-                    "expected a waitable"
-                )
-            )
+        if isinstance(target, float):
+            if target >= 0:
+                # A pure delay: one heap entry, as a Timeout would be, with
+                # the seq it would have had -- and the kernel resumes us.
+                kernel._seq = seq = kernel._seq + 1
+                heappush(kernel._heap, (kernel.now + target, seq, self))
+                self._waiting_on = self
+                return
+            # Negative or NaN (it would poison heap order): raised at the
+            # yield, like the error of a Timeout built there -- through an
+            # event that failed without ever being scheduled.
+            error = self._refusal(target)
+            target = SimEvent(kernel, "refused")
+            target.state = FAILED
+            target.value = error
+            target.callbacks = None  # as if dispatched: its outcome is final
+        elif not isinstance(target, SimEvent):
+            self.fail(self._refusal(target))
             return
         self._waiting_on = target
         callbacks = target.callbacks
@@ -117,6 +141,15 @@ class Process(SimEvent):
             self._resume(target)
         else:
             callbacks.append(self._wake)
+
+    def _refusal(self, target: Any) -> SimulationError:
+        """The error for a yield of neither a waitable nor a delay >= 0."""
+        if isinstance(target, float):
+            return SimulationError(f"delay must be a number >= 0, got {target}")
+        return SimulationError(
+            f"process {self.name} yielded {type(target).__name__}, "
+            "expected a waitable or a float delay"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         status = "alive" if self.is_alive else ("ok" if self.ok else "failed")

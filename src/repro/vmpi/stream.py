@@ -255,7 +255,7 @@ class VMPIStream:
         world.streams.append((mpi.ctx.global_rank, self))
         if world.faults is not None:
             world.faults.on_stream_open(mpi.ctx.global_rank, self)
-        yield kernel.timeout(0.0)
+        yield 0.0
 
     @property
     def tag(self) -> int:
@@ -343,7 +343,7 @@ class VMPIStream:
             self.write_copy_s += copy_time
             if seg is not None:
                 seg.pause()
-            yield kernel.timeout(copy_time)
+            yield copy_time
             if seg is not None:
                 seg.resume()
         if not self.endpoints:
@@ -652,7 +652,7 @@ class VMPIStream:
             if delay > 0:
                 if seg is not None:
                     seg.pause()
-                yield kernel.timeout(delay)
+                yield delay
                 if seg is not None:
                     seg.resume()
         span = (
@@ -669,7 +669,7 @@ class VMPIStream:
                         self.read_copy_s += copy_time
                         if seg is not None:
                             seg.pause()
-                        yield kernel.timeout(copy_time)
+                        yield copy_time
                         if seg is not None:
                             seg.resume()
                     if self._flows is not None:
@@ -706,7 +706,7 @@ class VMPIStream:
                     span.end(eagain=True)
                 if seg is not None:
                     seg.pause()
-                yield kernel.timeout(0.0)
+                yield 0.0
                 if seg is not None:
                     seg.resume()
                     seg.done(items=0)
@@ -775,7 +775,7 @@ class VMPIStream:
         mpi = self._mpi
         kernel = mpi.ctx.kernel
         if self._closed:
-            yield kernel.timeout(0.0)
+            yield 0.0
             return
         self._closed = True
         if self.mode == "w":
@@ -815,7 +815,7 @@ class VMPIStream:
                         prov = peek_provenance(status.payload)
                         if prov is not None:
                             self._flows.on_drop(prov.flow_id, "stranded", kernel.now)
-            yield kernel.timeout(0.0)
+            yield 0.0
 
     # -- introspection ------------------------------------------------------------------------
 

@@ -5,7 +5,8 @@ pushed by the primitives, process table, periodic-hook registry) and
 replaces everything that *dispatches*: one event per ``step()``, no
 batching, no folded call chains, and the three ``run()`` modes as the three
 obvious ``while`` loops.  It logs every dispatch as
-``(now, seq, event name, num_waiters)`` — the schedule the single loop in
+``(now, seq, event name, num_waiters)`` — ``"delay"`` for waiters when the
+entry is a process whose float delay ends — the schedule the single loop in
 ``src/repro/simt/kernel.py`` has to reproduce entry for entry.
 
 Given a live ``Telemetry`` it writes the two kernel instruments once per
@@ -39,6 +40,12 @@ class ReferenceKernel(Kernel):
         if self.telemetry.enabled:
             self._ctr_dispatched.inc()
             self._gauge_heap.set(len(self._heap))
+        if isinstance(event, Process) and event.is_alive:
+            # It yielded a float and sat on the heap itself: resumed with
+            # None, and *not* promoted -- it has not finished.
+            self.dispatched.append((when, seq, event.name, "delay"))
+            event._resume(event)
+            return
         if not event.triggered:
             event.state = 1  # a timeout firing now
         callbacks, event.callbacks = event.callbacks, None

@@ -400,6 +400,7 @@ def _kernel_module(loop_body: str) -> str:
         ("self._gauge_heap.set(len(heap))", ".set() call"),
         ("self._hist.observe(when - self.now)", ".observe() call"),
         ("if observed:\n                    self._ctr_dispatched.inc()", ".inc() call"),
+        ("self.events_dispatched += 1", "events_dispatched updated on the kernel"),
     ],
 )
 def test_flags_per_event_instrument_writes_in_the_dispatch_loop(tmp_path, loop_body, what):
@@ -416,6 +417,8 @@ def test_flags_per_event_instrument_writes_in_the_dispatch_loop(tmp_path, loop_b
         "self._sync_instruments(1, len(heap), high)",  # the sync is a method, outside the loop
         "if self.trace:\n                    self._marks.inc()",  # the debug branch may
         "depth = len(heap)",
+        "dispatched += 1",  # the counter as a local of the loop
+        "if due:\n                    self.events_dispatched = dispatched",  # the write-back
     ],
 )
 def test_dispatch_loop_may_sync_through_a_method_and_trace(tmp_path, loop_body):
@@ -509,3 +512,52 @@ def test_per_call_record_table_names_the_real_classes():
     assert sorted((rel.as_posix(), cls) for rel, names in PER_CALL_RECORDS.items() for cls in names) == (
         _PER_CALL_RECORD_SITES
     )
+
+
+# -- rule 7: pure delays are floats ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "stmt, what",
+    [
+        ("yield Timeout(kernel, cpu)", "yield Timeout(...)"),
+        ("yield kernel.timeout(0.0)", "yield <expr>.timeout(...)"),
+        ("yield self.ctx.kernel.timeout(seconds)", "yield <expr>.timeout(...)"),
+        ("yield primitives.Timeout(kernel, 1.0)", "yield <expr>.Timeout(...)"),
+        ("got = yield kernel.timeout(1.0, value=3)", "yield <expr>.timeout(...)"),
+    ],
+)
+def test_flags_a_timeout_built_where_it_is_yielded(tmp_path, stmt, what):
+    _write(tmp_path, "repro/vmpi/rogue.py", f"def write(self, kernel, cpu):\n    {stmt}\n")
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1, problems
+    assert "rogue.py:2" in problems[0] and what in problems[0]
+    assert "a pure delay is a float" in problems[0]
+
+
+@pytest.mark.parametrize(
+    "stmt",
+    [
+        "yield cpu",  # the float form
+        "yield 0.0",
+        "yield kernel.any_of([slot, kernel.timeout(wait)])",  # composed
+        "tick = kernel.timeout(cost)\n    tick.add_callback(self.done)\n    yield tick",
+        "return Timeout(kernel, done - kernel.now)",  # handed to a caller, not to the kernel
+        "yield from self.compute(cpu)",
+    ],
+)
+def test_floats_and_composed_or_kept_timeouts_are_allowed(tmp_path, stmt):
+    _write(tmp_path, "repro/vmpi/fine.py", f"def write(self, kernel, cpu):\n    {stmt}\n")
+    assert check_tree(tmp_path) == []
+
+
+def test_the_kernel_package_may_yield_its_own_timeouts(tmp_path):
+    _write(
+        tmp_path,
+        "repro/simt/resources.py",
+        "class Resource:\n"
+        "    def acquire(self):\n        pass\n"
+        "    def release(self):\n        pass\n"
+        "    def hold(self, seconds):\n        yield self.kernel.timeout(seconds)\n",
+    )
+    assert check_tree(tmp_path) == []

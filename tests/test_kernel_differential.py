@@ -1,7 +1,8 @@
 """Differential oracle: the single dispatch loop vs the reference scheduler.
 
-Hypothesis draws small process programs — positive and zero-delay timeouts
-that tie, ``succeed``/``fail`` chains on shared events, ``any_of``/``all_of``,
+Hypothesis draws small process programs — positive and zero delays that tie,
+spelled ``yield kernel.timeout(d)`` (``sleep``) or ``yield d`` (``nap``),
+``succeed``/``fail`` chains on shared events, ``any_of``/``all_of``,
 ``interrupt``, joins (also on crashed processes), ``call_every(first=)``
 hooks — and one of the three ``run()`` modes or a ``step()``-by-``step()``
 walk.  Each program runs on the real kernel with telemetry off and on and on
@@ -16,6 +17,10 @@ can: at every firing of every hook, after every ``step()``, after the run
 however it ended.  The reference writes them once per event; the real
 kernel only where they can be read, and each reading, the final counter,
 ``Gauge.value`` and ``Gauge.max`` must be the reference's.
+
+A second property holds the float form to the ``Timeout`` form: respelling
+every delay of a program one way or the other moves no ``(when, seq)`` of
+the dispatch log, no resume, no counter and no heap depth.
 """
 
 from unittest import mock
@@ -26,7 +31,7 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.errors import SimulationError
-from repro.simt import Interrupt, Kernel
+from repro.simt import Interrupt, Kernel, Process
 from repro.simt import kernel as kernel_module
 from repro.telemetry import KERNEL_PID, NULL_TELEMETRY, Telemetry
 
@@ -42,8 +47,9 @@ proc_ids = st.integers(0, MAX_PROCS - 1)
 event_sets = st.lists(event_ids, min_size=0, max_size=3)
 
 ops = st.one_of(
-    st.tuples(st.just("sleep"), delays),
-    st.tuples(st.just("sleep"), delays),  # twice: sleepers are what interrupts hit
+    # two spellings of a pure delay, each twice: sleepers are what interrupts hit
+    st.tuples(st.sampled_from(["sleep", "nap", "sleep", "nap"]), delays),
+    st.tuples(st.sampled_from(["sleep", "nap", "sleep", "nap"]), delays),
     st.tuples(st.just("wait"), event_ids),
     st.tuples(st.just("succeed"), event_ids),
     st.tuples(st.just("fail"), event_ids),
@@ -76,6 +82,8 @@ def _body(k, me, script, events, procs, seen, probe):
         try:
             if kind == "sleep":
                 yield k.timeout(op[1])
+            elif kind == "nap":
+                yield op[1]
             elif kind == "wait":
                 seen.append((k.now, me, "got", (yield events[op[1]])))
             elif kind == "succeed" and not events[op[1]].triggered:
@@ -167,14 +175,18 @@ def _on_real_kernel(k, program, mode):
 
     def recording_pop(heap):
         entry = real_pop(heap)
-        popped.append(entry)
+        # A process popped alive is its float delay ending, not its completion.
+        popped.append((*entry, isinstance(entry[2], Process) and entry[2].is_alive))
         return entry
 
     with mock.patch.object(kernel_module, "heappop", recording_pop):
         return _execute(
             k, program, mode,
             # num_waiters is set at dispatch and stays, so it is read afterwards.
-            lambda: [(when, seq, ev.name, ev.num_waiters) for when, seq, ev in popped],
+            lambda: [
+                (when, seq, ev.name, "delay" if delay_over else ev.num_waiters)
+                for when, seq, ev, delay_over in popped
+            ],
         )
 
 
@@ -200,9 +212,32 @@ def test_single_loop_matches_the_reference_scheduler(program, mode):
     _assert_matches_the_reference(program, mode)
 
 
+def _respelled(program, kind):
+    return [
+        [(kind, op[1]) if op[0] in ("sleep", "nap") else op for op in script]
+        for script in program
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=scripts, mode=modes)
+def test_a_float_delay_schedules_exactly_like_a_timeout(program, mode):
+    runs = []
+    for kind in ("nap", "sleep"):
+        got = _on_real_kernel(Kernel(telemetry=Telemetry()), _respelled(program, kind), mode)
+        # The entry is a process here and a Timeout there; where it sits in
+        # the schedule is what must not move.
+        got["trace"] = [(when, seq) for when, seq, _name, _waiters in got["trace"]]
+        got["seen"] = [
+            (now, me, what.replace(kind, "delay"), *rest) for now, me, what, *rest in got["seen"]
+        ]
+        runs.append(got)
+    assert runs[0] == runs[1]
+
+
 # The ways _dispatch can be left, each on a program that keeps events queued
 # behind the exit so a stale counter or heap depth would show.
-_BUSY = [("sleep", 0.5), ("sleep", 0.0), ("sleep", 1.0), ("sleep", 1.5)]
+_BUSY = [("sleep", 0.5), ("nap", 0.0), ("sleep", 1.0), ("nap", 1.5)]
 
 
 @pytest.mark.parametrize(

@@ -235,3 +235,39 @@ def test_bigger_messages_take_longer(machine):
     _single(machine, main, 2, nbytes=1_000, key="small")
     _single(machine, main, 2, nbytes=10_000_000, key="big")
     assert durations["big"] > durations["small"] * 10
+
+
+def test_two_worlds_in_one_interpreter_share_no_counter(machine, monkeypatch):
+    # Envelope.seq used to be drawn from a module-global counter: the only
+    # state on the message path that remembered earlier simulations.
+    from repro.mpi import message
+
+    def main(mpi):
+        yield from mpi.init()
+        comm = mpi.comm_world
+        for tag in range(3):
+            yield from comm.sendrecv((comm.rank + 1) % comm.size, 64, tag=tag)
+        yield from mpi.finalize()
+
+    def envelopes_of_one_run():
+        delivered = []
+        real_deliver = message.Mailbox.deliver
+
+        def recording_deliver(self, env):
+            delivered.append({
+                slot: getattr(env, slot)
+                for slot in message.Envelope.__slots__
+                if slot not in ("arrival", "match_event")  # per-run event objects
+            })
+            real_deliver(self, env)
+
+        monkeypatch.setattr(message.Mailbox, "deliver", recording_deliver)
+        world = _single(machine, main, 4)
+        monkeypatch.setattr(message.Mailbox, "deliver", real_deliver)
+        return delivered, world.kernel.events_dispatched, world.kernel.now
+
+    first = envelopes_of_one_run()
+    assert len(first[0]) == 12
+    assert envelopes_of_one_run() == first
+    # ... and nothing at module level is left to count with.
+    assert not [name for name, value in vars(message).items() if hasattr(value, "__next__")]

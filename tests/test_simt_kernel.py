@@ -172,6 +172,64 @@ def test_step_on_empty_schedule_raises(kernel):
         kernel.step()
 
 
+@pytest.mark.parametrize("as_float", [True, False], ids=["yield d", "yield timeout(d)"])
+def test_step_dispatches_exactly_one_entry(kernel, as_float):
+    # A process whose delay ends stays PENDING, so "run until the head entry
+    # is triggered" would run on until the process finished.
+    woke = []
+
+    def proc(k):
+        for _ in range(3):
+            yield 1.0 if as_float else k.timeout(1.0)
+            woke.append(k.now)
+
+    kernel.spawn(proc(kernel))
+    kernel.step()  # the start event
+    for n in (1, 2, 3):
+        kernel.step()
+        assert (kernel.events_dispatched, kernel.now) == (1 + n, float(n))
+        assert woke == [1.0, 2.0, 3.0][:n]
+    kernel.step()  # the process's own completion
+    assert kernel.events_dispatched == 5 and not kernel._heap
+
+
+def test_a_float_delay_is_one_heap_entry_with_the_seq_a_timeout_would_have(kernel):
+    def napper(k, form):
+        got = yield (0.5 if form == "float" else k.timeout(0.5))
+        assert got is None
+        yield (0.0 if form == "float" else k.timeout(0.0))
+        return k.now
+
+    schedules = []
+    for form in ("float", "timeout"):
+        k = type(kernel)()
+        procs = [k.spawn(napper(k, form)) for _ in range(3)]
+        pushed = []
+        while k._heap:
+            pushed.append(k._heap[0][:2])
+            k.step()
+        assert [p.value for p in procs] == [0.5] * 3
+        schedules.append((pushed, k.events_dispatched, k._seq, k.now))
+    assert schedules[0] == schedules[1]
+
+
+def test_run_until_a_process_that_is_taking_a_float_delay(kernel):
+    def proc(k):
+        yield 1.0
+        yield 2.0
+        return "done"
+
+    def bystander(k):
+        while True:
+            yield 0.75
+
+    kernel.spawn(bystander(kernel))
+    assert kernel.run(until=kernel.spawn(proc(kernel))) == "done"
+    assert kernel.now == 3.0
+    kernel.run(until=4.0)  # a deadline between two delays of the bystander
+    assert kernel.now == 4.0 and len(kernel._heap) == 1
+
+
 def test_many_processes_complete(kernel):
     results = []
 

@@ -1,7 +1,12 @@
 """Process lifecycle edge cases and kernel robustness under load."""
 
+import traceback
+
+import numpy as np
 import pytest
 
+from repro.errors import SimulationError
+from repro.simt import Kernel
 from repro.simt.primitives import Interrupt
 
 
@@ -134,3 +139,135 @@ def test_current_process_visibility(kernel):
     kernel.run()
     assert seen == ["me"]
     assert kernel.current_process is None
+
+
+# -- float delays: a sleeping process is its own heap entry ------------------------------
+
+
+def _crossed(form):
+    """Four victims interrupted mid-delay (the entry due at t=5 goes stale),
+    each joined by a watcher.  ``form`` spells the victims' delays."""
+    k = Kernel()
+    log = []
+
+    def nap(d):
+        return d if form == "float" else k.timeout(d)
+
+    def victim(then):
+        try:
+            yield nap(5.0)
+        except Interrupt as intr:
+            log.append((k.now, then, "interrupted", intr.cause))
+        if then == "waits on an event":
+            yield k.timeout(8.0)
+        elif then == "sleeps again":
+            yield nap(1.0)
+            yield nap(9.0)
+        elif then == "finishes at t=5":
+            yield tick  # pops before the stale entry; the finish entry after it
+        log.append((k.now, then, "done"))
+        return then
+
+    def boss(targets):
+        yield k.timeout(1.0)
+        for target in targets:
+            target.interrupt("boss")
+
+    def watcher(target):
+        joined = yield target
+        log.append((k.now, "joined", joined))
+
+    tick = k.timeout(5.0)  # scheduled before any victim's delay
+    victims = [
+        k.spawn(victim(then))
+        for then in ("waits on an event", "sleeps again", "finishes at t=5", "finishes at t=1")
+    ]
+    k.spawn(boss(victims))
+    for v in victims:
+        k.spawn(watcher(v))
+    schedule = []
+    while k._heap:
+        schedule.append((k._heap[0][:2], len(k._heap)))
+        k.step()
+    return log, schedule, k.events_dispatched, k.now
+
+
+def test_a_stale_delay_entry_is_a_counted_no_op_like_a_stale_timeout():
+    # It pops while its process waits on something else, sleeps again, has
+    # just finished (finish entry still queued, joiner attached) and has
+    # long finished: nothing resumes twice, no joiner hears early, nothing
+    # reaches len(None) -- and the schedule is the Timeout form's, entry
+    # for entry.
+    as_float = _crossed("float")
+    assert as_float == _crossed("timeout")
+    log, _schedule, dispatched, now = as_float
+    assert [e for e in log if e[1:3] != ("joined",) and e[2] == "done"] == [
+        (1.0, "finishes at t=1", "done"),
+        (5.0, "finishes at t=5", "done"),
+        (9.0, "waits on an event", "done"),
+        (11.0, "sleeps again", "done"),
+    ]
+    assert sorted(e for e in log if e[1] == "joined") == [
+        (1.0, "joined", "finishes at t=1"),
+        (5.0, "joined", "finishes at t=5"),
+        (9.0, "joined", "waits on an event"),
+        (11.0, "joined", "sleeps again"),
+    ]
+    # 9 starts, tick, the boss's timeout, 4 interrupts, 4 stale entries,
+    # 1 + 2 delays that ran their course, 9 completions
+    assert now == 11.0 and dispatched == 31
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan"), float("-inf")])
+def test_a_bad_float_delay_raises_at_the_yield(kernel, bad):
+    caught = []
+
+    def proc(k):
+        try:
+            yield bad  # <- the traceback names this line
+        except SimulationError as exc:
+            caught.append(traceback.extract_tb(exc.__traceback__)[-1].line)
+        yield 1.0  # the handler decides; the process lives on
+        return k.now
+
+    p = kernel.spawn(proc(kernel))
+    kernel.run()
+    assert caught == ["yield bad  # <- the traceback names this line"]
+    assert p.value == 1.0 and kernel.events_dispatched == 3  # start, delay, completion
+
+    def careless(k):
+        yield bad
+
+    crashed = kernel.spawn(careless(kernel))
+    with pytest.raises(Exception, match=">= 0"):
+        kernel.run(until=crashed)
+
+
+def test_an_infinite_delay_never_ends(kernel):
+    def proc(k):
+        yield float("inf")
+
+    p = kernel.spawn(proc(kernel))
+    kernel.run(until=1e9)
+    assert p.is_alive and kernel.now == 1e9
+
+
+@pytest.mark.parametrize("junk", [0, 1, True, None, "1.0", (1.0,)])
+def test_only_a_float_is_a_delay(kernel, junk):
+    def proc(k):
+        yield junk
+
+    p = kernel.spawn(proc(kernel))
+    with pytest.raises(SimulationError, match="expected a waitable"):
+        kernel.run(until=p)
+
+
+def test_float_subclasses_are_delays(kernel):
+    def proc(k):
+        yield np.float64(0.25)
+        yield np.float64(0.5)
+        return k.now
+
+    p = kernel.spawn(proc(kernel))
+    kernel.run()
+    assert p.value == 0.75
