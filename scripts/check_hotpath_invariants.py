@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Hot-path invariant lint: clock discipline, zero-copy decode, loop-free codec,
 lean per-event functions, one derivation per pack, observers paid per read,
-pure delays as floats.
+pure delays as floats, host-time profiling from outside.
 
-Seven structural rules the hot-path refactors rely on, enforced over the
+Eight structural rules the hot-path refactors rely on, enforced over the
 AST so comments and strings never trip them:
 
 1. **Clock discipline** — ``time.perf_counter`` (and its ``_ns``
@@ -77,6 +77,15 @@ AST so comments and strings never trip them:
    heap entry (DESIGN 14).  An event object is for composing
    (``any_of([slot, kernel.timeout(wait)])``) or for callbacks, and is then
    not the operand of the ``yield``.
+
+8. **Host time is profiled from outside** — under the simulation packages
+   (``simt/ mpi/ vmpi/ codec/ blackboard/ analysis/ instrument/ network/
+   iosim/``) the only name imported from ``repro.telemetry.hostprof`` is
+   ``host_now`` (where job CPU is charged to a telemetry histogram), the
+   module itself is not imported, and nothing reads ``hostprof.ACTIVE``:
+   the host profiler interposes on the entry points it lists
+   (``hostprof.ENTRY_POINTS``, DESIGN 11), so a probe written into a layer
+   is a second mechanism for the same number.
 
 Exit status 0 when clean; 1 with one ``path:line: message`` per
 violation otherwise.  Run from the repository root::
@@ -154,6 +163,15 @@ INSTRUMENT_WRITES = frozenset({"inc", "set", "observe"})
 
 #: package that may build a Timeout where it yields one (it defines them)
 KERNEL_PACKAGE = Path("repro") / "simt"
+
+#: packages the host profiler observes from outside (rule 8)
+SIMULATION_PACKAGES = frozenset(
+    {"simt", "mpi", "vmpi", "codec", "blackboard", "analysis", "instrument", "network", "iosim"}
+)
+
+#: the hostprof module, and the one name of it a simulation module may import
+HOSTPROF_MODULE = "repro.telemetry.hostprof"
+HOSTPROF_ALLOWED = frozenset({"host_now"})
 
 #: module -> the value records built once per intercepted call / message
 PER_CALL_RECORDS = {
@@ -477,6 +495,33 @@ def _check_pure_delays(tree: ast.AST, rel: Path) -> list[str]:
     return problems
 
 
+def _check_no_inline_hostprof(tree: ast.AST, rel: Path) -> list[str]:
+    """Flag a simulation module reaching for the host profiler."""
+    problems = []
+    for node in ast.walk(tree):
+        found = None
+        if isinstance(node, ast.ImportFrom) and node.module == HOSTPROF_MODULE:
+            extra = sorted({alias.name for alias in node.names} - HOSTPROF_ALLOWED)
+            if extra:
+                found = f"imports {', '.join(extra)} from {HOSTPROF_MODULE}"
+        elif isinstance(node, ast.ImportFrom) and node.module == "repro.telemetry":
+            if any(alias.name == "hostprof" for alias in node.names):
+                found = "imports the hostprof module"
+        elif isinstance(node, ast.Import):
+            if any(alias.name == HOSTPROF_MODULE for alias in node.names):
+                found = "imports the hostprof module"
+        elif isinstance(node, ast.Attribute) and node.attr == "ACTIVE":
+            if _mentions(node.value, "hostprof") or _mentions(node.value, "_hostprof"):
+                found = "reads hostprof.ACTIVE"
+        if found:
+            problems.append(
+                f"{rel}:{node.lineno}: {found} — simulation modules carry no host-time "
+                "probe (only host_now, for job CPU); add the entry point to "
+                "hostprof.ENTRY_POINTS instead"
+            )
+    return problems
+
+
 def _is_frozen_dataclass(decorator: ast.AST) -> bool:
     return (
         isinstance(decorator, ast.Call)
@@ -534,6 +579,8 @@ def check_tree(src_root: Path) -> list[str]:
             problems.extend(_check_analysis_updates(tree, rel))
         if rel == BATCH_MODULE:
             problems.extend(_check_batch_float_sums(tree, rel))
+        if len(rel.parts) > 2 and rel.parts[0] == "repro" and rel.parts[1] in SIMULATION_PACKAGES:
+            problems.extend(_check_no_inline_hostprof(tree, rel))
     return problems
 
 
@@ -551,7 +598,8 @@ def main(argv: list[str]) -> int:
     print(
         "hot-path invariants hold (clock discipline, zero-copy decode, "
         "loop-free codec, lean per-event functions, one derivation per pack, "
-        "observers paid per read, pure delays as floats)"
+        "observers paid per read, pure delays as floats, host time profiled "
+        "from outside)"
     )
     return 0
 

@@ -3,13 +3,16 @@
 Every other bench lane reports virtual-time results — what the simulated
 system would do.  This lane turns the host-time observability plane
 (:mod:`repro.telemetry.hostprof`) on itself and reports what the
-pure-Python simulator spends per wall-clock second, hot path by hot path:
+pure-Python simulator spends per wall-clock second, hot path by hot path.
+The profiler books *exclusive* time (DESIGN §11), so each rate is per
+second spent in that layer alone and the artefact's timers sum to its
+``elapsed_s``:
 
 * ``kernel_events_per_s`` — simulated events dispatched per host second
-  inside the kernel drain loop;
-* ``stream_mb_per_s`` — modelled bytes moved through the VMPIStream
-  write/transit/read copy paths per host second of straight-line Python
-  (yield-aware: virtual-time waits are not charged);
+  of the dispatch loop itself (``Kernel.run`` minus the layers it resumes);
+* ``stream_mb_per_s`` — modelled bytes moved through ``VMPIStream``
+  ``write``/``_on_block``/``read`` per host second their frames run
+  (virtual-time waits are not charged; the send a write drives is);
 * ``codec_mb_per_s`` — content bytes through the codec chain encode and
   decode per host second (0 on the identity row: no chain runs);
 * ``frame_mb_per_s`` — frame bytes through EVF2 parse and emit per host
@@ -173,8 +176,8 @@ def _run_once(
 
 def _throughput(profiler: HostProfiler, names: tuple[str, ...]) -> float:
     """Aggregate MB/s across a group of timers (0 when none fired)."""
-    total_s = sum(profiler.timers[n].total_s for n in names if n in profiler.timers)
-    nbytes = sum(profiler.timers[n].nbytes for n in names if n in profiler.timers)
+    total_s = sum(profiler.timers[n].total_s for n in names)
+    nbytes = sum(profiler.timers[n].nbytes for n in names)
     return nbytes / total_s / 1e6 if total_s > 0 else 0.0
 
 
@@ -347,8 +350,8 @@ def selfperf_sweep(
     for chain in chains:
         profiler = HostProfiler()
         outputs = run_once(chain, profiler=profiler)[0]
-        dispatch = profiler.timers.get("kernel.dispatch")
-        if dispatch is None or dispatch.items <= 0:
+        dispatch = profiler.timers["kernel.dispatch"]
+        if dispatch.items <= 0:
             raise BenchGateError(
                 f"chain {chain!r}: kernel dispatch timer never fired "
                 "(hostprof wiring broken?)"

@@ -16,7 +16,7 @@ from repro.errors import BlackboardError, UnknownTypeError
 from repro.blackboard.entry import DataEntry, TypeRegistry
 from repro.blackboard.jobs import Job, JobQueues
 from repro.blackboard.ks import KnowledgeSource, Operation
-from repro.telemetry import NULL_TELEMETRY, Telemetry, hostprof
+from repro.telemetry import NULL_TELEMETRY, Telemetry
 from repro.telemetry.hostprof import host_now
 
 
@@ -100,8 +100,6 @@ class Blackboard:
         """
         if not self.types.known(type_id):
             raise UnknownTypeError(f"submit of unregistered type {type_id:#x}")
-        hp = hostprof.ACTIVE
-        t_host = hp.now() if hp.enabled else 0.0
         if size is None:
             size = len(payload) if hasattr(payload, "__len__") else 0
         entry = DataEntry(type_id, size, payload, meta)
@@ -129,11 +127,6 @@ class Blackboard:
             with self._idle:
                 self._in_flight += len(jobs)
             self.queues.push_many(jobs)
-        if hp.enabled:
-            # Control-system scheduling cost: fan-out + FIFO pushes.
-            hp.timer("blackboard.submit").add(
-                hp.now() - t_host, items=len(jobs), nbytes=size
-            )
         return entry
 
     def submit_named(self, name: str, payload: Any, level: str = "", size: int | None = None) -> DataEntry:
@@ -144,12 +137,10 @@ class Blackboard:
     def execute(self, job: Job) -> None:
         """Run one job and release its input entries."""
         tel = self.telemetry
-        hp = hostprof.ACTIVE
         span = None
         t_host = 0.0
-        if tel.enabled or hp.enabled:
-            t_host = host_now()
         if tel.enabled:
+            t_host = host_now()
             span = tel.span(
                 "blackboard.job",
                 pid=self.track_pid,
@@ -164,8 +155,6 @@ class Blackboard:
                 self._release_entry(entry)
             with self._stats_lock:
                 self.jobs_executed += 1
-            if hp.enabled:
-                hp.timer("blackboard.execute").add(host_now() - t_host)
             if span is not None:
                 tel.counter("blackboard.jobs_executed").inc()
                 cpu_s = host_now() - t_host

@@ -43,7 +43,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from repro.errors import ConfigError, PackFormatError, UnknownCodecError
-from repro.telemetry import hostprof
 
 RECORD_SIZE = 40  # matches instrument.events.EVENT_RECORD_SIZE (asserted there)
 _SITE_BYTES = 24  # the non-temporal record prefix ("call site")
@@ -555,8 +554,6 @@ class CodecChain:
                 f"record batch of {len(records)} bytes is not a multiple of "
                 f"{RECORD_SIZE}"
             )
-        hp = hostprof.ACTIVE
-        t_host = hp.now() if hp.enabled else 0.0
         ctx = CodecContext(now=now)
         # Zero-copy entry: ``records`` may be a view of the packer's reuse
         # buffer.  Stages only read it, and every array derived from it is
@@ -576,9 +573,6 @@ class CodecChain:
             data = stage.encode_bytes(data, ctx)
         if not isinstance(data, bytes):
             data = bytes(data)  # filter-only chain: still the caller's buffer or an array
-        if hp.enabled:
-            # MB/s over the *content* bytes in: the work the chain absorbed.
-            hp.timer("codec.encode").add(hp.now() - t_host, nbytes=len(records))
         return EncodeResult(
             payload=data,
             count=count,
@@ -588,8 +582,6 @@ class CodecChain:
 
     def decode(self, payload, count: int) -> bytes | memoryview:
         """Invert :meth:`encode`: payload bytes back to fixed-width records."""
-        hp = hostprof.ACTIVE
-        t_host = hp.now() if hp.enabled else 0.0
         # Zero-copy entry: ``payload`` may be a memoryview straight out of
         # parse_frame; every stage accepts buffer objects, and the identity
         # chain hands the view back uncopied.
@@ -613,9 +605,6 @@ class CodecChain:
             )
         for stage in reversed(self._phase0):
             data = stage.decode_records(data)
-        if hp.enabled:
-            # MB/s over the content bytes out: symmetric with encode.
-            hp.timer("codec.decode").add(hp.now() - t_host, nbytes=len(data))
         return data
 
 

@@ -435,7 +435,7 @@ class CouplingSession:
             return None
         if self.telemetry.enabled:
             self._obs.publish_all(_telemetry_records(self.telemetry))
-        if _hostprof.ACTIVE.enabled:
+        if _hostprof.ACTIVE is not None:
             self._obs.publish_all(_hostprof.ACTIVE.jsonl_records())
         summary = self._obs.summary()
         self._obs.close()

@@ -17,7 +17,7 @@ from typing import Any, Generator
 from repro.errors import DeadlockError, ProcessCrashError, SimulationError
 from repro.simt.primitives import AllOf, AnyOf, SimEvent, Timeout
 from repro.simt.process import Process
-from repro.telemetry import KERNEL_PID, NULL_TELEMETRY, Telemetry, hostprof
+from repro.telemetry import KERNEL_PID, NULL_TELEMETRY, Telemetry
 
 _INF = float("inf")
 
@@ -292,27 +292,8 @@ class Kernel:
         """
         if self.telemetry.enabled:
             with self.telemetry.span("kernel.run", pid=KERNEL_PID, cat="kernel"):
-                return self._run(until)
-        return self._run(until)
-
-    def _run(self, until: float | SimEvent | None) -> Any:
-        # Host-time plane: account wall seconds and heap ops of this drain
-        # into the active host profiler.  Everything a simulation does runs
-        # inside this loop, so items/total_s is the simulator's true
-        # dispatch throughput (events per host second).
-        hp = hostprof.ACTIVE
-        if not hp.enabled:
-            return self._drain(until)
-        t0 = hp.now()
-        dispatched0 = self.events_dispatched
-        seq0 = self._seq
-        try:
-            return self._drain(until)
-        finally:
-            dispatched = self.events_dispatched - dispatched0
-            hp.timer("kernel.dispatch").add(hp.now() - t0, items=dispatched)
-            hp.count("kernel.heap_pushes", self._seq - seq0)
-            hp.count("kernel.heap_pops", dispatched)
+                return self._drain(until)
+        return self._drain(until)
 
     def _drain(self, until: float | SimEvent | None) -> Any:
         if isinstance(until, SimEvent):

@@ -22,7 +22,6 @@ disabled.  Enable it by passing a live instance down the stack::
 
 from repro.telemetry.core import KERNEL_PID, NULL_TELEMETRY, Telemetry, rank_pid
 from repro.telemetry.hostprof import (
-    NULL_HOSTPROF,
     HostProfiler,
     HostTimer,
     fake_host_clock,
@@ -72,7 +71,6 @@ __all__ = [
     "Telemetry",
     "HostProfiler",
     "HostTimer",
-    "NULL_HOSTPROF",
     "host_now",
     "set_host_clock",
     "fake_host_clock",

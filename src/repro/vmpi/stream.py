@@ -37,6 +37,10 @@ Failure tolerance (this layer's extensions, all pay-for-what-you-use):
   orphaned writer, posting fresh NA buffers and expecting its close marker.
 * A ``set_tamper`` hook lets fault injection corrupt or drop blocks at the
   transport boundary; every drop path is accounted in :meth:`stats`.
+
+Host time is measured from outside — an active host profiler wraps ``write``,
+``read`` and ``_on_block`` (its ``ENTRY_POINTS`` table names them) and reads
+blocks and bytes off their results — so this module carries no such probe.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from repro.mpi.status import Status
 from repro.mpi.world import ProgramAPI
 from repro.simt.primitives import SimEvent
 from repro.simt.resources import Resource
-from repro.telemetry import NULL_TELEMETRY, hostprof, rank_pid
+from repro.telemetry import NULL_TELEMETRY, rank_pid
 from repro.util.rng import derive_rng
 from repro.vmpi.mapping import VMPIMap
 
@@ -279,10 +283,6 @@ class VMPIStream:
         mpi = self._mpi
         kernel = self._kernel
         tel = self._tel
-        hp = hostprof.ACTIVE
-        # Host-time plane: charge only this path's straight-line Python cost
-        # — the segment is paused across every virtual-time wait below.
-        seg = hp.segment("stream.write") if hp.enabled else None
         # Provenance: recover the flow id from the pack's own provenance
         # section and stamp the enqueue hop.  Peeking precedes tampering so
         # injected drops are attributed to their flow.
@@ -300,8 +300,6 @@ class VMPIStream:
                 self.injected_drops += 1
                 if flow_id is not None:
                     self._flows.on_drop(flow_id, "tamper", kernel.now)
-                if seg is not None:
-                    seg.done(items=0)
                 return 0
             if action == "corrupt":
                 self.injected_corruptions += 1
@@ -314,23 +312,16 @@ class VMPIStream:
         self._last_retry_delay = 0.0
         slot_ev = self._slots.acquire()
         if not slot_ev.triggered:
-            if seg is not None:
-                seg.pause()
             if self.write_timeout is None:
                 yield slot_ev
             else:
                 dropped = yield from self._acquire_with_retry(slot_ev, nbytes)
                 if dropped:
-                    if seg is not None:
-                        seg.resume()
-                        seg.done(items=0)
                     if flow_id is not None:
                         self._flows.on_drop(flow_id, "overflow", kernel.now)
                     if span is not None:
                         span.end(dropped=True)
                     return 0
-            if seg is not None:
-                seg.resume()
         # Time spent waiting for a free output buffer: the rendezvous-driven
         # backpressure stall of a slow reader.
         stall = kernel.now - t_acquire
@@ -341,11 +332,7 @@ class VMPIStream:
         copy_time = nbytes / self._bw
         if copy_time > 0:
             self.write_copy_s += copy_time
-            if seg is not None:
-                seg.pause()
             yield copy_time
-            if seg is not None:
-                seg.resume()
         if not self.endpoints:
             # Every reader crashed with no failover target: the block has
             # nowhere to go.  Account it as crash loss and keep running.
@@ -357,8 +344,6 @@ class VMPIStream:
             if tel.enabled:
                 tel.counter("stream.blocks_lost_to_crash").inc()
                 span.end(lost=True)
-            if seg is not None:
-                seg.done(items=0)
             return 0
         if flow_id is not None:
             # The send hop: buffer acquired and copied, transit begins.  The
@@ -370,13 +355,9 @@ class VMPIStream:
         # process is suspended inside the send's CPU charge.
         rec = _InFlight(dest, nbytes, flow_id=flow_id)
         self._inflight.append(rec)
-        if seg is not None:
-            seg.pause()
         req = yield from mpi.comm_universe._raw_isend(
             dest, nbytes=nbytes, tag=self.tag, payload=payload
         )
-        if seg is not None:
-            seg.resume()
         rec.env = req.envelope
         req.event.add_callback(lambda _ev, rec=rec: self._send_done(rec))
         self.blocks_written += 1
@@ -405,8 +386,6 @@ class VMPIStream:
             mets[2].observe(stall)
             mets[3].set(self._slots.in_use)
             span.end(stall_s=stall)
-        if seg is not None:
-            seg.done(items=1, nbytes=nbytes)
         return nbytes
 
     def _acquire_with_retry(self, slot_ev: SimEvent, nbytes: int):
@@ -611,8 +590,6 @@ class VMPIStream:
         completion.add_callback(self._on_block)
 
     def _on_block(self, ev: SimEvent) -> None:
-        hp = hostprof.ACTIVE
-        t0 = hp.now() if hp.enabled else 0.0
         status: Status = ev.value
         now = self._kernel.now
         self._ready.append((status, now))
@@ -625,10 +602,6 @@ class VMPIStream:
         if self._wake is not None and not self._wake.triggered:
             self._wake.succeed()
             self._wake = None
-        if hp.enabled:
-            hp.timer("stream.transit").add(
-                hp.now() - t0, items=1, nbytes=status.nbytes
-            )
 
     def read(self, nonblock: bool = False):
         """Generator: read one block.
@@ -642,19 +615,13 @@ class VMPIStream:
         mpi = self._mpi
         kernel = self._kernel
         tel = self._tel
-        hp = hostprof.ACTIVE
-        seg = hp.segment("stream.read") if hp.enabled else None
         if self._stall_until is not None:
             # Injected slow-analyzer fault: freeze this consumer until the
             # stall deadline, then resume normally.
             delay = self._stall_until - kernel.now
             self._stall_until = None
             if delay > 0:
-                if seg is not None:
-                    seg.pause()
                 yield delay
-                if seg is not None:
-                    seg.resume()
         span = (
             tel.span("stream.read", pid=self._pid, cat="stream") if tel.enabled else None
         )
@@ -667,11 +634,7 @@ class VMPIStream:
                     copy_time = result[0] / self._bw
                     if copy_time > 0:
                         self.read_copy_s += copy_time
-                        if seg is not None:
-                            seg.pause()
                         yield copy_time
-                        if seg is not None:
-                            seg.resume()
                     if self._flows is not None:
                         prov = peek_provenance(result[1])
                         if prov is not None:
@@ -690,34 +653,21 @@ class VMPIStream:
                         mets[1].inc(result[0])
                         mets[2].set(len(self._ready))
                         span.end(nbytes=result[0])
-                    if seg is not None:
-                        seg.done(items=1, nbytes=result[0])
                     return result
             if self._closes_pending == 0:
                 if span is not None:
                     span.end(eof=True)
-                if seg is not None:
-                    seg.done(items=0)
                 return (EOF, None)
             if nonblock:
                 self.eagain_returns += 1
                 if tel.enabled:
                     tel.counter("stream.eagain_returns").inc()
                     span.end(eagain=True)
-                if seg is not None:
-                    seg.pause()
                 yield 0.0
-                if seg is not None:
-                    seg.resume()
-                    seg.done(items=0)
                 return (EAGAIN, None)
             t_wait = kernel.now
             self._wake = SimEvent(kernel, name="stream.wake")
-            if seg is not None:
-                seg.pause()
             yield self._wake
-            if seg is not None:
-                seg.resume()
             self.read_wait_s += kernel.now - t_wait
             if tel.enabled:
                 tel.histogram("stream.read_wait_s").observe(kernel.now - t_wait)

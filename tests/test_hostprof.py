@@ -4,26 +4,29 @@ from __future__ import annotations
 
 import gc
 import json
+import threading
 
 import pytest
 
+from repro.analysis.engine import AnalysisConfig, AnalyzerEngine
 from repro.apps.nas import SP
 from repro.bench.selfperf import CHAINS, _run_once, selfperf_sweep
 from repro.blackboard import Blackboard
+from repro.codec.frame import build_frame
 from repro.core.session import CouplingSession
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ProcessCrashError
 from repro.network.machine import TERA100
-from repro.obs import HOSTPROF_SCHEMA
+from repro.obs import HOSTPROF_SCHEMA, REGISTRY
 from repro.telemetry import hostprof
 from repro.telemetry.hostprof import (
+    ENTRY_POINTS,
     HOST_PID,
     HostProfiler,
-    HostSegment,
     HostTimer,
-    NULL_HOSTPROF,
     fake_host_clock,
     host_environment,
     host_now,
+    resolve_entry_point,
     set_host_clock,
 )
 
@@ -81,12 +84,7 @@ class TestHostClock:
 
 class TestAccumulators:
     def test_timer_math(self):
-        t = HostTimer("x")
-        t.add(2.0, items=4, nbytes=8_000_000)
-        t.add(2.0, items=0, nbytes=0)
-        assert t.calls == 2
-        assert t.total_s == 4.0
-        assert t.max_s == 2.0
+        t = HostTimer("x", calls=2, total_s=4.0, items=4, nbytes=8_000_000, max_s=2.0)
         assert t.items_per_s == pytest.approx(1.0)
         assert t.mb_per_s == pytest.approx(2.0)
         d = t.as_dict()
@@ -96,20 +94,6 @@ class TestAccumulators:
         t = HostTimer("x")
         assert t.items_per_s == 0.0
         assert t.mb_per_s == 0.0
-
-    def test_segment_excludes_paused_time(self):
-        clock = ManualClock()
-        with fake_host_clock(clock):
-            timer = HostTimer("seg")
-            seg = HostSegment(timer)
-            clock.advance(1.0)          # charged
-            seg.pause()
-            clock.advance(5.0)          # a virtual-time wait: not charged
-            seg.resume()
-            clock.advance(2.0)          # charged
-            seg.done(items=3, nbytes=30)
-        assert timer.total_s == pytest.approx(3.0)
-        assert timer.items == 3 and timer.nbytes == 30
 
     def test_profiler_timer_get_or_create_and_counts(self):
         hp = HostProfiler()
@@ -123,31 +107,33 @@ class TestAccumulators:
 
 
 class TestActivation:
-    def test_default_is_null_and_disabled(self):
-        assert hostprof.ACTIVE is NULL_HOSTPROF
-        assert not NULL_HOSTPROF.enabled
+    def test_default_is_none(self):
+        assert hostprof.ACTIVE is None
 
     def test_profiled_installs_and_restores(self):
         with hostprof.profiled() as hp:
             assert hostprof.ACTIVE is hp
-            assert hp.enabled
-        assert hostprof.ACTIVE is NULL_HOSTPROF
+            assert hp.t_start is not None and hp.t_stop is None
+        assert hostprof.ACTIVE is None
         assert hp.t_stop is not None
 
     def test_profiled_restores_on_exception(self):
         with pytest.raises(RuntimeError, match="boom"):
             with hostprof.profiled():
                 raise RuntimeError("boom")
-        assert hostprof.ACTIVE is NULL_HOSTPROF
+        assert hostprof.ACTIVE is None
 
     def test_double_activate_rejected(self):
         with hostprof.profiled():
             with pytest.raises(RuntimeError, match="already active"):
                 hostprof.activate(HostProfiler())
 
-    def test_disabled_profiler_cannot_activate(self):
-        with pytest.raises(ValueError):
-            hostprof.activate(HostProfiler(enabled=False))
+    def test_a_spent_profiler_cannot_be_reactivated(self):
+        with hostprof.profiled() as hp:
+            pass
+        with pytest.raises(RuntimeError, match="books are closed"):
+            hostprof.activate(hp)
+        assert hostprof.ACTIVE is None
 
     def test_gc_pauses_are_captured(self):
         with hostprof.profiled() as hp:
@@ -171,7 +157,7 @@ class TestActivation:
 class TestExport:
     def test_summary_shape(self):
         with hostprof.profiled() as hp:
-            hp.timer("t").add(0.5, items=2, nbytes=10)
+            hp.timer("t").items += 2
             hp.count("c", 1)
         s = hp.summary()
         assert s["schema"] == HOSTPROF_SCHEMA
@@ -179,7 +165,8 @@ class TestExport:
         assert s["timers"]["t"]["items"] == 2
         assert s["counts"]["c"] == 1
         assert {"pauses", "pause_total_s", "pause_max_s", "collections"} <= set(s["gc"])
-        assert {"rss_bytes", "rss_peak_bytes", "malloc_peak_bytes"} <= set(s["process"])
+        assert set(s["process"]) == {"rss_bytes", "rss_peak_bytes"}
+        assert s["unattributed_s"] == s["elapsed_s"] > 0  # no entry point ran
 
     def test_chrome_trace_rides_the_host_pid(self, tmp_path):
         with hostprof.profiled() as hp:
@@ -197,18 +184,40 @@ class TestExport:
 
     def test_jsonl_records_are_schema_tagged(self, tmp_path):
         with hostprof.profiled() as hp:
-            hp.timer("t").add(0.1)
+            hp.timer("t").calls += 1
         path = tmp_path / "host.jsonl"
         hp.write_jsonl(str(path))
         records = [json.loads(line) for line in path.read_text().splitlines()]
         assert all(r["schema"] == HOSTPROF_SCHEMA for r in records)
         kinds = {r["kind"] for r in records}
         assert {"meta", "timer", "gc", "process"} <= kinds
+        assert "unattributed_s" in records[0]
 
-    def test_track_malloc_records_peak(self):
-        with hostprof.profiled(track_malloc=True) as hp:
-            _junk = [bytes(1000) for _ in range(100)]
-        assert hp.malloc_peak_bytes is not None and hp.malloc_peak_bytes > 0
+    def test_profiled_session_exports_the_registered_kind_set(self):
+        hp = HostProfiler()
+        with hostprof.profiled(hp), hp.span("run"):
+            _session_fingerprint()
+        records = hp.jsonl_records()
+        for record in records:
+            REGISTRY.validate(record)
+        assert {r["kind"] for r in records} == set(REGISTRY.get(HOSTPROF_SCHEMA).kinds)
+
+    def test_session_publishes_a_live_process_record(self):
+        # _drain_obs publishes from inside profiled(): the profiler is still
+        # running, so RSS and the books are sampled at call time.
+        session = CouplingSession(machine=TERA100, seed=0)
+        session.add_application(SP(16, "C", iterations=1))
+        session.set_analyzer(ratio=4.0)
+        session.enable_observability(ring=4096)
+        with hostprof.profiled() as hp:
+            session.run()
+            assert hp.t_stop is None
+        published = {
+            r["kind"]: r for r in session.obs_ring.records() if r["schema"] == HOSTPROF_SCHEMA
+        }
+        assert published["process"]["rss_peak_bytes"] >= published["process"]["rss_bytes"] > 0
+        meta = published["meta"]
+        assert 0.0 < meta["unattributed_s"] < meta["elapsed_s"] <= hp.elapsed_s
 
 
 # -- the disabled path: observation-only guarantee ------------------------------------
@@ -234,19 +243,24 @@ class TestObservationOnly:
         assert _session_fingerprint() == _session_fingerprint(HostProfiler())
 
     def test_disabled_profiler_books_nothing(self):
-        before = dict(NULL_HOSTPROF.timers)
-        _session_fingerprint()  # no active profiler anywhere
-        assert NULL_HOSTPROF.timers == before == {}
+        # Off means absent: every entry point is the function its module
+        # defined, so there is no profiler for a run to book into.
+        for target, *_ in ENTRY_POINTS:
+            owner, attr, raw = resolve_entry_point(target)
+            assert not hasattr(raw, "__wrapped__"), target
+        _session_fingerprint()
+        assert hostprof.ACTIVE is None
 
     def test_profiled_run_populates_every_hot_path_timer(self):
         hp = HostProfiler()
         _session_fingerprint(hp)
-        names = set(hp.timers)
-        assert {
+        assert set(hp.timers) == {
             "kernel.dispatch", "stream.write", "stream.transit", "stream.read",
             "codec.encode", "codec.decode", "frame.parse", "frame.emit",
             "blackboard.submit", "blackboard.execute", "analysis.ingest",
-        } <= names
+        }
+        for name, timer in hp.timers.items():
+            assert timer.calls > 0 and timer.items > 0 and timer.total_s > 0, name
         dispatch = hp.timers["kernel.dispatch"]
         assert dispatch.items > 0 and dispatch.total_s > 0
         assert hp.counts["kernel.heap_pops"] == dispatch.items
@@ -260,6 +274,153 @@ class TestObservationOnly:
         timer = hp.timers["blackboard.submit"]
         assert timer.calls == 1 and timer.nbytes == 10
         assert timer.total_s == 0.0  # the clock never moved
+
+
+# -- interposition: the table, the books, the exits -----------------------------------
+
+
+class TickingClock:
+    """Advances by a power of two per reading, so every sum of slices is exact."""
+
+    def __init__(self):
+        self.t = 0.0
+
+    def __call__(self) -> float:
+        self.t += 2.0**-12
+        return self.t
+
+
+class _Doomed(SP):
+    """SP that finishes its iterations and then dies on every rank."""
+
+    def main(self, mpi):
+        yield from super().main(mpi)
+        raise RuntimeError("meteor")
+
+
+def _patched_names():
+    """Every (owner, attribute) a profiler replaces: targets and aliases."""
+    with hostprof.profiled() as hp:
+        return [(owner, attr) for owner, attr, _old in hp._restore]
+
+
+def _good_and_corrupted_frame():
+    good = build_frame(0, 0, 2, bytes(80))
+    bad = bytearray(good)
+    bad[-1] ^= 0xFF  # flip a CRC byte
+    return good, bytes(bad)
+
+
+class TestInterposition:
+    def test_every_entry_point_resolves_to_a_plain_function(self):
+        # A renamed or re-decorated target fails here, in tier-1, not on
+        # the next profiling run.
+        names = [name for _target, name, _before, _meter in ENTRY_POINTS]
+        assert len(names) == len(set(names)) == 11
+        for target, *_ in ENTRY_POINTS:
+            owner, attr, raw = resolve_entry_point(target)
+            assert vars(owner)[attr] is raw and callable(raw)
+        with pytest.raises(AttributeError, match="not a plain function"):
+            resolve_entry_point("simt.kernel:Kernel.no_such_method")
+
+    def test_aliases_are_rebound_by_identity(self):
+        import repro.analysis.engine as engine_mod
+        import repro.codec.frame as frame_mod
+        import repro.instrument.packer as packer_mod
+
+        raw_parse, raw_build = frame_mod.parse_frame, frame_mod.build_frame
+        with hostprof.profiled():
+            assert frame_mod.parse_frame is not raw_parse
+            assert engine_mod.parse_frame is frame_mod.parse_frame
+            assert packer_mod.build_frame is frame_mod.build_frame
+            assert frame_mod.parse_frame.__wrapped__ is raw_parse
+        assert engine_mod.parse_frame is raw_parse
+        assert packer_mod.build_frame is raw_build
+
+    @pytest.mark.parametrize("crash", [False, True])
+    def test_every_original_is_back_after_the_scope(self, crash):
+        patched = _patched_names()
+        assert len(patched) > len(ENTRY_POINTS)  # the table plus its aliases
+        originals = [vars(owner)[attr] for owner, attr in patched]
+        session = CouplingSession(machine=TERA100, seed=0)
+        session.add_application((_Doomed if crash else SP)(16, "C", iterations=1))
+        session.set_analyzer(ratio=4.0)
+        if crash:
+            with pytest.raises(ProcessCrashError, match="meteor"):
+                with hostprof.profiled() as hp:
+                    session.run()
+        else:
+            with hostprof.profiled() as hp:
+                session.run()
+        assert hostprof.ACTIVE is None and hp.t_stop is not None
+        for (owner, attr), original in zip(patched, originals):
+            assert vars(owner)[attr] is original, (owner, attr)
+        assert hp.timers["kernel.dispatch"].calls == 1  # the crashed drain is booked too
+
+    def test_timers_and_unattributed_telescope_to_elapsed(self):
+        hp = HostProfiler()
+        with fake_host_clock(TickingClock()):
+            _session_fingerprint(hp)
+            summary = hp.summary()
+        booked = sum(t["total_s"] for t in summary["timers"].values())
+        assert booked > 0 and summary["unattributed_s"] > 0
+        assert booked + summary["unattributed_s"] == summary["elapsed_s"] == hp.elapsed_s
+
+    def test_a_midrun_reading_telescopes_too(self):
+        with fake_host_clock(TickingClock()), hostprof.profiled() as hp:
+            board = Blackboard()
+            board.submit(board.register_type("x"), b"0123456789")
+            summary = hp.summary()
+            assert hp.t_stop is None
+        booked = sum(t["total_s"] for t in summary["timers"].values())
+        assert booked + summary["unattributed_s"] == summary["elapsed_s"] > 0
+
+    def test_error_exits_are_booked(self):
+        good, bad = _good_and_corrupted_frame()
+        engine = AnalyzerEngine([("probe", 4)], AnalysisConfig())
+        with fake_host_clock(ManualClock()), hostprof.profiled() as hp:
+            assert engine.ingest(good) is True
+            assert engine.ingest(bad) is False
+        ingest = hp.timers["analysis.ingest"]
+        assert ingest.calls == engine.packs_ingested + engine.packs_rejected == 2
+        assert ingest.items == 1 and ingest.nbytes == len(good)
+        parse = hp.timers["frame.parse"]
+        assert parse.calls >= 2  # the raising parse is a call ...
+        assert parse.items == parse.calls - 1  # ... but not an item
+        assert hp._running is hp.unattributed  # and the stack unwound
+
+    def test_a_call_from_another_thread_passes_straight_through(self):
+        # The threaded WorkerPool executes jobs off the activating thread:
+        # not booked, and unable to corrupt the one-thread layer stack.
+        clock = ManualClock()
+        with fake_host_clock(clock), hostprof.profiled() as hp:
+            board = Blackboard()
+            tid = board.register_type("x")
+            seen = []
+
+            def elsewhere():
+                clock.advance(4.0)
+                board.submit(tid, b"abc")
+                seen.append(hp._running)
+
+            worker = threading.Thread(target=elsewhere)
+            worker.start()
+            worker.join()
+            board.submit(tid, b"0123456789")
+        assert seen == [hp.unattributed]
+        timer = hp.timers["blackboard.submit"]
+        assert (timer.calls, timer.nbytes, timer.total_s) == (1, 10, 0.0)
+        assert hp.unattributed.total_s == hp.elapsed_s == 4.0
+
+    def test_a_callback_bound_inside_the_scope_outlives_it_unbooked(self):
+        with hostprof.profiled() as hp:
+            board = Blackboard()
+            submit = board.submit  # bound to the wrapper
+            tid = board.register_type("x")
+        assert submit.__func__ is not Blackboard.submit
+        submit(tid, b"late")
+        assert hp.timers["blackboard.submit"].calls == 0
+        assert board.entries_submitted == 1
 
 
 # -- the selfperf lane ----------------------------------------------------------------

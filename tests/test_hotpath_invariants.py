@@ -561,3 +561,45 @@ def test_the_kernel_package_may_yield_its_own_timeouts(tmp_path):
         "    def hold(self, seconds):\n        yield self.kernel.timeout(seconds)\n",
     )
     assert check_tree(tmp_path) == []
+
+
+# -- rule 8: host time is profiled from outside ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "source, what",
+    [
+        ("from repro.telemetry import NULL_TELEMETRY, hostprof\n", "imports the hostprof module"),
+        ("import repro.telemetry.hostprof\n", "imports the hostprof module"),
+        ("from repro.telemetry.hostprof import ACTIVE\n", "imports ACTIVE"),
+        ("from repro.telemetry.hostprof import HostProfiler, host_now\n", "imports HostProfiler"),
+        ("def write(self):\n    hp = hostprof.ACTIVE\n", "reads hostprof.ACTIVE"),
+        ("def run(self):\n    return _hostprof.ACTIVE is None\n", "reads hostprof.ACTIVE"),
+    ],
+)
+@pytest.mark.parametrize("package", ["vmpi", "iosim"])
+def test_flags_a_host_time_probe_inside_a_simulation_module(tmp_path, package, source, what):
+    _write(tmp_path, f"repro/{package}/rogue.py", source)
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1
+    assert f"repro/{package}/rogue.py" in problems[0] and what in problems[0]
+    assert "ENTRY_POINTS" in problems[0]
+
+
+@pytest.mark.parametrize(
+    "rel, source",
+    [
+        # Job CPU charged to a telemetry histogram reads the clock, not the profiler.
+        ("repro/blackboard/board.py", "from repro.telemetry.hostprof import host_now\n"),
+        ("repro/analysis/engine.py", "from repro.telemetry import NULL_TELEMETRY, Telemetry\n"),
+        # An unrelated ACTIVE is nobody's business.
+        ("repro/mpi/requests.py", "def live(self):\n    return self.state.ACTIVE\n"),
+        # Session teardown and the bench lanes are callers of the profiler, not layers.
+        ("repro/core/session.py", "from repro.telemetry import hostprof as _hostprof\n"
+                                  "def drain():\n    return _hostprof.ACTIVE\n"),
+        ("repro/bench/selfperf.py", "from repro.telemetry.hostprof import HostProfiler\n"),
+    ],
+)
+def test_clock_reads_and_callers_of_the_profiler_are_allowed(tmp_path, rel, source):
+    _write(tmp_path, rel, source)
+    assert check_tree(tmp_path) == []
