@@ -14,12 +14,15 @@ AST so comments and strings never trip them:
    host clock.
 
 2. **Zero-copy decode paths** — the EVF2 decode-path functions in
-   ``codec/frame.py`` (``parse_frame``, ``peek_header``,
-   ``peek_provenance``, ``frame_content_size``, ``_header_fields``)
-   must never call ``bytes(...)``: a ``bytes()`` call on a memoryview
-   slice is a hidden copy, which is exactly what the zero-copy parse
-   contract (DESIGN 14) forbids.  Encode-side code (``to_bytes``,
-   ``build_frame``, ``materialize``) may copy freely.
+   ``codec/frame.py`` (the one structural walk ``_walk`` and its header
+   read ``_header_fields``, and the four readers built on them:
+   ``parse_frame``, ``peek_header``, ``peek_provenance``,
+   ``frame_content_size``) must never call ``bytes(...)``: a ``bytes()``
+   call on a memoryview slice is a hidden copy, which is exactly what the
+   zero-copy parse contract (DESIGN 14) forbids.  Encode-side code
+   (``to_bytes``, ``build_frame``, ``materialize``) may copy freely.  A
+   listed function that no longer exists is itself a violation, so the
+   walk cannot be renamed (or a reader retired) out of the rule silently.
 
 3. **Loop-free reduction stages** — inside ``codec/stages.py`` the stage
    hooks (``encode_records``, ``decode_records``, ``encode_columnar``,
@@ -110,11 +113,12 @@ FRAME_MODULE = Path("repro") / "codec" / "frame.py"
 #: frame.py functions that must stay copy-free (the decode paths)
 DECODE_PATH_FUNCTIONS = frozenset(
     {
+        "_walk",
+        "_header_fields",
         "parse_frame",
         "peek_header",
         "peek_provenance",
         "frame_content_size",
-        "_header_fields",
     }
 )
 
@@ -232,11 +236,13 @@ def _check_clock_discipline(tree: ast.AST, rel: Path) -> list[str]:
 def _check_decode_paths(tree: ast.AST, rel: Path) -> list[str]:
     """Flag bytes(...) calls inside frame.py's decode-path functions."""
     problems = []
+    missing = set(DECODE_PATH_FUNCTIONS)
     for node in ast.walk(tree):
         if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
         if node.name not in DECODE_PATH_FUNCTIONS:
             continue
+        missing.discard(node.name)
         for sub in ast.walk(node):
             if (
                 isinstance(sub, ast.Call)
@@ -248,6 +254,11 @@ def _check_decode_paths(tree: ast.AST, rel: Path) -> list[str]:
                     f"function {node.name}() — decode must stay zero-copy "
                     "(materialize()/to_bytes() are the sanctioned copies)"
                 )
+    for name in sorted(missing):
+        problems.append(
+            f"{rel}:1: decode-path function {name}() not found — "
+            "update DECODE_PATH_FUNCTIONS if it moved or was renamed"
+        )
     return problems
 
 

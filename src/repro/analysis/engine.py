@@ -8,10 +8,15 @@ Analysis CPU cost is charged to the analyzer's simulated timeline, which is
 what creates backpressure towards the instrumented applications when the
 analyzer partition is undersized.
 
-At EOF the per-rank partial states are gathered on the analyzer root and
-merged into one :class:`~repro.analysis.report.ProfileReport` — the paper's
-"dedicated report with full details of each program's behaviour, briefly
-after execution ends".
+A pack's bytes are walked once on this side: the read loop's
+``parse_frame(verify=False)`` yields the flow stamp, the codec descriptor
+and the frame (or the error) that :meth:`AnalyzerEngine.ingest` turns into
+the checksum verdict, the reject cause and the unpacker's input.
+
+At EOF the per-rank partial states and ingest tallies are gathered on the
+root and merged into one :class:`~repro.analysis.report.ProfileReport` —
+the paper's "dedicated report with full details of each program's
+behaviour, briefly after execution ends".
 """
 
 from __future__ import annotations
@@ -19,15 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
 
-from repro.codec.frame import CONTENT_HEADER_SIZE, parse_frame, peek_provenance
+from repro.codec.frame import CONTENT_HEADER_SIZE, parse_frame
 from repro.codec.stages import build_chain, decode_chain
-from repro.errors import (
-    ChecksumError,
-    ConfigError,
-    PackFormatError,
-    ReproError,
-    UnknownCodecError,
-)
+from repro.errors import ConfigError, PackFormatError, ReproError, UnknownCodecError
 from repro.analysis.alerts import AlertMonitor
 from repro.analysis.batch import EventBatch
 from repro.analysis.density import DensityMaps
@@ -225,20 +224,18 @@ class AnalyzerEngine:
         never submitted — the analysis pipeline keeps running on whatever
         arrives intact.  Returns False on rejection.
 
-        ``frame`` may carry the result of ``parse_frame(pack_bytes,
-        verify=False)`` a caller already holds; the checksum verdict is
-        then read off the frame's recorded CRC state instead of walking
-        the wire bytes a second time.
+        ``frame`` may carry the outcome of ``parse_frame(pack_bytes,
+        verify=False)`` a caller already holds — the frame, or the error it
+        raised — so neither the checksum verdict nor the reject cause costs
+        a second walk of the wire bytes.
         """
         try:
             if frame is None:
                 frame = parse_frame(pack_bytes)
-            elif frame.stored_crc is None:
-                raise ChecksumError("frame has no CRC section")
-            elif not frame.crc_ok:
-                raise ChecksumError(
-                    f"pack checksum mismatch: stored {frame.stored_crc:#010x}"
-                )
+            elif isinstance(frame, PackFormatError):
+                raise frame
+            else:
+                frame.check_crc()
             decode_chain(frame.codec)
             accept = self.config.accept_codecs
             if accept is not None and frame.codec not in accept:
@@ -298,6 +295,31 @@ class AnalyzerEngine:
                 )
             )
         return ProfileReport(chapters=chapters)
+
+
+def _tally(engine: AnalyzerEngine) -> dict[str, Any]:
+    """One rank's ingest counters under their ``analyzer_stats`` names."""
+    return {
+        "packs": engine.packs_ingested,
+        "bytes": engine.bytes_ingested,
+        "bytes_wire": engine.bytes_wire_ingested,
+        "events_sampled_out": engine.events_sampled_out,
+        "decode_cpu_s": engine.decode_cpu_s,
+        "packs_rejected": engine.packs_rejected,
+        "rejects_by_cause": dict(engine.rejects_by_cause),
+        "codecs_seen": dict(engine.codecs_seen),
+    }
+
+
+def _merge_tally(total: dict[str, Any], part: dict[str, Any]) -> None:
+    """Fold another rank's tally in: numbers add, per-key counts add per key."""
+    for key, value in part.items():
+        if isinstance(value, dict):
+            counts = total[key]
+            for name, n in value.items():
+                counts[name] = counts.get(name, 0) + n
+        else:
+            total[key] += value
 
 
 # Reserved tag for the degraded point-to-point gather (outside the stream
@@ -411,9 +433,20 @@ def analyzer_program(
             if tel.enabled
             else None
         )
+        # The pack's only format walk: the flow stamp and the codec descriptor
+        # are read off the frame, and the frame (or the error that names the
+        # reject cause) rides to ingest below, on to the unpacker source.
+        frame = prov = None
+        spec = ""
+        try:
+            frame = parse_frame(payload, verify=False)
+            if flows is not None:
+                prov = frame.provenance
+            spec = frame.codec
+        except PackFormatError as exc:
+            damage = exc
         # Provenance: the dispatch hop starts here — the pack is out of the
         # receive buffers and about to be charged its analysis CPU.
-        prov = peek_provenance(payload) if flows is not None else None
         if prov is not None:
             flows.on_dispatch(prov.flow_id, mpi.ctx.kernel.now)
         # Charge the analysis CPU cost for this block to simulated time,
@@ -421,13 +454,6 @@ def analyzer_program(
         # identity chain (no descriptor section) charges nothing extra,
         # keeping unreduced runs bit-identical.
         cost = config.cpu_cost(nbytes)
-        try:
-            frame = parse_frame(payload, verify=False)
-            spec = frame.codec
-        except PackFormatError:
-            # Damaged frame; ingest below re-parses, rejects and accounts it.
-            frame = None
-            spec = ""
         if spec:
             raw_bytes = max(0, frame.content_size - CONTENT_HEADER_SIZE)
             try:
@@ -446,10 +472,7 @@ def analyzer_program(
         if steering is not None and steering.analysis_workers != 1:
             cost /= steering.analysis_workers
         yield from mpi.compute(cost)
-        # The verify=False parse above is the pack's only format walk: the
-        # engine checks the recorded CRC verdict and threads the frame all
-        # the way to the unpacker knowledge source.
-        ok = engine.ingest(payload, frame=frame)
+        ok = engine.ingest(payload, frame if frame is not None else damage)
         if prov is not None:
             if ok:
                 flows.on_done(prov.flow_id, mpi.ctx.kernel.now)
@@ -482,19 +505,7 @@ def analyzer_program(
 
     # Reduce partial states to the analyzer root.
     gather_nbytes = max(64, engine.bytes_ingested // max(1, engine.packs_ingested))
-    gather_payload = (
-        engine.states,
-        engine.packs_ingested,
-        engine.bytes_ingested,
-        engine.packs_rejected,
-        {
-            "bytes_wire": engine.bytes_wire_ingested,
-            "events_sampled_out": engine.events_sampled_out,
-            "rejects_by_cause": engine.rejects_by_cause,
-            "codecs_seen": engine.codecs_seen,
-            "decode_cpu_s": engine.decode_cpu_s,
-        },
-    )
+    gather_payload = (engine.states, _tally(engine))
     if dead_local:
         gathered = yield from _degraded_gather(
             mpi, gather_nbytes, gather_payload, dead_local
@@ -504,40 +515,17 @@ def analyzer_program(
             nbytes=gather_nbytes, root=0, payload=gather_payload
         )
     if mpi.rank == 0:
-        total_packs = engine.packs_ingested
-        total_bytes = engine.bytes_ingested
-        total_rejected = engine.packs_rejected
-        total_wire = engine.bytes_wire_ingested
-        total_sampled = engine.events_sampled_out
-        total_decode_cpu = engine.decode_cpu_s
-        causes = dict(engine.rejects_by_cause)
-        codecs = dict(engine.codecs_seen)
+        total = _tally(engine)
         for entry in gathered[1:]:
             if entry is None:  # dead rank's slot in a degraded gather
                 continue
-            other_states, other_packs, other_bytes, other_rejected, extra = entry
+            other_states, other_tally = entry
             engine.merge_states(other_states)
-            total_packs += other_packs
-            total_bytes += other_bytes
-            total_rejected += other_rejected
-            total_wire += extra["bytes_wire"]
-            total_sampled += extra["events_sampled_out"]
-            total_decode_cpu += extra["decode_cpu_s"]
-            for cause, n in extra["rejects_by_cause"].items():
-                causes[cause] = causes.get(cause, 0) + n
-            for spec, n in extra["codecs_seen"].items():
-                codecs[spec] = codecs.get(spec, 0) + n
+            _merge_tally(total, other_tally)
         if sink is not None:
             sink["report"] = engine.build_report()
             sink["analyzer_stats"] = {
-                "packs": total_packs,
-                "bytes": total_bytes,
-                "bytes_wire": total_wire,
-                "events_sampled_out": total_sampled,
-                "decode_cpu_s": total_decode_cpu,
-                "packs_rejected": total_rejected,
-                "rejects_by_cause": causes,
-                "codecs_seen": codecs,
+                **total,
                 "board": engine.ml.board.stats(),
                 "stream": stream.stats(),
                 "health_ingest": dict(engine.health_counts),

@@ -21,9 +21,14 @@ preserved on re-emit), making the format forward-compatible.  ``count``
 is the number of event records the payload decodes to — after sampling,
 before any lossless transform.
 
-Frame parsing lives *only* here.  The packer, the stream layer, fault
-tampering and analyzer ingest all share this implementation; there is no
-trailer sniffing anywhere else.
+Frame reading lives *only* here, and in one place here: :func:`_walk` (the
+header read :func:`_header_fields`, then one pass over the section headers)
+holds every structural check of the format.  :func:`parse_frame` and
+:func:`peek_provenance` are that walk plus what they return,
+:func:`peek_header` and :func:`frame_content_size` the header read alone,
+and the checksum verdict is :meth:`Frame.check_crc`.  The packer, the stream
+layer, fault tampering and analyzer ingest share them (DESIGN §9): there is
+no trailer sniffing anywhere else.
 
 Zero-copy contract: :func:`parse_frame` stores section bodies as
 ``memoryview`` slices into the caller's blob — no per-section copies on
@@ -90,6 +95,13 @@ _SAMPLING_FMT = "<I"
 _SAMPLING_STRUCT = struct.Struct(_SAMPLING_FMT)
 SAMPLING_BODY_SIZE = 4
 
+#: sections whose body width the format fixes: type -> (label, bytes)
+_FIXED_BODIES = {
+    SEC_CRC: ("CRC", CRC_BODY_SIZE),
+    SEC_PROVENANCE: ("provenance", PROVENANCE_BODY_SIZE),
+    SEC_SAMPLING: ("sampling", SAMPLING_BODY_SIZE),
+}
+
 #: the CRC section header never varies — emit it as a constant
 _CRC_SECTION_HEADER = _SECTION_STRUCT.pack(SEC_CRC, 0, CRC_BODY_SIZE)
 
@@ -121,9 +133,10 @@ class Frame:
 
     ``sections`` holds every non-CRC section in wire order; the CRC is
     recomputed on :meth:`to_bytes`, so round-tripping a frame through
-    parse → edit → emit always yields a valid checksum.  ``crc_ok`` /
-    ``stored_crc`` report what :func:`parse_frame` found on the wire
-    (``None`` for a frame built in memory).
+    parse → edit → emit always yields a valid checksum.  ``stored_crc`` /
+    ``computed_crc`` / ``crc_ok`` report what :func:`parse_frame` found on
+    the wire (``None`` for a frame built in memory) and :meth:`check_crc`
+    turns them into the one checksum verdict.
 
     Section bodies are ``memoryview`` slices of the parsed blob (see the
     module docstring's zero-copy contract) or ``bytes`` for frames built
@@ -137,6 +150,7 @@ class Frame:
     flags: int = 0
     sections: list[tuple[int, bytes | memoryview]] = field(default_factory=list)
     stored_crc: int | None = None
+    computed_crc: int | None = None
     crc_ok: bool | None = None
     #: Body byte offsets aligned with ``sections`` — filled by
     #: :func:`parse_frame` only (empty for frames built in memory), so
@@ -149,6 +163,17 @@ class Frame:
             if stype == kind:
                 return body
         return None
+
+    def check_crc(self) -> None:
+        """The checksum verdict: raise :class:`ChecksumError` unless the
+        parsed wire bytes carried a CRC section matching their content."""
+        if self.stored_crc is None:
+            raise ChecksumError("frame has no CRC section")
+        if not self.crc_ok:
+            raise ChecksumError(
+                f"pack checksum mismatch: stored {self.stored_crc:#010x}, "
+                f"computed {self.computed_crc:#010x}"
+            )
 
     def materialize(self) -> "Frame":
         """Copy every section body to plain ``bytes``, detaching the frame
@@ -290,27 +315,20 @@ def build_frame(
     return frame.to_bytes()
 
 
-def parse_frame(blob, verify: bool = True) -> Frame:
-    """Parse one frame; the single wire-format reader in the codebase.
+def _header_fields(blob) -> tuple:
+    """The one header read: ``(view, app_id, rank, count, nsections, flags)``.
 
-    With ``verify=True`` (the default) a missing or mismatching CRC
-    section raises :class:`ChecksumError`; with ``verify=False`` the
-    checksum outcome is only recorded on ``Frame.crc_ok`` so diagnostic
-    tools can inspect damaged frames.  Unknown section types are kept in
-    ``Frame.sections`` untouched (forward compatibility: they survive a
-    parse → emit round trip).
-
-    Section bodies are zero-copy ``memoryview`` slices of ``blob``; see
-    the module docstring for the lifetime contract.
+    Everything a reader learns before the first section — that the blob is
+    a buffer, long enough, EVF2 and of a version this build speaks — is
+    checked here and nowhere else.
     """
     try:
         view = memoryview(blob)
     except TypeError:
         raise PackFormatError(f"pack payload is not bytes: {type(blob).__name__}")
-    total = len(view)
-    if total < FRAME_HEADER_SIZE:
+    if len(view) < FRAME_HEADER_SIZE:
         raise FrameTruncatedError(
-            f"frame of {total} bytes shorter than {FRAME_HEADER_SIZE}-byte header"
+            f"frame of {len(view)} bytes shorter than {FRAME_HEADER_SIZE}-byte header"
         )
     magic, version, app_id, rank, count, nsections, flags = _HEADER_STRUCT.unpack_from(
         view, 0
@@ -319,12 +337,24 @@ def parse_frame(blob, verify: bool = True) -> Frame:
         raise PackFormatError(f"bad pack magic {magic:#010x}")
     if version != FRAME_VERSION:
         raise PackFormatError(f"unsupported pack version {version}")
-    frame = Frame(app_id, rank, count, flags)
-    sections = frame.sections
-    offsets = frame.offsets
+    return view, app_id, rank, count, nsections, flags
+
+
+def _walk(blob) -> tuple:
+    """The one structural walk: the validated header and the section table.
+
+    Returns ``(view, app_id, rank, count, flags, table)`` with one ``(type,
+    body_start, body_end)`` row per section in wire order, CRC sections
+    included.  Every structural check of the format is made here — section
+    headers and bodies inside the blob, fixed-width bodies of the declared
+    width, no trailing bytes — so every reader built on it accepts and
+    rejects the same blobs.  No body is sliced or copied, no CRC computed.
+    """
+    view, app_id, rank, count, nsections, flags = _header_fields(blob)
+    total = len(view)
+    table = []
     unpack_section = _SECTION_STRUCT.unpack_from
     offset = FRAME_HEADER_SIZE
-    crc_covered_end: int | None = None
     for _ in range(nsections):
         if offset + SECTION_HEADER_SIZE > total:
             raise FrameTruncatedError(
@@ -337,42 +367,49 @@ def parse_frame(blob, verify: bool = True) -> Frame:
                 f"section {section_name(stype)} declares {length} bytes at offset "
                 f"{body_start} but frame has {total}"
             )
-        if stype == SEC_CRC:
-            if length != CRC_BODY_SIZE:
-                raise SectionLengthError(
-                    f"CRC section of {length} bytes, expected {CRC_BODY_SIZE}"
-                )
-            if crc_covered_end is None:  # first CRC wins; covers bytes before it
-                crc_covered_end = offset
-                frame.stored_crc = _CRC_STRUCT.unpack_from(view, body_start)[0]
-        else:
-            if stype == SEC_PROVENANCE and length != PROVENANCE_BODY_SIZE:
-                raise SectionLengthError(
-                    f"provenance section of {length} bytes, "
-                    f"expected {PROVENANCE_BODY_SIZE}"
-                )
-            if stype == SEC_SAMPLING and length != SAMPLING_BODY_SIZE:
-                raise SectionLengthError(
-                    f"sampling section of {length} bytes, expected {SAMPLING_BODY_SIZE}"
-                )
-            sections.append((stype, view[body_start : body_start + length]))
-            offsets.append(body_start)
+        if stype in _FIXED_BODIES and length != _FIXED_BODIES[stype][1]:
+            label, width = _FIXED_BODIES[stype]
+            raise SectionLengthError(
+                f"{label} section of {length} bytes, expected {width}"
+            )
         offset = body_start + length
+        table.append((stype, body_start, offset))
     if offset != total:
         raise SectionLengthError(
             f"{total - offset} trailing bytes after the {nsections} declared sections"
         )
-    if crc_covered_end is not None:
-        frame.crc_ok = zlib.crc32(view[:crc_covered_end]) == frame.stored_crc
-    if verify:
-        if frame.stored_crc is None:
-            raise ChecksumError("frame has no CRC section")
-        if not frame.crc_ok:
-            computed = zlib.crc32(view[:crc_covered_end])
-            raise ChecksumError(
-                f"pack checksum mismatch: stored {frame.stored_crc:#010x}, "
-                f"computed {computed:#010x}"
-            )
+    return view, app_id, rank, count, flags, table
+
+
+def parse_frame(blob, verify: bool = True) -> Frame:
+    """Parse one frame: the walk, plus section views and the CRC.
+
+    With ``verify=True`` (the default) a missing or mismatching CRC
+    section raises :class:`ChecksumError` (:meth:`Frame.check_crc`); with
+    ``verify=False`` the checksum outcome is only recorded on the frame,
+    so diagnostic tools can inspect damaged frames and a caller can ask
+    for the verdict later without a second walk.  Unknown section types
+    are kept in ``Frame.sections`` untouched (forward compatibility: they
+    survive a parse → emit round trip).
+
+    Section bodies are zero-copy ``memoryview`` slices of ``blob``; see
+    the module docstring for the lifetime contract.
+    """
+    view, app_id, rank, count, flags, table = _walk(blob)
+    sections = []
+    offsets = []
+    stored = computed = crc_ok = None
+    for stype, body_start, body_end in table:
+        if stype != SEC_CRC:
+            sections.append((stype, view[body_start:body_end]))
+            offsets.append(body_start)
+        elif stored is None:  # first CRC wins; covers the bytes before its header
+            stored = _CRC_STRUCT.unpack_from(view, body_start)[0]
+            computed = zlib.crc32(view[: body_start - SECTION_HEADER_SIZE])
+            crc_ok = computed == stored
+    frame = Frame(app_id, rank, count, flags, sections, stored, computed, crc_ok, offsets)
+    if verify and not crc_ok:
+        frame.check_crc()
     return frame
 
 
@@ -391,37 +428,14 @@ class FrameInfo:
         return CONTENT_HEADER_SIZE + self.count * CONTENT_RECORD_SIZE
 
 
-def _header_fields(blob) -> tuple[int, int, int, int, int]:
-    """Validated header fields (app_id, rank, count, nsections, flags)."""
-    try:
-        view = memoryview(blob)
-    except TypeError:
-        raise PackFormatError(f"pack payload is not bytes: {type(blob).__name__}")
-    if len(view) < FRAME_HEADER_SIZE:
-        raise FrameTruncatedError(
-            f"frame of {len(view)} bytes shorter than {FRAME_HEADER_SIZE}-byte header"
-        )
-    magic, version, app_id, rank, count, nsections, flags = _HEADER_STRUCT.unpack_from(
-        view, 0
-    )
-    if magic != FRAME_MAGIC:
-        raise PackFormatError(f"bad pack magic {magic:#010x}")
-    if version != FRAME_VERSION:
-        raise PackFormatError(f"unsupported pack version {version}")
-    return app_id, rank, count, nsections, flags
-
-
 def peek_header(blob) -> FrameInfo:
     """Decode just the 20-byte frame header (no section walk, no CRC)."""
-    app_id, rank, count, nsections, flags = _header_fields(blob)
-    return FrameInfo(
-        app_id=app_id, rank=rank, count=count, nsections=nsections, flags=flags
-    )
+    return FrameInfo(*_header_fields(blob)[1:])
 
 
 def frame_content_size(blob) -> int:
-    """Modelled content bytes of a serialized frame (header peek only)."""
-    return CONTENT_HEADER_SIZE + _header_fields(blob)[2] * CONTENT_RECORD_SIZE
+    """Modelled content bytes of a serialized frame (header read only)."""
+    return CONTENT_HEADER_SIZE + _header_fields(blob)[3] * CONTENT_RECORD_SIZE
 
 
 def peek_provenance(blob) -> PackProvenance | None:
@@ -431,46 +445,16 @@ def peek_provenance(blob) -> PackProvenance | None:
     non-bytes payloads, damaged frames, or frames without the section — so
     hot paths can call it unconditionally on whatever travels a stream.
 
-    This is a light section-header walk: it performs every structural
-    check :func:`parse_frame` does (so the None-vs-stamp outcome is
-    identical to ``parse_frame(blob, verify=False).provenance`` with
-    errors mapped to ``None``) but never copies a body, builds a
-    :class:`Frame`, or computes the CRC.
+    It is the walk and one unpack, so the None-vs-stamp outcome is
+    ``parse_frame(blob, verify=False).provenance`` with errors mapped to
+    ``None`` by construction; no :class:`Frame` is built, no body sliced
+    and no CRC computed.
     """
     try:
-        view = memoryview(blob)
-    except TypeError:
+        view, _app_id, _rank, _count, _flags, table = _walk(blob)
+    except PackFormatError:
         return None
-    total = len(view)
-    if total < FRAME_HEADER_SIZE:
-        return None
-    magic, version, _app_id, _rank, _count, nsections, _flags = (
-        _HEADER_STRUCT.unpack_from(view, 0)
-    )
-    if magic != FRAME_MAGIC or version != FRAME_VERSION:
-        return None
-    unpack_section = _SECTION_STRUCT.unpack_from
-    offset = FRAME_HEADER_SIZE
-    prov_start = -1
-    for _ in range(nsections):
-        if offset + SECTION_HEADER_SIZE > total:
-            return None
-        stype, _reserved, length = unpack_section(view, offset)
-        body_start = offset + SECTION_HEADER_SIZE
-        if body_start + length > total:
-            return None
-        if stype == SEC_CRC:
-            if length != CRC_BODY_SIZE:
-                return None
-        elif stype == SEC_PROVENANCE:
-            if length != PROVENANCE_BODY_SIZE:
-                return None
-            if prov_start < 0:  # first provenance section wins, like parse_frame
-                prov_start = body_start
-        elif stype == SEC_SAMPLING and length != SAMPLING_BODY_SIZE:
-            return None
-        offset = body_start + length
-    if offset != total or prov_start < 0:
-        return None
-    flow_id, app_id, rank, t_seal = _PROV_STRUCT.unpack_from(view, prov_start)
-    return PackProvenance(flow_id=flow_id, app_id=app_id, rank=rank, t_seal=t_seal)
+    for stype, body_start, _body_end in table:
+        if stype == SEC_PROVENANCE:  # first provenance section wins, like Frame.section
+            return PackProvenance(*_PROV_STRUCT.unpack_from(view, body_start))
+    return None

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.codec.frame import PackProvenance, frame_content_size
+from repro.codec.frame import PackProvenance
 from repro.codec.stages import build_chain
 from repro.errors import InstrumentationError, ReproError
 from repro.instrument.events import EVENT_RECORD_SIZE
@@ -215,13 +215,15 @@ class StreamingInstrumentation(Interceptor):
                     t_seal=record.t_seal,
                 )
         raw_bytes = self.builder.count * EVENT_RECORD_SIZE
+        sealed_content = self.builder.bytes_content
         blob = self.builder.emit(now=kernel.now, provenance=provenance)
         # Framing, checksum and provenance sections ride outside the
         # modelled volume budget: charge the content (header + kept
-        # records), scaled by the chain's measured compression when a
+        # records) the builder has just booked — the sealed bytes are not
+        # read back — scaled by the chain's measured compression when a
         # reduction is active.  The identity chain takes neither branch,
         # keeping those runs bit-identical to the unreduced pipeline.
-        modeled = self.cost.modeled_bytes(frame_content_size(blob))
+        modeled = self.cost.modeled_bytes(self.builder.bytes_content - sealed_content)
         if self.chain is not None:
             encode_cpu = (
                 self.cost.codec_per_byte_cpu * raw_bytes * self.chain.cost_weight

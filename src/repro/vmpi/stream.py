@@ -38,6 +38,12 @@ Failure tolerance (this layer's extensions, all pay-for-what-you-use):
 * A ``set_tamper`` hook lets fault injection corrupt or drop blocks at the
   transport boundary; every drop path is accounted in :meth:`stats`.
 
+A pack's bytes are asked each question once per side (DESIGN 9): the content
+size by ``_wire_bytes`` (a header read, in ``write`` and ``_consume``) and,
+only with a ``FlowRegistry`` attached, the flow id by ``_flow_of`` (``write``
+and ``_on_block``), after which it rides in the ``_InFlight`` record and the
+ready-queue entry; every loss path closes its flow through ``_end_flow``.
+
 Host time is measured from outside — an active host profiler wraps ``write``,
 ``read`` and ``_on_block`` (its ``ENTRY_POINTS`` table names them) and reads
 blocks and bytes off their results — so this module carries no such probe.
@@ -201,8 +207,8 @@ class VMPIStream:
         # provenance state (None unless the world carries a FlowRegistry)
         self._flows = None
         self._last_retry_delay = 0.0
-        # reader state: (status, arrival time) pairs
-        self._ready: deque[tuple[Status, float]] | None = None
+        # reader state: (status, arrival time, flow id or None) entries
+        self._ready: deque[tuple[Status, float, int | None]] | None = None
         self._wake: SimEvent | None = None
         self._closes_pending = 0
         self._stall_until: float | None = None
@@ -280,26 +286,21 @@ class VMPIStream:
         nbytes = self.block_size if nbytes is None else int(nbytes)
         if not (0 < nbytes <= self.block_size):
             raise VMPIError(f"write of {nbytes} outside (0, {self.block_size}]")
-        mpi = self._mpi
         kernel = self._kernel
         tel = self._tel
         # Provenance: recover the flow id from the pack's own provenance
         # section and stamp the enqueue hop.  Peeking precedes tampering so
         # injected drops are attributed to their flow.
-        flow_id = None
-        if self._flows is not None:
-            prov = peek_provenance(payload)
-            if prov is not None:
-                flow_id = prov.flow_id
-                self._flows.on_enqueue(flow_id, kernel.now)
+        flow_id = self._flow_of(payload) if self._flows is not None else None
+        if flow_id is not None:
+            self._flows.on_enqueue(flow_id, kernel.now)
         # Fault-injection hook: corrupt or swallow blocks at the transport
         # boundary.  None (the default) costs a single attribute check.
         if self._tamper is not None:
             action, payload = self._tamper(self, nbytes, payload)
             if action == "drop":
                 self.injected_drops += 1
-                if flow_id is not None:
-                    self._flows.on_drop(flow_id, "tamper", kernel.now)
+                self._end_flow(flow_id, "tamper")
                 return 0
             if action == "corrupt":
                 self.injected_corruptions += 1
@@ -317,8 +318,7 @@ class VMPIStream:
             else:
                 dropped = yield from self._acquire_with_retry(slot_ev, nbytes)
                 if dropped:
-                    if flow_id is not None:
-                        self._flows.on_drop(flow_id, "overflow", kernel.now)
+                    self._end_flow(flow_id, "overflow")
                     if span is not None:
                         span.end(dropped=True)
                     return 0
@@ -339,8 +339,7 @@ class VMPIStream:
             self._slots.release()
             self.blocks_lost_to_crash += 1
             self.bytes_lost_to_crash += nbytes
-            if flow_id is not None:
-                self._flows.on_drop(flow_id, "crash", kernel.now)
+            self._end_flow(flow_id, "crash")
             if tel.enabled:
                 tel.counter("stream.blocks_lost_to_crash").inc()
                 span.end(lost=True)
@@ -355,7 +354,7 @@ class VMPIStream:
         # process is suspended inside the send's CPU charge.
         rec = _InFlight(dest, nbytes, flow_id=flow_id)
         self._inflight.append(rec)
-        req = yield from mpi.comm_universe._raw_isend(
+        req = yield from self._mpi.comm_universe._raw_isend(
             dest, nbytes=nbytes, tag=self.tag, payload=payload
         )
         rec.env = req.envelope
@@ -363,15 +362,7 @@ class VMPIStream:
         self.blocks_written += 1
         self.bytes_written += nbytes
         if isinstance(payload, (bytes, bytearray, memoryview)):
-            wire = len(payload)
-            self.bytes_wire_written += wire
-            try:
-                content = frame_content_size(payload)
-            except PackFormatError:
-                content = 0
-            if content > 0:
-                self._ratio_sum += wire / content
-                self._ratio_packs += 1
+            self.bytes_wire_written += self._wire_bytes(payload)
         if tel.enabled:
             mets = self._wmet
             if mets is None:
@@ -446,10 +437,7 @@ class VMPIStream:
                 rec.live = False
                 rec.env.payload = _DROPPED
                 self._count_drop(rec.nbytes)
-                if rec.flow_id is not None:
-                    self._flows.on_drop(
-                        rec.flow_id, "overflow", self._mpi.ctx.kernel.now
-                    )
+                self._end_flow(rec.flow_id, "overflow")
                 return True
         return False
 
@@ -500,8 +488,7 @@ class VMPIStream:
                 self._slots.release()
                 self.blocks_lost_to_crash += 1
                 self.bytes_lost_to_crash += rec.nbytes
-                if rec.flow_id is not None:
-                    self._flows.on_drop(rec.flow_id, "crash", self._mpi.ctx.kernel.now)
+                self._end_flow(rec.flow_id, "crash")
                 self._inflight.remove(rec)
         if self._tel.enabled:
             self._tel.counter("stream.endpoints_failed").inc()
@@ -592,11 +579,12 @@ class VMPIStream:
     def _on_block(self, ev: SimEvent) -> None:
         status: Status = ev.value
         now = self._kernel.now
-        self._ready.append((status, now))
-        if self._flows is not None:
-            prov = peek_provenance(status.payload)
-            if prov is not None:
-                self._flows.on_arrive(prov.flow_id, now)
+        # The reader side's one look at the stamp: the flow id rides in the
+        # ready-queue entry, so read() and close() do not ask again.
+        flow_id = self._flow_of(status.payload) if self._flows is not None else None
+        self._ready.append((status, now, flow_id))
+        if flow_id is not None:
+            self._flows.on_arrive(flow_id, now)
         if len(self._ready) > self.read_buffers_hwm:
             self.read_buffers_hwm = len(self._ready)
         if self._wake is not None and not self._wake.triggered:
@@ -612,7 +600,6 @@ class VMPIStream:
         waits).
         """
         self._require("r", "read")
-        mpi = self._mpi
         kernel = self._kernel
         tel = self._tel
         if self._stall_until is not None:
@@ -627,7 +614,7 @@ class VMPIStream:
         )
         while True:
             while self._ready:
-                status, t_arrive = self._ready.popleft()
+                status, t_arrive, flow_id = self._ready.popleft()
                 result = self._consume(status, t_arrive)
                 if result is not None:
                     # Charge the copy out of the reception buffer.
@@ -635,12 +622,8 @@ class VMPIStream:
                     if copy_time > 0:
                         self.read_copy_s += copy_time
                         yield copy_time
-                    if self._flows is not None:
-                        prov = peek_provenance(result[1])
-                        if prov is not None:
-                            self._flows.on_read(
-                                prov.flow_id, kernel.now, mpi.ctx.global_rank
-                            )
+                    if flow_id is not None:
+                        self._flows.on_read(flow_id, kernel.now, self._mpi.ctx.global_rank)
                     if tel.enabled:
                         mets = self._rmet
                         if mets is None:
@@ -686,29 +669,57 @@ class VMPIStream:
             return None
         # Re-post the consumed buffer for this peer to keep NA outstanding.
         self._post_recv(peer_global)
-        dwell = self._kernel.now - t_arrive
         if status.payload is _DROPPED:
             # Block reclaimed by the writer's drop-oldest policy after it
             # was committed: consume the buffer, discard the tombstone.
-            self.stale_blocks_discarded += 1
-            self.dropped_dwell_s += dwell
-            if self._tel.enabled:
-                self._tel.counter("stream.stale_blocks_discarded").inc()
+            self._discard(status, t_arrive, None)
             return None
         self.blocks_read += 1
         self.bytes_read += status.nbytes
         if isinstance(status.payload, (bytes, bytearray, memoryview)):
-            wire = len(status.payload)
-            self.bytes_wire_read += wire
-            try:
-                content = frame_content_size(status.payload)
-            except PackFormatError:
-                content = 0
-            if content > 0:
-                self._ratio_sum += wire / content
-                self._ratio_packs += 1
-        self.read_dwell_s += dwell
+            self.bytes_wire_read += self._wire_bytes(status.payload)
+        self.read_dwell_s += self._kernel.now - t_arrive
         return (status.nbytes, status.payload)
+
+    def _discard(self, status: Status, t_arrive: float, flow_id: int | None) -> None:
+        """Book a received block the application will never see: a drop-oldest
+        tombstone (met by :meth:`_consume` or still queued at :meth:`close`)
+        or a real block stranded in the queue at close.  Both keep their
+        receive-buffer dwell."""
+        self.dropped_dwell_s += self._kernel.now - t_arrive
+        if status.payload is _DROPPED:
+            self.stale_blocks_discarded += 1
+            if self._tel.enabled:
+                self._tel.counter("stream.stale_blocks_discarded").inc()
+            return
+        self.blocks_discarded_at_close += 1
+        self.bytes_discarded_at_close += status.nbytes
+        self._end_flow(flow_id, "stranded")
+
+    def _flow_of(self, payload: Any) -> int | None:
+        """Flow id stamped into ``payload`` (callers ask only while tracing); None
+        for an unsampled pack and for a protocol marker or synthetic block."""
+        if not isinstance(payload, (bytes, bytearray, memoryview)):
+            return None
+        prov = peek_provenance(payload)
+        return None if prov is None else prov.flow_id
+
+    def _end_flow(self, flow_id: int | None, loss: str) -> None:
+        """Close a traced flow with its loss label (no-op for an untraced block)."""
+        if flow_id is not None:
+            self._flows.on_drop(flow_id, loss, self._kernel.now)
+
+    def _wire_bytes(self, payload: bytes | bytearray | memoryview) -> int:
+        """Physical bytes of a bytes-like payload, folding a frame's
+        wire/content ratio into ``pack_ratio``."""
+        wire = len(payload)
+        try:
+            content = frame_content_size(payload)
+        except PackFormatError:
+            return wire  # not a frame: wire bytes, but no ratio
+        self._ratio_sum += wire / content  # content >= the 16-byte logical header
+        self._ratio_packs += 1
+        return wire
 
     # -- shutdown -----------------------------------------------------------------------------
 
@@ -723,7 +734,6 @@ class VMPIStream:
         if self.mode is None:
             raise StreamClosedError("close() on unopened stream")
         mpi = self._mpi
-        kernel = mpi.ctx.kernel
         if self._closed:
             yield 0.0
             return
@@ -749,22 +759,11 @@ class VMPIStream:
             # application — count it (and its accumulated buffer dwell) so
             # shutdown data loss is visible.
             while self._ready:
-                status, t_arrive = self._ready.popleft()
+                status, t_arrive, flow_id = self._ready.popleft()
                 if status.payload is _CLOSE:
                     self._closes_pending -= 1
-                    continue
-                dwell = kernel.now - t_arrive
-                if status.payload is _DROPPED:
-                    self.stale_blocks_discarded += 1
-                    self.dropped_dwell_s += dwell
                 else:
-                    self.blocks_discarded_at_close += 1
-                    self.bytes_discarded_at_close += status.nbytes
-                    self.dropped_dwell_s += dwell
-                    if self._flows is not None:
-                        prov = peek_provenance(status.payload)
-                        if prov is not None:
-                            self._flows.on_drop(prov.flow_id, "stranded", kernel.now)
+                    self._discard(status, t_arrive, flow_id)
             yield 0.0
 
     # -- introspection ------------------------------------------------------------------------
@@ -798,9 +797,8 @@ class VMPIStream:
         blocks; ``dropped_dwell_s`` the residence of blocks that were
         received but discarded (drop-oldest tombstones and close-time
         strays), so dropped data keeps consistent per-hop dwell
-        accounting.  The
-        ``*_hwm`` keys are buffer-occupancy high-water marks, so saturation
-        (hwm pinned at ``NA``) is visible without telemetry enabled.
+        accounting.  The ``*_hwm`` keys are buffer-occupancy high-water marks,
+        so saturation (hwm pinned at ``NA``) is visible without telemetry.
 
         The failure-tolerance keys (retries, timeouts, drop and crash-loss
         accounting, failover counters) are all zero in healthy runs.

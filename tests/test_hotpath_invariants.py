@@ -11,7 +11,11 @@ SCRIPT = REPO / "scripts" / "check_hotpath_invariants.py"
 
 sys.path.insert(0, str(REPO / "scripts"))
 
-from check_hotpath_invariants import PER_EVENT_FUNCTIONS, check_tree  # noqa: E402
+from check_hotpath_invariants import (  # noqa: E402
+    DECODE_PATH_FUNCTIONS,
+    PER_EVENT_FUNCTIONS,
+    check_tree,
+)
 
 
 def _write(root: Path, rel: str, text: str) -> None:
@@ -67,15 +71,22 @@ def test_hostprof_itself_may_use_the_clock(tmp_path):
     assert check_tree(tmp_path) == []
 
 
+def _frame_module(**bodies: str) -> str:
+    """A ``codec/frame.py`` defining every decode-path function (rule 2 reports
+    a missing one), each returning ``blob`` unless ``bodies`` says otherwise."""
+    return "".join(
+        f"def {name}(blob):\n    {bodies.get(name, 'return blob')}\n\n"
+        for name in sorted(DECODE_PATH_FUNCTIONS | set(bodies))
+    )
+
+
 def test_flags_bytes_in_decode_path(tmp_path):
     _write(
         tmp_path,
         "repro/codec/frame.py",
-        "def parse_frame(blob, verify=True):\n"
-        "    return bytes(blob)\n"
-        "\n"
-        "def to_bytes(self):\n"
-        "    return bytes(bytearray(4))\n",
+        _frame_module(
+            parse_frame="return bytes(blob)", to_bytes="return bytes(bytearray(4))"
+        ),
     )
     problems = check_tree(tmp_path)
     # Encode-side to_bytes() may copy; the decode path may not.
@@ -115,17 +126,32 @@ def test_cli_exit_two_on_missing_root(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "fn", ["peek_header", "peek_provenance", "frame_content_size", "_header_fields"]
+    "fn", ["peek_header", "peek_provenance", "frame_content_size", "_header_fields", "_walk"]
 )
 def test_every_decode_path_function_is_covered(tmp_path, fn):
-    _write(
-        tmp_path,
-        "repro/codec/frame.py",
-        f"def {fn}(blob):\n    return bytes(blob)\n",
-    )
+    _write(tmp_path, "repro/codec/frame.py", _frame_module(**{fn: "return bytes(blob)"}))
     problems = check_tree(tmp_path)
     assert len(problems) == 1
     assert fn in problems[0]
+
+
+def test_a_renamed_decode_path_function_is_reported(tmp_path):
+    # The walk moved (or a reader was retired) without the table following:
+    # flagged, as rule 4 flags a missing per-event function ...
+    source = _frame_module().replace("def _walk(", "def _walk_sections(")
+    _write(tmp_path, "repro/codec/frame.py", source)
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1
+    assert "_walk() not found" in problems[0] and "DECODE_PATH_FUNCTIONS" in problems[0]
+    # ... and a frame module that defines them all passes.
+    _write(tmp_path, "repro/codec/frame.py", _frame_module())
+    assert check_tree(tmp_path) == []
+
+
+def test_decode_path_table_names_real_functions():
+    import repro.codec.frame as frame
+
+    assert all(callable(getattr(frame, name)) for name in DECODE_PATH_FUNCTIONS)
 
 
 # -- rule 3: loop-free reduction stages --------------------------------------------

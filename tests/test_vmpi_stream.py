@@ -502,3 +502,50 @@ def test_write_timeout_drop_oldest_reclaims_inflight(machine):
     # reader attributes that dead dwell separately from consumed blocks'.
     assert r["dropped_dwell_s"] > 0
     assert r["read_dwell_s"] > 0
+
+
+def test_a_tombstone_discarded_at_close_ticks_the_same_counter_as_one_consumed(machine):
+    """``stats()`` and the telemetry plane agree on stale blocks wherever the
+    tombstone is met: ``_consume`` always ticked the counter, ``close`` did not."""
+    from repro.errors import DeadlockError
+    from repro.telemetry import Telemetry
+
+    out = {}
+
+    def writer(mpi, out):
+        yield from mpi.init()
+        vmap = VMPIMap()
+        yield from map_partitions(mpi, vmap, "Analyzer", ROUND_ROBIN)
+        st = VMPIStream(
+            na_buffers=3, write_timeout=0.05, max_retries=0, overflow=OVERFLOW_DROP_OLDEST
+        )
+        yield from st.open_map(mpi, vmap, "w")
+        for i in range(6):
+            yield from st.write(payload=i)
+        yield from st.close()  # never returns: the reader below walks away
+
+    def reader(mpi, out):
+        yield from mpi.init()
+        vmap = VMPIMap()
+        yield from map_partitions(mpi, vmap, 0, ROUND_ROBIN)
+        st = VMPIStream(na_buffers=2)
+        yield from st.open_map(mpi, vmap, "r")
+        st.stall_until(mpi.now + 5.0)
+        out["read"] = (yield from st.read())[1]
+        # The re-posted buffer matches the oldest unmatched block: a tombstone.
+        yield from mpi.compute(1.0)
+        out["queued"] = [status.payload for status, *_ in st._ready]
+        yield from st.close()
+        out["r"] = st.stats()
+        yield from mpi.finalize()
+
+    telemetry = Telemetry()
+    launcher = VirtualizedLauncher(machine=machine, seed=0, telemetry=telemetry)
+    launcher.add_program("W", nprocs=1, main=writer, out=out)
+    launcher.add_program("Analyzer", nprocs=1, main=reader, out=out)
+    with pytest.raises(DeadlockError, match="W"):
+        launcher.run()
+    assert out["read"] == 0 and len(out["queued"]) == 2 and out["queued"][0] == 1
+    r = out["r"]
+    assert r["stale_blocks_discarded"] == 1 and r["blocks_discarded_at_close"] == 1
+    assert telemetry.counter("stream.stale_blocks_discarded").value == 1
