@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Hot-path invariant lint: clock discipline, zero-copy decode, loop-free codec,
 lean per-event functions, one derivation per pack, observers paid per read,
-pure delays as floats, host-time profiling from outside.
+pure delays as floats, host-time profiling from outside, one observer clock.
 
-Eight structural rules the hot-path refactors rely on, enforced over the
+Nine structural rules the hot-path refactors rely on, enforced over the
 AST so comments and strings never trip them:
 
 1. **Clock discipline** — ``time.perf_counter`` (and its ``_ns``
@@ -89,6 +89,16 @@ AST so comments and strings never trip them:
    the host profiler interposes on the entry points it lists
    (``hostprof.ENTRY_POINTS``, DESIGN 11), so a probe written into a layer
    is a second mechanism for the same number.
+
+9. **One observer clock, one ring** — under ``src/repro`` a
+   ``.call_every(`` call appears only in ``telemetry/monitor.py`` (the
+   session's fast tick, which the steering relax pass rides as an
+   ``after_tick`` subscriber) and ``telemetry/popmetrics.py`` (the window
+   close), and ``Timeline(`` is constructed only in
+   ``telemetry/monitor.py``: a plane that wants to run every tick
+   subscribes to the monitor, and one that wants a window's rates
+   differences the live counters between its own two closes (DESIGN 12) —
+   a third hook or a second ring of samples is a second clock.
 
 Exit status 0 when clean; 1 with one ``path:line: message`` per
 violation otherwise.  Run from the repository root::
@@ -176,6 +186,13 @@ SIMULATION_PACKAGES = frozenset(
 #: the hostprof module, and the one name of it a simulation module may import
 HOSTPROF_MODULE = "repro.telemetry.hostprof"
 HOSTPROF_ALLOWED = frozenset({"host_now"})
+
+#: the modules that may register a kernel hook, and the one that may own a
+#: ring of samples (rule 9)
+HOOK_OWNERS = frozenset(
+    {Path("repro") / "telemetry" / "monitor.py", Path("repro") / "telemetry" / "popmetrics.py"}
+)
+TIMELINE_OWNER = Path("repro") / "telemetry" / "monitor.py"
 
 #: module -> the value records built once per intercepted call / message
 PER_CALL_RECORDS = {
@@ -533,6 +550,30 @@ def _check_no_inline_hostprof(tree: ast.AST, rel: Path) -> list[str]:
     return problems
 
 
+def _check_one_observer_clock(tree: ast.AST, rel: Path) -> list[str]:
+    """Flag a kernel hook or a sample ring outside the modules that own them."""
+    problems = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        is_method = isinstance(func, ast.Attribute)
+        called = func.attr if is_method else getattr(func, "id", None)
+        if is_method and called == "call_every" and rel not in HOOK_OWNERS:
+            problems.append(
+                f"{rel}:{node.lineno}: .call_every() call — the monitor's tick is the "
+                "one fast clock; subscribe to HealthMonitor.after_tick instead of "
+                "registering another kernel hook"
+            )
+        elif called == "Timeline" and rel != TIMELINE_OWNER:
+            problems.append(
+                f"{rel}:{node.lineno}: Timeline() constructed — the monitor's timeline "
+                "is the one ring of samples; difference the live counters between "
+                "two closes instead of keeping a second ring"
+            )
+    return problems
+
+
 def _is_frozen_dataclass(decorator: ast.AST) -> bool:
     return (
         isinstance(decorator, ast.Call)
@@ -592,6 +633,8 @@ def check_tree(src_root: Path) -> list[str]:
             problems.extend(_check_batch_float_sums(tree, rel))
         if len(rel.parts) > 2 and rel.parts[0] == "repro" and rel.parts[1] in SIMULATION_PACKAGES:
             problems.extend(_check_no_inline_hostprof(tree, rel))
+        if rel.parts[0] == "repro":
+            problems.extend(_check_one_observer_clock(tree, rel))
     return problems
 
 
@@ -610,7 +653,7 @@ def main(argv: list[str]) -> int:
         "hot-path invariants hold (clock discipline, zero-copy decode, "
         "loop-free codec, lean per-event functions, one derivation per pack, "
         "observers paid per read, pure delays as floats, host time profiled "
-        "from outside)"
+        "from outside, one observer clock)"
     )
     return 0
 

@@ -201,6 +201,13 @@ class CouplingSession:
         )
         return chain.spec
 
+    def _need_telemetry(self, who_needs: str) -> None:
+        if not self.telemetry.enabled:
+            raise ConfigError(
+                f"{who_needs} telemetry; construct the session with "
+                "telemetry=Telemetry()"
+            )
+
     def enable_monitor(
         self, config: MonitorConfig | None = None, router=None
     ) -> HealthMonitor:
@@ -213,11 +220,7 @@ class CouplingSession:
         blackboard.  It is observation-only: simulation results are
         bit-identical with the monitor on or off.
         """
-        if not self.telemetry.enabled:
-            raise ConfigError(
-                "health monitor needs telemetry; construct the session with "
-                "telemetry=Telemetry()"
-            )
+        self._need_telemetry("health monitor needs")
         if self._monitor is not None:
             raise ConfigError("health monitor already enabled for this session")
         self._monitor = HealthMonitor(self.telemetry, config=config, router=router)
@@ -232,7 +235,8 @@ class CouplingSession:
 
         The engine rides the kernel's periodic-callback hook: every
         ``config.window`` virtual seconds it closes a metric window from
-        the interceptors' per-rank time decomposition, detects phase
+        the interceptors' per-rank time decomposition and the live stream
+        counters' growth since the previous close, detects phase
         boundaries online via a change-point test on the windowed series,
         mirrors the metrics into ``pop.*`` gauges (Chrome-trace counter
         tracks) and — with ``stream`` set — appends schema-versioned NDJSON
@@ -243,11 +247,7 @@ class CouplingSession:
         After :meth:`run`, :attr:`SessionResult.efficiency` and the
         report's "Efficiency timeline" section carry the summary.
         """
-        if not self.telemetry.enabled:
-            raise ConfigError(
-                "pop metrics need telemetry; construct the session with "
-                "telemetry=Telemetry()"
-            )
+        self._need_telemetry("pop metrics need")
         if self._pop is not None:
             raise ConfigError("pop metrics already enabled for this session")
         self._pop = PopMetricsEngine(self.telemetry, config=config)
@@ -274,11 +274,7 @@ class CouplingSession:
         After :meth:`run`, :attr:`SessionResult.steering` and the
         report's "Steering" section carry the decision journal.
         """
-        if not self.telemetry.enabled:
-            raise ConfigError(
-                "steering needs telemetry; construct the session with "
-                "telemetry=Telemetry()"
-            )
+        self._need_telemetry("steering needs")
         if self._steering is not None:
             raise ConfigError("steering already enabled for this session")
         if self._monitor is None:
@@ -486,8 +482,6 @@ class CouplingSession:
         if self._monitor is not None:
             self._monitor.attach(world.kernel)
         if self._steering is not None:
-            # After the monitor: the controller's relax hook must observe a
-            # tick's cleared alerts before judging quiescence.
             self._steering.attach(
                 world,
                 self._monitor,

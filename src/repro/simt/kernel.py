@@ -157,11 +157,13 @@ class Kernel:
 
     def cancel_every(self, hook: PeriodicHook) -> None:
         hook.cancel()
-        if hook in self._hooks:
-            self._hooks.remove(hook)
-        self._hooks_due = min(
-            (h.next_due for h in self._hooks if h.active), default=_INF
-        )
+        self._prune_hooks()
+
+    def _prune_hooks(self) -> None:
+        """Forget cancelled hooks (``hook.cancel()`` only marks them) and
+        recompute the earliest due time over the ones left."""
+        self._hooks = live = [h for h in self._hooks if h.active]
+        self._hooks_due = min((h.next_due for h in live), default=_INF)
 
     def _fire_hooks(self, upto: float) -> None:
         """Run every hook due at or before ``upto``, advancing the clock."""
@@ -178,12 +180,7 @@ class Kernel:
                     hook.next_due += hook.interval
                     hook.fired += 1
                     hook.fn(self.now)
-            if not any(h.active for h in self._hooks):
-                self._hooks = [h for h in self._hooks if h.active]
-                break
-        self._hooks_due = min(
-            (h.next_due for h in self._hooks if h.active), default=_INF
-        )
+        self._prune_hooks()
 
     # -- the loop ---------------------------------------------------------------
 

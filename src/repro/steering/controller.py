@@ -17,18 +17,20 @@ three actuators that already exist in the simulation:
   levelling the writer-per-reader fan-in under imbalance or after failover.
 
 Escalation is edge-driven (it happens in the alert callback); relaxation is
-hysteretic: a periodic hook steps actions back one level at a time only
-after *all* trigger conditions have been clear for ``relax_after_s``, each
-step gated by its own cooldown, so the policy cannot flap.
+hysteretic: a relax pass on the monitor's tick steps actions back one level
+at a time only after *all* trigger conditions have been clear for
+``relax_after_s``, each step gated by its own cooldown, so the policy cannot
+flap.
 
 Every act is journalled as a :class:`SteeringDecision` carrying the
 triggering alert, the virtual timestamp, and mean end-to-end flow latency
 before/after (PR 4 provenance) — and mirrored as a Chrome-trace instant.
 
 When no decision fires, the controller never touches the simulation: the
-relax hook is a kernel :class:`~repro.simt.kernel.PeriodicHook` (observer
--only by construction), so an enabled-but-never-triggered run is
-bit-identical to one without steering.
+relax pass is an ``after_tick`` subscriber of the monitor, whose tick is a
+kernel :class:`~repro.simt.kernel.PeriodicHook` (observer-only by
+construction), so an enabled-but-never-triggered run is bit-identical to
+one without steering.
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from repro.vmpi.mapping import remap_orphans
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.world import World
-    from repro.simt.kernel import PeriodicHook
     from repro.telemetry.monitor import HealthMonitor
 
 #: Synthetic trigger kind stamped on relax decisions: the "alert" that
@@ -103,7 +104,6 @@ class SteeringController:
         self._world: "World | None" = None
         self._monitor: "HealthMonitor | None" = None
         self._registries: dict[str, list] = {}
-        self._hook: "PeriodicHook | None" = None
         # Reduction ladder state.  Level 0 is the session's baseline chain
         # (whatever the run was configured with); levels 1.. follow the
         # policy's step table.  ``_base_level`` anchors relaxation when the
@@ -134,7 +134,7 @@ class SteeringController:
         registries: dict[str, list],
         initial_chain: str = "",
     ) -> None:
-        """Subscribe to the monitor's router and the kernel's relax tick.
+        """Subscribe to the monitor's router and, for the relax pass, its tick.
 
         ``registries`` is the session's per-application interceptor lists —
         empty at attach time, populated by the programs as they start.  The
@@ -155,16 +155,14 @@ class SteeringController:
             self._base_level = 0
         self._level = self._base_level
         monitor.router.subscribe(self.on_alert)
-        # Registered after the monitor's hook, so same-tick cleared alerts
-        # are already delivered when the relax pass runs.
-        interval = self.policy.tick_interval_s or monitor.config.interval
-        self._hook = world.kernel.call_every(interval, self._tick)
+        # The monitor calls its subscribers straight after its detectors, so
+        # a tick's cleared alerts are already delivered when the pass runs.
+        monitor.after_tick.append(self._tick)
         world.steering = self
 
     def detach(self) -> None:
-        if self._hook is not None:
-            self._hook.cancel()
-            self._hook = None
+        if self._monitor is not None and self._tick in self._monitor.after_tick:
+            self._monitor.after_tick.remove(self._tick)
 
     # -- alert path (escalation: edge-driven) -------------------------------------
 

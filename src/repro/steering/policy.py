@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.codec.stages import build_chain
 from repro.errors import ConfigError
@@ -85,8 +85,6 @@ class SteeringPolicy:
     )
     rebalance_cooldown_s: float = 0.2
     max_rebalances: int = 4
-    # -- control cadence -------------------------------------------------------
-    tick_interval_s: Optional[float] = None  # None -> follow the monitor
 
     def __post_init__(self):
         object.__setattr__(self, "reduction_steps", _as_tuple(self.reduction_steps))
@@ -121,8 +119,6 @@ class SteeringPolicy:
             raise ConfigError(f"policy {self.name!r}: worker_step must be >= 2")
         if self.max_rebalances < 0:
             raise ConfigError(f"policy {self.name!r}: max_rebalances must be >= 0")
-        if self.tick_interval_s is not None and self.tick_interval_s <= 0:
-            raise ConfigError(f"policy {self.name!r}: tick_interval_s must be > 0")
 
     # -- serialization (FaultPlan idiom) ---------------------------------------
 

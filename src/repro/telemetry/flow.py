@@ -15,21 +15,13 @@ debuggable (Kesavan et al.; Haldar):
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.telemetry.provenance import STAGES, FlowRecord
+from repro.util.stats import nearest_rank
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.provenance import FlowRegistry
-
-
-def _percentile(ordered: list[float], q: float) -> float:
-    """Nearest-rank percentile over a pre-sorted sample list."""
-    if not ordered:
-        return 0.0
-    rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-    return ordered[rank - 1]
 
 
 def stage_samples(
@@ -51,8 +43,8 @@ def _stats(samples: list[float]) -> dict[str, float]:
         "count": n,
         "total_s": total,
         "mean_s": total / n if n else 0.0,
-        "p50_s": _percentile(ordered, 50),
-        "p95_s": _percentile(ordered, 95),
+        "p50_s": nearest_rank(ordered, 50),
+        "p95_s": nearest_rank(ordered, 95),
         "max_s": ordered[-1] if n else 0.0,
     }
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING
 
+from repro.util.stats import nearest_rank
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.telemetry.core import Telemetry
 
@@ -106,11 +108,7 @@ class HistogramMetric:
         """Nearest-rank percentile (``q`` in [0, 100]) over retained samples."""
         if not (0.0 <= q <= 100.0):
             raise ValueError(f"percentile wants q in [0, 100], got {q}")
-        if not self.samples:
-            return 0.0
-        ordered = sorted(self.samples)
-        rank = max(1, math.ceil(q / 100.0 * len(ordered)))
-        return ordered[rank - 1]
+        return nearest_rank(sorted(self.samples), q)
 
     def as_dict(self) -> dict:
         return {

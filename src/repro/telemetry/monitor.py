@@ -1,11 +1,13 @@
 """Online health monitor: streaming detectors over the telemetry timeline.
 
-PR-1 telemetry is post-mortem — collected during the run, inspected after.
+Telemetry alone is post-mortem — collected during the run, inspected after.
 This module closes the loop in the paper's own spirit: a
 :class:`HealthMonitor` attaches to the simulation kernel's periodic-callback
 hook, snapshots every instrument into the bounded
 :class:`~repro.telemetry.timeline.Timeline` at each tick of *virtual* time,
-and runs online detectors against the windows:
+runs online detectors against the windows, and then calls its
+``after_tick`` subscribers — its tick is the session's one fast clock and
+its timeline the one ring of samples.  The detectors:
 
 * **stream_stall** — sustained ``EAGAIN`` storms (empty non-blocking reads
   per second) or a high share of writer time lost to rendezvous
@@ -173,9 +175,11 @@ class HealthMonitor:
         self.tel = telemetry
         self.config = config or MonitorConfig()
         self.router = router
-        self.timeline = Timeline(
-            telemetry, resolution=self.config.interval, capacity=self.config.capacity
-        )
+        self.timeline = Timeline(telemetry, capacity=self.config.capacity)
+        #: callables run with ``now`` straight after each tick's detectors,
+        #: in subscription order — how a plane that must see a tick's alerts
+        #: (the steering relax pass) rides this clock instead of its own hook
+        self.after_tick: list[Callable[[float], None]] = []
         self.alerts: list[HealthAlert] = []
         self.ticks = 0
         self.published = 0
@@ -209,8 +213,10 @@ class HealthMonitor:
 
     def _tick(self, now: float) -> None:
         self.ticks += 1
-        self.timeline.sample(now, force=True)
+        self.timeline.sample(now)
         self.evaluate(now)
+        for fn in self.after_tick:
+            fn(now)
 
     # -- detection ----------------------------------------------------------------
 
@@ -265,10 +271,7 @@ class HealthMonitor:
             ts = self.timeline.get(series)
             if ts is None:
                 continue
-            latest = ts.latest()
-            if latest is None:
-                continue
-            value = latest[1]
+            value = ts.latest()[1]  # a series is born with its first sample
             last = self._fault_seen.get(series, 0.0)
             if value <= last:
                 continue
@@ -453,12 +456,11 @@ class HealthMonitor:
             ts = self.timeline.get(key)
             if ts is None:
                 continue
-            latest = ts.latest()
-            stats = ts.window_stats(latest[0] - cfg.window) if latest else {}
+            t_last, v_last = ts.latest()
             series[key] = {
-                "last": latest[1] if latest else 0.0,
+                "last": v_last,
                 "high_water": ts.high_water,
-                "rate": stats.get("rate", 0.0),
+                "rate": ts.window_stats(t_last - cfg.window)["rate"],
                 "points": [[t, v] for t, v in ts.decimated(8)],
             }
         out = {

@@ -16,9 +16,10 @@ already keeps:
 * **instrumentation share** — the measurement system's own footprint,
 
 plus stream-health rates (EAGAIN storms, streamed bytes, analyzer pack
-throughput, blackboard backlog) read from the same bounded
-:class:`~repro.telemetry.timeline.Timeline` ring series the health
-monitor uses.
+throughput, blackboard backlog) read from the live instruments when a
+window closes: a rate is the counter's growth since the previous close (or
+since ``attach``) over the window length, the backlog is the gauge as it
+stands.  The engine keeps one float per counter between closes, no ring.
 
 Accounting is *sum-based end to end*: every window stores per-rank sums of
 active/useful/MPI/instrumentation/stall seconds, phases accumulate those
@@ -51,7 +52,6 @@ from typing import TYPE_CHECKING, Any
 from repro.errors import ConfigError
 from repro.obs.registry import METRICS_SCHEMA, make_record
 from repro.telemetry.core import KERNEL_PID, Telemetry
-from repro.telemetry.timeline import Timeline
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.instrument.interceptor import StreamingInstrumentation
@@ -69,11 +69,11 @@ METRIC_KEYS = (
 #: per-rank accounting dimensions (virtual seconds), summed everywhere
 SUM_KEYS = ("active_s", "useful_s", "mpi_s", "instr_s", "stall_s")
 
-#: timeline series feeding the per-window stream-health block
+#: counters differenced between window closes for the stream-health block
 STREAM_HEALTH_SERIES = {
-    "eagain_per_s": "counter.stream.eagain_returns",
-    "stream_bytes_per_s": "counter.stream.bytes_written",
-    "packs_analyzed_per_s": "counter.analysis.packs_decoded",
+    "eagain_per_s": "stream.eagain_returns",
+    "stream_bytes_per_s": "stream.bytes_written",
+    "packs_analyzed_per_s": "analysis.packs_decoded",
 }
 
 #: gauge names mirrored per window (exported as Chrome ``ph:"C"`` tracks)
@@ -85,7 +85,6 @@ class PopConfig:
     """Window cadence and change-point thresholds (virtual seconds)."""
 
     window: float = 0.005  # metric window / tick interval
-    capacity: int = 512  # ring length per timeline series
     signal: str = "parallel_efficiency"  # change-point input metric
     min_phase_windows: int = 3  # windows before a phase can split
     z_threshold: float = 3.0  # surprise bar (running z-score)
@@ -95,8 +94,6 @@ class PopConfig:
     def __post_init__(self) -> None:
         if self.window <= 0:
             raise ConfigError(f"metrics window must be > 0, got {self.window}")
-        if self.capacity < 2:
-            raise ConfigError("metrics capacity must be >= 2")
         if self.signal not in METRIC_KEYS:
             raise ConfigError(
                 f"unknown change-point signal {self.signal!r}; "
@@ -148,6 +145,15 @@ def metrics_from_sums(per_rank: dict[Any, dict[str, float]]) -> dict[str, float]
 
 def _zero_sums() -> dict[str, float]:
     return {key: 0.0 for key in SUM_KEYS}
+
+
+def _total_sums(per_rank: dict[Any, dict[str, float]]) -> dict[str, float]:
+    """Each accounting dimension summed over the ranks."""
+    totals = _zero_sums()
+    for sums in per_rank.values():
+        for key in SUM_KEYS:
+            totals[key] += sums[key]
+    return totals
 
 
 def _merge_sums(
@@ -227,11 +233,7 @@ class PhaseStats:
         return metrics_from_sums(self.per_rank)
 
     def sums(self) -> dict[str, float]:
-        totals = _zero_sums()
-        for sums in self.per_rank.values():
-            for key in SUM_KEYS:
-                totals[key] += sums[key]
-        return totals
+        return _total_sums(self.per_rank)
 
     def as_dict(self) -> dict[str, Any]:
         return {
@@ -258,14 +260,13 @@ class PopMetricsEngine:
             )
         self.tel = telemetry
         self.config = config or PopConfig()
-        self.timeline = Timeline(
-            telemetry, resolution=self.config.window, capacity=self.config.capacity
-        )
         self.windows: list[WindowMetrics] = []
         self.phases: list[PhaseStats] = []
         self._totals: dict[str, dict[str, float]] = {}
         self._registry: dict[str, list["StreamingInstrumentation"]] | None = None
         self._prev: dict[str, tuple[float, float, float]] = {}
+        #: stream-health counter values at the previous close (or attach)
+        self._health_prev = dict.fromkeys(STREAM_HEALTH_SERIES, 0.0)
         self._sinks: list[Any] = []
         self._hook: "PeriodicHook | None" = None
         self._t_last = 0.0
@@ -308,10 +309,10 @@ class PopMetricsEngine:
         # Align boundaries to the window grid regardless of attach time.
         first = math.floor(kernel.now / window + 1e-9) * window + window
         self._t_last = first - window
-        # Baseline sample: cumulative counters carried from earlier use of
-        # this Telemetry must not be charged to the first window's rates.
-        self.timeline.sample(kernel.now, force=True)
-        self._hook = kernel.call_every(window, self._tick, first=first)
+        # Baseline: cumulative counters carried from earlier use of this
+        # Telemetry must not be charged to the first window's rates.
+        self._health_prev = self._health_counters()
+        self._hook = kernel.call_every(window, self._close_window, first=first)
         return self._hook
 
     def detach(self) -> None:
@@ -321,10 +322,6 @@ class PopMetricsEngine:
 
     # -- window pipeline ----------------------------------------------------------
 
-    def _tick(self, now: float) -> None:
-        self.timeline.sample(now, force=True)
-        self._close_window(now)
-
     def finalize(self, now: float | None = None) -> None:
         """Close the partial tail window and the open phase (idempotent)."""
         if self._finalized:
@@ -333,7 +330,6 @@ class PopMetricsEngine:
         if now is None:
             now = self.tel.now()
         if now - self._t_last > 1e-12:
-            self.timeline.sample(now, force=True)
             self._close_window(now)
         # A pending boundary that never confirmed belongs to the open phase.
         current = self._current
@@ -385,18 +381,14 @@ class PopMetricsEngine:
                 "stall_s": d_stall,
             }
         metrics = metrics_from_sums(per_rank)
-        sums = _zero_sums()
-        for entry in per_rank.values():
-            for key in SUM_KEYS:
-                sums[key] += entry[key]
         window = WindowMetrics(
             index=len(self.windows),
             t0=t0,
             t1=t1,
             nranks=len(per_rank),
             metrics=metrics,
-            sums=sums,
-            stream=self._stream_health(t0, t1),
+            sums=_total_sums(per_rank),
+            stream=self._stream_health(t1 - t0),
             per_rank=per_rank,
         )
         self.windows.append(window)
@@ -406,35 +398,28 @@ class PopMetricsEngine:
         self._detect_phase(window)
         self._emit("window", window.as_dict())
 
-    def _stream_health(self, t0: float, t1: float) -> dict[str, float]:
-        dt = t1 - t0
-        out: dict[str, float] = {}
-        for label, series_key in STREAM_HEALTH_SERIES.items():
-            out[label] = self._cum_rate(series_key, t0, t1) if dt > 0 else 0.0
-        depth = self.timeline.get("gauge.blackboard.fifo_depth")
-        latest = depth.latest() if depth is not None else None
-        out["backlog_depth"] = latest[1] if latest is not None else 0.0
+    def _health_counters(self) -> dict[str, float]:
+        """The live value of each stream-health counter (0.0 until it exists:
+        cumulative counters start from zero)."""
+        counters = self.tel.counters
+        return {
+            label: float(counters[name].value) if name in counters else 0.0
+            for label, name in STREAM_HEALTH_SERIES.items()
+        }
+
+    def _stream_health(self, dt: float) -> dict[str, float]:
+        prev, now = self._health_prev, self._health_counters()
+        self._health_prev = now
+        out = {
+            label: (now[label] - prev[label]) / dt if dt > 0 else 0.0
+            for label in STREAM_HEALTH_SERIES
+        }
+        depth = 0.0  # the FIFO gauge, summed over its tracks
+        for gauge in self.tel.gauges.values():
+            if gauge.name == "blackboard.fifo_depth":
+                depth += gauge.value
+        out["backlog_depth"] = depth
         return out
-
-    def _cum_rate(self, key: str, t0: float, t1: float) -> float:
-        """First derivative of a cumulative series over [t0, t1].
-
-        The value at each boundary is the last sample at or before it; a
-        series born mid-run reads 0.0 before its first sample (cumulative
-        counters start from zero).
-        """
-        series = self.timeline.get(key)
-        if series is None:
-            return 0.0
-        v0 = v1 = 0.0
-        for t, value in series.points():
-            if t <= t0:
-                v0 = value
-            if t <= t1:
-                v1 = value
-            else:
-                break
-        return (v1 - v0) / (t1 - t0)
 
     # -- phase detection ----------------------------------------------------------
 
@@ -483,17 +468,13 @@ class PopMetricsEngine:
 
     def summary(self) -> dict[str, Any]:
         """Everything reduced to plain dicts (report section, NDJSON tail)."""
-        totals = _zero_sums()
-        for sums in self._totals.values():
-            for key in SUM_KEYS:
-                totals[key] += sums[key]
         return {
             "window_s": self.config.window,
             "signal": self.config.signal,
             "windows": len(self.windows),
             "phases": [phase.as_dict() for phase in self.phases],
             "end_of_run": self.end_of_run(),
-            "totals": totals,
+            "totals": _total_sums(self._totals),
             "nranks": len(self._totals),
             "stream_last": self.windows[-1].stream if self.windows else {},
         }

@@ -9,6 +9,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank percentile (``q`` in [0, 100]) of an ascending sample
+    list: the ``ceil(q/100 * n)``-th smallest, 0.0 when empty."""
+    if not ordered:
+        return 0.0
+    return ordered[max(1, math.ceil(q / 100.0 * len(ordered))) - 1]
 
 
 class RunningStats:

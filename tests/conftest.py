@@ -44,35 +44,44 @@ def fake_lane(monkeypatch):
     return swap
 
 
-@pytest.fixture
-def watched_session(tmp_path):
-    """``watched_session(iterations)``: SP.C on 16 ranks, 4 analyzer ranks,
-    every observer plane on under the canned ``mixed`` fault plan —
-    ``benchmarks/e2e``'s ``observed_faulted`` at ``--quick`` size."""
+def make_watched_session(tmpdir, iterations=3, seed=0):
+    """SP.C on 16 ranks, 4 analyzer ranks, every observer plane on under the
+    canned ``mixed`` fault plan — ``benchmarks/e2e``'s ``observed_faulted``
+    at ``--quick`` size.  Streams land in ``tmpdir`` (``pop.ndjson``,
+    ``obs.ndjson``)."""
+    from pathlib import Path
+
     from repro import TERA100, CouplingSession, InstrumentationCost
     from repro.apps import SP
     from repro.bench import load_plan
     from repro.telemetry import Telemetry
     from repro.telemetry.popmetrics import PopConfig
 
-    def make(iterations=3):
-        session = CouplingSession(
-            TERA100,
-            seed=0,
-            instrumentation=InstrumentationCost(block_size=4096, na_buffers=2),
-            telemetry=Telemetry(),
-        )
-        session.add_application(SP(16, "C", iterations=iterations))
-        session.set_analyzer(nprocs=4)
-        session.enable_monitor()
-        session.enable_pop_metrics(PopConfig(window=0.5), stream=str(tmp_path / "pop.ndjson"))
-        session.enable_steering()
-        session.enable_provenance()
-        session.enable_observability(str(tmp_path / "obs.ndjson"))
-        session.inject_faults(load_plan("mixed", at=0.05, seed=0))
-        return session
+    tmpdir = Path(tmpdir)
+    session = CouplingSession(
+        TERA100,
+        seed=seed,
+        instrumentation=InstrumentationCost(block_size=4096, na_buffers=2),
+        telemetry=Telemetry(),
+    )
+    session.add_application(SP(16, "C", iterations=iterations))
+    session.set_analyzer(nprocs=4)
+    session.enable_monitor()
+    session.enable_pop_metrics(PopConfig(window=0.5), stream=str(tmpdir / "pop.ndjson"))
+    session.enable_steering()
+    session.enable_provenance()
+    session.enable_observability(str(tmpdir / "obs.ndjson"))
+    session.inject_faults(load_plan("mixed", at=0.05, seed=seed))
+    return session
 
-    return make
+
+@pytest.fixture
+def watched_session(tmp_path):
+    """``watched_session(iterations, seed)``: :func:`make_watched_session`
+    writing its streams into the test's ``tmp_path``."""
+    from functools import partial
+
+    return partial(make_watched_session, tmp_path)
 
 
 def run_programs(machine, *programs, seed=0, virtualize=True, cost=None):

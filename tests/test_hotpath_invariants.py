@@ -629,3 +629,50 @@ def test_flags_a_host_time_probe_inside_a_simulation_module(tmp_path, package, s
 def test_clock_reads_and_callers_of_the_profiler_are_allowed(tmp_path, rel, source):
     _write(tmp_path, rel, source)
     assert check_tree(tmp_path) == []
+
+
+# -- rule 9: one observer clock, one ring ------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rel, source, what",
+    [
+        ("repro/steering/controller.py",
+         "def attach(self, world):\n    self._hook = world.kernel.call_every(0.005, self._tick)\n",
+         ".call_every() call"),
+        ("repro/core/session.py",
+         "def run(self):\n    kernel.call_every(1.0, self._flush, first=0.0)\n",
+         ".call_every() call"),
+        ("repro/telemetry/popmetrics.py",
+         "def __init__(self, tel):\n    self.timeline = Timeline(tel, capacity=512)\n",
+         "Timeline() constructed"),
+        ("repro/telemetry/flow.py",
+         "def windows(tel):\n    return timeline.Timeline(tel)\n",
+         "Timeline() constructed"),
+    ],
+)
+def test_flags_a_second_observer_clock_or_ring(tmp_path, rel, source, what):
+    _write(tmp_path, rel, source)
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1, problems
+    assert f"{rel}:2" in problems[0] and what in problems[0]
+
+
+@pytest.mark.parametrize(
+    "rel, source",
+    [
+        ("repro/telemetry/monitor.py",
+         "def attach(self, kernel):\n    self.timeline = Timeline(self.tel)\n"
+         "    return kernel.call_every(self.config.interval, self._tick)\n"),
+        ("repro/telemetry/popmetrics.py",
+         "def attach(self, kernel):\n"
+         "    return kernel.call_every(self.window, self._close_window, first=0.0)\n"),
+        # Defining the hook, subscribing to the tick and naming the class are not calls.
+        ("repro/simt/hooks.py", "class Kernel:\n    def call_every(self, interval, fn):\n        pass\n"),
+        ("repro/steering/controller.py", "def attach(self, monitor):\n    monitor.after_tick.append(self._tick)\n"),
+        ("repro/telemetry/__init__.py", "from repro.telemetry.timeline import Timeline\n"),
+    ],
+)
+def test_the_clock_owners_and_the_subscribers_are_allowed(tmp_path, rel, source):
+    _write(tmp_path, rel, source)
+    assert check_tree(tmp_path) == []

@@ -224,6 +224,32 @@ def test_directly_cancelled_hook_leaves_stale_low_cache_harmless(make_kernel):
         assert fired == [], mode
 
 
+def test_directly_cancelled_hooks_are_forgotten_not_rescanned(k, mode):
+    # hook.cancel() is the path every plane's detach takes.  Fifty
+    # register/cancel rounds beside two live hooks: the registry holds the
+    # survivors only, and they fire at the same points, in registration
+    # order, as if the others had never existed.
+    order = []
+    first = k.call_every(1.0, lambda now: order.append(("first", now)))
+    doomed = []
+    for _ in range(25):
+        doomed.append(k.call_every(1.0, lambda now: order.append(("dead", now))))
+        doomed[-1].cancel()
+    second = k.call_every(1.0, lambda now: order.append(("second", now)))
+
+    def churn(now):  # 25 more rounds, from inside a firing hook
+        if len(doomed) < 50:
+            doomed.append(k.call_every(0.5, lambda now: order.append(("dead", now))))
+            doomed[-1].cancel()
+
+    third = k.call_every(0.25, churn)
+    _drive(k, mode, _sleeper(k, [], "a", [1.0] * 8), 8.0)
+    assert len(doomed) == 50 and not any(h.fired for h in doomed)
+    assert k._hooks == [first, second, third]
+    assert order == [(name, float(t)) for t in range(1, 9) for name in ("first", "second")]
+    assert (first.fired, second.fired, third.fired) == (8, 8, 32)
+
+
 def test_hooks_alone_do_not_keep_the_simulation_alive():
     for k in (Kernel(), _instrumented_kernel()):
         fired = []

@@ -1,5 +1,13 @@
-"""What being watched costs: instrument writes per kernel event, and the
-per-call records (``CallRecord``, ``Status``) as one-allocation tuples."""
+"""What being watched costs: instrument writes per kernel event, the
+per-call records (``CallRecord``, ``Status``) as one-allocation tuples, and
+the observers' one clock — two kernel hooks, one ring of samples, and every
+record the planes emit held to ``fixtures/observer_records_observed_faulted.json``
+(taken **on the parent of PR 23**; regenerate, on a commit whose values are the
+contract, with ``PYTHONPATH=src python tests/test_observer_budget.py``)."""
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +67,72 @@ def test_no_telemetry_no_instrument_write(instrument_writes):
     session.set_analyzer(nprocs=4)
     assert session.run().world.kernel.events_dispatched > 5_000
     assert instrument_writes["n"] == 0
+
+
+# -- one clock, one ring, the same records ----------------------------------------------
+
+RECORDS_FIXTURE = Path(__file__).parent / "fixtures" / "observer_records_observed_faulted.json"
+
+
+def _sha(value) -> str:
+    return hashlib.sha256(json.dumps(value, sort_keys=True).encode()).hexdigest()
+
+
+def _observer_records(session, tmpdir) -> dict:
+    """What the three clocked planes emitted, reduced to a diffable dict.
+
+    Nothing here reads the host clock (the POP records, the alerts and the
+    watched series are all virtual-time values), so nothing is excluded
+    but the steering summary's echo of its policy.
+    """
+    result = session.run()
+    pop = (Path(tmpdir) / "pop.ndjson").read_bytes()
+    health = dict(result.health)
+    alerts = health.pop("alerts")
+    series = health.pop("series")
+    steering = {k: v for k, v in result.steering.items() if k != "policy"}
+    return {
+        "pop_records": pop.count(b"\n"),
+        "pop_sha256": hashlib.sha256(pop).hexdigest(),
+        "steering": steering,
+        "health": health,
+        "health_alerts_sha256": _sha(alerts),
+        "health_series_sha256": _sha(series),
+    }
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_observer_records_match_the_parent_tree(watched_session, tmp_path, seed):
+    expected = json.loads(RECORDS_FIXTURE.read_text())[str(seed)]
+    assert expected["health"]["ticks"] > 100 and expected["pop_records"] >= 4
+    records = _observer_records(watched_session(seed=seed), tmp_path)
+    assert json.loads(json.dumps(records)) == expected
+
+
+def test_every_plane_on_is_two_hooks_and_one_ring(watched_session, monkeypatch):
+    from repro.simt import Kernel
+    from repro.telemetry.timeline import Timeline
+
+    registered, samples = [], []
+    real_call_every, real_sample = Kernel.call_every, Timeline.sample
+
+    def call_every(self, interval, fn, **kwargs):
+        registered.append(fn)
+        return real_call_every(self, interval, fn, **kwargs)
+
+    def sample(self, now):
+        samples.append(self)
+        return real_sample(self, now)
+
+    monkeypatch.setattr(Kernel, "call_every", call_every)
+    monkeypatch.setattr(Timeline, "sample", sample)
+    session = watched_session(iterations=2)
+    result = session.run()
+    # The monitor's tick and POP's window close; steering rides the former.
+    assert [fn.__self__ for fn in registered] == [session.monitor, session.pop_metrics]
+    assert not any(isinstance(v, Timeline) for v in vars(session.pop_metrics).values())
+    assert set(map(id, samples)) == {id(session.monitor.timeline)}
+    assert len(samples) == session.monitor.ticks == result.health["samples"] > 50
 
 
 # -- the per-call records -------------------------------------------------------------
@@ -210,3 +284,20 @@ def test_an_unobserved_rank_gets_its_call_body_back_without_a_wrapper(machine):
     _run_one_rank(machine, app)
     # ``wrapped`` was never started, so it counted nothing: barrier + finalize.
     assert seen == [True, 0, "_intercepted", 1, True, 2]
+
+
+if __name__ == "__main__":
+    import sys
+    import tempfile
+
+    sys.path.insert(0, str(Path(__file__).parent))
+    from conftest import make_watched_session
+
+    records = {}
+    for seed in (0, 1):
+        with tempfile.TemporaryDirectory() as tmpdir:
+            records[str(seed)] = _observer_records(
+                make_watched_session(tmpdir, seed=seed), tmpdir
+            )
+    RECORDS_FIXTURE.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {RECORDS_FIXTURE}")

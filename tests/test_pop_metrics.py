@@ -75,8 +75,6 @@ def test_pop_config_validation():
     with pytest.raises(ConfigError):
         PopConfig(window=0.0)
     with pytest.raises(ConfigError):
-        PopConfig(capacity=1)
-    with pytest.raises(ConfigError):
         PopConfig(signal="walltime")
     with pytest.raises(ConfigError):
         PopConfig(min_phase_windows=0)
@@ -329,6 +327,45 @@ def test_attach_aligns_to_window_grid():
     assert engine.windows[0].t1 == pytest.approx(0.015)  # grid-aligned
     for w in engine.windows:
         assert math.isclose(w.t1 / 0.005, round(w.t1 / 0.005), abs_tol=1e-6)
+
+
+# -- stream-health rates: growth since the previous close --------------------------
+
+
+def _rates_with_carried_counter(t_attach, writes, until):
+    """``stream_bytes_per_s`` per window of an engine attached at
+    ``t_attach`` to a Telemetry whose counter already reads 1000."""
+    tel = Telemetry()
+    kernel = Kernel(telemetry=tel)
+    written = tel.counter("stream.bytes_written")
+    written.inc(1000)  # earlier use of this Telemetry
+    if t_attach > 0:
+        kernel.timeout(t_attach)
+        kernel.run()
+    engine = PopMetricsEngine(tel, PopConfig(window=0.005))
+    engine.attach(kernel)
+
+    def writer(k):
+        for at, nbytes in writes:
+            yield k.timeout(at - k.now)
+            written.inc(nbytes)
+        yield k.timeout(until - k.now)
+
+    kernel.spawn(writer(kernel))
+    kernel.run()
+    return [(w.t0, w.t1, w.stream["stream_bytes_per_s"]) for w in engine.windows]
+
+
+def test_carried_counter_is_not_charged_when_attached_on_the_grid():
+    rates = _rates_with_carried_counter(0.0, [(0.002, 500), (0.007, 250)], until=0.012)
+    assert rates == [(0.0, 0.005, 100000.0), (0.005, 0.01, 50000.0)]
+
+
+def test_carried_counter_is_not_charged_when_attached_between_grid_points():
+    # The baseline is what the counters read at attach, wherever that falls.
+    rates = _rates_with_carried_counter(0.003, [(0.007, 250)], until=0.012)
+    assert [(t0, t1) for t0, t1, _ in rates] == [(0.0, 0.005), (0.005, 0.01)]
+    assert [rate for _, _, rate in rates] == [0.0, 50000.0]
 
 
 # -- NDJSON streaming export -------------------------------------------------------

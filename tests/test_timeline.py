@@ -53,15 +53,14 @@ class TestTimeSeries:
         # Oldest retained samples are dropped, chronology is preserved.
         assert ts.points() == [(6.0, 6.0), (7.0, 7.0), (8.0, 8.0), (9.0, 9.0)]
         assert ts.latest() == (9.0, 9.0)
-        assert ts.total_points == 10
 
     def test_watermarks_survive_eviction(self):
         ts = TimeSeries("x", LEVEL, capacity=2)
         ts.append(0.0, 100.0)
         ts.append(1.0, 1.0)
         ts.append(2.0, 2.0)  # evicts the 100.0 sample
+        assert ts.points() == [(1.0, 1.0), (2.0, 2.0)]
         assert ts.high_water == 100.0
-        assert ts.low_water == 1.0
 
     def test_window_filters_by_time(self):
         ts = TimeSeries("x", LEVEL, capacity=16)
@@ -83,20 +82,8 @@ class TestTimeSeries:
             ts.append(i * 0.1, i * 10.0)
         stats = ts.window_stats(0.0)
         assert stats["n"] == 5
-        assert stats["first"] == 0.0
         assert stats["last"] == 40.0
-        assert stats["delta"] == 40.0
         assert stats["rate"] == pytest.approx(100.0)
-        assert stats["mean"] == pytest.approx(20.0)
-        assert stats["min"] == 0.0 and stats["max"] == 40.0
-
-    def test_window_stats_percentiles(self):
-        ts = TimeSeries("x", LEVEL, capacity=128)
-        for i in range(100):
-            ts.append(float(i), float(i + 1))  # values 1..100
-        stats = ts.window_stats(-math.inf)
-        assert stats["p50"] == 50.0
-        assert stats["p95"] == 95.0
 
     def test_slope_least_squares(self):
         ts = TimeSeries("x", LEVEL, capacity=16)
@@ -120,34 +107,14 @@ class TestTimeSeries:
 
 
 class TestTimeline:
-    def test_rejects_bad_resolution(self, tel):
-        with pytest.raises(ConfigError):
-            Timeline(tel, resolution=0.0)
-
-    def test_sample_respects_resolution(self, tel, clock):
-        tl = Timeline(tel, resolution=0.1)
-        tel.counter("c").inc()
-        assert tl.sample() is True
-        assert tl.sample() is False  # same instant, within resolution
-        clock.advance(0.05)
-        assert tl.sample() is False
-        clock.advance(0.05)
-        assert tl.sample() is True
-        assert tl.samples_taken == 2
-
-    def test_force_overrides_resolution(self, tel):
-        tl = Timeline(tel, resolution=10.0)
-        assert tl.sample(force=True)
-        assert tl.sample(force=True)
-        assert tl.samples_taken == 2
-
     def test_series_keys_and_kinds(self, tel, clock):
         tel.counter("kernel.events").inc(7)
         tel.gauge("depth", pid=1).set(3)
         tel.gauge("depth", pid=2).set(4)
         tel.histogram("lat").observe(0.5)
-        tl = Timeline(tel, resolution=0.01)
-        tl.sample()
+        tl = Timeline(tel)
+        tl.sample(clock())
+        assert tl.samples_taken == 1
         assert tl.get("counter.kernel.events").kind == CUMULATIVE
         assert tl.get("gauge.depth").kind == LEVEL
         assert tl.get("hist.lat.count").kind == CUMULATIVE
@@ -157,35 +124,21 @@ class TestTimeline:
         assert tl.get("counter.kernel.events").latest()[1] == 7.0
         assert tl.get("missing") is None
 
-    def test_summary_reports_rates(self, tel, clock):
+    def test_every_sample_is_taken_and_stamped_by_the_caller(self, tel, clock):
+        # No cadence of the timeline's own: two samples at one instant both land.
         ctr = tel.counter("bytes")
-        tl = Timeline(tel, resolution=0.01)
-        for _ in range(5):
+        tl = Timeline(tel, capacity=4)
+        for _ in range(2):
             ctr.inc(100)
-            tl.sample()
-            clock.advance(0.01)
-        summary = tl.summary()
-        assert summary["counter.bytes"]["last"] == 500.0
-        assert summary["counter.bytes"]["high_water"] == 500.0
-        assert summary["counter.bytes"]["rate"] == pytest.approx(10000.0)
-
-    def test_render_table(self, tel, clock):
-        ctr = tel.counter("bytes")
-        tl = Timeline(tel, resolution=0.01)
-        for _ in range(4):
-            ctr.inc(10)
-            tl.sample()
-            clock.advance(0.01)
-        text = tl.render_table()
-        assert "counter.bytes" in text
-        assert "t_virtual_s" in text
-        assert Timeline(tel, resolution=1.0).render_table() == (
-            "(no timeline series recorded)"
-        )
+            tl.sample(clock())
+        clock.advance(0.01)
+        tl.sample(0.5)  # the stamp is the argument, not the telemetry clock
+        assert tl.get("counter.bytes").points() == [(0.0, 100.0), (0.0, 200.0), (0.5, 200.0)]
+        assert tl.samples_taken == 3
 
 
 class TestWindowEdgeCases:
-    """Windowing corners the POP-metrics engine leans on."""
+    """Windowing corners the monitor's detectors lean on."""
 
     def test_empty_window_between_samples(self):
         ts = TimeSeries("x", CUMULATIVE, capacity=8)
@@ -194,18 +147,14 @@ class TestWindowEdgeCases:
         stats = ts.window_stats(3.0, 7.0)  # a gap with no samples at all
         assert stats["n"] == 0
         assert stats["rate"] == 0.0
-        assert stats["delta"] == 0.0
+        assert stats["last"] == 0.0
         assert ts.window(3.0, 7.0) == []
 
-    def test_single_sample_percentiles(self):
+    def test_single_sample_rate_is_zero(self):
         ts = TimeSeries("x", LEVEL, capacity=8)
         ts.append(1.0, 42.0)
         stats = ts.window_stats(0.0, 2.0)
-        assert stats["n"] == 1
-        assert stats["p50"] == 42.0
-        assert stats["p95"] == 42.0
-        assert stats["min"] == stats["max"] == stats["mean"] == 42.0
-        assert stats["rate"] == 0.0  # dt == 0 must not divide by zero
+        assert stats == {"n": 1, "last": 42.0, "rate": 0.0}  # dt == 0: no division
 
     def test_slope_on_constant_series_is_zero(self):
         ts = TimeSeries("x", LEVEL, capacity=32)
@@ -231,9 +180,7 @@ class TestWindowEdgeCases:
         assert pts[0] == (12.0, 120.0)  # oldest retained, not t=0
         stats = ts.window_stats(-math.inf)
         assert stats["n"] == 8
-        assert stats["first"] == 120.0
         assert stats["last"] == 190.0
-        assert stats["rate"] == pytest.approx(10.0)
-        # Watermarks still remember evicted extremes.
-        assert ts.low_water == 0.0
-        assert ts.total_points == 20
+        assert stats["rate"] == pytest.approx(10.0)  # from 120.0 at t=12, not 0.0 at t=0
+        # The watermark still remembers evicted extremes.
+        assert ts.high_water == 190.0

@@ -138,6 +138,35 @@ class TestRunningStats:
         assert d["count"] == 1 and d["mean"] == 2.0
 
 
+# Expected values printed by the two pre-merge copies (``HistogramMetric.percentile``
+# and ``telemetry.flow._percentile``, which agreed) over the samples 1.0 .. n.
+_NEAREST_RANK_QS = (0, 50, 95, 99, 100)
+_NEAREST_RANK_TABLE = {
+    0: (0.0, 0.0, 0.0, 0.0, 0.0),
+    1: (1.0, 1.0, 1.0, 1.0, 1.0),
+    2: (1.0, 1.0, 2.0, 2.0, 2.0),
+    19: (1.0, 10.0, 19.0, 19.0, 19.0),
+    20: (1.0, 10.0, 19.0, 20.0, 20.0),
+    100: (1.0, 50.0, 95.0, 99.0, 100.0),
+}
+
+
+@pytest.mark.parametrize("n", sorted(_NEAREST_RANK_TABLE))
+def test_nearest_rank_table_and_its_two_callers_agree(n):
+    from repro.telemetry import Telemetry
+    from repro.telemetry.flow import _stats
+    from repro.util.stats import nearest_rank
+
+    ordered = [float(v) for v in range(1, n + 1)]
+    assert tuple(nearest_rank(ordered, q) for q in _NEAREST_RANK_QS) == _NEAREST_RANK_TABLE[n]
+    hist = Telemetry().histogram("x")
+    for value in reversed(ordered):  # the histogram sorts its reservoir itself
+        hist.observe(value)
+    assert tuple(hist.percentile(q) for q in _NEAREST_RANK_QS) == _NEAREST_RANK_TABLE[n]
+    stats = _stats(list(reversed(ordered)))
+    assert (stats["p50_s"], stats["p95_s"]) == _NEAREST_RANK_TABLE[n][1:3]
+
+
 class TestHistogram:
     def test_binning(self):
         h = Histogram(0.0, 10.0, nbins=10)
