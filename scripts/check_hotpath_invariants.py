@@ -1,9 +1,10 @@
 #!/usr/bin/env python
 """Hot-path invariant lint: clock discipline, zero-copy decode, loop-free codec,
 lean per-event functions, one derivation per pack, observers paid per read,
-pure delays as floats, host-time profiling from outside, one observer clock.
+pure delays as floats, host-time profiling from outside, one observer clock,
+one schema table.
 
-Nine structural rules the hot-path refactors rely on, enforced over the
+Ten structural rules the hot-path refactors rely on, enforced over the
 AST so comments and strings never trip them:
 
 1. **Clock discipline** — ``time.perf_counter`` (and its ``_ns``
@@ -100,6 +101,14 @@ AST so comments and strings never trip them:
    differences the live counters between its own two closes (DESIGN 12) —
    a third hook or a second ring of samples is a second clock.
 
+10. **One schema table** — under ``src/repro`` a string literal that is a
+    schema tag (``"repro.<family>/<n>"``) appears only in
+    ``obs/registry.py``: every plane imports its tag constant from there,
+    so a bump happens in one place and :func:`repro.obs.registry.screen`
+    judges every record against the same table (DESIGN 13).  Prose that
+    mentions a tag inside a longer string (a docstring, help text) is not
+    a tag literal.
+
 Exit status 0 when clean; 1 with one ``path:line: message`` per
 violation otherwise.  Run from the repository root::
 
@@ -111,6 +120,7 @@ An optional argument overrides the source root (used by the tests).
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -193,6 +203,10 @@ HOOK_OWNERS = frozenset(
     {Path("repro") / "telemetry" / "monitor.py", Path("repro") / "telemetry" / "popmetrics.py"}
 )
 TIMELINE_OWNER = Path("repro") / "telemetry" / "monitor.py"
+
+#: the one module that may spell a schema tag (rule 10)
+SCHEMA_OWNER = Path("repro") / "obs" / "registry.py"
+SCHEMA_TAG = re.compile(r"repro\.[a-z][a-z0-9_-]*/[0-9]+")
 
 #: module -> the value records built once per intercepted call / message
 PER_CALL_RECORDS = {
@@ -574,6 +588,18 @@ def _check_one_observer_clock(tree: ast.AST, rel: Path) -> list[str]:
     return problems
 
 
+def _check_schema_tags(tree: ast.AST, rel: Path) -> list[str]:
+    """Flag a schema-tag string literal outside the schema table."""
+    return [
+        f"{rel}:{node.lineno}: schema tag {node.value!r} spelled out — import "
+        "its constant from repro.obs.registry, the one schema table"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and SCHEMA_TAG.fullmatch(node.value)
+    ]
+
+
 def _is_frozen_dataclass(decorator: ast.AST) -> bool:
     return (
         isinstance(decorator, ast.Call)
@@ -635,6 +661,8 @@ def check_tree(src_root: Path) -> list[str]:
             problems.extend(_check_no_inline_hostprof(tree, rel))
         if rel.parts[0] == "repro":
             problems.extend(_check_one_observer_clock(tree, rel))
+            if rel != SCHEMA_OWNER:
+                problems.extend(_check_schema_tags(tree, rel))
     return problems
 
 
@@ -653,7 +681,7 @@ def main(argv: list[str]) -> int:
         "hot-path invariants hold (clock discipline, zero-copy decode, "
         "loop-free codec, lean per-event functions, one derivation per pack, "
         "observers paid per read, pure delays as floats, host time profiled "
-        "from outside, one observer clock)"
+        "from outside, one observer clock, one schema table)"
     )
     return 0
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.errors import ConfigError
-from repro.obs.registry import REGISTRY
+from repro.obs.registry import SCHEMAS
 
 #: column-name fragments implying "bigger is better"
 _HIGHER_BETTER = (
@@ -235,7 +235,7 @@ def _schema_warnings(baseline: dict[str, Any]) -> list[str]:
     def walk(node: Any) -> None:
         if isinstance(node, dict):
             tag = node.get("schema")
-            if isinstance(tag, str) and "/" in tag and tag not in REGISTRY:
+            if isinstance(tag, str) and "/" in tag and tag not in SCHEMAS:
                 unknown.add(tag)
             for value in node.values():
                 walk(value)

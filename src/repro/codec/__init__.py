@@ -43,7 +43,6 @@ from repro.codec.stages import (
     available_stages,
     build_chain,
     decode_chain,
-    register_stage,
 )
 
 __all__ = [
@@ -71,5 +70,4 @@ __all__ = [
     "available_stages",
     "build_chain",
     "decode_chain",
-    "register_stage",
 ]

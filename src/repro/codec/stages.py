@@ -471,25 +471,20 @@ class ZlibStage(Stage):
             raise PackFormatError(f"zlib payload failed to inflate: {exc}") from exc
 
 
-_REGISTRY: dict[str, Callable[[str | None], Stage]] = {}
-
-
-def register_stage(name: str, factory: Callable[[str | None], Stage]) -> None:
-    """Register a stage factory under ``name`` (used by chain specs)."""
-    if name in _REGISTRY:
-        raise ConfigError(f"codec stage {name!r} already registered")
-    _REGISTRY[name] = factory
+#: Stage factories by the name a chain spec uses; the argument is the
+#: token's ``:arg`` part, or None.
+_STAGES: dict[str, Callable[[str | None], Stage]] = {
+    "sample": SampleStage,
+    "quant": QuantStage,
+    "delta": lambda arg=None: DeltaStage(),
+    "dict": lambda arg=None: DictStage(),
+    "zlib": ZlibStage,
+}
 
 
 def available_stages() -> list[str]:
-    return sorted(_REGISTRY)
+    return sorted(_STAGES)
 
-
-register_stage("sample", SampleStage)
-register_stage("quant", QuantStage)
-register_stage("delta", lambda arg=None: DeltaStage())
-register_stage("dict", lambda arg=None: DictStage())
-register_stage("zlib", ZlibStage)
 
 #: Every lossless chain the randomized round-trip tests must pass bit-exactly.
 REGISTERED_CHAINS: tuple[str, ...] = (
@@ -543,9 +538,6 @@ class CodecChain:
 
     def __repr__(self) -> str:
         return f"CodecChain({self.spec!r})"
-
-    def _by_phase(self, phase: int) -> list[Stage]:
-        return (self._phase0, self._phase1, self._phase2)[phase]
 
     def encode(self, records, now: float = 0.0) -> EncodeResult:
         """Run one record batch through the chain (left to right)."""
@@ -626,7 +618,7 @@ def build_chain(spec: str | Sequence[str] | None) -> CodecChain:
     for token in tokens:
         name, _, arg = token.partition(":")
         name = name.strip()
-        factory = _REGISTRY.get(name)
+        factory = _STAGES.get(name)
         if factory is None:
             raise UnknownCodecError(
                 f"unknown codec stage {name!r} "

@@ -30,7 +30,7 @@ from repro.mpi.world import World
 from repro.network.machine import MachineSpec, TERA100
 from repro.analysis.alerts import AlertRouter
 from repro.obs.bus import ObservabilityBus
-from repro.obs.registry import HEALTH_SCHEMA, REGISTRY, STEERING_SCHEMA, make_record
+from repro.obs.registry import HEALTH_KINDS, HEALTH_SCHEMA, STEERING_SCHEMA, make_record
 from repro.obs.sinks import FileSink, RingSink, TailServer
 from repro.steering import SteeringController, SteeringPolicy
 from repro.telemetry import FlowRegistry, NULL_TELEMETRY, Telemetry
@@ -405,7 +405,6 @@ class CouplingSession:
         if self._monitor is not None:
             if self._monitor.router is None:
                 self._monitor.router = AlertRouter()
-            known = REGISTRY.kinds_for(HEALTH_SCHEMA)
 
             def publish_alert(alert: Any) -> None:
                 d = (
@@ -416,7 +415,7 @@ class CouplingSession:
                 kind = d.pop("kind", None)
                 # Foreign alert kinds (a user's custom router traffic) are
                 # not the health plane's to publish — skip, don't crash.
-                if kind in known:
+                if kind in HEALTH_KINDS:
                     bus.publish(make_record(HEALTH_SCHEMA, kind, **d))
 
             self._monitor.router.subscribe(publish_alert)

@@ -49,10 +49,6 @@ class CommunicatorError(MPIError):
     """Invalid communicator usage (bad rank, freed communicator, ...)."""
 
 
-class TruncationError(MPIError):
-    """A receive buffer was smaller than the matched message."""
-
-
 class VMPIError(ReproError):
     """Errors raised by the VMPI virtualization / mapping / stream layer."""
 

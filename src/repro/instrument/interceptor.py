@@ -69,7 +69,6 @@ class StreamingInstrumentation(Interceptor):
             channel=self.channel,
             write_timeout=self.cost.write_timeout,
             max_retries=self.cost.max_retries,
-            backoff_factor=self.cost.backoff_factor,
             overflow=self.cost.overflow,
         )
         self.events_captured = 0

@@ -44,7 +44,6 @@ class InstrumentationCost:
     # (see VMPIStream): None write_timeout keeps the classic blocking path.
     write_timeout: float | None = None
     max_retries: int = 3
-    backoff_factor: float = 2.0
     overflow: str = "block"
     #: Reduction-chain spec applied at pack seal ("" = identity, e.g.
     #: "delta+dict+zlib"; see :mod:`repro.codec.stages`).

@@ -65,10 +65,6 @@ class PackHeader:
     rank: int
     count: int
 
-    @property
-    def payload_bytes(self) -> int:
-        return self.count * EVENT_RECORD_SIZE
-
 
 class EventPackBuilder:
     """Accumulates encoded events until the block budget is reached.

@@ -128,9 +128,6 @@ class World:
             self._group_cache[cache_key] = group
         return group
 
-    def group_by_id(self, comm_id: int) -> CommGroup:
-        return self._groups[comm_id]
-
     # -- partitions ----------------------------------------------------------------
 
     def add_partition(self, name: str, size: int) -> PartitionInfo:

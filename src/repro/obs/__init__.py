@@ -7,8 +7,9 @@ and file format.  This package gives them a single in-situ feed, in the
 spirit of the paper's own thesis (measurements as online streams, not
 post-mortem files):
 
-* :mod:`repro.obs.registry` — the central schema registry (all five
-  ``schema`` tags and their kind sets) plus :func:`make_record`, the one
+* :mod:`repro.obs.registry` — :data:`SCHEMAS`, the read-only table of
+  all five ``schema`` tags and their kind sets; ``screen``, the one rule
+  for whether a record is interpretable; and :func:`make_record`, the one
   record-assembly point;
 * :mod:`repro.obs.bus` — :class:`ObservabilityBus`, validate-on-publish
   fan-out with per-sink delivery/drop/error accounting;
@@ -34,12 +35,9 @@ from repro.obs.registry import (
     HEALTH_SCHEMA,
     HOSTPROF_SCHEMA,
     METRICS_SCHEMA,
-    REGISTRY,
+    SCHEMAS,
     STEERING_SCHEMA,
     TELEMETRY_SCHEMA,
-    SchemaRegistry,
-    SchemaSpec,
-    default_registry,
     make_record,
     record_time,
 )
@@ -48,10 +46,7 @@ from repro.obs.sinks import FileSink, RingSink, TailServer, parse_address
 __all__ = [
     "ObservabilityBus",
     "SinkBinding",
-    "SchemaRegistry",
-    "SchemaSpec",
-    "REGISTRY",
-    "default_registry",
+    "SCHEMAS",
     "make_record",
     "record_time",
     "TELEMETRY_SCHEMA",

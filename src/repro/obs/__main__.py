@@ -19,7 +19,7 @@ arrived or interrupted.
 
 ``query`` filters archived run directories across all five schemas;
 ``summary`` prints per-schema/kind record counts; ``schemas`` lists the
-registry.  All filters share one predicate: ``--schema``/``--kind`` match
+schema table.  All filters share one predicate: ``--schema``/``--kind`` match
 exactly, ``--since`` keeps records stamped at or after the bound (records
 without a timestamp never pass a ``--since`` filter).
 """
@@ -35,14 +35,8 @@ from pathlib import Path
 from typing import Any, Iterator
 
 from repro.errors import ConfigError
-from repro.obs.archive import (
-    ArchiveScan,
-    iter_archive,
-    iter_ndjson,
-    match_record,
-    screen,
-)
-from repro.obs.registry import REGISTRY, SchemaRegistry
+from repro.obs.archive import ArchiveScan, iter_archive, iter_ndjson, match_record
+from repro.obs.registry import _DESCRIPTIONS, SCHEMAS, screen
 from repro.obs.sinks import parse_address
 
 #: polling cadence of ``tail --follow`` on a file, seconds
@@ -147,7 +141,7 @@ def _socket_records(source: str) -> Iterator[Any]:
                     raise ConfigError(f"{source}: not valid JSON: {exc}") from exc
 
 
-def _tail_main(args: argparse.Namespace, registry: SchemaRegistry) -> int:
+def _tail_main(args: argparse.Namespace) -> int:
     # A plain existing file is a file tail; anything else must parse as a
     # socket address (HOST:PORT, or the path of a live Unix socket).
     path = Path(args.source)
@@ -159,7 +153,7 @@ def _tail_main(args: argparse.Namespace, registry: SchemaRegistry) -> int:
     skipped: dict[str, int] = {}
     try:
         for record in records:
-            label = screen(record, registry)
+            label = screen(record)
             if label is not None:
                 if args.strict:
                     raise ConfigError(
@@ -186,7 +180,7 @@ def _tail_main(args: argparse.Namespace, registry: SchemaRegistry) -> int:
 # -- query / summary ----------------------------------------------------------------
 
 
-def _query_main(args: argparse.Namespace, registry: SchemaRegistry) -> int:
+def _query_main(args: argparse.Namespace) -> int:
     scan = ArchiveScan()
     printed = 0
     for record in iter_archive(
@@ -194,7 +188,6 @@ def _query_main(args: argparse.Namespace, registry: SchemaRegistry) -> int:
         schema=args.schema,
         kind=args.kind,
         since=args.since,
-        registry=registry,
         scan=scan,
     ):
         if not args.count:
@@ -208,12 +201,12 @@ def _query_main(args: argparse.Namespace, registry: SchemaRegistry) -> int:
     return 0
 
 
-def _summary_main(args: argparse.Namespace, registry: SchemaRegistry) -> int:
+def _summary_main(args: argparse.Namespace) -> int:
     from repro.util.tables import Table
 
     scan = ArchiveScan()
     counts: dict[tuple[str, str], int] = {}
-    for record in iter_archive(args.roots, registry=registry, scan=scan):
+    for record in iter_archive(args.roots, scan=scan):
         key = (record["schema"], record["kind"])
         counts[key] = counts.get(key, 0) + 1
     table = Table(
@@ -242,28 +235,26 @@ def _report_scan(scan: ArchiveScan) -> None:
         print(f"[skipped non-record file {path}]", file=sys.stderr)
 
 
-def _schemas_main(registry: SchemaRegistry) -> int:
+def _schemas_main() -> int:
     from repro.util.tables import Table
 
     table = Table(["schema", "kinds", "description"], title="Registered schemas")
-    for name in registry.known():
-        spec = registry.get(name)
-        table.add_row(name, ", ".join(sorted(spec.kinds)), spec.description)
+    for name in sorted(SCHEMAS):
+        table.add_row(name, ", ".join(sorted(SCHEMAS[name])), _DESCRIPTIONS[name])
     print(table.render())
     return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    registry = REGISTRY
     try:
         if args.command == "tail":
-            return _tail_main(args, registry)
+            return _tail_main(args)
         if args.command == "query":
-            return _query_main(args, registry)
+            return _query_main(args)
         if args.command == "summary":
-            return _summary_main(args, registry)
-        return _schemas_main(registry)
+            return _summary_main(args)
+        return _schemas_main()
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -13,13 +13,14 @@ Two consumers need to *read* schema-tagged NDJSON:
 Offsets are byte positions (files are read in binary), so a resumed tail
 re-seeks exactly to where the previous pass stopped regardless of record
 content.  :func:`iter_archive` walks run directories for ``*.jsonl`` /
-``*.ndjson`` files and yields records across all registered schemas,
-counting (rather than crashing on) records from schemas the registry does
-not know — a run archived by a *newer* version must still be queryable.
+``*.ndjson`` files and yields records across all five schemas, counting
+(rather than crashing on) records of a tag it does not know — a run
+archived by a *newer* version must still be queryable.
 
-Every record read back is judged in one place, :func:`screen`: the lenient
-readers (:func:`iter_archive`, ``obs tail``) count what it refuses, the
-strict one (:func:`read_records`) raises.
+Every record read back is judged by :func:`~repro.obs.registry.screen`,
+the rule the bus applies at publish: the lenient readers
+(:func:`iter_archive`, ``obs tail``) count what it refuses, the strict one
+(:func:`read_records`) raises.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ from pathlib import Path
 from typing import Any, Iterable, Iterator
 
 from repro.errors import ConfigError
-from repro.obs.registry import REGISTRY, SchemaRegistry, record_time
+from repro.obs.registry import record_time, screen
 
-__all__ = ["iter_ndjson", "iter_archive", "match_record", "read_records", "screen", "ArchiveScan"]
+__all__ = ["iter_ndjson", "iter_archive", "match_record", "read_records", "ArchiveScan"]
 
 #: file suffixes the archive walker treats as record streams
 RECORD_SUFFIXES = (".ndjson", ".jsonl")
@@ -95,24 +96,6 @@ def iter_ndjson(
                 )
             offset += len(raw)
             yield offset, record
-
-
-def screen(record: Any, registry: SchemaRegistry = REGISTRY) -> str | None:
-    """None if a consumer can interpret ``record``, else the label to count it under.
-
-    Interpretable is what the bus demands at publish: a dict with a
-    registered ``schema`` and a ``kind`` in that schema's set.  The label
-    is the foreign tag, ``"<missing>"``, or ``"<schema>:<kind>"``.
-    """
-    tag = record.get("schema") if isinstance(record, dict) else None
-    if not isinstance(tag, str):
-        return "<missing>"
-    if tag not in registry:
-        return tag
-    kind = record.get("kind")
-    if not isinstance(kind, str) or kind not in registry.kinds_for(tag):
-        return f"{tag}:{kind if isinstance(kind, str) else '<missing>'}"
-    return None
 
 
 def read_records(path: str | Path, schema: str | None = None) -> list[dict[str, Any]]:
@@ -196,7 +179,6 @@ def iter_archive(
     schema: str | None = None,
     kind: str | None = None,
     since: float | None = None,
-    registry: SchemaRegistry = REGISTRY,
     scan: ArchiveScan | None = None,
 ) -> Iterator[dict[str, Any]]:
     """Yield matching records from run-archive files, file by file.
@@ -223,7 +205,7 @@ def iter_archive(
             continue  # empty file: scanned, nothing to yield
         for _offset, record in itertools.chain([first], stream):
             scan.records_read += 1
-            label = screen(record, registry)
+            label = screen(record)
             if label is not None:
                 scan.unknown_schemas[label] = scan.unknown_schemas.get(label, 0) + 1
                 continue

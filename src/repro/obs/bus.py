@@ -14,13 +14,14 @@ schema-tagged records into one bus; pluggable sinks fan them out:
   feed for live tailing (``python -m repro.obs tail HOST:PORT``) and the
   future analyzer service.
 
-Publishing **validates**: a record without a registered schema tag, or with
-a kind outside its schema's kind set, is rejected with
-:class:`~repro.errors.ConfigError` and counted — garbage never reaches a
-sink.  Each sink is wrapped in a :class:`SinkBinding` that tracks delivery,
-drops (a full ring, a slow tail client) and write errors per sink, so the
-observability layer reports on itself: :meth:`ObservabilityBus.summary` is
-what :attr:`~repro.core.session.SessionResult.obs` and the report's
+Publishing **validates**: a record :func:`~repro.obs.registry.screen`
+labels (no known schema tag, or a kind outside its schema's kind set) is
+rejected with :class:`~repro.errors.ConfigError` naming the label, and
+counted — garbage never reaches a sink.  Each sink is wrapped in a
+:class:`SinkBinding` that tracks delivery, drops (a full ring, a slow tail
+client) and write errors per sink, so the observability layer reports on
+itself: :meth:`ObservabilityBus.summary` is what
+:attr:`~repro.core.session.SessionResult.obs` and the report's
 "Observability" section render.
 
 The bus is synchronous and allocation-light: one dict lookup per publish
@@ -35,7 +36,7 @@ from __future__ import annotations
 from typing import Any, Iterable
 
 from repro.errors import ConfigError
-from repro.obs.registry import REGISTRY, SchemaRegistry
+from repro.obs.registry import SCHEMAS, screen
 
 __all__ = ["ObservabilityBus", "SinkBinding"]
 
@@ -81,8 +82,7 @@ class ObservabilityBus:
     down the others, and never the simulation.
     """
 
-    def __init__(self, registry: SchemaRegistry | None = None):
-        self.registry = registry if registry is not None else REGISTRY
+    def __init__(self) -> None:
         self.bindings: list[SinkBinding] = []
         #: records accepted, per (schema, kind)
         self.counts: dict[tuple[str, str], int] = {}
@@ -100,8 +100,8 @@ class ObservabilityBus:
     ) -> SinkBinding:
         """Subscribe a sink, optionally to a subset of schemas.
 
-        Every schema in ``schemas`` must be registered — subscribing to a
-        typo'd tag would otherwise silently deliver nothing forever.
+        Every schema in ``schemas`` must be in :data:`SCHEMAS` — subscribing
+        to a typo'd tag would otherwise silently deliver nothing forever.
         """
         if not callable(getattr(sink, "emit", None)):
             raise ConfigError(f"observability sink {sink!r} lacks an emit method")
@@ -109,7 +109,10 @@ class ObservabilityBus:
         if schemas is not None:
             subset = frozenset(schemas)
             for schema in subset:
-                self.registry.get(schema)  # raises on unknown
+                if schema not in SCHEMAS:
+                    raise ConfigError(
+                        f"unknown schema {schema!r}; known: {', '.join(sorted(SCHEMAS))}"
+                    )
         binding = SinkBinding(sink, name or type(sink).__name__, subset)
         self.bindings.append(binding)
         return binding
@@ -126,11 +129,10 @@ class ObservabilityBus:
         """
         if self._closed:
             raise ConfigError("observability bus is closed")
-        try:
-            self.registry.validate(record)
-        except ConfigError:
+        label = screen(record)
+        if label is not None:
             self.rejected += 1
-            raise
+            raise ConfigError(f"uninterpretable record ({label}): {record!r:.120}")
         schema, kind = record["schema"], record["kind"]
         self.published += 1
         key = (schema, kind)

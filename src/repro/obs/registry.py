@@ -1,4 +1,4 @@
-"""The central schema registry: one authority for every record plane.
+"""The schema table: every record plane's tag and kinds, and the one rule.
 
 The only module that names a schema tag or a kind set.  Five planes:
 
@@ -14,10 +14,13 @@ schema                    record kinds
 ``repro.steering/1``      decision
 ========================  =======================================================
 
-The plane modules import their constants *from here*, so a schema bump
-happens in exactly one place, and :func:`make_record` is the one way any
-plane stamps a ``{"schema": ..., "kind": ...}`` record — the payload key
-order is preserved, which is what pins the byte format of every stream.
+:data:`SCHEMAS` maps each tag to its kind set, and :func:`screen` is the
+one judgement of whether a record is interpretable — the bus refuses what
+it labels, every reader skips or fails on it.  The plane modules import
+their constants *from here*, so a schema bump happens in exactly one
+place, and :func:`make_record` is the one way any plane stamps a
+``{"schema": ..., "kind": ...}`` record — the payload key order is
+preserved, which is what pins the byte format of every stream.
 
 This module deliberately imports nothing from :mod:`repro.telemetry` (the
 telemetry modules import *it*), so it can never participate in a cycle.
@@ -25,10 +28,8 @@ telemetry modules import *it*), so it can never participate in a cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Iterable
-
-from repro.errors import ConfigError
+from types import MappingProxyType
+from typing import Any, Mapping
 
 # -- schema tags (bump on layout change) -------------------------------------------
 
@@ -48,15 +49,7 @@ HEALTH_SCHEMA = "repro.health/1"
 #: adaptive-steering decision journal entries
 STEERING_SCHEMA = "repro.steering/1"
 
-# -- per-schema kind sets ----------------------------------------------------------
-
-TELEMETRY_KINDS = frozenset(
-    {"span", "instant", "counter", "gauge", "histogram", "flow"}
-)
-
-HOSTPROF_KINDS = frozenset({"meta", "timer", "count", "span", "gc", "process"})
-
-METRICS_KINDS = frozenset({"window", "phase", "run_summary"})
+# -- alert kinds (the health plane's kind set) -------------------------------------
 
 #: Kinds raised by the health monitor's *windowed* detectors — conditions
 #: that persist while their window statistic stays above threshold.  These
@@ -100,123 +93,52 @@ HEALTH_KINDS = frozenset(
     | {kind + CLEARED_SUFFIX for kind in WINDOWED_ALERT_KINDS}
 )
 
-STEERING_KINDS = frozenset({"decision"})
-
 #: Record keys tried, in order, when a consumer needs "the" virtual
 #: timestamp of a record (``repro.obs tail --since`` and friends).
 TIME_KEYS = ("t_detect", "t", "t1", "t0", "t1_s", "t0_s")
 
 
-@dataclass(frozen=True)
-class SchemaSpec:
-    """One registered record plane: its tag, kinds, and provenance."""
+#: The five record planes: each tag and its kind set.  Read-only — a
+#: record is interpretable when :func:`screen` finds its tag and kind here.
+SCHEMAS: Mapping[str, frozenset[str]] = MappingProxyType(
+    {
+        TELEMETRY_SCHEMA: frozenset(
+            {"span", "instant", "counter", "gauge", "histogram", "flow"}
+        ),
+        HOSTPROF_SCHEMA: frozenset({"meta", "timer", "count", "span", "gc", "process"}),
+        METRICS_SCHEMA: frozenset({"window", "phase", "run_summary"}),
+        HEALTH_SCHEMA: HEALTH_KINDS,
+        STEERING_SCHEMA: frozenset({"decision"}),
+    }
+)
 
-    name: str  # e.g. "repro.telemetry/1"
-    kinds: frozenset[str]
-    description: str = ""
-
-    def __post_init__(self) -> None:
-        if "/" not in self.name:
-            raise ConfigError(
-                f"schema tag {self.name!r} must look like 'family/version'"
-            )
-        if not self.kinds:
-            raise ConfigError(f"schema {self.name!r} registered with no kinds")
-
-
-class SchemaRegistry:
-    """Registry of every record plane a bus or reader may encounter."""
-
-    def __init__(self, specs: Iterable[SchemaSpec] = ()):
-        self._specs: dict[str, SchemaSpec] = {}
-        for spec in specs:
-            self.register(spec)
-
-    def register(self, spec: SchemaSpec) -> SchemaSpec:
-        if spec.name in self._specs:
-            raise ConfigError(f"schema {spec.name!r} already registered")
-        self._specs[spec.name] = spec
-        return spec
-
-    def get(self, name: str) -> SchemaSpec:
-        try:
-            return self._specs[name]
-        except KeyError:
-            raise ConfigError(
-                f"unknown schema {name!r}; known: {', '.join(self.known())}"
-            ) from None
-
-    def known(self) -> tuple[str, ...]:
-        """Every registered schema tag, sorted."""
-        return tuple(sorted(self._specs))
-
-    def __contains__(self, name: object) -> bool:
-        return name in self._specs
-
-    def kinds_for(self, name: str) -> frozenset[str]:
-        return self.get(name).kinds
-
-    def validate(self, record: Any) -> SchemaSpec:
-        """Check one record against the registry; returns its spec.
-
-        Raises :class:`ConfigError` on anything a downstream consumer could
-        not safely render: a non-dict record, a missing or unregistered
-        ``schema`` tag, or a ``kind`` outside the schema's kind set.
-        """
-        if not isinstance(record, dict):
-            raise ConfigError(
-                f"observability record must be a dict, got {type(record).__name__}"
-            )
-        schema = record.get("schema")
-        if not isinstance(schema, str):
-            raise ConfigError(f"record carries no schema tag: {record!r:.120}")
-        spec = self.get(schema)
-        kind = record.get("kind")
-        if not isinstance(kind, str) or kind not in spec.kinds:
-            raise ConfigError(
-                f"schema {schema!r} has no record kind {kind!r} "
-                f"(known: {', '.join(sorted(spec.kinds))})"
-            )
-        return spec
+#: One line per plane, as ``python -m repro.obs schemas`` prints it.
+_DESCRIPTIONS = {
+    TELEMETRY_SCHEMA: "virtual-time spans, counters, gauges, histograms, flows",
+    HOSTPROF_SCHEMA: "host-time self-profiling (wall-clock timers, GC, RSS)",
+    METRICS_SCHEMA: "time-resolved POP efficiency windows and phases",
+    HEALTH_SCHEMA: "online health alerts (raised and cleared)",
+    STEERING_SCHEMA: "adaptive-steering decision journal",
+}
 
 
-def default_registry() -> SchemaRegistry:
-    """A fresh registry pre-loaded with all five built-in record planes."""
-    return SchemaRegistry(
-        [
-            SchemaSpec(
-                TELEMETRY_SCHEMA,
-                TELEMETRY_KINDS,
-                "virtual-time spans, counters, gauges, histograms, flows",
-            ),
-            SchemaSpec(
-                HOSTPROF_SCHEMA,
-                HOSTPROF_KINDS,
-                "host-time self-profiling (wall-clock timers, GC, RSS)",
-            ),
-            SchemaSpec(
-                METRICS_SCHEMA,
-                METRICS_KINDS,
-                "time-resolved POP efficiency windows and phases",
-            ),
-            SchemaSpec(
-                HEALTH_SCHEMA,
-                HEALTH_KINDS,
-                "online health alerts (raised and cleared)",
-            ),
-            SchemaSpec(
-                STEERING_SCHEMA,
-                STEERING_KINDS,
-                "adaptive-steering decision journal",
-            ),
-        ]
-    )
+def screen(record: Any) -> str | None:
+    """None if a consumer can interpret ``record``, else the label to count it under.
 
-
-#: The shared default registry (the five built-in planes).  Callers that
-#: grow private schemas should build their own via :func:`default_registry`
-#: and :meth:`SchemaRegistry.register` rather than mutating this one.
-REGISTRY = default_registry()
+    Interpretable is a dict whose ``schema`` is a key of :data:`SCHEMAS`
+    and whose ``kind`` is in that schema's set.  The label is the foreign
+    tag, ``"<missing>"``, or ``"<schema>:<kind>"``.
+    """
+    tag = record.get("schema") if isinstance(record, dict) else None
+    if not isinstance(tag, str):
+        return "<missing>"
+    kinds = SCHEMAS.get(tag)
+    if kinds is None:
+        return tag
+    kind = record.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        return f"{tag}:{kind if isinstance(kind, str) else '<missing>'}"
+    return None
 
 
 def make_record(schema: str, kind: str, **payload: Any) -> dict[str, Any]:

@@ -169,15 +169,6 @@ class FlowRecord:
             prev = t
         return out
 
-    def last_stamp(self) -> tuple[str, float]:
-        """The furthest hop reached: ``(stamp name, time)``."""
-        last = ("t_seal", self.t_seal)
-        for stamp in _STAMPS[1:]:
-            t = getattr(self, stamp)
-            if t is not None:
-                last = (stamp, t)
-        return last
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "flow_id": self.flow_id,

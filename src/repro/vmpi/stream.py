@@ -25,7 +25,7 @@ Failure tolerance (this layer's extensions, all pay-for-what-you-use):
 
 * ``write_timeout`` arms a bounded retry loop around output-buffer
   acquisition: each expiry counts a timeout, retries back off exponentially
-  (``backoff_factor``), and after ``max_retries`` the ``overflow`` policy
+  (each wait twice the last), and after ``max_retries`` the ``overflow`` policy
   decides — keep blocking (:data:`OVERFLOW_BLOCK`), discard the new block
   (:data:`OVERFLOW_DROP_NEWEST`), or reclaim the oldest still-unmatched
   in-flight block (:data:`OVERFLOW_DROP_OLDEST`).  With ``write_timeout``
@@ -82,6 +82,9 @@ OVERFLOW_DROP_OLDEST = "drop-oldest"
 
 _VALID_OVERFLOW = (OVERFLOW_BLOCK, OVERFLOW_DROP_NEWEST, OVERFLOW_DROP_OLDEST)
 
+#: growth of the bounded-retry wait per attempt: ``write_timeout * 2**attempt``
+_BACKOFF_FACTOR = 2.0
+
 _TAG_STREAM_BASE = 800_000
 
 #: payload marker of a close message
@@ -122,7 +125,6 @@ class VMPIStream:
         channel: int = 0,
         write_timeout: float | None = None,
         max_retries: int = 3,
-        backoff_factor: float = 2.0,
         overflow: str = OVERFLOW_BLOCK,
     ):
         if block_size <= 0:
@@ -137,8 +139,6 @@ class VMPIStream:
             raise VMPIError(f"write_timeout must be > 0, got {write_timeout}")
         if max_retries < 0:
             raise VMPIError(f"max_retries must be >= 0, got {max_retries}")
-        if backoff_factor < 1.0:
-            raise VMPIError(f"backoff_factor must be >= 1, got {backoff_factor}")
         if overflow not in _VALID_OVERFLOW:
             raise VMPIError(f"unknown overflow policy {overflow!r}")
         self.block_size = block_size
@@ -147,7 +147,6 @@ class VMPIStream:
         self.channel = channel
         self.write_timeout = write_timeout
         self.max_retries = max_retries
-        self.backoff_factor = backoff_factor
         self.overflow = overflow
         self.mode: str | None = None
         self.endpoints: list[int] = []  # peer global ranks
@@ -390,7 +389,7 @@ class VMPIStream:
         t_enter = kernel.now
         attempt = 0
         while True:
-            wait = self.write_timeout * (self.backoff_factor ** attempt)
+            wait = self.write_timeout * (_BACKOFF_FACTOR ** attempt)
             yield kernel.any_of([slot_ev, kernel.timeout(wait)])
             if slot_ev.triggered:
                 if attempt > 0:

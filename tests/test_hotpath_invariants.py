@@ -676,3 +676,38 @@ def test_flags_a_second_observer_clock_or_ring(tmp_path, rel, source, what):
 def test_the_clock_owners_and_the_subscribers_are_allowed(tmp_path, rel, source):
     _write(tmp_path, rel, source)
     assert check_tree(tmp_path) == []
+
+
+# -- rule 10: one schema table -------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rel, source",
+    [
+        ("repro/telemetry/popmetrics.py", 'METRICS_SCHEMA = "repro.pop-metrics/1"\n'),
+        ("repro/bench/obs.py", 'rows = {"repro.telemetry/2": 0}\n'),
+        ("repro/obs/archive.py", 'def tagged(r):\n    return r["schema"] == "repro.health/1"\n'),
+    ],
+)
+def test_flags_a_schema_tag_spelled_outside_the_registry(tmp_path, rel, source):
+    _write(tmp_path, rel, source)
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1, problems
+    assert rel in problems[0] and "schema tag" in problems[0]
+    assert "repro.obs.registry" in problems[0]
+
+
+@pytest.mark.parametrize(
+    "rel, source",
+    [
+        ("repro/obs/registry.py", 'TELEMETRY_SCHEMA = "repro.telemetry/1"\n'),
+        # Prose that mentions a tag is not a tag literal.
+        ("repro/obs/__main__.py", '"""Tail it: python -m repro.obs tail run.ndjson --schema repro.health/1"""\n'),
+        ("repro/obs/sinks.py", 'HELP = "keep only this schema tag, e.g. repro.health/1"\n'),
+        # Other slash-versioned strings are not schema tags.
+        ("repro/bench/obs.py", 'FORMAT = "evf/2"\nMODULE = "repro.obs"\n'),
+    ],
+)
+def test_the_registry_and_prose_may_name_a_tag(tmp_path, rel, source):
+    _write(tmp_path, rel, source)
+    assert check_tree(tmp_path) == []

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import socket
 import tempfile
 import threading
@@ -20,12 +21,11 @@ from repro.obs import (
     HEALTH_SCHEMA,
     METRICS_SCHEMA,
     ObservabilityBus,
-    REGISTRY,
     RingSink,
+    SCHEMAS,
     STEERING_SCHEMA,
     TELEMETRY_SCHEMA,
     TailServer,
-    default_registry,
     iter_archive,
     iter_ndjson,
     make_record,
@@ -34,7 +34,7 @@ from repro.obs import (
     record_time,
 )
 from repro.obs.__main__ import main as obs_main
-from repro.obs.archive import screen
+from repro.obs.registry import screen
 
 pytestmark = pytest.mark.obs
 
@@ -48,39 +48,34 @@ def _window(t1=1.0, **extra):
 
 class TestRegistry:
     def test_all_five_schemas_registered(self):
-        names = REGISTRY.known()
-        assert set(names) == {
+        assert set(SCHEMAS) == {
             TELEMETRY_SCHEMA,
             "repro.hostprof/1",
             METRICS_SCHEMA,
             HEALTH_SCHEMA,
             STEERING_SCHEMA,
         }
+        assert all(isinstance(kinds, frozenset) and kinds for kinds in SCHEMAS.values())
+        with pytest.raises(TypeError):
+            SCHEMAS["acme.metrics/9"] = frozenset({"blob"})  # read-only table
 
     def test_windowed_alert_kinds_pair_with_cleared_kinds(self):
         from repro.obs.registry import CLEARED_SUFFIX, WINDOWED_ALERT_KINDS
 
-        health = REGISTRY.kinds_for(HEALTH_SCHEMA)
+        health = SCHEMAS[HEALTH_SCHEMA]
         for kind in WINDOWED_ALERT_KINDS:
             assert kind in health and kind + CLEARED_SUFFIX in health
         cleared = {k for k in health if k.endswith(CLEARED_SUFFIX)}
         assert len(cleared) == len(WINDOWED_ALERT_KINDS)  # and only those
 
     def test_unknown_schema_lists_known(self):
+        assert "repro.nonesuch/1" not in SCHEMAS
         with pytest.raises(ConfigError, match="repro.telemetry/1"):
-            REGISTRY.get("repro.nonesuch/1")
+            ObservabilityBus().add_sink(RingSink(8), schemas=["repro.nonesuch/1"])
 
     def test_make_record_key_order(self):
         record = make_record(METRICS_SCHEMA, "window", b=1, a=2)
         assert list(record) == ["schema", "kind", "b", "a"]
-
-    def test_validate_rejects_wrong_shapes(self):
-        with pytest.raises(ConfigError):
-            REGISTRY.validate(["not", "a", "dict"])
-        with pytest.raises(ConfigError):
-            REGISTRY.validate({"kind": "window"})  # no schema
-        with pytest.raises(ConfigError):
-            REGISTRY.validate(make_record(METRICS_SCHEMA, "nonesuch"))
 
     def test_record_time_priority(self):
         assert record_time({"t_detect": 3.0, "t": 1.0}) == 3.0
@@ -448,28 +443,73 @@ class TestArchive:
             list(iter_archive([tmp_path / "nope"]))
 
 
+# (record, the label screen gives it, the ConfigError ObservabilityBus.publish
+# raised for it while the bus ran a second copy of the rule).  The last
+# column is history: publish now names the label instead.
+_REFUSALS = [
+    (
+        {"schema": "acme.metrics/9", "kind": "blob"},
+        "acme.metrics/9",
+        "unknown schema 'acme.metrics/9'; known: repro.health/1, repro.hostprof/1, "
+        "repro.pop-metrics/1, repro.steering/1, repro.telemetry/1",
+    ),
+    ({"kind": "window"}, "<missing>", "record carries no schema tag: {'kind': 'window'}"),
+    (
+        {"schema": 7, "kind": "window"},
+        "<missing>",
+        "record carries no schema tag: {'schema': 7, 'kind': 'window'}",
+    ),
+    ([1, 2], "<missing>", "observability record must be a dict, got list"),
+    (None, "<missing>", "observability record must be a dict, got NoneType"),
+    (
+        {"schema": METRICS_SCHEMA},
+        "repro.pop-metrics/1:<missing>",
+        "schema 'repro.pop-metrics/1' has no record kind None (known: phase, run_summary, window)",
+    ),
+    (
+        {"schema": METRICS_SCHEMA, "kind": ["window"]},
+        "repro.pop-metrics/1:<missing>",
+        "schema 'repro.pop-metrics/1' has no record kind ['window'] "
+        "(known: phase, run_summary, window)",
+    ),
+    (
+        {"schema": METRICS_SCHEMA, "kind": "span"},
+        "repro.pop-metrics/1:span",
+        "schema 'repro.pop-metrics/1' has no record kind 'span' "
+        "(known: phase, run_summary, window)",
+    ),
+]
+
+
+def _assert_publish_agrees_with_screen(record):
+    """The bus refuses exactly what screen labels, names the label, counts it."""
+    bus = ObservabilityBus()
+    label = screen(record)
+    if label is None:
+        bus.publish(record)
+        assert (bus.published, bus.rejected) == (1, 0)
+        return
+    with pytest.raises(ConfigError, match=re.escape(f"({label})")):
+        bus.publish(record)
+    assert (bus.published, bus.rejected) == (0, 1)
+
+
 class TestScreen:
     def test_accepts_what_the_bus_accepts(self):
         assert screen(_window()) is None
         assert screen(make_record(HEALTH_SCHEMA, "stream_stall.cleared")) is None
 
-    @pytest.mark.parametrize(
-        "record, label",
-        [
-            ({"schema": "acme.metrics/9", "kind": "blob"}, "acme.metrics/9"),
-            ({"kind": "window"}, "<missing>"),
-            ({"schema": 7, "kind": "window"}, "<missing>"),
-            ([1, 2], "<missing>"),
-            (None, "<missing>"),
-            ({"schema": METRICS_SCHEMA}, "repro.pop-metrics/1:<missing>"),
-            ({"schema": METRICS_SCHEMA, "kind": ["window"]}, "repro.pop-metrics/1:<missing>"),
-            ({"schema": METRICS_SCHEMA, "kind": "span"}, "repro.pop-metrics/1:span"),
-        ],
-    )
+    @pytest.mark.parametrize("record, label", [case[:2] for case in _REFUSALS])
     def test_labels_what_it_refuses(self, record, label):
         assert screen(record) == label
-        with pytest.raises(ConfigError):
-            REGISTRY.validate(record)
+        _assert_publish_agrees_with_screen(record)
+
+    @pytest.mark.parametrize("record, label, before", _REFUSALS)
+    def test_publish_error_now_names_the_label(self, record, label, before):
+        with pytest.raises(ConfigError) as excinfo:
+            ObservabilityBus().publish(record)
+        assert str(excinfo.value) == f"uninterpretable record ({label}): {record!r:.120}"
+        assert str(excinfo.value) != before
 
 
 # Lines a hostile or half-written archive can hold.  The readers owe the
@@ -480,7 +520,7 @@ _json_values = st.recursive(
     | st.dictionaries(st.text(max_size=4), inner, max_size=3),
     max_leaves=6,
 )
-_tags = st.sampled_from([*REGISTRY.known(), "acme.metrics/9", "", "repro.telemetry/2"])
+_tags = st.sampled_from([*sorted(SCHEMAS), "acme.metrics/9", "", "repro.telemetry/2"])
 _kinds = st.sampled_from(["window", "span", "decision", "stream_stall", "meta", "nope"])
 _lines = st.one_of(
     _json_values.map(json.dumps),
@@ -517,6 +557,32 @@ class TestHostileArchives:
             ):
                 assert obs_main(["summary", str(path)]) in (0, 1)
                 assert obs_main(["tail", str(path)]) in (0, 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(line=_lines)
+    def test_publish_refuses_exactly_what_screen_labels(self, line):
+        try:
+            record = json.loads(line)
+        except ValueError:
+            return  # not a record at all: no reader hands it to anyone
+        _assert_publish_agrees_with_screen(record)
+
+
+# ``python -m repro.obs schemas`` as printed while a registry object held the
+# table; the output is a contract and must not move by a byte.
+_SCHEMAS_STDOUT = "\n".join(
+    [
+        'Registered schemas',
+        'schema               kinds                                                                                                                                                                                                                                                                                                                                                                                                   description                                            ',
+        '-------------------  ------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------------  -------------------------------------------------------',
+        '     repro.health/1  analyzer_crash, analyzer_failover, analyzer_stall, backlog_growth, backlog_growth.cleared, critical_path, critical_path.cleared, link_degraded, load_imbalance, load_imbalance.cleared, message_rate, pack_checksum_reject, pack_corruption, pack_drop, silence, stream_overflow_drop, stream_stall, stream_stall.cleared, stream_write_timeout, waiting, worker_starvation, worker_starvation.cleared                online health alerts (raised and cleared)',
+        '   repro.hostprof/1                                                                                                                                                                                                                                                                                                                                                                   count, gc, meta, process, span, timer    host-time self-profiling (wall-clock timers, GC, RSS)',
+        'repro.pop-metrics/1                                                                                                                                                                                                                                                                                                                                                                              phase, run_summary, window          time-resolved POP efficiency windows and phases',
+        '   repro.steering/1                                                                                                                                                                                                                                                                                                                                                                                                decision                       adaptive-steering decision journal',
+        '  repro.telemetry/1                                                                                                                                                                                                                                                                                                                                                          counter, flow, gauge, histogram, instant, span  virtual-time spans, counters, gauges, histograms, flows',
+        '',
+    ]
+)
 
 
 class TestCli:
@@ -591,9 +657,7 @@ class TestCli:
 
     def test_schemas_lists_registry(self, capsys):
         assert obs_main(["schemas"]) == 0
-        out = capsys.readouterr().out
-        for name in default_registry().known():
-            assert name in out
+        assert capsys.readouterr().out == _SCHEMAS_STDOUT
 
     def test_error_exit_code(self, tmp_path, capsys):
         assert obs_main(["query", str(tmp_path / "nope")]) == 1
