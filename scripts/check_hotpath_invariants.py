@@ -2,9 +2,9 @@
 """Hot-path invariant lint: clock discipline, zero-copy decode, loop-free codec,
 lean per-event functions, one derivation per pack, observers paid per read,
 pure delays as floats, host-time profiling from outside, one observer clock,
-one schema table.
+one schema table, analysis state keyed by the ranks seen.
 
-Ten structural rules the hot-path refactors rely on, enforced over the
+Eleven structural rules the hot-path refactors rely on, enforced over the
 AST so comments and strings never trip them:
 
 1. **Clock discipline** — ``time.perf_counter`` (and its ``_ns``
@@ -108,6 +108,17 @@ AST so comments and strings never trip them:
     judges every record against the same table (DESIGN 13).  Prose that
     mentions a tag inside a longer string (a docstring, help text) is not
     a tag literal.
+
+11. **Analysis state keyed by the ranks seen** — under ``analysis/`` no
+    ``np.zeros`` / ``np.full`` / ``np.empty`` / ``np.ones`` call sized by
+    ``app_size`` sits in an ``__init__``, ``update`` or ``merge``: every
+    analyzer rank runs those, and a vector over all application ranks there
+    makes analysis memory O(analyzer ranks x application ranks) where each
+    rank serves a few.  Per-rank state is a dict keyed by the ranks seen;
+    the vector over every rank is built in a query method, on the root
+    (DESIGN 14).  When the tree holds the analysis package, each module of
+    ``RANK_KEYED_MODULES`` must exist: a listed module that is gone is
+    itself a violation, so a rename cannot retire the rule silently.
 
 Exit status 0 when clean; 1 with one ``path:line: message`` per
 violation otherwise.  Run from the repository root::
@@ -219,6 +230,16 @@ ANALYSIS_PACKAGE = Path("repro") / "analysis"
 
 #: the one module allowed to derive the shared columns
 BATCH_MODULE = ANALYSIS_PACKAGE / "batch.py"
+
+#: the modules holding per-rank analysis state (rule 11)
+RANK_KEYED_MODULES = frozenset(
+    ANALYSIS_PACKAGE / f"{name}.py"
+    for name in ("profiler", "topology", "density", "waitstate", "otf2proxy", "alerts", "latesender")
+)
+
+#: the methods every analyzer rank runs, and the allocators of a dense vector
+STATE_METHODS = frozenset({"__init__", "update", "merge"})
+DENSE_ALLOCATORS = frozenset({"zeros", "full", "empty", "ones"})
 
 #: reductions that walk a container when given one argument
 _CONTAINER_REDUCTIONS = frozenset({"sum", "min", "max"})
@@ -477,6 +498,26 @@ def _check_batch_float_sums(tree: ast.AST, rel: Path) -> list[str]:
     return problems
 
 
+def _check_rank_keyed_state(tree: ast.AST, rel: Path) -> list[str]:
+    """Flag a vector over every application rank built in a state method."""
+    problems = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name not in STATE_METHODS:
+            continue
+        for node in ast.walk(fn):
+            attr = _called_attr(node)
+            if attr not in DENSE_ALLOCATORS or not _mentions(node.func.value, "np"):
+                continue
+            shape = [*node.args[:1], *(kw.value for kw in node.keywords if kw.arg == "shape")]
+            if any(_mentions(arg, "app_size") for arg in shape):
+                problems.append(
+                    f"{rel}:{node.lineno}: np.{attr}() sized by app_size inside "
+                    f"{fn.name}() — key per-rank state by the ranks seen and build "
+                    "the vector over every rank in a query method"
+                )
+    return problems
+
+
 def _check_dispatch_loop(tree: ast.AST, rel: Path) -> list[str]:
     """Flag per-event instrument writes in ``Kernel._dispatch``'s loop."""
     problems = []
@@ -636,8 +677,10 @@ def _check_per_call_records(tree: ast.AST, rel: Path, wanted: set[str]) -> list[
 def check_tree(src_root: Path) -> list[str]:
     """All invariant violations under ``src_root`` (a ``src/`` directory)."""
     problems = []
+    seen = set()
     for path in sorted(src_root.rglob("*.py")):
         rel = path.relative_to(src_root)
+        seen.add(rel)
         tree = ast.parse(path.read_text(), filename=str(path))
         if rel != CLOCK_OWNER:
             problems.extend(_check_clock_discipline(tree, rel))
@@ -655,6 +698,7 @@ def check_tree(src_root: Path) -> list[str]:
             problems.extend(_check_per_call_records(tree, rel, PER_CALL_RECORDS[rel]))
         if ANALYSIS_PACKAGE in rel.parents:
             problems.extend(_check_analysis_updates(tree, rel))
+            problems.extend(_check_rank_keyed_state(tree, rel))
         if rel == BATCH_MODULE:
             problems.extend(_check_batch_float_sums(tree, rel))
         if len(rel.parts) > 2 and rel.parts[0] == "repro" and rel.parts[1] in SIMULATION_PACKAGES:
@@ -663,6 +707,12 @@ def check_tree(src_root: Path) -> list[str]:
             problems.extend(_check_one_observer_clock(tree, rel))
             if rel != SCHEMA_OWNER:
                 problems.extend(_check_schema_tags(tree, rel))
+    if ANALYSIS_PACKAGE / "__init__.py" in seen:
+        problems.extend(
+            f"{rel}:1: rank-keyed analysis module not found — update "
+            "RANK_KEYED_MODULES if it moved or was renamed"
+            for rel in sorted(RANK_KEYED_MODULES - seen)
+        )
     return problems
 
 
@@ -681,7 +731,8 @@ def main(argv: list[str]) -> int:
         "hot-path invariants hold (clock discipline, zero-copy decode, "
         "loop-free codec, lean per-event functions, one derivation per pack, "
         "observers paid per read, pure delays as floats, host time profiled "
-        "from outside, one observer clock, one schema table)"
+        "from outside, one observer clock, one schema table, analysis state "
+        "keyed by the ranks seen)"
     )
     return 0
 

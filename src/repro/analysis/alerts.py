@@ -29,7 +29,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.analysis.batch import BLOCKING_CALLS, SEND_CALLS, EventBatch
+from repro.analysis.batch import BLOCKING_CALLS, SEND_CALLS, EventBatch, per_rank
 from repro.errors import ConfigError, ReproError
 
 
@@ -131,8 +131,8 @@ class AlertMonitor:
         self.config = config or AlertConfig()
         self.router = router
         self.alerts: list[Alert] = []
-        self._last_event = np.zeros(app_size)
-        self._seen = np.zeros(app_size, dtype=bool)
+        # rank -> latest event end seen (its keys: the ranks seen)
+        self._last_event: dict[int, float] = {}
         # Per (rank, kind) dedup so one condition raises once per window.
         self._raised_until: dict[tuple[int, str], float] = {}
 
@@ -148,8 +148,7 @@ class AlertMonitor:
         new: list[Alert] = []
         cfg = self.config
         t_hi = batch.t1
-        self._seen[rank] = True
-        self._last_event[rank] = max(self._last_event[rank], t_hi)
+        self._last_event[rank] = max(self._last_event.get(rank, 0.0), t_hi)
         span = max(t_hi - batch.t0, 1e-12)
 
         call = batch.call
@@ -170,9 +169,7 @@ class AlertMonitor:
     def finalize(self, t_end: float) -> list[Alert]:
         """Closing pass: silence detection against the app end time."""
         new: list[Alert] = []
-        for rank in range(self.app_size):
-            if not self._seen[rank]:
-                continue
+        for rank in sorted(self._last_event):
             silence = t_end - self._last_event[rank]
             if silence > self.config.silence_threshold:
                 new += self._raise(
@@ -203,8 +200,19 @@ class AlertMonitor:
         if other.app != self.app or other.app_size != self.app_size:
             raise ReproError("merging alert monitors of different applications")
         self.alerts.extend(other.alerts)
-        np.maximum(self._last_event, other._last_event, out=self._last_event)
-        self._seen |= other._seen
+        for rank, t in other._last_event.items():
+            self._last_event[rank] = max(self._last_event.get(rank, 0.0), t)
+
+    @property
+    def last_event(self) -> np.ndarray:
+        """Latest event end per application rank (0.0 where none was seen)."""
+        return per_rank(self.app_size, self._last_event)
+
+    @property
+    def seen(self) -> np.ndarray:
+        """Which application ranks have sent a non-empty batch."""
+        seen = dict.fromkeys(self._last_event, True)
+        return per_rank(self.app_size, seen, fill=False, dtype=bool)
 
     def by_kind(self) -> dict[str, int]:
         out: dict[str, int] = {}

@@ -12,12 +12,15 @@ durations contiguous and in arrival order, so ``.sum()`` on that slice walks
 the same elements through numpy's same pairwise tree.  ``np.add.reduceat`` and
 ``np.bincount(weights=)`` add sequentially — different rounding — and are
 therefore used for the integer and min/max columns only (DESIGN 14).
+
+Module state is keyed by the ranks an analyzer rank has seen; :func:`per_rank`
+is the one way back to a vector over the whole application, built on query.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -34,6 +37,24 @@ def call_lut(call_ids: Iterable[int]) -> np.ndarray:
     lut[np.fromiter(call_ids, dtype=np.intp)] = True
     lut.setflags(write=False)
     return lut
+
+
+def per_rank(
+    size: int, cells: dict[int, Any], field: int | None = None, fill: Any = 0.0, dtype=float
+) -> np.ndarray:
+    """Read-only vector over ``size`` ranks of ``cells[rank][field]``
+    (``cells[rank]`` when ``field`` is None), ``fill`` for unseen ranks.
+
+    ``fill`` is the value a module's first contribution meets (``0.0`` for a
+    sum, ``inf`` for a min), so the vector holds the bits a dense
+    accumulator would have.
+    """
+    vec = np.full(size, fill, dtype=dtype)
+    if cells:
+        values = cells.values() if field is None else [c[field] for c in cells.values()]
+        vec[np.fromiter(cells, dtype=np.intp, count=len(cells))] = list(values)
+    vec.flags.writeable = False
+    return vec
 
 
 #: call classes more than one module asks about, built once per process

@@ -5,6 +5,9 @@ application ranks — hits, total time and total size — "useful to identify
 spatial imbalances".  Maps can be rendered as 2D ASCII heat grids when the
 application's rank layout is a square/rectangular mesh (as the paper's PNG
 density maps are).
+
+State is keyed by call and then by the ranks seen; the vectors over every
+application rank are built on query.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ import math
 
 import numpy as np
 
-from repro.analysis.batch import EventBatch
+from repro.analysis.batch import EventBatch, per_rank
 from repro.errors import ReproError
 from repro.instrument.events import CALL_IDS, CALL_NAMES
 
@@ -28,19 +31,17 @@ class DensityMaps:
             raise ReproError(f"app_size must be > 0, got {app_size}")
         self.app = app
         self.app_size = app_size
-        # call id -> metric -> vector over ranks
-        self.maps: dict[int, dict[str, np.ndarray]] = {}
+        # call id -> rank -> [hits, time, size]
+        self.cells: dict[int, dict[int, list[float]]] = {}
 
-    def _vectors(self, call: int) -> dict[str, np.ndarray]:
-        entry = self.maps.get(call)
-        if entry is None:
-            entry = {
-                "hits": np.zeros(self.app_size),
-                "time": np.zeros(self.app_size),
-                "size": np.zeros(self.app_size),
-            }
-            self.maps[call] = entry
-        return entry
+    def _cell(self, call: int, rank: int) -> list[float]:
+        ranks = self.cells.get(call)
+        if ranks is None:
+            ranks = self.cells[call] = {}
+        cell = ranks.get(rank)
+        if cell is None:
+            cell = ranks[rank] = [0.0, 0.0, 0.0]
+        return cell
 
     # -- accumulation --------------------------------------------------------------
 
@@ -48,20 +49,33 @@ class DensityMaps:
         if not (0 <= rank < self.app_size):
             raise ReproError(f"batch from rank {rank} outside app of {self.app_size}")
         for call, hits, time, nbytes, _d_min, _d_max in EventBatch.of(events).groups:
-            vecs = self._vectors(call)
-            vecs["hits"][rank] += hits
-            vecs["time"][rank] += time
-            vecs["size"][rank] += float(nbytes)
+            cell = self._cell(call, rank)
+            cell[0] += hits
+            cell[1] += time
+            cell[2] += float(nbytes)
 
     def merge(self, other: "DensityMaps") -> None:
         if other.app != self.app or other.app_size != self.app_size:
             raise ReproError("merging density maps of different applications")
-        for call, vecs in other.maps.items():
-            mine = self._vectors(call)
-            for metric in self.METRICS:
-                mine[metric] += vecs[metric]
+        for call, ranks in other.cells.items():
+            for rank, (hits, time, size) in ranks.items():
+                cell = self._cell(call, rank)
+                cell[0] += hits
+                cell[1] += time
+                cell[2] += size
 
     # -- queries -----------------------------------------------------------------------
+
+    @property
+    def maps(self) -> dict[int, dict[str, np.ndarray]]:
+        """call id -> metric -> vector over every application rank."""
+        return {
+            call: {
+                metric: per_rank(self.app_size, ranks, i)
+                for i, metric in enumerate(self.METRICS)
+            }
+            for call, ranks in self.cells.items()
+        }
 
     def map_for(self, call_name: str, metric: str = "hits") -> np.ndarray:
         """The per-rank vector for one call/metric (zeros if never seen)."""
@@ -74,10 +88,7 @@ class DensityMaps:
             if prefix != "call" or not digits.isdigit():
                 raise ReproError(f"unknown call name {call_name!r}")
             call = int(digits)
-        vecs = self.maps.get(call)
-        if vecs is None:
-            return np.zeros(self.app_size)
-        return vecs[metric].copy()
+        return per_rank(self.app_size, self.cells.get(call, {}), self.METRICS.index(metric))
 
     def aggregate(self, call_names: list[str], metric: str) -> np.ndarray:
         """Sum of maps over several calls (e.g. all collectives)."""
@@ -96,7 +107,7 @@ class DensityMaps:
 
     def calls_seen(self) -> list[str]:
         return sorted(
-            CALL_NAMES[c] if c < len(CALL_NAMES) else f"call#{c}" for c in self.maps
+            CALL_NAMES[c] if c < len(CALL_NAMES) else f"call#{c}" for c in self.cells
         )
 
     # -- rendering ------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from repro.analysis.batch import SEND_CALLS, EventBatch, call_lut
+from repro.analysis.batch import SEND_CALLS, EventBatch, call_lut, per_rank
 from repro.errors import ReproError
 from repro.instrument.events import CALL_IDS
 
@@ -54,8 +54,7 @@ class LateSenderAnalysis:
         self.matched_pairs = 0
         self.unmatched_sends = 0
         self.unmatched_recvs = 0
-        self.late_send_time = np.zeros(app_size)  # indexed by receiver rank
-        self.late_send_count = np.zeros(app_size, dtype=np.int64)
+        self.late: dict[int, list] = {}  # receiver rank -> [late time, pairs]
         self._finalized = False
 
     # -- local phase ---------------------------------------------------------------
@@ -128,15 +127,17 @@ class LateSenderAnalysis:
             self.matched_pairs += npairs
             self.unmatched_sends += len(send_times) - npairs
             self.unmatched_recvs += len(recv_times) - npairs
-            receiver = channel[1]
+            if not npairs:
+                continue
+            cell = self._cell(channel[1])
             for i in range(npairs):
                 # The receive completed at recv_times[i]; if the send only
                 # *started* close to that completion, the receiver idled.
                 lateness = max(0.0, recv_times[i] - send_times[i])
                 # Transfer time is part of lateness here; what we attribute
                 # is the span between send start and receive completion.
-                self.late_send_time[receiver] += lateness
-                self.late_send_count[receiver] += 1
+                cell[0] += lateness
+            cell[1] += npairs
         for channel, recv_times in self.recvs.items():
             if channel not in self.sends:
                 self.unmatched_recvs += len(recv_times)
@@ -158,23 +159,41 @@ class LateSenderAnalysis:
         self.matched_pairs += other.matched_pairs
         self.unmatched_sends += other.unmatched_sends
         self.unmatched_recvs += other.unmatched_recvs
-        self.late_send_time += other.late_send_time
-        self.late_send_count += other.late_send_count
+        for rank, (time, count) in other.late.items():
+            cell = self._cell(rank)
+            cell[0] += time
+            cell[1] += count
+
+    def _cell(self, rank: int) -> list:
+        cell = self.late.get(rank)
+        if cell is None:
+            cell = self.late[rank] = [0.0, 0]
+        return cell
+
+    # -- results ---------------------------------------------------------------------------
+
+    @property
+    def late_send_time(self) -> np.ndarray:
+        """Late-sender time per receiving application rank."""
+        return per_rank(self.app_size, self.late, 0)
+
+    @property
+    def late_send_count(self) -> np.ndarray:
+        """Matched pairs per receiving application rank."""
+        return per_rank(self.app_size, self.late, 1, fill=0, dtype=np.int64)
 
     def summary(self) -> dict[str, float]:
+        late = self.late_send_time
         return {
             "matched_pairs": float(self.matched_pairs),
             "unmatched_sends": float(self.unmatched_sends),
             "unmatched_recvs": float(self.unmatched_recvs),
-            "late_time_total": float(self.late_send_time.sum()),
-            "late_time_max_rank": float(self.late_send_time.max()),
+            "late_time_total": float(late.sum()),
+            "late_time_max_rank": float(late.max()),
         }
 
     def worst_receivers(self, k: int = 5) -> list[tuple[int, float]]:
         """Ranks losing the most time to late senders."""
-        order = np.argsort(self.late_send_time)[::-1][:k]
-        return [
-            (int(r), float(self.late_send_time[r]))
-            for r in order
-            if self.late_send_time[r] > 0
-        ]
+        late = self.late_send_time
+        order = np.argsort(late)[::-1][:k]
+        return [(int(r), float(late[r])) for r in order if late[r] > 0]

@@ -2,7 +2,8 @@
 
 Reduces event batches to an ``mpiP``-style interface profile: hits, total /
 mean / min / max time, and byte volume per MPI call name, plus per-rank
-wall-clock estimates.  States merge across analyzer ranks.
+wall-clock estimates.  States merge across analyzer ranks; the per-rank
+part is keyed by the ranks seen and densified on query.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import math
 
 import numpy as np
 
-from repro.analysis.batch import EventBatch
+from repro.analysis.batch import EventBatch, per_rank
 from repro.errors import ReproError
 from repro.instrument.events import CALL_NAMES
 from repro.util.tables import Table
@@ -46,10 +47,8 @@ class MPIProfile:
         self.calls: dict[int, _CallStats] = {}
         self.events_total = 0
         self.bytes_total = 0
-        # Per-rank first/last event timestamps -> wall-time estimates.
-        self.rank_t0 = np.full(app_size, np.inf)
-        self.rank_t1 = np.zeros(app_size)
-        self.rank_events = np.zeros(app_size, dtype=np.int64)
+        # rank -> [first event t, last event t, events]: wall-time estimates
+        self.ranks: dict[int, list] = {}
 
     # -- accumulation ------------------------------------------------------------
 
@@ -63,9 +62,10 @@ class MPIProfile:
             return
         self.events_total += count
         self.bytes_total += batch.nbytes_total
-        self.rank_t0[rank] = min(self.rank_t0[rank], batch.t0)
-        self.rank_t1[rank] = max(self.rank_t1[rank], batch.t1)
-        self.rank_events[rank] += count
+        cell = self._cell(rank)
+        cell[0] = min(cell[0], batch.t0)
+        cell[1] = max(cell[1], batch.t1)
+        cell[2] += count
         calls = self.calls
         for call, hits, time, nbytes, d_min, d_max in batch.groups:
             stats = calls.get(call)
@@ -84,16 +84,37 @@ class MPIProfile:
             self.calls.setdefault(call, _CallStats()).merge(stats)
         self.events_total += other.events_total
         self.bytes_total += other.bytes_total
-        np.minimum(self.rank_t0, other.rank_t0, out=self.rank_t0)
-        np.maximum(self.rank_t1, other.rank_t1, out=self.rank_t1)
-        self.rank_events += other.rank_events
+        for rank, (t0, t1, events) in other.ranks.items():
+            cell = self._cell(rank)
+            cell[0] = min(cell[0], t0)
+            cell[1] = max(cell[1], t1)
+            cell[2] += events
+
+    def _cell(self, rank: int) -> list:
+        cell = self.ranks.get(rank)
+        if cell is None:
+            cell = self.ranks[rank] = [math.inf, 0.0, 0]
+        return cell
 
     # -- results ------------------------------------------------------------------
 
     @property
+    def rank_t0(self) -> np.ndarray:
+        return per_rank(self.app_size, self.ranks, 0, fill=math.inf)
+
+    @property
+    def rank_t1(self) -> np.ndarray:
+        return per_rank(self.app_size, self.ranks, 1)
+
+    @property
+    def rank_events(self) -> np.ndarray:
+        return per_rank(self.app_size, self.ranks, 2, fill=0, dtype=np.int64)
+
+    @property
     def walltime_estimate(self) -> float:
         """Max first-to-last event span across ranks."""
-        spans = self.rank_t1 - np.where(np.isfinite(self.rank_t0), self.rank_t0, 0.0)
+        t0 = self.rank_t0
+        spans = self.rank_t1 - np.where(np.isfinite(t0), t0, 0.0)
         valid = self.rank_events > 0
         return float(spans[valid].max()) if valid.any() else 0.0
 

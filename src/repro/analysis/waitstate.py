@@ -6,13 +6,17 @@ spends inside blocking/completion calls (``MPI_Wait``, ``MPI_Waitall``,
 ``MPI_Recv``, collectives) per rank, computes the waiting fraction of each
 rank's window, and flags *late-sender-like* imbalance: ranks whose waiting
 time exceeds the application mean by a configurable factor.
+
+State is keyed by the ranks seen; the per-rank vectors are built on query.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from repro.analysis.batch import BLOCKING_CALLS, EventBatch, call_lut
+from repro.analysis.batch import BLOCKING_CALLS, EventBatch, call_lut, per_rank
 from repro.errors import ReproError
 from repro.instrument.events import COLLECTIVE_CALLS
 
@@ -27,10 +31,8 @@ class WaitState:
             raise ReproError(f"app_size must be > 0, got {app_size}")
         self.app = app
         self.app_size = app_size
-        self.wait_time = np.zeros(app_size)
-        self.collective_time = np.zeros(app_size)
-        self.window_t0 = np.full(app_size, np.inf)
-        self.window_t1 = np.zeros(app_size)
+        # rank -> [wait time, collective time, window t0, window t1]
+        self.ranks: dict[int, list[float]] = {}
 
     def update(self, rank: int, events: np.ndarray) -> None:
         if not (0 <= rank < self.app_size):
@@ -39,26 +41,52 @@ class WaitState:
         if len(batch) == 0:
             return
         call, durations = batch.call, batch.durations
+        cell = self._cell(rank)
         # Cross-call sums: a different element set than any per-call group,
         # so they are summed here rather than derived from ``batch.groups``.
-        self.wait_time[rank] += float(durations[BLOCKING_CALLS[call]].sum())
-        self.collective_time[rank] += float(durations[_COLLECTIVE[call]].sum())
-        self.window_t0[rank] = min(self.window_t0[rank], batch.t0)
-        self.window_t1[rank] = max(self.window_t1[rank], batch.t1)
+        cell[0] += float(durations[BLOCKING_CALLS[call]].sum())
+        cell[1] += float(durations[_COLLECTIVE[call]].sum())
+        cell[2] = min(cell[2], batch.t0)
+        cell[3] = max(cell[3], batch.t1)
 
     def merge(self, other: "WaitState") -> None:
         if other.app != self.app or other.app_size != self.app_size:
             raise ReproError("merging wait states of different applications")
-        self.wait_time += other.wait_time
-        self.collective_time += other.collective_time
-        np.minimum(self.window_t0, other.window_t0, out=self.window_t0)
-        np.maximum(self.window_t1, other.window_t1, out=self.window_t1)
+        for rank, (wait, collective, t0, t1) in other.ranks.items():
+            cell = self._cell(rank)
+            cell[0] += wait
+            cell[1] += collective
+            cell[2] = min(cell[2], t0)
+            cell[3] = max(cell[3], t1)
+
+    def _cell(self, rank: int) -> list[float]:
+        cell = self.ranks.get(rank)
+        if cell is None:
+            cell = self.ranks[rank] = [0.0, 0.0, math.inf, 0.0]
+        return cell
 
     # -- results ----------------------------------------------------------------------
 
+    @property
+    def wait_time(self) -> np.ndarray:
+        return per_rank(self.app_size, self.ranks, 0)
+
+    @property
+    def collective_time(self) -> np.ndarray:
+        return per_rank(self.app_size, self.ranks, 1)
+
+    @property
+    def window_t0(self) -> np.ndarray:
+        return per_rank(self.app_size, self.ranks, 2, fill=math.inf)
+
+    @property
+    def window_t1(self) -> np.ndarray:
+        return per_rank(self.app_size, self.ranks, 3)
+
     def waiting_fraction(self) -> np.ndarray:
         """Per-rank fraction of the observation window spent waiting."""
-        spans = self.window_t1 - np.where(np.isfinite(self.window_t0), self.window_t0, 0.0)
+        t0 = self.window_t0
+        spans = self.window_t1 - np.where(np.isfinite(t0), t0, 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
             frac = np.where(spans > 0, self.wait_time / spans, 0.0)
         return frac.clip(0.0, 1.0)
@@ -67,16 +95,18 @@ class WaitState:
         """Ranks whose waiting time exceeds ``factor`` x the app mean."""
         if factor <= 0:
             raise ReproError(f"factor must be > 0, got {factor}")
-        mean = self.wait_time.mean()
+        wait = self.wait_time
+        mean = wait.mean()
         if mean == 0:
             return []
-        return [int(r) for r in np.nonzero(self.wait_time > factor * mean)[0]]
+        return [int(r) for r in np.nonzero(wait > factor * mean)[0]]
 
     def summary(self) -> dict[str, float]:
         frac = self.waiting_fraction()
+        wait = self.wait_time
         return {
-            "wait_time_total": float(self.wait_time.sum()),
-            "wait_time_max": float(self.wait_time.max()),
+            "wait_time_total": float(wait.sum()),
+            "wait_time_max": float(wait.max()),
             "wait_fraction_mean": float(frac.mean()),
             "wait_fraction_max": float(frac.max()),
             "collective_time_total": float(self.collective_time.sum()),

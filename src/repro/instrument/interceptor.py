@@ -9,8 +9,9 @@ Attached to a rank's PMPI stack before its program starts, it:
    reaches the block budget it is flushed through the stream — *this write
    blocks when all asynchronous buffers are full*, which is exactly how
    analyzer/network backpressure becomes application overhead;
-3. intercepts ``MPI_Finalize`` — flushes the tail pack and closes the
-   stream, so the analyzer sees EOF and can reduce.
+3. intercepts ``MPI_Finalize`` — flushes the tail pack, hands the pack
+   builder's record buffer back, and closes the stream, so the analyzer
+   sees EOF and can reduce.
 """
 
 from __future__ import annotations
@@ -172,7 +173,7 @@ class StreamingInstrumentation(Interceptor):
             return debt
         return None
 
-    def _charge_and_flush(self):
+    def _charge_and_flush(self, last: bool = False):
         """Generator: settle the CPU debt, then flush the current pack.
 
         Everything awaited in here — the batched capture CPU, codec
@@ -185,11 +186,15 @@ class StreamingInstrumentation(Interceptor):
         debt, self._cpu_debt = self._cpu_debt, 0.0
         if debt > 0:
             yield debt
-        yield from self._flush()
+        yield from self._flush(last)
         self.overhead_s += kernel.now - t_enter
 
-    def _flush(self):
+    def _flush(self, last: bool = False):
+        """Generator: seal, charge and write the current pack; ``last`` (the
+        ``MPI_Finalize`` flush) closes the builder once its frame is built."""
         if self.builder.count == 0:
+            if last:
+                self.builder.close()
             return
         kernel = self.mpi.ctx.kernel
         # Provenance: register the flow at seal time; the stamp travels
@@ -216,6 +221,9 @@ class StreamingInstrumentation(Interceptor):
         raw_bytes = self.builder.count * EVENT_RECORD_SIZE
         sealed_content = self.builder.bytes_content
         blob = self.builder.emit(now=kernel.now, provenance=provenance)
+        if last:
+            # Released before the write below waits out any backpressure.
+            self.builder.close()
         # Framing, checksum and provenance sections ride outside the
         # modelled volume budget: charge the content (header + kept
         # records) the builder has just booked — the sealed bytes are not
@@ -258,7 +266,7 @@ class StreamingInstrumentation(Interceptor):
             yield float(tail)
         elif tail is not None:
             yield from tail
-        yield from self._charge_and_flush()
+        yield from self._charge_and_flush(last=True)
         t_close = kernel.now
         yield from self.stream.close()
         self.overhead_s += kernel.now - t_close

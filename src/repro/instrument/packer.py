@@ -147,6 +147,8 @@ class EventPackBuilder:
                 # Anything else (a field out of range, a pack already at
                 # capacity) is the caller's error and re-raises unchanged.
                 size = len(self._buf)
+                if not size:
+                    raise InstrumentationError("add() on a closed pack builder") from None
                 capacity = self.max_records * EVENT_RECORD_SIZE
                 if size >= capacity or size >= (count + 1) * EVENT_RECORD_SIZE:
                     raise
@@ -188,6 +190,18 @@ class EventPackBuilder:
         self.bytes_wire += len(blob)
         self.events_sampled_out += dropped
         return blob
+
+    def close(self) -> None:
+        """Hand the record buffer back once the last pack is sealed.
+
+        The counters stay readable; :meth:`add` afterwards raises
+        :class:`InstrumentationError`.
+        """
+        if self._count:
+            raise InstrumentationError(
+                f"closing a pack builder with {self._count} unsealed records"
+            )
+        self._buf = bytearray()
 
 
 def verify_pack(blob: bytes | memoryview) -> PackHeader:

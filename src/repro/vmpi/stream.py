@@ -249,9 +249,6 @@ class VMPIStream:
         self._bw = mpi.ctx.world.machine.intra_node_bandwidth
         if mode == "w":
             self._slots = Resource(kernel, capacity=self.na, name="vmpi.wbuf")
-            self._rng = derive_rng(
-                mpi.ctx.world.seed, "stream", mpi.ctx.global_rank, self.channel
-            )
         else:
             self._ready = deque()
             self._closes_pending = len(peers)
@@ -460,6 +457,9 @@ class VMPIStream:
         if len(self.endpoints) == 1 or self.balance == BALANCE_NONE:
             return self.endpoints[0]
         if self.balance == BALANCE_RANDOM:
+            if self._rng is None:  # derived on the first draw: no other policy draws
+                ctx = self._mpi.ctx
+                self._rng = derive_rng(ctx.world.seed, "stream", ctx.global_rank, self.channel)
             return self._rng.choice(self.endpoints)
         dest = self.endpoints[self._rr_next % len(self.endpoints)]
         self._rr_next += 1

@@ -1,11 +1,15 @@
-"""Frozen pre-``EventBatch`` ``update()`` bodies of the seven analysis modules.
+"""Frozen pre-``EventBatch`` analysis modules, dense per-rank state and all.
 
 Kept only for tests: ``test_analysis_differential.py`` feeds the same event
-batches to these and to the live modules and requires bit-equal state.  Each
-function is the old method verbatim (``OTF2Proxy``'s with the deleted
-``SelectionConfig.call_ids()`` inlined), taking the live class's instance as
-``self`` (constructors, ``merge`` and the result accessors did not change),
-so a difference can only come from the accumulation path.
+batches to these and to the live modules and requires bit-equal dense views.
+Each ``*_update`` function is the old method verbatim (``OTF2Proxy``'s with the
+deleted ``SelectionConfig.call_ids()`` inlined).  The live modules key their
+per-rank state by the ranks seen; the ``Dense*`` classes below keep the vectors
+over every application rank they replaced — constructor, ``merge`` and the
+accessors that read them, verbatim — and expose them under the live classes'
+view names, so the live query code runs unchanged on the old state.
+``CommMatrix`` and ``OTF2Proxy`` hold no per-rank vectors: their reference is
+the live class with the frozen ``update``.
 
 Do not "fix" or speed these up — ``CommMatrix``'s reject-after-partial-update
 behaviour included; they are the oracle.
@@ -15,10 +19,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.profiler import _CallStats
+from repro.analysis.alerts import AlertMonitor
+from repro.analysis.density import DensityMaps
+from repro.analysis.latesender import LateSenderAnalysis
+from repro.analysis.otf2proxy import OTF2Proxy
+from repro.analysis.profiler import MPIProfile, _CallStats
+from repro.analysis.topology import CommMatrix
+from repro.analysis.waitstate import WaitState
 from repro.errors import ReproError
 from repro.instrument.events import (
     CALL_IDS,
+    CALL_NAMES,
     COLLECTIVE_CALLS,
     P2P_SEND_CALLS,
     WAIT_CALLS,
@@ -176,13 +187,204 @@ def latesender_update(self, rank: int, events: np.ndarray) -> None:
         )
 
 
-#: engine module name -> frozen update body
-REFERENCE_UPDATES = {
-    "profile": profile_update,
-    "topology": topology_update,
-    "density": density_update,
-    "waitstate": waitstate_update,
-    "otf2proxy": otf2proxy_update,
-    "alerts": alerts_update,
-    "latesender": latesender_update,
+# -- the dense state the live modules no longer hold -----------------------------------
+
+
+def _dense(name: str) -> property:
+    """A vector of ``self._dense``, under the name of the live class's view."""
+
+    def set_(self, value):
+        self._dense[name] = value
+
+    return property(lambda self: self._dense[name], set_)
+
+
+class DenseMPIProfile(MPIProfile):
+    update = profile_update
+    rank_t0, rank_t1, rank_events = _dense("rank_t0"), _dense("rank_t1"), _dense("rank_events")
+
+    def __init__(self, app: str, app_size: int):
+        super().__init__(app, app_size)
+        del self.ranks
+        self._dense = {
+            "rank_t0": np.full(app_size, np.inf),
+            "rank_t1": np.zeros(app_size),
+            "rank_events": np.zeros(app_size, dtype=np.int64),
+        }
+
+    def merge(self, other):
+        if other.app != self.app or other.app_size != self.app_size:
+            raise ReproError("merging profiles of different applications")
+        for call, stats in other.calls.items():
+            self.calls.setdefault(call, _CallStats()).merge(stats)
+        self.events_total += other.events_total
+        self.bytes_total += other.bytes_total
+        np.minimum(self.rank_t0, other.rank_t0, out=self.rank_t0)
+        np.maximum(self.rank_t1, other.rank_t1, out=self.rank_t1)
+        self.rank_events += other.rank_events
+
+
+class DenseDensityMaps(DensityMaps):
+    update = density_update
+    maps = _dense("maps")
+
+    def __init__(self, app: str, app_size: int):
+        super().__init__(app, app_size)
+        del self.cells
+        self._dense = {"maps": {}}
+
+    def _vectors(self, call: int) -> dict:
+        entry = self.maps.get(call)
+        if entry is None:
+            entry = {
+                "hits": np.zeros(self.app_size),
+                "time": np.zeros(self.app_size),
+                "size": np.zeros(self.app_size),
+            }
+            self.maps[call] = entry
+        return entry
+
+    def merge(self, other):
+        if other.app != self.app or other.app_size != self.app_size:
+            raise ReproError("merging density maps of different applications")
+        for call, vecs in other.maps.items():
+            mine = self._vectors(call)
+            for metric in self.METRICS:
+                mine[metric] += vecs[metric]
+
+    def map_for(self, call_name: str, metric: str = "hits") -> np.ndarray:
+        if metric not in self.METRICS:
+            raise ReproError(f"unknown metric {metric!r}; choose from {self.METRICS}")
+        call = CALL_IDS.get(call_name)
+        if call is None:
+            prefix, _, digits = call_name.partition("#")
+            if prefix != "call" or not digits.isdigit():
+                raise ReproError(f"unknown call name {call_name!r}")
+            call = int(digits)
+        vecs = self.maps.get(call)
+        if vecs is None:
+            return np.zeros(self.app_size)
+        return vecs[metric].copy()
+
+    def calls_seen(self) -> list[str]:
+        return sorted(
+            CALL_NAMES[c] if c < len(CALL_NAMES) else f"call#{c}" for c in self.maps
+        )
+
+
+class DenseWaitState(WaitState):
+    update = waitstate_update
+    wait_time, collective_time = _dense("wait_time"), _dense("collective_time")
+    window_t0, window_t1 = _dense("window_t0"), _dense("window_t1")
+
+    def __init__(self, app: str, app_size: int):
+        super().__init__(app, app_size)
+        del self.ranks
+        self._dense = {
+            "wait_time": np.zeros(app_size),
+            "collective_time": np.zeros(app_size),
+            "window_t0": np.full(app_size, np.inf),
+            "window_t1": np.zeros(app_size),
+        }
+
+    def merge(self, other):
+        if other.app != self.app or other.app_size != self.app_size:
+            raise ReproError("merging wait states of different applications")
+        self.wait_time += other.wait_time
+        self.collective_time += other.collective_time
+        np.minimum(self.window_t0, other.window_t0, out=self.window_t0)
+        np.maximum(self.window_t1, other.window_t1, out=self.window_t1)
+
+
+class DenseAlertMonitor(AlertMonitor):
+    update = alerts_update
+    last_event = property(lambda self: self._last_event)
+    seen = property(lambda self: self._seen)
+
+    def __init__(self, app: str, app_size: int, config=None, router=None):
+        super().__init__(app, app_size, config, router)
+        self._last_event = np.zeros(app_size)
+        self._seen = np.zeros(app_size, dtype=bool)
+
+    def finalize(self, t_end: float) -> list:
+        new: list = []
+        for rank in range(self.app_size):
+            if not self._seen[rank]:
+                continue
+            silence = t_end - self._last_event[rank]
+            if silence > self.config.silence_threshold:
+                new += self._raise(
+                    "silence", rank, t_end, silence, self.config.silence_threshold
+                )
+        self._record(new)
+        return new
+
+    def merge(self, other):
+        if other.app != self.app or other.app_size != self.app_size:
+            raise ReproError("merging alert monitors of different applications")
+        self.alerts.extend(other.alerts)
+        np.maximum(self._last_event, other._last_event, out=self._last_event)
+        self._seen |= other._seen
+
+
+class DenseLateSenderAnalysis(LateSenderAnalysis):
+    update = latesender_update
+    late_send_time, late_send_count = _dense("late_send_time"), _dense("late_send_count")
+
+    def __init__(self, app: str, app_size: int):
+        super().__init__(app, app_size)
+        del self.late
+        self._dense = {
+            "late_send_time": np.zeros(app_size),
+            "late_send_count": np.zeros(app_size, dtype=np.int64),
+        }
+
+    def finalize(self) -> None:
+        if self._finalized:
+            raise ReproError("finalize() called twice")
+        self._finalized = True
+        for channel, send_times in self.sends.items():
+            recv_times = self.recvs.get(channel, [])
+            send_times.sort()
+            recv_times.sort()
+            npairs = min(len(send_times), len(recv_times))
+            self.matched_pairs += npairs
+            self.unmatched_sends += len(send_times) - npairs
+            self.unmatched_recvs += len(recv_times) - npairs
+            receiver = channel[1]
+            for i in range(npairs):
+                lateness = max(0.0, recv_times[i] - send_times[i])
+                self.late_send_time[receiver] += lateness
+                self.late_send_count[receiver] += 1
+        for channel, recv_times in self.recvs.items():
+            if channel not in self.sends:
+                self.unmatched_recvs += len(recv_times)
+
+    def merge(self, other):
+        if other.app != self.app or other.app_size != self.app_size:
+            raise ReproError("merging late-sender analyses of different apps")
+        if self._finalized != other._finalized:
+            raise ReproError("merging finalized with unfinalized state")
+        if not self._finalized:
+            for channel, times in other.sends.items():
+                self.sends[channel].extend(times)
+            for channel, times in other.recvs.items():
+                self.recvs[channel].extend(times)
+            return
+        self.matched_pairs += other.matched_pairs
+        self.unmatched_sends += other.unmatched_sends
+        self.unmatched_recvs += other.unmatched_recvs
+        self.late_send_time += other.late_send_time
+        self.late_send_count += other.late_send_count
+
+
+#: engine module name -> reference class (its ``update`` the frozen body)
+REFERENCE_CLASSES = {
+    "profile": DenseMPIProfile,
+    "topology": type("ReferenceCommMatrix", (CommMatrix,), {"update": topology_update}),
+    "density": DenseDensityMaps,
+    "waitstate": DenseWaitState,
+    "otf2proxy": type("ReferenceOTF2Proxy", (OTF2Proxy,), {"update": otf2proxy_update}),
+    "alerts": DenseAlertMonitor,
+    "latesender": DenseLateSenderAnalysis,
 }

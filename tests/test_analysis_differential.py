@@ -1,12 +1,15 @@
-"""The seven analysis modules on the shared ``EventBatch`` vs their frozen
-pre-batch ``update()`` bodies (ROADMAP 4b).
+"""The seven analysis modules vs their frozen pre-batch, dense-state
+references (ROADMAP 4b).
 
-``src/repro/analysis/`` holds one accumulation path: every module reads the
-per-pack ``EventBatch``.  ``tests/_analysis_reference.py`` holds the bodies it
-replaced, each re-deriving durations, ``np.unique`` and ``np.isin`` for itself.
-Hypothesis-drawn batches go to both in the same order over several ranks, and
-the module states must be **exactly** equal — floats compared by their bits,
-never ``approx`` — before and after ``merge()``, and the full rendered report
+``src/repro/analysis/`` holds one accumulation path — every module reads the
+per-pack ``EventBatch`` — and one state shape: per-rank state keyed by the
+ranks seen, with the vectors over every application rank built on query.
+``tests/_analysis_reference.py`` holds what both replaced: ``update()`` bodies
+that re-derive durations, ``np.unique`` and ``np.isin`` for themselves, writing
+into dense per-rank vectors.  Hypothesis-drawn batches go to both in the same
+order over several ranks, and the states read through the live classes'
+public views must be **exactly** equal — floats compared by their bits, never
+``approx`` — before and after ``merge()``, and the full rendered report
 string-equal with all seven modules enabled.  The rendered report's SHA-256 is
 a golden fingerprint of ``benchmarks/e2e``, so "close" is a failure.
 """
@@ -14,6 +17,7 @@ a golden fingerprint of ``benchmarks/e2e``, so "close" is a failure.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,7 +32,7 @@ from repro.codec.frame import build_frame
 from repro.errors import ReproError
 from repro.instrument.events import CALL_IDS, CALL_NAMES, EVENT_DTYPE
 
-MODULES = tuple(ref.REFERENCE_UPDATES)
+MODULES = tuple(ref.REFERENCE_CLASSES)
 APP, APP_SIZE = "app", 6
 
 #: capped so tier-1 stays where it was (the whole file runs in a few seconds)
@@ -59,6 +63,39 @@ def freeze(obj):
         type(obj).__name__,
         [(n, freeze(getattr(obj, n))) for n in names if n not in _NOT_STATE],
     )
+
+
+#: what is compared per module: its fields, per-rank state through the dense views
+VIEWS = {
+    "profile": ("calls", "events_total", "bytes_total", "rank_t0", "rank_t1", "rank_events"),
+    "topology": ("cells",),
+    "density": ("maps",),
+    "waitstate": ("wait_time", "collective_time", "window_t0", "window_t1"),
+    "otf2proxy": ("_chunks", "events_seen", "events_selected"),
+    "alerts": ("alerts", "_raised_until", "last_event", "seen"),
+    "latesender": (
+        "sends", "recvs", "matched_pairs", "unmatched_sends", "unmatched_recvs",
+        "late_send_time", "late_send_count", "_finalized",
+    ),
+}
+#: the live per-rank field each module's dense views are built from
+_BEHIND_VIEWS = {
+    "profile": {"ranks"},
+    "density": {"cells"},
+    "waitstate": {"ranks"},
+    "alerts": {"_last_event"},
+    "latesender": {"late"},
+}
+
+
+def image(mod: str, state) -> list:
+    return [(name, freeze(getattr(state, name))) for name in VIEWS[mod]]
+
+
+def test_views_cover_every_live_field():
+    for mod, state in _fresh().items():
+        unread = set(vars(state)) - set(VIEWS[mod]) - _NOT_STATE - {"app", "app_size"}
+        assert unread == _BEHIND_VIEWS.get(mod, set()), mod
 
 
 def test_freeze_tells_apart_what_equality_conflates():
@@ -138,13 +175,13 @@ def _feed_both(new: dict, old: dict, rank: int, events: np.ndarray, shared: bool
     arg = EventBatch(events) if shared else events
     for mod in MODULES:
         produced = new[mod].update(rank, arg)
-        expected = ref.REFERENCE_UPDATES[mod](old[mod], rank, events)
+        expected = old[mod].update(rank, events)
         assert freeze(produced) == freeze(expected), mod  # AlertMonitor returns alerts
 
 
 def _assert_same(new: dict, old: dict) -> None:
     for mod in MODULES:
-        assert freeze(new[mod]) == freeze(old[mod]), mod
+        assert image(mod, new[mod]) == image(mod, old[mod]), mod
 
 
 @PROFILE
@@ -154,9 +191,9 @@ def _assert_same(new: dict, old: dict) -> None:
     split=st.integers(0, 5),
 )
 def test_states_match_the_reference_exactly(batches, shared, split):
-    new, old = _fresh(), _fresh()
+    new, old = _fresh(), _fresh(ref.REFERENCE_CLASSES)
     # A second analyzer rank takes the tail of the stream, then merges in.
-    new_peer, old_peer = _fresh(), _fresh()
+    new_peer, old_peer = _fresh(), _fresh(ref.REFERENCE_CLASSES)
     for i, (rank, events) in enumerate(batches):
         if i < split:
             _feed_both(new, old, rank, events, shared)
@@ -168,18 +205,26 @@ def test_states_match_the_reference_exactly(batches, shared, split):
         new[mod].merge(new_peer[mod])
         old[mod].merge(old_peer[mod])
     _assert_same(new, old)
+    # The late-sender reduction of finalized shards, then the silence pass.
+    for states in (new, old, new_peer, old_peer):
+        states["latesender"].finalize()
+    new["latesender"].merge(new_peer["latesender"])
+    old["latesender"].merge(old_peer["latesender"])
+    _assert_same(new, old)
+    # The reference reads each silence off a numpy vector: same bits, numpy type.
+    silent = [replace(a, value=float(a.value)) for a in old["alerts"].finalize(60.0)]
+    assert freeze(new["alerts"].finalize(60.0)) == freeze(silent)
 
 
 def _reference_classes() -> dict:
-    """The live classes with ``update`` swapped for the frozen body."""
+    """The reference classes, fed the engine's batches as plain arrays."""
     classes = {}
-    for mod, live in engine_module._MODULE_CLASSES.items():
-        body = ref.REFERENCE_UPDATES[mod]
+    for mod, reference in ref.REFERENCE_CLASSES.items():
 
-        def update(self, rank, events, _body=body):
+        def update(self, rank, events, _body=reference.update):
             return _body(self, rank, EventBatch.of(events).events)
 
-        classes[mod] = type(f"Reference{live.__name__}", (live,), {"update": update})
+        classes[mod] = type(reference.__name__, (reference,), {"update": update})
     return classes
 
 
@@ -210,8 +255,8 @@ def test_engine_report_is_string_equal(batches):
     for rank, events in batches:
         blob = build_frame(0, rank, len(events), events.tobytes())
         assert new.ingest(blob) and old.ingest(blob)
-    for mod in MODULES:  # [1]: the fields, without the (sub)class name
-        assert freeze(new.states[APP][mod])[1] == freeze(old.states[APP][mod])[1], mod
+    for mod in MODULES:
+        assert image(mod, new.states[APP][mod]) == image(mod, old.states[APP][mod]), mod
     assert _render(new) == _render(old)
 
 
@@ -267,9 +312,9 @@ def test_out_of_range_peer_rejected_by_both():
     events = np.zeros(2, dtype=EVENT_DTYPE)
     events["call"] = CALL_IDS["MPI_Send"]
     events["peer"] = [1, APP_SIZE]
-    new, old = _fresh(), _fresh()
+    new, old = _fresh(), _fresh(ref.REFERENCE_CLASSES)
     with pytest.raises(ReproError, match=f"send to rank {APP_SIZE} outside"):
         new["topology"].update(0, events)
     with pytest.raises(ReproError, match=f"send to rank {APP_SIZE} outside"):
-        ref.topology_update(old["topology"], 0, events)
+        old["topology"].update(0, events)
     assert new["topology"].cells == {} and old["topology"].cells != {}

@@ -711,3 +711,56 @@ def test_flags_a_schema_tag_spelled_outside_the_registry(tmp_path, rel, source):
 def test_the_registry_and_prose_may_name_a_tag(tmp_path, rel, source):
     _write(tmp_path, rel, source)
     assert check_tree(tmp_path) == []
+
+
+# -- rule 11: analysis state keyed by the ranks seen ---------------------------------
+
+
+def _state_module(method: str, stmt: str) -> str:
+    return (
+        "import numpy as np\n\n"
+        "class Module:\n"
+        f"    def {method}(self, app_size):\n"
+        f"        {stmt}\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "method, stmt",
+    [
+        ("__init__", "self.wait_time = np.zeros(app_size)"),
+        ("__init__", "self.t0 = np.full(self.app_size, np.inf)"),
+        ("update", "seen = np.ones(shape=self.app_size, dtype=bool)"),
+        ("merge", "scratch = np.empty(app_size + 1)"),
+    ],
+)
+def test_flags_a_vector_over_every_rank_in_a_state_method(tmp_path, method, stmt):
+    _write(tmp_path, "repro/analysis/rogue.py", _state_module(method, stmt))
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1, problems
+    assert "rogue.py:5" in problems[0] and f"inside {method}()" in problems[0]
+
+
+@pytest.mark.parametrize(
+    "rel, method, stmt",
+    [
+        # A query method builds the dense view, on the root.
+        ("repro/analysis/fine.py", "wait_time", "return np.zeros(app_size)"),
+        # Vectors not sized by the application are fine in state methods.
+        ("repro/analysis/fine.py", "__init__", "self.hist = np.zeros(16)"),
+        # Outside analysis/ the rule does not apply.
+        ("repro/mpi/fine.py", "__init__", "self.v = np.zeros(app_size)"),
+    ],
+)
+def test_dense_vectors_in_queries_and_elsewhere_are_allowed(tmp_path, rel, method, stmt):
+    _write(tmp_path, rel, _state_module(method, stmt))
+    assert check_tree(tmp_path) == []
+
+
+def test_a_missing_rank_keyed_module_is_reported(tmp_path):
+    modules = ("profiler", "topology", "density", "waitstate", "otf2proxy", "alerts")
+    for name in ("__init__", *modules):  # latesender.py is gone
+        _write(tmp_path, f"repro/analysis/{name}.py", "")
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1, problems
+    assert "latesender.py:1" in problems[0] and "RANK_KEYED_MODULES" in problems[0]

@@ -3,9 +3,11 @@
 import pytest
 
 from repro.errors import StreamClosedError, VMPIError
+from repro.network.machine import small_test_machine
 from repro.util.units import KIB, MIB
 from repro.vmpi import (
     BALANCE_NONE,
+    BALANCE_RANDOM,
     BALANCE_ROUND_ROBIN,
     EAGAIN,
     EOF,
@@ -282,6 +284,38 @@ def test_balance_none_uses_first_endpoint(machine):
 
     _coupled(machine, 1, 2, writer, counting_reader, out={})
     assert sorted(per_reader.values()) == [0, 8]
+
+
+def test_balance_random_endpoint_sequence_is_pinned():
+    """The random policy's stream RNG is derived on its first draw, from the
+    same labels it always had: each block lands where it always landed."""
+    landed = []
+
+    def writer(mpi, out):
+        yield from mpi.init()
+        st = VMPIStream(block_size=512, balance=BALANCE_RANDOM)
+        yield from st.open_ranks(mpi, [2, 3, 4], "w")
+        for i in range(8):
+            yield from st.write(nbytes=512, payload=(mpi.ctx.global_rank, i))
+        yield from st.close()
+        yield from mpi.finalize()
+
+    def reader(mpi, out):
+        yield from mpi.init()
+        st = VMPIStream(block_size=512)
+        yield from st.open_ranks(mpi, [0, 1], "r")
+        while True:
+            n, payload = yield from st.read()
+            if n == EOF:
+                break
+            out.append((payload, mpi.ctx.global_rank))
+        yield from mpi.finalize()
+
+    _coupled(small_test_machine(nodes=8, cores_per_node=4), 2, 3, writer, reader, seed=7, out=landed)
+    assert [reader for _block, reader in sorted(landed)] == [
+        3, 3, 4, 4, 4, 2, 4, 3,  # writer 0, blocks 0..7
+        4, 3, 4, 4, 4, 4, 3, 3,  # writer 1
+    ]
 
 
 def test_double_close_is_noop(machine):
