@@ -41,7 +41,7 @@ from repro.instrument.packer import decode_pack, decode_pack_frame
 from repro.mpi.datatypes import ANY_SOURCE
 from repro.telemetry import NULL_TELEMETRY, Telemetry, rank_pid
 from repro.telemetry.hostprof import host_now
-from repro.vmpi.mapping import MapPolicy, ROUND_ROBIN, VMPIMap, map_partitions
+from repro.vmpi.mapping import ROUND_ROBIN, VMPIMap, map_partitions
 from repro.vmpi.stream import BALANCE_ROUND_ROBIN, EOF, VMPIStream
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -59,6 +59,10 @@ _MODULE_CLASSES = {
     "latesender": LateSenderAnalysis,
 }
 
+#: CPU seconds per raw record byte per unit stage cost weight spent
+#: inverting a frame's codec chain; zero is charged for identity frames.
+CODEC_PER_BYTE_CPU = 0.6e-9
+
 
 @dataclass(frozen=True)
 class AnalysisConfig:
@@ -67,13 +71,8 @@ class AnalysisConfig:
     per_byte_cpu: float = 0.8e-9  # ~1.25 GB/s single-core analysis rate
     per_pack_cpu: float = 8.0e-6
     modules: tuple[str, ...] = ("profile", "topology", "density", "waitstate")
-    nqueues: int = 8
-    map_policy: MapPolicy = ROUND_ROBIN
     block_size: int = 1024 * 1024
     na_buffers: int = 3
-    #: CPU seconds per raw record byte per unit stage cost weight spent
-    #: inverting a frame's codec chain; zero is charged for identity frames.
-    codec_per_byte_cpu: float = 0.6e-9
     #: When set, only frames whose codec descriptor is in this tuple are
     #: analyzed; anything else is rejected as a descriptor mismatch.
     #: ``None`` (the default) accepts every chain this build can decode.
@@ -87,8 +86,6 @@ class AnalysisConfig:
             raise ConfigError(f"unknown analysis modules: {sorted(unknown)}")
         if not self.modules:
             raise ConfigError("at least one analysis module is required")
-        if self.codec_per_byte_cpu < 0:
-            raise ConfigError("codec_per_byte_cpu must be >= 0")
         if self.accept_codecs is not None:
             for spec in self.accept_codecs:
                 try:
@@ -120,7 +117,6 @@ class AnalyzerEngine:
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.ml = MultiLevelBlackboard(
             levels=[name for name, _size in apps],
-            nqueues=config.nqueues,
             seed=seed,
             telemetry=self.telemetry,
             track_pid=track_pid,
@@ -398,7 +394,7 @@ def analyzer_program(
     # Map each application partition (additive map, paper Figure 12).
     vmap = VMPIMap()
     for p in app_partitions:
-        yield from map_partitions(mpi, vmap, p, policy=config.map_policy)
+        yield from map_partitions(mpi, vmap, p, policy=ROUND_ROBIN)
 
     stream = VMPIStream(
         block_size=config.block_size,
@@ -460,7 +456,7 @@ def analyzer_program(
                 weight = decode_chain(spec).cost_weight
             except PackFormatError:
                 weight = 0.0  # unknown descriptor; rejected at ingest
-            decode_cpu = config.codec_per_byte_cpu * raw_bytes * weight
+            decode_cpu = CODEC_PER_BYTE_CPU * raw_bytes * weight
             engine.decode_cpu_s += decode_cpu
             if tel.enabled:
                 tel.histogram("codec.decode_s").observe(decode_cpu)

@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.analysis.batch import EventBatch, per_rank
 from repro.errors import ReproError
-from repro.instrument.events import CALL_NAMES
+from repro.instrument.events import CALL_NAMES, EVENT_RECORD_SIZE
 from repro.util.tables import Table
 
 
@@ -122,12 +122,12 @@ class MPIProfile:
     def mpi_time_total(self) -> float:
         return sum(s.time for s in self.calls.values())
 
-    def instrumentation_bandwidth(self, record_bytes: int = 40) -> float:
+    def instrumentation_bandwidth(self) -> float:
         """``Bi = total event size / execution time`` (paper Sec. IV-C)."""
         wall = self.walltime_estimate
         if wall <= 0:
             return 0.0
-        return self.events_total * record_bytes / wall
+        return self.events_total * EVENT_RECORD_SIZE / wall
 
     def rows(self) -> list[tuple[str, int, float, float, float, float, int]]:
         """(name, hits, total time, mean, min, max, bytes), by time desc."""

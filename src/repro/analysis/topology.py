@@ -2,21 +2,19 @@
 
 For every point-to-point communication the module accumulates a sparse
 ``src -> dst`` matrix weighted in *hits*, *total size* and *total time*.
-Graphs are exported through :mod:`networkx` (the paper invokes Graphviz on
-the same data) and as DOT text.
+The graph is exported as DOT text (the paper invokes Graphviz on the same
+data).
 """
 
 from __future__ import annotations
-
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.analysis.batch import SEND_CALLS, EventBatch
 from repro.errors import ReproError
 
-if TYPE_CHECKING:  # pragma: no cover
-    import networkx as nx
+#: largest app the DOT export renders (beyond it the graph is unreadable)
+DOT_MAX_NODES = 256
 
 
 class CommMatrix:
@@ -81,20 +79,6 @@ class CommMatrix:
             m[src, dst] = vals[idx]
         return m
 
-    def graph(self, weight: str = "size") -> nx.DiGraph:
-        """Directed communication graph with the chosen weight attribute."""
-        # Imported here: nothing on the ingest or report path needs networkx,
-        # and importing it costs ~0.1 s of every process's start-up.
-        import networkx as nx
-
-        idx = self._weight_index(weight)
-        g = nx.DiGraph()
-        g.add_nodes_from(range(self.app_size))
-        for (src, dst), vals in self.cells.items():
-            if vals[idx] > 0:
-                g.add_edge(src, dst, weight=vals[idx])
-        return g
-
     def degree_histogram(self) -> dict[int, int]:
         """Out-degree -> count of ranks; reveals mesh structure."""
         degrees: dict[int, int] = {}
@@ -122,20 +106,20 @@ class CommMatrix:
         time = sum(v[2] for v in self.cells.values())
         return hits, size, time
 
-    def is_symmetric(self, weight: str = "hits", tol: float = 0.0) -> bool:
+    def is_symmetric(self, weight: str = "hits") -> bool:
         """True when every src->dst cell has a matching dst->src cell."""
         idx = self._weight_index(weight)
         for (src, dst), vals in self.cells.items():
             back = self.cells.get((dst, src))
-            if back is None or abs(back[idx] - vals[idx]) > tol:
+            if back is None or back[idx] != vals[idx]:
                 return False
         return True
 
-    def to_dot(self, weight: str = "size", max_nodes: int = 256) -> str:
+    def to_dot(self, weight: str = "size") -> str:
         """Graphviz DOT text (what the paper feeds to Graphviz)."""
-        if self.app_size > max_nodes:
+        if self.app_size > DOT_MAX_NODES:
             raise ReproError(
-                f"DOT export limited to {max_nodes} nodes, app has {self.app_size}"
+                f"DOT export limited to {DOT_MAX_NODES} nodes, app has {self.app_size}"
             )
         idx = self._weight_index(weight)
         peak = max((v[idx] for v in self.cells.values()), default=1.0) or 1.0

@@ -20,33 +20,26 @@ from repro.apps.base import AppKernel, grid_2d
 
 class EulerMHD(AppKernel):
     name = "EulerMHD"
+    #: conserved variables per cell, halo depth of the high-order stencil,
+    #: flops per cell and time step
+    nvars = 8
+    halo_width = 3
+    flops_per_cell = 900.0
 
     def __init__(
         self,
         nprocs: int,
         grid: int = 4096,
-        nvars: int = 8,
-        halo_width: int = 3,
-        flops_per_cell: float = 900.0,
         iterations: int = 10,
         checkpoint_every: int = 0,
     ):
-        if grid <= 0 or nvars <= 0 or halo_width <= 0:
-            raise ConfigError("EulerMHD: grid, nvars and halo_width must be > 0")
-        if flops_per_cell <= 0:
-            raise ConfigError("EulerMHD: flops_per_cell must be > 0")
+        if grid <= 0:
+            raise ConfigError("EulerMHD: grid must be > 0")
         if checkpoint_every < 0:
             raise ConfigError("EulerMHD: checkpoint_every must be >= 0")
         self.grid = grid
-        self.nvars = nvars
-        self.halo_width = halo_width
-        self.flops_per_cell = flops_per_cell
         self.checkpoint_every = checkpoint_every
         super().__init__(nprocs, iterations)
-
-    @property
-    def label(self) -> str:
-        return self.name
 
     def layout(self) -> tuple[int, int]:
         return grid_2d(self.nprocs)

@@ -25,7 +25,6 @@ def stream_writer_program(
     block_size: int = 1024 * 1024,
     reader_partition: str = "Analyzer",
     policy: MapPolicy = ROUND_ROBIN,
-    na_buffers: int = 3,
     stats: dict | None = None,
 ):
     """Generator: write ``total_bytes`` in blocks to the reader partition."""
@@ -37,9 +36,7 @@ def stream_writer_program(
     if target is None:
         raise ConfigError(f"could not locate {reader_partition!r} partition")
     yield from map_partitions(mpi, vmap, target, policy=policy)
-    stream = VMPIStream(
-        block_size=block_size, balance=BALANCE_ROUND_ROBIN, na_buffers=na_buffers
-    )
+    stream = VMPIStream(block_size=block_size, balance=BALANCE_ROUND_ROBIN)
     yield from stream.open_map(mpi, vmap, "w")
     if stats is not None:
         stats.setdefault("t_first_write", mpi.now)
@@ -59,7 +56,6 @@ def stream_reader_program(
     mpi,
     block_size: int = 1024 * 1024,
     policy: MapPolicy = ROUND_ROBIN,
-    na_buffers: int = 3,
     stats: dict | None = None,
 ):
     """Generator: the Figure-12 read loop over every other partition."""
@@ -68,9 +64,7 @@ def stream_reader_program(
     for index in range(mpi.partition_count()):
         if index != mpi.partition.index:
             yield from map_partitions(mpi, vmap, index, policy=policy)
-    stream = VMPIStream(
-        block_size=block_size, balance=BALANCE_ROUND_ROBIN, na_buffers=na_buffers
-    )
+    stream = VMPIStream(block_size=block_size, balance=BALANCE_ROUND_ROBIN)
     yield from stream.open_map(mpi, vmap, "r")
     while True:
         # Paper Figure 12: try non-blocking first, fall back to blocking.

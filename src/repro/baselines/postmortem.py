@@ -30,19 +30,14 @@ class PostMortemResult:
 class PostMortemAnalyzer:
     """Analytic model of the trace read-back + analysis phase."""
 
-    def __init__(
-        self,
-        machine: MachineSpec,
-        analysis_cores: int,
-        per_byte_cpu: float = 0.8e-9,
-    ):
+    #: CPU seconds to reduce one trace byte
+    per_byte_cpu = 0.8e-9
+
+    def __init__(self, machine: MachineSpec, analysis_cores: int):
         if analysis_cores <= 0:
             raise ConfigError("analysis_cores must be > 0")
-        if per_byte_cpu < 0:
-            raise ConfigError("per_byte_cpu must be >= 0")
         self.machine = machine
         self.analysis_cores = analysis_cores
-        self.per_byte_cpu = per_byte_cpu
 
     def analyze(self, trace_bytes: int) -> PostMortemResult:
         """Time to read a trace of ``trace_bytes`` back and reduce it."""

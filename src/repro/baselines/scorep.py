@@ -69,14 +69,13 @@ class ScorePTraceInterceptor(Interceptor):
         fs: ParallelFS,
         sion: SionFile,
         amortize_fixed: float = 1.0,
-        bytes_per_event: int = OTF2_BYTES_PER_EVENT,
     ):
         self.mpi = mpi
         self.fs = fs
         self.writer = TraceWriterState(
             fs,
             rank=mpi.ctx.global_rank,
-            bytes_per_event=bytes_per_event,
+            bytes_per_event=OTF2_BYTES_PER_EVENT,
             buffer_bytes=self.BUFFER_BYTES,
             sion=sion,
             amortize_fixed=amortize_fixed,

@@ -265,7 +265,6 @@ def compare_bench(
     candidate: dict[str, Any],
     tolerance: float = 0.05,
     per_metric: dict[str, float] | None = None,
-    skip_columns: tuple[str, ...] = DEFAULT_SKIP,
 ) -> BenchComparison:
     """Diff two bench payloads; regressions are direction-aware.
 
@@ -301,7 +300,7 @@ def compare_bench(
         cmp.structural.append(
             f"row count changed: {len(b_rows)} -> {len(c_rows)}"
         )
-    shared = [c for c in b_cols if c in c_cols and c not in skip_columns]
+    shared = [c for c in b_cols if c in c_cols and c not in DEFAULT_SKIP]
 
     for i in range(min(len(b_rows), len(c_rows))):
         b_row = dict(zip(b_cols, b_rows[i]))

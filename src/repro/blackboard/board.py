@@ -27,13 +27,12 @@ class Blackboard:
         self,
         nqueues: int = 8,
         seed: int = 0,
-        registry: TypeRegistry | None = None,
         telemetry: Telemetry | None = None,
         track_pid: int = 0,
     ):
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.track_pid = track_pid
-        self.types = registry or TypeRegistry()
+        self.types = TypeRegistry()
         self.queues = JobQueues(nqueues=nqueues, seed=seed, telemetry=self.telemetry)
         self._sensitivity: dict[int, list[KnowledgeSource]] = {}
         self._ks_lock = threading.RLock()
@@ -80,10 +79,6 @@ class Blackboard:
             for type_id in ks.sensitivity_types:
                 self._sensitivity[type_id].remove(ks)
 
-    def knowledge_sources(self) -> list[KnowledgeSource]:
-        with self._ks_lock:
-            return list(self._all_ks)
-
     # -- submission (the control system) ---------------------------------------------
 
     def submit(
@@ -129,8 +124,8 @@ class Blackboard:
             self.queues.push_many(jobs)
         return entry
 
-    def submit_named(self, name: str, payload: Any, level: str = "", size: int | None = None) -> DataEntry:
-        return self.submit(self.types.lookup(name, level), payload, size)
+    def submit_named(self, name: str, payload: Any) -> DataEntry:
+        return self.submit(self.types.lookup(name), payload)
 
     # -- execution ----------------------------------------------------------------------
 

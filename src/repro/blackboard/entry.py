@@ -55,12 +55,6 @@ class TypeRegistry:
             raise UnknownTypeError(f"unregistered data type {name!r} at level {level!r}")
         return type_id
 
-    def name_of(self, type_id: int) -> tuple[str, str]:
-        key = self._names.get(type_id)
-        if key is None:
-            raise UnknownTypeError(f"unknown type id {type_id}")
-        return key
-
     def known(self, type_id: int) -> bool:
         return type_id in self._names
 

@@ -49,10 +49,6 @@ class JobQueues:
         self.lock_failures = 0
         self.depth_hwm = 0
 
-    def push(self, job: Job) -> None:
-        """Push to a random FIFO (contention spreading)."""
-        self.push_many((job,))
-
     def push_many(self, jobs) -> None:
         """Push a batch of jobs with one placement draw and one lock hold.
 

@@ -64,9 +64,5 @@ class KnowledgeSource:
                 taken[t] = deque(self._pending[t].popleft() for _ in range(n))
         return [taken[t].popleft() for t in self.sensitivities]
 
-    def pending_count(self) -> int:
-        with self._lock:
-            return sum(len(q) for q in self._pending.values())
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KS {self.name} sens={len(self.sensitivities)} fired={self.fired}>"

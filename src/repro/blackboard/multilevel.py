@@ -10,8 +10,6 @@ multi-instrumentation support.
 
 from __future__ import annotations
 
-from typing import Callable
-
 from repro.errors import BlackboardError
 from repro.blackboard.board import Blackboard
 from repro.blackboard.entry import DataEntry
@@ -28,9 +26,7 @@ class MultiLevelBlackboard:
     def __init__(
         self,
         levels: list[str],
-        nqueues: int = 8,
         seed: int = 0,
-        classify: Callable[[DataEntry], str] | None = None,
         telemetry: Telemetry | None = None,
         track_pid: int = 0,
     ):
@@ -38,11 +34,8 @@ class MultiLevelBlackboard:
             raise BlackboardError("multi-level blackboard needs at least one level")
         if len(set(levels)) != len(levels):
             raise BlackboardError("duplicate level names")
-        self.board = Blackboard(
-            nqueues=nqueues, seed=seed, telemetry=telemetry, track_pid=track_pid
-        )
+        self.board = Blackboard(seed=seed, telemetry=telemetry, track_pid=track_pid)
         self.levels = list(levels)
-        self._classify = classify or _classify_by_app_id(levels)
         self._inbox_id = self.board.register_type(self.INBOX_TYPE)
         self._level_pack_ids: dict[str, int] = {
             level: self.board.register_type("event_pack", level) for level in levels
@@ -65,15 +58,6 @@ class MultiLevelBlackboard:
         ids = [self.type_id(n, lv) for n, lv in sensitivities]
         return self.board.register_ks(name, ids, operation)
 
-    def register_ks_all_levels(self, name: str, type_name: str, operation) -> list[KnowledgeSource]:
-        """Instantiate the same KS once per level (paper Figure 5)."""
-        return [
-            self.board.register_ks(
-                f"{name}[{level}]", [self.type_id(type_name, level)], operation
-            )
-            for level in self.levels
-        ]
-
     def submit_pack(self, payload, size: int | None = None, meta=None) -> None:
         """Push an undispatched event pack (as read from a stream).
 
@@ -86,34 +70,31 @@ class MultiLevelBlackboard:
 
     def _dispatch(self, board: Blackboard, entries: list[DataEntry]) -> None:
         for entry in entries:
-            level = self._classify(entry)
+            level = self._level_of(entry)
             self._check_level(level)
             board.submit(
                 self._level_pack_ids[level], entry.payload, entry.size, meta=entry.meta
             )
             self.dispatched[level] += 1
 
+    def _level_of(self, entry: DataEntry) -> str:
+        """The level the entry's frame header app id indexes.
+
+        Dispatch needs only the 20-byte header peek — decoding the payload
+        (and inverting its codec chain) is the unpacker KS's job, once, after
+        the pack has been routed to its level.
+        """
+        frame = entry.meta
+        if frame is None:
+            from repro.codec.frame import peek_header
+
+            frame = peek_header(entry.payload)
+        if frame.app_id >= len(self.levels):
+            raise BlackboardError(
+                f"pack app_id {frame.app_id} has no level (have {len(self.levels)})"
+            )
+        return self.levels[frame.app_id]
+
     def _check_level(self, level: str) -> None:
         if level not in self._level_pack_ids:
             raise BlackboardError(f"unknown blackboard level {level!r}")
-
-
-def _classify_by_app_id(levels: list[str]) -> Callable[[DataEntry], str]:
-    """Default classifier: read the frame header's app id, index into levels.
-
-    Dispatch needs only the 20-byte header peek — decoding the payload
-    (and inverting its codec chain) is the unpacker KS's job, once, after
-    the pack has been routed to its level.
-    """
-    from repro.codec.frame import peek_header
-
-    def classify(entry: DataEntry) -> str:
-        frame = entry.meta
-        app_id = frame.app_id if frame is not None else peek_header(entry.payload).app_id
-        if app_id >= len(levels):
-            raise BlackboardError(
-                f"pack app_id {app_id} has no level (have {len(levels)})"
-            )
-        return levels[app_id]
-
-    return classify

@@ -34,7 +34,7 @@ class ThreadPool:
         self._threads: list[threading.Thread] = []
         self._stop = threading.Event()
         self.jobs_per_worker = [0] * nworkers
-        # Host-clock busy/idle accounting, always on (see utilization()).
+        # Host-clock busy/idle accounting, always on.
         self.busy_s = [0.0] * nworkers
         self.idle_s = [0.0] * nworkers
         # Per-worker queue-dwell: how long the jobs a worker picked up had
@@ -72,13 +72,6 @@ class ThreadPool:
             time.sleep(backoff)
             self.idle_s[index] += host_now() - t0
             backoff = min(backoff * 2.0, self.BACKOFF_MAX)
-
-    def utilization(self) -> float:
-        """Fraction of accounted worker time spent executing jobs."""
-        busy, idle = sum(self.busy_s), sum(self.idle_s)
-        if busy + idle <= 0:
-            return 0.0
-        return busy / (busy + idle)
 
     def drain(self, timeout: float = 30.0) -> None:
         """Wait until the board is idle (all submitted work executed)."""

@@ -12,13 +12,11 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.errors import ConfigError
-from repro.analysis.engine import AnalysisConfig
 from repro.apps.base import AppKernel, NASKernel
 from repro.baselines.mpip import MPIPInterceptor
 from repro.baselines.scalasca import ScalascaInterceptor
 from repro.baselines.scorep import ScorePProfileInterceptor, ScorePTraceInterceptor
 from repro.core.session import CouplingSession
-from repro.instrument.overhead import InstrumentationCost
 from repro.iosim.filesystem import ParallelFS
 from repro.iosim.sionlib import SionFile
 from repro.network.machine import CURIE, MachineSpec
@@ -60,9 +58,6 @@ def run_tool(
     machine: MachineSpec = CURIE,
     *,
     seed: int = 0,
-    ratio: float = 1.0,
-    instrumentation: InstrumentationCost | None = None,
-    analysis: AnalysisConfig | None = None,
     amortize_fixed_costs: bool = True,
     telemetry: Telemetry | None = None,
 ) -> ToolRunResult:
@@ -73,15 +68,9 @@ def run_tool(
     amortize = 1.0 / scale if (amortize_fixed_costs and scale > 1) else 1.0
 
     if tool == "online":
-        session = CouplingSession(
-            machine=machine,
-            seed=seed,
-            instrumentation=instrumentation,
-            analysis=analysis,
-            telemetry=telemetry,
-        )
+        session = CouplingSession(machine=machine, seed=seed, telemetry=telemetry)
         name = session.add_application(kernel)
-        session.set_analyzer(ratio=ratio)
+        session.set_analyzer(ratio=1.0)
         result = session.run()
         run = result.app(name)
         return ToolRunResult(

@@ -24,7 +24,7 @@ from repro.codec.stages import build_chain
 from repro.analysis.report import ProfileReport
 from repro.apps.base import AppKernel
 from repro.faults import FaultInjector, FaultPlan
-from repro.instrument.interceptor import StreamingInstrumentation
+from repro.instrument.interceptor import ANALYZER_PARTITION, StreamingInstrumentation
 from repro.instrument.overhead import InstrumentationCost
 from repro.mpi.world import World
 from repro.network.machine import MachineSpec, TERA100
@@ -39,9 +39,6 @@ from repro.telemetry.export import jsonl_records as _telemetry_records
 from repro.telemetry.monitor import HealthMonitor, MonitorConfig
 from repro.telemetry.popmetrics import PopConfig, PopMetricsEngine
 from repro.vmpi.virtualization import VirtualizedLauncher
-
-#: reserved partition name of the analysis engine
-ANALYZER_PARTITION = "Analyzer"
 
 
 @dataclass
@@ -333,10 +330,6 @@ class CouplingSession:
         return bus
 
     @property
-    def obs(self) -> ObservabilityBus | None:
-        return self._obs
-
-    @property
     def obs_ring(self) -> RingSink | None:
         return self._obs_ring
 
@@ -477,7 +470,7 @@ class CouplingSession:
         injector: FaultInjector | None = None
         if self._fault_plan is not None and not self._fault_plan.empty:
             injector = FaultInjector(self._fault_plan)
-            injector.attach(world, ANALYZER_PARTITION)
+            injector.attach(world)
         if self._monitor is not None:
             self._monitor.attach(world.kernel)
         if self._steering is not None:

@@ -43,6 +43,7 @@ from repro.faults.plan import (
     FaultPlan,
     FaultSpec,
 )
+from repro.instrument.interceptor import ANALYZER_PARTITION
 from repro.mpi.world import PartitionInfo, World
 from repro.vmpi.mapping import remap_orphans
 
@@ -106,7 +107,7 @@ class FaultInjector:
 
     # -- arming ----------------------------------------------------------------
 
-    def attach(self, world: World, analyzer: PartitionInfo | str = "Analyzer") -> None:
+    def attach(self, world: World) -> None:
         """Arm every fault of the plan against ``world``.
 
         Must be called before ``world.run()``.  An empty plan schedules
@@ -117,11 +118,9 @@ class FaultInjector:
             raise ConfigError("fault injector already attached")
         self._world = world
         world.faults = self
-        if isinstance(analyzer, str):
-            found = world.partition_by_name(analyzer)
-            if found is None:
-                raise ConfigError(f"no partition named {analyzer!r} to inject against")
-            analyzer = found
+        analyzer = world.partition_by_name(ANALYZER_PARTITION)
+        if analyzer is None:
+            raise ConfigError(f"no partition named {ANALYZER_PARTITION!r} to inject against")
         self._analyzer = analyzer
         for spec in self.plan:
             target = self._resolve_target(spec)

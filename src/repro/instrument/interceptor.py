@@ -25,8 +25,11 @@ from repro.instrument.events import EVENT_RECORD_SIZE
 from repro.instrument.overhead import InstrumentationCost
 from repro.instrument.packer import EventPackBuilder
 from repro.mpi.pmpi import CallRecord, Interceptor
-from repro.vmpi.mapping import MapPolicy, ROUND_ROBIN, VMPIMap, map_partitions
+from repro.vmpi.mapping import ROUND_ROBIN, VMPIMap, map_partitions
 from repro.vmpi.stream import BALANCE_ROUND_ROBIN, VMPIStream
+
+#: the partition every instrumented rank streams its packs to
+ANALYZER_PARTITION = "Analyzer"
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.world import ProgramAPI, RankContext
@@ -38,20 +41,11 @@ class StreamingInstrumentation(Interceptor):
     def __init__(
         self,
         mpi: "ProgramAPI",
-        analyzer_partition: str = "Analyzer",
         cost: InstrumentationCost | None = None,
-        policy: MapPolicy = ROUND_ROBIN,
-        channel: int | None = None,
     ):
         self.mpi = mpi
-        self.analyzer_partition = analyzer_partition
         self.cost = cost or InstrumentationCost()
-        self.policy = policy
         partition = mpi.partition
-        # All applications share one stream channel: flows are separated on
-        # the analyzer side by the pack header's app id (the multi-level
-        # blackboard dispatch key), not by transport channel.
-        self.channel = 0 if channel is None else channel
         # Cap the real pack size so the modelled volume (with per-call
         # context) still fits one stream block.
         real_capacity = max(4096, int(self.cost.block_size / self.cost.volume_multiplier))
@@ -67,7 +61,10 @@ class StreamingInstrumentation(Interceptor):
             block_size=self.cost.block_size,
             balance=BALANCE_ROUND_ROBIN,
             na_buffers=self.cost.na_buffers,
-            channel=self.channel,
+            # All applications share channel 0: flows are separated on the
+            # analyzer side by the pack header's app id (the multi-level
+            # blackboard dispatch key), not by transport channel.
+            channel=0,
             write_timeout=self.cost.write_timeout,
             max_retries=self.cost.max_retries,
             overflow=self.cost.overflow,
@@ -132,14 +129,14 @@ class StreamingInstrumentation(Interceptor):
         """Generator: VMPI mapping + stream opening inside MPI_Init."""
         mpi = self.mpi
         self.t_active_start = record.t_start
-        analyzer = mpi.partition_by_name(self.analyzer_partition)
+        analyzer = mpi.partition_by_name(ANALYZER_PARTITION)
         if analyzer is None:
             raise InstrumentationError(
-                f"no analyzer partition named {self.analyzer_partition!r}"
+                f"no analyzer partition named {ANALYZER_PARTITION!r}"
             )
         kernel = mpi.ctx.kernel
         t_setup = kernel.now
-        yield from map_partitions(mpi, self.vmap, analyzer, policy=self.policy)
+        yield from map_partitions(mpi, self.vmap, analyzer, policy=ROUND_ROBIN)
         if not self.vmap.entries:
             raise InstrumentationError(
                 f"rank {mpi.ctx.global_rank}: empty analyzer mapping"

@@ -8,11 +8,11 @@ byte arithmetic left in this module.
 
 Accounting still budgets the v1 content layout — a 16-byte logical
 header plus 40 bytes per record (:data:`PACK_HEADER_SIZE`,
-``EVENT_RECORD_SIZE``) — so pack capacity, ``size_bytes`` and the
-modelled stream volume are independent of framing, checksums,
-provenance stamps and codec output sizes.  ``PackHeader.count`` is the
-number of *kept* records (after any sampling stage), which is also what
-the payload decodes back to.
+``EVENT_RECORD_SIZE``) — so pack capacity and the modelled stream
+volume are independent of framing, checksums, provenance stamps and
+codec output sizes.  ``PackHeader.count`` is the number of *kept*
+records (after any sampling stage), which is also what the payload
+decodes back to.
 
 When a reduction chain is configured (see :mod:`repro.codec.stages`),
 :meth:`EventPackBuilder.emit` encodes the sealed batch and stamps the
@@ -116,10 +116,6 @@ class EventPackBuilder:
     @property
     def full(self) -> bool:
         return self._count >= self.max_records
-
-    @property
-    def size_bytes(self) -> int:
-        return PACK_HEADER_SIZE + self._count * EVENT_RECORD_SIZE
 
     def add(self, record: CallRecord) -> bool:
         """Append one event; returns True when the pack is now full."""

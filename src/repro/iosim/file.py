@@ -23,12 +23,11 @@ class SimFile:
         self.is_open = False
         self.writes = 0
 
-    def open(self, create: bool = True):
+    def open(self):
         """Generator: run the open/create metadata transaction."""
         if self.is_open:
             raise IOSimError(f"{self.path}: already open")
-        if create:
-            self.fs.files_created += 1
+        self.fs.files_created += 1
         yield from self.fs.metadata_op()
         self.is_open = True
 
@@ -41,7 +40,7 @@ class SimFile:
         self.writes += 1
         self.size += nbytes
         self.fs.bytes_written += nbytes
-        yield self.fs._capped_transfer(nbytes, None)
+        yield self.fs._capped_transfer(nbytes)
 
     def read(self, nbytes: int):
         """Generator: read ``nbytes`` through the shared data path."""
@@ -50,7 +49,7 @@ class SimFile:
         if nbytes < 0:
             raise IOSimError(f"{self.path}: negative read")
         self.fs.bytes_read += nbytes
-        yield self.fs._capped_transfer(nbytes, None)
+        yield self.fs._capped_transfer(nbytes)
 
     def close(self):
         """Generator: run the close metadata transaction."""

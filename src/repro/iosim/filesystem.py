@@ -65,32 +65,30 @@ class ParallelFS:
 
     # -- data --------------------------------------------------------------------
 
-    def raw_write(self, nbytes: int, stripe_cap: float | None = None) -> SimEvent:
+    def raw_write(self, nbytes: int) -> SimEvent:
         """Commit ``nbytes`` to the shared data path (no metadata)."""
         if nbytes < 0:
             raise IOSimError(f"negative write: {nbytes}")
         self.bytes_written += nbytes
-        return self._capped_transfer(nbytes, stripe_cap)
+        return self._capped_transfer(nbytes)
 
-    def raw_read(self, nbytes: int, stripe_cap: float | None = None) -> SimEvent:
+    def raw_read(self, nbytes: int) -> SimEvent:
         if nbytes < 0:
             raise IOSimError(f"negative read: {nbytes}")
         self.bytes_read += nbytes
-        return self._capped_transfer(nbytes, stripe_cap)
+        return self._capped_transfer(nbytes)
 
-    def _capped_transfer(self, nbytes: int, stripe_cap: float | None) -> SimEvent:
+    def _capped_transfer(self, nbytes: int) -> SimEvent:
         ev = self.data_pipe.transfer(nbytes)
-        cap = stripe_cap if stripe_cap is not None else self.machine.fs_stripe_bandwidth
         # A single stream cannot beat its stripe bandwidth even on an idle FS:
-        # enforce a minimum duration of nbytes / stripe_cap.
-        min_duration = nbytes / cap
+        # enforce a minimum duration of nbytes / stripe bandwidth.
+        min_duration = nbytes / self.machine.fs_stripe_bandwidth
         floor = self.kernel.timeout(min_duration)
         return self.kernel.all_of([ev, floor])
 
-    def open_file(self, path: str, create: bool = True) -> "_OpenTicket":
+    def open_file(self, path: str) -> "_OpenTicket":
         """Begin an open; caller must ``yield from ticket.wait()``."""
-        if create:
-            self.files_created += 1
+        self.files_created += 1
         return _OpenTicket(self, path)
 
 

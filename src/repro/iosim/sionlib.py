@@ -59,7 +59,7 @@ class SionFile:
         self._task_sizes[task] += nbytes
         self.physical_size += padded
         self.fs.bytes_written += padded
-        yield self.fs._capped_transfer(padded, None)
+        yield self.fs._capped_transfer(padded)
 
     def close_task(self, task: int):
         """Generator: close a logical task file (no metadata op needed)."""

@@ -31,10 +31,6 @@ class Request:
         self.envelope = None
         self._consumed = False
 
-    @property
-    def complete(self) -> bool:
-        return self.event.triggered
-
     def wait(self):
         """Generator: block until the operation completes."""
         if self._consumed:

@@ -58,10 +58,6 @@ class RankContext:
     def telemetry(self) -> Telemetry:
         return self.world.telemetry
 
-    @property
-    def node(self) -> int:
-        return self.world.cluster.node_of(self.global_rank)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<RankContext g{self.global_rank} {self.partition.name}>"
 
@@ -70,16 +66,12 @@ class World:
     """The simulated machine-wide MPI job."""
 
     def __init__(self, machine: MachineSpec, nranks: int, *, seed: int = 0,
-                 cost: CostModel | None = None, kernel: Kernel | None = None,
-                 telemetry: Telemetry | None = None):
+                 cost: CostModel | None = None, telemetry: Telemetry | None = None):
         if nranks <= 0:
             raise ConfigError(f"world needs nranks > 0, got {nranks}")
         self.machine = machine
-        self.kernel = kernel or Kernel(telemetry=telemetry)
-        self.telemetry = telemetry if telemetry is not None else self.kernel.telemetry
-        if self.telemetry.enabled:
-            # An externally built kernel may not have bound the clock yet.
-            self.telemetry.bind_clock(lambda: self.kernel.now)
+        self.kernel = Kernel(telemetry=telemetry)
+        self.telemetry = self.kernel.telemetry
         self.cluster = Cluster(self.kernel, machine, nranks)
         self.cost = cost or CostModel.for_machine(
             machine, ranks_per_node=min(nranks, machine.cores_per_node)

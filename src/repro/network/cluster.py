@@ -29,10 +29,6 @@ class Placement:
     ranks_per_node: dict[int, int]
 
     @property
-    def nranks(self) -> int:
-        return len(self.node_of_rank)
-
-    @property
     def nodes_used(self) -> int:
         return len(self.ranks_per_node)
 
@@ -63,15 +59,10 @@ class Cluster:
         kernel: Kernel,
         machine: MachineSpec,
         nranks: int,
-        placement: Placement | None = None,
     ):
         self.kernel = kernel
         self.machine = machine
-        self.placement = placement or block_placement(nranks, machine)
-        if self.placement.nranks != nranks:
-            raise ConfigError(
-                f"placement covers {self.placement.nranks} ranks, job has {nranks}"
-            )
+        self.placement = block_placement(nranks, machine)
         self.nranks = nranks
         self.topology = FatTree(machine.nodes)
         # Per used node: (egress pipe, ingress pipe).  NIC bandwidth is set
@@ -112,17 +103,6 @@ class Cluster:
         if not (0 <= rank < self.nranks):
             raise ConfigError(f"rank {rank} outside job of {self.nranks}")
         return self.placement.node_of_rank[rank]
-
-    def same_node(self, a: int, b: int) -> bool:
-        return self.node_of(a) == self.node_of(b)
-
-    def latency(self, src: int, dst: int) -> float:
-        src_n, dst_n = self.node_of(src), self.node_of(dst)
-        route = self._routes.get((src_n, dst_n)) or self._route(src_n, dst_n)
-        lat = route[0]
-        if src_n != dst_n and self._extra_latency:
-            lat += self._extra_latency.get(src_n, 0.0) + self._extra_latency.get(dst_n, 0.0)
-        return lat
 
     # -- fault injection -----------------------------------------------------------
 

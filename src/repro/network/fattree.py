@@ -48,12 +48,6 @@ class FatTree:
         """End-to-end latency for a message between two nodes."""
         return base + self.hops(a, b) * per_hop
 
-    def same_leaf_nodes(self, node: int) -> range:
-        """The node-index range sharing a leaf switch with ``node``."""
-        leaf = self.leaf_of(node)
-        start = leaf * self.radix
-        return range(start, min(start + self.radix, self.nodes))
-
     def bisection_links(self) -> int:
         """Number of leaf-to-core uplinks crossing the bisection."""
         return max(1, self.leaf_switches // 2) * self.radix

@@ -121,9 +121,7 @@ class Timeout(SimEvent):
 
     __slots__ = ("delay",)
 
-    def __init__(
-        self, kernel: "Kernel", delay: float, value: Any = None, name: str = "timeout"
-    ):
+    def __init__(self, kernel: "Kernel", delay: float, value: Any = None):
         if not delay >= 0:  # also rejects NaN, which would poison heap order
             raise SimulationError(f"timeout delay must be a number >= 0, got {delay}")
         # SimEvent.__init__ inlined: one frame per timeout, not two.
@@ -131,7 +129,7 @@ class Timeout(SimEvent):
         self.state = PENDING
         self.value = value
         self.callbacks = []
-        self.name = name
+        self.name = "timeout"
         self.num_waiters = -1
         self.delay = delay
         kernel._seq = seq = kernel._seq + 1

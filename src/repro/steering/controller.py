@@ -77,14 +77,6 @@ class SteeringDecision:
     def as_dict(self) -> dict[str, Any]:
         return asdict(self)
 
-    def describe(self) -> str:
-        extra = ""
-        if self.detail:
-            extra = " (" + ", ".join(
-                f"{k}={v}" for k, v in sorted(self.detail.items())
-            ) + ")"
-        return f"[{self.t:.6f}s] {self.action} <- {self.trigger_kind}{extra}"
-
 
 class SteeringController:
     """Online policy actuation over one simulated session."""

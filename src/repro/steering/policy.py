@@ -122,8 +122,8 @@ class SteeringPolicy:
 
     # -- serialization (FaultPlan idiom) ---------------------------------------
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(asdict(self), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "SteeringPolicy":
@@ -140,10 +140,10 @@ class SteeringPolicy:
         return cls(**data)
 
 
-def static_policy(name: str = "static") -> SteeringPolicy:
+def static_policy() -> SteeringPolicy:
     """A policy with every actuator disabled — observe, never act."""
     return SteeringPolicy(
-        name=name,
+        name="static",
         enable_reduction=False,
         enable_autoscale=False,
         enable_rebalance=False,

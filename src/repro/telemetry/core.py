@@ -104,14 +104,13 @@ class Telemetry:
         self,
         name: str,
         pid: int = KERNEL_PID,
-        tid: int = 0,
         cat: str = "",
         args: dict[str, Any] | None = None,
     ) -> Span:
         """Open a span at the current clock; caller ends it."""
         if not self.enabled:
             return NULL_SPAN
-        return Span(self, name, pid=pid, tid=tid, cat=cat, args=args)
+        return Span(self, name, pid=pid, tid=0, cat=cat, args=args)
 
     def _open_span(self, span: Span) -> None:
         self._open[id(span)] = span

@@ -133,24 +133,6 @@ def watermarks(records: Iterable[FlowRecord]) -> dict[str, dict[str, Any]]:
     return {f"app{app}/rank{rank}": entry for (app, rank), entry in sorted(per_stream.items())}
 
 
-def per_writer_stage_samples(
-    records: Iterable[FlowRecord],
-) -> dict[tuple[int, int], dict[str, list[float]]]:
-    """Stage samples partitioned by producing (app, rank) stream.
-
-    Concatenating the per-writer sample lists yields exactly the global
-    :func:`stage_samples` (tested by the multi-writer suite).
-    """
-    out: dict[tuple[int, int], dict[str, list[float]]] = {}
-    for record in records:
-        per = out.setdefault(
-            (record.app_id, record.origin_rank), {stage: [] for stage in STAGES}
-        )
-        for stage, dur in record.stages().items():
-            per[stage].append(dur)
-    return out
-
-
 def loss_counts(records: Iterable[FlowRecord]) -> dict[str, int]:
     """Dropped flows bucketed by loss label (empty in healthy runs)."""
     out: dict[str, int] = {}

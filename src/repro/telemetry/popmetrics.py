@@ -179,10 +179,6 @@ class WindowMetrics:
     #: per-rank sums, keyed ``"app/rank"`` (kept for phase accumulation)
     per_rank: dict[str, dict[str, float]] = field(repr=False, default_factory=dict)
 
-    @property
-    def signal(self) -> dict[str, float]:
-        return self.metrics
-
     def as_dict(self) -> dict[str, Any]:
         return {
             "index": self.index,

@@ -284,9 +284,6 @@ class FlowRegistry:
     def completed(self) -> list[FlowRecord]:
         return [f for f in self.flows.values() if f.complete]
 
-    def dropped(self) -> list[FlowRecord]:
-        return [f for f in self.flows.values() if f.dropped is not None]
-
     def records(self) -> Iterable[FlowRecord]:
         return self.flows.values()
 

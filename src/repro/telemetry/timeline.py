@@ -84,9 +84,9 @@ class TimeSeries:
         rate = (v_last - v_first) / dt if dt > 0 else 0.0
         return {"n": float(len(pts)), "last": v_last, "rate": rate}
 
-    def slope(self, t_lo: float, t_hi: float = math.inf) -> float:
-        """Least-squares trend (value units per second) over the window."""
-        pts = self.window(t_lo, t_hi)
+    def slope(self, t_lo: float) -> float:
+        """Least-squares trend (value units per second) since ``t_lo``."""
+        pts = self.window(t_lo)
         if len(pts) < 2:
             return 0.0
         n = len(pts)

@@ -60,7 +60,7 @@ class TestMPIProfile:
     def test_bi_bandwidth(self):
         p = MPIProfile("a", 1)
         p.update(0, make_events([("MPI_Send", 0, 0, 1, 0.0, 2.0)] * 5))
-        assert p.instrumentation_bandwidth(record_bytes=40) == pytest.approx(100.0)
+        assert p.instrumentation_bandwidth() == pytest.approx(100.0)
 
     def test_empty_profile(self):
         p = MPIProfile("a", 2)
@@ -112,8 +112,7 @@ class TestCommMatrix:
         m = CommMatrix("ring", 4)
         for r in range(4):
             m.update(r, make_events([("MPI_Send", (r + 1) % 4, 0, 8, 0, 1)]))
-        g = m.graph("hits")
-        assert g.number_of_edges() == 4
+        assert len(m.cells) == 4
         assert m.degree_histogram() == {1: 4}
         assert m.is_symmetric("hits") is False  # directed ring
 
@@ -139,7 +138,7 @@ class TestCommMatrix:
     def test_to_dot_size_guard(self):
         m = CommMatrix("big", 1000)
         with pytest.raises(ReproError):
-            m.to_dot(max_nodes=256)
+            m.to_dot()
 
     def test_out_of_range_peer_rejected(self):
         m = CommMatrix("a", 2)
@@ -170,26 +169,6 @@ class TestCommMatrix:
         assert m.cells == {} and m.totals() == (0, 0, 0)
         with pytest.raises(ReproError):  # the rank check still comes first
             m.update(2, make_events([]))
-
-    def test_networkx_is_imported_by_graph_only(self):
-        """Nothing on the ingest or report path needs networkx; importing
-        the analysis package must not pay for it (checked in a fresh
-        interpreter, since this process has long since imported it)."""
-        import subprocess
-        import sys
-
-        probe = (
-            "import sys, repro.analysis as a\n"
-            "assert 'networkx' not in sys.modules, 'eager networkx import'\n"
-            "g = a.CommMatrix('ring', 2).graph()\n"
-            "assert 'networkx' in sys.modules\n"
-            "print(type(g).__name__)\n"
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", probe], capture_output=True, text=True, check=False
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "DiGraph"
 
 
 class TestDensityMaps:

@@ -32,7 +32,7 @@ class TestTypeRegistry:
     def test_name_of_roundtrip(self):
         reg = TypeRegistry()
         tid = reg.register("x", level="lvl")
-        assert reg.name_of(tid) == ("lvl", "x")
+        assert reg.lookup("x", level="lvl") == tid
 
     def test_len(self):
         reg = TypeRegistry()
@@ -85,12 +85,12 @@ class TestKnowledgeSource:
 
     def test_duplicate_sensitivity_consumes_two(self):
         ks = KnowledgeSource("pair", [7, 7], lambda b, e: None)
-        e1, e2, e3 = (DataEntry(7, 0, i) for i in range(3))
+        e1, e2, e3, e4 = (DataEntry(7, 0, i) for i in range(4))
         assert ks.offer(e1) is None
         job = ks.offer(e2)
         assert job == [e1, e2]
         assert ks.offer(e3) is None
-        assert ks.pending_count() == 1
+        assert ks.offer(e4) == [e3, e4]  # e3 was kept pending
 
     def test_foreign_type_rejected(self):
         ks = KnowledgeSource("ks", [1], lambda b, e: None)
@@ -108,7 +108,7 @@ class TestJobQueues:
         ks = KnowledgeSource("ks", [1], lambda b, e: None)
         jobs = [Job(ks=ks, entries=[]) for _ in range(20)]
         for job in jobs:
-            q.push(job)
+            q.push_many((job,))
         assert len(q) == 20
         popped = []
         while True:
@@ -323,10 +323,14 @@ class TestMultiLevel:
         assert ml.dispatched == {"a": 2, "b": 1}
 
     def test_same_ks_name_cohabits_across_levels(self):
+        # The same KS registered once per level (paper Figure 5) listens to
+        # two distinct type ids: type ids hash the level with the name.
         ml = MultiLevelBlackboard(levels=["x", "y"])
-        ml.register_ks_all_levels("profiler", "event_pack", lambda bd, es: None)
-        names = [ks.name for ks in ml.board.knowledge_sources()]
-        assert "profiler[x]" in names and "profiler[y]" in names
+        x, y = (
+            ml.register_ks("profiler", [("event_pack", lv)], lambda bd, es: None)
+            for lv in ml.levels
+        )
+        assert x.name == y.name and x.sensitivity_types != y.sensitivity_types
 
     def test_unknown_app_id_rejected(self):
         ml = MultiLevelBlackboard(levels=["only"])

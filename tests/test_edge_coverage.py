@@ -86,8 +86,8 @@ class TestRenderingEdges:
         arr = np.zeros(1, dtype=EVENT_DTYPE)
         arr[0] = (CALL_IDS["MPI_Send"], 0, 1, 0, 2, 77, 0.0, 0.5)
         m.update(0, arr)
-        g = m.graph("size")
-        assert g[0][1]["weight"] == 77
+        assert m.dense("size")[0, 1] == 77
+        assert m.dense("hits")[0, 1] == 1
 
 
 class TestGrid3D:

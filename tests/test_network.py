@@ -66,7 +66,8 @@ class TestFatTree:
 
     def test_same_leaf_nodes(self):
         ft = FatTree(nodes=40, radix=18)
-        assert list(ft.same_leaf_nodes(20)) == list(range(18, 36))
+        peers = [n for n in range(40) if ft.leaf_of(n) == ft.leaf_of(20)]
+        assert peers == list(range(18, 36))
 
     def test_node_bounds_checked(self):
         ft = FatTree(nodes=4)
@@ -102,8 +103,8 @@ class TestPlacement:
 class TestCluster:
     def test_same_node_detection(self, machine):
         cluster = Cluster(Kernel(), machine, nranks=8)
-        assert cluster.same_node(0, 3)
-        assert not cluster.same_node(0, 4)
+        assert cluster.node_of(0) == cluster.node_of(3)
+        assert cluster.node_of(0) != cluster.node_of(4)
 
     def test_rank_bounds(self, machine):
         cluster = Cluster(Kernel(), machine, nranks=8)
