@@ -41,10 +41,13 @@ AST so comments and strings never trip them:
    ``Timeout.__init__``, ``SimEvent.succeed/fail/succeed_after``,
    ``_Condition/AllOf/AnyOf.__init__``, ``Resource.acquire/release``,
    ``Mailbox.post/deliver/_complete``, ``PostedRecv._arrived``,
-   ``PMPIStack._intercepted`` (the body ``around`` is bound to while an
-   interceptor is attached), ``Cluster.transfer``, ``Comm._raw_isend``) contain
-   no f-string or ``str.format`` call, no comprehension or generator
-   expression, and no
+   ``PMPIStack._intercepted`` and ``StreamingInstrumentation.around`` /
+   ``_capture`` (what ``around`` is bound to while interceptors are
+   attached), ``Cluster.transfer``, ``Comm._raw_isend``, the MPI join
+   ``Join.__init__/_on_child`` and the ``post`` hooks ``_matched`` /
+   ``_received_total`` — module functions, listed under the class ``""``)
+   contain no f-string or ``str.format`` call, no comprehension or
+   generator expression, and no
    ``sum(`` / one-argument ``min(`` / ``max(`` over a container — so
    per-message name formatting and O(communicators) rescans cannot creep
    back (DESIGN 14).  ``raise`` statements are exempt: the error path may
@@ -170,7 +173,8 @@ def _is_vector_function(name: str) -> bool:
     return name in STAGE_HOOKS or any(mark in name for mark in VECTOR_HELPER_MARKERS)
 
 
-#: module -> class -> the methods that run once per event / per message
+#: module -> class -> the methods that run once per event / per message;
+#: the class ``""`` holds module-level functions
 PER_EVENT_FUNCTIONS = {
     Path("repro") / "simt" / "process.py": {"Process": {"_resume"}},
     Path("repro") / "simt" / "primitives.py": {
@@ -186,8 +190,15 @@ PER_EVENT_FUNCTIONS = {
         "PostedRecv": {"_arrived"},
     },
     Path("repro") / "mpi" / "pmpi.py": {"PMPIStack": {"_intercepted"}},
+    Path("repro") / "instrument" / "interceptor.py": {
+        "StreamingInstrumentation": {"around", "_capture"},
+    },
     Path("repro") / "network" / "cluster.py": {"Cluster": {"transfer"}},
-    Path("repro") / "mpi" / "communicator.py": {"Comm": {"_raw_isend"}},
+    Path("repro") / "mpi" / "communicator.py": {
+        "Comm": {"_raw_isend"},
+        "": {"_matched", "_received_total"},
+    },
+    Path("repro") / "mpi" / "request.py": {"Join": {"__init__", "_on_child"}},
 }
 
 #: module holding the dispatch loop
@@ -384,27 +395,35 @@ def _check_per_event_functions(
     """Flag formatting, comprehensions and container scans per event/message."""
     problems = []
     missing = {(cls, fn) for cls, fns in wanted.items() for fn in fns}
-    for cls in ast.walk(tree):
-        if not isinstance(cls, ast.ClassDef) or cls.name not in wanted:
-            continue
-        for fn in cls.body:
-            if not isinstance(fn, ast.FunctionDef) or fn.name not in wanted[cls.name]:
+    scopes = [("", tree.body)] + [
+        (cls.name, cls.body)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name in wanted
+    ]
+    for cls_name, body in scopes:
+        for fn in body:
+            if not isinstance(fn, ast.FunctionDef) or fn.name not in wanted.get(cls_name, ()):
                 continue
-            missing.discard((cls.name, fn.name))
+            missing.discard((cls_name, fn.name))
             for sub in _walk_outside(fn, _is_raise):
                 what = _per_event_offence(sub)
                 if what is not None:
                     problems.append(
                         f"{rel}:{sub.lineno}: {what} inside per-event function "
-                        f"{cls.name}.{fn.name}() — it runs once per kernel event "
-                        "or message; precompute it, or keep a running value"
+                        f"{per_event_label(cls_name, fn.name)}() — it runs once per "
+                        "kernel event or message; precompute it, or keep a running value"
                     )
     for cls_name, fn_name in sorted(missing):
         problems.append(
-            f"{rel}:1: per-event function {cls_name}.{fn_name}() not found — "
-            "update PER_EVENT_FUNCTIONS if it moved or was renamed"
+            f"{rel}:1: per-event function {per_event_label(cls_name, fn_name)}() not "
+            "found — update PER_EVENT_FUNCTIONS if it moved or was renamed"
         )
     return problems
+
+
+def per_event_label(cls_name: str, fn_name: str) -> str:
+    """``Class.method``, or the bare name of a module-level function."""
+    return f"{cls_name}.{fn_name}" if cls_name else fn_name
 
 
 def _mentions(node: ast.AST, name: str) -> bool:

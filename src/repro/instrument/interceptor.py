@@ -89,8 +89,38 @@ class StreamingInstrumentation(Interceptor):
         self._cpu_debt = 0.0
         self._per_event_cpu = self.cost.per_event_cpu  # hot-path cache
         self._cpu_quantum = max(self._per_event_cpu * 16, 8e-6)
+        self._pmpi = mpi.ctx.pmpi
+        self._kernel = mpi.ctx.kernel
 
     # -- PMPI hooks ---------------------------------------------------------------
+
+    def around(self, name, impl, comm, peer=-1, tag=-1, nbytes=0, post=None):
+        """Generator: ``PMPIStack.around`` while this is the rank's only
+        interceptor — :meth:`PMPIStack._intercepted` with :meth:`on_exit`
+        inlined.  A captured call hands its fields to :meth:`_capture` as a
+        plain tuple in :class:`CallRecord` order; only ``MPI_Init``,
+        ``MPI_Finalize`` and a call before ``MPI_Init`` build a record and
+        go through :meth:`on_exit`.
+        """
+        self._pmpi.calls_seen += 1
+        kernel = self._kernel
+        t_start = kernel.now
+        result = yield from impl
+        if post is not None:
+            peer, tag, nbytes = post(result, peer, tag, nbytes)
+        fields = (name, t_start, kernel.now, comm.id, comm.rank, comm.size, peer, tag, nbytes)
+        if self._open and name != "MPI_Finalize":
+            work = self._capture(fields)
+        else:
+            work = self.on_exit(self._pmpi.ctx, CallRecord._make(fields))
+        if work is None:
+            return result
+        if isinstance(work, float):
+            if work > 0:
+                yield work
+        else:
+            yield from work
+        return result
 
     def on_exit(self, ctx: "RankContext", record: CallRecord):
         if record.name == "MPI_Init":
@@ -134,7 +164,7 @@ class StreamingInstrumentation(Interceptor):
             raise InstrumentationError(
                 f"no analyzer partition named {ANALYZER_PARTITION!r}"
             )
-        kernel = mpi.ctx.kernel
+        kernel = self._kernel
         t_setup = kernel.now
         yield from map_partitions(mpi, self.vmap, analyzer, policy=ROUND_ROBIN)
         if not self.vmap.entries:
@@ -150,14 +180,16 @@ class StreamingInstrumentation(Interceptor):
         elif work is not None:
             yield from work
 
-    def _capture(self, record: CallRecord):
+    def _capture(self, record: tuple):
         """Capture one event; returns a generator only when work is due.
 
-        Returning ``None`` on the fast path (no flush, debt below quantum)
-        lets the PMPI layer skip generator dispatch entirely.
+        ``record`` is a :class:`CallRecord` or a plain tuple of its fields
+        (the fused :meth:`around`), read by index.  Returning ``None`` on
+        the fast path (no flush, debt below quantum) lets the PMPI layer
+        skip generator dispatch entirely.
         """
         self.events_captured += 1
-        self.mpi_time_s += record.t_end - record.t_start
+        self.mpi_time_s += record[2] - record[1]
         self._cpu_debt += self._per_event_cpu
         full = self.builder.add(record)
         if full:
@@ -178,7 +210,7 @@ class StreamingInstrumentation(Interceptor):
         backpressure stall — is instrumentation-induced, so the whole
         elapsed virtual interval lands in :attr:`overhead_s`.
         """
-        kernel = self.mpi.ctx.kernel
+        kernel = self._kernel
         t_enter = kernel.now
         debt, self._cpu_debt = self._cpu_debt, 0.0
         if debt > 0:
@@ -193,7 +225,7 @@ class StreamingInstrumentation(Interceptor):
             if last:
                 self.builder.close()
             return
-        kernel = self.mpi.ctx.kernel
+        kernel = self._kernel
         # Provenance: register the flow at seal time; the stamp travels
         # in the frame's provenance section so the analyzer side recovers
         # the flow id from the wire bytes.  Like the CRC section it is
@@ -257,7 +289,7 @@ class StreamingInstrumentation(Interceptor):
 
     def _teardown(self, record: CallRecord):
         """Generator: capture the finalize event, flush the tail, close."""
-        kernel = self.mpi.ctx.kernel
+        kernel = self._kernel
         tail = self._capture(record)
         if isinstance(tail, (int, float)):
             yield float(tail)

@@ -15,9 +15,9 @@ from repro.errors import CommunicatorError, MPIError
 from repro.mpi.collectives import CollectiveEngine
 from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG
 from repro.mpi.message import Envelope
-from repro.mpi.request import Request, waitall as _waitall
+from repro.mpi.request import Join, Request, waitall as _waitall
 from repro.mpi.status import Status
-from repro.simt.primitives import AllOf, SimEvent
+from repro.simt.primitives import SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.mpi.world import RankContext, World
@@ -50,7 +50,11 @@ def _matched(status, peer: int, tag: int, nbytes: int):
 
 def _received_total(statuses, peer: int, tag: int, _nbytes: int):
     """``around(post=)`` of ``waitall``: the bytes its receives brought in."""
-    return peer, tag, sum(st.nbytes for st in statuses if st is not None)
+    total = 0
+    for st in statuses:
+        if st is not None:
+            total += st.nbytes
+    return peer, tag, total
 
 
 class Comm:
@@ -188,7 +192,7 @@ class Comm:
                 completion.succeed()
         else:
             match_event = SimEvent(kernel, "isend.match")
-            completion = AllOf(kernel, [match_event, arrival])
+            completion = Join(kernel, [match_event, arrival], "isend.complete")
         env = Envelope(self.id, self.rank, tag, nbytes, payload, arrival, match_event)
         world.ranks[g_dst].mailbox.deliver(env)
         if blocking:

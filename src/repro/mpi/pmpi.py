@@ -47,6 +47,12 @@ class Interceptor:
     seconds charged to the calling rank), or a generator (driven to
     completion on the calling rank's timeline — use this for blocking work
     such as stream writes).
+
+    A class may also define an ``around`` generator method with
+    :meth:`PMPIStack.around`'s signature that does for its own hooks what
+    :meth:`PMPIStack._intercepted` would (``calls_seen`` included): the
+    stack binds ``around`` to it while an instance of exactly that class is
+    the only interceptor attached.  Subclasses do not inherit the binding.
     """
 
     def on_enter(self, ctx: "RankContext", name: str) -> Any:
@@ -78,13 +84,18 @@ class PMPIStack:
         self._on_exit: tuple = ()
         #: what every MPI call hands its body generator to, rebound with the
         #: hooks: :func:`_unobserved` (``impl`` straight back, no generator of
-        #: its own) while nothing is attached, else :meth:`_intercepted`.
+        #: its own) while nothing is attached, the interceptor's own
+        #: ``around`` while it is alone and its class defines one, else
+        #: :meth:`_intercepted`.
         self.around = _unobserved
 
     def attach(self, interceptor: Interceptor) -> None:
         self.interceptors.append(interceptor)
-        self.around = self._intercepted
         kind = type(interceptor)
+        if len(self.interceptors) == 1 and "around" in vars(kind):
+            self.around = interceptor.around
+        else:
+            self.around = self._intercepted
         if kind.on_enter is not Interceptor.on_enter:
             self._on_enter += (interceptor.on_enter,)
         if kind.on_exit is not Interceptor.on_exit:

@@ -6,10 +6,50 @@ from typing import TYPE_CHECKING
 
 from repro.errors import MPIError
 from repro.mpi.status import Status
-from repro.simt.primitives import SimEvent
+from repro.simt.primitives import FAILED, PENDING, SimEvent
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.simt.kernel import Kernel
+
+
+class Join(SimEvent):
+    """Fires once every child has fired, with no value; the first failure
+    propagates.
+
+    :class:`~repro.simt.primitives.AllOf` without the ``{event: value}`` dict
+    no MPI caller reads: it succeeds or fails at the same point, so the
+    schedule is the same ``(time, seq)`` sequence.  ``events`` must be
+    non-empty and on ``kernel``.
+    """
+
+    __slots__ = ("_remaining",)
+
+    def __init__(self, kernel: "Kernel", events: list[SimEvent], name: str):
+        # SimEvent.__init__ inlined.
+        self.kernel = kernel
+        self.state = PENDING
+        self.value = None
+        self.callbacks = []
+        self.name = name
+        self.num_waiters = -1
+        self._remaining = len(events)
+        on_child = self._on_child  # bound once, not once per child
+        for ev in events:
+            callbacks = ev.callbacks
+            if callbacks is None:  # already dispatched: counts at once
+                on_child(ev)
+            else:
+                callbacks.append(on_child)
+
+    def _on_child(self, ev: SimEvent) -> None:
+        if self.state != PENDING:
+            return
+        if ev.state == FAILED:
+            self.fail(ev.value)
+            return
+        self._remaining -= 1
+        if self._remaining == 0:
+            self.succeed()
 
 
 class Request:
@@ -59,7 +99,7 @@ def waitall(kernel: "Kernel", requests: list[Request]):
         if req._consumed:
             raise MPIError("waitall() includes an already-waited request")
         req._consumed = True
-    yield kernel.all_of([r.event for r in requests])
+    yield Join(kernel, [r.event for r in requests], "waitall")
     out: list[Status | None] = []
     for req in requests:
         value = req.event.value

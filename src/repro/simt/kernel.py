@@ -51,7 +51,6 @@ class Kernel:
         "_heap",
         "_seq",
         "_processes",
-        "_current",
         "_hooks",
         "_hooks_due",
         "telemetry",
@@ -67,7 +66,6 @@ class Kernel:
         self._heap: list[tuple[float, int, SimEvent]] = []
         self._seq = 0
         self._processes: list[Process] = []
-        self._current: Process | None = None
         self._hooks: list[PeriodicHook] = []
         #: earliest ``next_due`` among active hooks (inf when none) — the
         #: dispatch loop's per-event hook test is one float compare, never
@@ -99,11 +97,6 @@ class Kernel:
         proc = Process(self, generator, name=name)
         self._processes.append(proc)
         return proc
-
-    @property
-    def current_process(self) -> Process | None:
-        """The process being stepped right now (None outside process code)."""
-        return self._current
 
     def alive_processes(self) -> list[Process]:
         return [p for p in self._processes if p.is_alive]

@@ -99,8 +99,6 @@ class Process(SimEvent):
         if (waiting is not event and waiting is not None) or self.state != PENDING:
             return  # stale wake-up after an interrupt, or already finished
         self._waiting_on = None
-        kernel = self.kernel
-        kernel._current = self
         try:
             if event.state == FAILED:
                 target = self.generator.throw(event.value)
@@ -114,8 +112,7 @@ class Process(SimEvent):
                 raise
             self.fail(exc)
             return
-        finally:
-            kernel._current = None
+        kernel = self.kernel
         if isinstance(target, float):
             if target >= 0:
                 # A pure delay: one heap entry, as a Timeout would be, with

@@ -15,6 +15,7 @@ from check_hotpath_invariants import (  # noqa: E402
     DECODE_PATH_FUNCTIONS,
     PER_EVENT_FUNCTIONS,
     check_tree,
+    per_event_label,
 )
 
 
@@ -235,10 +236,12 @@ def _per_event_module(rel, cls, fn, body):
     (a missing one is itself a violation), except ``cls.fn`` = ``body``."""
     lines = []
     for klass, fns in PER_EVENT_FUNCTIONS[Path(rel)].items():
-        lines.append(f"class {klass}:")
+        indent = "    " if klass else ""  # the class "" is the module itself
+        if klass:
+            lines.append(f"class {klass}:")
         for name in sorted(fns):
             stmt = body if (klass, name) == (cls, fn) else "pass"
-            lines.append(f"    def {name}(self, x=None):\n        {stmt}")
+            lines.append(f"{indent}def {name}(self, x=None):\n{indent}    {stmt}")
     return "\n".join(lines) + "\n"
 
 
@@ -262,7 +265,7 @@ def test_flags_formatting_and_rescans_in_per_event_functions(
     _write(tmp_path, rel, _per_event_module(rel, cls, fn, body))
     problems = [p for p in check_tree(tmp_path) if "per-event function" in p]
     assert problems, (rel, cls, fn, body)
-    assert all(f"{cls}.{fn}()" in p for p in problems)
+    assert all(f"{per_event_label(cls, fn)}()" in p for p in problems)
     assert any(what in p for p in problems)
 
 
@@ -305,11 +308,40 @@ def test_a_renamed_per_event_function_is_reported(tmp_path):
     _write(
         tmp_path,
         "repro/mpi/communicator.py",
-        "class Comm:\n    def _start_send(self):\n        pass\n",
+        "class Comm:\n    def _start_send(self):\n        pass\n"
+        "def _matched(s, p, t, n):\n    pass\n"
+        "def _received_total(s, p, t, n):\n    pass\n",
     )
     problems = check_tree(tmp_path)
     assert len(problems) == 1
     assert "Comm._raw_isend() not found" in problems[0]
+
+
+def test_waitalls_byte_total_is_a_plain_loop_and_cannot_vanish(tmp_path):
+    # The generator-expression sum _received_total used to compute on every
+    # intercepted MPI_Waitall is flagged; a method of the same name on a
+    # class does not stand in for the module function.
+    _write(
+        tmp_path,
+        "repro/mpi/communicator.py",
+        "class Comm:\n    def _raw_isend(self):\n        pass\n"
+        "    def _received_total(self, s, p, t, n):\n        pass\n"
+        "def _matched(s, p, t, n):\n    pass\n",
+    )
+    problems = check_tree(tmp_path)
+    assert len(problems) == 1
+    assert "communicator.py:1: per-event function _received_total() not found" in problems[0]
+    _write(
+        tmp_path,
+        "repro/mpi/communicator.py",
+        "class Comm:\n    def _raw_isend(self):\n        pass\n"
+        "def _matched(s, p, t, n):\n    pass\n"
+        "def _received_total(statuses, peer, tag, _nbytes):\n"
+        "    return peer, tag, sum(st.nbytes for st in statuses if st is not None)\n",
+    )
+    problems = check_tree(tmp_path)
+    assert problems and all("_received_total()" in p for p in problems)
+    assert any("sum() over a container" in p for p in problems)
 
 
 # -- rule 5: one derivation per pack --------------------------------------------------

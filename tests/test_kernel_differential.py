@@ -2,7 +2,8 @@
 
 Hypothesis draws small process programs — positive and zero delays that tie,
 spelled ``yield kernel.timeout(d)`` (``sleep``) or ``yield d`` (``nap``),
-``succeed``/``fail`` chains on shared events, ``any_of``/``all_of``,
+``succeed``/``fail`` chains on shared events, ``any_of``/``all_of``, the
+MPI layer's value-less ``Join`` (held to ``all_of`` on the reference),
 ``interrupt``, joins (also on crashed processes), ``call_every(first=)``
 hooks — and one of the three ``run()`` modes or a ``step()``-by-``step()``
 walk.  Each program runs on the real kernel with telemetry off and on and on
@@ -25,12 +26,13 @@ the dispatch log, no resume, no counter and no heap depth.
 
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pytest
 
 from repro.errors import SimulationError
+from repro.mpi.request import Join
 from repro.simt import Interrupt, Kernel, Process
 from repro.simt import kernel as kernel_module
 from repro.telemetry import KERNEL_PID, NULL_TELEMETRY, Telemetry
@@ -55,6 +57,7 @@ ops = st.one_of(
     st.tuples(st.just("fail"), event_ids),
     st.tuples(st.just("any_of"), event_sets, delays),
     st.tuples(st.just("all_of"), event_sets),
+    st.tuples(st.just("mpi_join"), event_sets),
     st.tuples(st.just("join"), proc_ids),
     st.tuples(st.just("interrupt"), proc_ids),
     st.tuples(st.just("hook"), st.sampled_from([0.5, 0.75, 2.0]), delays),
@@ -96,6 +99,13 @@ def _body(k, me, script, events, procs, seen, probe):
             elif kind == "all_of":
                 fired = yield k.all_of([events[i] for i in op[1]])
                 seen.append((k.now, me, "all", sorted(ev.name for ev in fired)))
+            elif kind == "mpi_join" and op[1]:
+                children = [events[i] for i in op[1]]
+                if isinstance(k, ReferenceKernel):
+                    yield k.all_of(children)
+                else:
+                    yield Join(k, children, "all_of")
+                seen.append((k.now, me, "joined all"))
             elif kind == "join" and op[1] < len(procs) and op[1] != me:
                 seen.append((k.now, me, "joined", (yield procs[op[1]])))
             elif kind == "interrupt" and op[1] < len(procs):
@@ -208,6 +218,17 @@ def _assert_matches_the_reference(program, mode):
 
 @settings(max_examples=300, deadline=None)
 @given(program=scripts, mode=modes)
+# Joins over a child already dispatched (succeeded or failed) and over one
+# that fails while the join waits: the paths random programs rarely reach.
+@example(
+    program=[[("succeed", 0), ("nap", 0.5), ("mpi_join", [0, 1])], [("nap", 1.0), ("succeed", 1)]],
+    mode=("drain",),
+)
+@example(program=[[("fail", 0), ("nap", 0.5), ("mpi_join", [1, 0])]], mode=("drain",))
+@example(
+    program=[[("mpi_join", [0, 1])], [("nap", 0.5), ("fail", 1), ("nap", 0.5), ("succeed", 0)]],
+    mode=("drain",),
+)
 def test_single_loop_matches_the_reference_scheduler(program, mode):
     _assert_matches_the_reference(program, mode)
 

@@ -128,19 +128,6 @@ def test_alive_processes_listing(kernel):
     assert kernel.alive_processes() == []
 
 
-def test_current_process_visibility(kernel):
-    seen = []
-
-    def introspect(k):
-        seen.append(k.current_process.name)
-        yield k.timeout(0.0)
-
-    kernel.spawn(introspect(kernel), name="me")
-    kernel.run()
-    assert seen == ["me"]
-    assert kernel.current_process is None
-
-
 # -- float delays: a sleeping process is its own heap entry ------------------------------
 
 
