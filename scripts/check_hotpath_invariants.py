@@ -2,9 +2,10 @@
 """Hot-path invariant lint: clock discipline, zero-copy decode, loop-free codec,
 lean per-event functions, one derivation per pack, observers paid per read,
 pure delays as floats, host-time profiling from outside, one observer clock,
-one schema table, analysis state keyed by the ranks seen.
+one schema table, analysis state keyed by the ranks seen, lean per-pack
+functions.
 
-Eleven structural rules the hot-path refactors rely on, enforced over the
+Twelve structural rules the hot-path refactors rely on, enforced over the
 AST so comments and strings never trip them:
 
 1. **Clock discipline** — ``time.perf_counter`` (and its ``_ns``
@@ -123,6 +124,17 @@ AST so comments and strings never trip them:
     ``RANK_KEYED_MODULES`` must exist: a listed module that is gone is
     itself a violation, so a rename cannot retire the rule silently.
 
+12. **Lean per-pack functions** — the functions every pack passes through
+    on the analyzer side (``Blackboard.submit/execute/run_until_idle``,
+    ``JobQueues.push_many/try_pop``, ``KnowledgeSource.offer``,
+    ``MultiLevelBlackboard._dispatch/_level_of`` and
+    ``AnalyzerEngine.ingest``) contain no f-string or ``str.format`` call
+    and no comprehension or generator expression: they run a fixed number
+    of times per pack, and a name formatted or a container rebuilt there
+    is ceremony every pack pays (DESIGN 14).  ``raise`` statements are
+    exempt.  A listed function that no longer exists is itself a
+    violation, as in rule 4.
+
 Exit status 0 when clean; 1 with one ``path:line: message`` per
 violation otherwise.  Run from the repository root::
 
@@ -199,6 +211,20 @@ PER_EVENT_FUNCTIONS = {
         "": {"_matched", "_received_total"},
     },
     Path("repro") / "mpi" / "request.py": {"Join": {"__init__", "_on_child"}},
+}
+
+#: module -> class -> the functions every pack runs through on the analyzer
+#: side (rule 12)
+PER_PACK_FUNCTIONS = {
+    Path("repro") / "blackboard" / "board.py": {
+        "Blackboard": {"submit", "execute", "run_until_idle"},
+    },
+    Path("repro") / "blackboard" / "jobs.py": {"JobQueues": {"push_many", "try_pop"}},
+    Path("repro") / "blackboard" / "ks.py": {"KnowledgeSource": {"offer"}},
+    Path("repro") / "blackboard" / "multilevel.py": {
+        "MultiLevelBlackboard": {"_dispatch", "_level_of"},
+    },
+    Path("repro") / "analysis" / "engine.py": {"AnalyzerEngine": {"ingest"}},
 }
 
 #: module holding the dispatch loop
@@ -371,7 +397,7 @@ def _is_trace_branch(node: ast.AST) -> bool:
     return isinstance(node, ast.If) and _mentions(node.test, "trace")
 
 
-def _per_event_offence(node: ast.AST) -> str | None:
+def _formatting_or_comprehension(node: ast.AST) -> str | None:
     if isinstance(node, ast.JoinedStr):
         return "f-string"
     if isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
@@ -380,19 +406,26 @@ def _per_event_offence(node: ast.AST) -> str | None:
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr == "format":
             return "str.format() call"
+    return None
+
+
+def _per_event_offence(node: ast.AST) -> str | None:
+    what = _formatting_or_comprehension(node)
+    if what is None and isinstance(node, ast.Call):
+        func = node.func
         if isinstance(func, ast.Name) and func.id in _CONTAINER_REDUCTIONS:
             over_container = len(node.args) == 1 or any(
                 isinstance(arg, ast.Starred) for arg in node.args
             )
             if func.id == "sum" or over_container:
                 return f"{func.id}() over a container"
-    return None
+    return what
 
 
-def _check_per_event_functions(
-    tree: ast.AST, rel: Path, wanted: dict[str, set[str]]
+def _check_listed_functions(
+    tree: ast.AST, rel: Path, wanted: dict[str, set[str]], offence, kind: str, table: str
 ) -> list[str]:
-    """Flag formatting, comprehensions and container scans per event/message."""
+    """Flag ``offence`` nodes outside ``raise`` in the functions ``wanted`` lists."""
     problems = []
     missing = {(cls, fn) for cls, fns in wanted.items() for fn in fns}
     scopes = [("", tree.body)] + [
@@ -406,19 +439,40 @@ def _check_per_event_functions(
                 continue
             missing.discard((cls_name, fn.name))
             for sub in _walk_outside(fn, _is_raise):
-                what = _per_event_offence(sub)
+                what = offence(sub)
                 if what is not None:
                     problems.append(
-                        f"{rel}:{sub.lineno}: {what} inside per-event function "
+                        f"{rel}:{sub.lineno}: {what} inside per-{kind} function "
                         f"{per_event_label(cls_name, fn.name)}() — it runs once per "
-                        "kernel event or message; precompute it, or keep a running value"
+                        f"{_RUNS_ONCE_PER[kind]}; precompute it, or keep a running value"
                     )
     for cls_name, fn_name in sorted(missing):
         problems.append(
-            f"{rel}:1: per-event function {per_event_label(cls_name, fn_name)}() not "
-            "found — update PER_EVENT_FUNCTIONS if it moved or was renamed"
+            f"{rel}:1: per-{kind} function {per_event_label(cls_name, fn_name)}() not "
+            f"found — update {table} if it moved or was renamed"
         )
     return problems
+
+
+_RUNS_ONCE_PER = {"event": "kernel event or message", "pack": "pack on the analyzer side"}
+
+
+def _check_per_event_functions(
+    tree: ast.AST, rel: Path, wanted: dict[str, set[str]]
+) -> list[str]:
+    """Flag formatting, comprehensions and container scans per event/message."""
+    return _check_listed_functions(
+        tree, rel, wanted, _per_event_offence, "event", "PER_EVENT_FUNCTIONS"
+    )
+
+
+def _check_per_pack_functions(
+    tree: ast.AST, rel: Path, wanted: dict[str, set[str]]
+) -> list[str]:
+    """Flag formatting and comprehensions in the per-pack functions."""
+    return _check_listed_functions(
+        tree, rel, wanted, _formatting_or_comprehension, "pack", "PER_PACK_FUNCTIONS"
+    )
 
 
 def per_event_label(cls_name: str, fn_name: str) -> str:
@@ -709,6 +763,8 @@ def check_tree(src_root: Path) -> list[str]:
             problems.extend(_check_vector_stages(tree, rel))
         if rel in PER_EVENT_FUNCTIONS:
             problems.extend(_check_per_event_functions(tree, rel, PER_EVENT_FUNCTIONS[rel]))
+        if rel in PER_PACK_FUNCTIONS:
+            problems.extend(_check_per_pack_functions(tree, rel, PER_PACK_FUNCTIONS[rel]))
         if rel == KERNEL_MODULE:
             problems.extend(_check_dispatch_loop(tree, rel))
         if KERNEL_PACKAGE not in rel.parents:
@@ -751,7 +807,7 @@ def main(argv: list[str]) -> int:
         "loop-free codec, lean per-event functions, one derivation per pack, "
         "observers paid per read, pure delays as floats, host time profiled "
         "from outside, one observer clock, one schema table, analysis state "
-        "keyed by the ranks seen)"
+        "keyed by the ranks seen, lean per-pack functions)"
     )
     return 0
 

@@ -19,7 +19,6 @@ is the one way back to a vector over the whole application, built on query.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Any, Iterable
 
 import numpy as np
@@ -62,6 +61,26 @@ SEND_CALLS = call_lut(P2P_SEND_CALLS)
 BLOCKING_CALLS = call_lut(WAIT_CALLS | {CALL_IDS["MPI_Recv"]})
 
 
+class _derived:
+    """``functools.cached_property`` minus its lock: the first read computes
+    the value and stores it in the instance ``__dict__``, which every later
+    read finds before this (non-data) descriptor.  Two concurrent first
+    reads (thread-pool workers running one batch's module jobs) compute the
+    same value and one store wins, so there is nothing for a lock to guard.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, batch, owner=None):
+        if batch is None:
+            return self
+        value = batch.__dict__[self.name] = self.fn(batch)
+        return value
+
+
 class EventBatch:
     """A decoded event array plus what the analysis modules derive from it."""
 
@@ -76,52 +95,73 @@ class EventBatch:
     def __len__(self) -> int:
         return len(self.events)
 
-    @cached_property
+    @_derived
     def call(self) -> np.ndarray:
         return np.ascontiguousarray(self.events["call"])
 
-    @cached_property
+    @_derived
     def durations(self) -> np.ndarray:
         return self.events["t_end"] - self.events["t_start"]
 
-    @cached_property
+    @_derived
     def nbytes(self) -> np.ndarray:
         """Byte counts with negative (unknown) sizes clipped to 0."""
-        return self.events["nbytes"].clip(min=0)
+        return np.maximum(self.events["nbytes"], 0)
 
-    @cached_property
+    @_derived
     def nbytes_total(self) -> int:
-        return int(self.nbytes.sum())
+        return int(np.add.reduce(self.nbytes))
 
-    @cached_property
+    @_derived
     def t0(self) -> float:
         """Earliest ``t_start``; undefined (raises) on an empty batch."""
-        return float(self.events["t_start"].min())
+        return float(np.minimum.reduce(self.events["t_start"]))
 
-    @cached_property
+    @_derived
     def t1(self) -> float:
         """Latest ``t_end``; undefined (raises) on an empty batch."""
-        return float(self.events["t_end"].max())
+        return float(np.maximum.reduce(self.events["t_end"]))
 
-    @cached_property
+    @_derived
+    def sends(self) -> np.ndarray:
+        """Mask of the point-to-point sends that name a destination rank."""
+        return SEND_CALLS[self.call] & (self.events["peer"] >= 0)
+
+    @_derived
+    def send_peers(self) -> np.ndarray:
+        """Destination ranks of :attr:`sends`, in arrival order."""
+        return self.events["peer"][self.sends]
+
+    @_derived
+    def send_peer_max(self) -> int:
+        """Largest of :attr:`send_peers`; -1 when no send names a rank."""
+        peers = self.send_peers
+        return int(np.maximum.reduce(peers)) if peers.size else -1
+
+    @_derived
     def groups(self) -> list[tuple[int, int, float, int, float, float]]:
         """``(call, hits, time_sum, nbytes_sum, d_min, d_max)`` by ascending call id."""
         call = self.call
         n = len(call)
         if n == 0:
             return []
-        order = np.argsort(call, kind="stable")
+        order = call.argsort(kind="stable")
         by_call = call[order]
-        starts = np.concatenate(([0], np.flatnonzero(by_call[1:] != by_call[:-1]) + 1))
+        opens = np.empty(n, dtype=np.bool_)  # sorted row opens a new group
+        opens[0] = True
+        np.not_equal(by_call[1:], by_call[:-1], out=opens[1:])
+        starts = opens.nonzero()[0]
         durations = self.durations[order]
         byte_sums = np.add.reduceat(self.nbytes[order], starts).tolist()
         d_min = np.minimum.reduceat(durations, starts).tolist()
         d_max = np.maximum.reduceat(durations, starts).tolist()
         bounds = starts.tolist()
         bounds.append(n)
-        # One pairwise .sum() per contiguous slice; see the module docstring.
+        # One pairwise reduce per contiguous slice (what .sum() calls, minus
+        # its Python wrapper); see the module docstring.
+        add = np.add.reduce
         return [
-            (call_id, hi - lo, float(durations[lo:hi].sum()), nbytes, lo_d, hi_d)
+            (call_id, hi - lo, float(add(durations[lo:hi])), nbytes, lo_d, hi_d)
             for call_id, lo, hi, nbytes, lo_d, hi_d in zip(
                 by_call[starts].tolist(), bounds, bounds[1:], byte_sums, d_min, d_max
             )

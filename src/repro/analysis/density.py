@@ -48,8 +48,14 @@ class DensityMaps:
     def update(self, rank: int, events: np.ndarray) -> None:
         if not (0 <= rank < self.app_size):
             raise ReproError(f"batch from rank {rank} outside app of {self.app_size}")
+        cells = self.cells
         for call, hits, time, nbytes, _d_min, _d_max in EventBatch.of(events).groups:
-            cell = self._cell(call, rank)
+            ranks = cells.get(call)
+            if ranks is None:
+                ranks = cells[call] = {}
+            cell = ranks.get(rank)
+            if cell is None:
+                cell = ranks[rank] = [0.0, 0.0, 0.0]
             cell[0] += hits
             cell[1] += time
             cell[2] += float(nbytes)

@@ -113,6 +113,7 @@ class AnalyzerEngine:
         if not apps:
             raise ConfigError("analyzer engine needs at least one application")
         self.apps = list(apps)
+        self._app_sizes = [size for _name, size in apps]  # by app id
         self.config = config
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.ml = MultiLevelBlackboard(
@@ -128,7 +129,7 @@ class AnalyzerEngine:
                 mod: _MODULE_CLASSES[mod](name, size) for mod in config.modules
             }
             self.states[name] = level_states
-            self._wire_level(name, level_states)
+            self._wire_level(name, size, level_states)
         self.packs_ingested = 0
         self.bytes_ingested = 0  # modelled content bytes
         self.bytes_wire_ingested = 0  # physical frame bytes
@@ -170,13 +171,15 @@ class AnalyzerEngine:
 
         monitor.bind_blackboard(publish)
 
-    def _wire_level(self, level: str, level_states: dict[str, Any]) -> None:
+    def _wire_level(self, level: str, app_size: int, level_states: dict[str, Any]) -> None:
         board = self.ml.board
         tel = self.telemetry
         pack_id = self.ml.type_id("event_pack", level)
         events_id = self.ml.type_id("mpi_events", level)
+        decoded = None  # the packs_decoded counter, looked up on first use
 
         def unpack(b, entries):
+            nonlocal decoded
             for entry in entries:
                 # The ingest path threads the parsed frame along as entry
                 # meta, so a pack's wire bytes are walked exactly once;
@@ -187,22 +190,36 @@ class AnalyzerEngine:
                 else:
                     header, events = decode_pack(entry.payload)
                 if tel.enabled:
-                    tel.counter("analysis.packs_decoded").inc()
+                    if decoded is None:
+                        decoded = tel.counter("analysis.packs_decoded")
+                    decoded.inc()
                 # One batch per pack: every module KS below reads the shared
                 # (lazily derived) columns instead of re-deriving its own.
-                b.submit(events_id, (header.rank, EventBatch(events)), size=events.nbytes)
+                batch = EventBatch(events)
+                # A send to a rank outside the application would fail the
+                # topology module mid-fan-out; the pack is rejected before
+                # any module sees it.
+                if batch.send_peer_max >= app_size:
+                    self._reject("PeerOutOfRange")
+                    continue
+                b.submit(events_id, (header.rank, batch), size=events.nbytes)
 
         board.register_ks(f"KS_Unpacker[{level}]", [pack_id], unpack)
 
         for mod_name, state in level_states.items():
             def make_op(st, mod):
+                cpu_s = None  # the module's CPU counter, looked up on first use
+
                 def op(_b, entries):
+                    nonlocal cpu_s
                     t0 = host_now() if tel.enabled else 0.0
                     for entry in entries:
                         rank, events = entry.payload
                         st.update(rank, events)
                     if tel.enabled:
-                        tel.counter(f"analysis.cpu_s.{mod}").inc(host_now() - t0)
+                        if cpu_s is None:
+                            cpu_s = tel.counter(f"analysis.cpu_s.{mod}")
+                        cpu_s.inc(host_now() - t0)
                 return op
 
             board.register_ks(
@@ -216,8 +233,11 @@ class AnalyzerEngine:
 
         The frame is verified first — structure, CRC, a decodable codec
         descriptor, and (when ``accept_codecs`` is set) an *accepted*
-        descriptor.  A failing pack is rejected and counted by cause,
-        never submitted — the analysis pipeline keeps running on whatever
+        descriptor — then its header must name an application of this
+        engine and a rank inside it, and (in the unpacker, before any
+        module sees the events) every send must name a rank inside it.
+        A failing pack is rejected and counted by cause, and no module
+        state moves — the analysis pipeline keeps running on whatever
         arrives intact.  Returns False on rejection.
 
         ``frame`` may carry the outcome of ``parse_frame(pack_bytes,
@@ -232,35 +252,49 @@ class AnalyzerEngine:
                 raise frame
             else:
                 frame.check_crc()
-            decode_chain(frame.codec)
+            spec = frame.codec
+            decode_chain(spec)
             accept = self.config.accept_codecs
-            if accept is not None and frame.codec not in accept:
+            if accept is not None and spec not in accept:
                 raise UnknownCodecError(
-                    f"codec descriptor {frame.codec or 'identity'!r} not in "
+                    f"codec descriptor {spec or 'identity'!r} not in "
                     f"accept_codecs {list(accept)}"
                 )
         except PackFormatError as exc:
-            cause = type(exc).__name__
-            self.packs_rejected += 1
-            self.rejects_by_cause[cause] = self.rejects_by_cause.get(cause, 0) + 1
-            if self.telemetry.enabled:
-                self.telemetry.counter("analysis.packs_rejected").inc()
-                self.telemetry.counter(f"analysis.packs_rejected.{cause}").inc()
+            self._reject(type(exc).__name__)
+            return False
+        sizes = self._app_sizes
+        if frame.app_id >= len(sizes):
+            self._reject("AppIdOutOfRange")
+            return False
+        if frame.rank >= sizes[frame.app_id]:
+            self._reject("RankOutOfRange")
             return False
         # Size the entry by pack content only: framing, CRC, codec output
         # and provenance sections ride outside the blackboard's byte
         # accounting, so storage stats are identical with and without
         # reduction or provenance enabled.
         content = frame.content_size
+        rejected = self.packs_rejected
         self.ml.submit_pack(pack_bytes, size=content, meta=frame)
         self.ml.board.run_until_idle()
+        if self.packs_rejected != rejected:  # the unpacker turned it away
+            return False
         self.packs_ingested += 1
         self.bytes_ingested += content
         self.bytes_wire_ingested += len(pack_bytes)
         self.events_sampled_out += frame.events_dropped
-        spec = frame.codec or "identity"
+        spec = spec or "identity"
         self.codecs_seen[spec] = self.codecs_seen.get(spec, 0) + 1
         return True
+
+    def _reject(self, cause: str) -> None:
+        """Count one rejected pack under ``cause``."""
+        self.packs_rejected += 1
+        self.rejects_by_cause[cause] = self.rejects_by_cause.get(cause, 0) + 1
+        if self.telemetry.enabled:
+            self.telemetry.counter("analysis.packs_rejected").inc()
+            self.telemetry.counter(f"analysis.packs_rejected.{cause}").inc()
 
     # -- reduction --------------------------------------------------------------------
 

@@ -67,6 +67,8 @@ class MPIProfile:
         cell[1] = max(cell[1], batch.t1)
         cell[2] += count
         calls = self.calls
+        # min()/max() keep the running value unless the new one is strictly
+        # smaller/larger; so do the compares below, without the builtin calls.
         for call, hits, time, nbytes, d_min, d_max in batch.groups:
             stats = calls.get(call)
             if stats is None:
@@ -74,8 +76,10 @@ class MPIProfile:
             stats.hits += hits
             stats.time += time
             stats.nbytes += nbytes
-            stats.t_min = min(stats.t_min, d_min)
-            stats.t_max = max(stats.t_max, d_max)
+            if d_min < stats.t_min:
+                stats.t_min = d_min
+            if d_max > stats.t_max:
+                stats.t_max = d_max
 
     def merge(self, other: "MPIProfile") -> None:
         if other.app != self.app or other.app_size != self.app_size:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.analysis.batch import SEND_CALLS, EventBatch
+from repro.analysis.batch import EventBatch
 from repro.errors import ReproError
 
 #: largest app the DOT export renders (beyond it the graph is unreadable)
@@ -37,25 +37,32 @@ class CommMatrix:
         batch = EventBatch.of(events)
         if len(batch) == 0:
             return
-        peer = batch.events["peer"]
-        mask = SEND_CALLS[batch.call] & (peer >= 0)
-        if not mask.any():
+        top = batch.send_peer_max
+        if top < 0:
             return
-        uniq, inverse = np.unique(peer[mask], return_inverse=True)
+        peers = batch.send_peers
         # Validate before touching ``cells``: a rejected batch leaves no trace.
-        if uniq[-1] >= self.app_size:
-            dst = uniq[np.searchsorted(uniq, self.app_size)]
+        if top >= self.app_size:
+            dst = int(peers[peers >= self.app_size].min())
             raise ReproError(f"send to rank {dst} outside app of {self.app_size}")
-        # Per-peer sums in arrival order (bincount adds sequentially).
-        hit_sums = np.bincount(inverse).tolist()
-        byte_sums = np.bincount(inverse, weights=batch.nbytes[mask]).tolist()
-        time_sums = np.bincount(inverse, weights=batch.durations[mask]).tolist()
+        # Per-peer sums in arrival order (bincount adds sequentially); the
+        # bins run to the largest peer, which the check above bounds.
+        mask = batch.sends
+        hits = np.bincount(peers)
+        byte_sums = np.bincount(peers, weights=batch.nbytes[mask])
+        time_sums = np.bincount(peers, weights=batch.durations[mask])
+        dsts = hits.nonzero()[0]
         cells = self.cells
-        for dst, hits, nbytes, time in zip(uniq.tolist(), hit_sums, byte_sums, time_sums):
+        for dst, nhits, nbytes, time in zip(
+            dsts.tolist(),
+            hits[dsts].tolist(),
+            byte_sums[dsts].tolist(),
+            time_sums[dsts].tolist(),
+        ):
             cell = cells.get((rank, dst))
             if cell is None:
                 cell = cells[(rank, dst)] = [0.0, 0.0, 0.0]
-            cell[0] += float(hits)
+            cell[0] += float(nhits)
             cell[1] += nbytes
             cell[2] += time
 

@@ -44,8 +44,8 @@ class WaitState:
         cell = self._cell(rank)
         # Cross-call sums: a different element set than any per-call group,
         # so they are summed here rather than derived from ``batch.groups``.
-        cell[0] += float(durations[BLOCKING_CALLS[call]].sum())
-        cell[1] += float(durations[_COLLECTIVE[call]].sum())
+        cell[0] += float(np.add.reduce(durations[BLOCKING_CALLS[call]]))
+        cell[1] += float(np.add.reduce(durations[_COLLECTIVE[call]]))
         cell[2] = min(cell[2], batch.t0)
         cell[3] = max(cell[3], batch.t1)
 

@@ -34,10 +34,15 @@ class Blackboard:
         self.track_pid = track_pid
         self.types = TypeRegistry()
         self.queues = JobQueues(nqueues=nqueues, seed=seed, telemetry=self.telemetry)
-        self._sensitivity: dict[int, list[KnowledgeSource]] = {}
+        # type id -> the sensitive knowledge sources, as a tuple that
+        # register_ks/remove_ks rebuild under the lock: submit() reads it
+        # without copying or locking.
+        self._listeners: dict[int, tuple[KnowledgeSource, ...]] = {}
         self._ks_lock = threading.RLock()
         self._all_ks: list[KnowledgeSource] = []
         # Storage accounting (the blackboard is the temporary storage medium).
+        # One lock guards the statistics and the in-flight count, and is the
+        # lock of the idle condition too.
         self._stats_lock = threading.Lock()
         self.entries_submitted = 0
         self.jobs_executed = 0
@@ -45,7 +50,12 @@ class Blackboard:
         self.bytes_peak = 0
         self.bytes_total = 0
         self._in_flight = 0
-        self._idle = threading.Condition()
+        self._idle = threading.Condition(self._stats_lock)
+        # Telemetry instruments, each looked up on its first use and kept:
+        # created at registration, they would export before anything
+        # observed them.
+        self._jobs_counter = self._job_cpu = self._job_dwell = None
+        self._ks_cpu: dict[KnowledgeSource, Any] = {}
 
     # -- type & KS management ------------------------------------------------------
 
@@ -68,7 +78,7 @@ class Blackboard:
         with self._ks_lock:
             self._all_ks.append(ks)
             for type_id in ks.sensitivity_types:
-                self._sensitivity.setdefault(type_id, []).append(ks)
+                self._listeners[type_id] = self._listeners.get(type_id, ()) + (ks,)
         return ks
 
     def remove_ks(self, ks: KnowledgeSource) -> None:
@@ -77,7 +87,9 @@ class Blackboard:
                 raise BlackboardError(f"KS {ks.name!r} not registered")
             self._all_ks.remove(ks)
             for type_id in ks.sensitivity_types:
-                self._sensitivity[type_id].remove(ks)
+                listeners = list(self._listeners[type_id])
+                listeners.remove(ks)
+                self._listeners[type_id] = tuple(listeners)
 
     # -- submission (the control system) ---------------------------------------------
 
@@ -98,20 +110,21 @@ class Blackboard:
         if size is None:
             size = len(payload) if hasattr(payload, "__len__") else 0
         entry = DataEntry(type_id, size, payload, meta)
+        jobs: list[Job] = []
+        for ks in self._listeners.get(type_id, ()):
+            entry.retain()
+            complete = ks.offer(entry)
+            if complete is not None:
+                jobs.append(Job(ks, complete))
+        # Fan-out only queues references, so the entry's bytes are booked
+        # here together with the jobs it made in flight, in one lock hold.
         with self._stats_lock:
             self.entries_submitted += 1
             self.bytes_current += size
             self.bytes_total += size
             if self.bytes_current > self.bytes_peak:
                 self.bytes_peak = self.bytes_current
-        with self._ks_lock:
-            listeners = list(self._sensitivity.get(type_id, ()))
-        jobs: list[Job] = []
-        for ks in listeners:
-            entry.retain()
-            complete = ks.offer(entry)
-            if complete is not None:
-                jobs.append(Job(ks=ks, entries=complete))
+            self._in_flight += len(jobs)
         # The submitter's own reference is dropped once fan-out is done.
         self._release_entry(entry)
         if jobs:
@@ -119,8 +132,6 @@ class Blackboard:
                 t_sub = self.telemetry.now()
                 for job in jobs:
                     job.t_submitted = t_sub
-            with self._idle:
-                self._in_flight += len(jobs)
             self.queues.push_many(jobs)
         return entry
 
@@ -146,23 +157,16 @@ class Blackboard:
             job.ks.operation(self, job.entries)
             job.ks.fired += 1
         finally:
-            for entry in job.entries:
-                self._release_entry(entry)
-            with self._stats_lock:
-                self.jobs_executed += 1
             if span is not None:
-                tel.counter("blackboard.jobs_executed").inc()
-                cpu_s = host_now() - t_host
-                tel.histogram("blackboard.job_cpu_s").observe(cpu_s)
-                # Per-KS cost breakdown: which operation the analysis time
-                # actually goes to (the report's latency attribution input).
-                tel.histogram(f"blackboard.ks_cpu_s.{job.ks.name}").observe(cpu_s)
-                if job.t_submitted is not None:
-                    tel.histogram("blackboard.job_dwell_s").observe(
-                        max(0.0, tel.now() - job.t_submitted - cpu_s)
-                    )
+                self._observe_job(job, host_now() - t_host)
                 span.end()
-            with self._idle:
+            freed = 0
+            for entry in job.entries:
+                if entry.release():
+                    freed += entry.size
+            with self._stats_lock:
+                self.bytes_current -= freed
+                self.jobs_executed += 1
                 self._in_flight -= 1
                 if self._in_flight == 0 and self.queues.empty:
                     self._idle.notify_all()
@@ -191,6 +195,31 @@ class Blackboard:
         if entry.release():
             with self._stats_lock:
                 self.bytes_current -= entry.size
+
+    def _observe_job(self, job: Job, cpu_s: float) -> None:
+        """Book one executed job on the telemetry instruments.
+
+        Each instrument is looked up the first time a job reaches it and
+        kept (the creation order is the per-job lookup order it replaces).
+        """
+        tel = self.telemetry
+        if self._jobs_counter is None:
+            self._jobs_counter = tel.counter("blackboard.jobs_executed")
+            self._job_cpu = tel.histogram("blackboard.job_cpu_s")
+        self._jobs_counter.inc()
+        self._job_cpu.observe(cpu_s)
+        # Per-KS cost breakdown: which operation the analysis time
+        # actually goes to (the report's latency attribution input).
+        ks_cpu = self._ks_cpu.get(job.ks)
+        if ks_cpu is None:
+            ks_cpu = self._ks_cpu[job.ks] = tel.histogram(
+                f"blackboard.ks_cpu_s.{job.ks.name}"
+            )
+        ks_cpu.observe(cpu_s)
+        if job.t_submitted is not None:
+            if self._job_dwell is None:
+                self._job_dwell = tel.histogram("blackboard.job_dwell_s")
+            self._job_dwell.observe(max(0.0, tel.now() - job.t_submitted - cpu_s))
 
     # -- introspection -------------------------------------------------------------------
 

@@ -41,6 +41,11 @@ class JobQueues:
         self.nqueues = nqueues
         self._queues: list[deque[Job]] = [deque() for _ in range(nqueues)]
         self._locks = [threading.Lock() for _ in range(nqueues)]
+        #: FIFO visiting order of a sweep, per starting FIFO
+        self._sweeps = [
+            tuple((first + offset) % nqueues for offset in range(nqueues))
+            for first in range(nqueues)
+        ]
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
         self._tel = telemetry if telemetry is not None else NULL_TELEMETRY
@@ -64,45 +69,67 @@ class JobQueues:
         with self._locks[idx]:
             self._queues[idx].extend(jobs)
         self.pushed += len(jobs)
-        depth = len(self)
+        depth = 0
+        for queue in self._queues:
+            depth += len(queue)
         if depth > self.depth_hwm:
             self.depth_hwm = depth
         if self._tel.enabled:
             self._tel.gauge("blackboard.fifo_depth").set(depth)
 
     def try_pop(self, start: int | None = None) -> Job | None:
-        """Sweep all FIFOs from ``start`` (random if None); None when empty."""
+        """Sweep all FIFOs from ``start`` (random if None); None when empty.
+
+        An empty FIFO holds no job to hide, so the sweep reads its length
+        and moves on without taking its lock: a sweep that finds every FIFO
+        empty returns at once, and a pop locks only the FIFO it pops from.
+        """
         if start is None:
             with self._rng_lock:
                 start = self._rng.randrange(self.nqueues)
-        for offset in range(self.nqueues):
-            idx = (start + offset) % self.nqueues
-            lock = self._locks[idx]
+        queues = self._queues
+        locks = self._locks
+        sweep = self._sweeps[start]
+        busy = False
+        for idx in sweep:
+            queue = queues[idx]
+            if not queue:
+                continue
+            lock = locks[idx]
             if not lock.acquire(blocking=False):
                 self.lock_failures += 1
                 if self._tel.enabled:
                     self._tel.counter("blackboard.lock_contention").inc()
+                busy = True
                 continue
             try:
-                queue = self._queues[idx]
                 if queue:
                     self.popped += 1
                     return queue.popleft()
             finally:
                 lock.release()
+        if not busy:
+            return None
         # Second pass, blocking, so a busy lock cannot hide the last job.
-        for offset in range(self.nqueues):
-            idx = (start + offset) % self.nqueues
-            with self._locks[idx]:
-                queue = self._queues[idx]
+        for idx in sweep:
+            queue = queues[idx]
+            if not queue:
+                continue
+            with locks[idx]:
                 if queue:
                     self.popped += 1
                     return queue.popleft()
         return None
 
     def __len__(self) -> int:
-        return sum(len(q) for q in self._queues)
+        depth = 0
+        for queue in self._queues:
+            depth += len(queue)
+        return depth
 
     @property
     def empty(self) -> bool:
-        return len(self) == 0
+        for queue in self._queues:
+            if queue:
+                return False
+        return True

@@ -37,6 +37,9 @@ class KnowledgeSource:
         self._needs = Counter(sensitivities)
         self._pending: dict[int, deque[DataEntry]] = {t: deque() for t in self._needs}
         self._lock = threading.Lock()
+        # A one-sensitivity KS completes on every offer: nothing is ever
+        # pending, so offer() hands the entry straight back as the job input.
+        self._single = len(self.sensitivities) == 1
         self.fired = 0
 
     @property
@@ -55,14 +58,19 @@ class KnowledgeSource:
             raise BlackboardError(
                 f"KS {self.name!r} offered entry of foreign type {entry.type_id:#x}"
             )
+        if self._single:
+            return [entry]
+        pending = self._pending
         with self._lock:
-            self._pending[entry.type_id].append(entry)
-            if any(len(self._pending[t]) < n for t, n in self._needs.items()):
-                return None
-            taken: dict[int, deque[DataEntry]] = {}
+            pending[entry.type_id].append(entry)
             for t, n in self._needs.items():
-                taken[t] = deque(self._pending[t].popleft() for _ in range(n))
-        return [taken[t].popleft() for t in self.sensitivities]
+                if len(pending[t]) < n:
+                    return None
+            # Every slot has enough: take each slot's oldest, in declaration order.
+            complete = []
+            for t in self.sensitivities:
+                complete.append(pending[t].popleft())
+        return complete
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<KS {self.name} sens={len(self.sensitivities)} fired={self.fired}>"

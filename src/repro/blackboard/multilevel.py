@@ -70,8 +70,8 @@ class MultiLevelBlackboard:
 
     def _dispatch(self, board: Blackboard, entries: list[DataEntry]) -> None:
         for entry in entries:
+            # _level_of indexes self.levels, so the level always has a pack type.
             level = self._level_of(entry)
-            self._check_level(level)
             board.submit(
                 self._level_pack_ids[level], entry.payload, entry.size, meta=entry.meta
             )

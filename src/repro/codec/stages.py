@@ -38,7 +38,7 @@ from __future__ import annotations
 import struct
 import zlib
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -47,6 +47,11 @@ from repro.errors import ConfigError, PackFormatError, UnknownCodecError
 RECORD_SIZE = 40  # matches instrument.events.EVENT_RECORD_SIZE (asserted there)
 _SITE_BYTES = 24  # the non-temporal record prefix ("call site")
 _TIME_BYTES = 16  # t_start + t_end, two little-endian f64
+
+#: a record as its two halves, each one opaque block of bytes
+_SITE_VOID = np.dtype(("V", _SITE_BYTES))
+_TIME_VOID = np.dtype(("V", _TIME_BYTES))
+_RECORD_HALVES = np.dtype([("site", _SITE_VOID), ("time", _TIME_VOID)])
 
 SITE_RAW, SITE_DICT = 0, 1
 TIME_RAW, TIME_DELTA = 0, 1
@@ -58,7 +63,11 @@ _U32 = struct.Struct("<I")
 
 _VARINT_MAX = 10  # a u64 spans at most ten 7-bit groups
 _SHIFTS = np.arange(_VARINT_MAX, dtype=np.uint64) * np.uint64(7)
-_GROUP_FLOORS = np.uint64(1) << _SHIFTS[1:]  # least value needing 2, 3, ... 10 bytes
+#: least value needing 1, 2, ... 10 bytes: a value's byte count is the
+#: number of these floors it reaches
+_LENGTH_FLOORS = np.concatenate(([np.uint64(0)], np.uint64(1) << _SHIFTS[1:]))
+#: dictionary index dtype by index width
+_INDEX_DTYPES = {width: np.dtype(f"<u{width}") for width in (1, 2, 4)}
 
 
 @dataclass
@@ -69,9 +78,9 @@ class CodecContext:
     events_dropped: int = 0
 
 
-@dataclass(frozen=True)
-class EncodeResult:
-    """Outcome of encoding one record batch through a chain."""
+class EncodeResult(NamedTuple):
+    """Outcome of encoding one record batch through a chain (one per pack,
+    so a tuple rather than a frozen dataclass)."""
 
     payload: bytes  # the frame's payload-section body
     count: int  # records the payload decodes back to (post-sampling)
@@ -84,7 +93,7 @@ def _rows(records) -> np.ndarray:
     return np.frombuffer(records, dtype=np.uint8).reshape(-1, RECORD_SIZE)
 
 
-@dataclass
+@dataclass(slots=True)
 class Columnar:
     """The split record batch phase-1 stages transform.
 
@@ -151,11 +160,12 @@ def _reassemble(col: Columnar) -> memoryview:
             f"columnar times of {col.times.size} bytes, "
             f"count {col.count} implies {col.count * _TIME_BYTES}"
         )
-    # The one copy of the decode side: columns interleave into fresh records.
-    out = np.empty((col.count, RECORD_SIZE), dtype=np.uint8)
-    out[:, :_SITE_BYTES] = col.sites.reshape(col.count, _SITE_BYTES)
-    out[:, _SITE_BYTES:] = col.times.reshape(col.count, _TIME_BYTES)
-    return out.reshape(-1).data
+    # The one copy of the decode side: columns interleave into fresh records,
+    # one opaque site and one opaque time pair per record.
+    out = np.empty(col.count, dtype=_RECORD_HALVES)
+    out["site"] = col.sites.view(_SITE_VOID)
+    out["time"] = col.times.view(_TIME_VOID)
+    return out.view(np.uint8).data
 
 
 def _zigzag(v: np.ndarray) -> np.ndarray:
@@ -169,22 +179,29 @@ def _unzigzag(z: np.ndarray) -> np.ndarray:
 
 def _group_shifts(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """Bit shift of every byte of a varint stream: 7 x its index in its value."""
-    first = np.repeat(starts, lengths)  # per byte: where its value starts
-    return _SHIFTS[np.arange(first.size) - first]
+    # per byte: 7 x where its value starts, taken from 7 x its own index
+    first = (starts * 7).repeat(lengths).view(np.uint64)
+    shifts = np.arange(0, 7 * first.size, 7, dtype=np.uint64)
+    shifts -= first
+    return shifts
 
 
-def _pack_varints(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pack_varints(z: np.ndarray, head: int = 0) -> tuple[np.ndarray, np.ndarray]:
     """LEB128-encode u64 values: (concatenated bytes, end offset of each value).
 
     One output byte per 7-bit group: each value is repeated once per byte
-    it needs and every copy shifted down to its group.  Every byte gets
-    the continuation flag, then each value's last byte drops it.
+    it needs and every copy shifted down to its group.  Every byte but a
+    value's last gets the continuation flag.  The first ``head`` bytes of
+    the output are left for the caller (offsets count from after them).
     """
-    lengths = np.searchsorted(_GROUP_FLOORS, z, side="right") + 1
-    ends = np.cumsum(lengths)
-    out = (np.repeat(z, lengths) >> _group_shifts(ends - lengths, lengths)).astype(np.uint8)
-    out |= 0x80
-    out[ends - 1] &= 0x7F
+    lengths = _LENGTH_FLOORS.searchsorted(z, side="right")
+    ends = lengths.cumsum()
+    shifted = z.repeat(lengths)
+    shifted >>= _group_shifts(ends - lengths, lengths)
+    flags = np.full(shifted.size, 0x80, dtype=np.uint8)
+    flags[ends - 1] = 0
+    out = np.empty(head + shifted.size, dtype=np.uint8)
+    np.bitwise_or(shifted.astype(np.uint8), flags, out=out[head:])
     return out, ends
 
 
@@ -195,14 +212,18 @@ def _unpack_varints(a: np.ndarray, ends: np.ndarray) -> np.ndarray:
     The inverse layout of :func:`_pack_varints`: each byte's low 7 bits
     shift up to their group, then OR-reduce per value.
     """
-    starts = np.zeros_like(ends)
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts + 1
-    if lengths.max(initial=0) > _VARINT_MAX:
+    starts = np.empty_like(ends)
+    starts[:1] = 0
+    np.add(ends[:-1], 1, out=starts[1:])
+    lengths = ends - starts
+    lengths += 1
+    longest = np.maximum.reduce(lengths, initial=0)
+    if longest > _VARINT_MAX:
         raise PackFormatError(f"varint longer than {_VARINT_MAX} bytes")
-    if (a[ends[lengths == _VARINT_MAX]] > 1).any():
+    if longest == _VARINT_MAX and (a[ends[lengths == _VARINT_MAX]] > 1).any():
         raise PackFormatError("varint overflows 64 bits")
-    groups = (a & 0x7F).astype(np.uint64) << _group_shifts(starts, lengths)
+    groups = (a & 0x7F).astype(np.uint64)
+    groups <<= _group_shifts(starts, lengths)
     return np.bitwise_or.reduceat(groups, starts)
 
 
@@ -344,11 +365,12 @@ class DeltaStage(Stage):
         # Both streams go through zigzag + varint in one pass.
         vals = np.empty((2, n), dtype=np.int64)
         vals[0, 0] = bits[0, 0]
-        vals[0, 1:] = bits[1:, 0] - bits[:-1, 0]
-        vals[1] = bits[:, 1] - bits[:, 0]
-        stream, ends = _pack_varints(_zigzag(vals.reshape(-1)))
-        prefix = np.frombuffer(_U32.pack(int(ends[n - 1])), dtype=np.uint8)
-        col.times = np.concatenate((prefix, stream))
+        np.subtract(bits[1:, 0], bits[:-1, 0], out=vals[0, 1:])
+        np.subtract(bits[:, 1], bits[:, 0], out=vals[1])
+        # The varint bytes land after a 4-byte slot for the t_start length.
+        times, ends = _pack_varints(_zigzag(vals.reshape(-1)), head=4)
+        _U32.pack_into(times, 0, int(ends[n - 1]))
+        col.times = times
         col.time_enc = TIME_DELTA
 
     def decode_columnar(self, col: Columnar) -> None:
@@ -363,22 +385,24 @@ class DeltaStage(Stage):
             raise PackFormatError("delta time stream shorter than its length prefix")
         (ts_len,) = _U32.unpack_from(col.times, 0)
         a = col.times[4:]
-        ends = np.flatnonzero(a < 0x80)  # varint terminators of both streams
-        if np.searchsorted(ends, ts_len) < n:
+        ends = (a < 0x80).nonzero()[0]  # varint terminators of both streams
+        nends = ends.size
+        # Fewer than n terminators inside the declared t_start stream.
+        if n and (nends < n or ends[n - 1] >= ts_len):
             raise PackFormatError("varint stream truncated")
         used = int(ends[n - 1]) + 1 if n else 0
         if used != ts_len:
             raise PackFormatError(
                 f"delta t_start stream: {ts_len} bytes declared, {used} consumed"
             )
-        if ends.size < 2 * n:
+        if nends < 2 * n:
             raise PackFormatError("varint stream truncated")
         if (int(ends[2 * n - 1]) + 1 if n else 0) != a.size:
             raise PackFormatError("trailing bytes after delta t_end stream")
         deltas = _unzigzag(_unpack_varints(a, ends))
         bits = np.empty((n, 2), dtype=np.int64)
-        bits[:, 0] = np.cumsum(deltas[:n])
-        bits[:, 1] = bits[:, 0] + deltas[n:]
+        deltas[:n].cumsum(out=bits[:, 0])
+        np.add(bits[:, 0], deltas[n:], out=bits[:, 1])
         col.times = bits.reshape(-1).view(np.uint8)
         col.time_enc = TIME_RAW
 
@@ -405,16 +429,27 @@ class DictStage(Stage):
         # lexicographic order, so the table comes out sorted by raw bytes.
         words = col.sites.view("<u8").byteswap()
         order = np.lexsort((words[:, 2], words[:, 1], words[:, 0]))
-        words = words[order]
-        first = np.ones(n, dtype=np.bool_)  # sorted row opens a new table entry
-        first[1:] = (words[1:] != words[:-1]).any(axis=1)
-        nuniq = int(np.count_nonzero(first))
+        words = words.take(order, axis=0)
+        differs = words[1:] != words[:-1]
+        first = np.empty(n, dtype=np.bool_)  # sorted row opens a new table entry
+        first[0] = True
+        np.logical_or(differs[:, 0], differs[:, 1], out=first[1:])
+        first[1:] |= differs[:, 2]
+        entry = first.cumsum()  # per sorted row: 1 + its table entry
+        nuniq = int(entry[-1])
         idx_width = 1 if nuniq <= 256 else 2 if nuniq <= 65536 else 4
-        index = np.empty(n, dtype=f"<u{idx_width}")
-        index[order] = np.cumsum(first) - 1
-        header = np.frombuffer(_DICT_HEADER.pack(idx_width, nuniq), dtype=np.uint8)
-        table = col.sites[order[first]]
-        col.sites = np.concatenate((header, table.reshape(-1), index.view(np.uint8)))
+        # header | table | index, written in place into the one output array
+        table_end = _DICT_HEADER.size + nuniq * _SITE_BYTES
+        sites = np.empty(table_end + n * idx_width, dtype=np.uint8)
+        _DICT_HEADER.pack_into(sites, 0, idx_width, nuniq)
+        col.sites.take(
+            order[first],
+            axis=0,
+            out=sites[_DICT_HEADER.size : table_end].reshape(nuniq, _SITE_BYTES),
+        )
+        entry -= 1
+        sites[table_end:].view(_INDEX_DTYPES[idx_width])[order] = entry
+        col.sites = sites
         col.site_enc = SITE_DICT
 
     def decode_columnar(self, col: Columnar) -> None:
@@ -428,7 +463,7 @@ class DictStage(Stage):
         if data.size < _DICT_HEADER.size:
             raise PackFormatError("dict site stream shorter than its header")
         idx_width, nuniq = _DICT_HEADER.unpack_from(data, 0)
-        if idx_width not in (1, 2, 4):
+        if idx_width not in _INDEX_DTYPES:
             raise PackFormatError(f"dict index width {idx_width} not in (1, 2, 4)")
         table_end = _DICT_HEADER.size + nuniq * _SITE_BYTES
         expected = table_end + col.count * idx_width
@@ -438,10 +473,10 @@ class DictStage(Stage):
                 f"table {nuniq} × index {idx_width} implies {expected}"
             )
         table = data[_DICT_HEADER.size : table_end].reshape(nuniq, _SITE_BYTES)
-        idx = data[table_end:].view(f"<u{idx_width}")
-        if idx.size and int(idx.max()) >= nuniq:
+        idx = data[table_end:].view(_INDEX_DTYPES[idx_width])
+        if idx.size and np.maximum.reduce(idx) >= nuniq:
             raise PackFormatError("dict index out of table range")
-        col.sites = table[idx].reshape(-1)
+        col.sites = table.take(idx, axis=0).reshape(-1)
         col.site_enc = SITE_RAW
 
 

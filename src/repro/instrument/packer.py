@@ -23,7 +23,7 @@ self-describes its decode path from the wire bytes alone.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -59,8 +59,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class PackHeader:
+class PackHeader(NamedTuple):
+    """A decoded pack's identity: one per pack, so a tuple, not a frozen
+    dataclass (whose ``__init__`` pays one ``object.__setattr__`` per field)."""
+
     app_id: int
     rank: int
     count: int
@@ -230,6 +232,6 @@ def decode_pack_frame(frame) -> tuple[PackHeader, np.ndarray]:
     re-parse (and re-CRC) of the blob form.  The caller is responsible
     for having verified the checksum.
     """
-    records = decode_chain(frame.codec).decode(frame.payload, frame.count)
-    header = PackHeader(app_id=frame.app_id, rank=frame.rank, count=frame.count)
-    return header, decode_events(records, frame.count)
+    count = frame.count
+    records = decode_chain(frame.codec).decode(frame.payload, count)
+    return PackHeader(frame.app_id, frame.rank, count), decode_events(records, count)

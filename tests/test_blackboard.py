@@ -9,6 +9,7 @@ from repro.blackboard import Blackboard, MultiLevelBlackboard, ThreadPool
 from repro.blackboard.entry import DataEntry, TypeRegistry
 from repro.blackboard.jobs import Job, JobQueues
 from repro.blackboard.ks import KnowledgeSource
+from repro.telemetry import Telemetry
 
 
 class TestTypeRegistry:
@@ -122,6 +123,39 @@ class TestJobQueues:
         q = JobQueues(nqueues=2)
         assert q.try_pop() is None
 
+    def test_a_sweep_locks_only_the_fifos_that_hold_jobs(self):
+        # The locks of the FIFOs without a job are held elsewhere: a sweep
+        # neither waits for them nor counts them as contention.
+        q = JobQueues(nqueues=4, seed=3)
+
+        def sweep():
+            out = []
+            worker = threading.Thread(target=lambda: out.append(q.try_pop(start=0)), daemon=True)
+            worker.start()
+            worker.join(timeout=5)
+            assert not worker.is_alive(), "try_pop blocked on an idle FIFO"
+            return out[0]
+
+        held = list(q._locks)
+        for lock in held:
+            lock.acquire()
+        try:
+            assert sweep() is None  # every FIFO empty: an answer, no lock taken
+        finally:
+            for lock in held:
+                lock.release()
+        job = Job(KnowledgeSource("ks", [1], lambda b, e: None), [])
+        q.push_many([job])
+        held = [lock for lock, fifo in zip(q._locks, q._queues) if not fifo]
+        for lock in held:
+            lock.acquire()
+        try:
+            assert sweep() is job
+        finally:
+            for lock in held:
+                lock.release()
+        assert q.lock_failures == 0 and q.popped == 1 and q.empty
+
 
 class TestBlackboard:
     def test_submit_unregistered_type_rejected(self):
@@ -226,6 +260,35 @@ class TestBlackboard:
         assert s["entries_submitted"] == 5
         assert s["jobs_executed"] == 5
         assert s["bytes_total"] == 50
+
+    def test_listeners_follow_registration_and_removal(self):
+        b = Blackboard()
+        t = b.register_type("t")
+        seen = []
+        first = b.register_ks("first", [t], lambda bd, es: seen.append("first"))
+        b.register_ks("second", [t], lambda bd, es: seen.append("second"))
+        b.submit(t, 1)
+        b.run_until_idle()
+        b.remove_ks(first)
+        b.submit(t, 2)
+        b.run_until_idle()
+        assert seen == ["first", "second", "second"]
+
+    def test_telemetry_instruments_appear_when_first_observed(self):
+        tel = Telemetry()
+        b = Blackboard(telemetry=tel)
+        t = b.register_type("t")
+        b.register_ks("ks", [t], lambda bd, es: None)
+        b.register_ks("idle", [b.register_type("u")], lambda bd, es: None)
+        assert not any(name.startswith("blackboard.") for name in tel.histograms)
+        for i in range(3):
+            b.submit(t, i)
+        b.run_until_idle()
+        assert list(tel.histograms) == [
+            "blackboard.job_cpu_s", "blackboard.ks_cpu_s.ks", "blackboard.job_dwell_s",
+        ]
+        assert tel.counters["blackboard.jobs_executed"].value == 3
+        assert tel.histograms["blackboard.ks_cpu_s.ks"].count == 3
 
     def test_run_until_idle_max_jobs(self):
         b = Blackboard()

@@ -14,6 +14,7 @@ sys.path.insert(0, str(REPO / "scripts"))
 from check_hotpath_invariants import (  # noqa: E402
     DECODE_PATH_FUNCTIONS,
     PER_EVENT_FUNCTIONS,
+    PER_PACK_FUNCTIONS,
     check_tree,
     per_event_label,
 )
@@ -659,7 +660,8 @@ def test_flags_a_host_time_probe_inside_a_simulation_module(tmp_path, package, s
     ],
 )
 def test_clock_reads_and_callers_of_the_profiler_are_allowed(tmp_path, rel, source):
-    _write(tmp_path, rel, source)
+    # A module rule 12 lists must still define its per-pack functions.
+    _write(tmp_path, rel, source + _per_pack_stubs(rel))
     assert check_tree(tmp_path) == []
 
 
@@ -796,3 +798,119 @@ def test_a_missing_rank_keyed_module_is_reported(tmp_path):
     problems = check_tree(tmp_path)
     assert len(problems) == 1, problems
     assert "latesender.py:1" in problems[0] and "RANK_KEYED_MODULES" in problems[0]
+
+
+# -- rule 12: lean per-pack functions --------------------------------------------------
+
+_PER_PACK_SITES = [
+    (rel.as_posix(), cls, fn)
+    for rel, classes in PER_PACK_FUNCTIONS.items()
+    for cls, fns in classes.items()
+    for fn in sorted(fns)
+]
+
+
+def _per_pack_stubs(rel):
+    """Clean stubs of the per-pack functions of ``rel`` ("" if it lists none)."""
+    return _per_pack_module(rel, None, None, "pass") if Path(rel) in PER_PACK_FUNCTIONS else ""
+
+
+def _per_pack_module(rel, cls, fn, body):
+    """``rel`` with every per-pack function the lint lists for it as a clean
+    stub, except ``cls.fn`` = ``body``."""
+    lines = []
+    for klass, fns in PER_PACK_FUNCTIONS[Path(rel)].items():
+        lines.append(f"class {klass}:")
+        for name in sorted(fns):
+            stmt = body if (klass, name) == (cls, fn) else "pass"
+            lines.append(f"    def {name}(self, x=None):\n        {stmt}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize(
+    "body, what",
+    [
+        ('name = f"blackboard.ks_cpu_s.{x.name}"', "f-string"),
+        ('name = "analysis.packs_rejected.{}".format(x)', "str.format() call"),
+        ("taken = [q.popleft() for q in x]", "ListComp"),
+        ("short = any(len(q) < 1 for q in x)", "GeneratorExp"),
+        ("kinds = {e.type_id for e in x}", "SetComp"),
+        ("slots = {t: len(q) for t, q in x.items()}", "DictComp"),
+    ],
+)
+@pytest.mark.parametrize("rel, cls, fn", _PER_PACK_SITES)
+def test_flags_formatting_and_comprehensions_in_per_pack_functions(
+    tmp_path, rel, cls, fn, body, what
+):
+    _write(tmp_path, rel, _per_pack_module(rel, cls, fn, body))
+    problems = check_tree(tmp_path)
+    assert problems, (rel, cls, fn, body)
+    assert all(f"per-pack function {cls}.{fn}()" in p for p in problems)
+    assert any(what in p for p in problems)
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        'raise ValueError(f"pack app_id {x} has no level")',  # the error path may format
+        "total = sum(x)",  # rule 4's container scans are not rule 12's business
+        "jobs = [x, self]",  # a literal is no comprehension
+    ],
+)
+def test_per_pack_functions_may_raise_with_a_message_and_build_literals(tmp_path, body):
+    rel = "repro/blackboard/board.py"
+    _write(tmp_path, rel, _per_pack_module(rel, "Blackboard", "submit", body))
+    assert check_tree(tmp_path) == []
+
+
+def test_per_pack_rule_is_scoped_to_the_listed_functions(tmp_path):
+    _write(
+        tmp_path,
+        "repro/blackboard/jobs.py",
+        "class JobQueues:\n"
+        "    def push_many(self, jobs):\n        pass\n"
+        "    def try_pop(self, start=None):\n        pass\n"
+        "    def __len__(self):\n"
+        "        return sum(len(q) for q in self._queues)\n",
+    )
+    _write(
+        tmp_path,
+        "repro/blackboard/entry.py",
+        "class JobQueues:\n    def try_pop(self):\n        return f'{self}'\n",
+    )
+    assert check_tree(tmp_path) == []
+
+
+def test_a_renamed_per_pack_function_is_reported(tmp_path):
+    _write(
+        tmp_path,
+        "repro/blackboard/multilevel.py",
+        "class MultiLevelBlackboard:\n"
+        "    def _dispatch(self, board, entries):\n        pass\n"
+        "    def _route(self, entry):\n        pass\n",
+    )
+    problems = check_tree(tmp_path)
+    assert problems == [
+        "repro/blackboard/multilevel.py:1: per-pack function "
+        "MultiLevelBlackboard._level_of() not found — update PER_PACK_FUNCTIONS "
+        "if it moved or was renamed"
+    ]
+
+
+def test_the_pre_rule_knowledge_source_offer_is_flagged(tmp_path):
+    # The offer() this rule replaced: an any() generator and two comprehensions
+    # per offered entry.
+    _write(
+        tmp_path,
+        "repro/blackboard/ks.py",
+        "class KnowledgeSource:\n"
+        "    def offer(self, entry):\n"
+        "        if any(len(self._pending[t]) < n for t, n in self._needs.items()):\n"
+        "            return None\n"
+        "        taken = {t: deque(self._pending[t].popleft() for _ in range(n))\n"
+        "                 for t, n in self._needs.items()}\n"
+        "        return [taken[t].popleft() for t in self.sensitivities]\n",
+    )
+    problems = check_tree(tmp_path)
+    kinds = sorted(p.split(": ")[1].split(" inside")[0] for p in problems)
+    assert kinds == ["DictComp", "GeneratorExp", "GeneratorExp", "ListComp"]
