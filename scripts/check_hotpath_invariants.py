@@ -3,9 +3,9 @@
 lean per-event functions, one derivation per pack, observers paid per read,
 pure delays as floats, host-time profiling from outside, one observer clock,
 one schema table, analysis state keyed by the ranks seen, lean per-pack
-functions.
+functions, one schedule.
 
-Twelve structural rules the hot-path refactors rely on, enforced over the
+Thirteen structural rules the hot-path refactors rely on, enforced over the
 AST so comments and strings never trip them:
 
 1. **Clock discipline** — ``time.perf_counter`` (and its ``_ns``
@@ -134,6 +134,16 @@ AST so comments and strings never trip them:
     is ceremony every pack pays (DESIGN 14).  ``raise`` statements are
     exempt.  A listed function that no longer exists is itself a
     violation, as in rule 4.
+
+13. **One schedule** — under ``src/repro`` ``heappush`` / ``heappop`` are
+    imported, and another object's ``._heap`` or ``._ready`` (the kernel's
+    heap and FIFO: ``kernel._heap``, ``self.kernel._ready``) is referenced,
+    only in ``simt/kernel.py``, ``simt/primitives.py`` and
+    ``simt/process.py``.  The kernel's order argument (DESIGN 14) rests on
+    every schedule site sending an entry due now to the FIFO and a later one
+    to the heap, and on the loop alone moving entries between them; a push
+    made elsewhere, at ``now``, would land behind entries with higher seqs.
+    A class's own ``self._ready`` (a stream's received blocks) is its own.
 
 Exit status 0 when clean; 1 with one ``path:line: message`` per
 violation otherwise.  Run from the repository root::
@@ -291,6 +301,13 @@ _LOOP_NODES = (
     ast.DictComp,
     ast.GeneratorExp,
 )
+
+#: the modules that may touch the kernel's schedule (rule 13)
+SCHEDULE_OWNERS = frozenset(
+    Path("repro") / "simt" / f"{name}.py" for name in ("kernel", "primitives", "process")
+)
+SCHEDULE_FUNCTIONS = frozenset({"heappush", "heappop"})
+SCHEDULE_ATTRS = frozenset({"_heap", "_ready"})
 
 #: forbidden host-clock attribute names on the ``time`` module
 CLOCK_NAMES = frozenset({"perf_counter", "perf_counter_ns"})
@@ -747,6 +764,30 @@ def _check_per_call_records(tree: ast.AST, rel: Path, wanted: set[str]) -> list[
     return problems
 
 
+def _check_one_schedule(tree: ast.AST, rel: Path) -> list[str]:
+    """Flag a schedule push/pop or a schedule container outside the kernel."""
+    problems = []
+    for node in ast.walk(tree):
+        what = None
+        if isinstance(node, ast.ImportFrom) and node.module == "heapq":
+            found = sorted({alias.name for alias in node.names} & SCHEDULE_FUNCTIONS)
+            if found:
+                what = f"imports {', '.join(found)} from heapq"
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in SCHEDULE_ATTRS
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+        ):
+            what = f"references <expr>.{node.attr}"
+        if what:
+            problems.append(
+                f"{rel}:{node.lineno}: {what} — the kernel's schedule is touched only "
+                "in simt/kernel.py, primitives.py and process.py; schedule through "
+                "an event (succeed, timeout) or a yielded delay"
+            )
+    return problems
+
+
 def check_tree(src_root: Path) -> list[str]:
     """All invariant violations under ``src_root`` (a ``src/`` directory)."""
     problems = []
@@ -780,6 +821,8 @@ def check_tree(src_root: Path) -> list[str]:
             problems.extend(_check_no_inline_hostprof(tree, rel))
         if rel.parts[0] == "repro":
             problems.extend(_check_one_observer_clock(tree, rel))
+            if rel not in SCHEDULE_OWNERS:
+                problems.extend(_check_one_schedule(tree, rel))
             if rel != SCHEMA_OWNER:
                 problems.extend(_check_schema_tags(tree, rel))
     if ANALYSIS_PACKAGE / "__init__.py" in seen:
@@ -807,7 +850,7 @@ def main(argv: list[str]) -> int:
         "loop-free codec, lean per-event functions, one derivation per pack, "
         "observers paid per read, pure delays as floats, host time profiled "
         "from outside, one observer clock, one schema table, analysis state "
-        "keyed by the ranks seen, lean per-pack functions)"
+        "keyed by the ranks seen, lean per-pack functions, one schedule)"
     )
     return 0
 

@@ -1,15 +1,17 @@
 """The simulation event loop.
 
-The kernel keeps a binary heap of ``(time, sequence, event)`` entries.  Events
+The kernel keeps two containers: a FIFO of the events due *now* and a binary
+heap of ``(time, sequence, event)`` entries for everything later.  Events
 fire in timestamp order; ties break by scheduling order, which makes whole
 simulations deterministic.  A process that yielded a float — a pure delay —
 is its own entry: dispatching it resumes it.  Deadlock (live processes but
-an empty heap) raises :class:`~repro.errors.DeadlockError` naming the blocked
-processes, which in practice pinpoints mismatched sends/receives immediately.
+nothing scheduled) raises :class:`~repro.errors.DeadlockError` naming the
+blocked processes, which in practice pinpoints mismatched sends/receives.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from functools import partial
 from heapq import heappop
 from typing import Any, Generator
@@ -49,6 +51,7 @@ class Kernel:
     __slots__ = (
         "now",
         "_heap",
+        "_ready",
         "_seq",
         "_processes",
         "_hooks",
@@ -64,6 +67,8 @@ class Kernel:
     def __init__(self, *, trace: bool = False, telemetry: Telemetry | None = None):
         self.now: float = 0.0
         self._heap: list[tuple[float, int, SimEvent]] = []
+        #: the entries due at ``now`` (computed time == now), in seq order
+        self._ready: deque[SimEvent] = deque()
         self._seq = 0
         self._processes: list[Process] = []
         self._hooks: list[PeriodicHook] = []
@@ -160,6 +165,7 @@ class Kernel:
 
     def _fire_hooks(self, upto: float) -> None:
         """Run every hook due at or before ``upto``, advancing the clock."""
+        ready, heap = self._ready, self._heap
         while True:
             due = min(
                 (h.next_due for h in self._hooks if h.active), default=None
@@ -168,11 +174,19 @@ class Kernel:
                 break
             if due > self.now:
                 self.now = due
+            queued = len(ready)
             for hook in list(self._hooks):
                 if hook.active and hook.next_due <= due:
                     hook.next_due += hook.interval
                     hook.fired += 1
                     hook.fn(self.now)
+            if self.now < upto:
+                # The clock sits before the popped instant: a hook's entry due
+                # before it is in the past, one due at it queues in seq order.
+                if len(ready) > queued or heap and heap[0][0] < upto:
+                    raise SimulationError("time went backwards (kernel bug)")
+                while heap and heap[0][0] == upto:
+                    ready.append(heappop(heap)[2])
         self._prune_hooks()
 
     # -- the loop ---------------------------------------------------------------
@@ -180,27 +194,37 @@ class Kernel:
     def _dispatch(self, limit: float, stop: SimEvent | None = None) -> None:
         """The dispatch loop — every event of every run goes through here.
 
-        Pops ``(time, seq, event)`` entries in heap order while the head is
-        due at or before ``limit``; with ``stop``, returns right after the
+        Drains the events due now, then pops the heap head while it is due
+        at or before ``limit``; with ``stop``, returns right after the
         dispatch that leaves ``stop`` triggered.  :meth:`run` picks the two
         arguments for its three modes and :meth:`step` passes a ``stop``
         that already is, so there is one set of dispatch semantics.
         """
         heap = self._heap
+        ready = self._ready
+        popleft, append = ready.popleft, ready.append
         observed = self.telemetry.enabled
         trace = observed and self.trace
         # events_dispatched is counted in a local; an observed run also
-        # mirrors it and len(heap) into their instruments.  All three are
-        # written where they can be read -- before hooks fire and when this
-        # loop exits -- not once per event (DESIGN 11).  ``depth`` is the
-        # heap length right after the latest pop, ``high`` its peak.
+        # mirrors it and the schedule's length into their instruments.  All
+        # three are written where they can be read -- before hooks fire and
+        # when this loop exits -- not once per event (DESIGN 11).  ``depth``
+        # is heap + FIFO right after the latest pop, ``high`` its peak.
         dispatched = synced = self.events_dispatched
         depth = high = self._gauge_heap.value if observed else 0
+        when = self.now
         try:
-            while heap and heap[0][0] <= limit:
-                when, _seq, event = heappop(heap)
-                if when < self.now:
-                    raise SimulationError("time went backwards (kernel bug)")
+            while True:
+                if ready:
+                    event = popleft()
+                elif heap and heap[0][0] <= limit:
+                    when, _seq, event = heappop(heap)
+                    # The clock advances: the rest of this instant has lower
+                    # seqs than anything this dispatch schedules, so it goes first.
+                    while heap and heap[0][0] == when:
+                        append(heappop(heap)[2])
+                else:
+                    break
                 # A dispatched callback may register a hook due *now*
                 # (call_every(first=now)), so the compare is per event; after
                 # firing, _hooks_due > when.
@@ -213,12 +237,12 @@ class Kernel:
                 self.now = when
                 dispatched += 1
                 if observed:
-                    depth = len(heap)
+                    depth = len(heap) + len(ready)
                     if depth > high:
                         high = depth
                 if event.state == 0:  # PENDING: a delay ending now
                     if event._is_process:
-                        # It yielded a float and is its own heap entry (a
+                        # It yielded a float and is its own entry (a
                         # finished process is never PENDING): resume it.
                         if trace:
                             self._trace_fire(event)
@@ -267,7 +291,7 @@ class Kernel:
 
     def step(self) -> None:
         """Dispatch the next scheduled entry, and only that one."""
-        if not self._heap:
+        if not self._heap and not self._ready:
             raise SimulationError("step() on an empty schedule")
         self._dispatch(_INF, _TRIGGERED)
 

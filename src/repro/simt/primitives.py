@@ -64,11 +64,11 @@ class SimEvent:
             raise SimulationError(f"event {self.name or id(self)} already triggered")
         self.state = SUCCEEDED
         self.value = value
-        # Schedule the dispatch at the current instant; ties fire in
-        # scheduling order.
+        # Schedule the dispatch at the current instant: behind everything
+        # else due now, so ties fire in scheduling order.
         kernel = self.kernel
-        kernel._seq = seq = kernel._seq + 1
-        heappush(kernel._heap, (kernel.now, seq, self))
+        kernel._seq += 1
+        kernel._ready.append(self)
         return self
 
     def fail(self, exc: BaseException) -> "SimEvent":
@@ -80,12 +80,12 @@ class SimEvent:
         self.state = FAILED
         self.value = exc
         kernel = self.kernel
-        kernel._seq = seq = kernel._seq + 1
-        heappush(kernel._heap, (kernel.now, seq, self))
+        kernel._seq += 1
+        kernel._ready.append(self)
         return self
 
     def succeed_after(self, delay: float, value: Any = None) -> "SimEvent":
-        """Succeed ``delay`` seconds from now, as one heap entry: the
+        """Succeed ``delay`` seconds from now, as one schedule entry: the
         :class:`Timeout` contract on an existing event (value set now, PENDING
         until the kernel dispatches it), and as one-shot as :meth:`succeed`."""
         if self.state != PENDING or self.num_waiters != -1:
@@ -96,7 +96,11 @@ class SimEvent:
         self.num_waiters = -2
         kernel = self.kernel
         kernel._seq = seq = kernel._seq + 1
-        heappush(kernel._heap, (kernel.now + delay, seq, self))
+        when = kernel.now + delay
+        if when == kernel.now:  # zero, or a delay the clock absorbs: due now
+            kernel._ready.append(self)
+        else:
+            heappush(kernel._heap, (when, seq, self))
         return self
 
     def add_callback(self, cb: Callable[["SimEvent"], None]) -> None:
@@ -133,7 +137,11 @@ class Timeout(SimEvent):
         self.num_waiters = -1
         self.delay = delay
         kernel._seq = seq = kernel._seq + 1
-        heappush(kernel._heap, (kernel.now + delay, seq, self))
+        when = kernel.now + delay
+        if when == kernel.now:  # as in succeed_after
+            kernel._ready.append(self)
+        else:
+            heappush(kernel._heap, (when, seq, self))
 
 
 class Interrupt(Exception):

@@ -74,15 +74,18 @@ class Process(SimEvent):
         kick.fail(Interrupt(cause))
         self._waiting_on = kick
         if target is self:
-            # Cut a pure delay short: a live process is on the heap only as
-            # its own delay, so that entry is found by identity and handed
-            # to an inert event -- same (time, seq), still one counted
-            # dispatch, and nothing that outlives the process.  O(heap).
+            # Cut a pure delay short: a live process is on the schedule only
+            # as its own delay, so that entry is found by identity and handed
+            # to an inert event -- same place in the order, still one counted
+            # dispatch, and nothing that outlives the process.  O(schedule).
             idle = SimEvent(self.kernel, name=f"{self.name}.delay")
             idle.state = SUCCEEDED
-            heap = self.kernel._heap
-            i = next(i for i, entry in enumerate(heap) if entry[2] is self)
-            heap[i] = (*heap[i][:2], idle)
+            ready, heap = self.kernel._ready, self.kernel._heap
+            if self in ready:  # a zero delay: due now
+                ready[ready.index(self)] = idle
+            else:
+                i = next(i for i, entry in enumerate(heap) if entry[2] is self)
+                heap[i] = (*heap[i][:2], idle)
         # Drop our callback edge from the original event if it has not fired.
         elif target.callbacks is not None:
             try:
@@ -115,10 +118,14 @@ class Process(SimEvent):
         kernel = self.kernel
         if isinstance(target, float):
             if target >= 0:
-                # A pure delay: one heap entry, as a Timeout would be, with
-                # the seq it would have had -- and the kernel resumes us.
+                # A pure delay: one schedule entry, as a Timeout would be,
+                # with the seq it would have had -- and the kernel resumes us.
                 kernel._seq = seq = kernel._seq + 1
-                heappush(kernel._heap, (kernel.now + target, seq, self))
+                when = kernel.now + target
+                if when == kernel.now:
+                    kernel._ready.append(self)
+                else:
+                    heappush(kernel._heap, (when, seq, self))
                 self._waiting_on = self
                 return
             # Negative or NaN (it would poison heap order): raised at the

@@ -914,3 +914,52 @@ def test_the_pre_rule_knowledge_source_offer_is_flagged(tmp_path):
     problems = check_tree(tmp_path)
     kinds = sorted(p.split(": ")[1].split(" inside")[0] for p in problems)
     assert kinds == ["DictComp", "GeneratorExp", "GeneratorExp", "ListComp"]
+
+
+# -- rule 13: one schedule --------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rel, source, what",
+    [
+        ("repro/mpi/message.py", "from heapq import heappush\n", "imports heappush from heapq"),
+        (
+            "repro/simt/resources.py",  # in simt/, but not a schedule owner
+            "from heapq import heappop, heappush\n",
+            "imports heappop, heappush from heapq",
+        ),
+        (
+            "repro/vmpi/stream.py",
+            "def wake(kernel, ev):\n    kernel._ready.append(ev)\n",
+            "references <expr>._ready",
+        ),
+        (
+            "repro/network/cluster.py",
+            "import heapq\n\n"
+            "def later(self, ev):\n"
+            "    heapq.heappush(self.kernel._heap, (self.kernel.now, 0, ev))\n",
+            "references <expr>._heap",
+        ),
+    ],
+)
+def test_flags_a_schedule_push_or_container_outside_the_kernel(tmp_path, rel, source, what):
+    _write(tmp_path, rel, source)
+    problems = [p for p in check_tree(tmp_path) if "schedule" in p]
+    assert len(problems) == 1, problems
+    assert problems[0].startswith(f"{rel}:") and what in problems[0]
+
+
+@pytest.mark.parametrize(
+    "rel, source",
+    [
+        ("repro/simt/kernel.py", "from heapq import heappop\n\ndef f(k):\n    k._ready.pop()\n"),
+        ("repro/simt/primitives.py", "from heapq import heappush\n\ndef f(k):\n    k._heap\n"),
+        ("repro/simt/process.py", "from heapq import heappush\n\ndef f(k):\n    k._ready\n"),
+        # a class's own FIFO and heapq on a module's own list are not the schedule
+        ("repro/vmpi/stream.py", "class S:\n    def f(self):\n        self._ready.popleft()\n"),
+        ("repro/iosim/queue.py", "import heapq\nfrom heapq import heapify\n\nheapify([])\n"),
+    ],
+)
+def test_the_schedule_owners_and_own_containers_are_allowed(tmp_path, rel, source):
+    _write(tmp_path, rel, source)
+    assert [p for p in check_tree(tmp_path) if "schedule" in p] == []

@@ -2,16 +2,19 @@
 
 Hypothesis draws small process programs — positive and zero delays that tie,
 spelled ``yield kernel.timeout(d)`` (``sleep``) or ``yield d`` (``nap``),
-``succeed``/``fail`` chains on shared events, ``any_of``/``all_of``, the
-MPI layer's value-less ``Join`` (held to ``all_of`` on the reference),
-``interrupt``, joins (also on crashed processes), ``call_every(first=)``
-hooks — and one of the three ``run()`` modes or a ``step()``-by-``step()``
-walk.  Each program runs on the real kernel with telemetry off and on and on
-``tests/_kernel_reference.py``; the dispatch trace ``(now, seq, event name,
-num_waiters)``, what the processes saw, the final clock,
-``events_dispatched`` and the type of any raised error must agree.  The real
-kernel's trace is read off its heap pops, so the test needs no hook inside
-the loop it checks.
+``succeed``/``fail``/``succeed_after`` chains on shared events,
+``any_of``/``all_of``, the MPI layer's value-less ``Join`` (held to
+``all_of`` on the reference), ``interrupt``, joins (also on crashed
+processes), ``call_every(first=)`` hooks — and one of the three ``run()``
+modes, ``run(until=<event>)`` followed by ``run()``, or a
+``step()``-by-``step()`` walk.  Each program runs on the real kernel with
+telemetry off and on and on ``tests/_kernel_reference.py``; the dispatch
+trace ``(now, seq, event name, num_waiters)``, what the processes saw, the
+final clock, ``events_dispatched`` and the type of any raised error must
+agree.  The real
+kernel's trace is read off its heap pops and a recording deque in place of
+its FIFO of events due now (``dispatch_log``), so the test needs no hook
+inside the loop it checks.
 
 The observed runs also read the two kernel instruments wherever an observer
 can: at every firing of every hook, after every ``step()``, after the run
@@ -24,8 +27,6 @@ every delay of a program one way or the other moves no ``(when, seq)`` of
 the dispatch log, no resume, no counter and no heap depth.
 """
 
-from unittest import mock
-
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -33,17 +34,18 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.mpi.request import Join
-from repro.simt import Interrupt, Kernel, Process
-from repro.simt import kernel as kernel_module
+from repro.simt import Interrupt, Kernel
 from repro.telemetry import KERNEL_PID, NULL_TELEMETRY, Telemetry
 
-from _kernel_reference import ReferenceKernel
+from _kernel_reference import ReferenceKernel, dispatch_log
 
 N_EVENTS = 3
 MAX_PROCS = 4
 
-# Few distinct delays, zero among them: ties at every level of the heap.
-delays = st.sampled_from([0.0, 0.0, 0.5, 1.0, 1.0, 1.5])
+# Few distinct delays, zero among them: ties at every level of the heap.  An
+# advance of 0.25 reaches the probe hook's next firing and no earlier one, so
+# the loop, not a hook walk, moves the rest of that instant off the heap.
+delays = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0, 1.0, 1.5])
 event_ids = st.integers(0, N_EVENTS - 1)
 proc_ids = st.integers(0, MAX_PROCS - 1)
 event_sets = st.lists(event_ids, min_size=0, max_size=3)
@@ -55,6 +57,7 @@ ops = st.one_of(
     st.tuples(st.just("wait"), event_ids),
     st.tuples(st.just("succeed"), event_ids),
     st.tuples(st.just("fail"), event_ids),
+    st.tuples(st.just("succeed_after"), event_ids, delays),
     st.tuples(st.just("any_of"), event_sets, delays),
     st.tuples(st.just("all_of"), event_sets),
     st.tuples(st.just("mpi_join"), event_sets),
@@ -67,7 +70,7 @@ scripts = st.lists(st.lists(ops, max_size=6), min_size=1, max_size=MAX_PROCS)
 modes = st.one_of(
     st.just(("drain",)),
     st.tuples(st.just("deadline"), st.sampled_from([0.0, 1.0, 2.5, 10.0])),
-    st.tuples(st.just("event"), event_ids),
+    st.tuples(st.sampled_from(["event", "event+drain"]), event_ids),
     st.tuples(st.just("process"), proc_ids),
     st.just(("steps",)),
 )
@@ -75,6 +78,11 @@ modes = st.one_of(
 
 class Boom(Exception):
     """What ``crash`` raises and ``fail`` delivers."""
+
+
+def _open(event):
+    """Neither triggered nor scheduled: it may still be fired."""
+    return not event.triggered and event.num_waiters == -1
 
 
 def _body(k, me, script, events, procs, seen, probe):
@@ -89,10 +97,12 @@ def _body(k, me, script, events, procs, seen, probe):
                 yield op[1]
             elif kind == "wait":
                 seen.append((k.now, me, "got", (yield events[op[1]])))
-            elif kind == "succeed" and not events[op[1]].triggered:
+            elif kind == "succeed" and _open(events[op[1]]):
                 events[op[1]].succeed(f"p{me}")
-            elif kind == "fail" and not events[op[1]].triggered:
+            elif kind == "fail" and _open(events[op[1]]):
                 events[op[1]].fail(Boom(f"p{me}"))
+            elif kind == "succeed_after" and _open(events[op[1]]):
+                events[op[1]].succeed_after(op[2], f"p{me}")
             elif kind == "any_of":
                 fired = yield k.any_of([events[i] for i in op[1]] + [k.timeout(op[2])])
                 seen.append((k.now, me, "any", sorted(ev.name for ev in fired)))
@@ -151,7 +161,7 @@ def _execute(k, program, mode, dispatched):
         )
     if mode[0] == "deadline":
         until = mode[1]
-    elif mode[0] == "event":
+    elif mode[0] in ("event", "event+drain"):
         until = events[mode[1]]
     elif mode[0] == "process":
         until = procs[mode[1] % len(procs)]
@@ -159,10 +169,12 @@ def _execute(k, program, mode, dispatched):
         until = None
     try:
         if mode[0] == "steps":
-            while k._heap:
+            while k._heap or k._ready:
                 k.step()
                 probe(k.now)
             outcome = ("stepped", None)
+        elif mode[0] == "event+drain":  # stop mid-instant, then go on
+            outcome = ("returned", (k.run(until), k.run()))
         else:
             outcome = ("returned", k.run(until))
     except Exception as exc:  # noqa: BLE001 - the error type is the outcome
@@ -180,22 +192,13 @@ def _execute(k, program, mode, dispatched):
 
 
 def _on_real_kernel(k, program, mode):
-    popped = []
-    real_pop = kernel_module.heappop
-
-    def recording_pop(heap):
-        entry = real_pop(heap)
-        # A process popped alive is its float delay ending, not its completion.
-        popped.append((*entry, isinstance(entry[2], Process) and entry[2].is_alive))
-        return entry
-
-    with mock.patch.object(kernel_module, "heappop", recording_pop):
+    with dispatch_log(k) as log:
         return _execute(
             k, program, mode,
             # num_waiters is set at dispatch and stays, so it is read afterwards.
             lambda: [
                 (when, seq, ev.name, "delay" if delay_over else ev.num_waiters)
-                for when, seq, ev, delay_over in popped
+                for when, seq, ev, delay_over in log
             ],
         )
 
@@ -227,6 +230,75 @@ def _assert_matches_the_reference(program, mode):
 @example(program=[[("fail", 0), ("nap", 0.5), ("mpi_join", [1, 0])]], mode=("drain",))
 @example(
     program=[[("mpi_join", [0, 1])], [("nap", 0.5), ("fail", 1), ("nap", 0.5), ("succeed", 0)]],
+    mode=("drain",),
+)
+# The two-level schedule's edges: entries due now (the FIFO) behind the rest
+# of an instant the clock just reached (moved off the heap).  Each first
+# dispatch of a tie at 0.1 schedules something due now; 0.1 is short of the
+# probe hook's first firing, so no hook walk does the move instead.
+# Zero delays, both spellings:
+@example(
+    program=[
+        [("sleep", 0.1), ("nap", 0.0), ("sleep", 0.0), ("succeed", 0)],
+        [("nap", 0.1), ("sleep", 0.0), ("nap", 0.0), ("wait", 0)],
+        [("sleep", 0.1), ("wait", 0)],
+    ],
+    mode=("drain",),
+)
+# Timeout(0) and succeed_after(0):
+@example(
+    program=[
+        [("nap", 0.1), ("succeed_after", 0, 0.0), ("sleep", 0.0), ("wait", 1)],
+        [("sleep", 0.1), ("wait", 0), ("succeed_after", 1, 0.0)],
+        [("nap", 0.1), ("any_of", [0], 0.0)],
+    ],
+    mode=("drain",),
+)
+# Delays the clock absorbs (0.1 + 1e-18 == 0.1, as 1e6 + 1e-12 == 1e6) are
+# due now:
+@example(
+    program=[
+        [("nap", 0.1), ("nap", 1e-18), ("wait", 0)],
+        [("sleep", 0.1), ("sleep", 1e-18), ("succeed_after", 1, 1e-18)],
+        [("nap", 0.1), ("succeed", 0), ("wait", 1)],
+    ],
+    mode=("drain",),
+)
+# A step() walk across a same-instant batch:
+@example(
+    program=[
+        [("sleep", 0.1), ("nap", 0.0), ("succeed", 0)],
+        [("nap", 0.1), ("wait", 0)],
+        [("sleep", 0.1), ("sleep", 0.0)],
+    ],
+    mode=("steps",),
+)
+# run(until=<event>) stops with the instant half dispatched; run() resumes it:
+@example(
+    program=[
+        [("nap", 0.1), ("succeed", 0), ("nap", 0.0)],
+        [("sleep", 0.1), ("nap", 0.0)],
+        [("nap", 0.1), ("wait", 0)],
+    ],
+    mode=("event+drain", 0),
+)
+# interrupt() of processes sleeping 0.0, both spellings:
+@example(
+    program=[
+        [("sleep", 0.1), ("nap", 0.0), ("nap", 0.5)],
+        [("nap", 0.1), ("interrupt", 0)],
+        [("sleep", 0.1), ("sleep", 0.0)],
+        [("nap", 0.1), ("interrupt", 2)],
+    ],
+    mode=("drain",),
+)
+# call_every(first=now) registered mid-batch:
+@example(
+    program=[
+        [("sleep", 0.1), ("hook", 0.5, 0.0), ("nap", 0.0)],
+        [("nap", 0.1), ("succeed", 0)],
+        [("sleep", 0.1), ("wait", 0)],
+    ],
     mode=("drain",),
 )
 def test_single_loop_matches_the_reference_scheduler(program, mode):

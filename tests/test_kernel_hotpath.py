@@ -19,6 +19,8 @@ from repro.errors import ProcessCrashError, SimulationError
 from repro.simt import Interrupt, Kernel
 from repro.telemetry import Telemetry
 
+from _kernel_reference import ReferenceKernel, dispatch_log
+
 MODES = ("drain", "deadline", "event")
 
 
@@ -139,6 +141,53 @@ def test_hook_catches_up_across_an_event_gap(make_kernel):
 
         _drive(k, mode, k.spawn(proc(k)), 3.5)
         assert seen == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)], mode
+
+
+# -- a hook that schedules ----------------------------------------------------------------
+# Hooks are observers and should not, but one that does is held to the schedule
+# as it always was: an entry due before the popped instant is in the past, one
+# due at it takes its (time, seq) place among the entries due then.
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    [lambda k: k.event().succeed(), lambda k: k.timeout(0.0), lambda k: k.timeout(0.5)],
+    ids=["succeed", "timeout(0)", "timeout(0.5)"],
+)
+def test_a_hook_scheduling_before_the_popped_instant_is_an_error(k, mode, schedule):
+    # The hook fires at 1.0 on the way to the sleeper's 5.0: what it
+    # schedules is due at 1.0 or 1.5, and the clock cannot go back there.
+    k.call_every(1.0, lambda now: schedule(k))
+    last = _sleeper(k, [], "s", [5.0])
+    with pytest.raises(SimulationError, match="time went backwards"):
+        _drive(k, mode, last, 5.0)
+
+
+def _hooked_tie(k):
+    """Three processes due at 5.0, a hook at 2.0 scheduling a timeout due at
+    5.0 and one at 5.0 scheduling two events due then; the last process."""
+    k.call_every(100.0, lambda now: k.timeout(3.0), first=2.0)
+    k.call_every(100.0, lambda now: (k.event("now").succeed(), k.timeout(0.0)), first=5.0)
+
+    def proc(kk, delay):
+        yield delay
+        yield 0.0
+
+    procs = [k.spawn(proc(k, k.timeout(5.0) if i % 2 else 5.0), name=f"p{i}") for i in range(3)]
+    return procs[-1]
+
+
+@pytest.mark.parametrize("make_kernel", [Kernel, _instrumented_kernel])
+def test_a_hook_scheduling_at_the_popped_instant_keeps_the_order(make_kernel, mode):
+    real = make_kernel()
+    with dispatch_log(real) as log:
+        _drive(real, mode, _hooked_tie(real), 5.0)
+    reference = ReferenceKernel()
+    _drive(reference, mode, _hooked_tie(reference), 5.0)
+    assert [(when, seq, event.name) for when, seq, event, _delay_over in log] == [
+        (when, seq, name) for when, seq, name, _waiters in reference.dispatched
+    ]
+    assert real.events_dispatched == reference.events_dispatched == len(log)
 
 
 # -- call_every(first=) grid alignment ----------------------------------------------

@@ -5,6 +5,8 @@ import pytest
 from repro.errors import DeadlockError, SimulationError
 from repro.simt import Timeout
 
+from _kernel_reference import dispatch_log
+
 
 def test_time_starts_at_zero(kernel):
     assert kernel.now == 0.0
@@ -190,7 +192,7 @@ def test_step_dispatches_exactly_one_entry(kernel, as_float):
         assert (kernel.events_dispatched, kernel.now) == (1 + n, float(n))
         assert woke == [1.0, 2.0, 3.0][:n]
     kernel.step()  # the process's own completion
-    assert kernel.events_dispatched == 5 and not kernel._heap
+    assert kernel.events_dispatched == 5 and not kernel._heap and not kernel._ready
 
 
 def test_a_float_delay_is_one_heap_entry_with_the_seq_a_timeout_would_have(kernel):
@@ -203,13 +205,13 @@ def test_a_float_delay_is_one_heap_entry_with_the_seq_a_timeout_would_have(kerne
     schedules = []
     for form in ("float", "timeout"):
         k = type(kernel)()
-        procs = [k.spawn(napper(k, form)) for _ in range(3)]
-        pushed = []
-        while k._heap:
-            pushed.append(k._heap[0][:2])
-            k.step()
+        with dispatch_log(k) as log:
+            procs = [k.spawn(napper(k, form)) for _ in range(3)]
+            while k._heap or k._ready:
+                k.step()
         assert [p.value for p in procs] == [0.5] * 3
-        schedules.append((pushed, k.events_dispatched, k._seq, k.now))
+        dispatched = [(when, seq) for when, seq, _event, _delay_over in log]
+        schedules.append((dispatched, k.events_dispatched, k._seq, k.now))
     assert schedules[0] == schedules[1]
 
 
@@ -227,7 +229,7 @@ def test_run_until_a_process_that_is_taking_a_float_delay(kernel):
     assert kernel.run(until=kernel.spawn(proc(kernel))) == "done"
     assert kernel.now == 3.0
     kernel.run(until=4.0)  # a deadline between two delays of the bystander
-    assert kernel.now == 4.0 and len(kernel._heap) == 1
+    assert kernel.now == 4.0 and len(kernel._heap) == 1 and not kernel._ready
 
 
 def test_many_processes_complete(kernel):

@@ -9,6 +9,8 @@ from repro.errors import SimulationError
 from repro.simt import Kernel
 from repro.simt.primitives import Interrupt
 
+from _kernel_reference import dispatch_log
+
 
 def test_process_return_value_via_join(kernel):
     def child(k):
@@ -164,18 +166,20 @@ def _crossed(form):
         joined = yield target
         log.append((k.now, "joined", joined))
 
-    tick = k.timeout(5.0)  # scheduled before any victim's delay
-    victims = [
-        k.spawn(victim(then))
-        for then in ("waits on an event", "sleeps again", "finishes at t=5", "finishes at t=1")
-    ]
-    k.spawn(boss(victims))
-    for v in victims:
-        k.spawn(watcher(v))
-    schedule = []
-    while k._heap:
-        schedule.append((k._heap[0][:2], len(k._heap)))
-        k.step()
+    depths = []
+    with dispatch_log(k) as dispatched:
+        tick = k.timeout(5.0)  # scheduled before any victim's delay
+        victims = [
+            k.spawn(victim(then))
+            for then in ("waits on an event", "sleeps again", "finishes at t=5", "finishes at t=1")
+        ]
+        k.spawn(boss(victims))
+        for v in victims:
+            k.spawn(watcher(v))
+        while k._heap or k._ready:
+            depths.append(len(k._heap) + len(k._ready))
+            k.step()
+    schedule = [(entry[:2], depth) for entry, depth in zip(dispatched, depths)]
     return log, schedule, k.events_dispatched, k.now
 
 
