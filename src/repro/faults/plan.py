@@ -133,11 +133,12 @@ class FaultPlan:
             specs = tuple(FaultSpec(**entry) for entry in data["faults"])
         except TypeError as exc:
             raise ConfigError(f"malformed fault spec: {exc}") from exc
-        return cls(
-            specs=specs,
-            seed=int(data.get("seed", 0)),
-            name=str(data.get("name", "custom")),
-        )
+        seed = data.get("seed", 0)
+        try:
+            seed = int(seed)
+        except (TypeError, ValueError):
+            raise ConfigError(f"fault plan 'seed' must be an integer, got {seed!r}") from None
+        return cls(specs=specs, seed=seed, name=str(data.get("name", "custom")))
 
 
 #: Canned plans for the chaos bench and smoke tests; ``at`` scales the whole

@@ -1,39 +1,1 @@
 """Shared utilities: units, deterministic RNG helpers, tables, statistics."""
-
-from repro.util.units import (
-    KIB,
-    MIB,
-    GIB,
-    KB,
-    MB,
-    GB,
-    USEC,
-    MSEC,
-    fmt_bytes,
-    fmt_bw,
-    fmt_time,
-    parse_size,
-)
-from repro.util.rng import SeedSequence, derive_rng
-from repro.util.stats import RunningStats, Histogram
-from repro.util.tables import Table
-
-__all__ = [
-    "KIB",
-    "MIB",
-    "GIB",
-    "KB",
-    "MB",
-    "GB",
-    "USEC",
-    "MSEC",
-    "fmt_bytes",
-    "fmt_bw",
-    "fmt_time",
-    "parse_size",
-    "SeedSequence",
-    "derive_rng",
-    "RunningStats",
-    "Histogram",
-    "Table",
-]

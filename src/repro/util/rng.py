@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 import random
 
-import numpy as np
-
 
 class SeedSequence:
     """Derives independent child seeds from a root seed and string labels.
@@ -37,10 +35,6 @@ class SeedSequence:
     def child(self, *labels: object) -> random.Random:
         """Return a stdlib :class:`random.Random` seeded for the labels."""
         return random.Random(self.child_seed(*labels))
-
-    def child_np(self, *labels: object) -> np.random.Generator:
-        """Return a numpy :class:`~numpy.random.Generator` for the labels."""
-        return np.random.default_rng(self.child_seed(*labels))
 
 
 def derive_rng(seed: int, *labels: object) -> random.Random:

@@ -300,3 +300,13 @@ def test_chaos_plan_loader(tmp_path):
 
     with pytest.raises(ConfigError):
         load_plan("not-a-plan-or-file", at=1.0)
+
+
+@pytest.mark.parametrize("seed", ['"abc"', "null", "[1]"])
+def test_chaos_plan_loader_names_a_bad_seed(tmp_path, seed):
+    from repro.bench.chaos import load_plan
+
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"faults": [], "seed": {seed}}}')
+    with pytest.raises(ConfigError, match="fault plan 'seed' must be an integer"):
+        load_plan(str(path), at=1.0)

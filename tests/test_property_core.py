@@ -1,7 +1,5 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-import math
-
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
@@ -9,45 +7,8 @@ from repro.instrument.events import CALL_NAMES, decode_events, encode_event
 from repro.instrument.packer import EventPackBuilder, decode_pack
 from repro.mpi.pmpi import CallRecord
 from repro.simt import Kernel, Pipe
-from repro.util.stats import Histogram, RunningStats
+from repro.util.stats import Histogram
 from repro.util.units import fmt_bytes, parse_size
-
-# ---------------------------------------------------------------------------
-# RunningStats: merge is equivalent to sequential accumulation
-# ---------------------------------------------------------------------------
-
-finite_floats = st.floats(
-    min_value=-1e12, max_value=1e12, allow_nan=False, allow_infinity=False
-)
-
-
-@given(st.lists(finite_floats, min_size=1, max_size=200), st.integers(0, 200))
-def test_stats_merge_associativity(data, cut):
-    cut = min(cut, len(data))
-    whole = RunningStats()
-    for v in data:
-        whole.add(v)
-    left, right = RunningStats(), RunningStats()
-    for v in data[:cut]:
-        left.add(v)
-    for v in data[cut:]:
-        right.add(v)
-    left.merge(right)
-    assert left.count == whole.count
-    assert math.isclose(left.total, whole.total, rel_tol=1e-9, abs_tol=1e-6)
-    assert math.isclose(left.mean, whole.mean, rel_tol=1e-9, abs_tol=1e-6)
-    assert left.min == whole.min and left.max == whole.max
-    assert math.isclose(left.variance, whole.variance, rel_tol=1e-6, abs_tol=1e-3)
-
-
-@given(st.lists(finite_floats, min_size=1, max_size=100))
-def test_stats_bounds_invariant(data):
-    s = RunningStats()
-    for v in data:
-        s.add(v)
-    assert s.min <= s.mean <= s.max
-    assert s.variance >= 0
-
 
 # ---------------------------------------------------------------------------
 # Histogram: totals conserved

@@ -3,21 +3,10 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.util import (
-    GB,
-    GIB,
-    Histogram,
-    KIB,
-    MIB,
-    RunningStats,
-    SeedSequence,
-    Table,
-    derive_rng,
-    fmt_bw,
-    fmt_bytes,
-    fmt_time,
-    parse_size,
-)
+from repro.util.rng import SeedSequence, derive_rng
+from repro.util.stats import Histogram
+from repro.util.tables import Table
+from repro.util.units import GB, GIB, KIB, MIB, fmt_bw, fmt_bytes, fmt_time, parse_size
 
 
 class TestUnits:
@@ -86,56 +75,6 @@ class TestSeedSequence:
         r2 = derive_rng(7, "stream", 3)
         assert [r1.random() for _ in range(5)] == [r2.random() for _ in range(5)]
 
-    def test_child_np(self):
-        g = SeedSequence(7).child_np("np")
-        h = SeedSequence(7).child_np("np")
-        assert (g.integers(0, 100, 10) == h.integers(0, 100, 10)).all()
-
-
-class TestRunningStats:
-    def test_empty(self):
-        s = RunningStats()
-        assert s.count == 0 and s.mean == 0.0 and s.variance == 0.0
-
-    def test_basic_moments(self):
-        s = RunningStats()
-        for v in [1.0, 2.0, 3.0, 4.0]:
-            s.add(v)
-        assert s.count == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.total == pytest.approx(10.0)
-        assert s.min == 1.0 and s.max == 4.0
-        assert s.variance == pytest.approx(1.25)
-
-    def test_merge_equals_sequential(self):
-        data = [float(i * i % 17) for i in range(50)]
-        whole = RunningStats()
-        for v in data:
-            whole.add(v)
-        left, right = RunningStats(), RunningStats()
-        for v in data[:20]:
-            left.add(v)
-        for v in data[20:]:
-            right.add(v)
-        left.merge(right)
-        assert left.count == whole.count
-        assert left.mean == pytest.approx(whole.mean)
-        assert left.variance == pytest.approx(whole.variance)
-        assert left.min == whole.min and left.max == whole.max
-
-    def test_merge_empty_sides(self):
-        a, b = RunningStats(), RunningStats()
-        a.add(5.0)
-        a.merge(b)
-        assert a.count == 1
-        b.merge(a)
-        assert b.count == 1 and b.mean == 5.0
-
-    def test_as_dict(self):
-        s = RunningStats()
-        s.add(2.0)
-        d = s.as_dict()
-        assert d["count"] == 1 and d["mean"] == 2.0
 
 
 # Expected values printed by the two pre-merge copies (``HistogramMetric.percentile``
