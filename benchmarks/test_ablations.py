@@ -10,10 +10,11 @@ import threading
 
 import pytest
 
-from repro.blackboard import Blackboard, ThreadPool
+from repro.blackboard.board import Blackboard
+from repro.blackboard.workers import ThreadPool
 from repro.telemetry.hostprof import host_now
 from repro.network.machine import small_test_machine
-from repro.simt import Kernel
+from repro.simt.kernel import Kernel
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +43,7 @@ def test_ablation_kernel_event_rate(benchmark):
 
 def test_ablation_p2p_message_cost(benchmark):
     """End-to-end simulated-MPI message cost (send+recv+match)."""
-    from repro.mpi import MPMDLauncher
+    from repro.mpi.launcher import MPMDLauncher
 
     machine = small_test_machine(nodes=8, cores_per_node=4)
 
@@ -183,10 +184,10 @@ def test_ablation_blackboard_single_fifo_contention(benchmark):
 
 
 def _overhead_for_na(na: int) -> float:
-    from repro.analysis import AnalysisConfig
-    from repro.apps.nas import SP
+    from repro.analysis.engine import AnalysisConfig
+    from repro.apps.nas.adi import SP
     from repro.bench.harness import measure_overhead
-    from repro.instrument import InstrumentationCost
+    from repro.instrument.overhead import InstrumentationCost
     from repro.mpi.costmodel import CostModel
 
     machine = small_test_machine(nodes=256, cores_per_node=4)

@@ -26,15 +26,14 @@ Run:  python examples/adaptive_steering.py
 
 import dataclasses
 
-from repro import CouplingSession
-from repro.apps import SP
-from repro.faults import LINK_DEGRADE, FaultPlan, FaultSpec
+from repro.core.session import CouplingSession
+from repro.apps.nas.adi import SP
+from repro.faults.plan import LINK_DEGRADE, FaultPlan, FaultSpec
 from repro.instrument.overhead import InstrumentationCost
 from repro.mpi.costmodel import CostModel
 from repro.network.machine import TERA100
-from repro.steering import SteeringPolicy
-from repro.steering.policy import static_policy
-from repro.telemetry import Telemetry
+from repro.steering.policy import SteeringPolicy, static_policy
+from repro.telemetry.core import Telemetry
 
 # Writers on nodes 0-1, the analyzer alone on node 2: only inter-node
 # traffic crosses the NIC the fault degrades.

@@ -13,7 +13,8 @@ Run:  python examples/blackboard_standalone.py
 
 import threading
 
-from repro.blackboard import Blackboard, ThreadPool
+from repro.blackboard.board import Blackboard
+from repro.blackboard.workers import ThreadPool
 from repro.instrument.events import CALL_IDS, CALL_NAMES
 from repro.instrument.packer import EventPackBuilder, decode_pack
 from repro.mpi.pmpi import CallRecord

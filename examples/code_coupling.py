@@ -12,13 +12,8 @@ Run:  python examples/code_coupling.py
 """
 
 from repro.util.units import KIB, fmt_time
-from repro.vmpi import (
-    EOF,
-    ROUND_ROBIN,
-    VMPIMap,
-    VMPIStream,
-    map_partitions,
-)
+from repro.vmpi.mapping import ROUND_ROBIN, VMPIMap, map_partitions
+from repro.vmpi.stream import EOF, VMPIStream
 from repro.vmpi.virtualization import VirtualizedLauncher
 
 STEPS = 20

@@ -13,7 +13,7 @@ production).
 Run:  python examples/flow_waterfall.py
 """
 
-from repro.apps.nas import SP
+from repro.apps.nas.adi import SP
 from repro.core.session import CouplingSession
 from repro.instrument.overhead import InstrumentationCost
 from repro.telemetry.flow import waterfall

@@ -18,10 +18,11 @@ knowledge source on the analyzer root's blackboard.
 Run:  python examples/health_monitor.py
 """
 
-from repro import CouplingSession
+from repro.core.session import CouplingSession
 from repro.analysis.alerts import AlertRouter
-from repro.apps import EulerMHD
-from repro.telemetry import MonitorConfig, Telemetry
+from repro.apps.eulermhd import EulerMHD
+from repro.telemetry.core import Telemetry
+from repro.telemetry.monitor import MonitorConfig
 
 
 def run_session(name: str, nwriters: int, analyzer_nprocs: int) -> None:

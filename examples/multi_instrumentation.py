@@ -12,8 +12,9 @@ bandwidth-resource trade-off.
 Run:  python examples/multi_instrumentation.py
 """
 
-from repro import CouplingSession
-from repro.apps import EulerMHD, nas_kernel
+from repro.core.session import CouplingSession
+from repro.apps.eulermhd import EulerMHD
+from repro.apps.nas import nas_kernel
 from repro.util.units import fmt_bw, fmt_time
 
 

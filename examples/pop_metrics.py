@@ -24,9 +24,10 @@ import tempfile
 
 from repro.apps.base import AppKernel
 from repro.core.session import CouplingSession
-from repro.obs import METRICS_SCHEMA, read_records
-from repro.telemetry import PopConfig, Telemetry
-from repro.telemetry.popmetrics import SUM_KEYS, metrics_from_sums
+from repro.obs.archive import read_records
+from repro.obs.registry import METRICS_SCHEMA
+from repro.telemetry.core import Telemetry
+from repro.telemetry.popmetrics import PopConfig, SUM_KEYS, metrics_from_sums
 
 BARS = " .:-=+*#%@"
 

@@ -9,8 +9,8 @@ after the run, with no trace file ever written.
 Run:  python examples/quickstart.py
 """
 
-from repro import CouplingSession
-from repro.apps import nas_kernel
+from repro.core.session import CouplingSession
+from repro.apps.nas import nas_kernel
 from repro.util.units import fmt_bw, fmt_time
 
 

@@ -10,9 +10,10 @@ per simulated rank plus the kernel's own row.
 Run:  python examples/telemetry_tour.py
 """
 
-from repro import CouplingSession
-from repro.apps import EulerMHD, nas_kernel
-from repro.telemetry import Telemetry
+from repro.core.session import CouplingSession
+from repro.apps.eulermhd import EulerMHD
+from repro.apps.nas import nas_kernel
+from repro.telemetry.core import Telemetry
 from repro.util.units import fmt_bytes, fmt_time
 
 

@@ -14,9 +14,10 @@ Run:  python examples/tool_comparison.py [nprocs]
 
 import sys
 
-from repro import CURIE, compare_tools
-from repro.apps import nas_kernel
-from repro.baselines import PostMortemAnalyzer
+from repro.core.comparison import compare_tools
+from repro.network.machine import CURIE
+from repro.apps.nas import nas_kernel
+from repro.baselines.postmortem import PostMortemAnalyzer
 from repro.util.tables import Table
 from repro.util.units import GB, fmt_time
 

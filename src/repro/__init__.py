@@ -30,23 +30,11 @@ Quickstart::
     print(result.report.render())
 """
 
-from repro.core import CouplingSession, SessionResult, compare_tools, run_tool
-from repro.network import TERA100, CURIE, MachineSpec
-from repro.analysis import AnalysisConfig, ProfileReport
-from repro.instrument import InstrumentationCost
+from repro.core.comparison import compare_tools
+from repro.core.session import CouplingSession
+from repro.instrument.overhead import InstrumentationCost
+from repro.network.machine import CURIE, TERA100
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "CouplingSession",
-    "SessionResult",
-    "compare_tools",
-    "run_tool",
-    "TERA100",
-    "CURIE",
-    "MachineSpec",
-    "AnalysisConfig",
-    "ProfileReport",
-    "InstrumentationCost",
-    "__version__",
-]
+__all__ = ["CURIE", "TERA100", "CouplingSession", "InstrumentationCost", "compare_tools"]

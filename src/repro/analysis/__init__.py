@@ -16,29 +16,25 @@ Each module keeps a mergeable *state* so per-analyzer-rank partial results
 reduce into one report at the analyzer root.
 """
 
-from repro.analysis.profiler import MPIProfile
-from repro.analysis.topology import CommMatrix
+from repro.analysis.alerts import AlertMonitor
 from repro.analysis.density import DensityMaps
-from repro.analysis.waitstate import WaitState
-from repro.analysis.otf2proxy import OTF2Proxy, SelectionConfig
-from repro.analysis.alerts import Alert, AlertConfig, AlertMonitor
+from repro.analysis.engine import AnalysisConfig, AnalyzerEngine
 from repro.analysis.latesender import LateSenderAnalysis
-from repro.analysis.engine import AnalyzerEngine, AnalysisConfig
-from repro.analysis.report import ApplicationReport, ProfileReport
+from repro.analysis.otf2proxy import OTF2Proxy
+from repro.analysis.profiler import MPIProfile
+from repro.analysis.report import ProfileReport
+from repro.analysis.topology import CommMatrix
+from repro.analysis.waitstate import WaitState
 
 __all__ = [
-    "MPIProfile",
+    "AlertMonitor",
+    "AnalysisConfig",
+    "AnalyzerEngine",
     "CommMatrix",
     "DensityMaps",
-    "WaitState",
-    "OTF2Proxy",
-    "SelectionConfig",
-    "Alert",
-    "AlertConfig",
-    "AlertMonitor",
     "LateSenderAnalysis",
-    "AnalyzerEngine",
-    "AnalysisConfig",
-    "ApplicationReport",
+    "MPIProfile",
+    "OTF2Proxy",
     "ProfileReport",
+    "WaitState",
 ]

@@ -39,7 +39,7 @@ from repro.analysis.waitstate import WaitState
 from repro.blackboard.multilevel import MultiLevelBlackboard
 from repro.instrument.packer import decode_pack, decode_pack_frame
 from repro.mpi.datatypes import ANY_SOURCE
-from repro.telemetry import NULL_TELEMETRY, Telemetry, rank_pid
+from repro.telemetry.core import NULL_TELEMETRY, Telemetry, rank_pid
 from repro.telemetry.hostprof import host_now
 from repro.vmpi.mapping import ROUND_ROBIN, VMPIMap, map_partitions
 from repro.vmpi.stream import BALANCE_ROUND_ROBIN, EOF, VMPIStream

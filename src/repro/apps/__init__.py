@@ -13,24 +13,10 @@ volume extrapolation to the official count uses
 :meth:`~repro.apps.base.NASKernel.iteration_scale`.
 """
 
-from repro.apps.base import AppKernel, ClassSpec, grid_2d
-from repro.apps.nas import BT, CG, EP, FT, LU, MG, SP, nas_kernel
-from repro.apps.eulermhd import EulerMHD
-from repro.apps.synthetic import stream_writer_program, stream_reader_program
+from repro.apps.nas import nas_kernel
+from repro.apps.nas.adi import SP
+from repro.apps.nas.cg import CG
+from repro.apps.nas.lu import LU
+from repro.apps.synthetic import stream_reader_program, stream_writer_program
 
-__all__ = [
-    "AppKernel",
-    "ClassSpec",
-    "grid_2d",
-    "BT",
-    "CG",
-    "EP",
-    "FT",
-    "LU",
-    "MG",
-    "SP",
-    "nas_kernel",
-    "EulerMHD",
-    "stream_writer_program",
-    "stream_reader_program",
-]
+__all__ = ["CG", "LU", "SP", "nas_kernel", "stream_reader_program", "stream_writer_program"]

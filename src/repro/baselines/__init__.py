@@ -16,7 +16,7 @@ the corresponding tool:
   init-finalize window, as in the paper's measurements).
 
 All tools charge their per-call CPU overheads to the application timeline;
-file-based tools share the job's :class:`~repro.iosim.ParallelFS`.
+file-based tools share the job's :class:`~repro.iosim.filesystem.ParallelFS`.
 
 One modelling note: one-time costs (file creates, final report writes) are
 multiplied by ``amortize_fixed`` — the ratio of simulated to official
@@ -24,19 +24,3 @@ iterations — so that relative overhead computed over a shortened run equals
 the overhead of the full-length run (rate-proportional costs scale by
 construction; fixed costs must be scaled explicitly).
 """
-
-from repro.baselines.tracer import TraceWriterState, OTF2_BYTES_PER_EVENT
-from repro.baselines.mpip import MPIPInterceptor
-from repro.baselines.scorep import ScorePProfileInterceptor, ScorePTraceInterceptor
-from repro.baselines.scalasca import ScalascaInterceptor
-from repro.baselines.postmortem import PostMortemAnalyzer
-
-__all__ = [
-    "TraceWriterState",
-    "OTF2_BYTES_PER_EVENT",
-    "MPIPInterceptor",
-    "ScorePProfileInterceptor",
-    "ScorePTraceInterceptor",
-    "ScalascaInterceptor",
-    "PostMortemAnalyzer",
-]

@@ -1,8 +1,9 @@
 """Bench lanes regenerating every figure and table of the paper.
 
-Importing the package fills :data:`LANES`, the one registry of lanes: each
-lane module registers its driver with ``@lane(...)`` next to the row schema
-it declares (see :mod:`repro.bench.lane` for the shape).  A driver returns
+Importing the package fills :data:`~repro.bench.lane.LANES`, the one
+registry of lanes: each lane module registers its driver with
+``@lane(...)`` next to the row schema it declares (see
+:mod:`repro.bench.lane` for the shape).  A driver returns
 a :class:`~repro.bench.lane.LaneResult` — titled points rendered through
 the lane's columns, printing the same rows the paper plots — and accepts a
 ``scale``:
@@ -21,6 +22,5 @@ from repro.bench import chaos, codec, figures, flow, metrics, obs  # noqa: F401
 from repro.bench import selfperf, steering, tables  # noqa: F401
 from repro.bench.chaos import load_plan
 from repro.bench.harness import measure_overhead
-from repro.bench.lane import LANES
 
-__all__ = ["LANES", "load_plan", "measure_overhead"]
+__all__ = ["load_plan", "measure_overhead"]

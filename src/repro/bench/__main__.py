@@ -12,7 +12,7 @@ Usage::
 ``codec``, ``flow``, ``metrics``, ``obs``, ``selfperf``, ``steering``);
 ``--help`` lists what is registered.
 
-The experiments are the lanes registered in :data:`repro.bench.LANES`;
+The experiments are the lanes registered in :data:`repro.bench.lane.LANES`;
 this module iterates the registry and knows none of them by name.  Every
 experiment sub-command shares one argparse parent, so the common flags
 (``--scale/--seed/--csv/--json/--telemetry/--profile/--outdir/
@@ -56,10 +56,10 @@ import pstats
 import sys
 from pathlib import Path
 
-from repro.bench import LANES
+from repro.bench.lane import LANES
 from repro.bench.compare import check_tolerances, compare_bench, compare_files, load_bench_json
 from repro.errors import BenchGateError, ConfigError
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 from repro.telemetry.hostprof import host_environment, host_now
 
 #: functions shown in the --profile hotspot table

@@ -18,9 +18,9 @@ from pathlib import Path
 from repro.bench.harness import coupled_session, pick, reference_kernel
 from repro.bench.lane import Column, LaneResult, lane
 from repro.errors import ConfigError
-from repro.faults import CANNED_PLANS, FaultPlan, make_plan
+from repro.faults.plan import CANNED_PLANS, FaultPlan, make_plan
 from repro.network.machine import MachineSpec, TERA100
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 
 #: where in the healthy run's app wall-time the canned plans anchor
 _ANCHOR_FRACTION = 0.35

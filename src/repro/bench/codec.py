@@ -25,7 +25,7 @@ from repro.bench.harness import coupled_session, reference_kernel
 from repro.bench.lane import Column, LaneResult, lane
 from repro.errors import BenchGateError
 from repro.network.machine import MachineSpec, TERA100
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 
 #: chain sweep: identity baseline, then increasingly composed reductions
 CHAINS = ("", "delta", "delta+dict", "delta+dict+zlib")

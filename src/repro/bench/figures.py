@@ -9,7 +9,10 @@ from typing import Any
 from repro.errors import ConfigError
 from repro.analysis.report import ProfileReport
 from repro.apps.eulermhd import EulerMHD
-from repro.apps.nas import BT, CG, LU, SP, nas_kernel
+from repro.apps.nas import nas_kernel
+from repro.apps.nas.adi import BT, SP
+from repro.apps.nas.cg import CG
+from repro.apps.nas.lu import LU
 from repro.bench.harness import (
     OverheadPoint,
     coupled_session,
@@ -20,7 +23,7 @@ from repro.bench.harness import (
 from repro.bench.lane import Column, LaneResult, lane
 from repro.core.comparison import ToolRunResult, compare_tools
 from repro.network.machine import CURIE, MachineSpec, TERA100
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 from repro.util.units import GB, GIB, MIB
 
 # --------------------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.bench.harness import coupled_session, pick, reference_kernel
 from repro.bench.lane import Column, LaneResult, lane
 from repro.errors import BenchGateError
 from repro.network.machine import MachineSpec, TERA100
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 from repro.telemetry.provenance import STAGES
 
 

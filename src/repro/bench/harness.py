@@ -14,13 +14,13 @@ from typing import Any, Callable, TypeVar
 
 from repro.analysis.engine import AnalysisConfig
 from repro.apps.base import AppKernel
-from repro.apps.nas import SP
+from repro.apps.nas.adi import SP
 from repro.apps.synthetic import stream_reader_program, stream_writer_program
 from repro.core.session import CouplingSession, SessionResult
 from repro.errors import BenchGateError, ConfigError
 from repro.instrument.overhead import InstrumentationCost
 from repro.network.machine import MachineSpec, TERA100
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 from repro.vmpi.virtualization import VirtualizedLauncher
 
 T = TypeVar("T")

@@ -37,7 +37,7 @@ from repro.bench.harness import (
 from repro.bench.lane import Column, LaneResult, lane
 from repro.errors import BenchGateError
 from repro.network.machine import MachineSpec, TERA100
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 from repro.telemetry.popmetrics import (
     PopConfig,
     SUM_KEYS,

@@ -45,7 +45,8 @@ from repro.obs.registry import (
     STEERING_SCHEMA,
     TELEMETRY_SCHEMA,
 )
-from repro.telemetry import Telemetry, hostprof
+from repro.telemetry import hostprof
+from repro.telemetry.core import Telemetry
 from repro.telemetry.export import jsonl_records
 from repro.telemetry.popmetrics import PopConfig
 

@@ -69,7 +69,8 @@ from repro.bench.harness import (
 from repro.bench.lane import Column, LaneResult, lane
 from repro.errors import BenchGateError
 from repro.network.machine import MachineSpec, TERA100
-from repro.telemetry import Telemetry, hostprof
+from repro.telemetry import hostprof
+from repro.telemetry.core import Telemetry
 from repro.telemetry.hostprof import HostProfiler, host_now
 
 #: chain sweep: identity baseline plus the two composed reductions the

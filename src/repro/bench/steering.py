@@ -28,12 +28,11 @@ from repro.bench.harness import PACK_COST, coupled_session, pick, reference_kern
 from repro.bench.lane import Column, LaneResult, lane
 from repro.core.session import SessionResult
 from repro.errors import BenchGateError
-from repro.faults import LINK_DEGRADE, FaultPlan, FaultSpec
+from repro.faults.plan import LINK_DEGRADE, FaultPlan, FaultSpec
 from repro.mpi.costmodel import CostModel
 from repro.network.machine import MachineSpec, TERA100
-from repro.steering import SteeringPolicy
-from repro.steering.policy import static_policy
-from repro.telemetry import Telemetry
+from repro.steering.policy import SteeringPolicy, static_policy
+from repro.telemetry.core import Telemetry
 
 #: where in the healthy run's app wall-time the congestion plan anchors
 _ANCHOR_FRACTION = 0.35

@@ -4,12 +4,12 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from repro.apps.nas import SP
+from repro.apps.nas.adi import SP
 from repro.bench.harness import measure_overhead, pick, stream_point
 from repro.bench.lane import Column, LaneResult, lane
 from repro.core.comparison import run_tool
 from repro.network.machine import CURIE, MachineSpec, TERA100
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 from repro.util.units import GB, GIB, MB, MIB
 
 

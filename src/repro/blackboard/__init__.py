@@ -13,22 +13,7 @@ Two execution modes:
 
 * :class:`~repro.blackboard.workers.ThreadPool` — real ``threading`` workers
   (the paper's Pthread engine) for standalone use;
-* inline (:meth:`Blackboard.run_until_idle`) — deterministic single-threaded
-  drain, used inside the simulated analyzer where CPU cost is charged to
-  simulated time.
+* inline (:meth:`~repro.blackboard.board.Blackboard.run_until_idle`) —
+  deterministic single-threaded drain, used inside the simulated analyzer
+  where CPU cost is charged to simulated time.
 """
-
-from repro.blackboard.entry import DataEntry, TypeRegistry
-from repro.blackboard.ks import KnowledgeSource
-from repro.blackboard.board import Blackboard
-from repro.blackboard.workers import ThreadPool
-from repro.blackboard.multilevel import MultiLevelBlackboard
-
-__all__ = [
-    "DataEntry",
-    "TypeRegistry",
-    "KnowledgeSource",
-    "Blackboard",
-    "ThreadPool",
-    "MultiLevelBlackboard",
-]

@@ -16,7 +16,7 @@ from repro.errors import BlackboardError, UnknownTypeError
 from repro.blackboard.entry import DataEntry, TypeRegistry
 from repro.blackboard.jobs import Job, JobQueues
 from repro.blackboard.ks import KnowledgeSource, Operation
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry.core import NULL_TELEMETRY, Telemetry
 from repro.telemetry.hostprof import host_now
 
 

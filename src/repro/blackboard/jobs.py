@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 from repro.errors import BlackboardError
 from repro.blackboard.entry import DataEntry
-from repro.telemetry import NULL_TELEMETRY, Telemetry
+from repro.telemetry.core import NULL_TELEMETRY, Telemetry
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.blackboard.ks import KnowledgeSource

@@ -14,7 +14,7 @@ from repro.errors import BlackboardError
 from repro.blackboard.board import Blackboard
 from repro.blackboard.entry import DataEntry
 from repro.blackboard.ks import KnowledgeSource
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 
 
 class MultiLevelBlackboard:

@@ -17,15 +17,3 @@ execution ends"::
 :mod:`~repro.core.comparison` runs the same application under the baseline
 tool models (Figure 16).
 """
-
-from repro.core.session import CouplingSession, SessionResult
-from repro.core.comparison import ToolRunResult, run_tool, compare_tools, TOOLS
-
-__all__ = [
-    "CouplingSession",
-    "SessionResult",
-    "ToolRunResult",
-    "run_tool",
-    "compare_tools",
-    "TOOLS",
-]

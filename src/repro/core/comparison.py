@@ -20,7 +20,7 @@ from repro.core.session import CouplingSession
 from repro.iosim.filesystem import ParallelFS
 from repro.iosim.sionlib import SionFile
 from repro.network.machine import CURIE, MachineSpec
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 from repro.vmpi.virtualization import VirtualizedLauncher
 
 TOOLS = (

@@ -23,7 +23,8 @@ from repro.analysis.engine import AnalysisConfig, analyzer_program
 from repro.codec.stages import build_chain
 from repro.analysis.report import ProfileReport
 from repro.apps.base import AppKernel
-from repro.faults import FaultInjector, FaultPlan
+from repro.faults.injector import FaultInjector
+from repro.faults.plan import FaultPlan
 from repro.instrument.interceptor import ANALYZER_PARTITION, StreamingInstrumentation
 from repro.instrument.overhead import InstrumentationCost
 from repro.mpi.world import World
@@ -32,8 +33,10 @@ from repro.analysis.alerts import AlertRouter
 from repro.obs.bus import ObservabilityBus
 from repro.obs.registry import HEALTH_KINDS, HEALTH_SCHEMA, STEERING_SCHEMA, make_record
 from repro.obs.sinks import FileSink, RingSink, TailServer
-from repro.steering import SteeringController, SteeringPolicy
-from repro.telemetry import FlowRegistry, NULL_TELEMETRY, Telemetry
+from repro.steering.controller import SteeringController
+from repro.steering.policy import SteeringPolicy
+from repro.telemetry.core import NULL_TELEMETRY, Telemetry
+from repro.telemetry.provenance import FlowRegistry
 from repro.telemetry import hostprof as _hostprof
 from repro.telemetry.export import jsonl_records as _telemetry_records
 from repro.telemetry.monitor import HealthMonitor, MonitorConfig
@@ -259,7 +262,7 @@ class CouplingSession:
     def enable_steering(self, policy: SteeringPolicy | None = None) -> SteeringController:
         """Close the control loop: act on health alerts during the run.
 
-        A :class:`~repro.steering.SteeringController` subscribes to the
+        A :class:`~repro.steering.controller.SteeringController` subscribes to the
         health monitor's alert router and — under the given declarative
         :class:`~repro.steering.SteeringPolicy` — escalates/relaxes the
         writers' reduction chain, autoscales the analyzer's modelled

@@ -10,31 +10,6 @@ An empty plan is free: attaching it schedules nothing and the simulation
 stays bit-identical to an un-attached run.
 """
 
-from repro.faults.plan import (
-    ANALYZER_CRASH,
-    ANALYZER_STALL,
-    CANNED_PLANS,
-    FAULT_KINDS,
-    LINK_DEGRADE,
-    PACK_CORRUPT,
-    PACK_DROP,
-    FaultPlan,
-    FaultSpec,
-    make_plan,
-)
-from repro.faults.injector import FaultInjector, FaultRecord
+from repro.faults.plan import make_plan
 
-__all__ = [
-    "ANALYZER_CRASH",
-    "ANALYZER_STALL",
-    "CANNED_PLANS",
-    "FAULT_KINDS",
-    "LINK_DEGRADE",
-    "PACK_CORRUPT",
-    "PACK_DROP",
-    "FaultPlan",
-    "FaultSpec",
-    "make_plan",
-    "FaultInjector",
-    "FaultRecord",
-]
+__all__ = ["make_plan"]

@@ -8,38 +8,6 @@ and flushed through a VMPI stream by the
 :class:`~repro.instrument.interceptor.StreamingInstrumentation` interceptor.
 """
 
-from repro.instrument.events import (
-    EVENT_DTYPE,
-    EVENT_RECORD_SIZE,
-    CALL_IDS,
-    CALL_NAMES,
-    call_id,
-    encode_event,
-    decode_events,
-)
-from repro.instrument.packer import (
-    EventPackBuilder,
-    PackHeader,
-    decode_pack,
-    verify_pack,
-    PACK_HEADER_SIZE,
-)
-from repro.instrument.overhead import InstrumentationCost
-from repro.instrument.interceptor import StreamingInstrumentation
+from repro.instrument.packer import EventPackBuilder
 
-__all__ = [
-    "EVENT_DTYPE",
-    "EVENT_RECORD_SIZE",
-    "CALL_IDS",
-    "CALL_NAMES",
-    "call_id",
-    "encode_event",
-    "decode_events",
-    "EventPackBuilder",
-    "PackHeader",
-    "decode_pack",
-    "verify_pack",
-    "PACK_HEADER_SIZE",
-    "InstrumentationCost",
-    "StreamingInstrumentation",
-]
+__all__ = ["EventPackBuilder"]

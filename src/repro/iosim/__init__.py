@@ -7,9 +7,3 @@ queue that every open/create/close traverses).  Both are modelled here; the
 SIONlib task-local-file aggregation layer used by Score-P is modelled in
 :mod:`repro.iosim.sionlib`.
 """
-
-from repro.iosim.filesystem import ParallelFS
-from repro.iosim.file import SimFile
-from repro.iosim.sionlib import SionFile
-
-__all__ = ["ParallelFS", "SimFile", "SionFile"]

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from repro.errors import IOSimError
 from repro.network.machine import MachineSpec
-from repro.simt import Kernel, Pipe
+from repro.simt.kernel import Kernel
+from repro.simt.resources import Pipe, Resource
 from repro.simt.primitives import SimEvent
-from repro.simt.resources import Resource
 
 
 class ParallelFS:

@@ -18,34 +18,11 @@ Application code is written against :class:`~repro.mpi.world.ProgramAPI`
             status = yield from comm.recv(source=0, tag=7)
         yield from comm.barrier()
 
+    from repro.mpi.launcher import MPMDLauncher
+    from repro.network.machine import TERA100
+
     launcher = MPMDLauncher(machine=TERA100)
     launcher.add_program("hello", nprocs=2, main=main)
     world = launcher.launch()
     world.run()
 """
-
-from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG, BYTE, DOUBLE, INT
-from repro.mpi.status import Status
-from repro.mpi.request import Request
-from repro.mpi.communicator import Comm
-from repro.mpi.world import World, ProgramAPI
-from repro.mpi.launcher import MPMDLauncher, ProgramSpec
-from repro.mpi.pmpi import PMPIStack, CallRecord, Interceptor
-
-__all__ = [
-    "ANY_SOURCE",
-    "ANY_TAG",
-    "BYTE",
-    "INT",
-    "DOUBLE",
-    "Status",
-    "Request",
-    "Comm",
-    "World",
-    "ProgramAPI",
-    "MPMDLauncher",
-    "ProgramSpec",
-    "PMPIStack",
-    "CallRecord",
-    "Interceptor",
-]

@@ -18,7 +18,7 @@ from repro.mpi.communicator import Comm
 from repro.mpi.costmodel import CostModel
 from repro.mpi.world import PartitionInfo, ProgramAPI, RankContext, World
 from repro.network.machine import MachineSpec, TERA100
-from repro.telemetry import Telemetry, rank_pid
+from repro.telemetry.core import Telemetry, rank_pid
 
 
 @dataclass

@@ -20,9 +20,9 @@ from repro.mpi.pmpi import PMPIStack
 from repro.mpi.request import Request, waitany as _waitany
 from repro.network.cluster import Cluster
 from repro.network.machine import MachineSpec
-from repro.simt import Kernel
+from repro.simt.kernel import Kernel
 from repro.simt.process import Process
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 
 
 @dataclass

@@ -7,17 +7,3 @@ destination node's ingress pipe; it completes when both are done, plus the
 inter-node latency.  Contention (many ranks per NIC, many-to-one incast)
 emerges from pipe serialization.
 """
-
-from repro.network.machine import MachineSpec, TERA100, CURIE, MACHINES
-from repro.network.cluster import Cluster, Placement
-from repro.network.fattree import FatTree
-
-__all__ = [
-    "MachineSpec",
-    "TERA100",
-    "CURIE",
-    "MACHINES",
-    "Cluster",
-    "Placement",
-    "FatTree",
-]

@@ -17,7 +17,8 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 from repro.network.fattree import FatTree
 from repro.network.machine import MachineSpec
-from repro.simt import Kernel, Pipe
+from repro.simt.kernel import Kernel
+from repro.simt.resources import Pipe
 from repro.simt.primitives import SimEvent, Timeout
 
 

@@ -48,10 +48,6 @@ class FatTree:
         """End-to-end latency for a message between two nodes."""
         return base + self.hops(a, b) * per_hop
 
-    def bisection_links(self) -> int:
-        """Number of leaf-to-core uplinks crossing the bisection."""
-        return max(1, self.leaf_switches // 2) * self.radix
-
     def _check(self, node: int) -> None:
         if not (0 <= node < self.nodes):
             raise ConfigError(f"node {node} outside fat-tree of {self.nodes} nodes")

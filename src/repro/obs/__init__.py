@@ -28,39 +28,3 @@ Wire-up is one call on a session::
     result = session.run()       # result.obs carries the bus summary
     # meanwhile:  python -m repro.obs tail run.ndjson --schema repro.health/1
 """
-
-from repro.obs.archive import ArchiveScan, iter_archive, iter_ndjson, match_record, read_records
-from repro.obs.bus import ObservabilityBus, SinkBinding
-from repro.obs.registry import (
-    HEALTH_SCHEMA,
-    HOSTPROF_SCHEMA,
-    METRICS_SCHEMA,
-    SCHEMAS,
-    STEERING_SCHEMA,
-    TELEMETRY_SCHEMA,
-    make_record,
-    record_time,
-)
-from repro.obs.sinks import FileSink, RingSink, TailServer, parse_address
-
-__all__ = [
-    "ObservabilityBus",
-    "SinkBinding",
-    "SCHEMAS",
-    "make_record",
-    "record_time",
-    "TELEMETRY_SCHEMA",
-    "HOSTPROF_SCHEMA",
-    "METRICS_SCHEMA",
-    "HEALTH_SCHEMA",
-    "STEERING_SCHEMA",
-    "FileSink",
-    "RingSink",
-    "TailServer",
-    "parse_address",
-    "iter_ndjson",
-    "iter_archive",
-    "match_record",
-    "read_records",
-    "ArchiveScan",
-]

@@ -23,20 +23,6 @@ Quick example::
     assert k.now == 3.5 and p.value.startswith("done")
 """
 
-from repro.simt.primitives import SimEvent, Timeout, AnyOf, AllOf, Interrupt
-from repro.simt.process import Process
 from repro.simt.kernel import Kernel
-from repro.simt.resources import Resource, Store, Pipe
 
-__all__ = [
-    "Kernel",
-    "Process",
-    "SimEvent",
-    "Timeout",
-    "AnyOf",
-    "AllOf",
-    "Interrupt",
-    "Resource",
-    "Store",
-    "Pipe",
-]
+__all__ = ["Kernel"]

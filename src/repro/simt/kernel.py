@@ -19,7 +19,7 @@ from typing import Any, Generator
 from repro.errors import DeadlockError, ProcessCrashError, SimulationError
 from repro.simt.primitives import AllOf, AnyOf, SimEvent, Timeout
 from repro.simt.process import Process
-from repro.telemetry import KERNEL_PID, NULL_TELEMETRY, Telemetry
+from repro.telemetry.core import KERNEL_PID, NULL_TELEMETRY, Telemetry
 
 _INF = float("inf")
 

@@ -1,7 +1,6 @@
 """Shared simulation resources.
 
 * :class:`Resource` — counted semaphore with a FIFO wait queue.
-* :class:`Store` — FIFO item queue with optional capacity (blocking put/get).
 * :class:`Pipe` — a *serialized bandwidth channel*: transfers occupy the pipe
   back-to-back, so concurrent transfers share the bandwidth by queueing.  This
   is the O(1) flow-approximation used for NICs, bisection capacity and
@@ -12,7 +11,7 @@
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
 
 from repro.errors import SimulationError
 from repro.simt.primitives import SimEvent
@@ -64,65 +63,6 @@ class Resource:
             return True
         except ValueError:
             return False
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)
-
-
-class Store:
-    """FIFO store of items with optional bounded capacity."""
-
-    def __init__(self, kernel: "Kernel", capacity: int | None = None, name: str = ""):
-        if capacity is not None and capacity < 1:
-            raise SimulationError(f"Store capacity must be >= 1, got {capacity}")
-        self.kernel = kernel
-        self.capacity = capacity
-        self.name = name or "store"
-        self._items: deque[Any] = deque()
-        self._getters: deque[SimEvent] = deque()
-        self._putters: deque[tuple[SimEvent, Any]] = deque()
-
-    def put(self, item: Any) -> SimEvent:
-        """Deposit an item; blocks (pending event) while the store is full."""
-        ev = SimEvent(self.kernel, name=f"{self.name}.put")
-        if self._getters:
-            # Hand the item straight to the oldest waiting getter.
-            self._getters.popleft().succeed(item)
-            ev.succeed()
-        elif self.capacity is None or len(self._items) < self.capacity:
-            self._items.append(item)
-            ev.succeed()
-        else:
-            self._putters.append((ev, item))
-        return ev
-
-    def get(self) -> SimEvent:
-        """Withdraw the oldest item; blocks while the store is empty."""
-        ev = SimEvent(self.kernel, name=f"{self.name}.get")
-        if self._items:
-            ev.succeed(self._items.popleft())
-            if self._putters:
-                put_ev, item = self._putters.popleft()
-                self._items.append(item)
-                put_ev.succeed()
-        else:
-            self._getters.append(ev)
-        return ev
-
-    def try_get(self) -> tuple[bool, Any]:
-        """Non-blocking get: ``(True, item)`` or ``(False, None)``."""
-        if not self._items:
-            return False, None
-        item = self._items.popleft()
-        if self._putters:
-            put_ev, pending = self._putters.popleft()
-            self._items.append(pending)
-            put_ev.succeed()
-        return True, item
-
-    def __len__(self) -> int:
-        return len(self._items)
 
 
 class Pipe:

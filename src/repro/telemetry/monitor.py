@@ -74,6 +74,13 @@ FAULT_WATCH = (
     ("counter.stream.blocks_dropped", "stream_overflow_drop", "warn"),
 )
 
+#: Fixed detector thresholds: no caller sets another value, so they are not
+#: :class:`MonitorConfig` fields.
+STALL_SHARE_THRESHOLD = 0.25  # stalled writer-seconds per second
+BACKLOG_SLOPE_THRESHOLD = 20.0  # FIFO jobs per second of growth
+STARVATION_SHARE = 0.02  # busy below this share of mean = starved
+MIN_BUSY_SHARE = 0.05  # of window mean busy before judging balance
+
 
 @dataclass(frozen=True)
 class HealthAlert:
@@ -123,12 +130,8 @@ class MonitorConfig:
     capacity: int = 512  # ring length per timeline series
     cooldown: float | None = None  # per-kind re-raise spacing; None -> window
     eagain_rate_threshold: float = 200.0  # empty non-blocking reads per second
-    stall_share_threshold: float = 0.25  # stalled writer-seconds per second
     backlog_depth_floor: float = 8.0  # FIFO depth below which trend is ignored
-    backlog_slope_threshold: float = 20.0  # FIFO jobs per second of growth
     imbalance_ratio_threshold: float = 4.0  # max/mean busy-time across tracks
-    starvation_share: float = 0.02  # busy below this share of mean = starved
-    min_busy_share: float = 0.05  # of window mean busy before judging balance
     critical_path_share: float = 0.85  # single-layer share of all span time
 
     def __post_init__(self) -> None:
@@ -140,17 +143,10 @@ class MonitorConfig:
             raise ConfigError("monitor capacity must be >= 2")
         if self.cooldown is not None and self.cooldown < 0:
             raise ConfigError("monitor cooldown must be >= 0")
-        for name in (
-            "eagain_rate_threshold",
-            "stall_share_threshold",
-            "backlog_slope_threshold",
-        ):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive")
+        if self.eagain_rate_threshold <= 0:
+            raise ConfigError("eagain_rate_threshold must be positive")
         if self.imbalance_ratio_threshold <= 1:
             raise ConfigError("imbalance_ratio_threshold must be > 1")
-        if not (0 <= self.starvation_share < 1):
-            raise ConfigError("starvation_share must be in [0, 1)")
         if not (0 < self.critical_path_share <= 1):
             raise ConfigError("critical_path_share must be in (0, 1]")
 
@@ -303,9 +299,9 @@ class HealthMonitor:
         stall = self.timeline.get("hist.stream.write_stall_s.total")
         if stall is not None:
             share = stall.window_stats(t_lo)["rate"]  # stalled seconds / second
-            if share > cfg.stall_share_threshold:
+            if share > STALL_SHARE_THRESHOLD:
                 out += self._raise(
-                    "stream_stall", now, share, cfg.stall_share_threshold,
+                    "stream_stall", now, share, STALL_SHARE_THRESHOLD,
                     {"signal": "write_stall_share"},
                 )
         return out
@@ -319,10 +315,10 @@ class HealthMonitor:
         if stats["n"] < 2 or stats["last"] < cfg.backlog_depth_floor:
             return []
         slope = depth.slope(now - cfg.window)
-        if slope <= cfg.backlog_slope_threshold:
+        if slope <= BACKLOG_SLOPE_THRESHOLD:
             return []
         return self._raise(
-            "backlog_growth", now, slope, cfg.backlog_slope_threshold,
+            "backlog_growth", now, slope, BACKLOG_SLOPE_THRESHOLD,
             {"depth": stats["last"], "high_water": depth.high_water},
         )
 
@@ -366,7 +362,7 @@ class HealthMonitor:
         if len(busy) < 2:
             return []
         mean = sum(busy.values()) / len(busy)
-        if mean < cfg.min_busy_share * cfg.window:
+        if mean < MIN_BUSY_SHARE * cfg.window:
             return []  # everybody mostly idle: nothing to balance
         out: list[HealthAlert] = []
         worst_pid, worst = max(busy.items(), key=lambda kv: kv[1])
@@ -377,7 +373,7 @@ class HealthMonitor:
                 {"pid": worst_pid, "busy_s": round(worst, 9), "tracks": len(busy)},
             )
         starved = sorted(
-            pid for pid, b in busy.items() if b <= cfg.starvation_share * mean
+            pid for pid, b in busy.items() if b <= STARVATION_SHARE * mean
         )
         if starved:
             out += self._raise(

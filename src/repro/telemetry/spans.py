@@ -1,7 +1,7 @@
 """Span tracing in virtual time.
 
 A span is one named interval on one track (``pid`` = one simulated rank, or
-:data:`~repro.telemetry.KERNEL_PID` for the kernel itself).  Spans nest
+:data:`~repro.telemetry.core.KERNEL_PID` for the kernel itself).  Spans nest
 freely on a track — the Chrome trace-event viewer infers nesting from
 containment of complete (``"X"``) events — and work both as explicit
 ``begin``/``end`` pairs (the natural shape inside generator-based simulation

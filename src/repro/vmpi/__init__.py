@@ -15,43 +15,5 @@ Three components, mirroring the paper's library:
 """
 
 from repro.vmpi.virtualization import VirtualizedLauncher
-from repro.vmpi.mapping import (
-    VMPIMap,
-    MapPolicy,
-    ROUND_ROBIN,
-    RANDOM,
-    FIXED,
-    map_partitions,
-    remap_orphans,
-)
-from repro.vmpi.stream import (
-    VMPIStream,
-    BALANCE_NONE,
-    BALANCE_RANDOM,
-    BALANCE_ROUND_ROBIN,
-    OVERFLOW_BLOCK,
-    OVERFLOW_DROP_NEWEST,
-    OVERFLOW_DROP_OLDEST,
-    EAGAIN,
-    EOF,
-)
 
-__all__ = [
-    "VirtualizedLauncher",
-    "VMPIMap",
-    "MapPolicy",
-    "ROUND_ROBIN",
-    "RANDOM",
-    "FIXED",
-    "map_partitions",
-    "remap_orphans",
-    "VMPIStream",
-    "BALANCE_NONE",
-    "BALANCE_RANDOM",
-    "BALANCE_ROUND_ROBIN",
-    "OVERFLOW_BLOCK",
-    "OVERFLOW_DROP_NEWEST",
-    "OVERFLOW_DROP_OLDEST",
-    "EAGAIN",
-    "EOF",
-]
+__all__ = ["VirtualizedLauncher"]

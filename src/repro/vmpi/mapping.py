@@ -23,7 +23,7 @@ from typing import Callable
 from repro.errors import MappingError
 from repro.mpi.datatypes import ANY_SOURCE
 from repro.mpi.world import PartitionInfo, ProgramAPI
-from repro.telemetry import rank_pid
+from repro.telemetry.core import rank_pid
 from repro.util.rng import derive_rng
 
 # Reserved tag space on the universe communicator.  Tags encode the mapping

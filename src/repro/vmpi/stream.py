@@ -60,7 +60,7 @@ from repro.mpi.status import Status
 from repro.mpi.world import ProgramAPI
 from repro.simt.primitives import SimEvent
 from repro.simt.resources import Resource
-from repro.telemetry import NULL_TELEMETRY, rank_pid
+from repro.telemetry.core import NULL_TELEMETRY, rank_pid
 from repro.util.rng import derive_rng
 from repro.vmpi.mapping import VMPIMap
 

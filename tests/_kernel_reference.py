@@ -30,7 +30,9 @@ from contextlib import contextmanager
 from unittest import mock
 
 from repro.errors import DeadlockError, ProcessCrashError, SimulationError
-from repro.simt import Kernel, Process, SimEvent
+from repro.simt.kernel import Kernel
+from repro.simt.primitives import SimEvent
+from repro.simt.process import Process
 from repro.simt import kernel as kernel_module
 
 

@@ -14,12 +14,14 @@ import dataclasses
 import json
 import os
 
-from repro import TERA100, CouplingSession, InstrumentationCost
-from repro.analysis import AnalysisConfig
-from repro.apps import SP
-from repro.bench import load_plan
+from repro.core.session import CouplingSession
+from repro.instrument.overhead import InstrumentationCost
+from repro.network.machine import TERA100
+from repro.analysis.engine import AnalysisConfig
+from repro.apps.nas.adi import SP
+from repro.bench.chaos import load_plan
 from repro.mpi.costmodel import CostModel
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 from repro.telemetry.popmetrics import PopConfig
 
 

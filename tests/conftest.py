@@ -6,7 +6,7 @@ import pytest
 
 from repro.mpi.costmodel import CostModel
 from repro.network.machine import small_test_machine
-from repro.simt import Kernel
+from repro.simt.kernel import Kernel
 
 
 @pytest.fixture
@@ -36,7 +36,7 @@ def fake_lane(monkeypatch):
     """``fake_lane(name, run)``: swap a registered bench lane's driver."""
     import dataclasses
 
-    from repro.bench import LANES
+    from repro.bench.lane import LANES
 
     def swap(name, run):
         monkeypatch.setitem(LANES, name, dataclasses.replace(LANES[name], run=run))
@@ -51,10 +51,12 @@ def make_watched_session(tmpdir, iterations=3, seed=0):
     ``obs.ndjson``)."""
     from pathlib import Path
 
-    from repro import TERA100, CouplingSession, InstrumentationCost
-    from repro.apps import SP
-    from repro.bench import load_plan
-    from repro.telemetry import Telemetry
+    from repro.core.session import CouplingSession
+    from repro.instrument.overhead import InstrumentationCost
+    from repro.network.machine import TERA100
+    from repro.apps.nas.adi import SP
+    from repro.bench.chaos import load_plan
+    from repro.telemetry.core import Telemetry
     from repro.telemetry.popmetrics import PopConfig
 
     tmpdir = Path(tmpdir)

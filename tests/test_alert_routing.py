@@ -6,7 +6,7 @@ import pytest
 from repro.analysis.alerts import Alert, AlertConfig, AlertMonitor, AlertRouter
 from repro.errors import ConfigError, ReproError
 from repro.instrument.events import CALL_IDS, EVENT_DTYPE
-from repro.telemetry import HealthAlert
+from repro.telemetry.monitor import HealthAlert
 
 
 def make_alert(kind="waiting", rank=0, t=1.0):

@@ -25,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _analysis_reference as ref
-from repro.analysis import AnalysisConfig, AnalyzerEngine
+from repro.analysis.engine import AnalysisConfig, AnalyzerEngine
 from repro.analysis import engine as engine_module
 from repro.analysis.batch import EventBatch, call_lut
 from repro.codec.frame import build_frame

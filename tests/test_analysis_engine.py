@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.analysis import AnalysisConfig
-from repro.analysis.engine import AnalyzerEngine
+from repro.analysis.engine import AnalysisConfig, AnalyzerEngine
 from repro.analysis.report import ApplicationReport, ProfileReport
 from repro.instrument.packer import EventPackBuilder
 from repro.mpi.pmpi import CallRecord
@@ -122,7 +121,8 @@ class TestReportRendering:
 class TestSessionIntegration:
     def test_multi_application_single_report(self, big_machine):
         """The paper's headline: concurrent apps, one report, per-app chapters."""
-        from repro.apps.nas import CG, EP
+        from repro.apps.nas.cg import CG
+        from repro.apps.nas.ep import EP
         from repro.core.session import CouplingSession
 
         session = CouplingSession(machine=big_machine, seed=3)
@@ -141,7 +141,7 @@ class TestSessionIntegration:
         assert result.app("EP.C").events == ep_profile.events_total
 
     def test_analyzer_sizing_rules(self, big_machine):
-        from repro.apps.nas import EP
+        from repro.apps.nas.ep import EP
         from repro.core.session import CouplingSession
 
         session = CouplingSession(machine=big_machine)
@@ -157,7 +157,7 @@ class TestSessionIntegration:
             session.set_analyzer(ratio=-1)
 
     def test_reserved_analyzer_name(self, big_machine):
-        from repro.apps.nas import EP
+        from repro.apps.nas.ep import EP
         from repro.core.session import CouplingSession
 
         session = CouplingSession(machine=big_machine)
@@ -165,7 +165,7 @@ class TestSessionIntegration:
             session.add_application(EP(4, "C"), name="Analyzer")
 
     def test_analyzer_stats_exposed(self, big_machine):
-        from repro.apps.nas import EP
+        from repro.apps.nas.ep import EP
         from repro.core.session import CouplingSession
 
         session = CouplingSession(machine=big_machine)

@@ -4,17 +4,12 @@ import numpy as np
 import pytest
 
 from repro.errors import ConfigError, ReproError
-from repro.analysis import (
-    Alert,
-    AlertConfig,
-    AlertMonitor,
-    AnalysisConfig,
-    OTF2Proxy,
-    SelectionConfig,
-)
+from repro.analysis.alerts import Alert, AlertConfig, AlertMonitor
+from repro.analysis.engine import AnalysisConfig
+from repro.analysis.otf2proxy import OTF2Proxy, SelectionConfig
 from repro.instrument.events import CALL_IDS
-from repro.iosim import ParallelFS
-from repro.simt import Kernel
+from repro.iosim.filesystem import ParallelFS
+from repro.simt.kernel import Kernel
 
 
 def events(rows):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.analysis import CommMatrix, DensityMaps, MPIProfile, WaitState
+from repro.analysis.density import DensityMaps
+from repro.analysis.profiler import MPIProfile
+from repro.analysis.topology import CommMatrix
+from repro.analysis.waitstate import WaitState
 from repro.instrument.events import CALL_IDS, EVENT_DTYPE
 
 

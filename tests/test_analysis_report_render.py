@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.analysis import AnalysisConfig
-from repro.apps.nas import LU
+from repro.analysis.engine import AnalysisConfig
+from repro.apps.nas.lu import LU
 from repro.core.session import CouplingSession
 from repro.network.machine import small_test_machine
 

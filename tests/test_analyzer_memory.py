@@ -11,9 +11,10 @@ import pickle
 
 import pytest
 
-from repro import CouplingSession, InstrumentationCost
-from repro.analysis import AnalysisConfig, AnalyzerEngine
-from repro.apps import nas_kernel
+from repro.core.session import CouplingSession
+from repro.instrument.overhead import InstrumentationCost
+from repro.analysis.engine import AnalysisConfig, AnalyzerEngine
+from repro.apps.nas import nas_kernel
 from repro.errors import InstrumentationError
 from repro.instrument.interceptor import StreamingInstrumentation
 from repro.instrument.packer import EventPackBuilder

@@ -3,12 +3,17 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.apps import EulerMHD, nas_kernel
+from repro.apps.eulermhd import EulerMHD
+from repro.apps.nas import KERNELS, nas_kernel
 from repro.apps.base import grid_2d, is_power_of_two, is_square
-from repro.apps.nas import BT, CG, EP, FT, KERNELS, LU, MG, SP
-from repro.apps.nas.mg import grid_3d
+from repro.apps.nas.adi import BT, SP
+from repro.apps.nas.cg import CG
+from repro.apps.nas.ep import EP
+from repro.apps.nas.ft import FT
+from repro.apps.nas.lu import LU
+from repro.apps.nas.mg import MG, grid_3d
 from repro.core.session import CouplingSession
-from repro.mpi import MPMDLauncher
+from repro.mpi.launcher import MPMDLauncher
 
 
 def run_alone(machine, kernel):

@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.apps.nas import EP, FT, MG, SP
+from repro.apps.nas.adi import SP
+from repro.apps.nas.ep import EP
+from repro.apps.nas.ft import FT
+from repro.apps.nas.mg import MG
 from repro.core.session import CouplingSession
 from repro.network.machine import small_test_machine
 

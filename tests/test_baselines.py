@@ -3,12 +3,15 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.apps.nas import EP, SP
-from repro.baselines import PostMortemAnalyzer, TraceWriterState
+from repro.apps.nas.adi import SP
+from repro.apps.nas.ep import EP
+from repro.baselines.postmortem import PostMortemAnalyzer
+from repro.baselines.tracer import TraceWriterState
 from repro.core.comparison import TOOLS, compare_tools, run_tool
-from repro.iosim import ParallelFS, SionFile
+from repro.iosim.filesystem import ParallelFS
+from repro.iosim.sionlib import SionFile
 from repro.network.machine import CURIE, small_test_machine
-from repro.simt import Kernel
+from repro.simt.kernel import Kernel
 
 
 class TestTraceWriter:

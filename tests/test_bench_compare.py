@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import LANES
+from repro.bench.lane import LANES
 from repro.bench.compare import (
     compare_bench,
     compare_files,

@@ -5,11 +5,13 @@ import threading
 import pytest
 
 from repro.errors import BlackboardError, UnknownTypeError
-from repro.blackboard import Blackboard, MultiLevelBlackboard, ThreadPool
+from repro.blackboard.board import Blackboard
+from repro.blackboard.multilevel import MultiLevelBlackboard
+from repro.blackboard.workers import ThreadPool
 from repro.blackboard.entry import DataEntry, TypeRegistry
 from repro.blackboard.jobs import Job, JobQueues
 from repro.blackboard.ks import KnowledgeSource
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 
 
 class TestTypeRegistry:

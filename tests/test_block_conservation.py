@@ -22,9 +22,11 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import _pack_sessions as sessions  # noqa: E402
 
-from repro import TERA100, CouplingSession, InstrumentationCost  # noqa: E402
-from repro.apps import SP  # noqa: E402
-from repro.bench import load_plan  # noqa: E402
+from repro.core.session import CouplingSession
+from repro.instrument.overhead import InstrumentationCost
+from repro.network.machine import TERA100
+from repro.apps.nas.adi import SP
+from repro.bench.chaos import load_plan
 from repro.faults.plan import CANNED_PLANS  # noqa: E402
 from repro.instrument.interceptor import StreamingInstrumentation  # noqa: E402
 

@@ -28,11 +28,13 @@ from hypothesis import strategies as st
 import pytest
 
 from repro.errors import DeadlockError, ProcessCrashError, SimulationError
-from repro.mpi import ANY_SOURCE, ANY_TAG, MPMDLauncher
+from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG
+from repro.mpi.launcher import MPMDLauncher
 from repro.mpi.costmodel import CostModel
 from repro.network.machine import small_test_machine
-from repro.simt import Interrupt, Kernel
-from repro.telemetry import Telemetry
+from repro.simt.kernel import Kernel
+from repro.simt.primitives import Interrupt
+from repro.telemetry.core import Telemetry
 
 EAGER = 4096
 #: straddling the threshold; a wild rank's senders draw from the eager ones

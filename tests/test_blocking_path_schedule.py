@@ -22,14 +22,17 @@ from pathlib import Path
 
 import pytest
 
-from repro import CouplingSession, InstrumentationCost
-from repro.apps import CG, LU, SP
+from repro.core.session import CouplingSession
+from repro.instrument.overhead import InstrumentationCost
+from repro.apps.nas.adi import SP
+from repro.apps.nas.cg import CG
+from repro.apps.nas.lu import LU
 from repro.bench.harness import (
     measure_overhead,
     stream_reader_program,
     stream_writer_program,
 )
-from repro.mpi import MPMDLauncher
+from repro.mpi.launcher import MPMDLauncher
 from repro.network.machine import CURIE, TERA100, small_test_machine
 from repro.vmpi.virtualization import VirtualizedLauncher
 

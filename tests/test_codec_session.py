@@ -5,14 +5,14 @@ import struct
 
 import pytest
 
-from repro.apps.nas import SP
+from repro.apps.nas.adi import SP
 from repro.analysis.engine import AnalysisConfig
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError
-from repro.faults import make_plan
+from repro.faults.plan import make_plan
 from repro.instrument.overhead import InstrumentationCost
 from repro.packdump import dump
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 
 pytestmark = pytest.mark.codec
 

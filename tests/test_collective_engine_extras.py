@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import MPIError
-from repro.mpi import MPMDLauncher
+from repro.mpi.launcher import MPMDLauncher
 from repro.mpi.collectives import _compute_results, _fold, _PendingOp
 
 

@@ -6,13 +6,14 @@ import subprocess
 import sys
 
 import repro
-from repro.apps import EulerMHD
-from repro.apps.nas import CG, SP
+from repro.apps.eulermhd import EulerMHD
+from repro.apps.nas.adi import SP
+from repro.apps.nas.cg import CG
 from repro.apps.synthetic import stream_reader_program, stream_writer_program
 from repro.core.comparison import run_tool
 from repro.core.session import CouplingSession
 from repro.network.machine import small_test_machine
-from repro.vmpi import RANDOM, VMPIMap, map_partitions
+from repro.vmpi.mapping import RANDOM, VMPIMap, map_partitions
 from repro.vmpi.virtualization import VirtualizedLauncher
 
 MACHINE = small_test_machine(nodes=256, cores_per_node=4)

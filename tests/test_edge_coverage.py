@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError, DeadlockError
-from repro.simt import Pipe
+from repro.simt.resources import Pipe
 
 
 class TestKernelRunUntilEvent:
@@ -120,7 +120,7 @@ class TestLauncherEdges:
             session.run_reference()
 
     def test_world_group_interning(self, machine):
-        from repro.mpi import MPMDLauncher
+        from repro.mpi.launcher import MPMDLauncher
 
         def app(mpi):
             yield from mpi.init()

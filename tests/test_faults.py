@@ -4,22 +4,15 @@ import json
 
 import pytest
 
-from repro.apps.nas import SP
+from repro.apps.nas.adi import SP
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError, ProcessCrashError, SimulationError
-from repro.faults import (
-    ANALYZER_CRASH,
-    ANALYZER_STALL,
-    CANNED_PLANS,
-    LINK_DEGRADE,
-    PACK_CORRUPT,
-    PACK_DROP,
-    FaultPlan,
-    FaultSpec,
-    make_plan,
+from repro.faults.plan import (
+    ANALYZER_CRASH, ANALYZER_STALL, CANNED_PLANS, LINK_DEGRADE, PACK_CORRUPT, PACK_DROP, FaultPlan,
+    FaultSpec, make_plan,
 )
 from repro.instrument.overhead import InstrumentationCost
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 
 
 # ---------------------------------------------------------------------------------
@@ -252,7 +245,7 @@ def test_crash_target_resolution_bounds(machine):
 
 
 def test_unabsorbed_crash_is_typed(kernel):
-    from repro.simt import Process
+    from repro.simt.process import Process
 
     def boom():
         yield kernel.timeout(1.0)

@@ -11,7 +11,7 @@ and CG (sendrecv) under ``delta+dict+zlib``, with the chain switched mid-run.
 
 import pytest
 
-from repro import CouplingSession
+from repro.core.session import CouplingSession
 from repro.apps.nas import nas_kernel
 from repro.core import session as session_module
 from repro.instrument.interceptor import StreamingInstrumentation

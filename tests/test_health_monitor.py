@@ -6,13 +6,9 @@ from repro.analysis.alerts import AlertRouter
 from repro.apps.eulermhd import EulerMHD
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError, SimulationError
-from repro.simt import Kernel
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    HealthMonitor,
-    MonitorConfig,
-    Telemetry,
-)
+from repro.simt.kernel import Kernel
+from repro.telemetry.core import NULL_TELEMETRY, Telemetry
+from repro.telemetry.monitor import HealthMonitor, MonitorConfig
 
 
 # -- kernel periodic hooks ------------------------------------------------------------
@@ -191,9 +187,7 @@ class TestDetectors:
         assert alerts[0].value == pytest.approx(0.5, rel=0.2)
 
     def test_backlog_growth_needs_floor_and_slope(self):
-        tel, kernel, monitor = self.make(
-            backlog_depth_floor=8.0, backlog_slope_threshold=20.0
-        )
+        tel, kernel, monitor = self.make(backlog_depth_floor=8.0)
         depth = tel.gauge("blackboard.fifo_depth", pid=1)
         state = {"d": 0.0}
 
@@ -239,7 +233,7 @@ class TestDetectors:
         assert worst.detail["pid"] == 1
 
     def test_worker_starvation_lists_starved_pids(self):
-        tel, kernel, monitor = self.make(starvation_share=0.02)
+        tel, kernel, monitor = self.make()
 
         def load(now):
             for pid in (1, 2):

@@ -9,15 +9,14 @@ import threading
 import pytest
 
 from repro.analysis.engine import AnalysisConfig, AnalyzerEngine
-from repro.apps.nas import SP
+from repro.apps.nas.adi import SP
 from repro.bench.selfperf import CHAINS, _run_once, selfperf_sweep
-from repro.blackboard import Blackboard
+from repro.blackboard.board import Blackboard
 from repro.codec.frame import build_frame
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError, ProcessCrashError
 from repro.network.machine import TERA100
-from repro.obs import HOSTPROF_SCHEMA, SCHEMAS
-from repro.obs.registry import screen
+from repro.obs.registry import HOSTPROF_SCHEMA, SCHEMAS, screen
 from repro.telemetry import hostprof
 from repro.telemetry.hostprof import (
     ENTRY_POINTS,

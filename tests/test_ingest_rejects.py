@@ -6,12 +6,11 @@ import pickle
 
 import pytest
 
-from repro.analysis import AnalysisConfig
-from repro.analysis.engine import AnalyzerEngine
+from repro.analysis.engine import AnalysisConfig, AnalyzerEngine
 from repro.codec.frame import parse_frame
 from repro.instrument.packer import EventPackBuilder
 from repro.mpi.pmpi import CallRecord
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 
 APPS = [("solver", 4), ("io", 2)]
 

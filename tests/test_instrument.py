@@ -10,18 +10,11 @@ from repro.codec.frame import (
     SECTION_HEADER_SIZE,
 )
 from repro.errors import ConfigError, InstrumentationError, PackFormatError
-from repro.instrument import (
-    CALL_IDS,
-    EVENT_DTYPE,
-    EVENT_RECORD_SIZE,
-    EventPackBuilder,
-    InstrumentationCost,
-    PACK_HEADER_SIZE,
-    call_id,
-    decode_events,
-    decode_pack,
-    encode_event,
+from repro.instrument.events import (
+    CALL_IDS, EVENT_DTYPE, EVENT_RECORD_SIZE, call_id, decode_events, encode_event,
 )
+from repro.instrument.overhead import InstrumentationCost
+from repro.instrument.packer import EventPackBuilder, PACK_HEADER_SIZE, decode_pack
 from repro.mpi.pmpi import CallRecord
 
 def _frame_size(nrecords: int) -> int:
@@ -269,7 +262,7 @@ class TestInstrumentationCost:
 
 class TestStreamingInterceptor:
     def _run_session(self, machine, iterations=3, **cost_kw):
-        from repro.apps.nas import CG
+        from repro.apps.nas.cg import CG
         from repro.core.session import CouplingSession
 
         session = CouplingSession(
@@ -306,7 +299,7 @@ class TestStreamingInterceptor:
         assert v2 > 2.5 * v1
 
     def test_zero_cost_instrumentation_has_tiny_overhead(self, big_machine):
-        from repro.apps.nas import CG
+        from repro.apps.nas.cg import CG
         from repro.core.session import CouplingSession
 
         session = CouplingSession(

@@ -3,12 +3,14 @@ determinism, failure injection."""
 
 import pytest
 
-from repro.analysis import AnalysisConfig
-from repro.apps import EulerMHD
-from repro.apps.nas import CG, LU, SP
+from repro.analysis.engine import AnalysisConfig
+from repro.apps.eulermhd import EulerMHD
+from repro.apps.nas.adi import SP
+from repro.apps.nas.cg import CG
+from repro.apps.nas.lu import LU
 from repro.bench.harness import measure_overhead, readers_for
 from repro.core.session import CouplingSession
-from repro.instrument import InstrumentationCost
+from repro.instrument.overhead import InstrumentationCost
 from repro.network.machine import small_test_machine
 
 MACHINE = small_test_machine(nodes=256, cores_per_node=4)

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.errors import IOSimError
-from repro.iosim import ParallelFS, SimFile, SionFile
-from repro.simt import Kernel
+from repro.iosim.file import SimFile
+from repro.iosim.filesystem import ParallelFS
+from repro.iosim.sionlib import SionFile
+from repro.simt.kernel import Kernel
 
 
 @pytest.fixture

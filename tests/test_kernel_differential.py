@@ -34,8 +34,9 @@ import pytest
 
 from repro.errors import SimulationError
 from repro.mpi.request import Join
-from repro.simt import Interrupt, Kernel
-from repro.telemetry import KERNEL_PID, NULL_TELEMETRY, Telemetry
+from repro.simt.kernel import Kernel
+from repro.simt.primitives import Interrupt
+from repro.telemetry.core import KERNEL_PID, NULL_TELEMETRY, Telemetry
 
 from _kernel_reference import ReferenceKernel, dispatch_log
 

@@ -16,8 +16,9 @@ and walk the three modes inside; the newer ones take ``mode`` as a parameter.
 import pytest
 
 from repro.errors import ProcessCrashError, SimulationError
-from repro.simt import Interrupt, Kernel
-from repro.telemetry import Telemetry
+from repro.simt.kernel import Kernel
+from repro.simt.primitives import Interrupt
+from repro.telemetry.core import Telemetry
 
 from _kernel_reference import ReferenceKernel, dispatch_log
 

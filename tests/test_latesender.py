@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ReproError
-from repro.analysis import AnalysisConfig
+from repro.analysis.engine import AnalysisConfig
 from repro.analysis.latesender import LateSenderAnalysis
 from repro.core.session import CouplingSession
 from repro.instrument.events import CALL_IDS, EVENT_DTYPE
@@ -126,7 +126,7 @@ class TestSharding:
 
 class TestEndToEnd:
     def test_session_with_latesender(self):
-        from repro.apps.nas import LU
+        from repro.apps.nas.lu import LU
 
         cfg = AnalysisConfig(modules=("profile", "latesender"))
         session = CouplingSession(machine=MACHINE, seed=9, analysis=cfg)
@@ -143,7 +143,7 @@ class TestEndToEnd:
         assert "Late-sender analysis" in result.report.render()
 
     def test_matched_pairs_equal_send_count(self):
-        from repro.apps.nas import LU
+        from repro.apps.nas.lu import LU
 
         cfg = AnalysisConfig(modules=("profile", "latesender"))
         session = CouplingSession(machine=MACHINE, seed=9, analysis=cfg)
@@ -155,7 +155,7 @@ class TestEndToEnd:
         assert chapter.latesender.matched_pairs == sends
 
     def test_single_analyzer_rank_degenerate_exchange(self):
-        from repro.apps.nas import CG
+        from repro.apps.nas.cg import CG
 
         cfg = AnalysisConfig(modules=("latesender",))
         session = CouplingSession(machine=MACHINE, seed=9, analysis=cfg)

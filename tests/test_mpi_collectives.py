@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.mpi import MPMDLauncher
+from repro.mpi.launcher import MPMDLauncher
 from repro.mpi.collectives import numeric_max, numeric_min
 from repro.mpi.costmodel import CostModel
 

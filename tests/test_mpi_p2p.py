@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import DeadlockError
-from repro.mpi import ANY_SOURCE, ANY_TAG, MPMDLauncher
+from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG
+from repro.mpi.launcher import MPMDLauncher
 from repro.mpi.costmodel import CostModel
 
 

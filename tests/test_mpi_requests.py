@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.mpi import MPMDLauncher
+from repro.mpi.launcher import MPMDLauncher
 
 
 def _single(machine, main, nprocs, **kwargs):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError, MPIError, SimulationError
-from repro.mpi import MPMDLauncher
+from repro.mpi.launcher import MPMDLauncher
 from repro.mpi.pmpi import CallRecord, Interceptor
 from repro.vmpi.virtualization import VirtualizedLauncher
 

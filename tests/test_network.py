@@ -3,10 +3,10 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.network import CURIE, Cluster, FatTree, TERA100
-from repro.network.cluster import block_placement
-from repro.network.machine import small_test_machine
-from repro.simt import Kernel
+from repro.network.cluster import Cluster, block_placement
+from repro.network.fattree import FatTree
+from repro.network.machine import CURIE, TERA100, small_test_machine
+from repro.simt.kernel import Kernel
 from repro.util.units import GB
 
 

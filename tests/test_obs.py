@@ -15,26 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigError
-from repro.obs import (
-    ArchiveScan,
-    FileSink,
-    HEALTH_SCHEMA,
-    METRICS_SCHEMA,
-    ObservabilityBus,
-    RingSink,
-    SCHEMAS,
-    STEERING_SCHEMA,
-    TELEMETRY_SCHEMA,
-    TailServer,
-    iter_archive,
-    iter_ndjson,
-    make_record,
-    parse_address,
-    read_records,
-    record_time,
+from repro.obs.archive import ArchiveScan, iter_archive, iter_ndjson, read_records
+from repro.obs.bus import ObservabilityBus
+from repro.obs.registry import (
+    HEALTH_SCHEMA, METRICS_SCHEMA, SCHEMAS, STEERING_SCHEMA, TELEMETRY_SCHEMA, make_record,
+    record_time, screen,
 )
+from repro.obs.sinks import FileSink, RingSink, TailServer, parse_address
 from repro.obs.__main__ import main as obs_main
-from repro.obs.registry import screen
 
 pytestmark = pytest.mark.obs
 
@@ -299,9 +287,9 @@ class TestTailServer:
 
     @pytest.mark.parametrize("kind", ["tcp", "unix"])
     def test_session_leaves_no_tail_thread(self, tmp_path, kind):
-        from repro.apps.nas import SP
+        from repro.apps.nas.adi import SP
         from repro.core.session import CouplingSession
-        from repro.telemetry import Telemetry
+        from repro.telemetry.core import Telemetry
 
         address = "127.0.0.1:0" if kind == "tcp" else str(tmp_path / "obs.sock")
         session = CouplingSession(telemetry=Telemetry(), seed=3)
@@ -709,9 +697,9 @@ class TestCli:
 class TestSessionWiring:
     @pytest.fixture(scope="class")
     def session_pair(self, tmp_path_factory):
-        from repro.apps.nas import SP
+        from repro.apps.nas.adi import SP
         from repro.core.session import CouplingSession
-        from repro.telemetry import Telemetry
+        from repro.telemetry.core import Telemetry
         from repro.telemetry.popmetrics import PopConfig
 
         tmp = tmp_path_factory.mktemp("obs_session")

@@ -11,9 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from repro import TERA100, CouplingSession, InstrumentationCost
-from repro.apps import SP
-from repro.instrument import EventPackBuilder, decode_pack
+from repro.core.session import CouplingSession
+from repro.instrument.overhead import InstrumentationCost
+from repro.network.machine import TERA100
+from repro.apps.nas.adi import SP
+from repro.instrument.packer import EventPackBuilder, decode_pack
 from repro.instrument.events import CALL_IDS
 from repro.mpi.launcher import MPMDLauncher
 from repro.mpi.pmpi import CallRecord, Interceptor
@@ -110,7 +112,7 @@ def test_observer_records_match_the_parent_tree(watched_session, tmp_path, seed)
 
 
 def test_every_plane_on_is_two_hooks_and_one_ring(watched_session, monkeypatch):
-    from repro.simt import Kernel
+    from repro.simt.kernel import Kernel
     from repro.telemetry.timeline import Timeline
 
     registered, samples = [], []

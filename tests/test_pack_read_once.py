@@ -34,12 +34,13 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 import _pack_sessions as sessions  # noqa: E402
 
-from repro.apps import stream_reader_program, stream_writer_program  # noqa: E402
+from repro.apps.synthetic import stream_reader_program, stream_writer_program
 from repro.codec import frame as frame_mod  # noqa: E402
 from repro.network.machine import TERA100  # noqa: E402
-from repro.telemetry import Telemetry, hostprof  # noqa: E402
+from repro.telemetry import hostprof  # noqa: E402
+from repro.telemetry.core import Telemetry
 from repro.util.units import MIB  # noqa: E402
-from repro.vmpi import VirtualizedLauncher  # noqa: E402
+from repro.vmpi.virtualization import VirtualizedLauncher
 from repro.vmpi.stream import VMPIStream  # noqa: E402
 
 FIXTURE = Path(__file__).parent / "fixtures" / "pack_path_parent.json"
@@ -221,7 +222,7 @@ PATCHED_FUNCTIONS = {
 def test_patched_names_are_still_plain_functions_and_attributes():
     import importlib
 
-    from repro.analysis import AnalysisConfig, AnalyzerEngine
+    from repro.analysis.engine import AnalysisConfig, AnalyzerEngine
 
     for module, names in PATCHED_FUNCTIONS.items():
         namespace = vars(importlib.import_module(module))

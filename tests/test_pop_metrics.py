@@ -9,12 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.base import AppKernel
-from repro.apps.nas import SP
+from repro.apps.nas.adi import SP
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError, SimulationError
 from repro.simt.kernel import Kernel
-from repro.obs import METRICS_SCHEMA, FileSink, RingSink, make_record, read_records
-from repro.telemetry import Telemetry
+from repro.obs.archive import read_records
+from repro.obs.registry import METRICS_SCHEMA, make_record
+from repro.obs.sinks import FileSink, RingSink
+from repro.telemetry.core import Telemetry
 from repro.telemetry.popmetrics import (
     METRIC_KEYS,
     SUM_KEYS,

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.instrument.events import CALL_NAMES, decode_events, encode_event
 from repro.instrument.packer import EventPackBuilder, decode_pack
 from repro.mpi.pmpi import CallRecord
-from repro.simt import Kernel, Pipe
+from repro.simt.kernel import Kernel
+from repro.simt.resources import Pipe
 from repro.util.stats import Histogram
 from repro.util.units import fmt_bytes, parse_size
 

@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.network.machine import small_test_machine
 from repro.util.units import KIB
-from repro.vmpi import EOF, ROUND_ROBIN, VMPIMap, VMPIStream, map_partitions
+from repro.vmpi.mapping import ROUND_ROBIN, VMPIMap, map_partitions
+from repro.vmpi.stream import EOF, VMPIStream
 from repro.vmpi.virtualization import VirtualizedLauncher
 
 MACHINE = small_test_machine(nodes=64, cores_per_node=4)

@@ -4,10 +4,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.topology import CommMatrix
-from repro.blackboard import Blackboard
+from repro.blackboard.board import Blackboard
 from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG
 from repro.mpi.message import Envelope, Mailbox
-from repro.simt import Kernel
+from repro.simt.kernel import Kernel
 from repro.simt.primitives import SimEvent
 from repro.vmpi.mapping import FIXED, RANDOM, ROUND_ROBIN
 

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.apps.nas import SP
+from repro.apps.nas.adi import SP
 from repro.core.session import CouplingSession
 from repro.errors import ConfigError
 from repro.codec.frame import (
@@ -20,8 +20,8 @@ from repro.codec.frame import (
 from repro.instrument.packer import EventPackBuilder, decode_pack, verify_pack
 from repro.instrument.overhead import InstrumentationCost
 from repro.mpi.pmpi import CallRecord
-from repro.telemetry import FlowRegistry, Telemetry, make_flow_id, split_flow_id
-from repro.telemetry.provenance import STAGES, FlowRecord
+from repro.telemetry.core import Telemetry
+from repro.telemetry.provenance import FlowRecord, FlowRegistry, STAGES, make_flow_id, split_flow_id
 
 pytestmark = pytest.mark.flow
 
@@ -285,8 +285,8 @@ def test_overflow_drops_and_retry_delay_are_attributed():
     """A stalled reader forces drop-oldest reclaims: stolen flows carry the
     overflow label, surviving ones the timed-out wait as retry delay."""
     from repro.network.machine import small_test_machine
-    from repro.vmpi import ROUND_ROBIN, VMPIMap, VMPIStream, map_partitions
-    from repro.vmpi.stream import EOF, OVERFLOW_DROP_OLDEST
+    from repro.vmpi.mapping import ROUND_ROBIN, VMPIMap, map_partitions
+    from repro.vmpi.stream import EOF, OVERFLOW_DROP_OLDEST, VMPIStream
     from repro.vmpi.virtualization import VirtualizedLauncher
 
     out = {}
@@ -359,7 +359,7 @@ def test_overflow_drops_and_retry_delay_are_attributed():
 def test_tamper_and_reject_losses_are_attributed():
     """Injected transport faults surface as labelled flow losses: swallowed
     packs as ``tamper``, corrupted ones as ``reject`` at the analyzer."""
-    from repro.faults import make_plan
+    from repro.faults.plan import make_plan
 
     healthy, name = _coupled_session(prov=False)
     anchor = healthy.run().app(name).walltime * 0.35

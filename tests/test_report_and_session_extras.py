@@ -1,9 +1,10 @@
 """Session extension paths: alert/proxy modules end-to-end, posix maps,
 report round trips through the full pipeline."""
 
-from repro.analysis import AnalysisConfig
-from repro.apps import EulerMHD
-from repro.apps.nas import CG, LU
+from repro.analysis.engine import AnalysisConfig
+from repro.apps.eulermhd import EulerMHD
+from repro.apps.nas.cg import CG
+from repro.apps.nas.lu import LU
 from repro.core.session import CouplingSession
 from repro.network.machine import small_test_machine
 
@@ -32,7 +33,7 @@ class TestExtensionModulesEndToEnd:
         assert "Real-time alerts" in text
 
     def test_selective_trace_decodes_after_session(self):
-        from repro.analysis import OTF2Proxy
+        from repro.analysis.otf2proxy import OTF2Proxy
 
         cfg = AnalysisConfig(modules=("profile", "otf2proxy"))
         session = CouplingSession(machine=MACHINE, seed=4, analysis=cfg)

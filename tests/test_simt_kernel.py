@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import DeadlockError, SimulationError
-from repro.simt import Timeout
+from repro.simt.primitives import Timeout
 
 from _kernel_reference import dispatch_log
 

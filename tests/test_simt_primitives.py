@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simt import Kernel
+from repro.simt.kernel import Kernel
 from repro.simt.primitives import Interrupt, SimEvent
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SimulationError
-from repro.simt import Kernel
+from repro.simt.kernel import Kernel
 from repro.simt.primitives import Interrupt
 
 from _kernel_reference import dispatch_log

@@ -1,9 +1,9 @@
-"""Resource, Store and Pipe semantics."""
+"""Resource and Pipe semantics."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.simt import Pipe, Resource, Store
+from repro.simt.resources import Pipe, Resource
 
 
 class TestResource:
@@ -46,102 +46,6 @@ class TestResource:
         res = Resource(kernel)
         with pytest.raises(SimulationError):
             res.release()
-
-    def test_queue_length(self, kernel):
-        res = Resource(kernel, capacity=1)
-
-        def holder(k):
-            yield res.acquire()
-            yield k.timeout(5.0)
-            res.release()
-
-        def waiter(k):
-            yield res.acquire()
-            res.release()
-
-        kernel.spawn(holder(kernel))
-        kernel.spawn(waiter(kernel))
-        kernel.run(until=1.0)
-        assert res.queue_length == 1
-        kernel.run()
-        assert res.queue_length == 0
-
-
-class TestStore:
-    def test_put_get_fifo(self, kernel):
-        store = Store(kernel)
-        got = []
-
-        def producer(k):
-            for i in range(3):
-                yield store.put(i)
-
-        def consumer(k):
-            for _ in range(3):
-                value = yield store.get()
-                got.append(value)
-
-        kernel.spawn(producer(kernel))
-        kernel.spawn(consumer(kernel))
-        kernel.run()
-        assert got == [0, 1, 2]
-
-    def test_get_blocks_until_put(self, kernel):
-        store = Store(kernel)
-        got = []
-
-        def consumer(k):
-            value = yield store.get()
-            got.append((value, k.now))
-
-        def producer(k):
-            yield k.timeout(3.0)
-            yield store.put("x")
-
-        kernel.spawn(consumer(kernel))
-        kernel.spawn(producer(kernel))
-        kernel.run()
-        assert got == [("x", 3.0)]
-
-    def test_bounded_put_blocks(self, kernel):
-        store = Store(kernel, capacity=1)
-        events = []
-
-        def producer(k):
-            yield store.put(1)
-            events.append(("put1", k.now))
-            yield store.put(2)
-            events.append(("put2", k.now))
-
-        def consumer(k):
-            yield k.timeout(4.0)
-            value = yield store.get()
-            events.append(("got", value, k.now))
-
-        kernel.spawn(producer(kernel))
-        kernel.spawn(consumer(kernel))
-        kernel.run()
-        assert ("put1", 0.0) in events
-        assert ("put2", 4.0) in events
-
-    def test_try_get(self, kernel):
-        store = Store(kernel)
-        ok, item = store.try_get()
-        assert not ok and item is None
-        store.put("v")
-        kernel.run()
-        ok, item = store.try_get()
-        assert ok and item == "v"
-
-    def test_capacity_validation(self, kernel):
-        with pytest.raises(SimulationError):
-            Store(kernel, capacity=0)
-
-    def test_len(self, kernel):
-        store = Store(kernel)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
 
 
 class TestPipe:

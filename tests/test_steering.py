@@ -6,7 +6,7 @@ import json
 import pytest
 
 from repro.analysis.alerts import AlertRouter
-from repro.apps.nas import SP
+from repro.apps.nas.adi import SP
 from repro.bench.steering import (
     SteeringBenchPoint,
     _gate,
@@ -16,26 +16,21 @@ from repro.bench.steering import (
 from repro.codec.frame import parse_frame
 from repro.core.session import CouplingSession
 from repro.errors import BenchGateError, ConfigError, InstrumentationError
-from repro.faults import LINK_DEGRADE, FaultPlan, FaultSpec
-from repro.instrument import EventPackBuilder, decode_pack
+from repro.faults.plan import LINK_DEGRADE, FaultPlan, FaultSpec
+from repro.instrument.packer import EventPackBuilder, decode_pack
 from repro.instrument.interceptor import StreamingInstrumentation
 from repro.instrument.overhead import InstrumentationCost
 from repro.mpi.costmodel import CostModel
 from repro.mpi.pmpi import CallRecord
 from repro.network.machine import TERA100
-from repro.simt import Kernel
-from repro.steering import (
-    ESCALATE_REDUCTION,
-    REBALANCE_WRITERS,
-    RELAX_REDUCTION,
-    SCALE_DOWN_WORKERS,
-    SCALE_UP_WORKERS,
-    SteeringController,
-    SteeringPolicy,
+from repro.simt.kernel import Kernel
+from repro.steering.controller import QUIESCENCE, SteeringController
+from repro.steering.policy import (
+    ESCALATE_REDUCTION, REBALANCE_WRITERS, RELAX_REDUCTION, SCALE_DOWN_WORKERS, SCALE_UP_WORKERS,
+    SteeringPolicy, static_policy,
 )
-from repro.steering.controller import QUIESCENCE
-from repro.steering.policy import static_policy
-from repro.telemetry import HealthMonitor, MonitorConfig, Telemetry
+from repro.telemetry.core import Telemetry
+from repro.telemetry.monitor import HealthMonitor, MonitorConfig
 
 pytestmark = pytest.mark.steering
 

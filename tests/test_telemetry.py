@@ -5,18 +5,9 @@ import math
 
 import pytest
 
-from repro.telemetry import (
-    KERNEL_PID,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    NULL_SPAN,
-    NULL_TELEMETRY,
-    Gauge,
-    HistogramMetric,
-    Telemetry,
-    rank_pid,
-)
+from repro.telemetry.core import KERNEL_PID, NULL_TELEMETRY, Telemetry, rank_pid
+from repro.telemetry.metrics import NULL_COUNTER, NULL_GAUGE, NULL_HISTOGRAM, Gauge, HistogramMetric
+from repro.telemetry.spans import NULL_SPAN
 
 
 class ManualClock:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 from repro.telemetry.export import chrome_trace_dict, jsonl_records
 
 

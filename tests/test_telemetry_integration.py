@@ -9,14 +9,14 @@ import json
 
 import pytest
 
-from repro.apps import nas_kernel
+from repro.apps.nas import nas_kernel
 from repro.bench.harness import stream_point
 from repro.blackboard.board import Blackboard
 from repro.blackboard.workers import ThreadPool
 from repro.core.session import CouplingSession
 from repro.network.machine import small_test_machine
-from repro.simt import Kernel
-from repro.telemetry import KERNEL_PID, NULL_TELEMETRY, Telemetry
+from repro.simt.kernel import Kernel
+from repro.telemetry.core import KERNEL_PID, NULL_TELEMETRY, Telemetry
 from repro.util.units import MIB
 
 

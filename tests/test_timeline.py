@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigError
-from repro.telemetry import Telemetry
+from repro.telemetry.core import Telemetry
 from repro.telemetry.timeline import CUMULATIVE, LEVEL, Timeline, TimeSeries
 
 

@@ -92,7 +92,7 @@ _NEAREST_RANK_TABLE = {
 
 @pytest.mark.parametrize("n", sorted(_NEAREST_RANK_TABLE))
 def test_nearest_rank_table_and_its_two_callers_agree(n):
-    from repro.telemetry import Telemetry
+    from repro.telemetry.core import Telemetry
     from repro.telemetry.flow import _stats
     from repro.util.stats import nearest_rank
 

@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import MappingError, SimulationError
-from repro.vmpi import FIXED, RANDOM, ROUND_ROBIN, VMPIMap, map_partitions
-from repro.vmpi.mapping import user_policy
+from repro.vmpi.mapping import FIXED, RANDOM, ROUND_ROBIN, VMPIMap, map_partitions, user_policy
 from repro.vmpi.virtualization import VirtualizedLauncher
 
 

@@ -5,18 +5,10 @@ import pytest
 from repro.errors import StreamClosedError, VMPIError
 from repro.network.machine import small_test_machine
 from repro.util.units import KIB, MIB
-from repro.vmpi import (
-    BALANCE_NONE,
-    BALANCE_RANDOM,
-    BALANCE_ROUND_ROBIN,
-    EAGAIN,
-    EOF,
-    OVERFLOW_DROP_NEWEST,
-    OVERFLOW_DROP_OLDEST,
-    ROUND_ROBIN,
-    VMPIMap,
-    VMPIStream,
-    map_partitions,
+from repro.vmpi.mapping import ROUND_ROBIN, VMPIMap, map_partitions
+from repro.vmpi.stream import (
+    BALANCE_NONE, BALANCE_RANDOM, BALANCE_ROUND_ROBIN, EAGAIN, EOF, OVERFLOW_DROP_NEWEST,
+    OVERFLOW_DROP_OLDEST, VMPIStream,
 )
 from repro.vmpi.virtualization import VirtualizedLauncher
 
@@ -542,7 +534,7 @@ def test_a_tombstone_discarded_at_close_ticks_the_same_counter_as_one_consumed(m
     """``stats()`` and the telemetry plane agree on stale blocks wherever the
     tombstone is met: ``_consume`` always ticked the counter, ``close`` did not."""
     from repro.errors import DeadlockError
-    from repro.telemetry import Telemetry
+    from repro.telemetry.core import Telemetry
 
     out = {}
 

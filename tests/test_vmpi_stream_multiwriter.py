@@ -7,9 +7,10 @@ from repro.codec.frame import PackProvenance
 from repro.instrument.packer import EventPackBuilder
 from repro.mpi.pmpi import CallRecord
 from repro.network.machine import small_test_machine
-from repro.telemetry import FlowRegistry, split_flow_id
+from repro.telemetry.provenance import FlowRegistry, split_flow_id
 from repro.util.units import KIB
-from repro.vmpi import EOF, ROUND_ROBIN, VMPIMap, VMPIStream, map_partitions
+from repro.vmpi.mapping import ROUND_ROBIN, VMPIMap, map_partitions
+from repro.vmpi.stream import EOF, VMPIStream
 from repro.vmpi.virtualization import VirtualizedLauncher
 
 MACHINE = small_test_machine(nodes=256, cores_per_node=4)
@@ -231,3 +232,52 @@ def test_interleaved_writers_get_disjoint_flows_and_per_writer_attribution():
 
     # Every flow reached the reader (stream-level hops; no analyzer here).
     assert all(rec.t_read is not None for rec in records)
+
+
+def test_retarget_endpoint_mid_stream_delivers_every_block_once():
+    """A live writer remap: writer 0 moves from reader 0 to reader 1
+    after half its blocks; reader 1 adopts it.  Nothing is lost or read
+    twice, and the retired reader still gets its close marker."""
+    readers, writers, got, eof = {}, {}, [], []
+
+    def writer(mpi):
+        yield from mpi.init()
+        vmap = VMPIMap()
+        yield from map_partitions(mpi, vmap, "Analyzer", ROUND_ROBIN)
+        st = VMPIStream(block_size=16 * KIB)
+        yield from st.open_map(mpi, vmap, "w")
+        writers[mpi.rank] = st
+        for i in range(6):
+            if mpi.rank == 0 and i == 3:
+                target, target_stream = readers[1]
+                assert st.retarget_endpoint(st.endpoints[0], target)
+                target_stream.adopt_peer(mpi.ctx.global_rank)
+            yield from st.write(nbytes=16 * KIB, payload=(mpi.rank, i))
+        yield from st.close()
+        yield from mpi.finalize()
+
+    def reader(mpi):
+        yield from mpi.init()
+        vmap = VMPIMap()
+        yield from map_partitions(mpi, vmap, 0, ROUND_ROBIN)
+        st = VMPIStream(block_size=16 * KIB)
+        yield from st.open_map(mpi, vmap, "r")
+        readers[mpi.rank] = (mpi.ctx.global_rank, st)
+        while True:
+            n, payload = yield from st.read()
+            if n == EOF:
+                break
+            got.append((mpi.rank, payload))
+        eof.append(mpi.rank)
+        yield from mpi.finalize()
+
+    _run(2, 2, writer, reader)
+    assert sorted(p for _, p in got) == [(w, i) for w in range(2) for i in range(6)]
+    assert {p for r, p in got if r == 0} == {(0, i) for i in range(3)}
+    assert {p for r, p in got if r == 1} == {(w, i) for w in range(2) for i in range(6)} - {
+        (0, i) for i in range(3)
+    }
+    assert sorted(eof) == [0, 1]
+    assert writers[0].endpoints_retargeted == 1 and writers[1].endpoints_retargeted == 0
+    assert writers[0].peers_adopted == 1
+    assert readers[1][1].peers_adopted == 1 and readers[0][1].peers_adopted == 0
