@@ -304,6 +304,22 @@ def _dense_rank_vector(node: ast.Call) -> bool:
     return _mentions(node.func.value, "np") and any(_mentions(arg, "app_size") for arg in shape)
 
 
+def _rederived(node: ast.Lambda | ast.Attribute | ast.Call | ast.Subscript) -> bool:
+    """A closure built, or a stream / communicator fact looked up again, per block."""
+    if isinstance(node, ast.Lambda):
+        return True
+    if isinstance(node, ast.Call):
+        return "global_rank_of" in (_called_attr(node), _called_name(node))
+    if isinstance(node, ast.Subscript):
+        return _mentions(node.value, "rank_of_global")
+    owner = getattr(node.value, "attr", getattr(node.value, "id", None))
+    return (
+        node.attr == "comm_universe"
+        or (node.attr == "cost" and owner == "world")
+        or (node.attr == "tag" and owner == "self" and isinstance(node.ctx, ast.Load))
+    )
+
+
 def _is_raise(node: ast.AST) -> bool:
     return isinstance(node, ast.Raise)
 
@@ -408,6 +424,15 @@ RULES: tuple[Owned | Listed | Scoped, ...] = (
           owners=_paths("simt/kernel.py", "simt/primitives.py", "simt/process.py"),
           kinds=(ast.ImportFrom, ast.Attribute), offence=_schedule_access,
           reason="only the kernel's modules touch its heap and FIFO (DESIGN 14)"),
+    Listed(number=14, title="resolved at open", find=_members, skip=_is_raise,
+           names=_names({
+               "vmpi/stream.py": "VMPIStream.write VMPIStream.read VMPIStream._on_block "
+               "VMPIStream._consume VMPIStream._post_recv",
+               "mpi/communicator.py": "Comm._raw_isend Comm._raw_irecv",
+           }),
+           kinds=(ast.Lambda, ast.Attribute, ast.Call, ast.Subscript), offence=_rederived,
+           reason="it runs once per block or message: read what open() or __init__ "
+           "resolved (DESIGN 14)"),
 )
 
 

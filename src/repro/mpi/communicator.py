@@ -75,6 +75,21 @@ class Comm:
         self.size = group.size
         self._global_rank = group.global_ranks[rank]
         self._coll_seq = 0
+        # What _raw_isend / _raw_irecv read per message, resolved once: the
+        # group's rank table, the rank's kernel and mailbox, the world's
+        # rank table and link model, and the cost constants (CostModel is
+        # frozen and a world keeps its own for life).
+        world = ctx.world
+        cost = world.cost
+        self._global_ranks = group.global_ranks
+        self._kernel = ctx.kernel
+        self._mailbox = ctx.mailbox
+        self._ranks = world.ranks
+        self._transfer = world.cluster.transfer
+        self._o_send = cost.o_send
+        self._o_recv = cost.o_recv
+        self._eager_threshold = cost.eager_threshold
+        self._eager_copy_bandwidth = cost.eager_copy_bandwidth
 
     # -- basic properties ---------------------------------------------------------
 
@@ -135,12 +150,8 @@ class Comm:
 
         def _impl():
             send_req = yield from self._raw_isend(dest, send_nbytes, tag, payload)
-            status = yield self.ctx.mailbox.post(
-                self.id,
-                source,
-                tag if recv_tag is None else recv_tag,
-                self.ctx.world.cost.o_recv,
-                waited=True,
+            status = yield self._mailbox.post(
+                self.id, source, tag if recv_tag is None else recv_tag, self._o_recv, waited=True
             )
             yield send_req.event
             return status
@@ -175,16 +186,13 @@ class Comm:
             raise CommunicatorError(
                 f"rank {dest} outside communicator {self.label} of size {self.size}"
             )
-        g_dst = self.group.global_ranks[dest]
-        ctx = self.ctx
-        world = ctx.world
-        cost = world.cost
-        kernel = ctx.kernel
-        eager = nbytes <= cost.eager_threshold
+        g_dst = self._global_ranks[dest]
+        kernel = self._kernel
+        eager = nbytes <= self._eager_threshold
         # Sender CPU: the send overhead, plus the copy into MPI buffering on
         # the eager path — charged as one delay.
-        yield cost.o_send + (nbytes / cost.eager_copy_bandwidth if eager else 0.0)
-        arrival = world.cluster.transfer(self._global_rank, g_dst, nbytes)
+        yield self._o_send + (nbytes / self._eager_copy_bandwidth if eager else 0.0)
+        arrival = self._transfer(self._global_rank, g_dst, nbytes)
         if eager:
             match_event = None
             if not blocking:
@@ -194,7 +202,7 @@ class Comm:
             match_event = SimEvent(kernel, "isend.match")
             completion = Join(kernel, [match_event, arrival], "isend.complete")
         env = Envelope(self.id, self.rank, tag, nbytes, payload, arrival, match_event)
-        world.ranks[g_dst].mailbox.deliver(env)
+        self._ranks[g_dst].mailbox.deliver(env)
         if blocking:
             if not eager:
                 yield completion
@@ -209,11 +217,10 @@ class Comm:
         Posts the receive and returns its Request, or — with ``blocking``
         (``MPI_Recv``) — waits for the message and returns its Status.
         """
-        ctx = self.ctx
-        completion = ctx.mailbox.post(self.id, source, tag, ctx.world.cost.o_recv, blocking)
+        completion = self._mailbox.post(self.id, source, tag, self._o_recv, blocking)
         if blocking:
             return (yield completion)
-        return Request(ctx.kernel, completion, "recv")
+        return Request(self._kernel, completion, "recv")
 
     # -- collectives -----------------------------------------------------------------
 

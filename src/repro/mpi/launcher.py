@@ -18,6 +18,8 @@ from repro.mpi.communicator import Comm
 from repro.mpi.costmodel import CostModel
 from repro.mpi.world import PartitionInfo, ProgramAPI, RankContext, World
 from repro.network.machine import MachineSpec, TERA100
+from repro.simt.primitives import SimEvent
+from repro.simt.process import Process
 from repro.telemetry.core import Telemetry, rank_pid
 
 
@@ -100,10 +102,13 @@ class MPMDLauncher:
             for global_rank in partition.global_ranks:
                 ctx = world.ranks[global_rank]
                 api = self._make_api(world, ctx, partition)
-                ctx.process = world.kernel.spawn(
-                    _rank_wrapper(ctx, api, spec),
+                ctx.process = process = world.kernel.spawn(
+                    spec.main(api, **spec.args),
                     name=f"{spec.name}[{global_rank - partition.first_global_rank}]",
+                    kind=RankProcess,
                 )
+                process.ctx = ctx
+                process.program = spec.name
         return world
 
     def run(self) -> World:
@@ -118,11 +123,21 @@ class MPMDLauncher:
         return ProgramAPI(ctx, comm_world=universe)
 
 
-def _rank_wrapper(ctx: RankContext, api: ProgramAPI, spec: ProgramSpec):
-    """Top-level generator of a rank: runs main, checks lifecycle discipline."""
-    result = yield from spec.main(api, **spec.args)
-    if ctx.t_init is None:
-        raise MPIError(f"{spec.name} rank {ctx.global_rank}: never called init()")
-    if ctx.t_finalize is None:
-        raise MPIError(f"{spec.name} rank {ctx.global_rank}: returned without finalize()")
-    return result
+class RankProcess(Process):
+    """A rank's process: the program's ``main`` generator itself, so no
+    wrapper frame sits under its every resume; the lifecycle discipline is
+    checked when ``main`` returns.  A violation fails the process instead of
+    completing it, so a joiner sees the ``MPIError`` and an unjoined one
+    surfaces as ``ProcessCrashError``, as for any crash."""
+
+    __slots__ = ("ctx", "program")
+
+    def succeed(self, value: Any = None) -> SimEvent:
+        ctx = self.ctx
+        if ctx.t_init is None:
+            error = "never called init()"
+        elif ctx.t_finalize is None:
+            error = "returned without finalize()"
+        else:
+            return super().succeed(value)
+        return self.fail(MPIError(f"{self.program} rank {ctx.global_rank}: {error}"))

@@ -97,9 +97,12 @@ class Kernel:
 
     # -- process management ----------------------------------------------------
 
-    def spawn(self, generator: Generator, name: str = "") -> Process:
-        """Create a process from a generator; it starts at the current time."""
-        proc = Process(self, generator, name=name)
+    def spawn(
+        self, generator: Generator, name: str = "", kind: type[Process] = Process
+    ) -> Process:
+        """Create a process from a generator; it starts at the current time.
+        ``kind`` is the class built: :class:`Process` or a subclass."""
+        proc = kind(self, generator, name=name)
         self._processes.append(proc)
         return proc
 

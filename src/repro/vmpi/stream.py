@@ -55,7 +55,7 @@ from collections import deque
 from typing import Any, Callable
 
 from repro.codec.frame import frame_content_size, peek_provenance
-from repro.errors import PackFormatError, StreamClosedError, VMPIError
+from repro.errors import CommunicatorError, PackFormatError, StreamClosedError, VMPIError
 from repro.mpi.status import Status
 from repro.mpi.world import ProgramAPI
 from repro.simt.primitives import SimEvent
@@ -98,20 +98,32 @@ class _InFlight:
     """One committed output buffer, until its send completes.
 
     ``live`` means the buffer still holds a slot; fault handling (endpoint
-    crash, drop-oldest reclaim) clears it so the completion callback knows
-    the slot was already taken care of.  ``flow_id`` names the provenance
-    flow riding in the buffer (None when tracing is off or unsampled) so
-    reclaim and crash-loss paths can terminate the flow record.
+    crash, drop-oldest reclaim) clears it so :meth:`sent` knows the slot was
+    already taken care of.  ``flow_id`` names the provenance flow riding in
+    the buffer (None when tracing is off or unsampled) so reclaim and
+    crash-loss paths can terminate the flow record.
     """
 
-    __slots__ = ("dest", "nbytes", "env", "live", "flow_id")
+    __slots__ = ("stream", "dest", "nbytes", "env", "live", "flow_id")
 
-    def __init__(self, dest: int, nbytes: int, flow_id: int | None = None):
+    def __init__(self, stream: "VMPIStream", dest: int, nbytes: int, flow_id: int | None):
+        self.stream = stream
         self.dest = dest
         self.nbytes = nbytes
         self.env = None  # Envelope, set once _raw_isend returns
         self.live = True
         self.flow_id = flow_id
+
+    def sent(self, _event: SimEvent) -> None:
+        """Completion callback of the block's send: free the slot it still holds."""
+        stream = self.stream
+        if self.live:
+            self.live = False
+            stream._slots.release()
+        try:
+            stream._inflight.remove(self)
+        except ValueError:
+            pass  # already reclaimed by fail_endpoint()
 
 
 class VMPIStream:
@@ -149,6 +161,9 @@ class VMPIStream:
         self.max_retries = max_retries
         self.overflow = overflow
         self.mode: str | None = None
+        # ``mode`` while the stream is open, None before open() and after
+        # close(): the per-block guard is one compare (see _require).
+        self._open_mode: str | None = None
         self.endpoints: list[int] = []  # peer global ranks
         self.blocks_written = 0
         self.blocks_read = 0
@@ -213,12 +228,19 @@ class VMPIStream:
         self._stall_until: float | None = None
         self._mpi: ProgramAPI | None = None
         self._closed = False
-        # Hot-path caches, filled at open(): the kernel and the intra-node
-        # bandwidth (four attribute hops otherwise), plus lazily-created
-        # telemetry instrument handles so the per-block accounting never
-        # repeats the name->metric registry lookups.
+        # Resolved once at open(), read by every block and re-post instead of
+        # re-deriving them from the rank's objects (DESIGN 14): the
+        # communicator, the tag, the kernel, the intra-node bandwidth, the
+        # receive overhead, the rank's mailbox and the one bound _on_block;
+        # plus lazily-created telemetry instrument handles so the per-block
+        # accounting never repeats the name->metric registry lookups.
+        self._comm = None
+        self._tag = 0
         self._kernel = None
         self._bw = 0.0
+        self._o_recv = 0.0
+        self._mailbox = None
+        self._arrived: Callable[[SimEvent], None] | None = None
         self._wmet: tuple | None = None
         self._rmet: tuple | None = None
 
@@ -238,29 +260,35 @@ class VMPIStream:
             raise VMPIError("stream needs at least one endpoint")
         if len(set(peers)) != len(peers):
             raise VMPIError("duplicate endpoints in stream")
-        self.mode = mode
+        self.mode = self._open_mode = mode
         self.endpoints = list(peers)
+        ctx = mpi.ctx
+        world = ctx.world
         self._mpi = mpi
-        self._tel = mpi.ctx.telemetry
-        self._pid = rank_pid(mpi.ctx.global_rank)
-        self._flows = mpi.ctx.world.flows
-        kernel = mpi.ctx.kernel
-        self._kernel = kernel
-        self._bw = mpi.ctx.world.machine.intra_node_bandwidth
+        self._comm = comm = mpi.comm_universe
+        self._tag = self.tag
+        self._tel = ctx.telemetry
+        self._pid = rank_pid(ctx.global_rank)
+        self._flows = world.flows
+        self._kernel = kernel = ctx.kernel
+        self._bw = world.machine.intra_node_bandwidth
         if mode == "w":
             self._slots = Resource(kernel, capacity=self.na, name="vmpi.wbuf")
         else:
+            self._o_recv = world.cost.o_recv
+            self._mailbox = ctx.mailbox
+            self._arrived = self._on_block
             self._ready = deque()
             self._closes_pending = len(peers)
             # NA receive buffers per incoming stream: pre-post NA receives
             # from every writer so reception never hits an unexpected path.
             for peer in peers:
+                peer_rank = comm.group.rank_of_global[peer]
                 for _ in range(self.na):
-                    self._post_recv(peer)
-        world = mpi.ctx.world
-        world.streams.append((mpi.ctx.global_rank, self))
+                    self._post_recv(peer_rank)
+        world.streams.append((ctx.global_rank, self))
         if world.faults is not None:
-            world.faults.on_stream_open(mpi.ctx.global_rank, self)
+            world.faults.on_stream_open(ctx.global_rank, self)
         yield 0.0
 
     @property
@@ -278,7 +306,8 @@ class VMPIStream:
         ``max_retries`` exponentially backed-off retries the configured
         ``overflow`` policy applies; a dropped block returns 0.
         """
-        self._require("w", "write")
+        if self._open_mode != "w":
+            self._require("w", "write")
         nbytes = self.block_size if nbytes is None else int(nbytes)
         if not (0 < nbytes <= self.block_size):
             raise VMPIError(f"write of {nbytes} outside (0, {self.block_size}]")
@@ -348,13 +377,11 @@ class VMPIStream:
         # Register the in-flight record *before* the send: fail_endpoint()
         # must see a buffer committed to a crashed peer even while this
         # process is suspended inside the send's CPU charge.
-        rec = _InFlight(dest, nbytes, flow_id=flow_id)
+        rec = _InFlight(self, dest, nbytes, flow_id)
         self._inflight.append(rec)
-        req = yield from self._mpi.comm_universe._raw_isend(
-            dest, nbytes=nbytes, tag=self.tag, payload=payload
-        )
+        req = yield from self._comm._raw_isend(dest, nbytes, self._tag, payload)
         rec.env = req.envelope
-        req.event.add_callback(lambda _ev, rec=rec: self._send_done(rec))
+        req.event.add_callback(rec.sent)
         self.blocks_written += 1
         self.bytes_written += nbytes
         if isinstance(payload, (bytes, bytearray, memoryview)):
@@ -381,7 +408,7 @@ class VMPIStream:
         Returns True when the block must be dropped (drop-newest exhausted),
         False once a slot is held — via grant, reclaim, or blocking fallback.
         """
-        kernel = self._mpi.ctx.kernel
+        kernel = self._kernel
         tel = self._tel
         t_enter = kernel.now
         attempt = 0
@@ -443,15 +470,6 @@ class VMPIStream:
         if self._tel.enabled:
             self._tel.counter("stream.blocks_dropped").inc()
             self._tel.counter("stream.bytes_dropped").inc(nbytes)
-
-    def _send_done(self, rec: _InFlight) -> None:
-        if rec.live:
-            rec.live = False
-            self._slots.release()
-        try:
-            self._inflight.remove(rec)
-        except ValueError:
-            pass  # already reclaimed by fail_endpoint()
 
     def _pick_endpoint(self) -> int:
         if len(self.endpoints) == 1 or self.balance == BALANCE_NONE:
@@ -542,8 +560,9 @@ class VMPIStream:
         self.endpoints.append(writer_global)
         self.peers_adopted += 1
         self._closes_pending += 1
+        peer_rank = self._comm.group.rank_of_global[writer_global]
         for _ in range(self.na):
-            self._post_recv(writer_global)
+            self._post_recv(peer_rank)
 
     def set_tamper(
         self, fn: Callable[["VMPIStream", int, Any], tuple[str | None, Any]] | None
@@ -566,14 +585,11 @@ class VMPIStream:
 
     # -- reader side ----------------------------------------------------------------------
 
-    def _post_recv(self, peer: int) -> None:
-        mpi = self._mpi
-        comm = mpi.comm_universe
-        peer_comm_rank = comm.group.rank_of_global[peer]
-        completion = mpi.ctx.mailbox.post(
-            comm.id, peer_comm_rank, self.tag, mpi.ctx.world.cost.o_recv
+    def _post_recv(self, peer_rank: int) -> None:
+        """Post one receive buffer for the writer at communicator rank ``peer_rank``."""
+        self._mailbox.post(self._comm.id, peer_rank, self._tag, self._o_recv).add_callback(
+            self._arrived
         )
-        completion.add_callback(self._on_block)
 
     def _on_block(self, ev: SimEvent) -> None:
         status: Status = ev.value
@@ -598,7 +614,8 @@ class VMPIStream:
         block is available (paper: try the next endpoint, avoid circular
         waits).
         """
-        self._require("r", "read")
+        if self._open_mode != "r":
+            self._require("r", "read")
         kernel = self._kernel
         tel = self._tel
         if self._stall_until is not None:
@@ -662,12 +679,18 @@ class VMPIStream:
         out to be a drop-oldest tombstone (``dropped_dwell_s``) — dropped
         data never vanishes from the latency books.
         """
-        peer_global = self._mpi.comm_universe.global_rank_of(status.source)
+        source = status.source
+        if not 0 <= source < self._comm.size:
+            comm = self._comm
+            raise CommunicatorError(
+                f"rank {source} outside communicator {comm.label} of size {comm.size}"
+            )
         if status.payload is _CLOSE:
             self._closes_pending -= 1
             return None
-        # Re-post the consumed buffer for this peer to keep NA outstanding.
-        self._post_recv(peer_global)
+        # Re-post the consumed buffer for this peer to keep NA outstanding:
+        # the status carries its communicator rank, which is what a post takes.
+        self._post_recv(source)
         if status.payload is _DROPPED:
             # Block reclaimed by the writer's drop-oldest policy after it
             # was committed: consume the buffer, discard the tombstone.
@@ -732,11 +755,11 @@ class VMPIStream:
         """
         if self.mode is None:
             raise StreamClosedError("close() on unopened stream")
-        mpi = self._mpi
         if self._closed:
             yield 0.0
             return
         self._closed = True
+        self._open_mode = None
         if self.mode == "w":
             # Drain: wait until every output buffer is free again, so close
             # cannot overtake pending data (FIFO per (src, tag) guarantees
@@ -750,9 +773,7 @@ class VMPIStream:
             close_peers = list(self.endpoints)
             close_peers += [p for p in sorted(self._retired_peers) if p not in close_peers]
             for peer in close_peers:
-                yield from mpi.comm_universe._raw_isend(
-                    peer, nbytes=1, tag=self.tag, payload=_CLOSE
-                )
+                yield from self._comm._raw_isend(peer, 1, self._tag, _CLOSE)
         else:
             # Anything still queued was received but never consumed by the
             # application — count it (and its accumulated buffer dwell) so
@@ -846,6 +867,8 @@ class VMPIStream:
     # -- helpers ----------------------------------------------------------------------------
 
     def _require(self, mode: str, op: str) -> None:
+        """Raise the error for ``op`` on a stream not open in ``mode``; callers
+        reach it only when ``_open_mode != mode``."""
         if self.mode is None:
             raise StreamClosedError(f"{op}() on unopened stream")
         if self._closed:

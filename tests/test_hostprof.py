@@ -265,6 +265,26 @@ class TestObservationOnly:
         assert dispatch.items > 0 and dispatch.total_s > 0
         assert hp.counts["kernel.heap_pops"] == dispatch.items
 
+    def test_every_block_received_and_read_is_profiled(self):
+        # A read stream binds _on_block once, at open; a session opens its
+        # streams inside profiled(), so the bound one is the timing wrapper
+        # and every message that reaches a reader is booked (DESIGN 11).
+        session = CouplingSession(machine=TERA100, seed=0)
+        session.add_application(SP(16, "C", iterations=1))
+        session.set_analyzer(ratio=4.0)
+        with hostprof.profiled() as hp:
+            world = session.run().world
+        readers = [stream.stats() for _rank, stream in world.streams if stream.mode == "r"]
+        read = sum(s["blocks_read"] for s in readers)
+        # blocks consumed or discarded, plus the one close marker per writer
+        received = read + sum(
+            s["stale_blocks_discarded"] + s["blocks_discarded_at_close"] + s["endpoints"]
+            for s in readers
+        )
+        assert read > 0
+        assert hp.timers["stream.read"].items == read
+        assert hp.timers["stream.transit"].items == received
+
     def test_blackboard_probe_is_fake_clock_deterministic(self):
         clock = ManualClock()
         with fake_host_clock(clock), hostprof.profiled() as hp:

@@ -2,6 +2,7 @@
 source trees (``rel -> text``) with the exact multiset of ``(path, line, rule)`` the lint
 must report on each; then the real tree, the command line and the docs."""
 
+import ast
 import re
 import subprocess
 import sys
@@ -22,6 +23,7 @@ LISTS = {rule.number: rule.names for rule in RULES if isinstance(rule, Listed)}
 FRAME, STAGES, KERNEL = "repro/codec/frame.py", "repro/codec/stages.py", "repro/simt/kernel.py"
 PMPI, STATUS, COMM = "repro/mpi/pmpi.py", "repro/mpi/status.py", "repro/mpi/communicator.py"
 CLUSTER, BOARD = "repro/network/cluster.py", "repro/blackboard/board.py"
+STREAM = "repro/vmpi/stream.py"
 VERDICT = re.compile(r"(.+?):(\d+): rule (\d+): ")
 
 
@@ -66,14 +68,23 @@ def _flag(rel, text, rule, *more):
     return _row({rel: text}, (rel, _end(text, text), rule), *more)
 
 
-def _gone(rel, *numbers):
-    """The "not found" hits of ``rel`` planted without the names rules ``numbers`` require."""
-    hits = []
+def _defined(text):
+    """The ``name`` / ``Class.name`` labels of the functions ``text`` defines."""
+    tree = ast.parse(text)
+    return {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)} | {
+        f"{cls.name}.{fn.name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
+        for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+
+
+def _gone(rel, *numbers, text=""):
+    """The "not found" hits of ``rel`` planted as ``text`` for the names rules ``numbers``
+    require (with no ``text``, as a module defining none of them)."""
+    hits, defined = [], _defined(text)
     for rule in RULES:
         if rule.number not in numbers or not getattr(rule, "required", False):
             continue
         if isinstance(rule, Listed):
-            hits += [(rel, 1, rule.number)] * len(rule.names.get(Path(rel), ()))
+            hits += [(rel, 1, rule.number)] * len(rule.names.get(Path(rel), set()) - defined)
         elif rule.within(Path(rel)):  # a Scoped row's required region
             hits.append((rel, 1, rule.number))
     return hits
@@ -152,7 +163,8 @@ _EVENT_BODIES = {
     "sizes = {k: len(q) for k, q in x.items()}": ("DictComp", 1),
 }
 case("test_flags_formatting_and_rescans_in_per_event_functions",  # pmpi.py lacks CallRecord
-     lambda rel, cls, fn, body, _what: [(files, hits + _gone(rel, 6)) for files, hits in
+     lambda rel, cls, fn, body, _what: [(files, hits + _gone(rel, 6, 14, text=files[rel]))
+                                        for files, hits in
                                         _planted(4, rel, cls, fn, body, _EVENT_BODIES[body][1])],
      [(*site, body, what) for site in _sites(4) for body, (what, _) in _EVENT_BODIES.items()])
 case("test_per_event_functions_may_raise_with_a_message_and_compare_scalars", lambda body: _row(
@@ -167,16 +179,16 @@ case("test_per_event_rule_is_scoped_to_the_listed_functions", lambda: _row({
 }))
 case("test_a_renamed_per_event_function_is_reported", lambda: _row(
     {COMM: "class Comm:\n    def _start_send(self):\n        pass\ndef _matched(s, p, t, n):\n"
-     "    pass\ndef _received_total(s, p, t, n):\n    pass\n"}, (COMM, 1, 4)))
+     "    pass\ndef _received_total(s, p, t, n):\n    pass\n"}, (COMM, 1, 4), *_gone(COMM, 14)))
 # a method of the same name does not stand in for the module function, whose old sum is flagged
 case("test_waitalls_byte_total_is_a_plain_loop_and_cannot_vanish", lambda: [
     ({COMM: "class Comm:\n    def _raw_isend(self):\n        pass\n"
       "    def _received_total(self, s, p, t, n):\n        pass\n"
-      "def _matched(s, p, t, n):\n    pass\n"}, [(COMM, 1, 4)]),
+      "def _matched(s, p, t, n):\n    pass\n"}, [(COMM, 1, 4), (COMM, 1, 14)]),
     ({COMM: "class Comm:\n    def _raw_isend(self):\n        pass\ndef _matched(s, p, t, n):\n"
       "    pass\ndef _received_total(statuses, peer, tag, _nbytes):\n"
       "    return peer, tag, sum(st.nbytes for st in statuses if st is not None)\n"},
-     [(COMM, 7, 4), (COMM, 7, 4)])])
+     [(COMM, 7, 4), (COMM, 7, 4), (COMM, 1, 14)])])
 # rule 5: one derivation per pack
 _ANALYSIS = "import numpy as np\n\nclass Module:\n    def update(self, rank, events):\n        {}\n"
 _BATCH = "import numpy as np\n\nclass EventBatch:\n    def groups(self):\n        {}\n"
@@ -232,7 +244,7 @@ case("test_dispatch_loop_may_sync_through_a_method_and_trace",
 case("test_instrument_writes_outside_the_dispatch_loop_are_allowed", lambda: _row({
     KERNEL: _KERNEL.format("pass") + "    def run(self):\n        while True:\n"
     "            self.c.inc()\n",
-    "repro/vmpi/stream.py": "def write(self):\n    while 1:\n        self.c.inc()\n"}))
+    STREAM: "def write(self):\n    while 1:\n        self.c.inc()\n"}, *_gone(STREAM, 14)))
 case("test_a_renamed_dispatch_loop_is_reported", lambda: _row({
     KERNEL: "class Kernel:\n    def _drain(self):\n        while self._heap:\n"
     "            self.c.inc()\n"}, (KERNEL, 1, 6)))
@@ -383,7 +395,7 @@ case("test_the_pre_rule_knowledge_source_offer_is_flagged", lambda: _row({  # ru
     *[("repro/blackboard/ks.py", line, 12) for line in (3, 5, 5, 7)]))
 # rule 13: one schedule; a module planted without the names other rows list is told so
 case("test_flags_a_schedule_push_or_container_outside_the_kernel",
-     lambda rel, source, _what: _flag(rel, source, 13, *_gone(rel, 4, 6)), [
+     lambda rel, source, _what: _flag(rel, source, 13, *_gone(rel, 4, 6, 14)), [
          ("repro/mpi/message.py", "from heapq import heappush\n", "imports heappush from heapq"),
          ("repro/simt/resources.py",  # in simt/, but not a schedule owner
           "from heapq import heappop, heappush\n", "imports heappop, heappush from heapq"),
@@ -393,13 +405,54 @@ case("test_flags_a_schedule_push_or_container_outside_the_kernel",
           "    heapq.heappush(self.kernel._heap, (self.kernel.now, 0, ev))\n",
           "references <expr>._heap")])
 case("test_the_schedule_owners_and_own_containers_are_allowed",
-     lambda rel, source: _row({rel: source}, *_gone(rel, 4, 6)), [
+     lambda rel, source: _row({rel: source}, *_gone(rel, 4, 6, 14)), [
          ("repro/simt/kernel.py", "from heapq import heappop\n\ndef f(k):\n    k._ready.pop()\n"),
          ("repro/simt/primitives.py", "from heapq import heappush\n\ndef f(k):\n    k._heap\n"),
          ("repro/simt/process.py", "from heapq import heappush\n\ndef f(k):\n    k._ready\n"),
          # a class's own FIFO and heapq on a module's own list are not the schedule
          ("repro/vmpi/stream.py", "class S:\n    def f(self):\n        self._ready.popleft()\n"),
          ("repro/iosim/queue.py", "import heapq\nfrom heapq import heapify\n\nheapify([])\n")])
+# rule 14: resolved at open; body -> hits on its line (communicator.py lacks rule 4's helpers)
+_REDERIVED = {
+    "req.event.add_callback(lambda _ev, rec=x: self._send_done(rec))": 1,
+    "o_recv = self._mpi.ctx.world.cost.o_recv": 1, "cost = world.cost": 1,
+    "comm = self._mpi.comm_universe": 1, "peer = comm.global_rank_of(x)": 1,
+    "peer = self._mpi.comm_universe.global_rank_of(x)": 2,
+    "peer = comm.group.rank_of_global[x]": 1, "tag = self.tag": 1,
+}
+case("test_flags_per_block_rederivations",
+     lambda rel, cls, fn, body: [(files, hits + _gone(rel, 4, text=files[rel])) for files, hits
+                                 in _planted(14, rel, cls, fn, body, _REDERIVED[body])],
+     [(*site, body) for site in _sites(14) for body in _REDERIVED])
+case("test_per_block_functions_may_read_what_open_resolved", lambda body: _row(
+    {STREAM: _stubs(14, STREAM, "VMPIStream", "_consume", body)}), [
+    "self._mailbox.post(self._comm.id, x, self._tag, self._o_recv).add_callback(self._arrived)",
+    "req.event.add_callback(rec.sent)", "tag = x.tag", "self.tag = x",  # a Status's; a store
+    'raise CommunicatorError(f"rank {x} outside {self._comm.label}, tag {self.tag}")'])
+case("test_resolved_at_open_rule_is_scoped_to_the_listed_functions", lambda: _row({
+    STREAM: _stubs(14, STREAM) + "    def open_ranks(self, mpi, peers):\n"
+    "        self._comm = comm = mpi.comm_universe\n        self._tag = self.tag\n"
+    "        self._o_recv = mpi.ctx.world.cost.o_recv\n"
+    "        return [comm.group.rank_of_global[p] for p in peers]\n",
+    "repro/mpi/world.py": "class VMPIStream:\n    def write(self):\n        return self.tag\n"}))
+case("test_a_renamed_per_block_function_is_reported", lambda: _row(
+    {STREAM: _stubs(14, STREAM).replace("def _post_recv(", "def _repost(")}, (STREAM, 1, 14)))
+_PRE_RULE = (  # the parent's re-post and consume, which rule 14 replaced
+    "    def _post_recv(self, peer):\n        mpi = self._mpi\n"
+    "        comm = mpi.comm_universe\n        peer_comm_rank = comm.group.rank_of_global[peer]\n"
+    "        completion = mpi.ctx.mailbox.post(\n"
+    "            comm.id, peer_comm_rank, self.tag, mpi.ctx.world.cost.o_recv\n        )\n"
+    "        completion.add_callback(self._on_block)\n"
+    "    def _consume(self, status, t_arrive):\n"
+    "        peer_global = self._mpi.comm_universe.global_rank_of(status.source)\n")
+case("test_the_pre_rule_stream_is_flagged", lambda: [
+    (files, [(STREAM, _end(files[STREAM], line), 14) for line in (
+        "comm = mpi.comm_universe", "rank_of_global[peer]", "mpi.ctx.world.cost.o_recv",
+        "mpi.ctx.world.cost.o_recv", "global_rank_of(status.source)",
+        "global_rank_of(status.source)")])
+    for files in [{STREAM: _stubs(14, STREAM).replace(
+        "    def _consume(self, x=None):\n        pass\n", "").replace(
+        "    def _post_recv(self, x=None):\n        pass\n", _PRE_RULE)}]])
 
 
 # the real tree, the command line and the docs
@@ -432,7 +485,7 @@ def test_cli_exit_two_on_missing_root(tmp_path):
 
 def test_docs_cite_only_rules_in_the_table():
     numbers = {rule.number for rule in RULES}
-    assert numbers == set(range(1, 14))  # kept as they were, so "rule N" in prose stays true
+    assert numbers == set(range(1, 15))  # kept as they were, so "rule N" in prose stays true
     for doc in ("README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"):
         cited = {int(n) for n in re.findall(r"\b[Rr]ules?\s+(\d+)", (REPO / doc).read_text())}
         assert cited <= numbers, (doc, cited - numbers)

@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.errors import ConfigError, MPIError, SimulationError
+from repro.apps.nas.adi import SP
+from repro.core.session import CouplingSession
+from repro.errors import ConfigError, MPIError, ProcessCrashError, SimulationError
+from repro.faults.plan import make_plan
+from repro.instrument.overhead import InstrumentationCost
 from repro.mpi.launcher import MPMDLauncher
 from repro.mpi.pmpi import CallRecord, Interceptor
+from repro.simt.primitives import Interrupt
 from repro.vmpi.virtualization import VirtualizedLauncher
 
 
@@ -75,6 +80,73 @@ class TestLauncher:
         launcher.add_program("bad", nprocs=1, main=bad)
         with pytest.raises(SimulationError, match="init"):
             launcher.run()
+
+
+def _no_finalize(mpi):
+    yield from mpi.init()
+
+
+def _no_init(mpi):
+    yield from mpi.finalize()
+
+
+class TestLifecycleAtReturn:
+    """A rank's process is its main: the init/finalize check runs when it ends."""
+
+    @pytest.mark.parametrize("main, what", [(_no_finalize, "finalize"), (_no_init, "init")])
+    def test_lifecycle_errors_under_virtualization(self, machine, main, what):
+        launcher = VirtualizedLauncher(machine=machine)
+        launcher.add_program("ok", nprocs=2, main=_noop_app)
+        launcher.add_program("bad", nprocs=1, main=main)
+        with pytest.raises(ProcessCrashError, match=what) as caught:
+            launcher.run()
+        assert caught.value.process_name == "bad[0]"
+        assert isinstance(caught.value.original, MPIError)
+
+    def test_a_joiner_sees_the_lifecycle_error_not_a_success(self, machine):
+        launcher = MPMDLauncher(machine=machine)
+        launcher.add_program("bad", nprocs=1, main=_no_finalize)
+        world = launcher.launch()
+        process = world.ranks[0].process
+        with pytest.raises(MPIError, match="returned without finalize"):
+            world.kernel.run(until=process)
+        assert not process.ok
+
+    def test_a_ranks_own_error_surfaces_as_itself(self, machine):
+        def crashes(mpi):
+            yield from mpi.init()
+            yield from mpi.compute(1e-6)
+            raise ValueError("the application's own bug")
+
+        launcher = MPMDLauncher(machine=machine)
+        launcher.add_program("app", nprocs=1, main=crashes)
+        with pytest.raises(ProcessCrashError, match="own bug") as caught:
+            launcher.run()
+        assert type(caught.value.original) is ValueError
+
+    def test_a_run_stopped_early_flags_no_live_rank(self, machine):
+        launcher = MPMDLauncher(machine=machine)
+        launcher.add_program("a", nprocs=3, main=_noop_app, work=1.0)
+        world = launcher.launch()
+        world.run(until=0.5)  # every rank is inside its compute phase, none finalized
+        assert [ctx.process.is_alive for ctx in world.ranks] == [True] * 3
+        assert all(ctx.t_finalize is None for ctx in world.ranks)
+        world.run()
+        assert world.app_walltime("a") >= 1.0
+
+    def test_an_absorbed_analyzer_crash_completes_the_run(self, machine):
+        session = CouplingSession(
+            machine=machine, seed=0,
+            instrumentation=InstrumentationCost(block_size=4096, na_buffers=2),
+        )
+        name = session.add_application(SP(4, "C", iterations=3))
+        session.set_analyzer(nprocs=2)
+        session.inject_faults(make_plan("crash1", at=1e-3, seed=0))
+        result = session.run()  # the interrupted analyzer raises nothing out of the run
+        assert result.apps[name].walltime > 0
+        (dead,) = result.faults["dead_ranks"]
+        process = result.world.ranks[dead].process
+        assert not process.ok and isinstance(process.value, Interrupt)
 
 
 class TestVirtualization:
