@@ -265,15 +265,32 @@ def _instrument_write(node: ast.Call | ast.AugAssign) -> bool:
     return _called_attr(node) in ("inc", "set", "observe")
 
 
-def _frozen_dataclass(node: ast.ClassDef) -> bool:
+def _dataclass_with(node: ast.ClassDef, flag: str) -> bool:
+    """Is the class decorated ``@dataclass(..., <flag>=True)``?"""
     return any(
         isinstance(decorator, ast.Call)
         and _mentions(decorator.func, "dataclass")
         and any(
-            kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and bool(kw.value.value)
+            kw.arg == flag and isinstance(kw.value, ast.Constant) and bool(kw.value.value)
             for kw in decorator.keywords
         )
         for decorator in node.decorator_list
+    )
+
+
+def _frozen_dataclass(node: ast.ClassDef) -> bool:
+    return _dataclass_with(node, "frozen")
+
+
+def _unslotted(node: ast.ClassDef) -> bool:
+    """A class that stores ``self.<name>`` with neither ``__slots__`` nor ``slots=True``."""
+    slotted = _dataclass_with(node, "slots") or any(
+        isinstance(stmt, (ast.Assign, ast.AnnAssign)) and _mentions(stmt, "__slots__")
+        for stmt in node.body
+    )
+    return not slotted and any(
+        isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+        and getattr(sub.value, "id", None) == "self" for sub in ast.walk(node)
     )
 
 
@@ -433,6 +450,24 @@ RULES: tuple[Owned | Listed | Scoped, ...] = (
            kinds=(ast.Lambda, ast.Attribute, ast.Call, ast.Subscript), offence=_rederived,
            reason="it runs once per block or message: read what open() or __init__ "
            "resolved (DESIGN 14)"),
+    Listed(number=15, title="per-rank state is slotted", find=_anywhere(ast.ClassDef),
+           skip=lambda node: True,
+           names=_names({
+               "mpi/world.py": "RankContext ProgramAPI",
+               "mpi/message.py": "Mailbox",
+               "mpi/communicator.py": "Comm",
+               "mpi/launcher.py": "RankProcess",
+               "vmpi/stream.py": "VMPIStream",
+               "instrument/interceptor.py": "StreamingInstrumentation",
+               "instrument/packer.py": "EventPackBuilder",
+               "blackboard/board.py": "Blackboard",
+               "blackboard/jobs.py": "JobQueues",
+               "blackboard/ks.py": "KnowledgeSource",
+               "blackboard/multilevel.py": "MultiLevelBlackboard",
+           }),
+           kinds=(ast.ClassDef,), offence=_unslotted,
+           reason="one per rank: an instance __dict__ costs more than its state; "
+           "declare __slots__ (DESIGN 14)"),
 )
 
 

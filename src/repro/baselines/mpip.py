@@ -21,6 +21,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class MPIPInterceptor(Interceptor):
     """Statistical aggregate profiler."""
 
+    __slots__ = ("mpi", "fs", "amortize_fixed", "calls", "aggregate")
+
     #: per-call counter update (hash call site, accumulate)
     PER_CALL_CPU = 0.25e-6
     #: per-rank contribution to the final report

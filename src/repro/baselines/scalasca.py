@@ -24,6 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class ScalascaInterceptor(Interceptor):
     """Scalasca runtime summarization."""
 
+    __slots__ = ("mpi", "fs", "amortize_fixed", "calls", "postmortem_seconds")
+
     #: per-call callpath hash + metric accumulation
     PER_CALL_CPU = 0.8e-6
     #: per-rank profile contribution gathered at finalize

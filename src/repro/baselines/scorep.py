@@ -30,6 +30,8 @@ if TYPE_CHECKING:  # pragma: no cover
 class ScorePProfileInterceptor(Interceptor):
     """Score-P runtime summarization (profile) mode."""
 
+    __slots__ = ("mpi", "fs", "amortize_fixed", "calls")
+
     #: per-call profile-tree node lookup + accumulation
     PER_CALL_CPU = 0.5e-6
     #: size of one rank's profile file (.cubex contribution)
@@ -57,6 +59,8 @@ class ScorePProfileInterceptor(Interceptor):
 
 class ScorePTraceInterceptor(Interceptor):
     """Score-P OTF2 tracing over SIONlib."""
+
+    __slots__ = ("mpi", "fs", "writer", "calls")
 
     #: per-call OTF2 encode (timestamps, region ids, attribute writes)
     PER_CALL_CPU = 0.7e-6

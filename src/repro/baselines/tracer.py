@@ -26,6 +26,9 @@ OTF2_BYTES_PER_EVENT = 28
 class TraceWriterState:
     """Per-rank buffered trace writer over the shared FS."""
 
+    __slots__ = ("fs", "rank", "bytes_per_event", "buffer_bytes", "sion", "amortize_fixed",
+                 "buffered", "trace_bytes", "flushes", "_opened")
+
     def __init__(
         self,
         fs: ParallelFS,

@@ -23,6 +23,11 @@ from repro.telemetry.hostprof import host_now
 class Blackboard:
     """A single-level (or level-agnostic) parallel blackboard."""
 
+    __slots__ = ("telemetry", "track_pid", "types", "queues", "_listeners", "_ks_lock",
+                 "_all_ks", "_stats_lock", "entries_submitted", "jobs_executed", "bytes_current",
+                 "bytes_peak", "bytes_total", "_in_flight", "_idle", "_jobs_counter", "_job_cpu",
+                 "_job_dwell", "_ks_cpu")
+
     def __init__(
         self,
         nqueues: int = 8,

@@ -27,6 +27,8 @@ def _hash_type(level: str, name: str) -> int:
 class TypeRegistry:
     """Thread-safe bidirectional registry of (level, name) <-> type id."""
 
+    __slots__ = ("_lock", "_ids", "_names")
+
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._ids: dict[tuple[str, str], int] = {}

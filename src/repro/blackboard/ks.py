@@ -26,6 +26,9 @@ Operation = Callable[["Blackboard", list[DataEntry]], None]
 class KnowledgeSource:
     """One expert around the blackboard."""
 
+    __slots__ = ("name", "sensitivities", "operation", "_needs", "_single", "_pending",
+                 "_lock", "fired")
+
     def __init__(self, name: str, sensitivities: list[int], operation: Operation):
         if not sensitivities:
             raise BlackboardError(f"KS {name!r} needs at least one sensitivity")
@@ -35,11 +38,14 @@ class KnowledgeSource:
         self.sensitivities = list(sensitivities)
         self.operation = operation
         self._needs = Counter(sensitivities)
-        self._pending: dict[int, deque[DataEntry]] = {t: deque() for t in self._needs}
-        self._lock = threading.Lock()
         # A one-sensitivity KS completes on every offer: nothing is ever
-        # pending, so offer() hands the entry straight back as the job input.
-        self._single = len(self.sensitivities) == 1
+        # pending, so offer() hands the entry straight back as the job input
+        # and the KS builds no pending FIFOs and no lock.  A multi-sensitivity
+        # KS keeps a deque per type: one type may run ahead of the others
+        # without bound.
+        self._single = single = len(self.sensitivities) == 1
+        self._pending = None if single else {t: deque() for t in self._needs}
+        self._lock = None if single else threading.Lock()
         self.fired = 0
 
     @property

@@ -20,6 +20,8 @@ from repro.telemetry.core import Telemetry
 class MultiLevelBlackboard:
     """A blackboard plus per-level namespaces and the dispatcher KS."""
 
+    __slots__ = ("board", "levels", "_inbox_id", "_level_pack_ids", "dispatched")
+
     #: type name of the undispatched, level-less input entries
     INBOX_TYPE = "event_pack_raw"
 

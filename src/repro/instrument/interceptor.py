@@ -38,6 +38,11 @@ if TYPE_CHECKING:  # pragma: no cover
 class StreamingInstrumentation(Interceptor):
     """Per-rank online instrumentation state machine."""
 
+    __slots__ = ("mpi", "cost", "chain", "builder", "vmap", "stream", "events_captured",
+                 "bytes_streamed_modeled", "packs_flushed", "packs_dropped", "codec_cpu_s",
+                 "mpi_time_s", "overhead_s", "t_active_start", "t_active_end", "_open",
+                 "_cpu_debt", "_per_event_cpu", "_cpu_quantum", "_pmpi", "_kernel")
+
     def __init__(
         self,
         mpi: "ProgramAPI",

@@ -45,7 +45,7 @@ from repro.mpi.pmpi import CallRecord
 
 PACK_HEADER_SIZE = CONTENT_HEADER_SIZE  # modelled content header, v1-compatible
 
-#: records a fresh builder's buffer holds before its first doubling
+#: records a fresh builder's buffer holds before it first grows
 _INITIAL_RECORDS = 64
 
 __all__ = [
@@ -76,6 +76,10 @@ class EventPackBuilder:
     ``bytes_content`` / ``bytes_wire`` / ``events_sampled_out``.
     """
 
+    __slots__ = ("app_id", "rank", "capacity_bytes", "max_records", "chain", "_buf", "_count",
+                 "total_events", "packs_emitted", "bytes_content", "bytes_wire",
+                 "events_sampled_out", "last_encode")
+
     def __init__(
         self,
         app_id: int,
@@ -100,8 +104,9 @@ class EventPackBuilder:
         # Per-writer record buffer: add() packs straight into it (no
         # per-event bytes object, no list growth); emit() hands the filled
         # prefix to the chain/framer and resets the write cursor.  It starts
-        # small and doubles on demand up to the pack capacity, so a writer
-        # that never fills a pack never pays for (or zero-fills) a full one.
+        # small and grows on demand by a quarter, in whole records, up to the
+        # pack capacity: a writer that never fills a pack never pays for (or
+        # zero-fills) a full one, and the unused tail stays under a fifth.
         self._buf = bytearray(min(self.max_records, _INITIAL_RECORDS) * EVENT_RECORD_SIZE)
         self._count = 0
         self.total_events = 0
@@ -150,7 +155,8 @@ class EventPackBuilder:
                 capacity = self.max_records * EVENT_RECORD_SIZE
                 if size >= capacity or size >= (count + 1) * EVENT_RECORD_SIZE:
                     raise
-                self._buf.extend(bytes(min(size, capacity - size)))
+                step = max(size // 4 // EVENT_RECORD_SIZE, 1) * EVENT_RECORD_SIZE
+                self._buf.extend(bytes(min(step, capacity - size)))
                 continue
             break
         self._count = count = count + 1

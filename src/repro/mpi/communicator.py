@@ -63,6 +63,10 @@ class Comm:
     methods return the generator to delegate to, the collectives are
     generators themselves."""
 
+    __slots__ = ("group", "rank", "ctx", "id", "size", "_global_rank", "_coll_seq",
+                 "_global_ranks", "_kernel", "_mailbox", "_ranks", "_transfer", "_o_send",
+                 "_o_recv", "_eager_threshold", "_eager_copy_bandwidth")
+
     def __init__(self, group: CommGroup, rank: int, ctx: "RankContext"):
         if not (0 <= rank < group.size):
             raise CommunicatorError(f"rank {rank} outside group of {group.size}")

@@ -10,7 +10,6 @@ guarantee because envelope delivery order follows simulated program order.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from repro.errors import MPIError
@@ -101,14 +100,21 @@ class PostedRecv:
 
 
 class Mailbox:
-    """Per-rank matching structure, segregated by communicator id."""
+    """Per-rank matching structure, segregated by communicator id.
+
+    Each communicator's queues are plain lists: a match removes near the
+    front of a short queue, and an empty list costs a tenth of a ``deque``.
+    """
+
+    __slots__ = ("kernel", "owner_rank", "_recv_name", "_unexpected", "_posted",
+                 "_n_unexpected", "delivered", "unexpected_peak")
 
     def __init__(self, kernel: "Kernel", owner_rank: int):
         self.kernel = kernel
         self.owner_rank = owner_rank
         self._recv_name = f"recv@r{owner_rank}"  # formatted once, not per post
-        self._unexpected: dict[int, deque[Envelope]] = {}
-        self._posted: dict[int, deque[PostedRecv]] = {}
+        self._unexpected: dict[int, list[Envelope]] = {}
+        self._posted: dict[int, list[PostedRecv]] = {}
         #: envelopes queued in ``_unexpected`` right now, over every
         #: communicator — kept running so a delivery never rescans them
         self._n_unexpected = 0
@@ -129,7 +135,7 @@ class Mailbox:
                     return
         queue = self._unexpected.get(env.comm_id)
         if queue is None:
-            queue = self._unexpected[env.comm_id] = deque()
+            queue = self._unexpected[env.comm_id] = []
         queue.append(env)
         self._n_unexpected = total = self._n_unexpected + 1
         if total > self.unexpected_peak:
@@ -153,7 +159,7 @@ class Mailbox:
                     return completion
         posted = self._posted.get(comm_id)
         if posted is None:
-            posted = self._posted[comm_id] = deque()
+            posted = self._posted[comm_id] = []
         posted.append(recv)
         return completion
 

@@ -55,6 +55,8 @@ class Interceptor:
     the only interceptor attached.  Subclasses do not inherit the binding.
     """
 
+    __slots__ = ()
+
     def on_enter(self, ctx: "RankContext", name: str) -> Any:
         return None
 

@@ -42,6 +42,9 @@ class PartitionInfo:
 class RankContext:
     """Everything the runtime knows about one simulated rank."""
 
+    __slots__ = ("world", "kernel", "global_rank", "partition", "mailbox", "pmpi", "t_init",
+                 "t_finalize", "storage", "process")
+
     def __init__(self, world: "World", global_rank: int, partition: PartitionInfo):
         self.world = world
         self.kernel: Kernel = world.kernel  # a world keeps its kernel for life
@@ -180,6 +183,8 @@ class World:
 
 class ProgramAPI:
     """The per-rank MPI library handle passed to program main functions."""
+
+    __slots__ = ("ctx", "comm_world", "comm_universe", "_finalized")
 
     def __init__(
         self,

@@ -21,7 +21,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 
 class Resource:
-    """Counted resource; ``yield res.acquire()`` then ``res.release()``."""
+    """Counted resource; ``yield res.acquire()`` then ``res.release()``.
+
+    Its waiters stay a ``deque``: every process sharing the resource may
+    queue at once, so the depth has no bound.
+    """
+
+    __slots__ = ("kernel", "capacity", "name", "_acquire_name", "in_use", "_waiters")
 
     def __init__(self, kernel: "Kernel", capacity: int = 1, name: str = ""):
         if capacity < 1:

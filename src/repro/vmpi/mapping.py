@@ -69,7 +69,7 @@ def user_policy(fn: Callable[[int, int], int], name: str = "user") -> MapPolicy:
     return MapPolicy(name, lambda i, m, s: fn(i, m))
 
 
-@dataclass
+@dataclass(slots=True)
 class VMPIMap:
     """Per-rank mapping result: the global ranks of the mapped peers.
 

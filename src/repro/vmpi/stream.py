@@ -129,6 +129,28 @@ class _InFlight:
 class VMPIStream:
     """One endpoint of a persistent asynchronous stream."""
 
+    __slots__ = (
+        # configuration and open state
+        "block_size", "balance", "na", "channel", "write_timeout", "max_retries", "overflow",
+        "mode", "_open_mode", "endpoints",
+        # always-on accounting (see stats())
+        "blocks_written", "blocks_read", "bytes_written", "bytes_read", "bytes_wire_written",
+        "bytes_wire_read", "_ratio_sum", "_ratio_packs", "eagain_returns", "write_stall_s",
+        "read_wait_s", "write_copy_s", "read_copy_s", "read_dwell_s", "dropped_dwell_s",
+        "write_buffers_hwm", "read_buffers_hwm",
+        # failure-tolerance accounting
+        "write_retries", "write_timeouts", "blocks_dropped", "bytes_dropped", "injected_drops",
+        "injected_corruptions", "blocks_lost_to_crash", "bytes_lost_to_crash",
+        "endpoints_failed", "peers_adopted", "endpoints_retargeted",
+        "blocks_discarded_at_close", "bytes_discarded_at_close", "stale_blocks_discarded",
+        # writer, provenance and reader state
+        "_tel", "_pid", "_slots", "_rr_next", "_rng", "_inflight", "_tamper", "_retired_peers",
+        "_flows", "_last_retry_delay", "_ready", "_wake", "_closes_pending", "_stall_until",
+        "_mpi", "_closed",
+        # resolved at open
+        "_comm", "_tag", "_kernel", "_bw", "_o_recv", "_mailbox", "_arrived", "_wmet", "_rmet",
+    )
+
     def __init__(
         self,
         block_size: int = 1024 * 1024,

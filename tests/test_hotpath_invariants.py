@@ -69,9 +69,10 @@ def _flag(rel, text, rule, *more):
 
 
 def _defined(text):
-    """The ``name`` / ``Class.name`` labels of the functions ``text`` defines."""
+    """The ``name`` / ``Class.name`` labels of the functions ``text`` defines, and the
+    names of its classes."""
     tree = ast.parse(text)
-    return {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)} | {
+    return {fn.name for fn in tree.body if isinstance(fn, (ast.FunctionDef, ast.ClassDef))} | {
         f"{cls.name}.{fn.name}" for cls in tree.body if isinstance(cls, ast.ClassDef)
         for fn in cls.body if isinstance(fn, ast.FunctionDef)}
 
@@ -128,7 +129,8 @@ case("test_flags_bytes_in_decode_path", lambda: [  # encode-side to_bytes() may 
     ({FRAME: files[FRAME] + "def to_bytes(blob):\n    return bytes(bytearray(4))\n"}, hits)
     for files, hits in _planted(2, FRAME, "", "parse_frame", "return bytes(blob)")])
 case("test_other_modules_may_call_bytes", lambda: _row(
-    {"repro/instrument/packer.py": "def parse_frame(blob):\n    return bytes(blob)\n"}))
+    {"repro/instrument/packer.py": "def parse_frame(blob):\n    return bytes(blob)\n"},
+    *_gone("repro/instrument/packer.py", 15)))
 case("test_every_decode_path_function_is_covered",
      lambda fn: _planted(2, FRAME, "", fn, "return bytes(blob)"),
      ["peek_header", "peek_provenance", "frame_content_size", "_header_fields", "_walk"])
@@ -244,7 +246,7 @@ case("test_dispatch_loop_may_sync_through_a_method_and_trace",
 case("test_instrument_writes_outside_the_dispatch_loop_are_allowed", lambda: _row({
     KERNEL: _KERNEL.format("pass") + "    def run(self):\n        while True:\n"
     "            self.c.inc()\n",
-    STREAM: "def write(self):\n    while 1:\n        self.c.inc()\n"}, *_gone(STREAM, 14)))
+    STREAM: "def write(self):\n    while 1:\n        self.c.inc()\n"}, *_gone(STREAM, 14, 15)))
 case("test_a_renamed_dispatch_loop_is_reported", lambda: _row({
     KERNEL: "class Kernel:\n    def _drain(self):\n        while self._heap:\n"
     "            self.c.inc()\n"}, (KERNEL, 1, 6)))
@@ -299,7 +301,7 @@ case("test_flags_a_host_time_probe_inside_a_simulation_module",
              ("def write(self):\n    hp = hostprof.ACTIVE\n", "reads hostprof.ACTIVE"),
              ("def run(self):\n    return _hostprof.ACTIVE is None\n", "reads hostprof.ACTIVE"))])
 case("test_clock_reads_and_callers_of_the_profiler_are_allowed",  # rule 12's names are gone
-     lambda rel, source: _row({rel: source}, *_gone(rel, 12)), [
+     lambda rel, source: _row({rel: source}, *_gone(rel, 12, 15)), [
          # job CPU charged to a telemetry histogram reads the clock, not the profiler
          ("repro/blackboard/board.py", "from repro.telemetry.hostprof import host_now\n"),
          ("repro/analysis/engine.py", "from repro.telemetry import NULL_TELEMETRY, Telemetry\n"),
@@ -395,7 +397,7 @@ case("test_the_pre_rule_knowledge_source_offer_is_flagged", lambda: _row({  # ru
     *[("repro/blackboard/ks.py", line, 12) for line in (3, 5, 5, 7)]))
 # rule 13: one schedule; a module planted without the names other rows list is told so
 case("test_flags_a_schedule_push_or_container_outside_the_kernel",
-     lambda rel, source, _what: _flag(rel, source, 13, *_gone(rel, 4, 6, 14)), [
+     lambda rel, source, _what: _flag(rel, source, 13, *_gone(rel, 4, 6, 14, 15)), [
          ("repro/mpi/message.py", "from heapq import heappush\n", "imports heappush from heapq"),
          ("repro/simt/resources.py",  # in simt/, but not a schedule owner
           "from heapq import heappop, heappush\n", "imports heappop, heappush from heapq"),
@@ -405,7 +407,7 @@ case("test_flags_a_schedule_push_or_container_outside_the_kernel",
           "    heapq.heappush(self.kernel._heap, (self.kernel.now, 0, ev))\n",
           "references <expr>._heap")])
 case("test_the_schedule_owners_and_own_containers_are_allowed",
-     lambda rel, source: _row({rel: source}, *_gone(rel, 4, 6, 14)), [
+     lambda rel, source: _row({rel: source}, *_gone(rel, 4, 6, 14, 15)), [
          ("repro/simt/kernel.py", "from heapq import heappop\n\ndef f(k):\n    k._ready.pop()\n"),
          ("repro/simt/primitives.py", "from heapq import heappush\n\ndef f(k):\n    k._heap\n"),
          ("repro/simt/process.py", "from heapq import heappush\n\ndef f(k):\n    k._ready\n"),
@@ -424,8 +426,9 @@ case("test_flags_per_block_rederivations",
      lambda rel, cls, fn, body: [(files, hits + _gone(rel, 4, text=files[rel])) for files, hits
                                  in _planted(14, rel, cls, fn, body, _REDERIVED[body])],
      [(*site, body) for site in _sites(14) for body in _REDERIVED])
-case("test_per_block_functions_may_read_what_open_resolved", lambda body: _row(
-    {STREAM: _stubs(14, STREAM, "VMPIStream", "_consume", body)}), [
+case("test_per_block_functions_may_read_what_open_resolved", lambda body: _row(  # a store is
+    {STREAM: _stubs(14, STREAM, "VMPIStream", "_consume", body)},  # state outside __slots__
+    *[(STREAM, 1, 15)] * body.startswith("self.tag =")), [
     "self._mailbox.post(self._comm.id, x, self._tag, self._o_recv).add_callback(self._arrived)",
     "req.event.add_callback(rec.sent)", "tag = x.tag", "self.tag = x",  # a Status's; a store
     'raise CommunicatorError(f"rank {x} outside {self._comm.label}, tag {self.tag}")'])
@@ -434,7 +437,8 @@ case("test_resolved_at_open_rule_is_scoped_to_the_listed_functions", lambda: _ro
     "        self._comm = comm = mpi.comm_universe\n        self._tag = self.tag\n"
     "        self._o_recv = mpi.ctx.world.cost.o_recv\n"
     "        return [comm.group.rank_of_global[p] for p in peers]\n",
-    "repro/mpi/world.py": "class VMPIStream:\n    def write(self):\n        return self.tag\n"}))
+    "repro/mpi/world.py": "class VMPIStream:\n    def write(self):\n        return self.tag\n"},
+    (STREAM, 1, 15), *_gone("repro/mpi/world.py", 15)))
 case("test_a_renamed_per_block_function_is_reported", lambda: _row(
     {STREAM: _stubs(14, STREAM).replace("def _post_recv(", "def _repost(")}, (STREAM, 1, 14)))
 _PRE_RULE = (  # the parent's re-post and consume, which rule 14 replaced
@@ -453,7 +457,43 @@ case("test_the_pre_rule_stream_is_flagged", lambda: [
     for files in [{STREAM: _stubs(14, STREAM).replace(
         "    def _consume(self, x=None):\n        pass\n", "").replace(
         "    def _post_recv(self, x=None):\n        pass\n", _PRE_RULE)}]])
+# rule 15: per-rank state is slotted; each planted class stores one attribute
+_STORES = "    def __init__(self, x=None):\n        self.x = x\n"
+_PER_RANK = {rel.as_posix(): sorted(names) for rel, names in LISTS[15].items()}
+WORLD, LAUNCHER, MESSAGE = "repro/mpi/world.py", "repro/mpi/launcher.py", "repro/mpi/message.py"
 
+
+def _classes(rel, header="class {}:\n"):
+    """Each class rule 15 lists in ``rel``, opened by ``header``, storing state."""
+    return "".join(header.format(name) + _STORES for name in _PER_RANK[rel])
+
+
+def _others(rel, text):
+    """The "not found" hits of ``rel`` planted as ``text`` under every other rule."""
+    return _gone(rel, *(rule.number for rule in RULES if rule.number != 15), text=text)
+
+
+case("test_flags_unslotted_per_rank_state", lambda rel: _row(
+    {rel: _classes(rel)}, *[(rel, 1 + 3 * i, 15) for i in range(len(_PER_RANK[rel]))],
+    *_others(rel, _classes(rel))), list(_PER_RANK))
+case("test_slotted_per_rank_classes_are_allowed", lambda header: _row(
+    {rel: _classes(rel, header) for rel in _PER_RANK},
+    *[hit for rel in _PER_RANK for hit in _others(rel, _classes(rel, header))]), [
+        'class {}:\n    __slots__ = ("x",)\n', "class {}(Base):\n    __slots__: tuple = ('x',)\n",
+        "@dataclass(slots=True)\nclass {}:\n",
+        "@dataclasses.dataclass(frozen=False, slots=True)\nclass {}:\n"])
+case("test_slotted_rule_is_scoped_to_listed_classes_that_store_state", lambda: _row({
+    WORLD: "class World:\n" + _STORES + "class RankContext:\n    def rank(self):\n"
+    "        self.ctx.rank = 0\n        return self.ctx.rank\n"  # a store on another object
+    "class ProgramAPI:\n    __slots__ = ('x',)\n" + _STORES,
+    LAUNCHER: "class MPMDLauncher:\n" + _STORES}, *_gone(LAUNCHER, 15)))
+case("test_a_renamed_per_rank_class_is_reported", lambda: _row({
+    WORLD: _classes(WORLD, "class {}:\n    __slots__ = ('x',)\n").replace("RankContext", "RankCtx")
+}, (WORLD, 1, 15)))
+case("test_the_pre_rule_mailbox_is_flagged", lambda: _row(  # deque queues and no __slots__
+    {MESSAGE: "from collections import deque\n\n\nclass Mailbox:\n"
+     "    def __init__(self, kernel, owner_rank):\n        self.kernel = kernel\n"
+     "        self._unexpected: dict[int, deque] = {}\n"}, (MESSAGE, 4, 15), *_gone(MESSAGE, 4)))
 
 # the real tree, the command line and the docs
 def test_real_tree_is_clean():
@@ -485,7 +525,7 @@ def test_cli_exit_two_on_missing_root(tmp_path):
 
 def test_docs_cite_only_rules_in_the_table():
     numbers = {rule.number for rule in RULES}
-    assert numbers == set(range(1, 15))  # kept as they were, so "rule N" in prose stays true
+    assert numbers == set(range(1, 16))  # kept as they were, so "rule N" in prose stays true
     for doc in ("README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"):
         cited = {int(n) for n in re.findall(r"\b[Rr]ules?\s+(\d+)", (REPO / doc).read_text())}
         assert cited <= numbers, (doc, cited - numbers)

@@ -123,17 +123,25 @@ class TestPackBuilder:
         assert pb.count == 1 and pb.total_events == 1
 
     def test_record_buffer_grows_on_demand_to_capacity(self):
-        """A fresh builder holds 64 records, doubles as add() runs short and
-        stops at the pack capacity; the grown pack decodes record for record."""
+        """A fresh builder holds 64 records, grows by a quarter (in whole
+        records) only when add() runs short, and stops exactly at the pack
+        capacity; the grown pack decodes record for record."""
         capacity = PACK_HEADER_SIZE + 300 * EVENT_RECORD_SIZE
         pb = EventPackBuilder(app_id=0, rank=0, capacity_bytes=capacity)
         assert len(pb._buf) == 64 * EVENT_RECORD_SIZE
-        sizes = set()
+        sizes = [64]
         records = [_record(tag=i, t0=float(i), t1=i + 0.5) for i in range(300)]
         for i, record in enumerate(records):
+            before = len(pb._buf)
             assert pb.add(record) is (i == 299)
-            sizes.add(len(pb._buf) // EVENT_RECORD_SIZE)
-        assert sorted(sizes) == [64, 128, 256, 300]
+            size = len(pb._buf)
+            if size != before:
+                # Grown on demand: only the record that did not fit.
+                assert before == i * EVENT_RECORD_SIZE
+                sizes.append(size // EVENT_RECORD_SIZE)
+                # The unused tail is at most a quarter of the buffer.
+                assert size - (i + 1) * EVENT_RECORD_SIZE <= size // 4
+        assert sizes == [64, 80, 100, 125, 156, 195, 243, 300]
         _header, events = decode_pack(pb.emit())
         assert events["tag"].tolist() == list(range(300))
         assert events["t_end"].tolist() == [i + 0.5 for i in range(300)]
@@ -190,7 +198,7 @@ class TestPackBuilder:
         assert pb.last_encode is not None
         for i in range(200):
             pb.add(_record(t0=float(i), t1=i + 0.25))
-        assert pb.count == 200 and len(pb._buf) == 256 * EVENT_RECORD_SIZE
+        assert pb.count == 200 and len(pb._buf) == 243 * EVENT_RECORD_SIZE
         _header, events = decode_pack(pb.emit(now=200.0))
         assert len(events) + pb.last_encode.events_dropped == 200
 
