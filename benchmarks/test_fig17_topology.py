@@ -39,7 +39,7 @@ class TestShape:
 
     def test_cg_matrix_symmetric_in_size(self, result):
         topo = result.matrix("CG.D")
-        assert topo.is_symmetric("hits")
+        assert topo.is_symmetric()
 
     def test_eulermhd_grid_neighbours_only(self, result):
         topo = result.matrix("EulerMHD")
@@ -64,7 +64,7 @@ class TestShape:
     def test_dot_export_for_small_apps(self, result):
         topo = result.matrix("CG.D")
         if topo.app_size <= 256:
-            dot = topo.to_dot("size")
+            dot = topo.to_dot()
             assert dot.startswith("digraph") and "->" in dot
 
     def test_every_rank_communicates(self, result):

@@ -11,7 +11,8 @@ fields included) some call moved off its default; a code object stops being
 line-traced once all its lines were seen.  ``report`` counts the lines
 entered and lists (1) functions no file reached, (2) those only TESTS.json
 reached, (3) defaulted parameters no call moves and those only tests move.
-A report, not a gate: it exits 0.
+The third list is a gate (DESIGN §3, "Knob rule"): ``report`` exits 1 when
+it holds a parameter that no row of :data:`KEEP` names; the rest is a report.
 """
 import dis, json, os, runpy, sys, threading
 from pathlib import Path
@@ -19,6 +20,93 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 PKG = str(SRC / "repro") + os.sep
 PLAIN = (int, float, complex, str, bytes, type(None))
+
+#: Why a defaulted parameter no call moves stays settable (DESIGN §3, "Knob rule").
+FROZEN = "the frozen benchmark, a README python block or an examples/ script passes it"
+CLI = "it carries a CLI flag through (--seed, --telemetry, --scale, --chaos, obs query --kind)"
+MPI = "the simulated MPI surface or the paper's VMPI API"
+SERIALISED = "a run summary serialises it: removing it moves a fingerprint"
+OVERRIDE = "a signature override"
+RECORD = "a record container a run fills after construction"
+
+#: ``module:qualname:param`` -> the rule that keeps it on the unmoved list
+KEEP = {
+    "repro.analysis.report:ProfileReport.__init__:efficiency": RECORD,
+    "repro.analysis.report:ProfileReport.__init__:flows": RECORD,
+    "repro.analysis.report:ProfileReport.__init__:health": RECORD,
+    "repro.analysis.report:ProfileReport.__init__:obs": RECORD,
+    "repro.analysis.report:ProfileReport.__init__:reduction": RECORD,
+    "repro.analysis.report:ProfileReport.__init__:steering": RECORD,
+    "repro.analysis.report:ProfileReport.__init__:telemetry": RECORD,
+    "repro.apps.nas.ep:EP.__init__:iterations": OVERRIDE,
+    "repro.apps.nas.ep:EP.__init__:klass": OVERRIDE,
+    "repro.apps.synthetic:stream_writer_program:reader_partition": FROZEN,
+    "repro.bench.chaos:chaos_resilience:seed": CLI,
+    "repro.bench.chaos:chaos_resilience:telemetry": CLI,
+    "repro.bench.codec:codec_reduction:seed": CLI,
+    "repro.bench.codec:codec_reduction:telemetry": CLI,
+    "repro.bench.compare:BenchComparison.__init__:deltas": RECORD,
+    "repro.bench.compare:BenchComparison.__init__:structural": RECORD,
+    "repro.bench.compare:BenchComparison.__init__:warnings": RECORD,
+    "repro.bench.figures:Fig17Result.__init__:artifacts": RECORD,
+    "repro.bench.figures:Fig17Result.__init__:extras": RECORD,
+    "repro.bench.figures:Fig17Result.__init__:points": RECORD,
+    "repro.bench.figures:fig14_stream_throughput:seed": CLI,
+    "repro.bench.figures:fig14_stream_throughput:telemetry": CLI,
+    "repro.bench.figures:fig15_overhead:seed": CLI,
+    "repro.bench.figures:fig15_overhead:telemetry": CLI,
+    "repro.bench.figures:fig16_tool_comparison:seed": CLI,
+    "repro.bench.figures:fig16_tool_comparison:telemetry": CLI,
+    "repro.bench.figures:fig17_topology:seed": CLI,
+    "repro.bench.figures:fig17_topology:telemetry": CLI,
+    "repro.bench.figures:fig18_density:seed": CLI,
+    "repro.bench.figures:fig18_density:telemetry": CLI,
+    "repro.bench.flow:flow_attribution:seed": CLI,
+    "repro.bench.flow:flow_attribution:telemetry": CLI,
+    "repro.bench.harness:measure_overhead:seed": FROZEN,
+    "repro.bench.harness:measure_overhead:telemetry": CLI,
+    "repro.bench.metrics:metrics_timeline:seed": CLI,
+    "repro.bench.metrics:metrics_timeline:telemetry": CLI,
+    "repro.bench.obs:obs_roundtrip:seed": CLI,
+    "repro.bench.selfperf:_run_once:telemetry": CLI,
+    "repro.bench.selfperf:selfperf_sweep:seed": CLI,
+    "repro.bench.selfperf:selfperf_sweep:telemetry": CLI,
+    "repro.bench.steering:steering_adaptation:seed": CLI,
+    "repro.bench.steering:steering_adaptation:telemetry": CLI,
+    "repro.bench.tables:bi_bandwidth_table:seed": CLI,
+    "repro.bench.tables:bi_bandwidth_table:telemetry": CLI,
+    "repro.bench.tables:fs_comparison_table:seed": CLI,
+    "repro.bench.tables:fs_comparison_table:telemetry": CLI,
+    "repro.bench.tables:trace_size_table:seed": CLI,
+    "repro.bench.tables:trace_size_table:telemetry": CLI,
+    "repro.blackboard.jobs:Job.__init__:t_submitted": RECORD,
+    "repro.codec.stages:CodecContext.__init__:events_dropped": RECORD,
+    "repro.core.comparison:run_tool:telemetry": CLI,
+    "repro.mpi.communicator:Comm.gather:root": MPI,
+    "repro.mpi.communicator:Comm.reduce:reduce_fn": MPI,
+    "repro.mpi.communicator:Comm.scatter:root": MPI,
+    "repro.mpi.communicator:Comm.sendrecv:recv_tag": MPI,
+    "repro.mpi.launcher:RankProcess.succeed:value": OVERRIDE,
+    "repro.obs.archive:ArchiveScan.__init__:files_scanned": RECORD,
+    "repro.obs.archive:ArchiveScan.__init__:files_skipped": RECORD,
+    "repro.obs.archive:ArchiveScan.__init__:records_matched": RECORD,
+    "repro.obs.archive:ArchiveScan.__init__:records_read": RECORD,
+    "repro.obs.archive:ArchiveScan.__init__:unknown_schemas": RECORD,
+    "repro.obs.archive:iter_archive:kind": CLI,
+    "repro.steering.controller:SteeringDecision.__init__:latency_after_s": RECORD,
+    "repro.steering.controller:SteeringDecision.__init__:latency_before_s": RECORD,
+    "repro.steering.policy:SteeringPolicy.__init__:autoscale_cooldown_s": SERIALISED,
+    "repro.steering.policy:SteeringPolicy.__init__:relax_after_s": SERIALISED,
+    "repro.steering.policy:SteeringPolicy.__init__:relax_cooldown_s": SERIALISED,
+    "repro.telemetry.hostprof:_HostSpan.__init__:t1": RECORD,
+    "repro.telemetry.monitor:HealthAlert.__init__:source": SERIALISED,
+    "repro.util.stats:Histogram.__init__:counts": RECORD,
+    "repro.util.stats:Histogram.__init__:over": RECORD,
+    "repro.util.stats:Histogram.__init__:under": RECORD,
+    "repro.vmpi.mapping:VMPIMap.__init__:by_partition": MPI,
+    "repro.vmpi.mapping:VMPIMap.__init__:entries": MPI,
+}
+
 
 
 def _key(path, line, qualname):
@@ -103,7 +191,15 @@ def trace(out, argv):
         Path(out).write_text(json.dumps(found, indent=0) + "\n")
 
 
+def _keep_key(key):
+    """``module:qualname:param`` of a report key ``path:line:qualname:param``."""
+    path, _line, qualname, param = key.split(":")
+    module = path.removesuffix(".py").replace(os.sep, ".").removesuffix(".__init__")
+    return f"{module}:{qualname}:{param}"
+
+
 def report(first, *rest):
+    """Print the lists; False when an unmoved parameter has no KEEP row."""
     runs = [json.loads(Path(f).read_text()) for f in (first, *rest)]
     every, lines = set(), set()
     codes = [compile(p.read_text(), str(p), "exec") for p in sorted((SRC / "repro").rglob("*.py"))]
@@ -119,14 +215,21 @@ def report(first, *rest):
     tests, other = set(runs[0]["calls"]), set().union(*(r["calls"] for r in runs[1:]))
     by_tests, by_other = set(runs[0]["moved"]), set().union(*(r["moved"] for r in runs[1:]))
     params = set().union(*(r["params"] for r in runs))
+    unmoved = params - by_tests - by_other
+    unkept = {k for k in unmoved if _keep_key(k) not in KEEP}
     for title, names in (("functions no run reaches", every - tests - other),
                          (f"functions only {first} reaches", (tests - other) & every),
-                         ("defaulted parameters no call moves", params - by_tests - by_other),
-                         ("defaulted parameters only tests move", by_tests - by_other)):
+                         ("defaulted parameters no call moves", unmoved),
+                         ("defaulted parameters only tests move", by_tests - by_other),
+                         ("unmoved parameters no KEEP row names", unkept)):
         print(f"== {title}: {len(names)}", *sorted(names), sep="\n  ")
+    return not unkept
 
 
 if __name__ == "__main__":
     if len(sys.argv) < 3 or sys.argv[1] not in ("trace", "report"):
         sys.exit(__doc__)
-    trace(sys.argv[2], sys.argv[3:]) if sys.argv[1] == "trace" else report(*sys.argv[2:])
+    if sys.argv[1] == "trace":
+        trace(sys.argv[2], sys.argv[3:])
+    elif not report(*sys.argv[2:]):
+        sys.exit(1)

@@ -20,6 +20,9 @@ from repro.analysis.batch import EventBatch, per_rank
 from repro.errors import ReproError
 from repro.instrument.events import CALL_IDS, CALL_NAMES
 
+#: :meth:`DensityMaps.render_grid`'s shades, lowest to highest
+_LEVELS = " .:-=+*#%@"
+
 
 class DensityMaps:
     """Mergeable per-rank x per-call density statistics."""
@@ -123,7 +126,6 @@ class DensityMaps:
         call_name: str,
         metric: str = "hits",
         columns: int | None = None,
-        levels: str = " .:-=+*#%@",
     ) -> str:
         """ASCII heat grid over the rank mesh (row-major rank order)."""
         vec = self.map_for(call_name, metric)
@@ -143,9 +145,9 @@ class DensityMaps:
                 if idx >= n:
                     break
                 if span == 0:
-                    cells.append(levels[0])
+                    cells.append(_LEVELS[0])
                 else:
-                    level = int((vec[idx] - lo) / span * (len(levels) - 1))
-                    cells.append(levels[level])
+                    level = int((vec[idx] - lo) / span * (len(_LEVELS) - 1))
+                    cells.append(_LEVELS[level])
             out.append("".join(cells))
         return "\n".join(out)

@@ -75,7 +75,7 @@ class ApplicationReport:
         degrees = t.degree_histogram()
         deg_txt = ", ".join(f"{d} peers x{c}" for d, c in sorted(degrees.items()))
         out.append(f"- out-degree histogram: {deg_txt}")
-        top = t.top_pairs("size", k=5)
+        top = t.top_pairs(k=5)
         if top:
             out.append("- heaviest pairs (size): " + ", ".join(
                 f"{s}->{d} {fmt_bytes(w)}" for s, d, w in top
@@ -83,7 +83,7 @@ class ApplicationReport:
         if verbosity >= 2 and t.app_size <= 64:
             out.append("")
             out.append("```dot")
-            out.append(t.to_dot("size"))
+            out.append(t.to_dot())
             out.append("```")
         out.append("")
         return out

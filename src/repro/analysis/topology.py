@@ -97,10 +97,10 @@ class CommMatrix:
             degrees[d] = degrees.get(d, 0) + 1
         return degrees
 
-    def top_pairs(self, weight: str = "size", k: int = 10) -> list[tuple[int, int, float]]:
-        idx = self._weight_index(weight)
+    def top_pairs(self, k: int = 10) -> list[tuple[int, int, float]]:
+        """The ``k`` pairs that moved the most bytes: ``(src, dst, bytes)``."""
         ranked = sorted(
-            ((src, dst, vals[idx]) for (src, dst), vals in self.cells.items()),
+            ((src, dst, vals[1]) for (src, dst), vals in self.cells.items()),
             key=lambda t: t[2],
             reverse=True,
         )
@@ -113,27 +113,26 @@ class CommMatrix:
         time = sum(v[2] for v in self.cells.values())
         return hits, size, time
 
-    def is_symmetric(self, weight: str = "hits") -> bool:
-        """True when every src->dst cell has a matching dst->src cell."""
-        idx = self._weight_index(weight)
+    def is_symmetric(self) -> bool:
+        """True when every src->dst cell has a dst->src cell of as many hits."""
         for (src, dst), vals in self.cells.items():
             back = self.cells.get((dst, src))
-            if back is None or back[idx] != vals[idx]:
+            if back is None or back[0] != vals[0]:
                 return False
         return True
 
-    def to_dot(self, weight: str = "size") -> str:
-        """Graphviz DOT text (what the paper feeds to Graphviz)."""
+    def to_dot(self) -> str:
+        """Graphviz DOT text, edges weighted by bytes (what the paper feeds to
+        Graphviz)."""
         if self.app_size > DOT_MAX_NODES:
             raise ReproError(
                 f"DOT export limited to {DOT_MAX_NODES} nodes, app has {self.app_size}"
             )
-        idx = self._weight_index(weight)
-        peak = max((v[idx] for v in self.cells.values()), default=1.0) or 1.0
+        peak = max((v[1] for v in self.cells.values()), default=1.0) or 1.0
         lines = [f'digraph "{self.app}" {{']
         lines.append("  node [shape=circle, fontsize=8];")
         for (src, dst), vals in sorted(self.cells.items()):
-            w = vals[idx]
+            w = vals[1]
             if w <= 0:
                 continue
             pen = 0.5 + 3.0 * w / peak

@@ -19,7 +19,7 @@ from repro.bench.harness import coupled_session, pick, reference_kernel
 from repro.bench.lane import Column, LaneResult, lane
 from repro.errors import ConfigError
 from repro.faults.plan import CANNED_PLANS, FaultPlan, make_plan
-from repro.network.machine import MachineSpec, TERA100
+from repro.network.machine import TERA100
 from repro.telemetry.core import Telemetry
 
 #: where in the healthy run's app wall-time the canned plans anchor
@@ -123,7 +123,6 @@ def _point(result, name: str, plan_label: str, readers: int) -> ChaosPoint:
 )
 def chaos_resilience(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
     plan: str | FaultPlan | None = None,
@@ -136,10 +135,10 @@ def chaos_resilience(
     kernel = reference_kernel(scale, paper_ranks=256)
     # a crash needs >= 2 analyzer ranks to survive
     readers = pick(scale, small=4, paper=16)
-    result = LaneResult(f"Chaos resilience ({machine.name}, scale={scale})", COLUMNS)
+    result = LaneResult(f"Chaos resilience ({TERA100.name}, scale={scale})", COLUMNS)
 
     def run(label: str, fault_plan: FaultPlan | None):
-        session, name, _ = coupled_session(kernel, machine, seed, telemetry, readers=readers)
+        session, name, _ = coupled_session(kernel, TERA100, seed, telemetry, readers=readers)
         if telemetry is not None:
             session.enable_monitor()
         if fault_plan is not None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from repro.bench.harness import coupled_session, reference_kernel
 from repro.bench.lane import Column, LaneResult, lane
 from repro.errors import BenchGateError
-from repro.network.machine import MachineSpec, TERA100
+from repro.network.machine import TERA100
 from repro.telemetry.core import Telemetry
 
 #: chain sweep: identity baseline, then increasingly composed reductions
@@ -66,10 +66,8 @@ COLUMNS = (
 @lane("codec", columns=COLUMNS)
 def codec_reduction(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
-    chains: tuple[str, ...] = CHAINS,
 ) -> LaneResult:
     """Sweep reduction chains over the coupled workload.
 
@@ -78,11 +76,11 @@ def codec_reduction(
     module docstring before its row is recorded.
     """
     kernel = reference_kernel(scale)
-    result = LaneResult(f"Event reduction sweep ({machine.name}, scale={scale})", COLUMNS)
+    result = LaneResult(f"Event reduction sweep ({TERA100.name}, scale={scale})", COLUMNS)
     base_walltime = None
     base_events = None
-    for chain in chains:
-        session, name, _ = coupled_session(kernel, machine, seed, telemetry, ratio=4.0)
+    for chain in CHAINS:
+        session, name, _ = coupled_session(kernel, TERA100, seed, telemetry, ratio=4.0)
         if chain:
             session.set_reduction(chain)
         run = session.run()

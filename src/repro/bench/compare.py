@@ -16,6 +16,7 @@ individual columns through ``per_metric``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -260,6 +261,17 @@ def check_tolerances(tolerance: float, per_metric: dict[str, float]) -> None:
             raise ConfigError(f"per-metric tolerance for {col!r} must be >= 0")
 
 
+def _check_rows(payload: dict[str, Any], side: str) -> None:
+    """Raise :class:`ConfigError` unless ``rows`` is a list of rows, each a
+    list with one cell per column."""
+    rows, width = payload["rows"], len(payload["columns"])
+    if not isinstance(rows, list):
+        raise ConfigError(f"{side} rows must be a list, got {type(rows).__name__}")
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != width:
+            raise ConfigError(f"{side} row {i} is not a list of {width} cells: {row!r}")
+
+
 def compare_bench(
     baseline: dict[str, Any],
     candidate: dict[str, Any],
@@ -272,10 +284,14 @@ def compare_bench(
     direction; ``per_metric`` overrides it per column name.  Rows are
     matched positionally (the experiment grids are deterministic), and any
     shape mismatch — different experiment, missing columns, differing row
-    counts — is a structural failure regardless of tolerances.
+    counts — is a structural failure regardless of tolerances.  A row that
+    does not match its payload's columns is malformed input: ConfigError.
+    A non-finite candidate cell against a finite baseline regresses.
     """
     per_metric = dict(per_metric or {})
     check_tolerances(tolerance, per_metric)
+    _check_rows(baseline, "baseline")
+    _check_rows(candidate, "candidate")
 
     cmp = BenchComparison(experiment=str(candidate.get("experiment", "?")))
     if baseline.get("experiment") != candidate.get("experiment"):
@@ -325,7 +341,9 @@ def compare_bench(
                 rel = 0.0 if c_num == 0.0 else float("inf")
             else:
                 rel = (c_num - b_num) / abs(b_num)
-            if direction == "higher":
+            if not math.isfinite(c_num) and math.isfinite(b_num):
+                bad, good = True, False
+            elif direction == "higher":
                 bad, good = rel < -tol, rel > tol
             elif direction == "lower":
                 bad, good = rel > tol, rel < -tol

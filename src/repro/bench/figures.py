@@ -22,7 +22,7 @@ from repro.bench.harness import (
 )
 from repro.bench.lane import Column, LaneResult, lane
 from repro.core.comparison import ToolRunResult, compare_tools
-from repro.network.machine import CURIE, MachineSpec, TERA100
+from repro.network.machine import CURIE, TERA100
 from repro.telemetry.core import Telemetry
 from repro.util.units import GB, GIB, MIB
 
@@ -55,7 +55,6 @@ class Fig14Result(LaneResult):
 @lane("fig14", columns=FIG14_COLUMNS)
 def fig14_stream_throughput(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> Fig14Result:
@@ -69,12 +68,12 @@ def fig14_stream_throughput(
         small=([64, 160, 320], [1, 4, 16, 32], 32 * MIB),
         paper=([64, 96, 160, 320, 960, 1600, 2560], [1, 2, 4, 8, 16, 32, 64], 1 * GIB),
     )
-    result = Fig14Result(f"Figure 14 — VMPI Stream throughput ({machine.name})", FIG14_COLUMNS)
+    result = Fig14Result(f"Figure 14 — VMPI Stream throughput ({TERA100.name})", FIG14_COLUMNS)
     for writers in writer_counts:
         for ratio in ratios:
             result.points.append(
                 stream_point(
-                    machine, writers, ratio, bytes_per_writer, MIB, seed,
+                    TERA100, writers, ratio, bytes_per_writer, MIB, seed,
                     telemetry=telemetry,
                 )
             )
@@ -144,18 +143,17 @@ def _fig15_workloads(scale: str) -> list[Any]:
 @lane("fig15", columns=FIG15_COLUMNS)
 def fig15_overhead(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> Fig15Result:
     """Overhead of online instrumentation at ratio 1/1 (paper: all < 25 %,
     class C above class D for the same benchmark)."""
     result = Fig15Result(
-        f"Figure 15 — relative overhead at ratio 1/1 ({machine.name})", FIG15_COLUMNS
+        f"Figure 15 — relative overhead at ratio 1/1 ({TERA100.name})", FIG15_COLUMNS
     )
     for kernel in _fig15_workloads(scale):
         result.points.append(
-            measure_overhead(kernel, machine, ratio=1.0, seed=seed, telemetry=telemetry)
+            measure_overhead(kernel, TERA100, ratio=1.0, seed=seed, telemetry=telemetry)
         )
     return result
 
@@ -195,27 +193,19 @@ class Fig16Result(LaneResult):
 @lane("fig16", columns=FIG16_COLUMNS)
 def fig16_tool_comparison(
     scale: str = "small",
-    machine: MachineSpec = CURIE,
     seed: int = 0,
-    tools: tuple[str, ...] = (
-        "reference",
-        "online",
-        "scorep_profile",
-        "scorep_trace",
-        "scalasca",
-    ),
     telemetry: Telemetry | None = None,
 ) -> Fig16Result:
     """SP.D under each tool model (paper: online cheaper than file-based
     traces at scale despite moving ~2.9x the data)."""
     counts = pick(scale, small=[64, 256], paper=[256, 1024, 2025, 4096])
-    result = Fig16Result(f"Figure 16 — SP.D tool comparison ({machine.name})", FIG16_COLUMNS)
+    result = Fig16Result(f"Figure 16 — SP.D tool comparison ({CURIE.name})", FIG16_COLUMNS)
     for nprocs in counts:
         result.points.extend(
             compare_tools(
                 lambda n=nprocs: SP(n, "D", iterations=3),
-                tools=tools,
-                machine=machine,
+                tools=("reference", "online", "scorep_profile", "scorep_trace", "scalasca"),
+                machine=CURIE,
                 seed=seed,
                 telemetry=telemetry,
             )
@@ -235,7 +225,7 @@ FIG17_COLUMNS = (
     Column("pairs", lambda p: len(p[1].cells)),
     Column("messages", lambda p: int(p[1].totals()[0])),
     Column("size_GB", lambda p: p[1].totals()[1] / GB),
-    Column("symmetric", lambda p: p[1].is_symmetric("hits")),
+    Column("symmetric", lambda p: p[1].is_symmetric()),
 )
 
 
@@ -249,10 +239,10 @@ class Fig17Result(LaneResult):
 
 
 def _profile_app(
-    kernel, machine: MachineSpec, seed: int, telemetry: Telemetry | None
+    kernel, seed: int, telemetry: Telemetry | None
 ) -> tuple[str, ProfileReport]:
     """Profile one application at ratio 1/1: ``(its name, the report)``."""
-    session, name, _ = coupled_session(kernel, machine, seed, telemetry, ratio=1.0, cost=None)
+    session, name, _ = coupled_session(kernel, TERA100, seed, telemetry, ratio=1.0, cost=None)
     report = session.run().report
     if report is None:
         raise ConfigError("session produced no report")
@@ -262,7 +252,6 @@ def _profile_app(
 @lane("fig17", columns=FIG17_COLUMNS)
 def fig17_topology(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> Fig17Result:
@@ -275,7 +264,7 @@ def fig17_topology(
         SP(sp, "C", iterations=2),
         LU(lu, "D", iterations=2),
     ):
-        name, result.reports[name] = _profile_app(kernel, machine, seed, telemetry)
+        name, result.reports[name] = _profile_app(kernel, seed, telemetry)
         result.points.append((name, result.matrix(name)))
     return result
 
@@ -319,7 +308,6 @@ class Fig18Result(LaneResult):
 @lane("fig18", columns=FIG18_COLUMNS)
 def fig18_density(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> Fig18Result:
@@ -329,7 +317,7 @@ def fig18_density(
     lu, bt = pick(scale, small=(256, 1024), paper=(1024, 8281))
     result = Fig18Result("Figure 18 — density maps", FIG18_COLUMNS)
     for kernel in (LU(lu, "D", iterations=2), BT(bt, "D", iterations=2)):
-        name, result.reports[name] = _profile_app(kernel, machine, seed, telemetry)
+        name, result.reports[name] = _profile_app(kernel, seed, telemetry)
         density = result.density(name)
         result.points.extend(
             (name, call, metric, density)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from repro.bench.harness import coupled_session, pick, reference_kernel
 from repro.bench.lane import Column, LaneResult, lane
 from repro.errors import BenchGateError
-from repro.network.machine import MachineSpec, TERA100
+from repro.network.machine import TERA100
 from repro.telemetry.core import Telemetry
 from repro.telemetry.provenance import STAGES
 
@@ -60,26 +60,24 @@ COLUMNS = (
 @lane("flow", columns=COLUMNS)
 def flow_attribution(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
-    sample_rate: float = 1.0,
 ) -> LaneResult:
     """Sweep the writer/reader ratio and attribute per-stage latency.
 
-    Each configuration runs with full (or ``sample_rate``-bounded) flow
-    tracing; undersized analyzers surface as growing ``stall`` and
-    ``dwell`` shares — backpressure made visible stage by stage.
+    Each configuration runs with full flow tracing; undersized analyzers
+    surface as growing ``stall`` and ``dwell`` shares — backpressure made
+    visible stage by stage.
     """
     kernel = reference_kernel(scale, paper_ranks=256)
     # mirrors the fig14 writer/reader sweep
     ratios = pick(scale, small=(2.0, 4.0, 8.0), paper=(4.0, 16.0, 64.0))
     result = LaneResult(
-        f"Pipeline latency attribution ({machine.name}, scale={scale})", COLUMNS
+        f"Pipeline latency attribution ({TERA100.name}, scale={scale})", COLUMNS
     )
     for ratio in ratios:
-        session, _, readers = coupled_session(kernel, machine, seed, telemetry, ratio=ratio)
-        session.enable_provenance(sample_rate=sample_rate)
+        session, _, readers = coupled_session(kernel, TERA100, seed, telemetry, ratio=ratio)
+        session.enable_provenance()
         flows = session.run().flows
         end = flows["end_to_end"]
         stage_sum = sum(s["total_s"] for s in flows["stages"].values())

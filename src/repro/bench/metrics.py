@@ -36,7 +36,7 @@ from repro.bench.harness import (
 )
 from repro.bench.lane import Column, LaneResult, lane
 from repro.errors import BenchGateError
-from repro.network.machine import MachineSpec, TERA100
+from repro.network.machine import TERA100
 from repro.telemetry.core import Telemetry
 from repro.telemetry.popmetrics import (
     PopConfig,
@@ -126,10 +126,8 @@ def _gate(summary: dict, label: str) -> None:
 @lane("metrics", columns=COLUMNS)
 def metrics_timeline(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
-    ratios: tuple[float, ...] = RATIOS,
 ) -> LaneResult:
     """Sweep analyzer ratios with the online POP-metrics engine attached.
 
@@ -139,12 +137,12 @@ def metrics_timeline(
     """
     kernel = reference_kernel(scale)
     result = LaneResult(
-        f"Time-resolved POP efficiency ({machine.name}, scale={scale})", COLUMNS
+        f"Time-resolved POP efficiency ({TERA100.name}, scale={scale})", COLUMNS
     )
     with tempfile.TemporaryDirectory(prefix="bench_metrics_") as tmp:
-        for index, ratio in enumerate(ratios):
+        for index, ratio in enumerate(RATIOS):
             session, name, readers = coupled_session(
-                kernel, machine, seed,
+                kernel, TERA100, seed,
                 telemetry if telemetry is not None else Telemetry(), ratio=ratio,
             )
             stream = Path(tmp) / ARTIFACT_NAME if index == 0 else None
@@ -158,7 +156,7 @@ def metrics_timeline(
                 # The observer bar: the same configuration without the
                 # engine must produce bit-identical results.
                 plain, plain_name, _ = coupled_session(
-                    kernel, machine, seed, Telemetry(), ratio=ratio
+                    kernel, TERA100, seed, Telemetry(), ratio=ratio
                 )
                 assert_unperturbed(
                     "metrics engine",

@@ -12,9 +12,8 @@ ring (hub-on).  The lane self-gates before it reports anything:
 * **count self-consistency** — the bus's per-schema record counts must
   match each plane's own totals (telemetry records, monitor alerts,
   steering decisions, the metrics engine's windows + phases + summary);
-* **host overhead** — paired hub-off/hub-on runs, best-of-N minimum pair
-  ratio below ``overhead_budget`` (default 5%), the same
-  noise-robust gate the selfperf lane uses.
+* **host overhead** — eight paired hub-off/hub-on runs, minimum pair
+  ratio below 5%, the same noise-robust gate the selfperf lane uses.
 
 Any gate failure raises :class:`~repro.errors.BenchGateError`, so *running
 the lane is the test*.  The result carries the hub-on run's unified
@@ -38,7 +37,7 @@ from repro.bench.harness import (
 )
 from repro.bench.lane import Column, LaneResult, lane
 from repro.errors import BenchGateError
-from repro.network.machine import MachineSpec, TERA100
+from repro.network.machine import TERA100
 from repro.obs.registry import (
     HEALTH_SCHEMA,
     METRICS_SCHEMA,
@@ -62,11 +61,11 @@ COLUMNS = (
 )
 
 
-def _run_once(scale: str, machine: MachineSpec, seed: int, unified: Path | None):
+def _run_once(scale: str, seed: int, unified: Path | None):
     """One fully observed coupled run; the bus (writing ``unified``) is on
     or off (None), and that is the only difference."""
     session, name, _ = coupled_session(
-        reference_kernel(scale), machine, seed, Telemetry(), ratio=4.0, cost=None
+        reference_kernel(scale), TERA100, seed, Telemetry(), ratio=4.0, cost=None
     )
     session.enable_monitor()
     session.enable_pop_metrics(PopConfig(window=0.5))
@@ -87,10 +86,7 @@ def _schema_total(bus_summary: dict[str, Any], schema: str) -> int:
 @lane("obs", columns=COLUMNS, telemetry=False)
 def obs_roundtrip(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
-    overhead_budget: float = 0.05,
-    repeats: int = 8,
 ) -> LaneResult:
     """Round-trip every plane through the bus; self-gate identity and cost.
 
@@ -99,15 +95,15 @@ def obs_roundtrip(
     independent pipelines.
     """
     result = LaneResult(
-        f"Observability bus round-trip ({machine.name}, scale={scale}, seed={seed})",
+        f"Observability bus round-trip ({TERA100.name}, scale={scale}, seed={seed})",
         COLUMNS,
     )
     with tempfile.TemporaryDirectory(prefix="bench_obs_") as tmp:
         unified = Path(tmp) / "unified.ndjson"
 
         # -- gate 1: bit-identity, hub off vs on -------------------------------
-        _, _, ref_fp, _ = _run_once(scale, machine, seed, None)
-        session, run, fp, _ = _run_once(scale, machine, seed, unified)
+        _, _, ref_fp, _ = _run_once(scale, seed, None)
+        session, run, fp, _ = _run_once(scale, seed, unified)
         kept = unified.read_bytes()  # the overhead pairs below rewrite the file
         assert_unperturbed("observability bus", ref_fp, fp)
 
@@ -141,10 +137,10 @@ def obs_roundtrip(
         # (was five) keep the minimum a reliable noise floor.
         result.extras["overhead_ratio"] = paired_overhead(
             "observability bus",
-            lambda: _run_once(scale, machine, seed, None)[3],
-            lambda: _run_once(scale, machine, seed, unified)[3],
-            repeats,
-            overhead_budget,
+            lambda: _run_once(scale, seed, None)[3],
+            lambda: _run_once(scale, seed, unified)[3],
+            repeats=8,
+            budget=0.05,
         )
     result.artifacts[ARTIFACT_NAME] = lambda path: path.write_bytes(kept)
     return result

@@ -68,7 +68,7 @@ from repro.bench.harness import (
 )
 from repro.bench.lane import Column, LaneResult, lane
 from repro.errors import BenchGateError
-from repro.network.machine import MachineSpec, TERA100
+from repro.network.machine import TERA100
 from repro.telemetry import hostprof
 from repro.telemetry.core import Telemetry
 from repro.telemetry.hostprof import HostProfiler, host_now
@@ -154,13 +154,12 @@ TOLERANCES = {c.name: 0.9 for c in COLUMNS if c.name.endswith("_per_s")} | {
 def _run_once(
     chain: str,
     scale: str,
-    machine: MachineSpec,
     seed: int,
     telemetry: Telemetry | None = None,
     profiler: HostProfiler | None = None,
 ):
     """One coupled run; returns ``(simulation fingerprint, wall_s)``."""
-    session, name, _ = coupled_session(reference_kernel(scale), machine, seed, telemetry, ratio=4.0)
+    session, name, _ = coupled_session(reference_kernel(scale), TERA100, seed, telemetry, ratio=4.0)
     if chain:
         session.set_reduction(chain)
     t0 = host_now()
@@ -309,7 +308,6 @@ def _lane_alloc_counts(chain: str) -> dict[str, int]:
 @lane("selfperf", columns=COLUMNS, tolerances=TOLERANCES)
 def selfperf_sweep(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
     chains: tuple[str, ...] = CHAINS,
@@ -324,7 +322,7 @@ def selfperf_sweep(
     ``BENCH_selfperf.hostprof.trace.json`` (Chrome trace) and
     ``BENCH_selfperf.hostprof.jsonl``.
     """
-    run_once = partial(_run_once, scale=scale, machine=machine, seed=seed, telemetry=telemetry)
+    run_once = partial(_run_once, scale=scale, seed=seed, telemetry=telemetry)
 
     # -- gate 1: bit-identity, profiler off vs on ------------------------------
     assert_unperturbed(
@@ -342,7 +340,7 @@ def selfperf_sweep(
         overhead_budget,
     )
     result = LaneResult(
-        f"Simulator self-performance ({machine.name}, scale={scale}, "
+        f"Simulator self-performance ({TERA100.name}, scale={scale}, "
         f"profiler overhead {overhead_ratio:+.2%} of {overhead_budget:.0%} budget)",
         COLUMNS,
     )

@@ -30,7 +30,7 @@ from repro.core.session import SessionResult
 from repro.errors import BenchGateError
 from repro.faults.plan import LINK_DEGRADE, FaultPlan, FaultSpec
 from repro.mpi.costmodel import CostModel
-from repro.network.machine import MachineSpec, TERA100
+from repro.network.machine import TERA100
 from repro.steering.policy import SteeringPolicy, static_policy
 from repro.telemetry.core import Telemetry
 
@@ -102,12 +102,12 @@ COLUMNS = (
 )
 
 
-def _run(kernel, machine: MachineSpec, seed: int, policy: SteeringPolicy,
+def _run(kernel, seed: int, policy: SteeringPolicy,
          plan: FaultPlan | None,
          telemetry: Telemetry | None) -> tuple[SessionResult, str]:
     # Writers must share nodes 0-1 while the analyzer sits alone on node 2:
     # only inter-node traffic touches the NIC the congestion plan degrades.
-    mach = dataclasses.replace(machine, cores_per_node=_CORES_PER_NODE)
+    mach = dataclasses.replace(TERA100, cores_per_node=_CORES_PER_NODE)
     session, name, _ = coupled_session(
         kernel, mach, seed,
         telemetry if telemetry is not None else Telemetry(),
@@ -199,7 +199,6 @@ def _gate(healthy_static: SteeringBenchPoint, healthy_adaptive: SteeringBenchPoi
 @lane("steering", columns=COLUMNS)
 def steering_adaptation(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> LaneResult:
@@ -211,10 +210,10 @@ def steering_adaptation(
     """
     # enough iterations for sustained packs
     kernel = reference_kernel(scale, paper_ranks=16, iterations=pick(scale, small=12, paper=40))
-    result = LaneResult(f"Adaptive steering ({machine.name}, scale={scale})", COLUMNS)
+    result = LaneResult(f"Adaptive steering ({TERA100.name}, scale={scale})", COLUMNS)
 
     def row(policy: SteeringPolicy, label: str, plan: FaultPlan | None):
-        run, name = _run(kernel, machine, seed, policy, plan, telemetry)
+        run, name = _run(kernel, seed, policy, plan, telemetry)
         result.points.append(
             _point(run, name, label, plan.name if plan is not None else "none")
         )

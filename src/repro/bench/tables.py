@@ -8,7 +8,7 @@ from repro.apps.nas.adi import SP
 from repro.bench.harness import measure_overhead, pick, stream_point
 from repro.bench.lane import Column, LaneResult, lane
 from repro.core.comparison import run_tool
-from repro.network.machine import CURIE, MachineSpec, TERA100
+from repro.network.machine import CURIE, TERA100
 from repro.telemetry.core import Telemetry
 from repro.util.units import GB, GIB, MB, MIB
 
@@ -44,18 +44,17 @@ class BiResult(LaneResult):
 @lane("bi", columns=BI_COLUMNS)
 def bi_bandwidth_table(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> BiResult:
     """Bi comparison of SP.C vs SP.D (paper Sec. IV-C, at 900 cores)."""
     nprocs = pick(scale, small=225, paper=900)
     result = BiResult(
-        f"In-text — instrumentation bandwidth Bi at 900 cores ({machine.name})", BI_COLUMNS
+        f"In-text — instrumentation bandwidth Bi at 900 cores ({TERA100.name})", BI_COLUMNS
     )
     for klass, paper_value in (("C", "2.37 GB/s"), ("D", "334.99 MB/s")):
         point = measure_overhead(
-            SP(nprocs, klass, iterations=3), machine, ratio=1.0, seed=seed,
+            SP(nprocs, klass, iterations=3), TERA100, ratio=1.0, seed=seed,
             telemetry=telemetry,
         )
         result.points.append(
@@ -98,7 +97,6 @@ class TraceSizeResult(LaneResult):
 @lane("trace-sizes", columns=TRACE_SIZE_COLUMNS)
 def trace_size_table(
     scale: str = "small",
-    machine: MachineSpec = CURIE,
     seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> TraceSizeResult:
@@ -109,12 +107,12 @@ def trace_size_table(
     """
     counts = pick(scale, small=[64, 256], paper=[256, 1024, 4096])
     result = TraceSizeResult(
-        f"In-text — SP.D full-run measurement volumes ({machine.name})", TRACE_SIZE_COLUMNS
+        f"In-text — SP.D full-run measurement volumes ({CURIE.name})", TRACE_SIZE_COLUMNS
     )
     for nprocs in counts:
         for tool in ("online", "scorep_trace"):
             run = run_tool(
-                SP(nprocs, "D", iterations=3), tool, machine, seed=seed,
+                SP(nprocs, "D", iterations=3), tool, CURIE, seed=seed,
                 telemetry=telemetry,
             )
             result.points.append(
@@ -149,7 +147,6 @@ class FSComparisonResult(LaneResult):
 @lane("fs-comparison", columns=FS_COMPARISON_COLUMNS)
 def fs_comparison_table(
     scale: str = "small",
-    machine: MachineSpec = TERA100,
     seed: int = 0,
     telemetry: Telemetry | None = None,
 ) -> FSComparisonResult:
@@ -160,13 +157,13 @@ def fs_comparison_table(
         paper=(2560, [1, 2, 4, 8, 10, 16, 25, 32, 64], 1 * GIB),
     )
     result = FSComparisonResult(
-        f"In-text — streams vs scaled FS at {writers} writers ({machine.name})",
+        f"In-text — streams vs scaled FS at {writers} writers ({TERA100.name})",
         FS_COMPARISON_COLUMNS,
     )
     for ratio in ratios:
         result.points.append(
             stream_point(
-                machine, writers, ratio, bytes_per_writer, MIB, seed, telemetry=telemetry
+                TERA100, writers, ratio, bytes_per_writer, MIB, seed, telemetry=telemetry
             )
         )
     return result

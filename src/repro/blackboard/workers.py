@@ -24,6 +24,10 @@ class ThreadPool:
     BACKOFF_MIN = 50e-6
     #: back-off ceiling
     BACKOFF_MAX = 2e-3
+    #: host seconds :meth:`drain` waits for the board to go idle
+    DRAIN_TIMEOUT = 30.0
+    #: host seconds :meth:`stop` waits for each worker to join
+    STOP_TIMEOUT = 5.0
 
     def __init__(self, board: Blackboard, nworkers: int = 4, seed: int = 0):
         if nworkers < 1:
@@ -73,16 +77,16 @@ class ThreadPool:
             self.idle_s[index] += host_now() - t0
             backoff = min(backoff * 2.0, self.BACKOFF_MAX)
 
-    def drain(self, timeout: float = 30.0) -> None:
+    def drain(self) -> None:
         """Wait until the board is idle (all submitted work executed)."""
-        if not self.board.wait_idle(timeout=timeout):
-            raise BlackboardError(f"blackboard did not drain within {timeout}s")
+        if not self.board.wait_idle(timeout=self.DRAIN_TIMEOUT):
+            raise BlackboardError(f"blackboard did not drain within {self.DRAIN_TIMEOUT}s")
 
-    def stop(self, timeout: float = 5.0) -> None:
+    def stop(self) -> None:
         self._stop.set()
         had_workers = bool(self._threads)
         for t in self._threads:
-            t.join(timeout=timeout)
+            t.join(timeout=self.STOP_TIMEOUT)
             if t.is_alive():  # pragma: no cover - only on pathological stalls
                 raise BlackboardError(f"worker {t.name} failed to stop")
         self._threads.clear()

@@ -30,7 +30,9 @@ Fault kinds
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict
+from numbers import Integral, Real
 
 from repro.errors import ConfigError
 
@@ -70,6 +72,14 @@ class FaultSpec:
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ConfigError(f"unknown fault kind {self.kind!r}")
+        for name in ("at", "factor", "extra_latency", "duration"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+                raise ConfigError(f"fault {name} must be a finite number, got {value!r}")
+        for name in ("target", "every"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ConfigError(f"fault {name} must be an integer, got {value!r}")
         if self.at <= 0:
             raise ConfigError(f"fault time must be > 0, got {self.at}")
         if self.kind == ANALYZER_CRASH and self.target == 0:
@@ -126,7 +136,10 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, text: str | dict) -> "FaultPlan":
-        data = json.loads(text) if isinstance(text, str) else text
+        try:
+            data = json.loads(text) if isinstance(text, str) else text
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"fault plan is not valid JSON: {exc}") from None
         if not isinstance(data, dict) or "faults" not in data:
             raise ConfigError("fault plan JSON needs a top-level 'faults' list")
         try:

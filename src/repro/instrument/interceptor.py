@@ -22,6 +22,7 @@ from repro.codec.frame import PackProvenance
 from repro.codec.stages import build_chain
 from repro.errors import InstrumentationError, ReproError
 from repro.instrument.events import EVENT_RECORD_SIZE
+from repro.instrument import overhead
 from repro.instrument.overhead import InstrumentationCost
 from repro.instrument.packer import EventPackBuilder
 from repro.mpi.pmpi import CallRecord, Interceptor
@@ -53,7 +54,7 @@ class StreamingInstrumentation(Interceptor):
         partition = mpi.partition
         # Cap the real pack size so the modelled volume (with per-call
         # context) still fits one stream block.
-        real_capacity = max(4096, int(self.cost.block_size / self.cost.volume_multiplier))
+        real_capacity = max(4096, int(self.cost.block_size / overhead.VOLUME_MULTIPLIER))
         self.chain = build_chain(self.cost.reduction) if self.cost.reduction else None
         self.builder = EventPackBuilder(
             app_id=partition.index,
@@ -92,7 +93,7 @@ class StreamingInstrumentation(Interceptor):
         # is charged to the timeline in quanta, keeping the discrete-event
         # count proportional to packs rather than events (identical totals).
         self._cpu_debt = 0.0
-        self._per_event_cpu = self.cost.per_event_cpu  # hot-path cache
+        self._per_event_cpu = overhead.PER_EVENT_CPU  # hot-path cache
         self._cpu_quantum = max(self._per_event_cpu * 16, 8e-6)
         self._pmpi = mpi.ctx.pmpi
         self._kernel = mpi.ctx.kernel
@@ -282,8 +283,8 @@ class StreamingInstrumentation(Interceptor):
                     telemetry.histogram("codec.pack_ratio").observe(ratio)
                 modeled = max(1, int(modeled * ratio))
         modeled = min(modeled, self.stream.block_size)
-        if self.cost.pack_flush_cpu > 0:
-            yield float(self.cost.pack_flush_cpu)
+        if overhead.PACK_FLUSH_CPU > 0:
+            yield overhead.PACK_FLUSH_CPU
         written = yield from self.stream.write(nbytes=modeled, payload=blob)
         if written == 0:
             # Overflow policy (or an injected fault) discarded the pack.

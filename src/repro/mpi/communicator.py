@@ -13,6 +13,7 @@ from typing import TYPE_CHECKING, Any, Callable
 
 from repro.errors import CommunicatorError, MPIError
 from repro.mpi.collectives import CollectiveEngine
+from repro.mpi.costmodel import O_SEND
 from repro.mpi.datatypes import ANY_SOURCE, ANY_TAG
 from repro.mpi.message import Envelope
 from repro.mpi.request import Join, Request, waitall as _waitall
@@ -64,7 +65,7 @@ class Comm:
     generators themselves."""
 
     __slots__ = ("group", "rank", "ctx", "id", "size", "_global_rank", "_coll_seq",
-                 "_global_ranks", "_kernel", "_mailbox", "_ranks", "_transfer", "_o_send",
+                 "_global_ranks", "_kernel", "_mailbox", "_ranks", "_transfer",
                  "_o_recv", "_eager_threshold", "_eager_copy_bandwidth")
 
     def __init__(self, group: CommGroup, rank: int, ctx: "RankContext"):
@@ -90,7 +91,6 @@ class Comm:
         self._mailbox = ctx.mailbox
         self._ranks = world.ranks
         self._transfer = world.cluster.transfer
-        self._o_send = cost.o_send
         self._o_recv = cost.o_recv
         self._eager_threshold = cost.eager_threshold
         self._eager_copy_bandwidth = cost.eager_copy_bandwidth
@@ -195,7 +195,7 @@ class Comm:
         eager = nbytes <= self._eager_threshold
         # Sender CPU: the send overhead, plus the copy into MPI buffering on
         # the eager path — charged as one delay.
-        yield self._o_send + (nbytes / self._eager_copy_bandwidth if eager else 0.0)
+        yield O_SEND + (nbytes / self._eager_copy_bandwidth if eager else 0.0)
         arrival = self._transfer(self._global_rank, g_dst, nbytes)
         if eager:
             match_event = None

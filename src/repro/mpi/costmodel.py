@@ -1,10 +1,11 @@
 """Timing constants and collective cost formulas.
 
 Point-to-point overheads follow the LogGP tradition: a CPU overhead on each
-side (``o_send``/``o_recv``), eager copies below the rendezvous threshold,
-and network time from the flow model.  Collectives are charged with the
-standard log-tree / ring formulas used by every MPI performance model; the
-bandwidth term uses the per-rank NIC share implied by the node's occupancy.
+side (``O_SEND``, ``CostModel.o_recv``), eager copies below the rendezvous
+threshold, and network time from the flow model.  Collectives are charged
+with the standard log-tree / ring formulas used by every MPI performance
+model; the bandwidth term uses the per-rank NIC share implied by the node's
+occupancy.
 """
 
 from __future__ import annotations
@@ -15,18 +16,21 @@ from dataclasses import dataclass
 from repro.errors import ConfigError
 from repro.network.machine import MachineSpec
 
+#: CPU time to issue a send
+O_SEND = 0.4e-6
+#: per-byte local reduction arithmetic
+REDUCE_GAMMA = 1.0 / 4.0e9
+
 
 @dataclass(frozen=True)
 class CostModel:
-    """All tunable timing constants of the simulated MPI library."""
+    """The tunable timing constants of the simulated MPI library."""
 
-    o_send: float = 0.4e-6  # CPU time to issue a send
     o_recv: float = 0.4e-6  # CPU time to complete a receive
     eager_threshold: int = 64 * 1024  # rendezvous above this size
     eager_copy_bandwidth: float = 5.0e9  # memcpy into MPI buffering
     alpha: float = 2.0e-6  # collective per-stage latency
     beta: float = 1.0 / 0.8e9  # collective per-byte time (per-rank share)
-    reduce_gamma: float = 1.0 / 4.0e9  # per-byte local reduction arithmetic
 
     @classmethod
     def for_machine(cls, machine: MachineSpec, ranks_per_node: int | None = None) -> "CostModel":
@@ -54,7 +58,7 @@ class CostModel:
         if nbytes < 0:
             raise ConfigError(f"negative collective payload: {nbytes}")
         if nranks == 1:
-            return self.o_send
+            return O_SEND
         p = nranks
         n = nbytes
         log_p = math.ceil(math.log2(p))
@@ -63,10 +67,10 @@ class CostModel:
         if op == "bcast":
             return log_p * (self.alpha + n * self.beta)
         if op == "reduce":
-            return log_p * (self.alpha + n * self.beta + n * self.reduce_gamma)
+            return log_p * (self.alpha + n * self.beta + n * REDUCE_GAMMA)
         if op == "allreduce":
             # Rabenseifner: reduce-scatter + allgather.
-            return 2.0 * log_p * self.alpha + 2.0 * n * self.beta * (p - 1) / p + n * self.reduce_gamma
+            return 2.0 * log_p * self.alpha + 2.0 * n * self.beta * (p - 1) / p + n * REDUCE_GAMMA
         if op in ("gather", "scatter"):
             return log_p * self.alpha + n * self.beta * (p - 1)
         if op in ("allgather", "reduce_scatter"):

@@ -59,12 +59,11 @@ class Kernel:
         "telemetry",
         "_ctr_dispatched",
         "_gauge_heap",
-        "trace",
         "events_dispatched",
         "timeout",
     )
 
-    def __init__(self, *, trace: bool = False, telemetry: Telemetry | None = None):
+    def __init__(self, *, telemetry: Telemetry | None = None):
         self.now: float = 0.0
         self._heap: list[tuple[float, int, SimEvent]] = []
         #: the entries due at ``now`` (computed time == now), in seq order
@@ -78,17 +77,12 @@ class Kernel:
         #: case :meth:`_fire_hooks` recomputes and fires nothing; it must
         #: never be stale-high, so every registration lowers it.
         self._hooks_due: float = _INF
-        # The trace debug aid records dispatch markers through telemetry, so
-        # trace=True without an explicit instance gets a private live one.
-        if telemetry is None and trace:
-            telemetry = Telemetry()
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         if self.telemetry.enabled:
             self.telemetry.bind_clock(lambda: self.now)
             self.telemetry.name_track(KERNEL_PID, "simulation kernel")
             self._ctr_dispatched = self.telemetry.counter("kernel.events_dispatched")
             self._gauge_heap = self.telemetry.gauge("kernel.heap_depth", pid=KERNEL_PID)
-        self.trace = trace
         self.events_dispatched = 0
         #: ``timeout(delay, value=None)`` — a :class:`Timeout` on this kernel.
         #: Bound once as a C-level partial: the most-called factory costs
@@ -207,7 +201,6 @@ class Kernel:
         ready = self._ready
         popleft, append = ready.popleft, ready.append
         observed = self.telemetry.enabled
-        trace = observed and self.trace
         # events_dispatched is counted in a local; an observed run also
         # mirrors it and the schedule's length into their instruments.  All
         # three are written where they can be read -- before hooks fire and
@@ -247,15 +240,11 @@ class Kernel:
                     if event._is_process:
                         # It yielded a float and is its own entry (a
                         # finished process is never PENDING): resume it.
-                        if trace:
-                            self._trace_fire(event)
                         event._wake(event)
                         if stop is not None and stop.state != 0:
                             return
                         continue
                     event.state = 1  # SUCCEEDED (value was set at creation)
-                if trace:
-                    self._trace_fire(event)
                 callbacks = event.callbacks
                 event.callbacks = None  # later add_callback() calls run at once
                 waiters = event.num_waiters = len(callbacks)
@@ -274,11 +263,6 @@ class Kernel:
             self.events_dispatched = dispatched
             if observed:
                 self._sync_instruments(dispatched - synced, depth, high)
-
-    def _trace_fire(self, event: SimEvent) -> None:
-        self.telemetry.instant(
-            "kernel.fire", pid=KERNEL_PID, cat="kernel", args={"event": repr(event)}
-        )
 
     def _sync_instruments(self, events: int, depth: float, high: float) -> None:
         """Book ``events`` more dispatches and the current heap depth.

@@ -126,15 +126,14 @@ class Telemetry:
     def instant(
         self,
         name: str,
-        pid: int = KERNEL_PID,
         cat: str = "",
         args: dict[str, Any] | None = None,
     ) -> None:
-        """Record a zero-duration marker event."""
+        """Record a zero-duration marker event on the kernel's track."""
         if not self.enabled:
             return
         self.instants.append(
-            {"name": name, "pid": pid, "cat": cat, "t": self.now(), "args": args}
+            {"name": name, "pid": KERNEL_PID, "cat": cat, "t": self.now(), "args": args}
         )
 
     def name_track(self, pid: int, label: str) -> None:

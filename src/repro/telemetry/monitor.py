@@ -74,12 +74,18 @@ FAULT_WATCH = (
     ("counter.stream.blocks_dropped", "stream_overflow_drop", "warn"),
 )
 
-#: Fixed detector thresholds: no caller sets another value, so they are not
-#: :class:`MonitorConfig` fields.
+#: Fixed detector settings: no run sets another value, so they are not
+#: :class:`MonitorConfig` fields.  Read at each use, so a test may patch one.
 STALL_SHARE_THRESHOLD = 0.25  # stalled writer-seconds per second
 BACKLOG_SLOPE_THRESHOLD = 20.0  # FIFO jobs per second of growth
 STARVATION_SHARE = 0.02  # busy below this share of mean = starved
 MIN_BUSY_SHARE = 0.05  # of window mean busy before judging balance
+EAGAIN_RATE_THRESHOLD = 200.0  # empty non-blocking reads per second
+BACKLOG_DEPTH_FLOOR = 8.0  # FIFO depth below which trend is ignored
+IMBALANCE_RATIO_THRESHOLD = 4.0  # max/mean busy-time across tracks
+CRITICAL_PATH_SHARE = 0.85  # single-layer share of all span time
+TIMELINE_CAPACITY = 512  # ring length per timeline series
+COOLDOWN: float | None = None  # per-kind re-raise spacing; None -> window
 
 
 @dataclass(frozen=True)
@@ -123,36 +129,16 @@ class HealthAlert:
 
 @dataclass
 class MonitorConfig:
-    """Detector thresholds and sampling cadence (virtual seconds)."""
+    """Sampling cadence and detector window (virtual seconds)."""
 
     interval: float = 0.005  # tick/sampling resolution
     window: float = 0.025  # sliding detector window
-    capacity: int = 512  # ring length per timeline series
-    cooldown: float | None = None  # per-kind re-raise spacing; None -> window
-    eagain_rate_threshold: float = 200.0  # empty non-blocking reads per second
-    backlog_depth_floor: float = 8.0  # FIFO depth below which trend is ignored
-    imbalance_ratio_threshold: float = 4.0  # max/mean busy-time across tracks
-    critical_path_share: float = 0.85  # single-layer share of all span time
 
     def __post_init__(self) -> None:
         if self.interval <= 0 or self.window <= 0:
             raise ConfigError("monitor interval and window must be positive")
         if self.window < self.interval:
             raise ConfigError("monitor window must be >= interval")
-        if self.capacity < 2:
-            raise ConfigError("monitor capacity must be >= 2")
-        if self.cooldown is not None and self.cooldown < 0:
-            raise ConfigError("monitor cooldown must be >= 0")
-        if self.eagain_rate_threshold <= 0:
-            raise ConfigError("eagain_rate_threshold must be positive")
-        if self.imbalance_ratio_threshold <= 1:
-            raise ConfigError("imbalance_ratio_threshold must be > 1")
-        if not (0 < self.critical_path_share <= 1):
-            raise ConfigError("critical_path_share must be in (0, 1]")
-
-    @property
-    def effective_cooldown(self) -> float:
-        return self.window if self.cooldown is None else self.cooldown
 
 
 class HealthMonitor:
@@ -171,7 +157,7 @@ class HealthMonitor:
         self.tel = telemetry
         self.config = config or MonitorConfig()
         self.router = router
-        self.timeline = Timeline(telemetry, capacity=self.config.capacity)
+        self.timeline = Timeline(telemetry, capacity=TIMELINE_CAPACITY)
         #: callables run with ``now`` straight after each tick's detectors,
         #: in subscription order — how a plane that must see a tick's alerts
         #: (the steering relax pass) rides this clock instead of its own hook
@@ -190,6 +176,11 @@ class HealthMonitor:
         self._pending_publish: list[HealthAlert] = []
         self._hook: "PeriodicHook | None" = None
         self._span_floor = 0  # spans older than this index are outside windows
+
+    @property
+    def cooldown(self) -> float:
+        """Virtual seconds before a kind raised now may raise again."""
+        return self.config.window if COOLDOWN is None else COOLDOWN
 
     # -- kernel wiring ------------------------------------------------------------
 
@@ -274,7 +265,7 @@ class HealthMonitor:
             self._fault_seen[series] = value
             if self._raised_until.get(kind, -1.0) > now:
                 continue
-            self._raised_until[kind] = now + self.config.effective_cooldown
+            self._raised_until[kind] = now + self.cooldown
             out.append(
                 HealthAlert(
                     kind=kind, t_detect=now, severity=severity,
@@ -291,9 +282,9 @@ class HealthMonitor:
         eagain = self.timeline.get("counter.stream.eagain_returns")
         if eagain is not None:
             rate = eagain.window_stats(t_lo)["rate"]
-            if rate > cfg.eagain_rate_threshold:
+            if rate > EAGAIN_RATE_THRESHOLD:
                 out += self._raise(
-                    "stream_stall", now, rate, cfg.eagain_rate_threshold,
+                    "stream_stall", now, rate, EAGAIN_RATE_THRESHOLD,
                     {"signal": "eagain_rate"},
                 )
         stall = self.timeline.get("hist.stream.write_stall_s.total")
@@ -312,7 +303,7 @@ class HealthMonitor:
         if depth is None:
             return []
         stats = depth.window_stats(now - cfg.window)
-        if stats["n"] < 2 or stats["last"] < cfg.backlog_depth_floor:
+        if stats["n"] < 2 or stats["last"] < BACKLOG_DEPTH_FLOOR:
             return []
         slope = depth.slope(now - cfg.window)
         if slope <= BACKLOG_SLOPE_THRESHOLD:
@@ -367,9 +358,9 @@ class HealthMonitor:
         out: list[HealthAlert] = []
         worst_pid, worst = max(busy.items(), key=lambda kv: kv[1])
         ratio = worst / mean
-        if ratio > cfg.imbalance_ratio_threshold:
+        if ratio > IMBALANCE_RATIO_THRESHOLD:
             out += self._raise(
-                "load_imbalance", now, ratio, cfg.imbalance_ratio_threshold,
+                "load_imbalance", now, ratio, IMBALANCE_RATIO_THRESHOLD,
                 {"pid": worst_pid, "busy_s": round(worst, 9), "tracks": len(busy)},
             )
         starved = sorted(
@@ -385,7 +376,6 @@ class HealthMonitor:
     def _detect_critical_path(
         self, now: float, by_layer: dict[str, float]
     ) -> list[HealthAlert]:
-        cfg = self.config
         if len(by_layer) < 2:
             return []  # a single layer trivially owns 100 %
         total = sum(by_layer.values())
@@ -393,10 +383,10 @@ class HealthMonitor:
             return []
         layer, layer_time = max(by_layer.items(), key=lambda kv: kv[1])
         share = layer_time / total
-        if share <= cfg.critical_path_share:
+        if share <= CRITICAL_PATH_SHARE:
             return []
         return self._raise(
-            "critical_path", now, share, cfg.critical_path_share,
+            "critical_path", now, share, CRITICAL_PATH_SHARE,
             {"layer": layer, "layer_s": round(layer_time, 9)},
         )
 
@@ -408,7 +398,7 @@ class HealthMonitor:
         self._firing.add(kind)
         if self._raised_until.get(kind, -1.0) > now:
             return []
-        self._raised_until[kind] = now + self.config.effective_cooldown
+        self._raised_until[kind] = now + self.cooldown
         severity = "critical" if threshold > 0 and value >= 2 * threshold else "warn"
         alert = HealthAlert(
             kind=kind, t_detect=now, severity=severity,

@@ -31,11 +31,11 @@ windows can therefore read slightly above 1.0 or below 0.0 — sums, not the
 per-window ratios, are the ground truth.
 
 Phase boundaries are detected with an online change-point test: each new
-window's signal (parallel efficiency by default) is z-scored against the
+window's signal (parallel efficiency, ``SIGNAL``) is z-scored against the
 running Welford mean/std of the open phase; a window that is both
-statistically surprising (``z > z_threshold``) and practically different
-(``|shift| > shift_min``, guarding near-constant series) becomes a
-*pending* boundary, confirmed only after ``confirm_windows`` consecutive
+statistically surprising (``z > Z_THRESHOLD``) and practically different
+(``|shift| > SHIFT_MIN``, guarding near-constant series) becomes a
+*pending* boundary, confirmed only after ``CONFIRM_WINDOWS`` consecutive
 outliers — single-window glitches fold back into the open phase.
 
 The engine is an observer in the same sense as the health monitor: it
@@ -79,32 +79,24 @@ STREAM_HEALTH_SERIES = {
 #: gauge names mirrored per window (exported as Chrome ``ph:"C"`` tracks)
 GAUGE_PREFIX = "pop."
 
+#: Change-point settings: no run sets another value, so they are not
+#: :class:`PopConfig` fields.  Read at each use, so a test may patch one.
+SIGNAL = "parallel_efficiency"  # change-point input metric
+MIN_PHASE_WINDOWS = 3  # windows before a phase can split
+Z_THRESHOLD = 3.0  # surprise bar (running z-score)
+SHIFT_MIN = 0.05  # practical-difference bar (abs units)
+CONFIRM_WINDOWS = 2  # consecutive outliers to confirm a boundary
+
 
 @dataclass
 class PopConfig:
-    """Window cadence and change-point thresholds (virtual seconds)."""
+    """Window cadence (virtual seconds)."""
 
     window: float = 0.005  # metric window / tick interval
-    signal: str = "parallel_efficiency"  # change-point input metric
-    min_phase_windows: int = 3  # windows before a phase can split
-    z_threshold: float = 3.0  # surprise bar (running z-score)
-    shift_min: float = 0.05  # practical-difference bar (abs units)
-    confirm_windows: int = 2  # consecutive outliers to confirm a boundary
 
     def __post_init__(self) -> None:
         if self.window <= 0:
             raise ConfigError(f"metrics window must be > 0, got {self.window}")
-        if self.signal not in METRIC_KEYS:
-            raise ConfigError(
-                f"unknown change-point signal {self.signal!r}; "
-                f"choose from {METRIC_KEYS}"
-            )
-        if self.min_phase_windows < 1:
-            raise ConfigError("min_phase_windows must be >= 1")
-        if self.z_threshold <= 0 or self.shift_min < 0:
-            raise ConfigError("z_threshold must be > 0 and shift_min >= 0")
-        if self.confirm_windows < 1:
-            raise ConfigError("confirm_windows must be >= 1")
 
 
 def metrics_from_sums(per_rank: dict[Any, dict[str, float]]) -> dict[str, float]:
@@ -420,17 +412,16 @@ class PopMetricsEngine:
     # -- phase detection ----------------------------------------------------------
 
     def _detect_phase(self, window: WindowMetrics) -> None:
-        cfg = self.config
-        signal_value = window.metrics[cfg.signal]
+        signal_value = window.metrics[SIGNAL]
         current = self._current
         if current is None:
             current = self._current = PhaseStats(0, window.t0)
-        if current.windows >= cfg.min_phase_windows:
+        if current.windows >= MIN_PHASE_WINDOWS:
             shift = abs(signal_value - current.signal_mean)
             std = max(current.signal_std, 1e-9)
-            if shift / std > cfg.z_threshold and shift > cfg.shift_min:
+            if shift / std > Z_THRESHOLD and shift > SHIFT_MIN:
                 self._pending.append((window, signal_value))
-                if len(self._pending) >= cfg.confirm_windows:
+                if len(self._pending) >= CONFIRM_WINDOWS:
                     self._split_phase()
                 return
         # Not an outlier (or phase still warming up): any pending windows
@@ -466,7 +457,7 @@ class PopMetricsEngine:
         """Everything reduced to plain dicts (report section, NDJSON tail)."""
         return {
             "window_s": self.config.window,
-            "signal": self.config.signal,
+            "signal": SIGNAL,
             "windows": len(self.windows),
             "phases": [phase.as_dict() for phase in self.phases],
             "end_of_run": self.end_of_run(),

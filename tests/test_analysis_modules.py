@@ -117,25 +117,25 @@ class TestCommMatrix:
             m.update(r, make_events([("MPI_Send", (r + 1) % 4, 0, 8, 0, 1)]))
         assert len(m.cells) == 4
         assert m.degree_histogram() == {1: 4}
-        assert m.is_symmetric("hits") is False  # directed ring
+        assert m.is_symmetric() is False  # directed ring
 
     def test_symmetry_detection(self):
         m = CommMatrix("pair", 2)
         m.update(0, make_events([("MPI_Send", 1, 0, 8, 0, 1)]))
         m.update(1, make_events([("MPI_Send", 0, 0, 8, 0, 1)]))
-        assert m.is_symmetric("hits")
+        assert m.is_symmetric()
 
     def test_top_pairs(self):
         m = CommMatrix("a", 3)
         m.update(0, make_events([("MPI_Send", 1, 0, 10, 0, 1)]))
         m.update(0, make_events([("MPI_Send", 2, 0, 99, 0, 1)]))
-        top = m.top_pairs("size", k=1)
+        top = m.top_pairs(k=1)
         assert top == [(0, 2, 99.0)]
 
     def test_to_dot(self):
         m = CommMatrix("tiny", 2)
         m.update(0, make_events([("MPI_Send", 1, 0, 8, 0, 1)]))
-        dot = m.to_dot("size")
+        dot = m.to_dot()
         assert "digraph" in dot and "0 -> 1" in dot
 
     def test_to_dot_size_guard(self):

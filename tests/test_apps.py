@@ -171,7 +171,7 @@ class TestCommunicationStructure:
         # Every rank talks to 6 distinct successors (x,y,z forward+backward).
         degrees = topo.degree_histogram()
         assert set(degrees) == {6}
-        assert topo.is_symmetric("hits")
+        assert topo.is_symmetric()
 
     def test_bt_torus_three_successors(self, big_machine):
         name, result = profile(big_machine, BT(16, "C", iterations=1))
@@ -185,7 +185,7 @@ class TestCommunicationStructure:
         degrees = topo.degree_histogram()
         assert set(degrees) == {2, 3, 4}
         assert degrees[2] == 4  # four corners
-        assert topo.is_symmetric("hits")
+        assert topo.is_symmetric()
 
     def test_cg_butterfly_partners(self, big_machine):
         name, result = profile(big_machine, CG(16, "C", iterations=1))
@@ -207,7 +207,7 @@ class TestCommunicationStructure:
             dx = abs(src % px - dst % px)
             dy = abs(src // px - dst // px)
             assert (dx, dy) in ((1, 0), (0, 1)), (src, dst)
-        assert topo.is_symmetric("hits")
+        assert topo.is_symmetric()
 
     def test_lu_send_hits_correlate_with_neighbours(self, big_machine):
         """Paper Fig. 18(a): Send count follows mesh neighbourhood."""

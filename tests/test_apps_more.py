@@ -36,7 +36,7 @@ class TestMG:
     def test_neighbour_symmetry(self):
         name, result = profile(MG(8, "C", iterations=1))
         topo = result.report.chapter(name).topology
-        assert topo.is_symmetric("hits")
+        assert topo.is_symmetric()
 
 
 class TestFT:

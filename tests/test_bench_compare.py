@@ -118,6 +118,15 @@ class TestCompare:
         renamed = payload([["Scalasca", "5.0"]], columns=cols, experiment="fig16")
         assert not compare_bench(base, renamed).ok
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["throughput_GBps", "overhead_pct"])
+    def test_non_finite_candidate_regresses(self, cell, column):
+        cand = payload([["64", "10.0", "5.0"], ["128", "20.0", "5.0"]])
+        cand["rows"][0][BASE["columns"].index(column)] = cell
+        cmp = compare_bench(BASE, cand)
+        assert not cmp.ok
+        assert [(d.row, d.column) for d in cmp.regressions] == [(0, column)]
+
     def test_elapsed_is_never_compared(self):
         cols = ("writers", "elapsed_s")
         base = payload([["64", "1.0"]], columns=cols)
@@ -169,6 +178,18 @@ class TestStructural:
         cmp = compare_bench(BASE, cand)
         assert not cmp.ok
         assert any("lost columns" in s for s in cmp.structural)
+
+    @pytest.mark.parametrize("side", ["baseline", "candidate"])
+    @pytest.mark.parametrize("rows, match", [
+        ([["64", "10.0", "5.0"], ["128", "20.0"]], "row 1 is not a list of 3 cells"),
+        ([["64", "10.0", "5.0"], "128"], "row 1 is not a list of 3 cells"),
+        ({"0": ["64", "10.0", "5.0"]}, "rows must be a list, got dict"),
+    ])
+    def test_malformed_rows_are_config_errors(self, side, rows, match):
+        bad = dict(BASE, rows=rows)
+        args = (bad, BASE) if side == "baseline" else (BASE, bad)
+        with pytest.raises(ConfigError, match=f"{side} {match}"):
+            compare_bench(*args)
 
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ConfigError):

@@ -54,6 +54,30 @@ def test_plan_from_json_rejects_garbage():
         FaultPlan.from_json({"faults": [{"kind": ANALYZER_CRASH, "bogus": 1}]})
 
 
+@pytest.mark.parametrize("text, match", [
+    ("{not json", "not valid JSON"),
+    ('{"faults": [{"kind": "analyzer_crash", "at": NaN}]}', "fault at must be a finite number"),
+    ('{"faults": [{"kind": "analyzer_crash", "at": Infinity}]}', "fault at must be a finite number"),
+    ('{"faults": [{"kind": "analyzer_crash", "at": "1.0"}]}', "fault at must be a finite number"),
+    ('{"faults": [{"kind": "analyzer_crash", "at": true}]}', "fault at must be a finite number"),
+    ('{"faults": [{"kind": "link_degrade", "at": 1.0, "factor": NaN}]}',
+     "fault factor must be a finite number"),
+    ('{"faults": [{"kind": "link_degrade", "at": 1.0, "extra_latency": -Infinity}]}',
+     "fault extra_latency must be a finite number"),
+    ('{"faults": [{"kind": "analyzer_stall", "at": 1.0, "duration": Infinity}]}',
+     "fault duration must be a finite number"),
+    ('{"faults": [{"kind": "analyzer_crash", "at": 1.0, "target": "a"}]}',
+     "fault target must be an integer"),
+    ('{"faults": [{"kind": "analyzer_crash", "at": 1.0, "target": 1.0}]}',
+     "fault target must be an integer"),
+    ('{"faults": [{"kind": "pack_drop", "at": 1.0, "every": true}]}',
+     "fault every must be an integer"),
+])
+def test_plan_from_json_rejects_bad_values(text, match):
+    with pytest.raises(ConfigError, match=match):
+        FaultPlan.from_json(text)
+
+
 def test_every_canned_plan_builds():
     for name in CANNED_PLANS:
         plan = make_plan(name, at=1.5, seed=3)

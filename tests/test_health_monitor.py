@@ -8,6 +8,7 @@ from repro.core.session import CouplingSession
 from repro.errors import ConfigError, SimulationError
 from repro.simt.kernel import Kernel
 from repro.telemetry.core import NULL_TELEMETRY, Telemetry
+from repro.telemetry import monitor as monitor_module
 from repro.telemetry.monitor import HealthMonitor, MonitorConfig
 
 
@@ -109,16 +110,12 @@ class TestMonitorConfig:
             MonitorConfig(interval=0.0)
         with pytest.raises(ConfigError):
             MonitorConfig(interval=0.1, window=0.05)  # window < interval
-        with pytest.raises(ConfigError):
-            MonitorConfig(capacity=1)
-        with pytest.raises(ConfigError):
-            MonitorConfig(imbalance_ratio_threshold=1.0)
-        with pytest.raises(ConfigError):
-            MonitorConfig(critical_path_share=0.0)
 
-    def test_effective_cooldown_defaults_to_window(self):
-        assert MonitorConfig(window=0.5).effective_cooldown == 0.5
-        assert MonitorConfig(cooldown=0.1).effective_cooldown == 0.1
+    def test_effective_cooldown_defaults_to_window(self, monkeypatch):
+        monitor = HealthMonitor(Telemetry(), config=MonitorConfig(window=0.5))
+        assert monitor.cooldown == 0.5
+        monkeypatch.setattr(monitor_module, "COOLDOWN", 0.1)
+        assert monitor.cooldown == 0.1
 
     def test_monitor_requires_live_telemetry(self):
         with pytest.raises(ConfigError):
@@ -143,6 +140,21 @@ class TestMonitorConfig:
 # -- detectors under fabricated scenarios ---------------------------------------------
 
 
+def _make(monkeypatch, **overrides):
+    """A monitor on a fresh kernel; ``interval``/``window`` go into its
+    config, any other override patches the module constant of that name."""
+    cfg = dict(interval=0.05, window=0.25)
+    for name, value in overrides.items():
+        if name in cfg:
+            cfg[name] = value
+        else:
+            monkeypatch.setattr(monitor_module, name.upper(), value)
+    tel = Telemetry()
+    kernel = Kernel(telemetry=tel)
+    monitor = HealthMonitor(tel, config=MonitorConfig(**cfg))
+    return tel, kernel, monitor
+
+
 def _run_with_load(kernel, monitor, load, duration=1.0, step=0.01):
     """Drive a kernel with a per-step ``load(now)`` fabrication callback."""
     def proc(k):
@@ -158,13 +170,12 @@ def _run_with_load(kernel, monitor, load, duration=1.0, step=0.01):
 
 
 class TestDetectors:
+    @pytest.fixture(autouse=True)
+    def _monkeypatch(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+
     def make(self, **overrides):
-        cfg = dict(interval=0.05, window=0.25)
-        cfg.update(overrides)
-        tel = Telemetry()
-        kernel = Kernel(telemetry=tel)
-        monitor = HealthMonitor(tel, config=MonitorConfig(**cfg))
-        return tel, kernel, monitor
+        return _make(self.monkeypatch, **overrides)
 
     def test_eagain_storm_detected_during_run(self):
         tel, kernel, monitor = self.make(eagain_rate_threshold=200.0)
@@ -348,30 +359,25 @@ class TestSessionIntegration:
         rendered = result.report.render()
         assert "## Health (online monitor)" in rendered
 
-    def test_router_sees_alerts_live(self):
+    def test_router_sees_alerts_live(self, monkeypatch):
         router = AlertRouter()
         live = []
         router.subscribe(live.append)
         # Tight thresholds so something certainly fires.
+        monkeypatch.setattr(monitor_module, "CRITICAL_PATH_SHARE", 0.01)
         result = _session(
             True,
             router=router,
-            config=MonitorConfig(
-                interval=1e-4, window=5e-4, critical_path_share=0.01
-            ),
+            config=MonitorConfig(interval=1e-4, window=5e-4),
         )
         assert live
         assert result.health["alerts"]
         end = result.world.kernel.now
         assert all(a.t_detect < end for a in live)
 
-    def test_alerts_published_through_blackboard(self):
-        result = _session(
-            True,
-            config=MonitorConfig(
-                interval=1e-4, window=5e-4, critical_path_share=0.01
-            ),
-        )
+    def test_alerts_published_through_blackboard(self, monkeypatch):
+        monkeypatch.setattr(monitor_module, "CRITICAL_PATH_SHARE", 0.01)
+        result = _session(True, config=MonitorConfig(interval=1e-4, window=5e-4))
         assert result.health["published_to_blackboard"] > 0
         ingest = result.analyzer_stats["health_ingest"]
         assert sum(ingest.values()) == result.health["published_to_blackboard"]
@@ -382,13 +388,12 @@ class TestSessionIntegration:
 
 
 class TestClearedEvents:
+    @pytest.fixture(autouse=True)
+    def _monkeypatch(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+
     def make(self, **overrides):
-        cfg = dict(interval=0.05, window=0.25)
-        cfg.update(overrides)
-        tel = Telemetry()
-        kernel = Kernel(telemetry=tel)
-        monitor = HealthMonitor(tel, config=MonitorConfig(**cfg))
-        return tel, kernel, monitor
+        return _make(self.monkeypatch, **overrides)
 
     def test_windowed_alert_clears_when_condition_subsides(self):
         tel, kernel, monitor = self.make(eagain_rate_threshold=200.0)

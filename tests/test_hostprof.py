@@ -487,7 +487,7 @@ class TestSelfPerfLane:
 
     def test_run_once_matches_chain_grid(self):
         assert CHAINS[0] == ""  # the identity row anchors both self-gates
-        outputs, wall = _run_once("", "small", TERA100, 0)
+        outputs, wall = _run_once("", "small", 0)
         assert outputs["events"] > 0 and outputs["packs"] > 0 and wall > 0
 
 

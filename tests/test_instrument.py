@@ -13,6 +13,7 @@ from repro.errors import ConfigError, InstrumentationError, PackFormatError
 from repro.instrument.events import (
     CALL_IDS, EVENT_DTYPE, EVENT_RECORD_SIZE, call_id, decode_events, encode_event,
 )
+from repro.instrument import overhead
 from repro.instrument.overhead import InstrumentationCost
 from repro.instrument.packer import EventPackBuilder, PACK_HEADER_SIZE, decode_pack
 from repro.mpi.pmpi import CallRecord
@@ -249,19 +250,15 @@ class TestPackBuilder:
 
 class TestInstrumentationCost:
     def test_defaults_valid(self):
-        cost = InstrumentationCost()
-        assert cost.per_event_cpu > 0
-        assert cost.volume_multiplier >= 1.0
+        InstrumentationCost()
+        assert overhead.PER_EVENT_CPU > 0
+        assert overhead.VOLUME_MULTIPLIER >= 1.0
 
-    def test_modeled_bytes(self):
-        cost = InstrumentationCost(volume_multiplier=2.0)
-        assert cost.modeled_bytes(100) == 200
+    def test_modeled_bytes(self, monkeypatch):
+        monkeypatch.setattr(overhead, "VOLUME_MULTIPLIER", 2.0)
+        assert InstrumentationCost().modeled_bytes(100) == 200
 
     def test_validation(self):
-        with pytest.raises(ConfigError):
-            InstrumentationCost(per_event_cpu=-1)
-        with pytest.raises(ConfigError):
-            InstrumentationCost(volume_multiplier=0.5)
         with pytest.raises(ConfigError):
             InstrumentationCost(block_size=16)
         with pytest.raises(ConfigError):
@@ -299,23 +296,22 @@ class TestStreamingInterceptor:
         small_packs = list(result_small.apps.values())[0].packs
         assert small_packs > big_packs
 
-    def test_modeled_volume_tracks_multiplier(self, big_machine):
-        name1, r1 = self._run_session(big_machine, volume_multiplier=1.0)
-        name2, r2 = self._run_session(big_machine, volume_multiplier=3.0)
+    def test_modeled_volume_tracks_multiplier(self, big_machine, monkeypatch):
+        monkeypatch.setattr(overhead, "VOLUME_MULTIPLIER", 1.0)
+        name1, r1 = self._run_session(big_machine)
+        monkeypatch.setattr(overhead, "VOLUME_MULTIPLIER", 3.0)
+        name2, r2 = self._run_session(big_machine)
         v1 = r1.app(name1).modeled_stream_bytes
         v2 = r2.app(name2).modeled_stream_bytes
         assert v2 > 2.5 * v1
 
-    def test_zero_cost_instrumentation_has_tiny_overhead(self, big_machine):
+    def test_zero_cost_instrumentation_has_tiny_overhead(self, big_machine, monkeypatch):
         from repro.apps.nas.cg import CG
         from repro.core.session import CouplingSession
 
-        session = CouplingSession(
-            machine=big_machine,
-            instrumentation=InstrumentationCost(
-                per_event_cpu=0.0, pack_flush_cpu=0.0
-            ),
-        )
+        monkeypatch.setattr(overhead, "PER_EVENT_CPU", 0.0)
+        monkeypatch.setattr(overhead, "PACK_FLUSH_CPU", 0.0)
+        session = CouplingSession(machine=big_machine, instrumentation=InstrumentationCost())
         name = session.add_application(CG(8, "C", iterations=3))
         session.set_analyzer(ratio=1.0)
         instrumented = session.run().app(name).walltime

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import SimulationError
 from repro.mpi.launcher import MPMDLauncher
 from repro.mpi.collectives import numeric_max, numeric_min
-from repro.mpi.costmodel import CostModel
+from repro.mpi.costmodel import O_SEND, CostModel
 
 
 def _single(machine, main, nprocs, **kwargs):
@@ -191,7 +191,7 @@ def test_collective_cost_grows_with_bytes(machine):
 
 def test_collective_cost_single_rank_trivial():
     cost = CostModel()
-    assert cost.collective_cost("alltoall", 1, 10**9) == cost.o_send
+    assert cost.collective_cost("alltoall", 1, 10**9) == O_SEND
 
 
 def test_unknown_collective_rejected():

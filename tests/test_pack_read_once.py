@@ -231,7 +231,8 @@ def test_patched_names_are_still_plain_functions_and_attributes():
     assert inspect.isfunction(vars(AnalyzerEngine)["ingest"])
     engine = AnalyzerEngine([("probe", 4)], AnalysisConfig())
     for attr in ("packs_ingested", "packs_rejected", "bytes_ingested", "bytes_wire_ingested"):
-        assert vars(engine)[attr] == 0, attr
+        assert getattr(engine, attr) == 0, attr
+        assert not isinstance(inspect.getattr_static(AnalyzerEngine, attr, None), property), attr
 
 
 def test_the_host_profiler_installs_and_restores_all_eleven_entry_points():

@@ -1,4 +1,4 @@
-"""scripts/reach.py: the stdlib reach collector and its three lists.
+"""scripts/reach.py: the stdlib reach collector, its three lists and its gate.
 
 Each trace runs in a child interpreter (the collector installs
 ``sys.settrace``, which would replace any tracer of this process).
@@ -16,13 +16,13 @@ SCRIPT = ROOT / "scripts" / "reach.py"
 UNITS = "repro/util/units.py"
 
 
-def _reach(*args, cwd):
+def _reach(*args, cwd, code=0):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run(
         [sys.executable, str(SCRIPT), *args],
         cwd=cwd, env=env, capture_output=True, text=True, timeout=60, check=False,
     )
-    assert out.returncode == 0, out.stderr
+    assert out.returncode == code, out.stderr
     return out.stdout
 
 
@@ -84,7 +84,9 @@ def test_report_lists_the_three_kinds(tmp_path):
         tmp_path, "t.py", "fmt_time(1.0)\nfmt_bytes(1, binary=True)\n"), cwd=tmp_path)
     _reach("trace", str(run), _program(tmp_path, "r.py", "fmt_bytes(1)\n"), cwd=tmp_path)
     found = json.loads(tests.read_text())
-    sections = _sections(_reach("report", str(tests), str(run), cwd=tmp_path))
+    # Exit 1: importing repro builds NULL_TELEMETRY, and no call in so small
+    # a trace moves Telemetry's ``clock`` (the gate's case is below).
+    sections = _sections(_reach("report", str(tests), str(run), cwd=tmp_path, code=1))
     fmt_time, fmt_bytes = _key(found, "fmt_time"), _key(found, "fmt_bytes")
     fmt_bw = next(k for k in sections["functions no run reaches"] if k.endswith(":fmt_bw"))
 
@@ -94,3 +96,23 @@ def test_report_lists_the_three_kinds(tmp_path):
     assert fmt_bytes not in sections["functions no run reaches"]
     assert f"{fmt_bytes}:binary" in sections["defaulted parameters only tests move"]
     assert f"{fmt_bytes}:binary" not in sections["defaulted parameters no call moves"]
+
+
+def test_report_fails_on_an_unmoved_parameter_no_keep_row_names(tmp_path):
+    # ArchiveScan's fields are all KEEP rows (a record a run fills); fmt_bytes's
+    # ``binary`` is not, so leaving it unmoved fails the report.  Each program
+    # moves Telemetry's ``clock``, which importing repro leaves unmoved.
+    clock = "from repro.telemetry.core import Telemetry\nTelemetry(clock=float)\n"
+    kept, unkept = tmp_path / "kept.json", tmp_path / "unkept.json"
+    _reach("trace", str(kept), _program(tmp_path, "k.py", clock + (
+        "from repro.obs.archive import ArchiveScan\nArchiveScan()\n")), cwd=tmp_path)
+    sections = _sections(_reach("report", str(kept), str(kept), cwd=tmp_path))
+    scan = "repro/obs/archive.py:0:ArchiveScan.__init__"
+    assert f"{scan}:files_scanned" in sections["defaulted parameters no call moves"]
+    assert sections["unmoved parameters no KEEP row names"] == set()
+
+    _reach("trace", str(unkept), _program(tmp_path, "u.py", clock + "fmt_bytes(1)\n"), cwd=tmp_path)
+    found = json.loads(unkept.read_text())
+    sections = _sections(_reach("report", str(unkept), str(unkept), cwd=tmp_path, code=1))
+    binary = _key(found, "fmt_bytes") + ":binary"
+    assert sections["unmoved parameters no KEEP row names"] == {binary}

@@ -226,7 +226,7 @@ class TestChromeTraceExport:
         s = tel.span("work", pid=rank_pid(0), cat="app", args={"n": 1})
         clock.advance(2.0)
         s.end()
-        tel.instant("fire", pid=KERNEL_PID, cat="kernel")
+        tel.instant("fire", cat="kernel")
         g = tel.gauge("depth", pid=KERNEL_PID)
         g.set(3)
 

@@ -29,15 +29,6 @@ class TestKernelTelemetry:
     def test_default_kernel_shares_null_telemetry(self):
         assert Kernel().telemetry is NULL_TELEMETRY
 
-    def test_trace_flag_records_instants_without_printing(self, capsys):
-        kernel = Kernel(trace=True)
-        kernel.spawn(_sleeper(kernel, 1.0, 3), name="p")
-        kernel.run()
-        assert capsys.readouterr().out == ""
-        fires = [i for i in kernel.telemetry.instants if i["name"] == "kernel.fire"]
-        assert len(fires) == kernel.events_dispatched
-        assert all(i["pid"] == KERNEL_PID for i in fires)
-
     def test_dispatch_counter_and_heap_gauge(self):
         tel = Telemetry()
         kernel = Kernel(telemetry=tel)
